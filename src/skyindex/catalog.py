@@ -30,6 +30,7 @@ class Catalog:
     htm_depth: int = DEFAULT_HTM_DEPTH
     htmid: np.ndarray = field(default=None)
     _htm_order: np.ndarray = field(default=None, repr=False, compare=False)
+    _htm_sorted_ids: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.objid)
@@ -44,6 +45,12 @@ class Catalog:
         if self._htm_order is None:
             self._htm_order = np.argsort(self.ensure_htm(), kind="stable")
         return self._htm_order
+
+    def htm_sorted_ids(self) -> np.ndarray:
+        """Mesh ids in htm_order(), ascending (cached)."""
+        if self._htm_sorted_ids is None:
+            self._htm_sorted_ids = self.ensure_htm()[self.htm_order()]
+        return self._htm_sorted_ids
 
     def points(self):
         """(objid, UnitVec3) pairs; handy for the region-store queries."""
@@ -63,9 +70,12 @@ def from_arrays(
     compute_htm: bool = True,
 ) -> Catalog:
     objid = np.asarray(objid, dtype=np.int64)
-    ra = np.mod(np.asarray(ra, dtype=float), 360.0)
-    ra[ra >= 360.0] = 0.0  # fmod of a negative epsilon can round to 360
+    ra = np.asarray(ra, dtype=float)
     dec = np.asarray(dec, dtype=float)
+    if not (np.isfinite(ra).all() and np.isfinite(dec).all()):
+        raise CatalogError("ra and dec must be finite (got NaN or inf)")
+    ra = np.mod(ra, 360.0)
+    ra[ra >= 360.0] = 0.0  # fmod of a negative epsilon can round to 360
     if len(np.unique(objid)) != len(objid):
         raise CatalogError("duplicate objID")
     if len(dec) and (dec.min() < -90.0 or dec.max() > 90.0):
@@ -97,8 +107,8 @@ def from_points(pairs, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
 
 def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
     """Read an objID,ra,dec CSV. ra is normalized into [0, 360); a dec
-    outside [-90, 90], a malformed number, or a repeated objID is an error
-    naming the offending line."""
+    outside [-90, 90], a malformed or non-finite number, or a repeated
+    objID is an error naming the offending line."""
     ids: list[int] = []
     ras: list[float] = []
     decs: list[float] = []
@@ -130,11 +140,16 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
             values = []
             for col, text in enumerate(parts[1:], start=2):
                 try:
-                    values.append(float(text.strip()))
+                    value = float(text.strip())
                 except ValueError:
                     raise CatalogError(
                         f"{path}:{lineno}: column {col}: invalid number {text.strip()!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise CatalogError(
+                        f"{path}:{lineno}: column {col}: non-finite number {text.strip()!r}"
+                    )
+                values.append(value)
             ra, dec = values
             if not (-90.0 <= dec <= 90.0):
                 raise CatalogError(
@@ -170,9 +185,8 @@ def htm_cone_search(
     ranges = htm.cover(region, max_ranges=max_ranges, max_depth=depth_cap)
     if not ranges:
         return []
-    ids = cat.ensure_htm()
     order = cat.htm_order()
-    sorted_ids = ids[order]
+    sorted_ids = cat.htm_sorted_ids()
     cover_depth = (ranges[0][0].bit_length() - 4) // 2
     shift = 2 * (cat.htm_depth - cover_depth)
     limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2

@@ -364,7 +364,10 @@ def _speedup_table(out: Output, rows: list[tuple[str, float, int]]):
 
 
 def cmd_bench_nearby(args, out: Output) -> int:
-    cat = catmod.random_catalog(args.n, args.seed, compute_htm=True)
+    cat = catmod.random_catalog(args.n, args.seed)
+    t0 = time.perf_counter()
+    cat.ensure_htm()
+    mesh_s = time.perf_counter() - t0
     cfg = ZoneConfig(zone_height=args.zone_height, max_radius=args.max_radius)
     t0 = time.perf_counter()
     table = zones.build_zone_table(cat, cfg)
@@ -400,6 +403,7 @@ def cmd_bench_nearby(args, out: Output) -> int:
         max_radius=cfg.max_radius,
         matches=matches,
     )
+    out.timing(f"mesh ids build: {mesh_s:.3f}s")
     out.timing(f"zone table build: {build_s:.3f}s")
     out.timing(f"oracle match: {matches}/{len(queries)}")
     _speedup_table(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import RegionStore
 from .catalog import Catalog
+from .htm import MAX_DEPTH
 from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable
 
@@ -127,6 +128,8 @@ def _read_catalog(r: _Reader) -> Catalog | None:
     y = r.arr("<f8")
     z = r.arr("<f8")
     htmid = r.arr("<i8") if r.u8() else None
+    if htmid is not None and depth == MAX_DEPTH:
+        htmid = htmid.view(np.uint64)  # ids at MAX_DEPTH use all 64 bits
     return Catalog(objid, ra, dec, x, y, z, htm_depth=depth, htmid=htmid)
 
 

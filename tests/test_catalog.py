@@ -67,6 +67,21 @@ class TestIngest:
         with pytest.raises(CatalogError, match=":3: column 2"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize(
+        "row, where",
+        [("1,nan,0", ":2: column 2"), ("1,10,inf", ":2: column 3"), ("1,-inf,0", ":2: column 2")],
+    )
+    def test_non_finite_names_line_and_column(self, tmp_path, row, where):
+        p = write_csv(tmp_path / "c.csv", [row])
+        with pytest.raises(CatalogError, match=where + ": non-finite"):
+            ingest_csv(p)
+
+    def test_from_arrays_rejects_non_finite(self):
+        with pytest.raises(CatalogError, match="finite"):
+            catmod.from_arrays([1, 2], [math.inf, 10.0], [0.0, math.nan])
+        with pytest.raises(CatalogError, match="finite"):
+            catmod.from_arrays([1], [10.0], [math.nan], compute_htm=False)
+
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", ["1,2,3"], header="a,b,c")
         with pytest.raises(CatalogError, match=":1"):
@@ -103,6 +118,13 @@ class TestHtmConeSearch:
             got = {i for i, _ in htm_cone_search(cat, center, r)}
             want = {i for i, _ in oracle.cone_scan(cat, center, r)}
             assert got == want
+
+    def test_sorted_ids_cached(self):
+        cat = random_catalog(500, seed=4, compute_htm=True)
+        sorted_ids = cat.htm_sorted_ids()
+        assert sorted_ids is cat.htm_sorted_ids()
+        assert np.array_equal(sorted_ids, cat.htmid[cat.htm_order()])
+        assert np.all(sorted_ids[1:] >= sorted_ids[:-1])
 
     def test_empty_far_from_points(self):
         cat = catmod.from_points([(1, SkyPoint(10, 10))], htm_depth=10)
@@ -153,6 +175,17 @@ class TestSnapshot:
 
         assert overlap_search(loaded.pyramid, SkyPoint(10, 10), 1.0) == \
             overlap_search(pyr, SkyPoint(10, 10), 1.0)
+
+    def test_max_depth_ids_survive_reload(self, tmp_path):
+        # ids at htm.MAX_DEPTH take all 64 bits, above the int64 range
+        cat = catmod.from_arrays([1, 2, 3], [10.0, 10.1, 200.0], [5.0, 5.05, -40.0],
+                                 htm_depth=htm.MAX_DEPTH)
+        path = str(tmp_path / "s.snap")
+        save_state(AppState(catalog=cat), path)
+        loaded = load_state(path).catalog
+        assert loaded.htmid.tolist() == cat.htmid.tolist()
+        for c in (cat, loaded):
+            assert [i for i, _ in htm_cone_search(c, SkyPoint(10.0, 5.0), 0.5)] == [1, 2]
 
     def test_region_ids_survive_reload(self, tmp_path):
         store = RegionStore()

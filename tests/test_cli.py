@@ -56,6 +56,14 @@ class TestIngestAndZone:
         code, _ = run(capsys, "--snapshot", snap, "ingest", str(bad))
         assert code == 3
 
+    def test_non_finite_csv_is_parse_error(self, capsys, snap, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("objID,ra,dec\n1,10,0\n2,nan,0\n")
+        code = main(["--snapshot", snap, "ingest", str(bad)])
+        assert code == 3
+        assert ":3: column 2: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(snap)
+
     def test_radius_over_margin_is_query_error(self, capsys, snap, csv3):
         run(capsys, "--snapshot", snap, "ingest", csv3)
         run(capsys, "--snapshot", snap, "zone", "build")
@@ -203,6 +211,16 @@ class TestBenchCli:
         assert code == 0
         assert "oracle match: 200/200" in captured.out
         assert "speedup" in captured.out
+        assert "mesh ids build: " in captured.out
+        assert "zone table build: " in captured.out
+
+    def test_bench_nearby_records_timings_on_stderr(self, capsys):
+        code = main(["--format", "records", "bench", "nearby", "--n", "500",
+                     "--queries", "5", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "mesh ids build: " in captured.err
+        assert "mesh ids build" not in captured.out
 
     def test_bench_neighbors(self, capsys):
         code, out = run(capsys, "--format", "records", "bench", "neighbors",

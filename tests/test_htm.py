@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from skyindex import htm
 from skyindex.geom import (
@@ -458,3 +460,170 @@ class TestLocality:
             f"locality: sorted-adjacent mean {np.mean(adjacent):.3f} deg, "
             f"random-pair mean {np.mean(random_pairs):.3f} deg"
         )
+
+
+# -- ids_for_points parity with point_to_id ----------------------------------
+
+PARITY_DEPTHS = (0, 1, 7, 20, 30)
+
+
+def assert_ids_match_scalar(x, y, z, depths=PARITY_DEPTHS):
+    """ids_for_points equals point_to_id exactly, point by point."""
+    cols = [np.asarray(c, dtype=float) for c in (x, y, z)]
+    for depth in depths:
+        got = ids_for_points(x, y, z, depth)
+        assert got.dtype == (np.uint64 if depth == htm.MAX_DEPTH else np.int64)
+        assert got.shape == cols[0].shape
+        want = [
+            point_to_id(UnitVec3(float(px), float(py), float(pz)), depth)
+            for px, py, pz in zip(*cols)
+        ]
+        bad = [i for i, (g, w) in enumerate(zip(got.tolist(), want)) if g != w]
+        assert not bad, (
+            f"depth {depth}: {len(bad)} ids differ, first at "
+            f"{tuple(float(c[bad[0]]) for c in cols)}"
+        )
+
+
+def normalized_lerp(u, v, f, dot=0.0):
+    """The point a fraction f along the edge u -> v, moved off it along the
+    edge's normal until its dot with u x v is about dot."""
+    e = (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+    e2 = e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
+    s = [u[k] * (1.0 - f) + v[k] * f + dot * e[k] / e2 for k in range(3)]
+    n = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
+    return (s[0] / n, s[1] / n, s[2] / n)
+
+
+def edge_points(depths, per_depth_sample, rng):
+    """Corners, edge midpoints and 0.3-fractions of trixels, the latter also
+    moved to an edge dot of about _TIE_EPS: every trixel at depths up to 2,
+    a seeded sample of per_depth_sample beyond."""
+    pts = set()
+    for depth in depths:
+        first, last = 8 << (2 * depth), 16 << (2 * depth)
+        if depth <= 2:
+            hids = range(first, last)
+        else:
+            hids = rng.integers(first, last, per_depth_sample).tolist()
+        for hid in hids:
+            corners = htm._corners_of_id(int(hid))
+            pts.update(corners)
+            for i in range(3):
+                u, v = corners[i], corners[(i + 1) % 3]
+                pts.add(normalized_lerp(u, v, 0.5))
+                pts.add(normalized_lerp(u, v, 0.3))
+                pts.add(normalized_lerp(u, v, 0.3, dot=-1e-15))
+    return np.array(sorted(pts))
+
+
+def axis_points():
+    """Both poles, the equator, and the ra = 0/90/180/270 meridians, both
+    axis-exact and as sky_to_vec rounds them."""
+    pts = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    for ra in np.arange(0.0, 360.0, 7.5):
+        v = sky_to_vec(SkyPoint(float(ra), 0.0))
+        pts.append((v.x, v.y, 0.0))
+    for dec in (-89.9, -60.0, -45.0, -12.5, 0.0, 1e-9, 30.0, 45.0, 80.0, 89.999):
+        c, s = math.cos(math.radians(dec)), math.sin(math.radians(dec))
+        pts += [(c, 0.0, s), (0.0, c, s), (-c, 0.0, s), (0.0, -c, s)]
+        for ra in (0.0, 90.0, 180.0, 270.0):
+            v = sky_to_vec(SkyPoint(ra, dec))
+            pts.append(v.as_tuple())
+    return np.array(pts)
+
+
+class TestVectorizedParity:
+    def test_uniform_points(self, rng):
+        pts = np.array([p.as_tuple() for p in sample_sphere(rng, 300)])
+        assert_ids_match_scalar(pts[:, 0], pts[:, 1], pts[:, 2])
+
+    def test_trixel_corners_and_edges(self, rng):
+        pts = edge_points(range(7), 40, rng)
+        assert len(pts) > 1500
+        assert_ids_match_scalar(pts[:, 0], pts[:, 1], pts[:, 2])
+
+    def test_poles_equator_and_meridians(self):
+        pts = axis_points()
+        assert_ids_match_scalar(pts[:, 0], pts[:, 1], pts[:, 2])
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, htm._BLOCK - 1, htm._BLOCK, htm._BLOCK + 1]
+    )
+    def test_sizes_around_the_block(self, n, rng):
+        pts = np.array([p.as_tuple() for p in sample_sphere(rng, n)]).reshape(n, 3)
+        # every point would cost a scalar lookup per depth; the block edges
+        # are what these sizes add, so check around them at one depth
+        assert_ids_match_scalar(pts[:, 0], pts[:, 1], pts[:, 2], depths=(20,))
+
+    def test_python_lists(self, rng):
+        pts = [p.as_tuple() for p in sample_sphere(rng, 50)]
+        xs, ys, zs = ([p[k] for p in pts] for k in range(3))
+        assert_ids_match_scalar(xs, ys, zs)
+
+    def test_strided_views(self, rng):
+        pts = np.array([p.as_tuple() for p in sample_sphere(rng, 600)])
+        x, y, z = (np.ascontiguousarray(pts[:, k])[::3] for k in range(3))
+        assert not x.flags.c_contiguous
+        assert_ids_match_scalar(x, y, z)
+        # the columns of a row-major array are strided views too
+        assert_ids_match_scalar(pts[:, 0], pts[:, 1], pts[:, 2], depths=(20,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.array([1.0, 0.0, bad])
+        y = np.zeros(3)
+        z = np.zeros(3)
+        for args in ((x, y, z), (y, x, z), (y, z, x)):
+            with pytest.raises(HtmError, match="finite"):
+                ids_for_points(*args, 5)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(HtmError):
+            ids_for_points(np.zeros(3), np.zeros(2), np.ones(3), 5)
+        with pytest.raises(HtmError):
+            ids_for_points(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), 5)
+
+
+unit_components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def unit_vectors(draw):
+    x, y, z = draw(unit_components), draw(unit_components), draw(unit_components)
+    n = math.sqrt(x * x + y * y + z * z)
+    assume(n > 1e-3)
+    return (x / n, y / n, z / n)
+
+
+@st.composite
+def near_edge_vectors(draw):
+    """A point on a trixel edge, nudged off it along the edge's normal so
+    that its edge dot is about 0 or about _TIE_EPS = -1e-15, where the
+    rounding of each dot decides the pick."""
+    depth = draw(st.integers(0, 12))
+    hid = draw(st.integers(8 << (2 * depth), (16 << (2 * depth)) - 1))
+    corners = htm._corners_of_id(hid)
+    i = draw(st.integers(0, 2))
+    u, v = corners[i], corners[(i + 1) % 3]
+    f = draw(st.floats(0.0, 1.0))
+    dot = draw(
+        st.sampled_from([0.0, 1e-15, -1e-15])
+        | st.floats(-3e-15, 3e-15)
+        | st.floats(-1.02e-15, -0.98e-15)
+    )
+    return normalized_lerp(u, v, f, dot)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pts=st.lists(unit_vectors() | near_edge_vectors(), min_size=1, max_size=20),
+    depth=st.sampled_from(PARITY_DEPTHS),
+)
+def test_ids_for_points_matches_point_to_id_property(pts, depth):
+    xs, ys, zs = (np.array([p[k] for p in pts]) for k in range(3))
+    assert_ids_match_scalar(xs, ys, zs, depths=(depth,))
