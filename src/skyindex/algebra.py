@@ -63,36 +63,54 @@ class StoredRegion:
         return Region(tuple(Convex(tuple(c.halfspaces())) for c in self.convexes))
 
 
+def _dot(x, y, z, nx, ny, nz):
+    """p . n in `UnitVec3.dot`'s operation order, elementwise over arrays.
+
+    Every containment path goes through this one expression (no BLAS
+    product, which may sum in another order), so all of them agree with
+    `inside_convex` bit for bit, also for points on a cap boundary.
+    """
+    return x * nx + y * ny + z * nz
+
+
 @dataclass(frozen=True)
 class CompiledPredicate:
     """Store-independent, immutable containment test for one region."""
 
-    convexes: tuple[tuple[np.ndarray, np.ndarray], ...]  # (normals (k,3), ls (k,))
+    convexes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]  # (nx, ny, nz, l)
 
     def evaluate(self, p: UnitVec3) -> bool:
-        v = np.array(p.as_tuple())
-        return any((normals @ v > ls).all() for normals, ls in self.convexes)
+        return any(
+            (_dot(p.x, p.y, p.z, nx, ny, nz) > l).all()
+            for nx, ny, nz, l in self.convexes
+        )
+
+    def evaluate_columns(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Unit vectors as three (n,) columns -> boolean mask."""
+        out = np.zeros(len(x), dtype=bool)
+        for nx, ny, nz, l in self.convexes:
+            inside = np.ones(len(x), dtype=bool)
+            for j in range(len(l)):
+                inside &= _dot(x, y, z, nx[j], ny[j], nz[j]) > l[j]
+            out |= inside
+        return out
 
     def evaluate_batch(self, xyz: np.ndarray) -> np.ndarray:
         """xyz: (n, 3) unit vectors -> boolean mask."""
-        n = xyz.shape[0]
-        out = np.zeros(n, dtype=bool)
-        for normals, ls in self.convexes:
-            out |= ((xyz @ normals.T) > ls).all(axis=1)
-        return out
+        return self.evaluate_columns(xyz[:, 0], xyz[:, 1], xyz[:, 2])
 
     @property
     def text(self) -> str:
         if not self.convexes:
             return "false"
         parts = []
-        for normals, ls in self.convexes:
+        for nx, ny, nz, ls in self.convexes:
             if len(ls) == 0:
                 parts.append("true")
                 continue
             terms = [
-                f"(p.x*{float(nx)!r} + p.y*{float(ny)!r} + p.z*{float(nz)!r} > {float(l)!r})"
-                for (nx, ny, nz), l in zip(normals, ls)
+                f"(p.x*{float(a)!r} + p.y*{float(b)!r} + p.z*{float(c)!r} > {float(l)!r})"
+                for a, b, c, l in zip(nx, ny, nz, ls)
             ]
             parts.append("and(" + ", ".join(terms) + ")")
         return "or(" + ", ".join(parts) + ")"
@@ -237,6 +255,98 @@ def complement_convex_lists(halfspaces: list[HalfSpace]) -> list[list[HalfSpace]
     return out
 
 
+# -- the half-space table ----------------------------------------------------
+
+
+class _HalfSpaceTable:
+    """Every stored half-space as one row of columns nx, ny, nz, l, tagged
+    with its convex's slot; each slot records (regionID, convexID) and
+    whether the convex is still stored.
+
+    Rows and slots are only appended, and dropped convexes are only marked
+    dead; the store discards the table for a full rebuild once dead
+    entries outnumber live ones. Appends and deaths queue in Python lists
+    (cheap per edit) and reach the arrays at the next query.
+    """
+
+    def __init__(self, regions: dict[int, StoredRegion]):
+        self.slot_of: dict[tuple[int, int], int] = {}
+        self.slots = self.rows = 0  # in the arrays
+        self.slot_rid = np.empty(0, dtype=np.int64)
+        self.slot_cid = np.empty(0, dtype=np.int64)
+        self.alive = np.empty(0, dtype=bool)
+        self.row_slot = np.empty(0, dtype=np.int64)
+        self.nx, self.ny, self.nz, self.l = (np.empty(0) for _ in range(4))
+        self.new_slots: tuple[list, ...] = ([], [], [])  # rid, cid, alive
+        self.new_rows: tuple[list, ...] = ([], [], [], [], [])  # slot, nx, ny, nz, l
+        self.new_dead: list[int] = []
+        self.live = self.dead = 0  # entries (slots plus rows)
+        for rid, reg in regions.items():
+            for convex in reg.convexes:
+                self.add_convex(rid, convex)
+
+    def add_convex(self, rid: int, convex: StoredConvex) -> None:
+        rids, cids, alive = self.new_slots
+        self.slot_of[(rid, convex.convex_id)] = self.slots + len(rids)
+        rids.append(rid)
+        cids.append(convex.convex_id)
+        alive.append(True)
+        self.live += 1
+        for _, h in convex.constraints:
+            self.add_halfspace(rid, convex.convex_id, h)
+
+    def add_halfspace(self, rid: int, cid: int, h: HalfSpace) -> None:
+        slot, nx, ny, nz, l = self.new_rows
+        slot.append(self.slot_of[(rid, cid)])
+        nx.append(h.normal.x)
+        ny.append(h.normal.y)
+        nz.append(h.normal.z)
+        l.append(h.l)
+        self.live += 1
+
+    def retire(self, rid: int, convexes: list[StoredConvex]) -> None:
+        """Mark the slots of convexes that left region rid dead."""
+        for convex in convexes:
+            self.new_dead.append(self.slot_of.pop((rid, convex.convex_id)))
+            entries = 1 + len(convex.constraints)
+            self.live -= entries
+            self.dead += entries
+
+    def _append(self, names: tuple[str, ...], start: int, cols: tuple[list, ...]) -> int:
+        """Move queued column values into the arrays after index start,
+        doubling an array's capacity when it is full."""
+        end = start + len(cols[0])
+        for name, col in zip(names, cols):
+            arr = getattr(self, name)
+            if end > len(arr):
+                grown = np.empty(max(end, 2 * len(arr)), dtype=arr.dtype)
+                grown[:start] = arr[:start]
+                arr = grown
+                setattr(self, name, arr)
+            arr[start:end] = col
+            col.clear()
+        return end
+
+    def _flush(self) -> None:
+        if self.new_slots[0]:
+            self.slots = self._append(("slot_rid", "slot_cid", "alive"), self.slots, self.new_slots)
+        if self.new_rows[0]:
+            self.rows = self._append(("row_slot", "nx", "ny", "nz", "l"), self.rows, self.new_rows)
+        if self.new_dead:
+            self.alive[self.new_dead] = False
+            self.new_dead = []
+
+    def on_point(self, p: UnitVec3) -> list[tuple[int, int]]:
+        self._flush()
+        n, m = self.rows, self.slots
+        d = _dot(p.x, p.y, p.z, self.nx[:n], self.ny[:n], self.nz[:n])
+        excluded = np.bincount(self.row_slot[:n][d <= self.l[:n]], minlength=m)
+        hit = np.flatnonzero((excluded == 0) & self.alive[:m])
+        rid, cid = self.slot_rid[hit], self.slot_cid[hit]
+        order = np.lexsort((cid, rid))
+        return list(zip(rid[order].tolist(), cid[order].tolist()))
+
+
 # -- the store ---------------------------------------------------------------
 
 
@@ -246,6 +356,7 @@ class RegionStore:
     def __init__(self):
         self.regions: dict[int, StoredRegion] = {}
         self._next_region_id = 1
+        self._table: _HalfSpaceTable | None = None  # built by regions_on_point
 
     # construction
 
@@ -269,7 +380,10 @@ class RegionStore:
         reg = self._get(rid)
         cid = reg.next_convex_id
         reg.next_convex_id += 1
-        reg.convexes.append(StoredConvex(cid))
+        convex = StoredConvex(cid)
+        reg.convexes.append(convex)
+        if self._table is not None:
+            self._table.add_convex(rid, convex)
         return cid
 
     def region_new_convex_constraint(
@@ -288,14 +402,24 @@ class RegionStore:
             raise RegionStoreError("constraint normal must be non-zero")
         hid = convex.next_halfspace_id
         convex.next_halfspace_id += 1
-        convex.constraints.append(
-            (hid, HalfSpace(UnitVec3(x / n, y / n, z / n), l))
-        )
+        h = HalfSpace(UnitVec3(x / n, y / n, z / n), l)
+        convex.constraints.append((hid, h))
+        if self._table is not None:
+            self._table.add_halfspace(rid, cid, h)
         return hid
 
     def region_drop(self, rid: int) -> None:
-        self._get(rid)
+        reg = self._get(rid)
         del self.regions[rid]
+        self._retire(rid, reg.convexes)
+
+    def _retire(self, rid: int, convexes: list[StoredConvex]) -> None:
+        """Keep a built table current when convexes leave region rid."""
+        if self._table is None:
+            return
+        self._table.retire(rid, convexes)
+        if self._table.dead > self._table.live:
+            self._table = None  # compacted by the next query's full rebuild
 
     # boolean algebra
 
@@ -339,6 +463,7 @@ class RegionStore:
     def region_simplify(self, rid: int) -> None:
         reg = self._get(rid)
         reduced = simplify_region_geometry([c.halfspaces() for c in reg.convexes])
+        self._retire(rid, reg.convexes)
         reg.convexes = []
         for halfspaces in reduced:
             cid = reg.next_convex_id
@@ -349,6 +474,8 @@ class RegionStore:
                 convex.next_halfspace_id += 1
                 convex.constraints.append((hid, h))
             reg.convexes.append(convex)
+            if self._table is not None:
+                self._table.add_convex(rid, convex)
 
     # queries
 
@@ -356,36 +483,41 @@ class RegionStore:
         return self._get(rid).geometry()
 
     def regions_on_point(self, p: UnitVec3) -> list[tuple[int, int]]:
-        """(regionID, convexID) for every convex containing p: a convex
-        counts when zero of its half-spaces exclude the point."""
-        hits = []
-        for rid in sorted(self.regions):
-            for convex in self.regions[rid].convexes:
-                excluded = sum(
-                    1 for _, h in convex.constraints if p.dot(h.normal) <= h.l
-                )
-                if excluded == 0:
-                    hits.append((rid, convex.convex_id))
-        return hits
+        """(regionID, convexID) for every convex containing p, sorted.
+
+        The paper's regions-containing-point query: for each convex, count
+        the half-spaces that exclude p (p . n <= l); the convex contains p
+        when that count is 0, so a convex with no constraints contains
+        every point. One pass over a table of every stored half-space
+        answers it, with the dot taken in `UnitVec3.dot`'s order, so the
+        hits are exactly those of `inside_convex`.
+
+        The table is built from `regions` on the first call, so loading or
+        importing a store costs nothing for it. From then on every mutator
+        keeps it current: new convexes and constraints append rows; drop
+        and simplify mark the old convexes dead (simplify then appends its
+        result). Edits queue these changes, and the next call moves them
+        into the arrays. Once dead entries outnumber live ones the table is
+        discarded and the next call rebuilds it.
+        """
+        if self._table is None:
+            self._table = _HalfSpaceTable(self.regions)
+        return self._table.on_point(p)
 
     def points_in_region(
-        self, points: list[tuple[int, UnitVec3]], rid: int
+        self, rid: int, objid: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> list[int]:
-        pred = self.region_predicate(rid)
-        if not points:
-            return []
-        xyz = np.array([p.as_tuple() for _, p in points])
-        mask = pred.evaluate_batch(xyz)
-        return [pid for (pid, _), ok in zip(points, mask) if ok]
+        """objids of the rows whose unit vector (x, y, z) lies in region
+        rid, in row order."""
+        mask = self.region_predicate(rid).evaluate_columns(x, y, z)
+        return objid[mask].tolist()
 
     def region_predicate(self, rid: int) -> CompiledPredicate:
         reg = self._get(rid)
         compiled = []
         for convex in reg.convexes:
-            hs = convex.halfspaces()
-            normals = np.array([h.normal.as_tuple() for h in hs]).reshape(len(hs), 3)
-            ls = np.array([h.l for h in hs])
-            compiled.append((normals, ls))
+            rows = [(h.normal.x, h.normal.y, h.normal.z, h.l) for h in convex.halfspaces()]
+            compiled.append(tuple(np.array(rows, dtype=np.float64).reshape(-1, 4).T))
         return CompiledPredicate(tuple(compiled))
 
     # introspection / persistence

@@ -53,7 +53,8 @@ class Catalog:
         return self._htm_sorted_ids
 
     def points(self):
-        """(objid, UnitVec3) pairs; handy for the region-store queries."""
+        """(objid, UnitVec3) pairs, one Python object per row. The region
+        queries take the objid, x, y, z columns instead."""
         from .geom import UnitVec3
 
         return [

@@ -45,6 +45,8 @@ class SkyPoint:
     def __post_init__(self):
         if not (-90.0 <= self.dec <= 90.0):
             raise GeometryError(f"dec out of range [-90, 90]: {self.dec!r}")
+        if not math.isfinite(self.ra):
+            raise GeometryError(f"ra is not finite: {self.ra!r}")
         object.__setattr__(self, "ra", _normalize_ra(float(self.ra)))
         object.__setattr__(self, "dec", float(self.dec))
 
@@ -62,7 +64,8 @@ class UnitVec3:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > 4.0 * UNIT_NORM_TOL:
+        # `not <=` rather than `>`, so that a NaN norm fails it too
+        if not (abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL):
             raise GeometryError(f"not a unit vector: norm^2 = {n2!r}")
 
     @staticmethod

@@ -1,7 +1,13 @@
 import math
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from skyindex.algebra import (
     CompiledPredicate,
@@ -11,6 +17,7 @@ from skyindex.algebra import (
     simplify_convex,
 )
 from skyindex.geom import (
+    Convex,
     HalfSpace,
     SkyPoint,
     UnitVec3,
@@ -18,6 +25,7 @@ from skyindex.geom import (
     inside_region,
     sky_to_vec,
 )
+from skyindex.snapshot import AppState, load_state, save_state
 
 from conftest import membership_with_guard, sample_sphere
 
@@ -36,6 +44,26 @@ def add_region(store, region, rtype="r", comment=""):
                 rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
             )
     return rid
+
+
+def columns(points):
+    """Catalog-style columns (objid, x, y, z) of a point list; objids are
+    spread out so that a row index is never mistaken for one."""
+    xyz = np.array([p.as_tuple() for p in points]).reshape(-1, 3)
+    objid = 1000 + 7 * np.arange(len(points), dtype=np.int64)
+    return objid, xyz[:, 0], xyz[:, 1], xyz[:, 2]
+
+
+def stored_normal(n: UnitVec3) -> UnitVec3 | None:
+    """n moved to a vector that normalizing leaves unchanged, so that the
+    store keeps it bit for bit as a constraint normal; None if it does
+    not settle within a few steps."""
+    for _ in range(4):
+        m = UnitVec3.normalized(n.x, n.y, n.z)
+        if m == n:
+            return n
+        n = m
+    return None
 
 
 def sampled_membership(store, rid, pts, guard=1e-9):
@@ -397,17 +425,56 @@ class TestQueries:
         rid = store.region_new("north")
         cid = store.region_new_convex(rid)
         store.region_new_convex_constraint(rid, cid, 0, 0, 1, 0.0)
-        pts = [(i, p) for i, p in enumerate(sample_sphere(rng, 2000))]
-        got = store.points_in_region(pts, rid)
-        want = [i for i, p in pts if p.z > 0]
+        objid, x, y, z = columns(sample_sphere(rng, 2000))
+        got = store.points_in_region(rid, objid, x, y, z)
+        want = [int(i) for i, pz in zip(objid, z) if pz > 0]
         assert got == want
-        assert store.points_in_region([], rid) == []
+        empty = np.array([])
+        assert store.points_in_region(rid, empty.astype(np.int64), empty, empty, empty) == []
 
     def test_points_in_whole_sphere(self, store, rng):
         rid = store.region_new("all")
         store.region_new_convex(rid)
-        pts = [(i, p) for i, p in enumerate(sample_sphere(rng, 50))]
-        assert store.points_in_region(pts, rid) == [i for i, _ in pts]
+        objid, x, y, z = columns(sample_sphere(rng, 50))
+        assert store.points_in_region(rid, objid, x, y, z) == objid.tolist()
+
+    def test_boundary_points_all_paths_agree(self, store, rng):
+        # Each point lies exactly on its own region's boundary (p . n == l),
+        # so it is outside. A dot summed in another order than UnitVec3.dot
+        # (as BLAS may) rounds above l for about one pair in six; the first
+        # pair is one where `xyz @ normals.T` put the point inside.
+        pairs = [(
+            UnitVec3(-0.9090383987025042, 0.16383819762414065, -0.38315301732292245),
+            UnitVec3(0.05299980382820608, 0.2672325046196405, -0.9621734818986053),
+        )]
+        pairs += [
+            (p, n) for p, n in zip(sample_sphere(rng, 150), map(stored_normal, sample_sphere(rng, 150)))
+            if n is not None
+        ]
+        assert len(pairs) > 100
+        points = [p for p, _ in pairs]
+        objid, x, y, z = columns(points)
+        xyz = np.stack([x, y, z], axis=1)
+        rids = []
+        for p, n in pairs:
+            rid = store.region_new("edge")
+            cid = store.region_new_convex(rid)
+            store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, p.dot(n))
+            assert store.regions[rid].convexes[0].halfspaces()[0].normal == n
+            rids.append(rid)
+        for rid, p in zip(rids, points):
+            convex = store.geometry(rid).convexes[0]
+            want = [inside_convex(convex, q) for q in points]
+            assert store.contains(rid, p) is False
+            assert rid not in {r for r, _ in store.regions_on_point(p)}
+            pred = store.region_predicate(rid)
+            assert pred.evaluate(p) is False
+            assert pred.evaluate_batch(xyz).tolist() == want
+            assert store.points_in_region(rid, objid, x, y, z) == objid[want].tolist()
+        for p in points:
+            assert store.regions_on_point(p) == [
+                (rid, 1) for rid in rids if store.contains(rid, p)
+            ]
 
     def test_predicate_equivalence(self, store, corpus_regions, rng):
         pts = sample_sphere(rng, 2000)
@@ -440,3 +507,193 @@ class TestQueries:
         pred = store.region_predicate(rid)
         store.region_drop(rid)
         assert pred.evaluate(UnitVec3(0, 0, 1))
+
+
+# -- the half-space table behind regions_on_point ----------------------------
+
+
+def brute_on_point(store, p):
+    """The reference answer: inside_convex over every stored convex."""
+    return [
+        (rid, c.convex_id)
+        for rid in sorted(store.regions)
+        for c in store.regions[rid].convexes
+        if inside_convex(Convex(tuple(c.halfspaces())), p)
+    ]
+
+
+# poles and points on the ra = 0 meridian, where ra/dec code tends to break
+EDGE_POINTS = [UnitVec3(0.0, 0.0, 1.0), UnitVec3(0.0, 0.0, -1.0)] + [
+    sky_to_vec(SkyPoint(0.0, dec)) for dec in (-60.0, -30.0, 0.0, 30.0, 60.0, 89.99)
+]
+
+
+class TestHalfSpaceTable:
+    def assert_matches(self, store, points):
+        for p in points:
+            assert store.regions_on_point(p) == brute_on_point(store, p)
+
+    def test_edits_update_the_built_table(self, store, corpus_regions, rng):
+        rids = [add_region(store, region) for _, region in corpus_regions[:8]]
+        points = EDGE_POINTS + sample_sphere(rng, 60)
+        self.assert_matches(store, points)
+        table = store._table
+        a = store.region_or(rids[0], rids[1], "or")
+        b = store.region_and(rids[2], rids[3], "and")
+        c = store.region_not(rids[4], "not")
+        store.region_simplify(a)
+        store.region_simplify(c)
+        cid = store.region_new_convex(b)
+        store.region_new_convex_constraint(b, cid, 0.0, 0.0, 1.0, 0.25)
+        store.region_new_convex(store.region_new("sphere"))
+        store.region_drop(rids[5])
+        assert store._table is table  # no edit above asked for a rebuild
+        self.assert_matches(store, points)
+
+    def test_compaction_once_dead_outnumber_live(self, store, corpus_regions, rng):
+        rids = [add_region(store, region) for _, region in corpus_regions[:10]]
+        points = EDGE_POINTS + sample_sphere(rng, 40)
+        self.assert_matches(store, points)
+        for rid in rids[:-1]:
+            store.region_drop(rid)
+            if store._table is None:
+                break
+        else:
+            pytest.fail("dropping 9 of 10 regions never compacted the table")
+        self.assert_matches(store, points)
+        live_rows = sum(
+            len(c.constraints) for reg in store.regions.values() for c in reg.convexes
+        )
+        assert store._table.rows == live_rows and store._table.dead == 0
+
+    def test_loaded_store_builds_on_first_query(self, store, corpus_regions, rng, tmp_path):
+        for _, region in corpus_regions[:6]:
+            add_region(store, region)
+        store.regions_on_point(EDGE_POINTS[0])
+        path = str(tmp_path / "s.snap")
+        save_state(AppState(regions=store), path)
+        loaded = load_state(path).regions
+        assert loaded._table is None
+        self.assert_matches(loaded, EDGE_POINTS + sample_sphere(rng, 40))
+
+
+def _sky_vectors():
+    ra = st.floats(0.0, 360.0, exclude_max=True) | st.sampled_from([0.0, 90.0, 180.0])
+    dec = st.floats(-90.0, 90.0) | st.sampled_from([-90.0, 0.0, 90.0])
+    return st.builds(lambda r, d: sky_to_vec(SkyPoint(r, d)), ra, dec)
+
+
+_PICK = st.integers(0, 1 << 20)
+
+
+class RegionStoreMachine(RuleBasedStateMachine):
+    """Random edit sequences; after every step regions_on_point must equal
+    inside_convex over the whole store, at poles, on the ra = 0 meridian,
+    at random points and at points lying exactly on a stored boundary."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = RegionStore()
+        self.points = list(EDGE_POINTS)
+        self.tmp = tempfile.mkdtemp()
+
+    def teardown(self):
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def pick(self, k, predicate=lambda reg: True):
+        rids = [rid for rid in sorted(self.store.regions) if predicate(self.store.regions[rid])]
+        return rids[k % len(rids)] if rids else None
+
+    @rule()
+    def new_region(self):
+        self.store.region_new("r")
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK)
+    def new_convex(self, k):
+        self.store.region_new_convex(self.pick(k))
+
+    def _add_constraint(self, k, j, n, l):
+        rid = self.pick(k, lambda reg: reg.convexes and len(reg.convexes) <= 6)
+        if rid is None:
+            return
+        convexes = self.store.regions[rid].convexes
+        cid = convexes[j % len(convexes)].convex_id
+        self.store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, l)
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK, j=_PICK, n=_sky_vectors(), l=st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]))
+    def constraint(self, k, j, n, l):
+        self._add_constraint(k, j, n, l)
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK, j=_PICK, n=_sky_vectors(), q=_PICK, fresh=st.booleans())
+    def constraint_through_point(self, k, j, n, q, fresh):
+        """A cap whose boundary passes exactly through a query point, where
+        the strict test must say outside; in a fresh convex of its own, a
+        dot rounded the other way shows as a hit."""
+        p = self.points[q % len(self.points)]
+        n = stored_normal(n)
+        if n is None or not (-1.0 <= p.dot(n) <= 1.0):
+            return
+        if fresh:
+            rid = self.pick(k)
+            cid = self.store.region_new_convex(rid)
+            self.store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, p.dot(n))
+        else:
+            self._add_constraint(k, j, n, p.dot(n))
+
+    @rule(p=_sky_vectors())
+    def add_point(self, p):
+        if len(self.points) < 24:
+            self.points.append(p)
+
+    @precondition(lambda self: len(self.store.regions) >= 2)
+    @rule(a=_PICK, b=_PICK, op=st.sampled_from(["or", "and"]))
+    def combine(self, a, b, op):
+        small = lambda reg: len(reg.convexes) <= 4
+        id1, id2 = self.pick(a, small), self.pick(b, small)
+        if id1 is None or id2 is None:
+            return
+        method = self.store.region_or if op == "or" else self.store.region_and
+        method(id1, id2, op)
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK)
+    def negate(self, k):
+        rid = self.pick(k, lambda reg: len(reg.convexes) <= 2
+                        and all(len(c.constraints) <= 3 for c in reg.convexes))
+        if rid is not None:
+            self.store.region_not(rid, "not")
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK)
+    def drop(self, k):
+        self.store.region_drop(self.pick(k))
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK)
+    def simplify(self, k):
+        rid = self.pick(k, lambda reg: len(reg.convexes) <= 12)
+        if rid is not None:
+            self.store.region_simplify(rid)
+
+    @rule()
+    def save_and_load(self):
+        path = os.path.join(self.tmp, "state.snap")
+        save_state(AppState(regions=self.store), path)
+        self.store = load_state(path).regions
+
+    @invariant()
+    def on_point_matches_inside_convex(self):
+        for p in self.points:
+            assert self.store.regions_on_point(p) == brute_on_point(self.store, p)
+
+
+RegionStoreMachine.TestCase.settings = settings(
+    max_examples=60,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestRegionStoreMachine = RegionStoreMachine.TestCase

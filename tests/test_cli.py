@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from skyindex.cli import main
+from skyindex.snapshot import load_state
 
 
 @pytest.fixture
@@ -161,6 +163,82 @@ class TestRegionCli:
                         "region", "points-in", "--id", "1")
         assert code == 0
         assert "summary count=2" in out  # objects at dec 45 and 20
+
+    def test_points_in_matches_halfspace_oracle(self, capsys, snap, tmp_path):
+        rng = np.random.default_rng(17)
+        dec_edge = [-90.0, -89.9999, -45.0, -1e-9, 0.0, 1e-9, 30.0, 89.9999, 90.0]
+        ra = np.concatenate([
+            rng.uniform(0.0, 360.0, 600),
+            np.zeros(len(dec_edge)),  # ra = 0 meridian
+            np.full(len(dec_edge), 359.9999999),
+            rng.uniform(0.0, 360.0, len(dec_edge)),  # poles at any ra
+        ])
+        dec = np.concatenate([
+            np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 600))),
+            dec_edge, dec_edge, dec_edge,
+        ])
+        csv = tmp_path / "edges.csv"
+        csv.write_text("objID,ra,dec\n" + "".join(
+            f"{10 * i + 3},{r!r},{d!r}\n"
+            for i, (r, d) in enumerate(zip(ra.tolist(), dec.tolist()))
+        ))
+        assert run(capsys, "--snapshot", snap, "ingest", str(csv))[0] == 0
+        specs = [
+            "CIRCLE J2000 0 0 300",  # straddles ra = 0
+            "CIRCLE J2000 123 90 600",  # north polar cap
+            "POLY J2000 350 -20 10 -20 10 20 350 20",
+            "REGION CONVEX 0 0 -1 0.5 CONVEX 1 0 0 0.2 0 -1 0 -0.3",
+        ]
+        for spec in specs:
+            assert run(capsys, "--snapshot", snap, "region", "new", "--type", "t",
+                       "--from", spec)[0] == 0
+        assert run(capsys, "--snapshot", snap, "region", "not", "--id", "1",
+                   "--type", "not1")[0] == 0
+        assert run(capsys, "--snapshot", snap, "region", "or", "--id1", "2", "--id2", "3",
+                   "--type", "or23")[0] == 0
+        state = load_state(snap)
+        cat = state.catalog
+        pole = np.abs(dec) == 90.0
+        for rid, _, _, convexes in state.regions.records():
+            inside = np.zeros(len(cat), dtype=bool)
+            for _, constraints in convexes:
+                ok = np.ones(len(cat), dtype=bool)
+                for _, nx, ny, nz, l in constraints:
+                    ok &= cat.x * nx + cat.y * ny + cat.z * nz > l
+                inside |= ok
+            want = cat.objid[inside].tolist()
+            code, out = run(capsys, "--snapshot", snap, "--format", "records",
+                            "region", "points-in", "--id", str(rid))
+            assert code == 0
+            got = [int(line.split("=")[1]) for line in out.splitlines()
+                   if line.startswith("result objid=")]
+            assert got == want, rid
+            assert f"summary count={len(want)}" in out
+            if rid in (1, 5):
+                assert inside[ra == 0.0].any() and not inside[ra == 0.0].all()
+            if rid in (2, 6):
+                assert inside[pole & (dec > 0)].all() and not inside[pole & (dec < 0)].any()
+
+    @pytest.mark.parametrize("point", [
+        ("--ra", "nan", "--dec", "0"),
+        ("--ra", "inf", "--dec", "0"),
+        ("--ra=-inf", "--dec", "0"),
+        ("--ra", "0", "--dec", "nan"),
+        ("--x", "nan", "--y", "0", "--z", "1"),
+        ("--x", "inf", "--y", "0", "--z", "1"),
+    ])
+    @pytest.mark.parametrize("with_id", [False, True])
+    def test_contains_non_finite_point_exit_4(self, capsys, snap, point, with_id):
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "all",
+            "--from", "CONVEX 0 0 1 -1")
+        argv = ["--snapshot", snap, "--format", "records", "region", "contains", *point]
+        if with_id:
+            argv += ["--id", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
+        assert captured.err.startswith("error: ")
 
 
 class TestPyramidCli:

@@ -54,6 +54,14 @@ class TestSkyPoint:
         with pytest.raises(GeometryError):
             SkyPoint(0.0, -91.0)
 
+    @pytest.mark.parametrize(
+        "ra, dec",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.nan)],
+    )
+    def test_non_finite_rejected(self, ra, dec):
+        with pytest.raises(GeometryError):
+            SkyPoint(ra, dec)
+
 
 class TestVecConversion:
     def test_axis_cases(self):
@@ -95,6 +103,16 @@ class TestVecConversion:
     def test_non_unit_rejected(self):
         with pytest.raises(GeometryError):
             UnitVec3(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "xyz",
+        [(math.nan, 0.0, 0.0), (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0), (1.0, -math.inf, 0.0)],
+    )
+    def test_non_finite_rejected(self, xyz):
+        with pytest.raises(GeometryError):
+            UnitVec3(*xyz)
+        with pytest.raises(GeometryError):
+            UnitVec3.normalized(*xyz)
 
 
 class TestContainment:
