@@ -41,7 +41,6 @@ from .pyramid import (
     PyramidError,
     PyramidIndex,
     bounding_circle,
-    candidate_zones,
     overlap_search,
     scale_of,
     segment_elongated_region,

@@ -117,10 +117,13 @@ class ArcAngle:
 
 
 def as_degrees(angle) -> float:
-    """Accept an ArcAngle or a plain number of degrees."""
+    """Accept an ArcAngle or a plain finite number of degrees."""
     if isinstance(angle, ArcAngle):
         return angle.degrees
-    return float(angle)
+    deg = float(angle)
+    if not math.isfinite(deg):
+        raise GeometryError(f"angle is not finite: {deg!r}")
+    return deg
 
 
 @dataclass(frozen=True)
@@ -239,29 +242,6 @@ def negate_halfspace(h: HalfSpace) -> HalfSpace:
 
 def angle_between_deg(a: UnitVec3, b: UnitVec3) -> float:
     return arc_distance_deg(a, b)
-
-
-# -- cap relations --------------------------------------------------------
-#
-# Every half-space is the open cap around its normal with angular radius
-# acos(l). Two exact pairwise relations drive region simplification:
-# containment and disjointness.
-
-
-def cap_contains_cap(outer: HalfSpace, inner: HalfSpace) -> bool:
-    """True iff the inner cap lies entirely within the outer cap.
-
-    Exact: angle(centers) + radius(inner) <= radius(outer).
-    """
-    return (
-        angle_between_deg(outer.normal, inner.normal) + inner.radius_deg()
-        <= outer.radius_deg()
-    )
-
-
-def caps_disjoint(a: HalfSpace, b: HalfSpace) -> bool:
-    """True iff the two open caps share no point: angle >= r_a + r_b."""
-    return angle_between_deg(a.normal, b.normal) >= a.radius_deg() + b.radius_deg()
 
 
 # -- boundary vertices ----------------------------------------------------
@@ -509,10 +489,6 @@ def closed_hemisphere_witness(points: list[UnitVec3], margin: float = -1e-12):
 
 
 # -- pure-geometry boolean combinations -----------------------------------
-
-
-def region_union(a: Region, b: Region) -> Region:
-    return Region(a.convexes + b.convexes)
 
 
 def region_intersection(a: Region, b: Region) -> Region:

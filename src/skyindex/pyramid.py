@@ -2,8 +2,11 @@
 
 Regions are reduced to bounding circles and bucketed by radius into scale
 levels whose zone heights grow in powers of two from a base height, so an
-entry's radius never exceeds its scale's zone height. An overlap query
-walks every scale's narrow dec band, scans the ra windows, and filters
+entry's radius never exceeds its scale's zone height. Each scale is a
+zones.ZoneTable of its circles (zone height and margin width both the
+scale's height, plus a radius column), built and scanned by the same code
+as a catalog's zone table. An overlap query walks every scale's narrow
+dec band, scans the ra windows with ZoneTable.scan_ra, and filters
 candidates through a cascade: zone bucket, ra window, dec band, a sound
 planar-style circle test, and finally the exact spherical test
 arc_distance(centers) < query_radius + entry_radius. Per-stage candidate
@@ -13,13 +16,13 @@ counts are exposed for diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .geom import (
     Convex,
-    GeometryError,
     Region,
     SkyPoint,
     UnitVec3,
@@ -31,7 +34,7 @@ from .geom import (
     region_intersection,
     sky_to_vec,
 )
-from .zones import ra_window_deg
+from .zones import ZoneConfig, ZoneTable, build_zone_table, ra_window_deg
 
 
 class PyramidError(ValueError):
@@ -69,28 +72,33 @@ def scale_of(radius, cfg: PyramidConfig) -> int:
     return min((max(m, 1) - 1).bit_length(), cfg.max_scale)
 
 
-@dataclass
-class _ScaleBucket:
-    zone: list = field(default_factory=list)
-    ra: list = field(default_factory=list)
-    dec: list = field(default_factory=list)
-    radius: list = field(default_factory=list)
-    objid: list = field(default_factory=list)
-    x: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    z: list = field(default_factory=list)
-    main: list = field(default_factory=list)
+# the columns of a queued entry, in the order insert queues them
+_ENTRY_COLUMNS = ("objid", "ra", "dec", "x", "y", "z", "radius")
 
 
 class PyramidIndex:
-    """Entries (scale, zone, ra, dec, radius, objid). Build, then query."""
+    """Bounding circles (objid, center, radius) bucketed by radius.
+
+    Scale s is a ZoneTable of its entries, with a radius column, built
+    with zone height and margin width both cfg.zone_height(s): an entry's
+    radius never exceeds its scale's zone height. insert only queues an
+    entry; the next query rebuilds the scales that received entries.
+    """
 
     def __init__(self, cfg: PyramidConfig | None = None):
         self.cfg = cfg or PyramidConfig()
-        self._pending: dict[int, _ScaleBucket] = {}
-        self._scales: dict[int, dict[str, np.ndarray]] = {}
+        self._tables: dict[int, ZoneTable] = {}
+        self._queued: dict[int, list[tuple]] = {}
         self._ids: set[int] = set()
-        self._dirty = False
+
+    @classmethod
+    def from_tables(cls, cfg: PyramidConfig, tables: dict[int, ZoneTable]) -> "PyramidIndex":
+        """An index whose scale s is tables[s], as tables() returned them."""
+        idx = cls(cfg)
+        idx._tables = dict(sorted(tables.items()))
+        for t in idx._tables.values():
+            idx._ids.update(t.objid[t.is_main].tolist())
+        return idx
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -103,84 +111,35 @@ class PyramidIndex:
         if r > 180.0:
             raise PyramidError(f"bounding radius above 180 degrees: {r!r}")
         s = scale_of(r, self.cfg)
-        h = self.cfg.zone_height(s)
-        nz = self.cfg.zone_count(s)
-        z = min(int(math.floor((center.dec + 90.0) / h)), nz - 1)
         v = sky_to_vec(center)
-        bucket = self._pending.setdefault(s, _ScaleBucket())
-        width = h / (math.cos(math.radians(abs(center.dec))) + self.cfg.epsilon)
-        rows = [(z, center.ra, True)]
-        if center.ra < width:
-            rows.append((z, center.ra + 360.0, False))
-        if center.ra >= 360.0 - width:
-            rows.append((z, center.ra - 360.0, False))
-        for zz, ra, main in rows:
-            bucket.zone.append(zz)
-            bucket.ra.append(ra)
-            bucket.dec.append(center.dec)
-            bucket.radius.append(r)
-            bucket.objid.append(int(objid))
-            bucket.x.append(v.x)
-            bucket.y.append(v.y)
-            bucket.z.append(v.z)
-            bucket.main.append(main)
+        self._queued.setdefault(s, []).append(
+            (int(objid), center.ra, center.dec, v.x, v.y, v.z, r)
+        )
         self._ids.add(int(objid))
-        self._dirty = True
         return s
 
-    def _finalize(self):
-        if not self._dirty:
-            return
-        for s, bucket in self._pending.items():
-            prev = self._scales.get(s)
-            cols = {
-                "zone": np.asarray(bucket.zone, dtype=np.int64),
-                "ra": np.asarray(bucket.ra, dtype=float),
-                "dec": np.asarray(bucket.dec, dtype=float),
-                "radius": np.asarray(bucket.radius, dtype=float),
-                "objid": np.asarray(bucket.objid, dtype=np.int64),
-                "x": np.asarray(bucket.x, dtype=float),
-                "y": np.asarray(bucket.y, dtype=float),
-                "z": np.asarray(bucket.z, dtype=float),
-                "main": np.asarray(bucket.main, dtype=bool),
-            }
-            if prev is not None:
-                cols = {k: np.concatenate([prev[k], cols[k]]) for k in cols}
-            order = np.lexsort((cols["objid"], cols["ra"], cols["zone"]))
-            self._scales[s] = {k: v[order] for k, v in cols.items()}
-        self._pending = {}
-        for s, cols in self._scales.items():
-            nz = self.cfg.zone_count(s)
-            self._scales[s]["bounds"] = np.searchsorted(
-                cols["zone"], np.arange(nz + 1)
-            )
-        self._dirty = False
+    def tables(self) -> dict[int, ZoneTable]:
+        """Scale -> its zone table, in ascending scale order."""
+        if self._queued:
+            for s, entries in self._queued.items():
+                cols = dict(zip(_ENTRY_COLUMNS, (np.array(c) for c in zip(*entries))))
+                old = self._tables.get(s)
+                if old is not None:
+                    cols = {
+                        k: np.concatenate([getattr(old, k)[old.is_main], c])
+                        for k, c in cols.items()
+                    }
+                h = self.cfg.zone_height(s)
+                self._tables[s] = build_zone_table(
+                    SimpleNamespace(**cols),
+                    ZoneConfig(zone_height=h, max_radius=h, epsilon=self.cfg.epsilon),
+                )
+            self._queued = {}
+            self._tables = dict(sorted(self._tables.items()))
+        return self._tables
 
     def scales(self) -> list[int]:
-        self._finalize()
-        return sorted(self._scales)
-
-    def rows_at_scale(self, s: int) -> dict[str, np.ndarray]:
-        self._finalize()
-        return self._scales[s]
-
-
-def candidate_zones(dec: float, radius, cfg: PyramidConfig) -> list[tuple[int, int, float]]:
-    """(scale, zone, scale_zone_height) for every zone any overlapping
-    entry could occupy: at scale s an entry radius is at most the zone
-    height h_s, so overlap confines entry centers to dec +- (radius + h_s)."""
-    r = as_degrees(radius)
-    if r < 0:
-        raise PyramidError("radius must be non-negative")
-    out = []
-    for s in range(cfg.max_scale + 1):
-        h = cfg.zone_height(s)
-        nz = cfg.zone_count(s)
-        lo = max(0, int(math.floor((dec + 90.0 - r - h) / h)))
-        hi = min(nz - 1, int(math.floor((dec + 90.0 + r + h) / h)))
-        for z in range(lo, hi + 1):
-            out.append((s, z, h))
-    return out
+        return list(self.tables())
 
 
 def _effective_ra_distance(dra, dec1, dec2) -> np.ndarray:
@@ -200,50 +159,38 @@ def overlap_search(
     stats: dict | None = None,
 ) -> list[int]:
     """Ids of entries whose bounding circles overlap the query circle
-    (exact spherical test; the cascade stages only narrow candidates)."""
+    (exact spherical test; the cascade stages only narrow candidates).
+
+    At scale s an entry radius is at most the zone height h, so overlap
+    confines entry centers to dec +- (radius + h): those zones are scanned
+    over the ra window of a circle of radius + h.
+    """
     r = as_degrees(radius)
-    cfg = index.cfg
-    index._finalize()
+    if r < 0:
+        raise PyramidError(f"radius must be non-negative: {r!r}")
     qv = sky_to_vec(center)
     n_zone = n_ra = n_fine = n_dec = n_geom = 0
     hits: list[np.ndarray] = []
-    for s in sorted(index._scales):
-        cols = index._scales[s]
-        h = cfg.zone_height(s)
-        nz = cfg.zone_count(s)
+    for t in index.tables().values():
+        h = t.cfg.zone_height
         lo_z = max(0, int(math.floor((center.dec + 90.0 - r - h) / h)))
-        hi_z = min(nz - 1, int(math.floor((center.dec + 90.0 + r + h) / h)))
-        if lo_z > hi_z:
-            continue
+        hi_z = min(t.cfg.zone_count - 1, int(math.floor((center.dec + 90.0 + r + h) / h)))
         reach = min(r + h, 180.0)
         alpha = ra_window_deg(reach, center.dec) if reach < 180.0 else 180.0
         lo, hi = center.ra - alpha, center.ra + alpha
-        bounds = cols["bounds"]
         for z in range(lo_z, hi_z + 1):
-            a, b = int(bounds[z]), int(bounds[z + 1])
-            if a == b:
+            in_zone = t.zone_bounds[z + 1] - t.zone_bounds[z]
+            if in_zone == 0:
                 continue
-            n_zone += b - a
-            ra = cols["ra"][a:b]
-            if hi - lo >= 360.0:
-                idx = np.arange(a, b)[cols["main"][a:b]]
-            else:
-                parts = []
-                for shift in (0.0, 360.0, -360.0):
-                    i = int(np.searchsorted(ra, lo + shift, side="left"))
-                    j = int(np.searchsorted(ra, hi + shift, side="right"))
-                    if j > i:
-                        parts.append(np.arange(a + i, a + j))
-                if not parts:
-                    continue
-                idx = np.unique(np.concatenate(parts))
+            n_zone += int(in_zone)
+            idx = t.scan_ra(z, lo, hi)
             n_ra += len(idx)
             if len(idx) == 0:
                 continue
-            limit = r + cols["radius"][idx]
+            limit = r + t.radius[idx]
             limit_rad = np.radians(limit)
             dra_eff = _effective_ra_distance(
-                cols["ra"][idx] - center.ra, cols["dec"][idx], center.dec
+                t.ra[idx] - center.ra, t.dec[idx], center.dec
             )
             fine_ok = dra_eff < limit_rad + 1e-9
             idx, limit, limit_rad, dra_eff = (
@@ -252,7 +199,7 @@ def overlap_search(
             n_fine += len(idx)
             if len(idx) == 0:
                 continue
-            ddec = np.radians(np.abs(cols["dec"][idx] - center.dec))
+            ddec = np.radians(np.abs(t.dec[idx] - center.dec))
             dec_ok = ddec < limit_rad + 1e-9
             idx, limit, limit_rad, dra_eff, ddec = (
                 idx[dec_ok], limit[dec_ok], limit_rad[dec_ok],
@@ -269,14 +216,14 @@ def overlap_search(
             n_geom += len(idx)
             if len(idx) == 0:
                 continue
-            dx = cols["x"][idx] - qv.x
-            dy = cols["y"][idx] - qv.y
-            dz = cols["z"][idx] - qv.z
+            dx = t.x[idx] - qv.x
+            dy = t.y[idx] - qv.y
+            dz = t.z[idx] - qv.z
             dist = np.degrees(
                 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dx * dx + dy * dy + dz * dz) / 2.0))
             )
             exact = dist < limit
-            hits.append(cols["objid"][idx][exact])
+            hits.append(t.objid[idx][exact])
     ids = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
     if stats is not None:
         stats.update(

@@ -2,16 +2,23 @@
 
 Layout: 8-byte magic, u32 format version, u64 payload length, u32 CRC32 of
 the payload, then the payload. Floats and ints are little-endian 64-bit,
-so ingest-derived values round-trip bit exactly. A version mismatch or a
-failed length/CRC check raises; no partial state is ever returned.
+so ingest-derived values round-trip bit exactly. Every section is written
+as columns: the zone table section also holds each pyramid scale, and the
+region store is one array per field at each level (region, convex,
+half-space). A version mismatch or a failed length/CRC check raises; no
+partial state is ever returned. A save writes a temporary file beside the
+target and renames it over the target, so a failed save leaves the
+previous snapshot intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from io import BytesIO
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +29,7 @@ from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable
 
 MAGIC = b"SKYIDXSN"
-VERSION = 1
+VERSION = 2
 
 
 class SnapshotError(ValueError):
@@ -56,15 +63,15 @@ class _Writer:
     def f64(self, v):
         self.buf.write(struct.pack("<d", float(v)))
 
-    def text(self, s: str):
-        raw = s.encode("utf-8")
-        self.u64(len(raw))
-        self.buf.write(raw)
-
     def arr(self, a: np.ndarray, dtype):
         a = np.ascontiguousarray(a, dtype=dtype)
         self.u64(a.size)
         self.buf.write(a.tobytes())
+
+    def texts(self, items: list[str]):
+        raw = [s.encode("utf-8") for s in items]
+        self.arr([len(b) for b in raw], "<u8")
+        self.arr(np.frombuffer(b"".join(raw), dtype=np.uint8), "<u1")
 
 
 class _Reader:
@@ -91,14 +98,15 @@ class _Reader:
     def f64(self):
         return struct.unpack("<d", self._take(8))[0]
 
-    def text(self) -> str:
-        n = self.u64()
-        return self._take(n).decode("utf-8")
-
     def arr(self, dtype) -> np.ndarray:
         n = self.u64()
         item = np.dtype(dtype).itemsize
         return np.frombuffer(self._take(n * item), dtype=dtype).copy()
+
+    def texts(self) -> list[str]:
+        ends = np.cumsum(self.arr("<u8")).tolist()
+        blob = self.arr("<u1").tobytes()
+        return [blob[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _write_catalog(w: _Writer, cat: Catalog | None):
@@ -148,6 +156,9 @@ def _write_zone_table(w: _Writer, t: ZoneTable | None):
     w.arr(t.y, "<f8")
     w.arr(t.z, "<f8")
     w.arr(t.is_main.astype(np.uint8), "<u1")
+    w.u8(0 if t.radius is None else 1)
+    if t.radius is not None:
+        w.arr(t.radius, "<f8")
 
 
 def _read_zone_table(r: _Reader) -> ZoneTable | None:
@@ -162,7 +173,8 @@ def _read_zone_table(r: _Reader) -> ZoneTable | None:
     y = r.arr("<f8")
     z = r.arr("<f8")
     is_main = r.arr("<u1").astype(bool)
-    return ZoneTable(cfg, zone, ra, objid, dec, x, y, z, is_main)
+    radius = r.arr("<f8") if r.u8() else None
+    return ZoneTable(cfg, zone, ra, objid, dec, x, y, z, is_main, radius)
 
 
 def _write_neighbors(w: _Writer, t: NeighborsTable | None):
@@ -189,56 +201,50 @@ def _read_neighbors(r: _Reader) -> NeighborsTable | None:
 
 def _write_regions(w: _Writer, store: RegionStore):
     next_rid, records, counters = store.export_state()
+    convexes = [cvx for rec in records for cvx in rec[3]]
+    halfspaces = [h for _, constraints in convexes for h in constraints]
     w.u64(next_rid)
-    w.u64(len(records))
-    for rid, rtype, comment, convexes in records:
-        w.u64(rid)
-        w.text(rtype)
-        w.text(comment)
-        next_cid, hid_counters = counters[rid]
-        w.u64(next_cid)
-        w.u64(len(convexes))
-        for (cid, constraints), next_hid in zip(convexes, hid_counters):
-            w.u64(cid)
-            w.u64(next_hid)
-            w.u64(len(constraints))
-            for hid, x, y, z, l in constraints:
-                w.u64(hid)
-                w.f64(x)
-                w.f64(y)
-                w.f64(z)
-                w.f64(l)
+    w.arr([rec[0] for rec in records], "<u8")
+    w.texts([rec[1] for rec in records])
+    w.texts([rec[2] for rec in records])
+    w.arr([counters[rec[0]][0] for rec in records], "<u8")
+    w.arr([len(rec[3]) for rec in records], "<u8")
+    w.arr([cid for cid, _ in convexes], "<u8")
+    w.arr([n for rec in records for n in counters[rec[0]][1]], "<u8")
+    w.arr([len(constraints) for _, constraints in convexes], "<u8")
+    w.arr([h[0] for h in halfspaces], "<u8")
+    w.arr([h[1:] for h in halfspaces], "<f8")
 
 
 def _read_regions(r: _Reader) -> RegionStore:
     next_rid = r.u64()
-    nreg = r.u64()
-    records = []
-    counters = {}
-    for _ in range(nreg):
-        rid = r.u64()
-        rtype = r.text()
-        comment = r.text()
-        next_cid = r.u64()
-        ncvx = r.u64()
-        convexes = []
-        hid_counters = []
-        for _ in range(ncvx):
-            cid = r.u64()
-            next_hid = r.u64()
-            ncon = r.u64()
-            constraints = []
-            for _ in range(ncon):
-                hid = r.u64()
-                x = r.f64()
-                y = r.f64()
-                z = r.f64()
-                l = r.f64()
-                constraints.append((hid, x, y, z, l))
-            convexes.append((cid, constraints))
-            hid_counters.append(next_hid)
-        records.append((rid, rtype, comment, convexes))
-        counters[rid] = (next_cid, hid_counters)
+    rids = r.arr("<u8").tolist()
+    rtypes = r.texts()
+    comments = r.texts()
+    next_cids = r.arr("<u8").tolist()
+    ncvx = r.arr("<u8").tolist()
+    cids = r.arr("<u8").tolist()
+    next_hids = r.arr("<u8").tolist()
+    ncon = r.arr("<u8").tolist()
+    hids = r.arr("<u8").tolist()
+    xyzl = r.arr("<f8")
+    if not (
+        len(rids) == len(rtypes) == len(comments) == len(next_cids) == len(ncvx)
+        and sum(ncvx) == len(cids) == len(next_hids) == len(ncon)
+        and sum(ncon) == len(hids) == len(xyzl) / 4
+    ):
+        raise SnapshotError("region columns disagree with their counts")
+    halfspaces = zip(hids, *xyzl.reshape(-1, 4).T.tolist())
+    convexes = iter([(cid, list(islice(halfspaces, n))) for cid, n in zip(cids, ncon)])
+    hid_counters = iter(next_hids)
+    records = [
+        (rid, rtype, comment, list(islice(convexes, n)))
+        for rid, rtype, comment, n in zip(rids, rtypes, comments, ncvx)
+    ]
+    counters = {
+        rid: (next_cid, list(islice(hid_counters, n)))
+        for rid, next_cid, n in zip(rids, next_cids, ncvx)
+    }
     return RegionStore.import_state((next_rid, records, counters))
 
 
@@ -246,49 +252,24 @@ def _write_pyramid(w: _Writer, idx: PyramidIndex | None):
     w.u8(0 if idx is None else 1)
     if idx is None:
         return
-    idx._finalize()
     w.f64(idx.cfg.base_zone_height)
     w.f64(idx.cfg.epsilon)
-    w.u64(len(idx._scales))
-    for s in sorted(idx._scales):
-        cols = idx._scales[s]
+    tables = idx.tables()
+    w.u64(len(tables))
+    for s, table in tables.items():
         w.u64(s)
-        w.arr(cols["zone"], "<i8")
-        w.arr(cols["ra"], "<f8")
-        w.arr(cols["dec"], "<f8")
-        w.arr(cols["radius"], "<f8")
-        w.arr(cols["objid"], "<i8")
-        w.arr(cols["x"], "<f8")
-        w.arr(cols["y"], "<f8")
-        w.arr(cols["z"], "<f8")
-        w.arr(cols["main"].astype(np.uint8), "<u1")
+        _write_zone_table(w, table)
 
 
 def _read_pyramid(r: _Reader) -> PyramidIndex | None:
     if not r.u8():
         return None
     cfg = PyramidConfig(base_zone_height=r.f64(), epsilon=r.f64())
-    idx = PyramidIndex(cfg)
-    nscales = r.u64()
-    for _ in range(nscales):
+    tables = {}
+    for _ in range(r.u64()):
         s = r.u64()
-        cols = {
-            "zone": r.arr("<i8"),
-            "ra": r.arr("<f8"),
-            "dec": r.arr("<f8"),
-            "radius": r.arr("<f8"),
-            "objid": r.arr("<i8"),
-            "x": r.arr("<f8"),
-            "y": r.arr("<f8"),
-            "z": r.arr("<f8"),
-            "main": None,
-        }
-        cols["main"] = r.arr("<u1").astype(bool)
-        nz = cfg.zone_count(s)
-        cols["bounds"] = np.searchsorted(cols["zone"], np.arange(nz + 1))
-        idx._scales[s] = cols
-        idx._ids.update(int(i) for i in cols["objid"][cols["main"]])
-    return idx
+        tables[s] = _read_zone_table(r)
+    return PyramidIndex.from_tables(cfg, tables)
 
 
 def save_state(state: AppState, path) -> None:
@@ -300,9 +281,18 @@ def save_state(state: AppState, path) -> None:
     _write_pyramid(w, state.pyramid)
     payload = w.buf.getvalue()
     header = MAGIC + struct.pack("<IQI", VERSION, len(payload), zlib.crc32(payload))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_state(path) -> AppState:

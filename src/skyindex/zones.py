@@ -77,9 +77,16 @@ def _ra_windows_arr(radius: float, dec: np.ndarray) -> np.ndarray:
     return out
 
 
+_SHIFTS = np.array([-360.0, 0.0, 360.0])
+
+
 @dataclass(eq=False)
 class ZoneTable:
-    """Immutable after build; rows sorted by (zone, ra, objid)."""
+    """Immutable after build; rows sorted by (zone, ra, objid).
+
+    radius is a per-row column carried along for tables of circles (a
+    pyramid scale) and None for tables of points (a catalog).
+    """
 
     cfg: ZoneConfig
     zone: np.ndarray
@@ -90,6 +97,7 @@ class ZoneTable:
     y: np.ndarray
     z: np.ndarray
     is_main: np.ndarray
+    radius: np.ndarray | None = None
     zone_bounds: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -107,68 +115,48 @@ class ZoneTable:
         return slice(int(self.zone_bounds[z]), int(self.zone_bounds[z + 1]))
 
     def scan_ra(self, z: int, lo: float, hi: float) -> np.ndarray:
-        """Indices of rows in zone z whose ra (mod 360) falls in [lo, hi].
+        """Ascending indices of rows in zone z whose ra (mod 360) falls in
+        [lo, hi], each row once.
 
         The stored rows cover [-margin, 360 + margin); windows wider than
-        the margins are folded by scanning the +-360 images as well.
+        the margins are folded by scanning the -360 and +360 images as
+        well. A window narrower than 360 has disjoint images in ascending
+        ra order, so their row ranges, taken in shift order, are already
+        sorted; each range starts no earlier than the previous one ends,
+        which only matters when rounding lets neighbouring images touch.
         """
         s = self.zone_slice(z)
-        ra = self.ra[s]
         if hi - lo >= 360.0:
             return np.arange(s.start, s.stop)[self.is_main[s]]
-        parts = []
-        for shift in (0.0, 360.0, -360.0):
-            a = int(np.searchsorted(ra, lo + shift, side="left"))
-            b = int(np.searchsorted(ra, hi + shift, side="right"))
+        ra = self.ra[s]
+        starts = np.searchsorted(ra, lo + _SHIFTS, side="left").tolist()
+        stops = np.searchsorted(ra, hi + _SHIFTS, side="right").tolist()
+        runs = []
+        prev = 0
+        for a, b in zip(starts, stops):
+            a = max(a, prev)
             if b > a:
-                parts.append(np.arange(s.start + a, s.start + b))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
-
-def _as_arrays(catalog):
-    if hasattr(catalog, "objid") and hasattr(catalog, "ra"):
-        return (
-            np.asarray(catalog.objid, dtype=np.int64),
-            np.asarray(catalog.ra, dtype=float),
-            np.asarray(catalog.dec, dtype=float),
-            np.asarray(catalog.x, dtype=float),
-            np.asarray(catalog.y, dtype=float),
-            np.asarray(catalog.z, dtype=float),
-        )
-    objids, ras, decs, xs, ys, zs = [], [], [], [], [], []
-    from .geom import sky_to_vec
-
-    for objid, point in catalog:
-        if not isinstance(point, SkyPoint):
-            point = SkyPoint(point[0], point[1])
-        v = sky_to_vec(point)
-        objids.append(int(objid))
-        ras.append(point.ra)
-        decs.append(point.dec)
-        xs.append(v.x)
-        ys.append(v.y)
-        zs.append(v.z)
-    return (
-        np.asarray(objids, dtype=np.int64),
-        np.asarray(ras, dtype=float),
-        np.asarray(decs, dtype=float),
-        np.asarray(xs, dtype=float),
-        np.asarray(ys, dtype=float),
-        np.asarray(zs, dtype=float),
-    )
+                runs.append(np.arange(s.start + a, s.start + b))
+            prev = b
+        if len(runs) == 1:
+            return runs[0]
+        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
 
 
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
-    """Bucket a catalog into zones, adding wraparound margin rows.
+    """Bucket rows into zones, adding wraparound margin rows.
 
-    An object lands in the right margin (ra + 360) when its ra is below the
-    cos-corrected margin width, and in the left margin (ra - 360) when
-    within that width of 360. Near the poles the width exceeds 360 and both
-    margins apply.
+    catalog: any object with objid, ra, dec, x, y, z columns, such as a
+    Catalog, and optionally a radius column that the table carries along.
+    An object lands in the right margin (ra + 360) when its ra is below
+    the cos-corrected margin width, and in the left margin (ra - 360) when
+    within that width of 360. Near the poles the width exceeds 360 and
+    both margins apply.
     """
-    objid, ra, dec, x, y, z = _as_arrays(catalog)
+    objid = np.asarray(catalog.objid, dtype=np.int64)
+    ra = np.asarray(catalog.ra, dtype=float)
+    dec = np.asarray(catalog.dec, dtype=float)
+    radius = getattr(catalog, "radius", None)
     if len(np.unique(objid)) != len(objid):
         raise ZoneError("duplicate objID in catalog")
     if len(ra) and (ra.min() < 0.0 or ra.max() >= 360.0):
@@ -182,34 +170,27 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     width = _margin_width(dec, cfg.max_radius, cfg.epsilon)
     right = ra < width  # ra >= 0 always holds here
     left = ra >= 360.0 - width  # ra < 360 always holds here
+    # source row of every table row: main rows, then right and left margins
+    rows = np.concatenate([np.arange(len(ra)), np.flatnonzero(right), np.flatnonzero(left)])
+    ra_all = np.concatenate([ra, ra[right] + 360.0, ra[left] - 360.0])
+    zone_all = zone[rows]
+    order = np.lexsort((objid[rows], ra_all, zone_all))
+    src = rows[order]
 
-    zones = [zone, zone[right], zone[left]]
-    ras = [ra, ra[right] + 360.0, ra[left] - 360.0]
-    ids = [objid, objid[right], objid[left]]
-    decs = [dec, dec[right], dec[left]]
-    xs = [x, x[right], x[left]]
-    ys = [y, y[right], y[left]]
-    zs = [z, z[right], z[left]]
-    mains = [
-        np.ones(len(objid), dtype=bool),
-        np.zeros(int(right.sum()), dtype=bool),
-        np.zeros(int(left.sum()), dtype=bool),
-    ]
+    def column(values):
+        return np.asarray(values, dtype=float)[src]
 
-    zone_all = np.concatenate(zones)
-    ra_all = np.concatenate(ras)
-    id_all = np.concatenate(ids)
-    order = np.lexsort((id_all, ra_all, zone_all))
     return ZoneTable(
         cfg=cfg,
         zone=zone_all[order],
         ra=ra_all[order],
-        objid=id_all[order],
-        dec=np.concatenate(decs)[order],
-        x=np.concatenate(xs)[order],
-        y=np.concatenate(ys)[order],
-        z=np.concatenate(zs)[order],
-        is_main=np.concatenate(mains)[order],
+        objid=objid[src],
+        dec=dec[src],
+        x=column(catalog.x),
+        y=column(catalog.y),
+        z=column(catalog.z),
+        is_main=order < len(ra),
+        radius=None if radius is None else column(radius),
     )
 
 

@@ -103,7 +103,7 @@ def pyramid_fixture():
     idx = PyramidIndex(cfg)
     for i in range(n):
         idx.insert(i, SkyPoint(float(ra[i]), float(dec[i])), float(radii[i]))
-    idx._finalize()
+    idx.scales()
     rr, dd = np.radians(ra), np.radians(dec)
     ex, ey, ez = np.cos(dd) * np.cos(rr), np.cos(dd) * np.sin(rr), np.sin(dd)
     queries = []

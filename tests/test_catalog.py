@@ -1,16 +1,17 @@
 import math
 import struct
+import zlib
 
 import mpmath
 import numpy as np
 import pytest
 
 from skyindex import catalog as catmod
-from skyindex import htm, oracle, zones
+from skyindex import htm, oracle, snapshot, zones
 from skyindex.algebra import RegionStore
 from skyindex.catalog import CatalogError, htm_cone_search, ingest_csv, random_catalog
 from skyindex.geom import SkyPoint, UnitVec3
-from skyindex.pyramid import PyramidIndex
+from skyindex.pyramid import PyramidIndex, overlap_search
 from skyindex.snapshot import (
     MAGIC,
     AppState,
@@ -147,12 +148,18 @@ class TestSnapshot:
         table = zones.build_zone_table(cat, zones.ZoneConfig())
         neighbors = zones.build_neighbors(cat, 0.5)
         store = RegionStore()
+        store.region_drop(store.region_new("dropped"))
         rid = store.region_new("circle", "roundtrip")
         cid = store.region_new_convex(rid)
         store.region_new_convex_constraint(rid, cid, 0.1, 0.2, 0.97, 0.8)
         pyr = PyramidIndex()
         pyr.insert(1, SkyPoint(10, 10), 0.5)
         pyr.insert(2, SkyPoint(0.01, -20), 2.0)
+        for i in range(3, 300):  # radii over many scales, some near ra = 0
+            ra = float(rng.uniform(-3, 3) % 360 if i % 4 == 0 else rng.uniform(0, 360))
+            dec = float(np.degrees(np.arcsin(rng.uniform(-1, 1))))
+            pyr.insert(i, SkyPoint(ra, dec), float(np.exp(rng.uniform(np.log(1e-3), np.log(60.0)))))
+        assert len(pyr.scales()) >= 8
         state = AppState(cat, table, neighbors, store, pyr)
         path = tmp_path / "s.snap"
         save_state(state, path)
@@ -170,11 +177,101 @@ class TestSnapshot:
                 zones.nearby_objects(table, center, r)
         assert loaded.neighbors.neighbors_of(5) == neighbors.neighbors_of(5)
         assert np.array_equal(loaded.neighbors.objid, neighbors.objid)
-        assert loaded.regions.records() == store.records()
-        from skyindex.pyramid import overlap_search
+        assert loaded.regions.export_state() == store.export_state()
+        assert loaded.pyramid.scales() == pyr.scales()
+        for s, t in pyr.tables().items():
+            got = loaded.pyramid.tables()[s]
+            assert got.cfg == t.cfg
+            for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "is_main", "radius", "zone_bounds"):
+                assert getattr(got, col).tobytes() == getattr(t, col).tobytes(), col
+        for k in range(40):
+            if k == 20:  # entries inserted after the reload land in both
+                for p in (pyr, loaded.pyramid):
+                    p.insert(1000, SkyPoint(0.02, 5.0), 3.0)
+                    p.insert(1001, SkyPoint(180.0, 89.0), 0.01)
+            center = SkyPoint(float(rng.uniform(0, 360)), float(rng.uniform(-90, 90)))
+            r = float(rng.uniform(0.01, 10.0))
+            want_stats, got_stats = {}, {}
+            want = overlap_search(pyr, center, r, stats=want_stats)
+            assert overlap_search(loaded.pyramid, center, r, stats=got_stats) == want
+            assert got_stats == want_stats
 
-        assert overlap_search(loaded.pyramid, SkyPoint(10, 10), 1.0) == \
-            overlap_search(pyr, SkyPoint(10, 10), 1.0)
+    def test_region_columns_round_trip(self, tmp_path):
+        store = RegionStore()
+        store.region_drop(store.region_new("gone"))
+        store.region_new("empty", "no convexes")
+        whole = store.region_new("whole", "ünïcödé ★ comment")
+        store.region_new_convex(whole)  # no constraints: the whole sphere
+        two = store.region_new("two")
+        for nx, ny in ((1.0, 0.0), (0.0, 1.0)):
+            cid = store.region_new_convex(two)
+            store.region_new_convex_constraint(two, cid, nx, ny, 0.0, 0.5)
+            store.region_new_convex_constraint(two, cid, 0.0, 0.0, 1.0, -0.25)
+        store.region_drop(store.region_new("gone too"))
+        path = tmp_path / "s.snap"
+        save_state(AppState(regions=store), path)
+        loaded = load_state(path).regions
+        assert loaded.export_state() == store.export_state()
+        assert loaded.region_new("next") == store.region_new("next")
+        assert loaded.region_new_convex(two) == store.region_new_convex(two)
+        assert loaded.region_new_convex_constraint(two, cid, 0.0, 0.0, 1.0, 0.0) == \
+            store.region_new_convex_constraint(two, cid, 0.0, 0.0, 1.0, 0.0)
+
+    def test_region_counts_checked(self, tmp_path):
+        w = snapshot._Writer()
+        for _ in range(3):  # no catalog, zone table or neighbours
+            w.u8(0)
+        w.u64(2)
+        w.arr([1], "<u8")  # one region ...
+        w.texts(["t"])
+        w.texts([""])
+        w.arr([1], "<u8")
+        w.arr([2], "<u8")  # ... that claims two convexes, of which one is stored
+        for column in ([1], [1], [0], []):
+            w.arr(column, "<u8")
+        w.arr([], "<f8")
+        w.u8(0)  # no pyramid
+        payload = w.buf.getvalue()
+        path = tmp_path / "s.snap"
+        path.write_bytes(MAGIC + struct.pack("<IQI", snapshot.VERSION, len(payload), zlib.crc32(payload)) + payload)
+        with pytest.raises(SnapshotError, match="region columns"):
+            load_state(path)
+
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "s.snap"
+        save_state(AppState(catalog=random_catalog(100, seed=5)), path)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file whose first write stops halfway with a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        def fail(*args, **kwargs):
+            raise OSError("fsync failed")
+
+        with monkeypatch.context() as m:
+            if fail_at == "write":
+                m.setattr(snapshot, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+            else:
+                m.setattr(snapshot.os, "fsync", fail)
+            with pytest.raises(OSError):
+                save_state(AppState(catalog=random_catalog(200, seed=6)), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        assert len(load_state(path).catalog) == 100
 
     def test_max_depth_ids_survive_reload(self, tmp_path):
         # ids at htm.MAX_DEPTH take all 64 bits, above the int64 range
@@ -213,6 +310,15 @@ class TestSnapshot:
         blob[-3] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="checksum"):
+            load_state(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "s.snap"
+        save_state(AppState(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="version 1 != supported 2"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

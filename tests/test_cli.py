@@ -73,6 +73,16 @@ class TestIngestAndZone:
                       "--ra", "0", "--dec", "0", "--r", "50")
         assert code == 4
 
+    def test_nan_radius_is_query_error(self, capsys, snap, csv3):
+        run(capsys, "--snapshot", snap, "ingest", csv3)
+        run(capsys, "--snapshot", snap, "zone", "build")
+        code = main(["--snapshot", snap, "--format", "records", "zone", "nearby",
+                     "--ra", "0", "--dec", "0", "--r", "nan"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
+        assert captured.err.startswith("error: ")
+
     def test_usage_error_exit_2(self, capsys, snap):
         with pytest.raises(SystemExit) as exc:
             main(["--snapshot", snap, "zone", "nearby", "--bogus-flag", "1"])
@@ -258,6 +268,18 @@ class TestPyramidCli:
         assert "result objid=1" in out
         assert "result objid=2" not in out
         assert "stages " in out
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+    def test_overlap_bad_radius_exit_4(self, capsys, snap, radius):
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "c1",
+            "--from", "CIRCLE J2000 10 10 30")
+        run(capsys, "--snapshot", snap, "pyramid", "build")
+        code = main(["--snapshot", snap, "--format", "records", "pyramid", "overlap",
+                     "--ra", "10", "--dec", "10", f"--r={radius}"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
+        assert captured.err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -13,10 +13,9 @@ from skyindex.geom import (
     SkyPoint,
     UnitVec3,
     arc_distance_deg,
+    as_degrees,
     buffer_halfspace,
     buffer_region,
-    caps_disjoint,
-    cap_contains_cap,
     circle_to_halfspace,
     closed_hemisphere_witness,
     inside_convex,
@@ -27,6 +26,7 @@ from skyindex.geom import (
     sky_to_vec,
     vec_to_sky,
 )
+from skyindex.algebra import _contains_cap, _disjoint_caps
 
 from conftest import rotate_toward, sample_sphere
 
@@ -61,6 +61,17 @@ class TestSkyPoint:
     def test_non_finite_rejected(self, ra, dec):
         with pytest.raises(GeometryError):
             SkyPoint(ra, dec)
+
+
+class TestAsDegrees:
+    def test_numbers_and_arc_angles(self):
+        assert as_degrees(2) == 2.0
+        assert as_degrees(ArcAngle.from_arcmin(30)) == 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(GeometryError):
+            as_degrees(bad)
 
 
 class TestVecConversion:
@@ -278,11 +289,11 @@ class TestCapRelations:
     def test_containment_and_disjointness(self):
         big = circle_to_halfspace(UnitVec3(0, 0, 1), 40.0)
         small = circle_to_halfspace(sky_to_vec(SkyPoint(0, 80)), 10.0)
-        assert cap_contains_cap(big, small)
-        assert not cap_contains_cap(small, big)
+        assert _contains_cap(big, small)
+        assert not _contains_cap(small, big)
         far = circle_to_halfspace(UnitVec3(0, 0, -1), 20.0)
-        assert caps_disjoint(small, far)
-        assert not caps_disjoint(big, small)
+        assert _disjoint_caps(small, far)
+        assert not _disjoint_caps(big, small)
 
 
 class TestEnclosingCap:

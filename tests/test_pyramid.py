@@ -19,12 +19,12 @@ from skyindex.pyramid import (
     PyramidError,
     PyramidIndex,
     bounding_circle,
-    candidate_zones,
     overlap_search,
     scale_of,
     segment_elongated_region,
 )
 from skyindex.regionspec import compile_region_string
+from skyindex.zones import ZoneTable
 
 from conftest import sample_cap, sample_sphere
 
@@ -69,15 +69,14 @@ class TestInsert:
         idx = PyramidIndex()
         s = idx.insert(1, SkyPoint(10, 10), 170.0)
         assert s == idx.cfg.max_scale
-        cols = idx.rows_at_scale(s)
-        assert set(cols["zone"].tolist()) == {0}
+        assert set(idx.tables()[s].zone.tolist()) == {0}
 
     def test_margin_duplicate_near_meridian(self):
         idx = PyramidIndex()
         idx.insert(1, SkyPoint(0.001, 0.0), idx.cfg.base_zone_height / 2)
-        cols = idx.rows_at_scale(0)
-        assert len(cols["ra"]) == 2
-        assert sorted(cols["ra"].tolist()) == pytest.approx([0.001, 360.001])
+        table = idx.tables()[0]
+        assert len(table.ra) == 2
+        assert sorted(table.ra.tolist()) == pytest.approx([0.001, 360.001])
 
     def test_duplicate_objid_rejected(self):
         idx = PyramidIndex()
@@ -87,30 +86,57 @@ class TestInsert:
 
 
 class TestCandidateZones:
-    def test_degenerate_radius_bands(self):
-        cfg = PyramidConfig()
-        zones = candidate_zones(0.0, 0.0, cfg)
+    """The (scale, zone) band that overlap_search scans, seen through the
+    ZoneTable.scan_ra calls it makes on a pyramid with an entry in every
+    zone of every scale."""
+
+    # 10-scale configuration: base height * 2^9 covers the sphere
+    CFG = PyramidConfig(base_zone_height=180.0 / 512.0)
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        cfg = self.CFG
+        idx = PyramidIndex(cfg)
+        for s in range(cfg.max_scale + 1):
+            h = cfg.zone_height(s)
+            for z in range(cfg.zone_count(s)):
+                dec = min(90.0, -90.0 + (z + 0.5) * h)
+                assert idx.insert(len(idx), SkyPoint(90.0, dec), 0.75 * h) == s
+        return idx
+
+    def scanned(self, idx, monkeypatch, dec, radius):
+        scale = {self.CFG.zone_height(s): s for s in range(self.CFG.max_scale + 1)}
+        calls = set()
+        scan_ra = ZoneTable.scan_ra
+
+        def spy(table, z, lo, hi):
+            calls.add((scale[table.cfg.zone_height], z))
+            return scan_ra(table, z, lo, hi)
+
+        with monkeypatch.context() as m:
+            m.setattr(ZoneTable, "scan_ra", spy)
+            overlap_search(idx, SkyPoint(90.0, dec), radius)
+        return calls
+
+    def test_degenerate_radius_bands(self, full, monkeypatch):
         by_scale = {}
-        for s, z, h in zones:
+        for s, z in self.scanned(full, monkeypatch, 0.0, 0.0):
             by_scale.setdefault(s, []).append(z)
-        assert set(by_scale) == set(range(cfg.max_scale + 1))
+        assert set(by_scale) == set(range(self.CFG.max_scale + 1))
         assert all(len(v) <= 4 for v in by_scale.values())
 
-    def test_ten_scale_moderate_radius_count(self):
-        # 10-scale configuration: base height * 2^9 covers the sphere
-        cfg = PyramidConfig(base_zone_height=180.0 / 512.0)
-        assert cfg.max_scale == 9
-        zones = candidate_zones(10.0, 1.0, cfg)
-        assert 10 <= len(zones) <= 60
+    def test_ten_scale_moderate_radius_count(self, full, monkeypatch):
+        assert self.CFG.max_scale == 9
+        assert 10 <= len(self.scanned(full, monkeypatch, 10.0, 1.0)) <= 60
 
-    def test_completeness(self, rng):
-        cfg = PyramidConfig()
-        # random stored entries; any entry overlapping the query circle must
-        # have its (scale, zone) listed
+    def test_completeness(self, full, monkeypatch, rng):
+        cfg = self.CFG
+        # random entries; any entry overlapping the query circle must have
+        # its (scale, zone) scanned
         for _ in range(40):
             q_dec = float(np.degrees(np.arcsin(rng.uniform(-1, 1))))
             q_r = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
-            listed = {(s, z) for s, z, _ in candidate_zones(q_dec, q_r, cfg)}
+            listed = self.scanned(full, monkeypatch, q_dec, q_r)
             for _ in range(30):
                 e_dec = float(np.degrees(np.arcsin(rng.uniform(-1, 1))))
                 e_r = float(np.exp(rng.uniform(np.log(1e-3), np.log(5.0))))
@@ -156,6 +182,25 @@ class TestOverlapSearch:
             got = overlap_search(idx, q, qr)
             want = sorted(oracle.overlap_scan(ex, ey, ez, radii, q, qr))
             assert got == want
+
+    def test_inserts_between_queries(self, rng):
+        # each query rebuilds the scales that received entries since the
+        # last one, keeping the entries already there
+        idx = PyramidIndex()
+        ra, dec, radii = [], [], []
+        for batch in range(6):
+            for _ in range(50 if batch else 600):
+                ra.append(float(rng.uniform(0, 360)))
+                dec.append(float(np.degrees(np.arcsin(rng.uniform(-1, 1)))))
+                radii.append(float(np.exp(rng.uniform(np.log(1e-3), np.log(5.0)))))
+                idx.insert(len(ra) - 1, SkyPoint(ra[-1], dec[-1]), radii[-1])
+            rr, dd = np.radians(ra), np.radians(dec)
+            ex, ey, ez = np.cos(dd) * np.cos(rr), np.cos(dd) * np.sin(rr), np.sin(dd)
+            for _ in range(10):
+                q = SkyPoint(float(rng.uniform(0, 360)), float(np.degrees(np.arcsin(rng.uniform(-1, 1)))))
+                qr = float(np.exp(rng.uniform(np.log(0.1), np.log(20.0))))
+                want = sorted(oracle.overlap_scan(ex, ey, ez, np.array(radii), q, qr))
+                assert overlap_search(idx, q, qr) == want
 
     def test_pole_and_meridian_queries(self, rng):
         idx, (ex, ey, ez, radii) = self._build(rng, 4000)

@@ -85,9 +85,9 @@ class TestBuildZoneTable:
         )
 
     def test_duplicate_objid_rejected(self):
-        cat_rows = [(1, SkyPoint(10, 0)), (1, SkyPoint(20, 0))]
         with pytest.raises((ZoneError, catmod.CatalogError)):
-            build_zone_table(cat_rows, ZoneConfig(zone_height=1.0))
+            cat = catmod.from_points([(1, SkyPoint(10, 0)), (1, SkyPoint(20, 0))])
+            build_zone_table(cat, ZoneConfig(zone_height=1.0))
 
     def test_unnormalized_rejected(self):
         class Fake:
@@ -102,9 +102,8 @@ class TestBuildZoneTable:
             build_zone_table(Fake(), ZoneConfig(zone_height=1.0))
 
     def test_accepts_pair_list(self):
-        table = build_zone_table(
-            [(1, SkyPoint(10, 0)), (2, (20.0, 5.0))], ZoneConfig(zone_height=1.0)
-        )
+        cat = catmod.from_points([(1, SkyPoint(10, 0)), (2, (20.0, 5.0))])
+        table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
         assert table.main_row_count() == 2
 
 
@@ -117,6 +116,47 @@ class TestRaWindow:
 
     def test_pole_touch_full(self):
         assert ra_window_deg(1.0, 89.5) == 180.0
+
+
+class TestScanRa:
+    @staticmethod
+    def want(table, z, lo, hi):
+        """Rows of zone z in any of the window's -360/0/+360 images, once
+        each and ascending; main rows only for a full circle."""
+        s = table.zone_slice(z)
+        if hi - lo >= 360.0:
+            return np.arange(s.start, s.stop)[table.is_main[s]].tolist()
+        stored = table.ra[s]
+        hit = np.zeros(len(stored), dtype=bool)
+        for shift in (-360.0, 0.0, 360.0):
+            hit |= (stored >= lo + shift) & (stored <= hi + shift)
+        return (s.start + np.flatnonzero(hit)).tolist()
+
+    def test_matches_shifted_window_mask(self, rng):
+        # rows near ra = 0/360 and near the poles carry margin rows; windows
+        # run past 0 and 360 and up to within rounding of a full circle
+        n = 3000
+        ra = np.concatenate([rng.uniform(0, 360, n), rng.uniform(0, 2, n // 4), rng.uniform(358, 360, n // 4)])
+        dec = np.concatenate([rng.uniform(-90, 90, n), rng.uniform(-89.5, 89.5, n // 2)])
+        cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
+        table = build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
+        for _ in range(400):
+            z = int(rng.integers(table.cfg.zone_count))
+            center = float(rng.uniform(-5, 365))
+            half = float(rng.choice([rng.uniform(0, 10), rng.uniform(0, 180), 180 - 1e-13, 180.0]))
+            lo, hi = center - half, center + half
+            assert table.scan_ra(z, lo, hi).tolist() == self.want(table, z, lo, hi)
+
+    def test_touching_images_give_each_row_once(self):
+        # rounding leaves this window just under 360 wide, yet its +360
+        # image starts on its own last value, where a margin row sits
+        lo, hi = 335.8333318035505 - 180.0, 335.8333318035505 + 180.0
+        assert hi - lo < 360.0 and lo + 360.0 <= hi
+        cat = catmod.from_arrays([1, 2], [lo, 10.0], [89.99, 89.9], compute_htm=False)
+        table = build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
+        top = table.cfg.zone_count - 1
+        assert lo + 360.0 in table.ra.tolist()
+        assert table.scan_ra(top, lo, hi).tolist() == self.want(table, top, lo, hi)
 
 
 class TestNearby:
