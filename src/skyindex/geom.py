@@ -104,16 +104,8 @@ class ArcAngle:
         object.__setattr__(self, "degrees", float(self.degrees))
 
     @staticmethod
-    def from_degrees(value: float) -> "ArcAngle":
-        return ArcAngle(value)
-
-    @staticmethod
     def from_arcmin(value: float) -> "ArcAngle":
         return ArcAngle(value / 60.0)
-
-    @staticmethod
-    def from_arcsec(value: float) -> "ArcAngle":
-        return ArcAngle(value / 3600.0)
 
 
 def as_degrees(angle) -> float:

@@ -5,12 +5,12 @@ levels whose zone heights grow in powers of two from a base height, so an
 entry's radius never exceeds its scale's zone height. Each scale is a
 zones.ZoneTable of its circles (zone height and margin width both the
 scale's height, plus a radius column), built and scanned by the same code
-as a catalog's zone table. An overlap query walks every scale's narrow
-dec band, scans the ra windows with ZoneTable.scan_ra, and filters
-candidates through a cascade: zone bucket, ra window, dec band, a sound
-planar-style circle test, and finally the exact spherical test
-arc_distance(centers) < query_radius + entry_radius. Per-stage candidate
-counts are exposed for diagnostics.
+as a catalog's zone table. An overlap query scans each scale's narrow
+dec band over one ra window with a single ZoneTable.scan_ra call and
+filters the candidates through a cascade: zone bucket, ra window, dec
+band, a sound planar-style circle test, and finally the exact spherical
+test arc_distance(centers) < query_radius + entry_radius. Per-stage
+candidate counts are exposed for diagnostics.
 """
 
 from __future__ import annotations
@@ -175,55 +175,53 @@ def overlap_search(
         h = t.cfg.zone_height
         lo_z = max(0, int(math.floor((center.dec + 90.0 - r - h) / h)))
         hi_z = min(t.cfg.zone_count - 1, int(math.floor((center.dec + 90.0 + r + h) / h)))
+        in_band = int(t.zone_bounds[hi_z + 1] - t.zone_bounds[lo_z])
+        if in_band == 0:
+            continue
+        n_zone += in_band
         reach = min(r + h, 180.0)
         alpha = ra_window_deg(reach, center.dec) if reach < 180.0 else 180.0
-        lo, hi = center.ra - alpha, center.ra + alpha
-        for z in range(lo_z, hi_z + 1):
-            in_zone = t.zone_bounds[z + 1] - t.zone_bounds[z]
-            if in_zone == 0:
-                continue
-            n_zone += int(in_zone)
-            idx = t.scan_ra(z, lo, hi)
-            n_ra += len(idx)
-            if len(idx) == 0:
-                continue
-            limit = r + t.radius[idx]
-            limit_rad = np.radians(limit)
-            dra_eff = _effective_ra_distance(
-                t.ra[idx] - center.ra, t.dec[idx], center.dec
-            )
-            fine_ok = dra_eff < limit_rad + 1e-9
-            idx, limit, limit_rad, dra_eff = (
-                idx[fine_ok], limit[fine_ok], limit_rad[fine_ok], dra_eff[fine_ok]
-            )
-            n_fine += len(idx)
-            if len(idx) == 0:
-                continue
-            ddec = np.radians(np.abs(t.dec[idx] - center.dec))
-            dec_ok = ddec < limit_rad + 1e-9
-            idx, limit, limit_rad, dra_eff, ddec = (
-                idx[dec_ok], limit[dec_ok], limit_rad[dec_ok],
-                dra_eff[dec_ok], ddec[dec_ok],
-            )
-            n_dec += len(idx)
-            if len(idx) == 0:
-                continue
-            # sound circle test: sqrt(ddec^2 + dra_eff^2) lower-bounds the
-            # arc distance, so a reject can never lose a true overlap
-            geom_ok = ddec * ddec + dra_eff * dra_eff < (limit_rad + 1e-9) ** 2
-            idx = idx[geom_ok]
-            limit = limit[geom_ok]
-            n_geom += len(idx)
-            if len(idx) == 0:
-                continue
-            dx = t.x[idx] - qv.x
-            dy = t.y[idx] - qv.y
-            dz = t.z[idx] - qv.z
-            dist = np.degrees(
-                2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dx * dx + dy * dy + dz * dz) / 2.0))
-            )
-            exact = dist < limit
-            hits.append(t.objid[idx][exact])
+        _, idx = t.scan_ra(lo_z, hi_z, center.ra - alpha, center.ra + alpha)
+        n_ra += len(idx)
+        if len(idx) == 0:
+            continue
+        limit = r + t.radius[idx]
+        limit_rad = np.radians(limit)
+        dra_eff = _effective_ra_distance(
+            t.ra[idx] - center.ra, t.dec[idx], center.dec
+        )
+        fine_ok = dra_eff < limit_rad + 1e-9
+        idx, limit, limit_rad, dra_eff = (
+            idx[fine_ok], limit[fine_ok], limit_rad[fine_ok], dra_eff[fine_ok]
+        )
+        n_fine += len(idx)
+        if len(idx) == 0:
+            continue
+        ddec = np.radians(np.abs(t.dec[idx] - center.dec))
+        dec_ok = ddec < limit_rad + 1e-9
+        idx, limit, limit_rad, dra_eff, ddec = (
+            idx[dec_ok], limit[dec_ok], limit_rad[dec_ok],
+            dra_eff[dec_ok], ddec[dec_ok],
+        )
+        n_dec += len(idx)
+        if len(idx) == 0:
+            continue
+        # sound circle test: sqrt(ddec^2 + dra_eff^2) lower-bounds the
+        # arc distance, so a reject can never lose a true overlap
+        geom_ok = ddec * ddec + dra_eff * dra_eff < (limit_rad + 1e-9) ** 2
+        idx = idx[geom_ok]
+        limit = limit[geom_ok]
+        n_geom += len(idx)
+        if len(idx) == 0:
+            continue
+        dx = t.x[idx] - qv.x
+        dy = t.y[idx] - qv.y
+        dz = t.z[idx] - qv.z
+        dist = np.degrees(
+            2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dx * dx + dy * dy + dz * dz) / 2.0))
+        )
+        exact = dist < limit
+        hits.append(t.objid[idx][exact])
     ids = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
     if stats is not None:
         stats.update(

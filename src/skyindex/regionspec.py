@@ -442,8 +442,10 @@ def compile_to_region(ast: AreaSpec) -> Region:
     """Compile a parsed spec into a geometry Region."""
     if isinstance(ast, CircleSpec):
         center = _point_to_vec(ast.frame, ast.center)
-        if ast.radius_arcmin < 0:
-            raise RegionCompileError("circle radius must be non-negative")
+        if not 0.0 <= ast.radius_arcmin <= 180.0 * 60.0:
+            raise RegionCompileError(
+                f"circle radius must be within [0, 10800] arcmin: {ast.radius_arcmin!r}"
+            )
         h = circle_to_halfspace(center, ArcAngle.from_arcmin(ast.radius_arcmin))
         return Region((Convex((h,)),))
     if isinstance(ast, RectSpec):

@@ -1,11 +1,13 @@
 """Zone bucketing: declination stripes with ordered (zone, ra) scans.
 
 A catalog is bucketed into horizontal zones of fixed height; rows are kept
-sorted by (zone, ra, objid) so cone searches and the all-pairs neighbor
-join reduce to a handful of contiguous range scans. Rows near the prime
+sorted by (zone, ra, objid). ZoneTable.scan_ra is the one access method:
+it scans a band of zones for many ra windows at once with a binary search
+on an exact (zone, ra) key, so a cone search is one scan of its dec band
+and the all-pairs neighbor join is one scan per zone. Rows near the prime
 meridian are duplicated into left/right margins (ra shifted by -360/+360)
-so wraparound queries stay contiguous; scans additionally decompose their
-ra window modulo 360, which keeps results exact even when a window is
+so wraparound queries stay contiguous; the scan additionally decomposes
+each ra window modulo 360, which keeps results exact even when a window is
 wider than the margins (polar queries).
 """
 
@@ -78,6 +80,7 @@ def _ra_windows_arr(radius: float, dec: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = np.array([-360.0, 0.0, 360.0])
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -85,7 +88,8 @@ class ZoneTable:
     """Immutable after build; rows sorted by (zone, ra, objid).
 
     radius is a per-row column carried along for tables of circles (a
-    pyramid scale) and None for tables of points (a catalog).
+    pyramid scale) and None for tables of points (a catalog). key is the
+    (zone, ra) search key scan_ra runs on, derived here and never stored.
     """
 
     cfg: ZoneConfig
@@ -99,11 +103,16 @@ class ZoneTable:
     is_main: np.ndarray
     radius: np.ndarray | None = None
     zone_bounds: np.ndarray = field(init=False)
+    key: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.zone_bounds = np.searchsorted(
             self.zone, np.arange(self.cfg.zone_count + 1)
         )
+        # numpy orders and searches complex values lexicographically by
+        # (real, imag), and zone + 1j * ra keeps both parts exact, so key
+        # orders rows exactly by (zone, ra)
+        self.key = self.zone + 1j * self.ra
 
     def __len__(self) -> int:
         return len(self.zone)
@@ -114,33 +123,56 @@ class ZoneTable:
     def zone_slice(self, z: int) -> slice:
         return slice(int(self.zone_bounds[z]), int(self.zone_bounds[z + 1]))
 
-    def scan_ra(self, z: int, lo: float, hi: float) -> np.ndarray:
-        """Ascending indices of rows in zone z whose ra (mod 360) falls in
-        [lo, hi], each row once.
+    def scan_ra(self, z0: int, z1: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of zones z0..z1 whose ra (mod 360) falls in a window [lo, hi].
+
+        lo and hi are scalars or equal-length non-empty arrays, one window
+        per entry, with lo <= hi and 0 <= z0 <= z1 < zone_count. Returns
+        (window, row) index arrays: every row of the band in window k, once
+        per window, paired with k (0 for scalar windows). Each window's
+        rows come in ascending order; with several windows the pairs are
+        grouped by zone, not by window.
 
         The stored rows cover [-margin, 360 + margin); windows wider than
         the margins are folded by scanning the -360 and +360 images as
         well. A window narrower than 360 has disjoint images in ascending
         ra order, so their row ranges, taken in shift order, are already
         sorted; each range starts no earlier than the previous one ends,
-        which only matters when rounding lets neighbouring images touch.
+        which only matters when rounding lets neighbouring images touch. A
+        full-circle window (hi - lo >= 360) takes its zones' main rows.
         """
-        s = self.zone_slice(z)
-        if hi - lo >= 360.0:
-            return np.arange(s.start, s.stop)[self.is_main[s]]
-        ra = self.ra[s]
-        starts = np.searchsorted(ra, lo + _SHIFTS, side="left").tolist()
-        stops = np.searchsorted(ra, hi + _SHIFTS, side="right").tolist()
-        runs = []
-        prev = 0
-        for a, b in zip(starts, stops):
-            a = max(a, prev)
-            if b > a:
-                runs.append(np.arange(s.start + a, s.start + b))
-            prev = b
-        if len(runs) == 1:
-            return runs[0]
-        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+        edges = np.array((lo, hi), dtype=float).reshape(2, -1)
+        base = self.zone_bounds[z0]
+        key = self.key[base : self.zone_bounds[z1 + 1]]
+        # search keys (lo or hi, zone, shift, window): ascending ra within
+        # a zone keeps each side's keys near-sorted, which numpy exploits
+        q = np.empty((2, z1 - z0 + 1, 3, edges.shape[1]), dtype=complex)
+        q.real = np.arange(z0, z1 + 1)[:, None, None]
+        q.imag = (edges[:, None, :] + _SHIFTS[:, None])[:, None]
+        a = key.searchsorted(q[0], side="left")
+        b = key.searchsorted(q[1], side="right")
+        width = edges[1] - edges[0]
+        full = None
+        # images of a window narrower than 180 are far apart, and it is no
+        # full circle: only wider windows need the two fix-ups
+        if width.max() >= 180.0:
+            np.maximum(a[:, 1:], b[:, :-1], out=a[:, 1:])
+            full = width >= 360.0
+            bounds = self.zone_bounds[z0 : z1 + 2] - base
+            a[:, 0, full] = bounds[:-1, None]
+            b[:, 0, full] = bounds[1:, None]
+            a[:, 1:, full] = b[:, 1:, full]
+        b = b.ravel()
+        counts = b - a.ravel()
+        ends = counts.cumsum()
+        if not ends[-1]:
+            return _NO_ROWS, _NO_ROWS
+        row = np.repeat(base + b - ends, counts) + np.arange(ends[-1])
+        window = np.repeat(np.arange(counts.size) % edges.shape[1], counts)
+        if full is not None:
+            keep = self.is_main[row] | ~full[window]
+            window, row = window[keep], row[keep]
+        return window, row
 
 
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
@@ -202,10 +234,10 @@ def nearby_objects(
 ) -> list[tuple[int, float]]:
     """All catalog objects strictly within the radius of center.
 
-    Scan order: zone band, ra interval per zone, dec band filter, then the
-    chord-squared careful test 4 sin^2(r/2) > |p - q|^2. Results are
-    deduplicated by objid (margin rows alias their main row) and sorted by
-    (distance, objid).
+    Scan order: one scan of the zone band over the circle's ra window, the
+    dec band filter, then the chord-squared careful test
+    4 sin^2(r/2) > |p - q|^2. Results are deduplicated by objid (margin
+    rows alias their main row) and sorted by (distance, objid).
     """
     r = as_degrees(radius)
     cfg = table.cfg
@@ -230,41 +262,24 @@ def nearby_objects(
         math.sin(math.radians(center.dec)),
     )
     chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
-    n_ra = 0
-    n_dec = 0
-    found_ids = []
-    found_d2 = []
-    for z in range(zmin, zmax + 1):
-        idx = table.scan_ra(z, lo, hi)
-        if len(idx) == 0:
-            continue
-        n_ra += len(idx)
-        dec_ok = np.abs(table.dec[idx] - center.dec) <= r
-        idx = idx[dec_ok]
-        n_dec += len(idx)
-        if len(idx) == 0:
-            continue
-        dx = table.x[idx] - cx
-        dy = table.y[idx] - cy
-        dz = table.z[idx] - cz
-        d2 = dx * dx + dy * dy + dz * dz
-        hit = d2 < chord2_limit
-        found_ids.append(table.objid[idx][hit])
-        found_d2.append(d2[hit])
-    if stats is not None:
-        stats.update(zones=zmax - zmin + 1, ra_candidates=n_ra, dec_filtered=n_dec)
-    if not found_ids:
-        if stats is not None:
-            stats["matched"] = 0
-        return []
-    ids = np.concatenate(found_ids)
-    d2 = np.concatenate(found_d2)
+    _, idx = table.scan_ra(zmin, zmax, lo, hi)
+    n_ra = len(idx)
+    idx = idx[np.abs(table.dec[idx] - center.dec) <= r]
+    dx = table.x[idx] - cx
+    dy = table.y[idx] - cy
+    dz = table.z[idx] - cz
+    d2 = dx * dx + dy * dy + dz * dz
+    hit = d2 < chord2_limit
+    ids = table.objid[idx][hit]
+    d2 = d2[hit]
     ids, first = np.unique(ids, return_index=True)
     d2 = d2[first]
     dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
     order = np.lexsort((ids, dist))
     if stats is not None:
-        stats["matched"] = len(ids)
+        stats.update(
+            zones=zmax - zmin + 1, ra_candidates=n_ra, dec_filtered=len(idx), matched=len(ids)
+        )
     return [(int(i), float(d)) for i, d in zip(ids[order], dist[order])]
 
 
@@ -295,8 +310,8 @@ class NeighborsTable:
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
     """Materialize all object pairs strictly within the radius.
 
-    Joins each zone's main rows against the scanned ra windows of the zone
-    band around it (margin rows included), keeping objid1 < objid2 to do
+    Scans the zone band around each zone with one ra window per main row
+    of the zone (margin rows included), keeping objid1 < objid2 to do
     half the work, deduplicating pairs found through both a margin image
     and a wrapped window, then mirroring. zone_height defaults to the
     radius, which minimizes the candidate area of the join.
@@ -316,62 +331,28 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     candidates = 0
     for z in range(nz):
         s = table.zone_slice(z)
-        if s.start == s.stop:
-            continue
         main = np.arange(s.start, s.stop)[table.is_main[s]]
         if len(main) == 0:
             continue
         alpha = _ra_windows_arr(r, table.dec[main])
-        lo = table.ra[main] - alpha
-        hi = table.ra[main] + alpha
-        for dz in range(-deltas, deltas + 1):
-            z2 = z + dz
-            if not (0 <= z2 < nz):
-                continue
-            s2 = table.zone_slice(z2)
-            if s2.start == s2.stop:
-                continue
-            ra2 = table.ra[s2]
-            full = alpha >= 180.0
-            for shift in (0.0, 360.0, -360.0):
-                a = np.searchsorted(ra2, lo + shift, side="left")
-                b = np.searchsorted(ra2, hi + shift, side="right")
-                if shift == 0.0:
-                    # full-circle windows scan the whole zone once
-                    a = np.where(full, 0, a)
-                    b = np.where(full, len(ra2), b)
-                else:
-                    a = np.where(full, 0, a)
-                    b = np.where(full, 0, b)
-                counts = b - a
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                candidates += total
-                left = np.repeat(main, counts)
-                starts = np.repeat(a + s2.start, counts)
-                offs = np.arange(total) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                right_idx = starts + offs
-                keep = table.objid[left] < table.objid[right_idx]
-                left = left[keep]
-                right_idx = right_idx[keep]
-                if len(left) == 0:
-                    continue
-                dd = np.abs(table.dec[left] - table.dec[right_idx]) <= r
-                left = left[dd]
-                right_idx = right_idx[dd]
-                if len(left) == 0:
-                    continue
-                dx = table.x[left] - table.x[right_idx]
-                dy = table.y[left] - table.y[right_idx]
-                dzv = table.z[left] - table.z[right_idx]
-                d2 = dx * dx + dy * dy + dzv * dzv
-                hit = d2 < chord2_limit
-                pairs_a.append(table.objid[left][hit])
-                pairs_b.append(table.objid[right_idx][hit])
-                pair_d2.append(d2[hit])
+        window, right = table.scan_ra(
+            max(0, z - deltas), min(nz - 1, z + deltas),
+            table.ra[main] - alpha, table.ra[main] + alpha,
+        )
+        candidates += len(right)
+        left = main[window]
+        keep = table.objid[left] < table.objid[right]
+        left, right = left[keep], right[keep]
+        keep = np.abs(table.dec[left] - table.dec[right]) <= r
+        left, right = left[keep], right[keep]
+        dx = table.x[left] - table.x[right]
+        dy = table.y[left] - table.y[right]
+        dz = table.z[left] - table.z[right]
+        d2 = dx * dx + dy * dy + dz * dz
+        hit = d2 < chord2_limit
+        pairs_a.append(table.objid[left][hit])
+        pairs_b.append(table.objid[right][hit])
+        pair_d2.append(d2[hit])
     if pairs_a:
         a = np.concatenate(pairs_a)
         b = np.concatenate(pairs_b)

@@ -4,8 +4,55 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from skyindex.geom import SkyPoint, UnitVec3, sky_to_vec
+
+# `pytest --hypothesis-profile=ci` replays the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+
+
+def edge_ra(reach: float = 2.0):
+    """ra in [0, 360), biased to 0 and to just under 360, where rows get
+    wraparound margin copies."""
+    return st.one_of(
+        st.floats(0.0, 360.0, exclude_max=True),
+        st.floats(0.0, reach),
+        st.floats(360.0 - reach, 360.0, exclude_max=True),
+        st.sampled_from([0.0, 1e-12, 180.0, 360.0 - 1e-12, math.nextafter(360.0, 0.0)]),
+    )
+
+
+def edge_dec(zone_height: float):
+    """dec in [-90, 90], biased to the poles and to the zone edges."""
+    edges = int(math.ceil(180.0 / zone_height))
+    return st.one_of(
+        st.floats(-90.0, 90.0),
+        st.floats(89.0, 90.0),
+        st.floats(-90.0, -89.0),
+        st.sampled_from([-90.0, 90.0, 0.0]),
+        st.integers(0, edges).map(lambda k: min(90.0, -90.0 + k * zone_height)),
+    )
+
+
+def near_max_radius(max_radius: float):
+    """Radii in (0, max_radius], biased to max_radius itself."""
+    return st.one_of(
+        st.floats(0.0, max_radius, exclude_min=True),
+        st.floats(0.9 * max_radius, max_radius),
+        st.just(max_radius),
+        st.just(math.nextafter(max_radius, 0.0)),
+    )
+
+
+@st.composite
+def edge_sky(draw, zone_height: float, max_rows: int = 40):
+    """(ra, dec) arrays of a small catalog biased to the zone-scan edges."""
+    n = draw(st.integers(1, max_rows))
+    ra = draw(st.lists(edge_ra(), min_size=n, max_size=n))
+    dec = draw(st.lists(edge_dec(zone_height), min_size=n, max_size=n))
+    return np.array(ra), np.array(dec)
 
 
 def unit_vec_from(z: float, az: float) -> UnitVec3:

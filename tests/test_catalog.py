@@ -5,6 +5,8 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyindex import catalog as catmod
 from skyindex import htm, oracle, snapshot, zones
@@ -167,6 +169,8 @@ class TestSnapshot:
 
         assert loaded.catalog.x.tobytes() == cat.x.tobytes()
         assert np.array_equal(loaded.catalog.htmid, cat.htmid)
+        # the (zone, ra) search key is derived on load, never stored
+        assert loaded.zone_table.key.tobytes() == table.key.tobytes()
         for _ in range(25):
             center = SkyPoint(
                 float(rng.uniform(0, 360)),
@@ -182,7 +186,7 @@ class TestSnapshot:
         for s, t in pyr.tables().items():
             got = loaded.pyramid.tables()[s]
             assert got.cfg == t.cfg
-            for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "is_main", "radius", "zone_bounds"):
+            for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "is_main", "radius", "zone_bounds", "key"):
                 assert getattr(got, col).tobytes() == getattr(t, col).tobytes(), col
         for k in range(40):
             if k == 20:  # entries inserted after the reload land in both
@@ -339,3 +343,35 @@ class TestSnapshot:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError):
             load_state(tmp_path / "nope.snap")
+
+    @pytest.fixture(scope="class")
+    def every_section(self, tmp_path_factory):
+        """A saved snapshot with every section filled, and its bytes."""
+        cat = random_catalog(40, seed=8, compute_htm=True)
+        store = RegionStore()
+        rid = store.region_new("circle")
+        store.region_new_convex_constraint(rid, store.region_new_convex(rid), 0.0, 0.0, 1.0, 0.5)
+        pyr = PyramidIndex()
+        pyr.insert(1, SkyPoint(359.9, 10.0), 0.5)
+        pyr.insert(2, SkyPoint(20.0, -89.0), 4.0)
+        state = AppState(
+            cat, zones.build_zone_table(cat, zones.ZoneConfig()), zones.build_neighbors(cat, 20.0), store, pyr
+        )
+        path = tmp_path_factory.mktemp("snap") / "s.snap"
+        save_state(state, path)
+        return path, path.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_byte_flip_or_truncation_rejected(self, every_section, data):
+        path, blob = every_section
+        if data.draw(st.booleans(), label="flip"):
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            bad = bytearray(blob)
+            bad[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        else:
+            bad = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        broken = path.with_name("broken.snap")
+        broken.write_bytes(bytes(bad))
+        with pytest.raises(SnapshotError):
+            load_state(broken)

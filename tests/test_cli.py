@@ -120,6 +120,12 @@ class TestHtmCli:
                       "--region", "CIRCLE NOPE 1 2 3")
         assert code == 3
 
+    @pytest.mark.parametrize("radius", ["1e999", "12000"])
+    def test_circle_radius_out_of_range_exit_3(self, capsys, snap, radius):
+        code, _ = run(capsys, "--snapshot", snap, "htm", "cover",
+                      "--region", f"CIRCLE J2000 0 0 {radius}")
+        assert code == 3
+
 
 class TestRegionCli:
     def test_lifecycle(self, capsys, snap):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyindex import oracle
 from skyindex.geom import (
@@ -26,7 +28,7 @@ from skyindex.pyramid import (
 from skyindex.regionspec import compile_region_string
 from skyindex.zones import ZoneTable
 
-from conftest import sample_cap, sample_sphere
+from conftest import edge_dec, edge_ra, near_max_radius, sample_cap, sample_sphere
 
 
 class TestConfig:
@@ -109,9 +111,9 @@ class TestCandidateZones:
         calls = set()
         scan_ra = ZoneTable.scan_ra
 
-        def spy(table, z, lo, hi):
-            calls.add((scale[table.cfg.zone_height], z))
-            return scan_ra(table, z, lo, hi)
+        def spy(table, z0, z1, lo, hi):
+            calls.update((scale[table.cfg.zone_height], z) for z in range(z0, z1 + 1))
+            return scan_ra(table, z0, z1, lo, hi)
 
         with monkeypatch.context() as m:
             m.setattr(ZoneTable, "scan_ra", spy)
@@ -332,3 +334,41 @@ class TestSegmentation:
     def test_empty_region_rejected(self):
         with pytest.raises(PyramidError):
             segment_elongated_region(Region(()), 4.0)
+
+
+# -- oracle property on small pyramids at the zone-scan edges ----------------
+
+# 12 scales: base height * 2^11 covers the sphere
+_EDGE_CFG = PyramidConfig(base_zone_height=0.1)
+
+
+def _edge_circle(scale: int):
+    """A circle of the given scale, its radius biased to the scale's zone
+    height (the largest an entry there can have)."""
+    h = _EDGE_CFG.zone_height(scale)
+    low = _EDGE_CFG.zone_height(scale - 1) if scale else 1e-4
+    return st.tuples(
+        edge_ra(), edge_dec(h), near_max_radius(min(h, 180.0)).filter(lambda r: r > low)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(
+        st.integers(0, _EDGE_CFG.max_scale).flatmap(_edge_circle), min_size=1, max_size=30
+    ),
+    query=st.tuples(edge_ra(), edge_dec(0.1), st.floats(0.0, 30.0) | near_max_radius(0.8)),
+)
+def test_overlap_search_matches_overlap_scan(entries, query):
+    idx = PyramidIndex(_EDGE_CFG)
+    for i, (ra, dec, r) in enumerate(entries):
+        idx.insert(i, SkyPoint(ra, dec), r)
+    vecs = [sky_to_vec(SkyPoint(ra, dec)) for ra, dec, _ in entries]
+    ex, ey, ez = (np.array([getattr(v, c) for v in vecs]) for c in "xyz")
+    radii = np.array([r for _, _, r in entries])
+    center = SkyPoint(*query[:2])
+    stats = {}
+    got = overlap_search(idx, center, query[2], stats=stats)
+    assert got == oracle.overlap_scan(ex, ey, ez, radii, center, query[2])
+    chain = [stats[k] for k in ("zone_scale", "ra", "fine_ra", "dec", "geometry", "matched")]
+    assert chain == sorted(chain, reverse=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyindex.geom import (
     SkyPoint,
@@ -200,6 +202,50 @@ class TestCompile:
     def test_zero_normal(self):
         with pytest.raises(RegionCompileError):
             compile_region_string("CONVEX 0 0 0 0.5")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "CIRCLE J2000 0 0 1e999",
+            "CIRCLE J2000 0 0 12000",
+            "CIRCLE CARTESIAN 1 0 0 1e999",
+            "CIRCLE J2000 0 0 -1",
+        ],
+    )
+    def test_circle_radius_out_of_range(self, spec):
+        with pytest.raises(RegionCompileError):
+            compile_region_string(spec)
+
+    def test_circle_radius_half_turn_compiles(self):
+        h = compile_region_string("CIRCLE J2000 0 0 10800").convexes[0].constraints[0]
+        assert h.l == -1.0
+
+
+_NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e999", "-1e999", "0", "-0", "90", "-90", "180", "360", "10800", "12000"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    keyword=st.sampled_from(["CIRCLE", "RECT", "POLY"]),
+    frame=st.sampled_from(["J2000", "CARTESIAN"]),
+    numbers=st.lists(_NUMBER_TEXTS, min_size=0, max_size=10),
+)
+def test_keyword_with_arbitrary_numbers_fails_only_by_grammar_errors(keyword, frame, numbers):
+    # out-of-range and overflowing literals are the grammar's to reject:
+    # a spec either compiles or fails with the grammar's own error types
+    text = " ".join([keyword, frame, *numbers])
+    try:
+        ast = parse_region_spec(text)
+    except RegionSyntaxError:
+        return
+    assert isinstance(ast, (CircleSpec, RectSpec, PolySpec))
+    try:
+        compile_to_region(ast)
+    except RegionCompileError:
+        pass
 
 
 class TestSerialize:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyindex import catalog as catmod
+from skyindex import oracle
 from skyindex.geom import SkyPoint, sky_to_vec
 from skyindex.zones import (
     NeighborsTable,
@@ -15,6 +18,8 @@ from skyindex.zones import (
     ra_window_deg,
     zone_of,
 )
+
+from conftest import edge_dec, edge_ra, edge_sky, near_max_radius
 
 
 def brute_cone(cat, center: SkyPoint, r: float) -> set[int]:
@@ -132,20 +137,44 @@ class TestScanRa:
             hit |= (stored >= lo + shift) & (stored <= hi + shift)
         return (s.start + np.flatnonzero(hit)).tolist()
 
-    def test_matches_shifted_window_mask(self, rng):
-        # rows near ra = 0/360 and near the poles carry margin rows; windows
-        # run past 0 and 360 and up to within rounding of a full circle
+    @staticmethod
+    def edge_table(rng):
+        # rows near ra = 0/360 and near the poles carry margin rows
         n = 3000
         ra = np.concatenate([rng.uniform(0, 360, n), rng.uniform(0, 2, n // 4), rng.uniform(358, 360, n // 4)])
         dec = np.concatenate([rng.uniform(-90, 90, n), rng.uniform(-89.5, 89.5, n // 2)])
         cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
-        table = build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
+        return build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
+
+    @staticmethod
+    def random_window(rng):
+        # windows run past 0 and 360 and up to within rounding of a full circle
+        center = float(rng.uniform(-5, 365))
+        half = float(rng.choice([rng.uniform(0, 10), rng.uniform(0, 180), 180 - 1e-13, 180.0]))
+        return center - half, center + half
+
+    def test_matches_shifted_window_mask(self, rng):
+        table = self.edge_table(rng)
         for _ in range(400):
             z = int(rng.integers(table.cfg.zone_count))
-            center = float(rng.uniform(-5, 365))
-            half = float(rng.choice([rng.uniform(0, 10), rng.uniform(0, 180), 180 - 1e-13, 180.0]))
-            lo, hi = center - half, center + half
-            assert table.scan_ra(z, lo, hi).tolist() == self.want(table, z, lo, hi)
+            lo, hi = self.random_window(rng)
+            window, row = table.scan_ra(z, z, lo, hi)
+            assert not window.any()
+            assert row.tolist() == self.want(table, z, lo, hi)
+
+    def test_zone_band_and_window_arrays(self, rng):
+        # every window of an array scanned over a band of zones gets each
+        # zone's rows in zone order, as scanning it zone by zone would
+        table = self.edge_table(rng)
+        nz = table.cfg.zone_count
+        for _ in range(60):
+            z0 = int(rng.integers(nz))
+            z1 = int(rng.integers(z0, nz))
+            lo, hi = np.array([self.random_window(rng) for _ in range(int(rng.integers(1, 12)))]).T
+            window, row = table.scan_ra(z0, z1, lo, hi)
+            for k in range(len(lo)):
+                want = [i for z in range(z0, z1 + 1) for i in self.want(table, z, lo[k], hi[k])]
+                assert row[window == k].tolist() == want
 
     def test_touching_images_give_each_row_once(self):
         # rounding leaves this window just under 360 wide, yet its +360
@@ -156,7 +185,7 @@ class TestScanRa:
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
         top = table.cfg.zone_count - 1
         assert lo + 360.0 in table.ra.tolist()
-        assert table.scan_ra(top, lo, hi).tolist() == self.want(table, top, lo, hi)
+        assert table.scan_ra(top, top, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
 
 
 class TestNearby:
@@ -364,3 +393,46 @@ class TestNeighbors:
         cat = catmod.random_catalog(10, seed=1)
         with pytest.raises(ZoneError):
             build_neighbors(cat, 0.0)
+
+
+# -- oracle properties on small catalogs at the zone-scan edges ---------------
+
+
+@st.composite
+def cone_case(draw):
+    h = draw(st.sampled_from([0.25, 1.0, 4.0 / 60.0, 7.5]))
+    max_r = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    ra, dec = draw(edge_sky(h))
+    center = SkyPoint(draw(edge_ra()), draw(edge_dec(h)))
+    return ZoneConfig(zone_height=h, max_radius=max_r), ra, dec, center, draw(near_max_radius(max_r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_case())
+def test_nearby_objects_matches_cone_scan(case):
+    cfg, ra, dec, center, r = case
+    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
+    got = nearby_objects(build_zone_table(cat, cfg), center, r)
+    want = oracle.cone_scan(cat, center, r)
+    # the index tests the chord and the oracle the arc: the two may round
+    # apart only for rows on the circle itself
+    got_ids, want_ids = {i for i, _ in got}, {i for i, _ in want}
+    dist = dict(oracle.cone_scan(cat, center, 180.0))
+    assert all(abs(dist[i] - r) < 1e-9 for i in got_ids ^ want_ids)
+    assert len(got) == len(got_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([0.05, 0.5, 2.0, 10.0]).flatmap(
+        lambda r: st.tuples(st.just(r), edge_sky(r), st.sampled_from([None, r / 2.5, 2.0 * r]))
+    )
+)
+def test_build_neighbors_matches_pair_scan(case):
+    r, (ra, dec), zone_height = case
+    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
+    table = build_neighbors(cat, r, zone_height)
+    a, b, d = oracle.pair_scan(cat, r)
+    assert table.objid.tolist() == a.tolist()
+    assert table.neighbor.tolist() == b.tolist()
+    assert table.distance.tolist() == d.tolist()
