@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
+    UNIT_NORM_TOL,
     Convex,
     HalfSpace,
     Region,
@@ -43,12 +44,24 @@ class RegionStoreError(ValueError):
 
 @dataclass
 class StoredConvex:
+    """A stored convex. constraints holds one plain row per half-space,
+    (halfspaceID, nx, ny, nz, l): a unit normal and a cut length in
+    [-1, 1], in the layout of the snapshot's half-space columns and of the
+    store's half-space table. halfspaces() builds the geometry objects."""
+
     convex_id: int
-    constraints: list[tuple[int, HalfSpace]] = field(default_factory=list)
+    constraints: list[tuple[int, float, float, float, float]] = field(default_factory=list)
     next_halfspace_id: int = 1
 
     def halfspaces(self) -> list[HalfSpace]:
-        return [h for _, h in self.constraints]
+        return [HalfSpace(UnitVec3(x, y, z), l) for _, x, y, z, l in self.constraints]
+
+    def add(self, h: HalfSpace) -> tuple[int, float, float, float, float]:
+        """Store h under the next half-space id; returns its row."""
+        row = (self.next_halfspace_id, h.normal.x, h.normal.y, h.normal.z, h.l)
+        self.next_halfspace_id += 1
+        self.constraints.append(row)
+        return row
 
 
 @dataclass
@@ -292,16 +305,17 @@ class _HalfSpaceTable:
         cids.append(convex.convex_id)
         alive.append(True)
         self.live += 1
-        for _, h in convex.constraints:
-            self.add_halfspace(rid, convex.convex_id, h)
+        for row in convex.constraints:
+            self.add_halfspace(rid, convex.convex_id, row)
 
-    def add_halfspace(self, rid: int, cid: int, h: HalfSpace) -> None:
+    def add_halfspace(self, rid: int, cid: int, row: tuple) -> None:
+        """Queue one stored row (halfspaceID, nx, ny, nz, l)."""
         slot, nx, ny, nz, l = self.new_rows
         slot.append(self.slot_of[(rid, cid)])
-        nx.append(h.normal.x)
-        ny.append(h.normal.y)
-        nz.append(h.normal.z)
-        l.append(h.l)
+        nx.append(row[1])
+        ny.append(row[2])
+        nz.append(row[3])
+        l.append(row[4])
         self.live += 1
 
     def retire(self, rid: int, convexes: list[StoredConvex]) -> None:
@@ -400,13 +414,10 @@ class RegionStore:
         n = math.sqrt(x * x + y * y + z * z)
         if n == 0.0:
             raise RegionStoreError("constraint normal must be non-zero")
-        hid = convex.next_halfspace_id
-        convex.next_halfspace_id += 1
-        h = HalfSpace(UnitVec3(x / n, y / n, z / n), l)
-        convex.constraints.append((hid, h))
+        row = convex.add(HalfSpace(UnitVec3(x / n, y / n, z / n), l))
         if self._table is not None:
-            self._table.add_halfspace(rid, cid, h)
-        return hid
+            self._table.add_halfspace(rid, cid, row)
+        return row[0]
 
     def region_drop(self, rid: int) -> None:
         reg = self._get(rid)
@@ -470,9 +481,7 @@ class RegionStore:
             reg.next_convex_id += 1
             convex = StoredConvex(cid)
             for h in halfspaces:
-                hid = convex.next_halfspace_id
-                convex.next_halfspace_id += 1
-                convex.constraints.append((hid, h))
+                convex.add(h)
             reg.convexes.append(convex)
             if self._table is not None:
                 self._table.add_convex(rid, convex)
@@ -516,63 +525,85 @@ class RegionStore:
         reg = self._get(rid)
         compiled = []
         for convex in reg.convexes:
-            rows = [(h.normal.x, h.normal.y, h.normal.z, h.l) for h in convex.halfspaces()]
+            rows = [row[1:] for row in convex.constraints]
             compiled.append(tuple(np.array(rows, dtype=np.float64).reshape(-1, 4).T))
         return CompiledPredicate(tuple(compiled))
 
     # introspection / persistence
-
-    def records(self):
-        """Plain-structure dump: (rid, type, comment, [(cid, [(hid, x, y, z, l)])])."""
-        out = []
-        for rid in sorted(self.regions):
-            reg = self.regions[rid]
-            out.append(
-                (
-                    rid,
-                    reg.rtype,
-                    reg.comment,
-                    [
-                        (
-                            c.convex_id,
-                            [
-                                (hid, h.normal.x, h.normal.y, h.normal.z, h.l)
-                                for hid, h in c.constraints
-                            ],
-                        )
-                        for c in reg.convexes
-                    ],
-                )
-            )
-        return out
 
     def contains(self, rid: int, p: UnitVec3) -> bool:
         return any(
             inside_convex(c, p) for c in self.geometry(rid).convexes
         )
 
-    def export_state(self):
-        """Counters plus full records, sufficient to reconstruct the store."""
-        counters = {
-            rid: (reg.next_convex_id, [c.next_halfspace_id for c in reg.convexes])
-            for rid, reg in self.regions.items()
+    def columns(self) -> dict[str, np.ndarray]:
+        """The store as named columns: a row per region (in id order), per
+        convex and per half-space, with each parent's count of children,
+        and the id counters. A text is UTF-8 bytes plus a length column."""
+        regs = [self.regions[rid] for rid in sorted(self.regions)]
+        convexes = [c for reg in regs for c in reg.convexes]
+        rows = [row for c in convexes for row in c.constraints]
+        types = [reg.rtype.encode() for reg in regs]
+        comments = [reg.comment.encode() for reg in regs]
+        nx, ny, nz, l = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 4).T
+
+        def ints(values):
+            return np.array(values, dtype=np.int64)
+
+        return {
+            "next_region_id": np.int64(self._next_region_id),
+            "region_id": ints([reg.region_id for reg in regs]),
+            "next_convex_id": ints([reg.next_convex_id for reg in regs]),
+            "convexes": ints([len(reg.convexes) for reg in regs]),
+            "type_len": ints([len(t) for t in types]),
+            "type_utf8": np.frombuffer(b"".join(types), dtype=np.uint8),
+            "comment_len": ints([len(t) for t in comments]),
+            "comment_utf8": np.frombuffer(b"".join(comments), dtype=np.uint8),
+            "convex_id": ints([c.convex_id for c in convexes]),
+            "next_halfspace_id": ints([c.next_halfspace_id for c in convexes]),
+            "halfspaces": ints([len(c.constraints) for c in convexes]),
+            "hid": ints([row[0] for row in rows]),
+            "nx": nx, "ny": ny, "nz": nz, "l": l,
         }
-        return self._next_region_id, self.records(), counters
 
     @classmethod
-    def import_state(cls, state) -> "RegionStore":
-        next_rid, records, counters = state
+    def from_columns(cls, cols: dict) -> "RegionStore":
+        """The store columns() gave, from columns whose levels each share
+        one length. Raises RegionStoreError unless each count matches the
+        rows it nests and each half-space row holds a finite unit normal
+        (as `UnitVec3` checks it) and a length in [-1, 1]. Builds no
+        geometry objects."""
+        ncvx, nhs, nx, ny, nz, l = (cols[k] for k in ("convexes", "halfspaces", "nx", "ny", "nz", "l"))
+        for counts, nested in (
+            (ncvx, "convex_id"), (nhs, "hid"), (cols["type_len"], "type_utf8"),
+            (cols["comment_len"], "comment_utf8"),
+        ):
+            n = len(cols[nested])  # counts within [0, n] cannot wrap their sum
+            if len(counts) and (counts.min() < 0 or counts.max() > n) or counts.sum() != n:
+                raise RegionStoreError("region columns disagree with their counts")
+        with np.errstate(over="ignore"):
+            n2 = nx * nx + ny * ny + nz * nz  # UnitVec3's order; NaN or inf fails below
+        if not ((np.abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL).all() and ((-1.0 <= l) & (l <= 1.0)).all()):
+            raise RegionStoreError("region columns hold a non-unit normal or a length outside [-1, 1]")
+        types, comments = (
+            [t.decode() for t in _split(cols[k + "_utf8"].tobytes(), cols[k + "_len"])]
+            for k in ("type", "comment")
+        )
+        rows = list(zip(*(cols[k].tolist() for k in ("hid", "nx", "ny", "nz", "l"))))
+        convexes = list(map(
+            StoredConvex, cols["convex_id"].tolist(), _split(rows, nhs), cols["next_halfspace_id"].tolist()
+        ))
         store = cls()
-        store._next_region_id = next_rid
-        for rid, rtype, comment, convexes in records:
-            reg = StoredRegion(rid, rtype, comment)
-            next_cid, hid_counters = counters[rid]
-            reg.next_convex_id = next_cid
-            for (cid, constraints), next_hid in zip(convexes, hid_counters):
-                convex = StoredConvex(cid)
-                convex.next_halfspace_id = next_hid
-                for hid, x, y, z, l in constraints:
-                    convex.constraints.append((hid, HalfSpace(UnitVec3(x, y, z), l)))
-                reg.convexes.append(convex)
-            store.regions[rid] = reg
+        store._next_region_id = int(cols["next_region_id"])
+        for reg in map(
+            StoredRegion, cols["region_id"].tolist(), types, comments, _split(convexes, ncvx),
+            cols["next_convex_id"].tolist(),
+        ):
+            store.regions[reg.region_id] = reg
         return store
+
+
+def _split(items, counts) -> list:
+    """items cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 
@@ -51,6 +52,20 @@ class OracleMismatch(RuntimeError):
     """A benchmark found an index result differing from brute force."""
 
 
+# A records value is quoted when it is empty or holds whitespace, "=", a
+# quote, a backslash, a control character or a line separator. Inside the
+# quotes, backslash, quote, newline, tab and carriage return are escaped as
+# in C and any other control character or line separator as \uXXXX, so a
+# record stays on one line and a quoted value reads back as a JSON string.
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPED = re.compile(r'[\\"\x00-\x1f\x7f-\x9f\u2028\u2029]')
+_QUOTED = re.compile(r'[\s=\\"\x00-\x1f\x7f-\x9f\u2028\u2029]')
+
+
+def _escape(m: re.Match) -> str:
+    return _ESCAPES.get(m.group()) or f"\\u{ord(m.group()):04x}"
+
+
 class Output:
     def __init__(self, fmt: str):
         self.machine = fmt == "records"
@@ -60,8 +75,8 @@ class Output:
         for key, value in fields.items():
             if isinstance(value, float):
                 value = repr(value)
-            elif isinstance(value, str) and (" " in value or value == ""):
-                value = '"' + value.replace('"', '\\"') + '"'
+            elif isinstance(value, str) and (value == "" or _QUOTED.search(value)):
+                value = '"' + _ESCAPED.sub(_escape, value) + '"'
             parts.append(f"{key}={value}")
         print(" ".join(parts))
 

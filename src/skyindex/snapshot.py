@@ -1,14 +1,19 @@
 """Binary snapshot of the full working state.
 
 Layout: 8-byte magic, u32 format version, u64 payload length, u32 CRC32 of
-the payload, then the payload. Floats and ints are little-endian 64-bit,
-so ingest-derived values round-trip bit exactly. Every section is written
-as columns: the zone table section also holds each pyramid scale, and the
-region store is one array per field at each level (region, convex,
-half-space). A version mismatch or a failed length/CRC check raises; no
-partial state is ever returned. A save writes a temporary file beside the
-target and renames it over the target, so a failed save leaves the
-previous snapshot intact.
+the payload, then the payload: the sections catalog, zone table, neighbors
+table, region store and pyramid, then one zone-table section per pyramid
+scale. A section is absent (a u32 0xFFFFFFFF) or a u32 column count and
+its columns; a column is its name, its numpy dtype string and its shape,
+then its values. One schema per section gives each column's name, the
+dtypes it may have and a name for each of its dimensions; the columns
+that name one dimension (such as a catalog's rows) share its length. A
+text column is UTF-8 bytes plus a length column. Values are little-endian
+and round-trip bit exactly. A version mismatch, a failed length or CRC
+check, a column its schema does not allow, or columns that do not make a
+valid structure raise SnapshotError; no partial state is ever returned. A
+save writes a temporary file beside the target and renames it over the
+target, so a failed save leaves the previous snapshot intact.
 """
 
 from __future__ import annotations
@@ -17,19 +22,18 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from io import BytesIO
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import RegionStore
 from .catalog import Catalog
-from .htm import MAX_DEPTH
 from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable
 
 MAGIC = b"SKYIDXSN"
-VERSION = 2
+VERSION = 3
+_ABSENT = 0xFFFFFFFF
 
 
 class SnapshotError(ValueError):
@@ -47,239 +51,162 @@ class AppState:
     pyramid: PyramidIndex | None = None
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = BytesIO()
+class _Col(NamedTuple):
+    dtypes: str  # the numpy dtype strings it may have, space separated
+    dims: tuple[str, ...] = ("row",)  # a name per dimension; () for a scalar
+    optional: bool = False
 
-    def u8(self, v):
-        self.buf.write(struct.pack("<B", v))
 
-    def i64(self, v):
-        self.buf.write(struct.pack("<q", int(v)))
+_F8, _I8 = _Col("<f8"), _Col("<i8")
+_F8_SCALAR, _I8_SCALAR = _Col("<f8", ()), _Col("<i8", ())
+_REGION, _CONVEX = _Col("<i8", ("region",)), _Col("<i8", ("convex",))
+_HALFSPACE = _Col("<f8", ("halfspace",))
 
-    def u64(self, v):
-        self.buf.write(struct.pack("<Q", int(v)))
+_CATALOG = {
+    "htm_depth": _I8_SCALAR,
+    "objid": _I8, "ra": _F8, "dec": _F8, "x": _F8, "y": _F8, "z": _F8,
+    "htmid": _Col("<i8 <u8", optional=True),  # uint64 at htm.MAX_DEPTH
+}
+_ZONE_CONFIG = {"zone_height": _F8_SCALAR, "max_radius": _F8_SCALAR, "epsilon": _F8_SCALAR}
+_ZONES = {
+    **_ZONE_CONFIG,
+    "zone": _I8, "ra": _F8, "objid": _I8, "dec": _F8, "x": _F8, "y": _F8, "z": _F8,
+    "is_main": _Col("|b1"),
+}
+_SCALE = {**_ZONES, "radius": _F8}  # a pyramid scale: a zone table of circles
+_NEIGHBORS = {
+    "radius": _F8_SCALAR, "candidate_pairs": _I8_SCALAR,
+    "objid": _I8, "neighbor": _I8, "distance": _F8,
+}
+_PYRAMID_CONFIG = {"base_zone_height": _F8_SCALAR, "epsilon": _F8_SCALAR}
+_PYRAMID = {**_PYRAMID_CONFIG, "scale": _Col("<i8", ("scale",))}
+_REGIONS = {  # RegionStore.columns()
+    "next_region_id": _I8_SCALAR,
+    "region_id": _REGION, "next_convex_id": _REGION, "convexes": _REGION,
+    "type_len": _REGION, "type_utf8": _Col("|u1", ("type_byte",)),
+    "comment_len": _REGION, "comment_utf8": _Col("|u1", ("comment_byte",)),
+    "convex_id": _CONVEX, "next_halfspace_id": _CONVEX, "halfspaces": _CONVEX,
+    "hid": _Col("<i8", ("halfspace",)),
+    "nx": _HALFSPACE, "ny": _HALFSPACE, "nz": _HALFSPACE, "l": _HALFSPACE,
+}
 
-    def f64(self, v):
-        self.buf.write(struct.pack("<d", float(v)))
 
-    def arr(self, a: np.ndarray, dtype):
-        a = np.ascontiguousarray(a, dtype=dtype)
-        self.u64(a.size)
-        self.buf.write(a.tobytes())
+def _check_column(schema: dict, what: str, name: str, dtype: str, ndim: int) -> None:
+    spec = schema.get(name)
+    if spec is None:
+        raise SnapshotError(f"{what} section: unknown column {name!r}")
+    if dtype not in spec.dtypes.split() or ndim != len(spec.dims):
+        raise SnapshotError(
+            f"{what} column {name!r}: {ndim}-d {dtype}, not {len(spec.dims)}-d {spec.dtypes}"
+        )
 
-    def texts(self, items: list[str]):
-        raw = [s.encode("utf-8") for s in items]
-        self.arr([len(b) for b in raw], "<u8")
-        self.arr(np.frombuffer(b"".join(raw), dtype=np.uint8), "<u1")
+
+def _check_section(schema: dict, what: str, cols: dict[str, np.ndarray]) -> None:
+    missing = [k for k, spec in schema.items() if k not in cols and not spec.optional]
+    if missing:
+        raise SnapshotError(f"{what} section: missing column {missing[0]!r}")
+    lengths: dict[str, int] = {}
+    for name, a in cols.items():
+        for dim, n in zip(schema[name].dims, a.shape):
+            if lengths.setdefault(dim, n) != n:
+                raise SnapshotError(f"{what} columns disagree on their {dim} count")
+
+
+def _encode(schema: dict, what: str, cols: dict | None) -> list:
+    """A section as byte strings; None columns are left out."""
+    if cols is None:
+        return [struct.pack("<I", _ABSENT)]
+    arrays = {k: np.asarray(v) for k, v in cols.items() if v is not None}
+    for name, a in arrays.items():
+        _check_column(schema, what, name, a.dtype.str, a.ndim)
+    _check_section(schema, what, arrays)
+    out = [struct.pack("<I", len(arrays))]
+    for name, a in arrays.items():
+        for text in (name, a.dtype.str):
+            out.append(struct.pack("<B", len(text)) + text.encode("ascii"))
+        out.append(struct.pack(f"<B{a.ndim}Q", a.ndim, *a.shape))
+        out.append(a.tobytes())
+    return out
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Sections of a payload, in the order they were written."""
+
+    def __init__(self, payload: memoryview):
+        self.payload = payload
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _take(self, n: int) -> int:
+        """Start of the next n bytes."""
+        start = self.pos
+        if start + n > len(self.payload):
             raise SnapshotError("snapshot payload truncated")
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return start
 
-    def u8(self):
-        return struct.unpack("<B", self._take(1))[0]
+    def _unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.payload, self._take(struct.calcsize(fmt)))
 
-    def i64(self):
-        return struct.unpack("<q", self._take(8))[0]
+    def _text(self) -> str:
+        start = self._take(*self._unpack("<B"))
+        return bytes(self.payload[start : self.pos]).decode("ascii", "replace")
 
-    def u64(self):
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self._take(8))[0]
-
-    def arr(self, dtype) -> np.ndarray:
-        n = self.u64()
-        item = np.dtype(dtype).itemsize
-        return np.frombuffer(self._take(n * item), dtype=dtype).copy()
-
-    def texts(self) -> list[str]:
-        ends = np.cumsum(self.arr("<u8")).tolist()
-        blob = self.arr("<u1").tobytes()
-        return [blob[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _write_catalog(w: _Writer, cat: Catalog | None):
-    w.u8(0 if cat is None else 1)
-    if cat is None:
-        return
-    w.i64(cat.htm_depth)
-    w.arr(cat.objid, "<i8")
-    w.arr(cat.ra, "<f8")
-    w.arr(cat.dec, "<f8")
-    w.arr(cat.x, "<f8")
-    w.arr(cat.y, "<f8")
-    w.arr(cat.z, "<f8")
-    w.u8(0 if cat.htmid is None else 1)
-    if cat.htmid is not None:
-        w.arr(cat.htmid, "<i8")
+    def section(self, schema: dict, what: str, absent_ok: bool = True) -> dict | None:
+        """The section's columns by name, a scalar as a Python number."""
+        (count,) = self._unpack("<I")
+        if count == _ABSENT:
+            if absent_ok:
+                return None
+            raise SnapshotError(f"{what} section absent")
+        cols = {}
+        for _ in range(count):
+            name, dtype = self._text(), self._text()
+            (ndim,) = self._unpack("<B")
+            shape = self._unpack(f"<{ndim}Q")
+            _check_column(schema, what, name, dtype, ndim)
+            if name in cols:
+                raise SnapshotError(f"{what} section: column {name!r} twice")
+            n = shape[0] if shape else 1
+            a = np.frombuffer(self.payload, dtype, n, self._take(n * np.dtype(dtype).itemsize))
+            if a.dtype == bool and (a.view(np.uint8) > 1).any():
+                raise SnapshotError(f"{what} column {name!r}: a boolean other than 0 or 1")
+            cols[name] = a.reshape(shape).copy()
+        _check_section(schema, what, cols)
+        return {k: a.item() if a.ndim == 0 else a for k, a in cols.items()}
 
 
-def _read_catalog(r: _Reader) -> Catalog | None:
-    if not r.u8():
-        return None
-    depth = r.i64()
-    objid = r.arr("<i8")
-    ra = r.arr("<f8")
-    dec = r.arr("<f8")
-    x = r.arr("<f8")
-    y = r.arr("<f8")
-    z = r.arr("<f8")
-    htmid = r.arr("<i8") if r.u8() else None
-    if htmid is not None and depth == MAX_DEPTH:
-        htmid = htmid.view(np.uint64)  # ids at MAX_DEPTH use all 64 bits
-    return Catalog(objid, ra, dec, x, y, z, htm_depth=depth, htmid=htmid)
+def _fields(obj, schema: dict) -> dict | None:
+    """obj's attributes that the schema names; None for no obj."""
+    return None if obj is None else {k: getattr(obj, k) for k in schema}
 
 
-def _write_zone_table(w: _Writer, t: ZoneTable | None):
-    w.u8(0 if t is None else 1)
+def _zone_columns(t: ZoneTable | None, schema: dict) -> dict | None:
     if t is None:
-        return
-    w.f64(t.cfg.zone_height)
-    w.f64(t.cfg.max_radius)
-    w.f64(t.cfg.epsilon)
-    w.arr(t.zone, "<i8")
-    w.arr(t.ra, "<f8")
-    w.arr(t.objid, "<i8")
-    w.arr(t.dec, "<f8")
-    w.arr(t.x, "<f8")
-    w.arr(t.y, "<f8")
-    w.arr(t.z, "<f8")
-    w.arr(t.is_main.astype(np.uint8), "<u1")
-    w.u8(0 if t.radius is None else 1)
-    if t.radius is not None:
-        w.arr(t.radius, "<f8")
-
-
-def _read_zone_table(r: _Reader) -> ZoneTable | None:
-    if not r.u8():
         return None
-    cfg = ZoneConfig(zone_height=r.f64(), max_radius=r.f64(), epsilon=r.f64())
-    zone = r.arr("<i8")
-    ra = r.arr("<f8")
-    objid = r.arr("<i8")
-    dec = r.arr("<f8")
-    x = r.arr("<f8")
-    y = r.arr("<f8")
-    z = r.arr("<f8")
-    is_main = r.arr("<u1").astype(bool)
-    radius = r.arr("<f8") if r.u8() else None
-    return ZoneTable(cfg, zone, ra, objid, dec, x, y, z, is_main, radius)
+    return {k: getattr(t.cfg if k in _ZONE_CONFIG else t, k) for k in schema}
 
 
-def _write_neighbors(w: _Writer, t: NeighborsTable | None):
-    w.u8(0 if t is None else 1)
-    if t is None:
-        return
-    w.f64(t.radius)
-    w.u64(t.candidate_pairs)
-    w.arr(t.objid, "<i8")
-    w.arr(t.neighbor, "<i8")
-    w.arr(t.distance, "<f8")
-
-
-def _read_neighbors(r: _Reader) -> NeighborsTable | None:
-    if not r.u8():
+def _zone_table(cols: dict | None) -> ZoneTable | None:
+    if cols is None:
         return None
-    radius = r.f64()
-    candidates = r.u64()
-    objid = r.arr("<i8")
-    neighbor = r.arr("<i8")
-    distance = r.arr("<f8")
-    return NeighborsTable(radius, objid, neighbor, distance, candidates)
-
-
-def _write_regions(w: _Writer, store: RegionStore):
-    next_rid, records, counters = store.export_state()
-    convexes = [cvx for rec in records for cvx in rec[3]]
-    halfspaces = [h for _, constraints in convexes for h in constraints]
-    w.u64(next_rid)
-    w.arr([rec[0] for rec in records], "<u8")
-    w.texts([rec[1] for rec in records])
-    w.texts([rec[2] for rec in records])
-    w.arr([counters[rec[0]][0] for rec in records], "<u8")
-    w.arr([len(rec[3]) for rec in records], "<u8")
-    w.arr([cid for cid, _ in convexes], "<u8")
-    w.arr([n for rec in records for n in counters[rec[0]][1]], "<u8")
-    w.arr([len(constraints) for _, constraints in convexes], "<u8")
-    w.arr([h[0] for h in halfspaces], "<u8")
-    w.arr([h[1:] for h in halfspaces], "<f8")
-
-
-def _read_regions(r: _Reader) -> RegionStore:
-    next_rid = r.u64()
-    rids = r.arr("<u8").tolist()
-    rtypes = r.texts()
-    comments = r.texts()
-    next_cids = r.arr("<u8").tolist()
-    ncvx = r.arr("<u8").tolist()
-    cids = r.arr("<u8").tolist()
-    next_hids = r.arr("<u8").tolist()
-    ncon = r.arr("<u8").tolist()
-    hids = r.arr("<u8").tolist()
-    xyzl = r.arr("<f8")
-    if not (
-        len(rids) == len(rtypes) == len(comments) == len(next_cids) == len(ncvx)
-        and sum(ncvx) == len(cids) == len(next_hids) == len(ncon)
-        and sum(ncon) == len(hids) == len(xyzl) / 4
-    ):
-        raise SnapshotError("region columns disagree with their counts")
-    halfspaces = zip(hids, *xyzl.reshape(-1, 4).T.tolist())
-    convexes = iter([(cid, list(islice(halfspaces, n))) for cid, n in zip(cids, ncon)])
-    hid_counters = iter(next_hids)
-    records = [
-        (rid, rtype, comment, list(islice(convexes, n)))
-        for rid, rtype, comment, n in zip(rids, rtypes, comments, ncvx)
-    ]
-    counters = {
-        rid: (next_cid, list(islice(hid_counters, n)))
-        for rid, next_cid, n in zip(rids, next_cids, ncvx)
-    }
-    return RegionStore.import_state((next_rid, records, counters))
-
-
-def _write_pyramid(w: _Writer, idx: PyramidIndex | None):
-    w.u8(0 if idx is None else 1)
-    if idx is None:
-        return
-    w.f64(idx.cfg.base_zone_height)
-    w.f64(idx.cfg.epsilon)
-    tables = idx.tables()
-    w.u64(len(tables))
-    for s, table in tables.items():
-        w.u64(s)
-        _write_zone_table(w, table)
-
-
-def _read_pyramid(r: _Reader) -> PyramidIndex | None:
-    if not r.u8():
-        return None
-    cfg = PyramidConfig(base_zone_height=r.f64(), epsilon=r.f64())
-    tables = {}
-    for _ in range(r.u64()):
-        s = r.u64()
-        tables[s] = _read_zone_table(r)
-    return PyramidIndex.from_tables(cfg, tables)
+    cfg = ZoneConfig(**{k: cols.pop(k) for k in _ZONE_CONFIG})
+    return ZoneTable(cfg, **cols)
 
 
 def save_state(state: AppState, path) -> None:
-    w = _Writer()
-    _write_catalog(w, state.catalog)
-    _write_zone_table(w, state.zone_table)
-    _write_neighbors(w, state.neighbors)
-    _write_regions(w, state.regions)
-    _write_pyramid(w, state.pyramid)
-    payload = w.buf.getvalue()
+    pyr = state.pyramid
+    tables = {} if pyr is None else pyr.tables()
+    sections = [
+        (_CATALOG, "catalog", _fields(state.catalog, _CATALOG)),
+        (_ZONES, "zone table", _zone_columns(state.zone_table, _ZONES)),
+        (_NEIGHBORS, "neighbors", _fields(state.neighbors, _NEIGHBORS)),
+        (_REGIONS, "region store", state.regions.columns()),
+        (_PYRAMID, "pyramid", None if pyr is None else {
+            **_fields(pyr.cfg, _PYRAMID_CONFIG), "scale": np.array(list(tables), dtype=np.int64)
+        }),
+        *((_SCALE, "pyramid scale", _zone_columns(t, _SCALE)) for t in tables.values()),
+    ]
+    payload = b"".join(chunk for section in sections for chunk in _encode(*section))
     header = MAGIC + struct.pack("<IQI", VERSION, len(payload), zlib.crc32(payload))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -310,19 +237,31 @@ def load_state(path) -> AppState:
         raise SnapshotError(
             f"{path}: snapshot format version {version} != supported {VERSION}"
         )
-    payload = blob[len(MAGIC) + 16 :]
+    payload = memoryview(blob)[len(MAGIC) + 16 :]
     if len(payload) != length:
         raise SnapshotError(f"{path}: truncated snapshot (checksum context missing)")
     if zlib.crc32(payload) != crc:
         raise SnapshotError(f"{path}: checksum mismatch, snapshot is corrupt")
     r = _Reader(payload)
-    state = AppState(
-        catalog=_read_catalog(r),
-        zone_table=_read_zone_table(r),
-        neighbors=_read_neighbors(r),
-        regions=_read_regions(r),
-        pyramid=_read_pyramid(r),
-    )
-    if r.pos != len(payload):
-        raise SnapshotError(f"{path}: trailing bytes after payload")
-    return state
+    # a constructor refusing decoded columns raises its module's ValueError
+    try:
+        cat = r.section(_CATALOG, "catalog")
+        zone_table = _zone_table(r.section(_ZONES, "zone table"))
+        neighbors = r.section(_NEIGHBORS, "neighbors")
+        regions = RegionStore.from_columns(r.section(_REGIONS, "region store", absent_ok=False))
+        pyr = r.section(_PYRAMID, "pyramid")
+        if pyr is not None:
+            scales = pyr.pop("scale").tolist()
+            tables = {s: _zone_table(r.section(_SCALE, "pyramid scale", absent_ok=False)) for s in scales}
+            pyr = PyramidIndex.from_tables(PyramidConfig(**pyr), tables)
+        if r.pos != len(payload):
+            raise SnapshotError("trailing bytes after payload")
+        return AppState(
+            catalog=None if cat is None else Catalog(**cat),
+            zone_table=zone_table,
+            neighbors=None if neighbors is None else NeighborsTable(**neighbors),
+            regions=regions,
+            pyramid=pyr,
+        )
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc

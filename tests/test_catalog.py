@@ -25,6 +25,30 @@ from skyindex.snapshot import (
 mpmath.mp.dps = 30
 
 
+def assert_same_columns(a: RegionStore, b: RegionStore):
+    cols_a, cols_b = a.columns(), b.columns()
+    assert list(cols_a) == list(cols_b)
+    for k in cols_a:
+        assert np.asarray(cols_a[k]).dtype == np.asarray(cols_b[k]).dtype, k
+        assert np.asarray(cols_a[k]).tobytes() == np.asarray(cols_b[k]).tobytes(), k
+
+
+def write_sections(path, catalog=(snapshot._CATALOG, None), regions=None):
+    """A CRC-valid snapshot of a catalog section written under the given
+    schema, and the given region store columns, unchecked by the loader's
+    schemas; no zone table, neighbors or pyramid."""
+    sections = [
+        catalog,
+        (snapshot._ZONES, None),
+        (snapshot._NEIGHBORS, None),
+        (snapshot._REGIONS, RegionStore().columns() if regions is None else regions),
+        (snapshot._PYRAMID, None),
+    ]
+    payload = b"".join(b for schema, cols in sections for b in snapshot._encode(schema, "test", cols))
+    header = MAGIC + struct.pack("<IQI", snapshot.VERSION, len(payload), zlib.crc32(payload))
+    path.write_bytes(header + payload)
+
+
 def write_csv(path, rows, header="objID,ra,dec"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return str(path)
@@ -181,7 +205,7 @@ class TestSnapshot:
                 zones.nearby_objects(table, center, r)
         assert loaded.neighbors.neighbors_of(5) == neighbors.neighbors_of(5)
         assert np.array_equal(loaded.neighbors.objid, neighbors.objid)
-        assert loaded.regions.export_state() == store.export_state()
+        assert_same_columns(loaded.regions, store)
         assert loaded.pyramid.scales() == pyr.scales()
         for s, t in pyr.tables().items():
             got = loaded.pyramid.tables()[s]
@@ -206,6 +230,8 @@ class TestSnapshot:
         store.region_new("empty", "no convexes")
         whole = store.region_new("whole", "ünïcödé ★ comment")
         store.region_new_convex(whole)  # no constraints: the whole sphere
+        store.region_new("sixteen chars ok", "ends in a NUL\x00")
+        store.region_new("ünïcödé", "tab\there\nnext line\r")
         two = store.region_new("two")
         for nx, ny in ((1.0, 0.0), (0.0, 1.0)):
             cid = store.region_new_convex(two)
@@ -215,30 +241,75 @@ class TestSnapshot:
         path = tmp_path / "s.snap"
         save_state(AppState(regions=store), path)
         loaded = load_state(path).regions
-        assert loaded.export_state() == store.export_state()
+        assert_same_columns(loaded, store)
+        assert [(r.rtype, r.comment) for r in loaded.regions.values()] == \
+            [(r.rtype, r.comment) for r in store.regions.values()]
         assert loaded.region_new("next") == store.region_new("next")
         assert loaded.region_new_convex(two) == store.region_new_convex(two)
         assert loaded.region_new_convex_constraint(two, cid, 0.0, 0.0, 1.0, 0.0) == \
             store.region_new_convex_constraint(two, cid, 0.0, 0.0, 1.0, 0.0)
 
     def test_region_counts_checked(self, tmp_path):
-        w = snapshot._Writer()
-        for _ in range(3):  # no catalog, zone table or neighbours
-            w.u8(0)
-        w.u64(2)
-        w.arr([1], "<u8")  # one region ...
-        w.texts(["t"])
-        w.texts([""])
-        w.arr([1], "<u8")
-        w.arr([2], "<u8")  # ... that claims two convexes, of which one is stored
-        for column in ([1], [1], [0], []):
-            w.arr(column, "<u8")
-        w.arr([], "<f8")
-        w.u8(0)  # no pyramid
-        payload = w.buf.getvalue()
+        store = RegionStore()
+        rid = store.region_new("t")
+        store.region_new_convex(rid)
+        cols = store.columns()
+        cols["convexes"] = np.array([2])  # one region that claims two convexes, of which one is stored
         path = tmp_path / "s.snap"
-        path.write_bytes(MAGIC + struct.pack("<IQI", snapshot.VERSION, len(payload), zlib.crc32(payload)) + payload)
+        write_sections(path, regions=cols)
         with pytest.raises(SnapshotError, match="region columns"):
+            load_state(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("nx", 2.0),  # with ny = nz = 0: a normal of norm 2
+        ("nx", np.nan),
+        ("l", 1.5),
+        ("l", np.inf),
+    ])
+    def test_region_rows_checked(self, tmp_path, column, value):
+        store = RegionStore()
+        rid = store.region_new("t")
+        store.region_new_convex_constraint(rid, store.region_new_convex(rid), 1.0, 0.0, 0.0, 0.5)
+        cols = store.columns()
+        cols[column] = np.array([value])
+        path = tmp_path / "s.snap"
+        write_sections(path, regions=cols)
+        with pytest.raises(SnapshotError, match="non-unit normal or a length"):
+            load_state(path)
+
+    def test_catalog_lengths_checked(self, tmp_path):
+        cat = random_catalog(10, seed=3)
+        cols = {k: getattr(cat, k) for k in snapshot._CATALOG}
+        cols["ra"] = cols["ra"][:-1]
+        schema = {**snapshot._CATALOG, "ra": snapshot._Col("<f8", ("short",))}
+        path = tmp_path / "s.snap"
+        write_sections(path, catalog=(schema, cols))
+        with pytest.raises(SnapshotError, match="catalog columns disagree on their row count"):
+            load_state(path)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("unknown", "unknown column 'extra'"),
+        ("missing", "missing column 'dec'"),
+        ("dtype", "column 'ra': 1-d <f4, not 1-d <f8"),
+        ("shape", "column 'htm_depth': 1-d <i8, not 0-d <i8"),
+    ])
+    def test_malformed_catalog_column_rejected(self, tmp_path, fault, message):
+        cat = random_catalog(10, seed=3)
+        schema = dict(snapshot._CATALOG)
+        cols = {k: getattr(cat, k) for k in schema}
+        if fault == "unknown":
+            schema["extra"], cols["extra"] = snapshot._Col("<f8"), cols["ra"]
+        elif fault == "missing":
+            del schema["dec"], cols["dec"]
+        elif fault == "dtype":
+            schema["ra"] = snapshot._Col("<f4")
+            cols["ra"] = cols["ra"].astype(np.float32)
+        else:
+            schema["htm_depth"] = snapshot._Col("<i8", ("one",))
+            cols["htm_depth"] = np.array([cat.htm_depth])
+        path = tmp_path / "s.snap"
+        write_sections(path, catalog=(schema, cols))
+        with pytest.raises(SnapshotError, match=message):
             load_state(path)
 
     @pytest.mark.parametrize("fail_at", ["write", "fsync"])
@@ -322,7 +393,16 @@ class TestSnapshot:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), 1)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 1 != supported 2"):
+        with pytest.raises(SnapshotError, match="version 1 != supported 3"):
+            load_state(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        path = tmp_path / "s.snap"
+        save_state(AppState(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="version 2 != supported 3"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -215,11 +217,11 @@ class TestRegionCli:
         state = load_state(snap)
         cat = state.catalog
         pole = np.abs(dec) == 90.0
-        for rid, _, _, convexes in state.regions.records():
+        for rid, reg in sorted(state.regions.regions.items()):
             inside = np.zeros(len(cat), dtype=bool)
-            for _, constraints in convexes:
+            for convex in reg.convexes:
                 ok = np.ones(len(cat), dtype=bool)
-                for _, nx, ny, nz, l in constraints:
+                for _, nx, ny, nz, l in convex.constraints:
                     ok &= cat.x * nx + cat.y * ny + cat.z * nz > l
                 inside |= ok
             want = cat.objid[inside].tolist()
@@ -234,6 +236,28 @@ class TestRegionCli:
                 assert inside[ra == 0.0].any() and not inside[ra == 0.0].all()
             if rid in (2, 6):
                 assert inside[pole & (dec > 0)].all() and not inside[pole & (dec < 0)].any()
+
+    def test_records_one_line_each_and_values_round_trip(self, capsys, snap):
+        comments = ["two\nlines", 'say "hi" \\" bye\\', "tab\there\r", "a=b", "", "plain",
+                    "nul\x00 end\x85\u2028", "ünïcödé ★"]
+        field = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|[^\s"]*)')
+        records = []
+        for comment in comments:
+            code, out = run(capsys, "--snapshot", snap, "--format", "records",
+                            "region", "new", "--type", "t", "--comment", comment)
+            assert code == 0 and len(out.splitlines()) == 2  # config, region
+            records += out.splitlines()
+        code, out = run(capsys, "--snapshot", snap, "--format", "records", "region", "show")
+        assert code == 0 and len(out.splitlines()) == len(comments) + 2  # config, regions, summary
+        records += out.splitlines()
+        parsed = []
+        for line in records:
+            kind, _, rest = line.partition(" ")
+            pairs = field.findall(rest)
+            assert " ".join(f"{k}={v}" for k, v in pairs) == rest, line
+            parsed.append((kind, {k: json.loads(v) if v.startswith('"') else v for k, v in pairs}))
+        assert [f["comment"] for kind, f in parsed if f.get("region_cmd") == "new"] == comments
+        assert [f["comment"] for kind, f in parsed if kind == "region" and "comment" in f] == comments
 
     @pytest.mark.parametrize("point", [
         ("--ra", "nan", "--dec", "0"),
