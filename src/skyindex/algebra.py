@@ -545,10 +545,12 @@ class RegionStore:
         rows = [row for c in convexes for row in c.constraints]
         types = [reg.rtype.encode() for reg in regs]
         comments = [reg.comment.encode() for reg in regs]
-        nx, ny, nz, l = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 4).T
 
         def ints(values):
             return np.array(values, dtype=np.int64)
+
+        def floats(values):
+            return np.array(values, dtype=np.float64)
 
         return {
             "next_region_id": np.int64(self._next_region_id),
@@ -562,45 +564,90 @@ class RegionStore:
             "convex_id": ints([c.convex_id for c in convexes]),
             "next_halfspace_id": ints([c.next_halfspace_id for c in convexes]),
             "halfspaces": ints([len(c.constraints) for c in convexes]),
-            "hid": ints([row[0] for row in rows]),
-            "nx": nx, "ny": ny, "nz": nz, "l": l,
+            "hid": ints([hid for hid, _, _, _, _ in rows]),
+            "nx": floats([nx for _, nx, _, _, _ in rows]),
+            "ny": floats([ny for _, _, ny, _, _ in rows]),
+            "nz": floats([nz for _, _, _, nz, _ in rows]),
+            "l": floats([l for _, _, _, _, l in rows]),
         }
 
     @classmethod
     def from_columns(cls, cols: dict) -> "RegionStore":
         """The store columns() gave, from columns whose levels each share
         one length. Raises RegionStoreError unless each count matches the
-        rows it nests and each half-space row holds a finite unit normal
+        rows it nests, the ids rise within their parent from 1 to below
+        its counter, and each half-space row holds a finite unit normal
         (as `UnitVec3` checks it) and a length in [-1, 1]. Builds no
         geometry objects."""
-        ncvx, nhs, nx, ny, nz, l = (cols[k] for k in ("convexes", "halfspaces", "nx", "ny", "nz", "l"))
-        for counts, nested in (
-            (ncvx, "convex_id"), (nhs, "hid"), (cols["type_len"], "type_utf8"),
-            (cols["comment_len"], "comment_utf8"),
-        ):
-            n = len(cols[nested])  # counts within [0, n] cannot wrap their sum
+        nesting = (
+            (cols["convexes"], cols["convex_id"]),
+            (cols["halfspaces"], cols["hid"]),
+            (cols["type_len"], cols["type_utf8"]),
+            (cols["comment_len"], cols["comment_utf8"]),
+        )
+        for counts, nested in nesting:
+            n = len(nested)  # counts within [0, n] cannot wrap their sum
             if len(counts) and (counts.min() < 0 or counts.max() > n) or counts.sum() != n:
                 raise RegionStoreError("region columns disagree with their counts")
+        region_ids = cols["region_id"]
+        ids = (
+            (region_ids, [len(region_ids)], [cols["next_region_id"]]),
+            (cols["convex_id"], cols["convexes"], cols["next_convex_id"]),
+            (cols["hid"], cols["halfspaces"], cols["next_halfspace_id"]),
+        )
+        for level_ids, counts, counters in ids:
+            if not _ids_rise(level_ids, counts, counters):
+                raise RegionStoreError(
+                    "region columns hold an id out of order or past its counter"
+                )
+        nx, ny, nz, l = cols["nx"], cols["ny"], cols["nz"], cols["l"]
         with np.errstate(over="ignore"):
             n2 = nx * nx + ny * ny + nz * nz  # UnitVec3's order; NaN or inf fails below
-        if not ((np.abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL).all() and ((-1.0 <= l) & (l <= 1.0)).all()):
-            raise RegionStoreError("region columns hold a non-unit normal or a length outside [-1, 1]")
-        types, comments = (
-            [t.decode() for t in _split(cols[k + "_utf8"].tobytes(), cols[k + "_len"])]
-            for k in ("type", "comment")
-        )
-        rows = list(zip(*(cols[k].tolist() for k in ("hid", "nx", "ny", "nz", "l"))))
-        convexes = list(map(
-            StoredConvex, cols["convex_id"].tolist(), _split(rows, nhs), cols["next_halfspace_id"].tolist()
+        unit = (np.abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL).all()
+        if not (unit and ((-1.0 <= l) & (l <= 1.0)).all()):
+            raise RegionStoreError(
+                "region columns hold a non-unit normal or a length outside [-1, 1]"
+            )
+
+        rows = list(zip(
+            cols["hid"].tolist(), nx.tolist(), ny.tolist(), nz.tolist(), l.tolist()
         ))
+        convexes = [
+            StoredConvex(cid, constraints, next_hid)
+            for cid, constraints, next_hid in zip(
+                cols["convex_id"].tolist(),
+                _split(rows, cols["halfspaces"]),
+                cols["next_halfspace_id"].tolist(),
+            )
+        ]
+        types = _split(cols["type_utf8"].tobytes(), cols["type_len"])
+        comments = _split(cols["comment_utf8"].tobytes(), cols["comment_len"])
         store = cls()
         store._next_region_id = int(cols["next_region_id"])
-        for reg in map(
-            StoredRegion, cols["region_id"].tolist(), types, comments, _split(convexes, ncvx),
-            cols["next_convex_id"].tolist(),
-        ):
-            store.regions[reg.region_id] = reg
+        store.regions = {
+            rid: StoredRegion(rid, rtype.decode(), comment.decode(), region_convexes, next_cid)
+            for rid, rtype, comment, region_convexes, next_cid in zip(
+                region_ids.tolist(),
+                types,
+                comments,
+                _split(convexes, cols["convexes"]),
+                cols["next_convex_id"].tolist(),
+            )
+        }
         return store
+
+
+def _ids_rise(ids: np.ndarray, counts, counters) -> bool:
+    """Whether ids, cut into consecutive runs of the given lengths, rise
+    strictly within each run, from at least 1 to below the run's counter."""
+    if len(ids) == 0:
+        return True
+    counts = np.asarray(counts)
+    starts = (np.cumsum(counts) - counts)[(counts > 0)][1:]  # runs after the first
+    rises = np.diff(ids) > 0
+    rises[starts - 1] = True  # a run's first id is not compared with the run before
+    below = ids < np.repeat(np.asarray(counters, dtype=np.int64), counts)
+    return bool(ids.min() >= 1 and below.all() and rises.all())
 
 
 def _split(items, counts) -> list:

@@ -295,16 +295,16 @@ def cmd_region(args, out: Output) -> int:
                 spec=regionspec.serialize_region(reg.geometry()),
             )
             for convex in reg.convexes:
-                for hid, h in convex.constraints:
+                for hid, x, y, z, l in convex.constraints:
                     out.record(
                         "halfspace",
                         region=reg.region_id,
                         convex=convex.convex_id,
                         halfspace=hid,
-                        x=h.normal.x,
-                        y=h.normal.y,
-                        z=h.normal.z,
-                        l=h.l,
+                        x=x,
+                        y=y,
+                        z=z,
+                        l=l,
                     )
         else:
             for rid in sorted(store.regions):

@@ -8,12 +8,14 @@ its columns; a column is its name, its numpy dtype string and its shape,
 then its values. One schema per section gives each column's name, the
 dtypes it may have and a name for each of its dimensions; the columns
 that name one dimension (such as a catalog's rows) share its length. A
-text column is UTF-8 bytes plus a length column. Values are little-endian
-and round-trip bit exactly. A version mismatch, a failed length or CRC
-check, a column its schema does not allow, or columns that do not make a
-valid structure raise SnapshotError; no partial state is ever returned. A
-save writes a temporary file beside the target and renames it over the
-target, so a failed save leaves the previous snapshot intact.
+text column is UTF-8 bytes plus a length column. A save casts a value to
+its column's dtype where numpy deems the cast safe (an int as <f8).
+Values are little-endian and round-trip bit exactly. A version mismatch,
+a failed length or CRC check, a column its schema does not allow, or
+columns that do not make a valid structure raise SnapshotError; no
+partial state is ever returned. A save writes a temporary file beside the
+target and renames it over the target, so a failed save leaves the
+previous snapshot intact.
 """
 
 from __future__ import annotations
@@ -64,30 +66,57 @@ _HALFSPACE = _Col("<f8", ("halfspace",))
 
 _CATALOG = {
     "htm_depth": _I8_SCALAR,
-    "objid": _I8, "ra": _F8, "dec": _F8, "x": _F8, "y": _F8, "z": _F8,
+    "objid": _I8,
+    "ra": _F8,
+    "dec": _F8,
+    "x": _F8,
+    "y": _F8,
+    "z": _F8,
     "htmid": _Col("<i8 <u8", optional=True),  # uint64 at htm.MAX_DEPTH
 }
-_ZONE_CONFIG = {"zone_height": _F8_SCALAR, "max_radius": _F8_SCALAR, "epsilon": _F8_SCALAR}
+_ZONE_CONFIG = {
+    "zone_height": _F8_SCALAR,
+    "max_radius": _F8_SCALAR,
+    "epsilon": _F8_SCALAR,
+}
 _ZONES = {
     **_ZONE_CONFIG,
-    "zone": _I8, "ra": _F8, "objid": _I8, "dec": _F8, "x": _F8, "y": _F8, "z": _F8,
+    "zone": _I8,
+    "ra": _F8,
+    "objid": _I8,
+    "dec": _F8,
+    "x": _F8,
+    "y": _F8,
+    "z": _F8,
     "is_main": _Col("|b1"),
 }
 _SCALE = {**_ZONES, "radius": _F8}  # a pyramid scale: a zone table of circles
 _NEIGHBORS = {
-    "radius": _F8_SCALAR, "candidate_pairs": _I8_SCALAR,
-    "objid": _I8, "neighbor": _I8, "distance": _F8,
+    "radius": _F8_SCALAR,
+    "candidate_pairs": _I8_SCALAR,
+    "objid": _I8,
+    "neighbor": _I8,
+    "distance": _F8,
 }
 _PYRAMID_CONFIG = {"base_zone_height": _F8_SCALAR, "epsilon": _F8_SCALAR}
 _PYRAMID = {**_PYRAMID_CONFIG, "scale": _Col("<i8", ("scale",))}
 _REGIONS = {  # RegionStore.columns()
     "next_region_id": _I8_SCALAR,
-    "region_id": _REGION, "next_convex_id": _REGION, "convexes": _REGION,
-    "type_len": _REGION, "type_utf8": _Col("|u1", ("type_byte",)),
-    "comment_len": _REGION, "comment_utf8": _Col("|u1", ("comment_byte",)),
-    "convex_id": _CONVEX, "next_halfspace_id": _CONVEX, "halfspaces": _CONVEX,
+    "region_id": _REGION,
+    "next_convex_id": _REGION,
+    "convexes": _REGION,
+    "type_len": _REGION,
+    "type_utf8": _Col("|u1", ("type_byte",)),
+    "comment_len": _REGION,
+    "comment_utf8": _Col("|u1", ("comment_byte",)),
+    "convex_id": _CONVEX,
+    "next_halfspace_id": _CONVEX,
+    "halfspaces": _CONVEX,
     "hid": _Col("<i8", ("halfspace",)),
-    "nx": _HALFSPACE, "ny": _HALFSPACE, "nz": _HALFSPACE, "l": _HALFSPACE,
+    "nx": _HALFSPACE,
+    "ny": _HALFSPACE,
+    "nz": _HALFSPACE,
+    "l": _HALFSPACE,
 }
 
 
@@ -112,11 +141,22 @@ def _check_section(schema: dict, what: str, cols: dict[str, np.ndarray]) -> None
                 raise SnapshotError(f"{what} columns disagree on their {dim} count")
 
 
+def _column(spec: _Col | None, value) -> np.ndarray:
+    """value as an array; one whose dtype spec does not list is cast to the
+    first it lists when numpy deems that cast safe (an int as <f8)."""
+    a = np.asarray(value)
+    if spec is not None and a.dtype.str not in spec.dtypes.split():
+        dtype = spec.dtypes.split()[0]
+        if np.can_cast(a.dtype, dtype):
+            return a.astype(dtype)
+    return a
+
+
 def _encode(schema: dict, what: str, cols: dict | None) -> list:
     """A section as byte strings; None columns are left out."""
     if cols is None:
         return [struct.pack("<I", _ABSENT)]
-    arrays = {k: np.asarray(v) for k, v in cols.items() if v is not None}
+    arrays = {k: _column(schema.get(k), v) for k, v in cols.items() if v is not None}
     for name, a in arrays.items():
         _check_column(schema, what, name, a.dtype.str, a.ndim)
     _check_section(schema, what, arrays)
@@ -196,16 +236,18 @@ def _zone_table(cols: dict | None) -> ZoneTable | None:
 def save_state(state: AppState, path) -> None:
     pyr = state.pyramid
     tables = {} if pyr is None else pyr.tables()
+    pyramid = _fields(None if pyr is None else pyr.cfg, _PYRAMID_CONFIG)
+    if pyramid is not None:
+        pyramid["scale"] = np.array(list(tables), dtype=np.int64)
     sections = [
         (_CATALOG, "catalog", _fields(state.catalog, _CATALOG)),
         (_ZONES, "zone table", _zone_columns(state.zone_table, _ZONES)),
         (_NEIGHBORS, "neighbors", _fields(state.neighbors, _NEIGHBORS)),
         (_REGIONS, "region store", state.regions.columns()),
-        (_PYRAMID, "pyramid", None if pyr is None else {
-            **_fields(pyr.cfg, _PYRAMID_CONFIG), "scale": np.array(list(tables), dtype=np.int64)
-        }),
-        *((_SCALE, "pyramid scale", _zone_columns(t, _SCALE)) for t in tables.values()),
+        (_PYRAMID, "pyramid", pyramid),
     ]
+    for t in tables.values():
+        sections.append((_SCALE, "pyramid scale", _zone_columns(t, _SCALE)))
     payload = b"".join(chunk for section in sections for chunk in _encode(*section))
     header = MAGIC + struct.pack("<IQI", VERSION, len(payload), zlib.crc32(payload))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -248,11 +290,14 @@ def load_state(path) -> AppState:
         cat = r.section(_CATALOG, "catalog")
         zone_table = _zone_table(r.section(_ZONES, "zone table"))
         neighbors = r.section(_NEIGHBORS, "neighbors")
-        regions = RegionStore.from_columns(r.section(_REGIONS, "region store", absent_ok=False))
+        region_cols = r.section(_REGIONS, "region store", absent_ok=False)
+        regions = RegionStore.from_columns(region_cols)
         pyr = r.section(_PYRAMID, "pyramid")
         if pyr is not None:
-            scales = pyr.pop("scale").tolist()
-            tables = {s: _zone_table(r.section(_SCALE, "pyramid scale", absent_ok=False)) for s in scales}
+            tables = {}
+            for scale in pyr.pop("scale").tolist():
+                scale_cols = r.section(_SCALE, "pyramid scale", absent_ok=False)
+                tables[scale] = _zone_table(scale_cols)
             pyr = PyramidIndex.from_tables(PyramidConfig(**pyr), tables)
         if r.pos != len(payload):
             raise SnapshotError("trailing bytes after payload")

@@ -13,7 +13,7 @@ from skyindex import htm, oracle, snapshot, zones
 from skyindex.algebra import RegionStore
 from skyindex.catalog import CatalogError, htm_cone_search, ingest_csv, random_catalog
 from skyindex.geom import SkyPoint, UnitVec3
-from skyindex.pyramid import PyramidIndex, overlap_search
+from skyindex.pyramid import PyramidConfig, PyramidIndex, overlap_search
 from skyindex.snapshot import (
     MAGIC,
     AppState,
@@ -259,6 +259,44 @@ class TestSnapshot:
         write_sections(path, regions=cols)
         with pytest.raises(SnapshotError, match="region columns"):
             load_state(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("region_id", [1, 1]),  # two regions under one id
+        ("region_id", [0, 1]),  # ids start at 1
+        ("next_region_id", 2),  # region 2 at or past the counter
+        ("convex_id", [2, 1, 1]),  # falling within region 1
+        ("next_convex_id", [2, 2]),  # region 1's convex 2 past its counter
+        ("hid", [1, 1]),  # a repeated half-space id in one convex
+    ])
+    def test_region_ids_checked(self, tmp_path, column, value):
+        store = RegionStore()
+        for _ in range(2):
+            rid = store.region_new("t")
+        for _ in range(2):
+            cid = store.region_new_convex(1)
+        store.region_new_convex(rid)
+        for _ in range(2):
+            store.region_new_convex_constraint(1, cid, 0.0, 0.0, 1.0, 0.5)
+        cols = store.columns()
+        cols[column] = np.array(value, dtype=np.int64)
+        path = tmp_path / "s.snap"
+        write_sections(path, regions=cols)
+        with pytest.raises(SnapshotError, match="id out of order or past its counter"):
+            load_state(path)
+
+    def test_integer_config_values_saved(self, tmp_path):
+        cat = random_catalog(50, seed=4)
+        table = zones.build_zone_table(cat, zones.ZoneConfig(zone_height=1, max_radius=1))
+        pyr = PyramidIndex(PyramidConfig(base_zone_height=1))
+        pyr.insert(1, SkyPoint(10, 10), 2)
+        path = tmp_path / "s.snap"
+        save_state(AppState(cat, table, zones.build_neighbors(cat, 1), pyramid=pyr), path)
+        loaded = load_state(path)
+        assert loaded.zone_table.cfg == table.cfg
+        assert loaded.zone_table.key.tobytes() == table.key.tobytes()
+        assert loaded.pyramid.cfg == pyr.cfg
+        assert overlap_search(loaded.pyramid, SkyPoint(11, 10), 1) == \
+            overlap_search(pyr, SkyPoint(11, 10), 1)
 
     @pytest.mark.parametrize("column, value", [
         ("nx", 2.0),  # with ny = nz = 0: a normal of norm 2

@@ -158,6 +158,15 @@ class TestRegionCli:
                         "region", "show")
         assert "summary count=3" in out
 
+    def test_show_id_lists_halfspaces(self, capsys, snap):
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "cap",
+            "--from", "CONVEX 0 0 1 0.5")
+        code, out = run(capsys, "--snapshot", snap, "--format", "records",
+                        "region", "show", "--id", "1")
+        assert code == 0
+        assert "region id=1 type=cap" in out
+        assert "halfspace region=1 convex=1 halfspace=1 x=0.0 y=0.0 z=1.0 l=0.5" in out
+
     def test_contains_without_id_lists_hits(self, capsys, snap):
         run(capsys, "--snapshot", snap, "region", "new", "--type", "n",
             "--from", "CONVEX 0 0 1 0")
