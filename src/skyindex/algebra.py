@@ -29,7 +29,7 @@ from .geom import (
     HalfSpace,
     Region,
     UnitVec3,
-    angle_between_deg,
+    arc_distance_deg,
     inside_convex,
     negate_halfspace,
 )
@@ -132,21 +132,17 @@ class CompiledPredicate:
 # -- geometric simplification (shared by the store and NOT) -----------------
 
 
-def _cap_radius(h: HalfSpace) -> float:
-    return math.degrees(math.acos(min(1.0, max(-1.0, h.l))))
-
-
 def _contains_cap(outer: HalfSpace, inner: HalfSpace) -> bool:
     return (
-        angle_between_deg(outer.normal, inner.normal) + _cap_radius(inner)
-        <= _cap_radius(outer) + _TOL_DEG
+        arc_distance_deg(outer.normal, inner.normal) + inner.radius_deg()
+        <= outer.radius_deg() + _TOL_DEG
     )
 
 
 def _disjoint_caps(a: HalfSpace, b: HalfSpace) -> bool:
     return (
-        angle_between_deg(a.normal, b.normal)
-        >= _cap_radius(a) + _cap_radius(b) - _TOL_DEG
+        arc_distance_deg(a.normal, b.normal)
+        >= a.radius_deg() + b.radius_deg() - _TOL_DEG
     )
 
 

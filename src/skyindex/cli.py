@@ -146,18 +146,9 @@ def cmd_ingest(args, out: Output) -> int:
 def cmd_zone_build(args, out: Output) -> int:
     state = _load(args)
     cat = _need(state, "catalog", "ingest")
-    cfg = ZoneConfig(
-        zone_height=args.zone_height, max_radius=args.max_radius, epsilon=args.epsilon
-    )
-    state.zone_table = zones.build_zone_table(cat, cfg)
+    state.zone_table = zones.build_zone_table(cat, ZoneConfig(zone_height=args.zone_height))
     save_state(state, args.snapshot)
-    out.record(
-        "zone_build",
-        rows=len(state.zone_table),
-        main_rows=state.zone_table.main_row_count(),
-        zone_height=cfg.zone_height,
-        max_radius=cfg.max_radius,
-    )
+    out.record("zone_build", rows=len(state.zone_table), zone_height=args.zone_height)
     return EXIT_OK
 
 
@@ -383,9 +374,8 @@ def cmd_bench_nearby(args, out: Output) -> int:
     t0 = time.perf_counter()
     cat.ensure_htm()
     mesh_s = time.perf_counter() - t0
-    cfg = ZoneConfig(zone_height=args.zone_height, max_radius=args.max_radius)
     t0 = time.perf_counter()
-    table = zones.build_zone_table(cat, cfg)
+    table = zones.build_zone_table(cat, ZoneConfig(zone_height=args.zone_height))
     build_s = time.perf_counter() - t0
     queries = oracle.bench_queries(args.queries, args.seed, args.max_radius)
     matches = 0
@@ -414,8 +404,8 @@ def cmd_bench_nearby(args, out: Output) -> int:
         n=args.n,
         queries=len(queries),
         seed=args.seed,
-        zone_height=cfg.zone_height,
-        max_radius=cfg.max_radius,
+        zone_height=args.zone_height,
+        max_radius=args.max_radius,
         matches=matches,
     )
     out.timing(f"mesh ids build: {mesh_s:.3f}s")
@@ -563,8 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = zone.add_parser("build")
     p.add_argument("--zone-height", type=float, default=4.0 / 60.0)
-    p.add_argument("--max-radius", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1.0e-6)
     p.set_defaults(func=cmd_zone_build)
     p = zone.add_parser("nearby")
     p.add_argument("--ra", type=float, required=True)
@@ -679,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_nearby)
     p = be.add_parser("neighbors")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--queries", type=int, default=0)  # accepted for symmetry
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, default=0.5)
     p.set_defaults(func=cmd_bench_neighbors)

@@ -232,10 +232,6 @@ def negate_halfspace(h: HalfSpace) -> HalfSpace:
     return HalfSpace(h.normal.negated(), -h.l)
 
 
-def angle_between_deg(a: UnitVec3, b: UnitVec3) -> float:
-    return arc_distance_deg(a, b)
-
-
 # -- boundary vertices ----------------------------------------------------
 
 

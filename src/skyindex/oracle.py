@@ -38,7 +38,8 @@ def pair_scan(cat: Catalog, radius, chunk: int = 512):
     Returns (objid_a, objid_b, distance) arrays sorted by (a, b).
     """
     r = as_degrees(radius)
-    limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
+    # 4 sin^2(r/2) falls again past 180 degrees, where every pair is within r
+    limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2 if r <= 180.0 else math.inf
     n = len(cat)
     out_a, out_b, out_d = [], [], []
     for start in range(0, n, chunk):

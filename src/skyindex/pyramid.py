@@ -3,14 +3,14 @@
 Regions are reduced to bounding circles and bucketed by radius into scale
 levels whose zone heights grow in powers of two from a base height, so an
 entry's radius never exceeds its scale's zone height. Each scale is a
-zones.ZoneTable of its circles (zone height and margin width both the
-scale's height, plus a radius column), built and scanned by the same code
-as a catalog's zone table. An overlap query scans each scale's narrow
-dec band over one ra window with a single ZoneTable.scan_ra call and
-filters the candidates through a cascade: zone bucket, ra window, dec
-band, a sound planar-style circle test, and finally the exact spherical
-test arc_distance(centers) < query_radius + entry_radius. Per-stage
-candidate counts are exposed for diagnostics.
+zones.ZoneTable of its circles (zone height the scale's height, plus a
+radius column), built and scanned by the same code as a catalog's zone
+table, so wraparound at ra 0/360 is the scan's alone. An overlap query
+scans each scale's narrow dec band over one ra window with a single
+ZoneTable.scan_ra call and filters the candidates through a cascade:
+zone bucket, ra window, dec band, a sound planar-style circle test, and
+finally the exact spherical test arc_distance(centers) < query_radius +
+entry_radius. Per-stage candidate counts are exposed for diagnostics.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .algebra import simplify_region_geometry
 from .geom import (
     Convex,
+    HalfSpace,
     Region,
     SkyPoint,
     UnitVec3,
@@ -44,7 +46,6 @@ class PyramidError(ValueError):
 @dataclass(frozen=True)
 class PyramidConfig:
     base_zone_height: float = 0.5 / 60.0
-    epsilon: float = 1.0e-6
 
     def __post_init__(self):
         if self.base_zone_height <= 0:
@@ -58,9 +59,6 @@ class PyramidConfig:
 
     def zone_height(self, scale: int) -> float:
         return self.base_zone_height * (1 << scale)
-
-    def zone_count(self, scale: int) -> int:
-        return int(math.ceil(180.0 / self.zone_height(scale)))
 
 
 def scale_of(radius, cfg: PyramidConfig) -> int:
@@ -80,9 +78,9 @@ class PyramidIndex:
     """Bounding circles (objid, center, radius) bucketed by radius.
 
     Scale s is a ZoneTable of its entries, with a radius column, built
-    with zone height and margin width both cfg.zone_height(s): an entry's
-    radius never exceeds its scale's zone height. insert only queues an
-    entry; the next query rebuilds the scales that received entries.
+    with zone height cfg.zone_height(s): an entry's radius never exceeds
+    its scale's zone height. insert only queues an entry; the next query
+    rebuilds the scales that received entries.
     """
 
     def __init__(self, cfg: PyramidConfig | None = None):
@@ -97,7 +95,7 @@ class PyramidIndex:
         idx = cls(cfg)
         idx._tables = dict(sorted(tables.items()))
         for t in idx._tables.values():
-            idx._ids.update(t.objid[t.is_main].tolist())
+            idx._ids.update(t.objid.tolist())
         return idx
 
     def __len__(self) -> int:
@@ -125,14 +123,9 @@ class PyramidIndex:
                 cols = dict(zip(_ENTRY_COLUMNS, (np.array(c) for c in zip(*entries))))
                 old = self._tables.get(s)
                 if old is not None:
-                    cols = {
-                        k: np.concatenate([getattr(old, k)[old.is_main], c])
-                        for k, c in cols.items()
-                    }
-                h = self.cfg.zone_height(s)
+                    cols = {k: np.concatenate([getattr(old, k), c]) for k, c in cols.items()}
                 self._tables[s] = build_zone_table(
-                    SimpleNamespace(**cols),
-                    ZoneConfig(zone_height=h, max_radius=h, epsilon=self.cfg.epsilon),
+                    SimpleNamespace(**cols), ZoneConfig(zone_height=self.cfg.zone_height(s))
                 )
             self._queued = {}
             self._tables = dict(sorted(self._tables.items()))
@@ -292,7 +285,7 @@ def _convex_radius_about(c: UnitVec3, convex: Convex, verts: list[UnitVec3]) -> 
     # no boundary features survive: fall back to the smallest cap, which
     # always contains the convex
     best = min(
-        (arc_distance_deg(c, h.normal) + math.degrees(math.acos(h.l)) for h in cons),
+        (arc_distance_deg(c, h.normal) + h.radius_deg() for h in cons),
     )
     return min(180.0, best)
 
@@ -305,7 +298,7 @@ def bounding_circle(region: Region) -> tuple[UnitVec3, float]:
         return UnitVec3(0.0, 0.0, 1.0), 180.0
     if len(region.convexes) == 1 and len(region.convexes[0].constraints) == 1:
         h = region.convexes[0].constraints[0]
-        return h.normal, math.degrees(math.acos(h.l))
+        return h.normal, h.radius_deg()
     all_verts = [convex_boundary_vertices(c) for c in region.convexes]
     anchors: list[UnitVec3] = []
     for convex, verts in zip(region.convexes, all_verts):
@@ -364,10 +357,6 @@ def segment_elongated_region(
     t_all = np.array([v.dot(u) for v in verts])
     t_lo, t_hi = float(t_all.min()), float(t_all.max())
     cuts = np.linspace(t_lo, t_hi, n_seg + 1)[1:-1]
-    from .geom import HalfSpace  # local to avoid an import knot at module top
-
-    from .algebra import simplify_region_geometry
-
     segments = []
     for i in range(n_seg):
         constraints = []

@@ -13,8 +13,9 @@ its column's dtype where numpy deems the cast safe (an int as <f8).
 Values are little-endian and round-trip bit exactly. A version mismatch,
 a failed length or CRC check, a column its schema does not allow, or
 columns that do not make a valid structure raise SnapshotError; no
-partial state is ever returned. A save writes a temporary file beside the
-target and renames it over the target, so a failed save leaves the
+partial state is ever returned. A save writes each column straight from
+its array, with no joined copy of the payload, to a temporary file beside
+the target and renames it over the target, so a failed save leaves the
 previous snapshot intact.
 """
 
@@ -34,7 +35,7 @@ from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable
 
 MAGIC = b"SKYIDXSN"
-VERSION = 3
+VERSION = 4
 _ABSENT = 0xFFFFFFFF
 
 
@@ -74,11 +75,7 @@ _CATALOG = {
     "z": _F8,
     "htmid": _Col("<i8 <u8", optional=True),  # uint64 at htm.MAX_DEPTH
 }
-_ZONE_CONFIG = {
-    "zone_height": _F8_SCALAR,
-    "max_radius": _F8_SCALAR,
-    "epsilon": _F8_SCALAR,
-}
+_ZONE_CONFIG = {"zone_height": _F8_SCALAR}
 _ZONES = {
     **_ZONE_CONFIG,
     "zone": _I8,
@@ -88,7 +85,6 @@ _ZONES = {
     "x": _F8,
     "y": _F8,
     "z": _F8,
-    "is_main": _Col("|b1"),
 }
 _SCALE = {**_ZONES, "radius": _F8}  # a pyramid scale: a zone table of circles
 _NEIGHBORS = {
@@ -98,7 +94,7 @@ _NEIGHBORS = {
     "neighbor": _I8,
     "distance": _F8,
 }
-_PYRAMID_CONFIG = {"base_zone_height": _F8_SCALAR, "epsilon": _F8_SCALAR}
+_PYRAMID_CONFIG = {"base_zone_height": _F8_SCALAR}
 _PYRAMID = {**_PYRAMID_CONFIG, "scale": _Col("<i8", ("scale",))}
 _REGIONS = {  # RegionStore.columns()
     "next_region_id": _I8_SCALAR,
@@ -153,7 +149,8 @@ def _column(spec: _Col | None, value) -> np.ndarray:
 
 
 def _encode(schema: dict, what: str, cols: dict | None) -> list:
-    """A section as byte strings; None columns are left out."""
+    """A section as byte chunks, each column's values a view of its array
+    rather than a copy; None columns are left out."""
     if cols is None:
         return [struct.pack("<I", _ABSENT)]
     arrays = {k: _column(schema.get(k), v) for k, v in cols.items() if v is not None}
@@ -165,7 +162,7 @@ def _encode(schema: dict, what: str, cols: dict | None) -> list:
         for text in (name, a.dtype.str):
             out.append(struct.pack("<B", len(text)) + text.encode("ascii"))
         out.append(struct.pack(f"<B{a.ndim}Q", a.ndim, *a.shape))
-        out.append(a.tobytes())
+        out.append(memoryview(np.ascontiguousarray(a)).cast("B"))
     return out
 
 
@@ -208,8 +205,6 @@ class _Reader:
                 raise SnapshotError(f"{what} section: column {name!r} twice")
             n = shape[0] if shape else 1
             a = np.frombuffer(self.payload, dtype, n, self._take(n * np.dtype(dtype).itemsize))
-            if a.dtype == bool and (a.view(np.uint8) > 1).any():
-                raise SnapshotError(f"{what} column {name!r}: a boolean other than 0 or 1")
             cols[name] = a.reshape(shape).copy()
         _check_section(schema, what, cols)
         return {k: a.item() if a.ndim == 0 else a for k, a in cols.items()}
@@ -248,13 +243,17 @@ def save_state(state: AppState, path) -> None:
     ]
     for t in tables.values():
         sections.append((_SCALE, "pyramid scale", _zone_columns(t, _SCALE)))
-    payload = b"".join(chunk for section in sections for chunk in _encode(*section))
-    header = MAGIC + struct.pack("<IQI", VERSION, len(payload), zlib.crc32(payload))
+    chunks = [chunk for section in sections for chunk in _encode(*section)]
+    length = crc = 0
+    for chunk in chunks:
+        length += len(chunk)
+        crc = zlib.crc32(chunk, crc)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
+            fh.write(MAGIC + struct.pack("<IQI", VERSION, length, crc))
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -1,14 +1,15 @@
 """Zone bucketing: declination stripes with ordered (zone, ra) scans.
 
 A catalog is bucketed into horizontal zones of fixed height; rows are kept
-sorted by (zone, ra, objid). ZoneTable.scan_ra is the one access method:
-it scans a band of zones for many ra windows at once with a binary search
-on an exact (zone, ra) key, so a cone search is one scan of its dec band
-and the all-pairs neighbor join is one scan per zone. Rows near the prime
-meridian are duplicated into left/right margins (ra shifted by -360/+360)
-so wraparound queries stay contiguous; the scan additionally decomposes
-each ra window modulo 360, which keeps results exact even when a window is
-wider than the margins (polar queries).
+sorted by (zone, ra, objid), one row per object with ra in [0, 360).
+ZoneTable.scan_ra is the one access method: it scans a band of zones for
+many ra windows at once with a binary search on an exact (zone, ra) key,
+so a cone search is one scan of its dec band and the all-pairs neighbor
+join is one scan per zone. Wraparound is handled in the scan alone: it
+searches each window's -360, 0 and +360 images, which covers windows of
+any width up to the full circle (polar queries). The zone papers copy rows
+near ra 0/360 into margins instead, because a SQL range predicate cannot
+wrap; a sorted array search can.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ class ZoneError(ValueError):
 @dataclass(frozen=True)
 class ZoneConfig:
     zone_height: float = 4.0 / 60.0
-    max_radius: float = 1.0
-    epsilon: float = 1.0e-6
 
     def __post_init__(self):
         if self.zone_height <= 0:
             raise ZoneError("zone_height must be positive")
-        if self.max_radius <= 0:
-            raise ZoneError("max_radius must be positive")
 
     @property
     def zone_count(self) -> int:
@@ -46,10 +43,6 @@ def zone_of(dec: float, zone_height: float) -> int:
     """floor((dec + 90) / height); dec = +90 clamps into the top zone."""
     nz = int(math.ceil(180.0 / zone_height))
     return min(int(math.floor((dec + 90.0) / zone_height)), nz - 1)
-
-
-def _margin_width(dec: np.ndarray, max_radius: float, epsilon: float) -> np.ndarray:
-    return max_radius / (np.cos(np.radians(np.abs(dec))) + epsilon)
 
 
 def ra_window_deg(radius: float, dec: float) -> float:
@@ -85,7 +78,8 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 @dataclass(eq=False)
 class ZoneTable:
-    """Immutable after build; rows sorted by (zone, ra, objid).
+    """Immutable after build; one row per input row, sorted by
+    (zone, ra, objid), with ra in [0, 360).
 
     radius is a per-row column carried along for tables of circles (a
     pyramid scale) and None for tables of points (a catalog). key is the
@@ -100,7 +94,6 @@ class ZoneTable:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    is_main: np.ndarray
     radius: np.ndarray | None = None
     zone_bounds: np.ndarray = field(init=False)
     key: np.ndarray = field(init=False)
@@ -117,8 +110,16 @@ class ZoneTable:
     def __len__(self) -> int:
         return len(self.zone)
 
+    @property
+    def is_main(self) -> np.ndarray:
+        """All True, derived and never stored: every row is its input row.
+        Kept for perfbench, which reads it; nothing in skyindex does."""
+        return np.ones(len(self), dtype=bool)
+
     def main_row_count(self) -> int:
-        return int(self.is_main.sum())
+        """len(self). Kept for perfbench, which reads it; nothing in
+        skyindex does."""
+        return len(self)
 
     def zone_slice(self, z: int) -> slice:
         return slice(int(self.zone_bounds[z]), int(self.zone_bounds[z + 1]))
@@ -127,19 +128,21 @@ class ZoneTable:
         """Rows of zones z0..z1 whose ra (mod 360) falls in a window [lo, hi].
 
         lo and hi are scalars or equal-length non-empty arrays, one window
-        per entry, with lo <= hi and 0 <= z0 <= z1 < zone_count. Returns
-        (window, row) index arrays: every row of the band in window k, once
-        per window, paired with k (0 for scalar windows). Each window's
-        rows come in ascending order; with several windows the pairs are
-        grouped by zone, not by window.
+        per entry, with -360 < lo <= hi < 720 and 0 <= z0 <= z1 <
+        zone_count. Returns (window, row) index arrays: every row of the
+        band in window k, once per window, paired with k (0 for scalar
+        windows). Each window's rows come in ascending order; with several
+        windows the pairs are grouped by zone, not by window.
 
-        The stored rows cover [-margin, 360 + margin); windows wider than
-        the margins are folded by scanning the -360 and +360 images as
-        well. A window narrower than 360 has disjoint images in ascending
-        ra order, so their row ranges, taken in shift order, are already
-        sorted; each range starts no earlier than the previous one ends,
-        which only matters when rounding lets neighbouring images touch. A
-        full-circle window (hi - lo >= 360) takes its zones' main rows.
+        The stored ra lie in [0, 360), so a row is in a window when it is
+        in the window's -360, 0 or +360 image, and all three are scanned.
+        A window narrower than 360 has disjoint images in ascending ra
+        order, so their row ranges, taken in shift order, are already
+        sorted. Each range is clamped to start no earlier than the previous
+        one ends, a guard against rounding letting neighbouring images
+        touch; with ra in [0, 360) and windows inside (-360, 720) the
+        shifted edges round too little for that to happen. A full-circle
+        window (hi - lo >= 360) takes each row of its zones once.
         """
         edges = np.array((lo, hi), dtype=float).reshape(2, -1)
         base = self.zone_bounds[z0]
@@ -152,7 +155,6 @@ class ZoneTable:
         a = key.searchsorted(q[0], side="left")
         b = key.searchsorted(q[1], side="right")
         width = edges[1] - edges[0]
-        full = None
         # images of a window narrower than 180 are far apart, and it is no
         # full circle: only wider windows need the two fix-ups
         if width.max() >= 180.0:
@@ -169,21 +171,14 @@ class ZoneTable:
             return _NO_ROWS, _NO_ROWS
         row = np.repeat(base + b - ends, counts) + np.arange(ends[-1])
         window = np.repeat(np.arange(counts.size) % edges.shape[1], counts)
-        if full is not None:
-            keep = self.is_main[row] | ~full[window]
-            window, row = window[keep], row[keep]
         return window, row
 
 
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
-    """Bucket rows into zones, adding wraparound margin rows.
+    """Bucket rows into zones: one table row per input row.
 
     catalog: any object with objid, ra, dec, x, y, z columns, such as a
     Catalog, and optionally a radius column that the table carries along.
-    An object lands in the right margin (ra + 360) when its ra is below
-    the cos-corrected margin width, and in the left margin (ra - 360) when
-    within that width of 360. Near the poles the width exceeds 360 and
-    both margins apply.
     """
     objid = np.asarray(catalog.objid, dtype=np.int64)
     ra = np.asarray(catalog.ra, dtype=float)
@@ -199,29 +194,20 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     zone = np.minimum(
         np.floor((dec + 90.0) / cfg.zone_height).astype(np.int64), nz - 1
     )
-    width = _margin_width(dec, cfg.max_radius, cfg.epsilon)
-    right = ra < width  # ra >= 0 always holds here
-    left = ra >= 360.0 - width  # ra < 360 always holds here
-    # source row of every table row: main rows, then right and left margins
-    rows = np.concatenate([np.arange(len(ra)), np.flatnonzero(right), np.flatnonzero(left)])
-    ra_all = np.concatenate([ra, ra[right] + 360.0, ra[left] - 360.0])
-    zone_all = zone[rows]
-    order = np.lexsort((objid[rows], ra_all, zone_all))
-    src = rows[order]
+    order = np.lexsort((objid, ra, zone))
 
     def column(values):
-        return np.asarray(values, dtype=float)[src]
+        return np.asarray(values, dtype=float)[order]
 
     return ZoneTable(
         cfg=cfg,
-        zone=zone_all[order],
-        ra=ra_all[order],
-        objid=objid[src],
-        dec=dec[src],
+        zone=zone[order],
+        ra=ra[order],
+        objid=objid[order],
+        dec=dec[order],
         x=column(catalog.x),
         y=column(catalog.y),
         z=column(catalog.z),
-        is_main=order < len(ra),
         radius=None if radius is None else column(radius),
     )
 
@@ -232,21 +218,17 @@ def nearby_objects(
     radius,
     stats: dict | None = None,
 ) -> list[tuple[int, float]]:
-    """All catalog objects strictly within the radius of center.
+    """All catalog objects strictly within the radius of center, for a
+    radius in [0, 180].
 
     Scan order: one scan of the zone band over the circle's ra window, the
     dec band filter, then the chord-squared careful test
-    4 sin^2(r/2) > |p - q|^2. Results are deduplicated by objid (margin
-    rows alias their main row) and sorted by (distance, objid).
+    4 sin^2(r/2) > |p - q|^2. Results are sorted by (distance, objid).
     """
     r = as_degrees(radius)
     cfg = table.cfg
-    if r < 0:
-        raise ZoneError("radius must be non-negative")
-    if r > cfg.max_radius:
-        raise ZoneError(
-            f"radius exceeds margin width: {r} > max_radius {cfg.max_radius}"
-        )
+    if not 0 <= r <= 180:
+        raise ZoneError(f"radius out of [0, 180] degrees: {r!r}")
     if r == 0 or len(table) == 0:
         if stats is not None:
             stats.update(zones=0, ra_candidates=0, dec_filtered=0, matched=0)
@@ -272,8 +254,6 @@ def nearby_objects(
     hit = d2 < chord2_limit
     ids = table.objid[idx][hit]
     d2 = d2[hit]
-    ids, first = np.unique(ids, return_index=True)
-    d2 = d2[first]
     dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
     order = np.lexsort((ids, dist))
     if stats is not None:
@@ -308,39 +288,37 @@ class NeighborsTable:
 
 
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
-    """Materialize all object pairs strictly within the radius.
+    """Materialize all object pairs strictly within a radius in (0, 180].
 
-    Scans the zone band around each zone with one ra window per main row
-    of the zone (margin rows included), keeping objid1 < objid2 to do
-    half the work, deduplicating pairs found through both a margin image
-    and a wrapped window, then mirroring. zone_height defaults to the
-    radius, which minimizes the candidate area of the join.
+    Scans the zone band around each zone with one ra window per row of the
+    zone, keeping objid1 < objid2 to do half the work, then mirroring.
+    zone_height defaults to the radius, which minimizes the candidate area
+    of the join.
     """
     r = as_degrees(radius)
-    if r <= 0:
-        raise ZoneError("neighbors radius must be positive")
+    if not 0 < r <= 180:
+        raise ZoneError(f"neighbors radius out of (0, 180] degrees: {r!r}")
     zh = zone_height if zone_height is not None else r
-    cfg = ZoneConfig(zone_height=zh, max_radius=r)
+    cfg = ZoneConfig(zone_height=zh)
     table = build_zone_table(catalog, cfg)
     deltas = int(math.ceil(r / zh - 1e-12))
     chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
     nz = cfg.zone_count
-    pairs_a = []
-    pairs_b = []
-    pair_d2 = []
+    pairs_a = [np.empty(0, dtype=np.int64)]
+    pairs_b = [np.empty(0, dtype=np.int64)]
+    pair_d2 = [np.empty(0, dtype=float)]
     candidates = 0
     for z in range(nz):
         s = table.zone_slice(z)
-        main = np.arange(s.start, s.stop)[table.is_main[s]]
-        if len(main) == 0:
+        if s.start == s.stop:
             continue
-        alpha = _ra_windows_arr(r, table.dec[main])
+        alpha = _ra_windows_arr(r, table.dec[s])
         window, right = table.scan_ra(
             max(0, z - deltas), min(nz - 1, z + deltas),
-            table.ra[main] - alpha, table.ra[main] + alpha,
+            table.ra[s] - alpha, table.ra[s] + alpha,
         )
         candidates += len(right)
-        left = main[window]
+        left = s.start + window
         keep = table.objid[left] < table.objid[right]
         left, right = left[keep], right[keep]
         keep = np.abs(table.dec[left] - table.dec[right]) <= r
@@ -353,19 +331,9 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
         pairs_a.append(table.objid[left][hit])
         pairs_b.append(table.objid[right][hit])
         pair_d2.append(d2[hit])
-    if pairs_a:
-        a = np.concatenate(pairs_a)
-        b = np.concatenate(pairs_b)
-        d2 = np.concatenate(pair_d2)
-        order = np.lexsort((b, a))
-        a, b, d2 = a[order], b[order], d2[order]
-        fresh = np.ones(len(a), dtype=bool)
-        fresh[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        a, b, d2 = a[fresh], b[fresh], d2[fresh]
-    else:
-        a = np.empty(0, dtype=np.int64)
-        b = np.empty(0, dtype=np.int64)
-        d2 = np.empty(0, dtype=float)
+    a = np.concatenate(pairs_a)
+    b = np.concatenate(pairs_b)
+    d2 = np.concatenate(pair_d2)
     dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
     all_a = np.concatenate([a, b])
     all_b = np.concatenate([b, a])

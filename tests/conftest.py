@@ -14,8 +14,8 @@ settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True
 
 
 def edge_ra(reach: float = 2.0):
-    """ra in [0, 360), biased to 0 and to just under 360, where rows get
-    wraparound margin copies."""
+    """ra in [0, 360), biased to 0 and to just under 360, where scan
+    windows wrap."""
     return st.one_of(
         st.floats(0.0, 360.0, exclude_max=True),
         st.floats(0.0, reach),

@@ -63,7 +63,7 @@ def brute_cone_ids(cat, center: SkyPoint, r: float) -> frozenset:
 @pytest.fixture(scope="module")
 def cone_fixture():
     cat = random_catalog(10_000, seed=101)
-    table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60, max_radius=1.0))
+    table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60))
     queries = oracle.bench_queries(200, seed=202, max_radius=1.0)
     truth = [brute_cone_ids(cat, c, r) for c, r in queries]
     return cat, table, queries, truth
@@ -495,7 +495,7 @@ def test_criterion_08_pyramid(pyramid_fixture):
 
 def test_criterion_09_relative_performance():
     cat = random_catalog(1_000_000, seed=1313)
-    table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60, max_radius=0.2))
+    table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60))
     rng = np.random.default_rng(1414)
     queries = [
         SkyPoint(float(rng.uniform(0, 360)), float(np.degrees(np.arcsin(rng.uniform(-1, 1)))))

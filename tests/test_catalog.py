@@ -169,6 +169,28 @@ class TestSnapshot:
         assert state.pyramid is None
         assert state.regions.regions == {}
 
+    def test_strided_columns_round_trip(self, tmp_path):
+        # a save writes each column's values as a view of its array, so a
+        # strided column (a slice of a wider array) must still land whole
+        cat = random_catalog(500, seed=8, compute_htm=True)
+        wide = np.stack([cat.x, cat.y, cat.z, cat.ra, cat.dec], axis=1)
+        strided = catmod.Catalog(
+            objid=np.repeat(cat.objid, 2)[::2],
+            ra=wide[:, 3],
+            dec=wide[:, 4],
+            x=wide[:, 0],
+            y=wide[:, 1],
+            z=wide[:, 2],
+            htm_depth=cat.htm_depth,
+            htmid=cat.htmid[::-1].copy()[::-1],
+        )
+        assert not any(getattr(strided, c).flags.c_contiguous for c in ("objid", "x", "htmid"))
+        path = tmp_path / "s.snap"
+        save_state(AppState(catalog=strided), path)
+        loaded = load_state(path).catalog
+        for col in ("objid", "ra", "dec", "x", "y", "z", "htmid"):
+            assert getattr(loaded, col).tobytes() == getattr(cat, col).tobytes(), col
+
     def test_full_round_trip_queries_identical(self, tmp_path, rng):
         cat = random_catalog(3000, seed=41, compute_htm=True)
         table = zones.build_zone_table(cat, zones.ZoneConfig())
@@ -210,7 +232,7 @@ class TestSnapshot:
         for s, t in pyr.tables().items():
             got = loaded.pyramid.tables()[s]
             assert got.cfg == t.cfg
-            for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "is_main", "radius", "zone_bounds", "key"):
+            for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "radius", "zone_bounds", "key"):
                 assert getattr(got, col).tobytes() == getattr(t, col).tobytes(), col
         for k in range(40):
             if k == 20:  # entries inserted after the reload land in both
@@ -286,7 +308,7 @@ class TestSnapshot:
 
     def test_integer_config_values_saved(self, tmp_path):
         cat = random_catalog(50, seed=4)
-        table = zones.build_zone_table(cat, zones.ZoneConfig(zone_height=1, max_radius=1))
+        table = zones.build_zone_table(cat, zones.ZoneConfig(zone_height=1))
         pyr = PyramidIndex(PyramidConfig(base_zone_height=1))
         pyr.insert(1, SkyPoint(10, 10), 2)
         path = tmp_path / "s.snap"
@@ -431,7 +453,7 @@ class TestSnapshot:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), 1)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 1 != supported 3"):
+        with pytest.raises(SnapshotError, match="version 1 != supported 4"):
             load_state(path)
 
     def test_version_2_rejected(self, tmp_path):
@@ -440,7 +462,17 @@ class TestSnapshot:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), 2)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 2 != supported 3"):
+        with pytest.raises(SnapshotError, match="version 2 != supported 4"):
+            load_state(path)
+
+    def test_version_3_rejected(self, tmp_path):
+        # format 3 stored zone tables with wraparound margin rows
+        path = tmp_path / "s.snap"
+        save_state(AppState(), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="version 3 != supported 4"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

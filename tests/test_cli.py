@@ -1,11 +1,16 @@
 import json
 import os
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from skyindex import oracle
+from skyindex.catalog import random_catalog
 from skyindex.cli import main
+from skyindex.geom import SkyPoint
 from skyindex.snapshot import load_state
 
 
@@ -69,11 +74,20 @@ class TestIngestAndZone:
         assert not os.path.exists(snap)
 
     def test_radius_over_margin_is_query_error(self, capsys, snap, csv3):
+        """r = 50 is answered as the brute-force scan answers it, and a
+        radius above 180 degrees exits 4."""
         run(capsys, "--snapshot", snap, "ingest", csv3)
         run(capsys, "--snapshot", snap, "zone", "build")
-        code, _ = run(capsys, "--snapshot", snap, "zone", "nearby",
-                      "--ra", "0", "--dec", "0", "--r", "50")
-        assert code == 4
+        code, out = run(capsys, "--snapshot", snap, "--format", "records", "zone", "nearby",
+                        "--ra", "0", "--dec", "0", "--r", "50")
+        assert code == 0
+        want = oracle.cone_scan(load_state(snap).catalog, SkyPoint(0.0, 0.0), 50.0)
+        assert [int(i) for i in re.findall(r"^result objid=(\d+)", out, re.M)] == [i for i, _ in want]
+        assert len(want) == 3
+        for r in ("180.000001", "200"):
+            code, _ = run(capsys, "--snapshot", snap, "zone", "nearby",
+                          "--ra", "0", "--dec", "0", "--r", r)
+            assert code == 4
 
     def test_nan_radius_is_query_error(self, capsys, snap, csv3):
         run(capsys, "--snapshot", snap, "ingest", csv3)
@@ -103,6 +117,17 @@ class TestNeighborsCli:
                         "neighbors", "of", "--objid", "1")
         assert code == 0
         assert "neighbor=2" in out
+
+    def test_radius_above_180_is_query_error(self, capsys, snap, csv3):
+        run(capsys, "--snapshot", snap, "ingest", csv3)
+        for r in ("200", "400"):
+            code, _ = run(capsys, "--snapshot", snap, "neighbors", "build", "--r", r)
+            assert code == 4
+        assert load_state(snap).neighbors is None
+        code, out = run(capsys, "--snapshot", snap, "--format", "records",
+                        "neighbors", "build", "--r", "180")
+        assert code == 0
+        assert "rows=12" in out  # no two of the four rows are antipodal
 
 
 class TestHtmCli:
@@ -372,3 +397,24 @@ class TestBenchCli:
                         "--n", "1500", "--queries", "20", "--seed", "2")
         assert code == 0
         assert "matches=20" in out
+
+
+def test_readme_walkthrough_runs(capsys, tmp_path):
+    """Every non-bench line of README's CLI block, run in order on a small
+    catalog, exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [c[1:] for c in commands if c and c[0] == "skyindex" and c[1] != "bench"]
+    assert len(commands) > 20
+    cat = random_catalog(300, seed=4)
+    csv = tmp_path / "stars.csv"
+    csv.write_text("objID,ra,dec\n" + "".join(
+        f"{i},{a!r},{d!r}\n" for i, a, d in zip(cat.objid.tolist(), cat.ra.tolist(), cat.dec.tolist())
+    ))
+    snap = str(tmp_path / "walk.snap")
+    for argv in commands:
+        argv = [str(csv) if a == "stars.csv" else a for a in argv]
+        code = main(["--snapshot", snap] + argv)
+        err = capsys.readouterr().err
+        assert code == 0, (argv, err)

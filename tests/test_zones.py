@@ -69,12 +69,10 @@ class TestZoneOf:
 
 class TestBuildZoneTable:
     def test_margin_rows(self):
+        """No margin rows: an object beside ra = 0 keeps one row, its ra as given."""
         cat = catmod.from_points([(1, SkyPoint(0.1, 0.0))], htm_depth=5)
-        table = build_zone_table(cat, ZoneConfig(zone_height=1.0, max_radius=1.0))
-        rows = [(int(z), float(r)) for z, r in zip(table.zone, table.ra)]
-        assert len(rows) == 2
-        assert (90, 0.1) in rows
-        assert (90, 360.1) in rows
+        table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
+        assert [(int(z), float(r)) for z, r in zip(table.zone, table.ra)] == [(90, 0.1)]
 
     def test_interior_object_single_row(self):
         cat = catmod.from_points([(1, SkyPoint(180.0, 0.0))], htm_depth=5)
@@ -82,12 +80,13 @@ class TestBuildZoneTable:
         assert len(table) == 1
 
     def test_near_pole_gets_both_margins(self):
+        """No margin rows: an object near a pole and just under ra = 360
+        keeps one row, yet cones from either side of ra = 0 find it."""
         cat = catmod.from_points([(1, SkyPoint(359.9999, 89.99))], htm_depth=5)
-        table = build_zone_table(cat, ZoneConfig(zone_height=1.0, max_radius=1.0))
-        assert len(table) == 3
-        assert sorted(float(r) for r in table.ra) == pytest.approx(
-            [-0.00010000000002037268, 359.9999, 719.9999]
-        )
+        table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
+        assert table.ra.tolist() == [359.9999]
+        for ra in (0.0, 359.0, 180.0):
+            assert [i for i, _ in nearby_objects(table, SkyPoint(ra, 89.5), 1.0)] == [1]
 
     def test_duplicate_objid_rejected(self):
         with pytest.raises((ZoneError, catmod.CatalogError)):
@@ -109,7 +108,7 @@ class TestBuildZoneTable:
     def test_accepts_pair_list(self):
         cat = catmod.from_points([(1, SkyPoint(10, 0)), (2, (20.0, 5.0))])
         table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
-        assert table.main_row_count() == 2
+        assert len(table) == 2
 
 
 class TestRaWindow:
@@ -127,10 +126,10 @@ class TestScanRa:
     @staticmethod
     def want(table, z, lo, hi):
         """Rows of zone z in any of the window's -360/0/+360 images, once
-        each and ascending; main rows only for a full circle."""
+        each and ascending; every row for a full circle."""
         s = table.zone_slice(z)
         if hi - lo >= 360.0:
-            return np.arange(s.start, s.stop)[table.is_main[s]].tolist()
+            return list(range(s.start, s.stop))
         stored = table.ra[s]
         hit = np.zeros(len(stored), dtype=bool)
         for shift in (-360.0, 0.0, 360.0):
@@ -139,12 +138,12 @@ class TestScanRa:
 
     @staticmethod
     def edge_table(rng):
-        # rows near ra = 0/360 and near the poles carry margin rows
+        # rows crowd ra = 0/360 and the poles
         n = 3000
         ra = np.concatenate([rng.uniform(0, 360, n), rng.uniform(0, 2, n // 4), rng.uniform(358, 360, n // 4)])
         dec = np.concatenate([rng.uniform(-90, 90, n), rng.uniform(-89.5, 89.5, n // 2)])
         cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
-        return build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
+        return build_zone_table(cat, ZoneConfig(zone_height=10.0))
 
     @staticmethod
     def random_window(rng):
@@ -177,15 +176,25 @@ class TestScanRa:
                 assert row[window == k].tolist() == want
 
     def test_touching_images_give_each_row_once(self):
-        # rounding leaves this window just under 360 wide, yet its +360
-        # image starts on its own last value, where a margin row sits
-        lo, hi = 335.8333318035505 - 180.0, 335.8333318035505 + 180.0
-        assert hi - lo < 360.0 and lo + 360.0 <= hi
-        cat = catmod.from_arrays([1, 2], [lo, 10.0], [89.99, 89.9], compute_htm=False)
-        table = build_zone_table(cat, ZoneConfig(zone_height=10.0, max_radius=5.0))
+        # windows one rounding step under 360 wide, whose images all but
+        # touch: rows on and beside either end of each image come back once
+        rows = []
+        windows = []
+        for lo in (-0.1, -100.0, 155.8333318035505, 300.0):
+            hi = lo + 360.0
+            while hi - lo >= 360.0:
+                hi = math.nextafter(hi, -math.inf)
+            windows.append((lo, hi))
+            for edge in (lo, hi, lo + 360.0, hi - 360.0):
+                for v in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                    if 0.0 <= v < 360.0:
+                        rows.append(v)
+        rows = sorted(set(rows))
+        cat = catmod.from_arrays(np.arange(len(rows)), rows, [89.99] * len(rows), compute_htm=False)
+        table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         top = table.cfg.zone_count - 1
-        assert lo + 360.0 in table.ra.tolist()
-        assert table.scan_ra(top, top, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
+        for lo, hi in windows:
+            assert table.scan_ra(top, top, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
 
 
 class TestNearby:
@@ -195,17 +204,21 @@ class TestNearby:
         assert nearby_objects(table, SkyPoint(10, 10), 0.0) == []
 
     def test_radius_above_margin_errors(self):
-        cat = catmod.random_catalog(10, seed=1)
-        table = build_zone_table(cat, ZoneConfig(max_radius=1.0))
-        with pytest.raises(ZoneError):
-            nearby_objects(table, SkyPoint(0, 0), 1.5)
+        """Any radius in [0, 180] is answered exactly; above 180 is an error."""
+        cat = catmod.random_catalog(300, seed=1)
+        table = build_zone_table(cat, ZoneConfig())
+        for r in (1.5, 50.0, 180.0):
+            assert nearby_objects(table, SkyPoint(0, 0), r) == oracle.cone_scan(cat, SkyPoint(0, 0), r)
+        for r in (math.nextafter(180.0, math.inf), 200.0, 400.0):
+            with pytest.raises(ZoneError, match="radius out of"):
+                nearby_objects(table, SkyPoint(0, 0), r)
 
     def test_wraparound_example(self):
         cat = catmod.from_points(
             [(1, SkyPoint(359.9, 0.0)), (2, SkyPoint(0.1, 0.0)), (3, SkyPoint(5.0, 0.0))],
             htm_depth=5,
         )
-        table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60, max_radius=1.0))
+        table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60))
         got = nearby_objects(table, SkyPoint(0.05, 0.0), 0.2)
         assert sorted(i for i, _ in got) == [1, 2]
 
@@ -222,7 +235,7 @@ class TestNearby:
             assert got == brute_cone(cat, center, r)
 
     def test_clustered_catalog_matches_brute_force(self, rng):
-        # pole-adjacent and meridian-adjacent clusters stress the margins
+        # pole-adjacent and meridian-adjacent clusters stress the wraparound
         n = 2400
         third = n // 3
         ra = np.concatenate(
@@ -273,8 +286,8 @@ class TestNearby:
         assert got[0][1] == pytest.approx(0.5, abs=1e-9)
 
     def test_rotation_invariance(self, rng):
-        # margin completeness: rotating the whole catalog by 180 deg in ra
-        # must not change any result set
+        # wraparound completeness: rotating the whole catalog by 180 deg in
+        # ra must not change any result set
         cat = catmod.random_catalog(2000, seed=13)
         rot = catmod.from_arrays(
             cat.objid, (cat.ra + 180.0) % 360.0, cat.dec, compute_htm=False
@@ -394,6 +407,26 @@ class TestNeighbors:
         with pytest.raises(ZoneError):
             build_neighbors(cat, 0.0)
 
+    def test_radius_above_180_rejected(self):
+        # past 180 degrees the chord limit 4 sin^2(r/2) falls again, so it
+        # would drop the antipodal pair at r = 200 and every pair at r = 400
+        cat = catmod.from_points(
+            [(1, SkyPoint(0.0, 0.0)), (2, SkyPoint(90.0, 0.0)), (3, SkyPoint(180.0, 0.0))],
+            htm_depth=5,
+        )
+        for r in (math.nextafter(180.0, math.inf), 200.0, 400.0):
+            with pytest.raises(ZoneError, match="radius out of"):
+                build_neighbors(cat, r)
+        table = build_neighbors(cat, 180.0)  # the antipodal pair is not within 180
+        assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == {(1, 2), (2, 1), (2, 3), (3, 2)}
+
+
+def test_pair_scan_above_180_takes_every_pair():
+    cat = catmod.random_catalog(30, seed=3)
+    a, b, _ = oracle.pair_scan(cat, 190.0)
+    assert len(a) == 30 * 29
+    assert len(oracle.pair_scan(cat, 170.0)[0]) < 30 * 29
+
 
 # -- oracle properties on small catalogs at the zone-scan edges ---------------
 
@@ -401,10 +434,36 @@ class TestNeighbors:
 @st.composite
 def cone_case(draw):
     h = draw(st.sampled_from([0.25, 1.0, 4.0 / 60.0, 7.5]))
-    max_r = draw(st.sampled_from([0.5, 1.0, 3.0]))
     ra, dec = draw(edge_sky(h))
     center = SkyPoint(draw(edge_ra()), draw(edge_dec(h)))
-    return ZoneConfig(zone_height=h, max_radius=max_r), ra, dec, center, draw(near_max_radius(max_r))
+    pole = 90.0 - abs(center.dec)  # the radius that reaches the nearer pole
+    r = draw(
+        st.one_of(
+            st.sampled_from([0.5, 1.0, 3.0]).flatmap(near_max_radius),
+            st.floats(pole, min(180.0, pole + 1.0)),
+            st.floats(0.0, 180.0),
+            st.sampled_from([90.0, 180.0, math.nextafter(180.0, 0.0)]),
+        )
+    )
+    return ZoneConfig(zone_height=h), ra, dec, center, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([0.25, 1.0, 4.0 / 60.0, 7.5, 180.0, 400.0]).flatmap(
+        lambda h: st.tuples(st.just(h), edge_sky(h))
+    )
+)
+def test_build_zone_table_one_row_per_input_row(case):
+    h, (ra, dec) = case
+    cat = catmod.from_arrays(np.arange(len(ra))[::-1], ra, dec, compute_htm=False)
+    table = build_zone_table(cat, ZoneConfig(zone_height=h))
+    assert len(table) == len(cat)
+    order = np.lexsort((table.objid, table.ra, table.zone))
+    assert order.tolist() == list(range(len(table)))
+    assert sorted(zip(table.objid.tolist(), table.ra.tolist(), table.dec.tolist())) == sorted(
+        zip(cat.objid.tolist(), cat.ra.tolist(), cat.dec.tolist())
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,14 +476,14 @@ def test_nearby_objects_matches_cone_scan(case):
     # the index tests the chord and the oracle the arc: the two may round
     # apart only for rows on the circle itself
     got_ids, want_ids = {i for i, _ in got}, {i for i, _ in want}
-    dist = dict(oracle.cone_scan(cat, center, 180.0))
+    dist = dict(oracle.cone_scan(cat, center, 360.0))
     assert all(abs(dist[i] - r) < 1e-9 for i in got_ids ^ want_ids)
     assert len(got) == len(got_ids)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([0.05, 0.5, 2.0, 10.0]).flatmap(
+    st.sampled_from([0.05, 0.5, 2.0, 10.0, 120.0, 180.0]).flatmap(
         lambda r: st.tuples(st.just(r), edge_sky(r), st.sampled_from([None, r / 2.5, 2.0 * r]))
     )
 )
