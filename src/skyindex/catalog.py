@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import htm
+from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec
+from .zones import cone_matches, gather_runs, has_duplicates
 
 
 DEFAULT_HTM_DEPTH = 20
@@ -55,8 +57,6 @@ class Catalog:
     def points(self):
         """(objid, UnitVec3) pairs, one Python object per row. The region
         queries take the objid, x, y, z columns instead."""
-        from .geom import UnitVec3
-
         return [
             (int(i), UnitVec3(float(px), float(py), float(pz)))
             for i, px, py, pz in zip(self.objid, self.x, self.y, self.z)
@@ -77,7 +77,7 @@ def from_arrays(
         raise CatalogError("ra and dec must be finite (got NaN or inf)")
     ra = np.mod(ra, 360.0)
     ra[ra >= 360.0] = 0.0  # fmod of a negative epsilon can round to 360
-    if len(np.unique(objid)) != len(objid):
+    if has_duplicates(objid):
         raise CatalogError("duplicate objID")
     if len(dec) and (dec.min() < -90.0 or dec.max() > 90.0):
         raise CatalogError("dec out of range [-90, 90]")
@@ -94,8 +94,6 @@ def from_arrays(
 
 def from_points(pairs, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
     """pairs: iterable of (objid, SkyPoint-or-(ra, dec))."""
-    from .geom import SkyPoint
-
     ids, ras, decs = [], [], []
     for objid, p in pairs:
         if not isinstance(p, SkyPoint):
@@ -167,52 +165,30 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
     return from_arrays(ids, ras, decs, htm_depth=htm_depth)
 
 
-def htm_cone_search(
-    cat: Catalog,
-    center,
-    radius,
-    max_ranges: int = 20,
-    max_depth: int | None = None,
-) -> list[tuple[int, float]]:
-    """Cone search through the mesh index: cover the circle with trixel
-    ranges, range-scan the id-sorted catalog, then run the exact chord
-    filter on the candidates."""
-    from .geom import Convex, Region, as_degrees, circle_to_halfspace, sky_to_vec
+def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:
+    """Cone search through the mesh index: cover the circle with at most
+    20 trixel ranges at no more than the catalog's depth, search all of
+    them at once in the id-sorted catalog, gather their rows with
+    zones.gather_runs, then run zones.cone_matches' exact chord test.
+    Gives what zones.nearby_objects gives, distances included.
 
+    The range bounds are shifted to the catalog's depth in the ids' own
+    dtype: at htm.MAX_DEPTH that is uint64, where the last face's
+    ((hi + 1) << shift) - 1 wraps through 2^64 to the right bound.
+    """
     r = as_degrees(radius)
-    depth_cap = cat.htm_depth if max_depth is None else min(max_depth, cat.htm_depth)
     v = sky_to_vec(center)
     region = Region((Convex((circle_to_halfspace(v, r),)),))
-    ranges = htm.cover(region, max_ranges=max_ranges, max_depth=depth_cap)
+    ranges = htm.cover(region, max_ranges=20, max_depth=cat.htm_depth)
     if not ranges:
         return []
-    order = cat.htm_order()
     sorted_ids = cat.htm_sorted_ids()
-    cover_depth = (ranges[0][0].bit_length() - 4) // 2
-    shift = 2 * (cat.htm_depth - cover_depth)
-    limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
-    found_ids = []
-    found_d2 = []
-    for lo, hi in ranges:
-        a = int(np.searchsorted(sorted_ids, lo << shift, side="left"))
-        b = int(np.searchsorted(sorted_ids, ((hi + 1) << shift) - 1, side="right"))
-        if b <= a:
-            continue
-        idx = order[a:b]
-        dx = cat.x[idx] - v.x
-        dy = cat.y[idx] - v.y
-        dz = cat.z[idx] - v.z
-        d2 = dx * dx + dy * dy + dz * dz
-        hit = d2 < limit
-        found_ids.append(cat.objid[idx][hit])
-        found_d2.append(d2[hit])
-    if not found_ids:
-        return []
-    oid = np.concatenate(found_ids)
-    d2 = np.concatenate(found_d2)
-    dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
-    idx = np.lexsort((oid, dist))
-    return [(int(i), float(d)) for i, d in zip(oid[idx], dist[idx])]
+    bounds = np.array(ranges, dtype=sorted_ids.dtype)
+    shift = 2 * (cat.htm_depth - htm.id_depth(ranges[0][0]))
+    a = sorted_ids.searchsorted(bounds[:, 0] << shift, side="left")
+    b = sorted_ids.searchsorted(((bounds[:, 1] + 1) << shift) - 1, side="right")
+    _, rows = gather_runs(a, b)
+    return cone_matches(cat, cat.htm_order()[rows], v.x, v.y, v.z, r)
 
 
 def random_catalog(n: int, seed: int, compute_htm: bool = False) -> Catalog:

@@ -206,10 +206,12 @@ def cmd_htm_cover(args, out: Output) -> int:
     return EXIT_OK
 
 
+_READ_ONLY_REGION_CMDS = {"contains", "points-in", "predicate", "show"}
+
+
 def cmd_region(args, out: Output) -> int:
     state = _load_or_new(args)
     store = state.regions
-    changed = False
     if args.region_cmd == "new":
         rid = store.region_new(args.type, args.comment)
         if getattr(args, "from_spec", None):
@@ -221,39 +223,32 @@ def cmd_region(args, out: Output) -> int:
                         rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
                     )
         out.record("region", id=rid)
-        changed = True
     elif args.region_cmd == "new-convex":
         cid = store.region_new_convex(args.id)
         out.record("convex", region=args.id, convex=cid)
-        changed = True
     elif args.region_cmd == "constraint":
         hid = store.region_new_convex_constraint(
             args.id, args.convex, args.x, args.y, args.z, args.l
         )
         out.record("halfspace", region=args.id, convex=args.convex, halfspace=hid)
-        changed = True
     elif args.region_cmd == "or":
         rid = store.region_or(args.id1, args.id2, args.type, args.comment)
         out.record("region", id=rid)
-        changed = True
     elif args.region_cmd == "and":
         rid = store.region_and(args.id1, args.id2, args.type, args.comment)
         out.record("region", id=rid)
-        changed = True
     elif args.region_cmd == "not":
         rid = store.region_not(args.id, args.type, args.comment)
         out.record("region", id=rid)
-        changed = True
     elif args.region_cmd == "drop":
         store.region_drop(args.id)
         out.record("dropped", id=args.id)
-        changed = True
     elif args.region_cmd == "simplify":
-        before = len(store.geometry(args.id).convexes)
-        store.region_simplify(args.id)
-        after = len(store.geometry(args.id).convexes)
+        reg = store.regions.get(args.id)
+        before = 0 if reg is None else len(reg.convexes)
+        store.region_simplify(args.id)  # raises on an unknown id
+        after = len(store.regions[args.id].convexes)
         out.record("simplified", id=args.id, convexes_before=before, convexes_after=after)
-        changed = True
     elif args.region_cmd == "contains":
         p = _point_from_args(args)
         if args.id is not None:
@@ -308,9 +303,7 @@ def cmd_region(args, out: Output) -> int:
                     convexes=len(reg.convexes),
                 )
             out.record("summary", count=len(store.regions))
-    else:
-        raise StateError(f"unknown region subcommand {args.region_cmd!r}")
-    if changed:
+    if args.region_cmd not in _READ_ONLY_REGION_CMDS:
         save_state(state, args.snapshot)
     return EXIT_OK
 
@@ -586,18 +579,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=20)
     p.set_defaults(func=cmd_htm_cover)
 
-    reg = sub.add_parser("region", help="region store and algebra").add_subparsers(
-        dest="region_cmd", required=True
-    )
+    reg = sub.add_parser("region", help="region store and algebra")
+    reg.set_defaults(func=cmd_region)
+    reg = reg.add_subparsers(dest="region_cmd", required=True)
     p = reg.add_parser("new")
     p.add_argument("--type", required=True)
     p.add_argument("--comment", default="")
     p.add_argument("--from", dest="from_spec", default=None,
                    help="optional region grammar string to populate from")
-    p = _with_region_defaults(p)
     p = reg.add_parser("new-convex")
     p.add_argument("--id", type=int, required=True)
-    p = _with_region_defaults(p)
     p = reg.add_parser("constraint")
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--convex", type=int, required=True)
@@ -605,25 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--l", type=float, required=True)
-    p = _with_region_defaults(p)
     for name in ("or", "and"):
         p = reg.add_parser(name)
         p.add_argument("--id1", type=int, required=True)
         p.add_argument("--id2", type=int, required=True)
         p.add_argument("--type", required=True)
         p.add_argument("--comment", default="")
-        p = _with_region_defaults(p)
     p = reg.add_parser("not")
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--type", required=True)
     p.add_argument("--comment", default="")
-    p = _with_region_defaults(p)
     p = reg.add_parser("drop")
     p.add_argument("--id", type=int, required=True)
-    p = _with_region_defaults(p)
     p = reg.add_parser("simplify")
     p.add_argument("--id", type=int, required=True)
-    p = _with_region_defaults(p)
     p = reg.add_parser("contains")
     p.add_argument("--id", type=int, default=None)
     p.add_argument("--ra", type=float, default=None)
@@ -631,16 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--z", type=float, default=None)
-    p = _with_region_defaults(p)
     p = reg.add_parser("points-in")
     p.add_argument("--id", type=int, required=True)
-    p = _with_region_defaults(p)
     p = reg.add_parser("predicate")
     p.add_argument("--id", type=int, required=True)
-    p = _with_region_defaults(p)
     p = reg.add_parser("show")
     p.add_argument("--id", type=int, default=None)
-    p = _with_region_defaults(p)
 
     py = sub.add_parser("pyramid", help="multi-scale region index").add_subparsers(
         dest="py_cmd", required=True
@@ -677,11 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_overlap)
 
     return parser
-
-
-def _with_region_defaults(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p.set_defaults(func=cmd_region)
-    return p
 
 
 def main(argv=None) -> int:

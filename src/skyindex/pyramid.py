@@ -36,7 +36,7 @@ from .geom import (
     region_intersection,
     sky_to_vec,
 )
-from .zones import ZoneConfig, ZoneTable, build_zone_table, ra_window_deg
+from .zones import ZoneConfig, ZoneTable, build_zone_table, has_duplicates, ra_window_deg
 
 
 class PyramidError(ValueError):
@@ -91,11 +91,24 @@ class PyramidIndex:
 
     @classmethod
     def from_tables(cls, cfg: PyramidConfig, tables: dict[int, ZoneTable]) -> "PyramidIndex":
-        """An index whose scale s is tables[s], as tables() returned them."""
+        """An index whose scale s is tables[s], as tables() returned them.
+
+        Raises PyramidError unless every table is one insert could have
+        built: zone height cfg.zone_height(s), every radius one that insert
+        puts on scale s, and no objid on two scales. The tables' own rows
+        are zones.check_zone_table's to check.
+        """
         idx = cls(cfg)
         idx._tables = dict(sorted(tables.items()))
-        for t in idx._tables.values():
-            idx._ids.update(t.objid.tolist())
+        for s, t in idx._tables.items():
+            if t.cfg.zone_height != cfg.zone_height(s):
+                raise PyramidError(f"scale {s}: zone height {t.cfg.zone_height!r}, not {cfg.zone_height(s)!r}")
+            if not all(0.0 < r <= 180.0 and scale_of(r, cfg) == s for r in t.radius.tolist()):
+                raise PyramidError(f"scale {s}: a radius that belongs on another scale")
+        ids = np.concatenate([t.objid for t in idx._tables.values()] or [np.empty(0, np.int64)])
+        if has_duplicates(ids):
+            raise PyramidError("an objId on two scales")
+        idx._ids.update(ids.tolist())
         return idx
 
     def __len__(self) -> int:
@@ -215,7 +228,8 @@ def overlap_search(
         )
         exact = dist < limit
         hits.append(t.objid[idx][exact])
-    ids = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
+    # one id per entry, as from_tables and insert check
+    ids = np.sort(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
     if stats is not None:
         stats.update(
             zone_scale=n_zone,

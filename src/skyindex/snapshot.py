@@ -13,10 +13,12 @@ its column's dtype where numpy deems the cast safe (an int as <f8).
 Values are little-endian and round-trip bit exactly. A version mismatch,
 a failed length or CRC check, a column its schema does not allow, or
 columns that do not make a valid structure raise SnapshotError; no
-partial state is ever returned. A save writes each column straight from
-its array, with no joined copy of the payload, to a temporary file beside
-the target and renames it over the target, so a failed save leaves the
-previous snapshot intact.
+partial state is ever returned. Zone tables (the catalog's and each
+pyramid scale's) must also hold what a build would have made of their
+rows, and the pyramid's scales what its inserts would have. A save
+writes each column straight from its array, with no joined copy of the
+payload, to a temporary file beside the target and renames it over the
+target, so a failed save leaves the previous snapshot intact.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .algebra import RegionStore
 from .catalog import Catalog
 from .pyramid import PyramidConfig, PyramidIndex
-from .zones import NeighborsTable, ZoneConfig, ZoneTable
+from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_zone_table
 
 MAGIC = b"SKYIDXSN"
 VERSION = 4
@@ -225,7 +227,9 @@ def _zone_table(cols: dict | None) -> ZoneTable | None:
     if cols is None:
         return None
     cfg = ZoneConfig(**{k: cols.pop(k) for k in _ZONE_CONFIG})
-    return ZoneTable(cfg, **cols)
+    table = ZoneTable(cfg, **cols)
+    check_zone_table(table)
+    return table
 
 
 def save_state(state: AppState, path) -> None:

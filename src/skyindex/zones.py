@@ -6,10 +6,15 @@ ZoneTable.scan_ra is the one access method: it scans a band of zones for
 many ra windows at once with a binary search on an exact (zone, ra) key,
 so a cone search is one scan of its dec band and the all-pairs neighbor
 join is one scan per zone. Wraparound is handled in the scan alone: it
-searches each window's -360, 0 and +360 images, which covers windows of
-any width up to the full circle (polar queries). The zone papers copy rows
-near ra 0/360 into margins instead, because a SQL range predicate cannot
-wrap; a sorted array search can.
+searches each window's -360, 0 and +360 images, and a full-circle window
+(polar queries) becomes [0, 360) first. The zone papers copy rows near
+ra 0/360 into margins instead, because a SQL range predicate cannot wrap;
+a sorted array search can.
+
+Both cone searches end in the same two steps: gather_runs turns sorted
+index ranges into row indices (the (zone, ra) windows here, the trixel id
+ranges of catalog.htm_cone_search), and cone_matches runs the exact
+chord test and sorts the answer.
 """
 
 from __future__ import annotations
@@ -73,7 +78,53 @@ def _ra_windows_arr(radius: float, dec: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = np.array([-360.0, 0.0, 360.0])
+# what scan_ra searches for a full-circle window: every stored ra, and
+# nothing in the window's -360 and +360 images
+_FULL_CIRCLE = ((0.0,), (math.nextafter(360.0, 0.0),))
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def gather_runs(starts: np.ndarray, ends: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the runs [starts[k], ends[k]) in run order, as
+    (label, index) arrays, each index labelled with its run's k % period.
+
+    starts and ends are flat non-empty arrays with starts <= ends, such as
+    the two searchsorted results of a batch of ranges over a sorted key.
+    For runs laid out window fastest, period = the number of windows makes
+    the label each index's window.
+    """
+    counts = ends - starts
+    total = counts.cumsum()
+    if not total[-1]:
+        return _NO_ROWS, _NO_ROWS
+    label = np.repeat(np.arange(counts.size) % period, counts)
+    return label, np.repeat(ends - total, counts) + np.arange(total[-1])
+
+
+def cone_matches(cols, rows: np.ndarray, cx: float, cy: float, cz: float, r: float) -> list[tuple[int, float]]:
+    """(objid, distance) of the given rows strictly within r degrees of the
+    unit vector (cx, cy, cz), sorted by (distance, objid).
+
+    cols is anything with objid, x, y, z columns (a ZoneTable or a
+    Catalog). The exact test is on the squared chord, |p - c|^2 <
+    4 sin^2(r/2); the distance is 2 asin(|p - c| / 2) in degrees.
+    """
+    dx = cols.x[rows] - cx
+    dy = cols.y[rows] - cy
+    dz = cols.z[rows] - cz
+    d2 = dx * dx + dy * dy + dz * dz
+    hit = d2 < 4.0 * math.sin(math.radians(r) / 2.0) ** 2
+    ids = cols.objid[rows][hit]
+    dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2[hit]) / 2.0))
+    order = np.lexsort((ids, dist))
+    return list(zip(ids[order].tolist(), dist[order].tolist()))
+
+
+def has_duplicates(values: np.ndarray) -> bool:
+    """Whether a value occurs twice: a sort and a compare of neighbours,
+    far cheaper than np.unique on large arrays."""
+    s = np.sort(values)
+    return bool((s[1:] == s[:-1]).any())
 
 
 @dataclass(eq=False)
@@ -138,40 +189,50 @@ class ZoneTable:
         in the window's -360, 0 or +360 image, and all three are scanned.
         A window narrower than 360 has disjoint images in ascending ra
         order, so their row ranges, taken in shift order, are already
-        sorted. Each range is clamped to start no earlier than the previous
-        one ends, a guard against rounding letting neighbouring images
-        touch; with ra in [0, 360) and windows inside (-360, 720) the
-        shifted edges round too little for that to happen. A full-circle
-        window (hi - lo >= 360) takes each row of its zones once.
+        sorted and take no row twice. A full-circle window (hi - lo >= 360)
+        is first mapped to [0, nextafter(360, 0)], whose other two images
+        hold no row, so it takes each row of its zones once.
         """
         edges = np.array((lo, hi), dtype=float).reshape(2, -1)
-        base = self.zone_bounds[z0]
-        key = self.key[base : self.zone_bounds[z1 + 1]]
+        width = edges[1] - edges[0]
+        if width.max() >= 360.0:
+            edges[:, width >= 360.0] = _FULL_CIRCLE
         # search keys (lo or hi, zone, shift, window): ascending ra within
         # a zone keeps each side's keys near-sorted, which numpy exploits
         q = np.empty((2, z1 - z0 + 1, 3, edges.shape[1]), dtype=complex)
         q.real = np.arange(z0, z1 + 1)[:, None, None]
         q.imag = (edges[:, None, :] + _SHIFTS[:, None])[:, None]
-        a = key.searchsorted(q[0], side="left")
-        b = key.searchsorted(q[1], side="right")
-        width = edges[1] - edges[0]
-        # images of a window narrower than 180 are far apart, and it is no
-        # full circle: only wider windows need the two fix-ups
-        if width.max() >= 180.0:
-            np.maximum(a[:, 1:], b[:, :-1], out=a[:, 1:])
-            full = width >= 360.0
-            bounds = self.zone_bounds[z0 : z1 + 2] - base
-            a[:, 0, full] = bounds[:-1, None]
-            b[:, 0, full] = bounds[1:, None]
-            a[:, 1:, full] = b[:, 1:, full]
-        b = b.ravel()
-        counts = b - a.ravel()
-        ends = counts.cumsum()
-        if not ends[-1]:
-            return _NO_ROWS, _NO_ROWS
-        row = np.repeat(base + b - ends, counts) + np.arange(ends[-1])
-        window = np.repeat(np.arange(counts.size) % edges.shape[1], counts)
-        return window, row
+        a = self.key.searchsorted(q[0], side="left")
+        b = self.key.searchsorted(q[1], side="right")
+        return gather_runs(a.ravel(), b.ravel(), edges.shape[1])
+
+
+def _check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray) -> None:
+    """Raise ZoneError unless objid is unique, ra in [0, 360) and dec in
+    [-90, 90]; the range tests are negated, so that NaN fails them."""
+    if has_duplicates(objid):
+        raise ZoneError("duplicate objID in catalog")
+    if not ((ra >= 0.0) & (ra < 360.0)).all():
+        raise ZoneError("ra must be normalized to [0, 360)")
+    if not ((dec >= -90.0) & (dec <= 90.0)).all():
+        raise ZoneError("dec must be within [-90, 90]")
+
+
+def _zone_column(dec: np.ndarray, cfg: ZoneConfig) -> np.ndarray:
+    """Each row's zone, as zone_of gives it."""
+    return np.minimum(np.floor((dec + 90.0) / cfg.zone_height).astype(np.int64), cfg.zone_count - 1)
+
+
+def check_zone_table(t: ZoneTable) -> None:
+    """Raise ZoneError unless t holds what build_zone_table would build
+    from its rows: valid rows, each zone the one of its dec, and rows
+    sorted by (zone, ra), which is all scan_ra relies on. For tables that
+    come from elsewhere, such as a snapshot."""
+    _check_rows(t.objid, t.ra, t.dec)
+    if not np.array_equal(t.zone, _zone_column(t.dec, t.cfg)):
+        raise ZoneError("zone column does not match dec")
+    if not (t.key[1:] >= t.key[:-1]).all():
+        raise ZoneError("rows not sorted by (zone, ra)")
 
 
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
@@ -184,16 +245,8 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     ra = np.asarray(catalog.ra, dtype=float)
     dec = np.asarray(catalog.dec, dtype=float)
     radius = getattr(catalog, "radius", None)
-    if len(np.unique(objid)) != len(objid):
-        raise ZoneError("duplicate objID in catalog")
-    if len(ra) and (ra.min() < 0.0 or ra.max() >= 360.0):
-        raise ZoneError("ra must be normalized to [0, 360)")
-    if len(dec) and (dec.min() < -90.0 or dec.max() > 90.0):
-        raise ZoneError("dec must be within [-90, 90]")
-    nz = cfg.zone_count
-    zone = np.minimum(
-        np.floor((dec + 90.0) / cfg.zone_height).astype(np.int64), nz - 1
-    )
+    _check_rows(objid, ra, dec)
+    zone = _zone_column(dec, cfg)
     order = np.lexsort((objid, ra, zone))
 
     def column(values):
@@ -222,8 +275,8 @@ def nearby_objects(
     radius in [0, 180].
 
     Scan order: one scan of the zone band over the circle's ra window, the
-    dec band filter, then the chord-squared careful test
-    4 sin^2(r/2) > |p - q|^2. Results are sorted by (distance, objid).
+    dec band filter, then cone_matches' exact chord test. Results are
+    sorted by (distance, objid).
     """
     r = as_degrees(radius)
     cfg = table.cfg
@@ -237,30 +290,17 @@ def nearby_objects(
     zmin = max(0, zone_of(max(-90.0, center.dec - r), cfg.zone_height))
     zmax = min(nz - 1, int(math.floor((center.dec + 90.0 + r) / cfg.zone_height)))
     alpha = ra_window_deg(r, center.dec)
-    lo, hi = center.ra - alpha, center.ra + alpha
-    cx, cy, cz = (
-        math.cos(math.radians(center.dec)) * math.cos(math.radians(center.ra)),
-        math.cos(math.radians(center.dec)) * math.sin(math.radians(center.ra)),
-        math.sin(math.radians(center.dec)),
-    )
-    chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
-    _, idx = table.scan_ra(zmin, zmax, lo, hi)
+    _, idx = table.scan_ra(zmin, zmax, center.ra - alpha, center.ra + alpha)
     n_ra = len(idx)
     idx = idx[np.abs(table.dec[idx] - center.dec) <= r]
-    dx = table.x[idx] - cx
-    dy = table.y[idx] - cy
-    dz = table.z[idx] - cz
-    d2 = dx * dx + dy * dy + dz * dz
-    hit = d2 < chord2_limit
-    ids = table.objid[idx][hit]
-    d2 = d2[hit]
-    dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
-    order = np.lexsort((ids, dist))
+    ra, dec = math.radians(center.ra), math.radians(center.dec)
+    cd = math.cos(dec)  # the centre as sky_to_vec computes it
+    found = cone_matches(table, idx, cd * math.cos(ra), cd * math.sin(ra), math.sin(dec), r)
     if stats is not None:
         stats.update(
-            zones=zmax - zmin + 1, ra_candidates=n_ra, dec_filtered=len(idx), matched=len(ids)
+            zones=zmax - zmin + 1, ra_candidates=n_ra, dec_filtered=len(idx), matched=len(found)
         )
-    return [(int(i), float(d)) for i, d in zip(ids[order], dist[order])]
+    return found
 
 
 # -- neighbors (all-pairs within radius) -------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import zlib
@@ -12,7 +13,7 @@ from skyindex import catalog as catmod
 from skyindex import htm, oracle, snapshot, zones
 from skyindex.algebra import RegionStore
 from skyindex.catalog import CatalogError, htm_cone_search, ingest_csv, random_catalog
-from skyindex.geom import SkyPoint, UnitVec3
+from skyindex.geom import Convex, Region, SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec
 from skyindex.pyramid import PyramidConfig, PyramidIndex, overlap_search
 from skyindex.snapshot import (
     MAGIC,
@@ -156,6 +157,43 @@ class TestHtmConeSearch:
     def test_empty_far_from_points(self):
         cat = catmod.from_points([(1, SkyPoint(10, 10))], htm_depth=10)
         assert htm_cone_search(cat, SkyPoint(200, -40), 0.5) == []
+
+    def test_max_depth_last_face_matches_oracle(self, rng):
+        # face 15 (ra 270-360, dec < 0) holds the largest ids; a cover of
+        # its centre ends in the all-3 trixel, whose end bound
+        # ((hi + 1) << shift) - 1 passes through 2^64 in uint64
+        n = 20000
+        ra = rng.uniform(270.0, 360.0, n)
+        dec = -np.degrees(np.arcsin(rng.uniform(0.0, 1.0, n)))
+        cat = catmod.from_arrays(np.arange(n), ra, dec, htm_depth=htm.MAX_DEPTH)
+        centre = SkyPoint(315.0, -math.degrees(math.asin(1.0 / math.sqrt(3.0))))
+        queries = [(centre, r) for r in (0.01, 0.3, 2.0, 10.0)]
+        for _ in range(30):
+            queries.append((SkyPoint(float(rng.uniform(268.0, 362.0)) % 360.0, float(rng.uniform(-90.0, 0.0))),
+                            float(rng.uniform(0.01, 3.0))))
+        for center, r in queries:
+            got = [i for i, _ in htm_cone_search(cat, center, r)]
+            want = [i for i, _ in oracle.cone_scan(cat, center, r)]
+            assert got == want
+        region = Region((Convex((circle_to_halfspace(sky_to_vec(centre), 0.3),)),))
+        lo, hi = htm.cover(region, max_depth=htm.MAX_DEPTH)[-1]
+        assert (hi + 1) << 2 * (htm.MAX_DEPTH - htm.id_depth(hi)) == 1 << 64
+
+    def test_same_list_as_zone_search(self, rng):
+        # both searches end in zones.cone_matches, so they agree exactly,
+        # distances included, also at the poles and across ra = 0
+        cat = random_catalog(50000, seed=33, compute_htm=True)
+        table = zones.build_zone_table(cat, zones.ZoneConfig())
+        centres = [(0.0, 90.0), (123.0, -90.0), (0.0, 89.5), (200.0, -88.0), (0.0, 0.0),
+                   (359.95, 10.0), (0.05, -30.0), (359.999, 60.0)]
+        found = 0
+        for ra, dec in centres:
+            for r in (0.2, 1.0, 4.0):
+                center = SkyPoint(ra, dec)
+                got = htm_cone_search(cat, center, r)
+                assert got == zones.nearby_objects(table, center, r)
+                found += len(got)
+        assert found > 400
 
 
 class TestSnapshot:
@@ -418,6 +456,68 @@ class TestSnapshot:
         assert loaded.htmid.tolist() == cat.htmid.tolist()
         for c in (cat, loaded):
             assert [i for i, _ in htm_cone_search(c, SkyPoint(10.0, 5.0), 0.5)] == [1, 2]
+
+    @pytest.mark.parametrize("fault, message", [
+        ("ra + 720", "ra must be normalized to"),
+        ("nan ra", "ra must be normalized to"),
+        ("dec", "dec must be within"),
+        ("objid", "duplicate objID"),
+        ("zone", "zone column does not match dec"),
+        ("order", "rows not sorted"),
+    ])
+    def test_zone_table_checked_on_load(self, tmp_path, fault, message):
+        cat = random_catalog(2000, seed=12)
+        table = zones.build_zone_table(cat, zones.ZoneConfig())
+        rows = ("zone", "ra", "objid", "dec", "x", "y", "z")
+        cols = {k: getattr(table, k).copy() for k in rows}
+        if fault == "ra + 720":
+            cols["ra"] += 720.0
+        elif fault == "nan ra":
+            cols["ra"][7] = math.nan
+        elif fault == "dec":
+            cols["dec"][7] = 90.5
+        elif fault == "objid":
+            cols["objid"][7] = cols["objid"][8]
+        elif fault == "zone":
+            cols["zone"][-1] -= 1
+        else:
+            cols = {k: v[::-1] for k, v in cols.items()}
+        path = tmp_path / "s.snap"
+        save_state(AppState(cat, dataclasses.replace(table, **cols)), path)
+        with pytest.raises(SnapshotError, match=message):
+            load_state(path)
+        save_state(AppState(cat, table), path)
+        loaded = load_state(path)
+        center = SkyPoint(10.0, 0.0)
+        assert zones.nearby_objects(loaded.zone_table, center, 10.0) == oracle.cone_scan(cat, center, 10.0)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("ra + 720", "ra must be normalized to"),
+        ("zone height", "scale 1: zone height"),
+        ("radius", "scale 1: a radius that belongs on another scale"),
+        ("objid", "an objId on two scales"),
+    ])
+    def test_pyramid_scales_checked_on_load(self, tmp_path, fault, message):
+        pyr = PyramidIndex()
+        for i in range(40):
+            pyr.insert(i, SkyPoint(9.0 * i, 2.0 * i - 40.0), 0.01 if i % 2 else 1.0)
+        tables = pyr.tables()  # the index's own dict: edits below reach the index
+        assert list(tables) == [1, 7]
+        t = tables[1]
+        if fault == "ra + 720":
+            tables[1] = dataclasses.replace(t, ra=t.ra + 720.0)
+        elif fault == "zone height":
+            tables[1] = zones.build_zone_table(t, zones.ZoneConfig(2 * t.cfg.zone_height))
+        elif fault == "radius":
+            tables[1] = dataclasses.replace(t, radius=4 * t.radius)
+        else:
+            objid = t.objid.copy()
+            objid[0] = tables[7].objid[0]
+            tables[1] = dataclasses.replace(t, objid=objid)
+        path = tmp_path / "s.snap"
+        save_state(AppState(pyramid=pyr), path)
+        with pytest.raises(SnapshotError, match=message):
+            load_state(path)
 
     def test_region_ids_survive_reload(self, tmp_path):
         store = RegionStore()

@@ -204,8 +204,22 @@ class TestRegionCli:
         assert "region=2" not in out
 
     def test_unknown_region_exit_4(self, capsys, snap):
-        code, _ = run(capsys, "--snapshot", snap, "region", "predicate", "--id", "77")
-        assert code == 4
+        for cmd in ("predicate", "simplify", "show", "drop"):
+            code, _ = run(capsys, "--snapshot", snap, "region", cmd, "--id", "77")
+            assert code == 4
+        assert not os.path.exists(snap)
+
+    def test_read_only_commands_keep_snapshot(self, capsys, snap, csv3):
+        run(capsys, "--snapshot", snap, "ingest", csv3)
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "cap",
+            "--from", "CONVEX 0 0 1 0.5")
+        inode = os.stat(snap).st_ino  # a save renames a new file over it
+        for argv in (["contains", "--id", "1", "--ra", "0", "--dec", "80"], ["points-in", "--id", "1"],
+                     ["predicate", "--id", "1"], ["show"], ["show", "--id", "1"]):
+            code, _ = run(capsys, "--snapshot", snap, "region", *argv)
+            assert code == 0 and os.stat(snap).st_ino == inode
+        code, _ = run(capsys, "--snapshot", snap, "region", "simplify", "--id", "1")
+        assert code == 0 and os.stat(snap).st_ino != inode
 
     def test_points_in(self, capsys, snap, csv3):
         run(capsys, "--snapshot", snap, "ingest", csv3)

@@ -197,6 +197,25 @@ class TestScanRa:
             assert table.scan_ra(top, top, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
 
 
+    def test_full_circle_takes_edge_rows_once(self):
+        # rows at both ends of the stored range [0, 360) come back once
+        # from full-circle windows wherever they sit, alone or among
+        # narrow windows
+        ra = [0.0, 5e-324, 180.0, math.nextafter(360.0, 0.0)]
+        cat = catmod.from_arrays(np.arange(len(ra)), ra, [15.0] * len(ra), compute_htm=False)
+        table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
+        z = int(table.zone[0])
+        full = [(0.0, 360.0), (-180.0, 180.0), (-359.5, 0.5), (359.5, 719.5),
+                (-1.0, 400.0), (math.nextafter(-360.0, 0.0), math.nextafter(720.0, 0.0))]
+        for lo, hi in full:
+            window, row = table.scan_ra(z, z, lo, hi)
+            assert row.tolist() == [0, 1, 2, 3] and not window.any()
+        lo, hi = np.array(full + [(170.0, 190.0), (-1.0, 1.0)]).T
+        window, row = table.scan_ra(z, z, lo, hi)
+        for k in range(len(lo)):
+            assert row[window == k].tolist() == self.want(table, z, lo[k], hi[k])
+
+
 class TestNearby:
     def test_zero_radius_empty(self):
         cat = catmod.random_catalog(100, seed=1)
