@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
-    UNIT_NORM_TOL,
     Convex,
     HalfSpace,
     Region,
@@ -32,6 +31,7 @@ from .geom import (
     arc_distance_deg,
     inside_convex,
     negate_halfspace,
+    unit_rows,
 )
 
 _TOL_DEG = 1e-9
@@ -387,14 +387,8 @@ class RegionStore:
             raise RegionStoreError(f"unknown regionID: {rid}") from None
 
     def region_new_convex(self, rid: int) -> int:
-        reg = self._get(rid)
-        cid = reg.next_convex_id
-        reg.next_convex_id += 1
-        convex = StoredConvex(cid)
-        reg.convexes.append(convex)
-        if self._table is not None:
-            self._table.add_convex(rid, convex)
-        return cid
+        self._add_convexes(rid, [[]])
+        return self.regions[rid].convexes[-1].convex_id
 
     def region_new_convex_constraint(
         self, rid: int, cid: int, x: float, y: float, z: float, l: float
@@ -430,16 +424,25 @@ class RegionStore:
 
     # boolean algebra
 
+    def _add_convexes(self, rid: int, lists: list[list[HalfSpace]]) -> None:
+        """Store each list as a new convex of region rid, every half-space
+        kept bit for bit: they are valid already, so none is normalized
+        again."""
+        reg = self._get(rid)
+        for halfspaces in lists:
+            convex = StoredConvex(reg.next_convex_id)
+            reg.next_convex_id += 1
+            for h in halfspaces:
+                convex.add(h)
+            reg.convexes.append(convex)
+            if self._table is not None:
+                self._table.add_convex(rid, convex)
+
     def _new_from_convex_lists(
         self, lists: list[list[HalfSpace]], rtype: str, comment: str
     ) -> int:
         rid = self.region_new(rtype, comment)
-        for halfspaces in lists:
-            cid = self.region_new_convex(rid)
-            for h in halfspaces:
-                self.region_new_convex_constraint(
-                    rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
-                )
+        self._add_convexes(rid, lists)
         return rid
 
     def _convex_lists(self, rid: int) -> list[list[HalfSpace]]:
@@ -472,15 +475,7 @@ class RegionStore:
         reduced = simplify_region_geometry([c.halfspaces() for c in reg.convexes])
         self._retire(rid, reg.convexes)
         reg.convexes = []
-        for halfspaces in reduced:
-            cid = reg.next_convex_id
-            reg.next_convex_id += 1
-            convex = StoredConvex(cid)
-            for h in halfspaces:
-                convex.add(h)
-            reg.convexes.append(convex)
-            if self._table is not None:
-                self._table.add_convex(rid, convex)
+        self._add_convexes(rid, reduced)
 
     # queries
 
@@ -597,10 +592,7 @@ class RegionStore:
                     "region columns hold an id out of order or past its counter"
                 )
         nx, ny, nz, l = cols["nx"], cols["ny"], cols["nz"], cols["l"]
-        with np.errstate(over="ignore"):
-            n2 = nx * nx + ny * ny + nz * nz  # UnitVec3's order; NaN or inf fails below
-        unit = (np.abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL).all()
-        if not (unit and ((-1.0 <= l) & (l <= 1.0)).all()):
+        if not (unit_rows(nx, ny, nz) and ((-1.0 <= l) & (l <= 1.0)).all()):
             raise RegionStoreError(
                 "region columns hold a non-unit normal or a length outside [-1, 1]"
             )

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import htm
-from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec
-from .zones import cone_matches, gather_runs, has_duplicates
+from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec, unit_rows
+from .zones import check_rows, cone_matches, gather_runs, has_duplicates
 
 
 DEFAULT_HTM_DEPTH = 20
@@ -61,6 +61,23 @@ class Catalog:
             (int(i), UnitVec3(float(px), float(py), float(pz)))
             for i, px, py, pz in zip(self.objid, self.x, self.y, self.z)
         ]
+
+
+def check_catalog(cat: Catalog) -> None:
+    """Raise CatalogError or zones.ZoneError unless cat could come from
+    from_arrays: valid rows (zones.check_rows), unit x, y, z, a mesh depth
+    in [0, htm.MAX_DEPTH] and, if present, one mesh id per row at that
+    depth (marker bit and face 8..15). The ids' values are trusted."""
+    check_rows(cat.objid, cat.ra, cat.dec)
+    if not unit_rows(cat.x, cat.y, cat.z):
+        raise CatalogError("x, y, z must be unit vectors")
+    if not 0 <= cat.htm_depth <= htm.MAX_DEPTH:
+        raise CatalogError(f"mesh depth outside [0, {htm.MAX_DEPTH}]: {cat.htm_depth!r}")
+    ids = cat.htmid
+    if ids is not None:
+        face = ids >> ids.dtype.type(2 * cat.htm_depth)
+        if len(ids) != len(cat) or not ((face >= 8) & (face <= 15)).all():
+            raise CatalogError(f"mesh ids not one per row at depth {cat.htm_depth}")
 
 
 def from_arrays(

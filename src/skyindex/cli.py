@@ -606,10 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--type", required=True)
     p.add_argument("--comment", default="")
-    p = reg.add_parser("drop")
-    p.add_argument("--id", type=int, required=True)
-    p = reg.add_parser("simplify")
-    p.add_argument("--id", type=int, required=True)
+    for name in ("drop", "simplify"):
+        reg.add_parser(name).add_argument("--id", type=int, required=True)
     p = reg.add_parser("contains")
     p.add_argument("--id", type=int, default=None)
     p.add_argument("--ra", type=float, default=None)
@@ -617,10 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--z", type=float, default=None)
-    p = reg.add_parser("points-in")
-    p.add_argument("--id", type=int, required=True)
-    p = reg.add_parser("predicate")
-    p.add_argument("--id", type=int, required=True)
+    for name in ("points-in", "predicate"):
+        reg.add_parser(name).add_argument("--id", type=int, required=True)
     p = reg.add_parser("show")
     p.add_argument("--id", type=int, default=None)
 

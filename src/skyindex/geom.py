@@ -17,12 +17,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 UNIT_NORM_TOL = 1e-12
 
 
 class GeometryError(ValueError):
     """Invalid geometric argument (bad range, non-unit vector, ...)."""
+
+
+def unit_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
+    """Whether every row of the columns x, y, z is a finite unit vector,
+    as UnitVec3 checks one, with its norm taken in the same order."""
+    with np.errstate(over="ignore"):
+        n2 = x * x + y * y + z * z  # NaN or inf fails below
+    return bool((np.abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL).all())
 
 
 def _normalize_ra(ra: float) -> float:

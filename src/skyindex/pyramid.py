@@ -7,10 +7,11 @@ zones.ZoneTable of its circles (zone height the scale's height, plus a
 radius column), built and scanned by the same code as a catalog's zone
 table, so wraparound at ra 0/360 is the scan's alone. An overlap query
 scans each scale's narrow dec band over one ra window with a single
-ZoneTable.scan_ra call and filters the candidates through a cascade:
-zone bucket, ra window, dec band, a sound planar-style circle test, and
-finally the exact spherical test arc_distance(centers) < query_radius +
-entry_radius. Per-stage candidate counts are exposed for diagnostics.
+ZoneTable.scan_ra call, then runs one cascade over the candidates of
+every scale together: fine ra window, dec band, a sound planar-style
+circle test, and finally the exact spherical test arc_distance(centers)
+< query_radius + entry_radius. Per-stage candidate counts are exposed
+for diagnostics.
 """
 
 from __future__ import annotations
@@ -168,15 +169,17 @@ def overlap_search(
     (exact spherical test; the cascade stages only narrow candidates).
 
     At scale s an entry radius is at most the zone height h, so overlap
-    confines entry centers to dec +- (radius + h): those zones are scanned
-    over the ra window of a circle of radius + h.
+    confines entry centers to dec +- (radius + h): each scale's zones in
+    that band are scanned over the ra window of a circle of radius + h.
+    The candidates of every scale are then gathered once and filtered
+    once, by nested masks: fine ra, dec band, circle test, exact test.
     """
     r = as_degrees(radius)
     if r < 0:
         raise PyramidError(f"radius must be non-negative: {r!r}")
     qv = sky_to_vec(center)
-    n_zone = n_ra = n_fine = n_dec = n_geom = 0
-    hits: list[np.ndarray] = []
+    n_zone = 0
+    kept: list[tuple[ZoneTable, np.ndarray]] = []
     for t in index.tables().values():
         h = t.cfg.zone_height
         lo_z = max(0, int(math.floor((center.dec + 90.0 - r - h) / h)))
@@ -185,58 +188,39 @@ def overlap_search(
         if in_band == 0:
             continue
         n_zone += in_band
-        reach = min(r + h, 180.0)
-        alpha = ra_window_deg(reach, center.dec) if reach < 180.0 else 180.0
-        _, idx = t.scan_ra(lo_z, hi_z, center.ra - alpha, center.ra + alpha)
-        n_ra += len(idx)
-        if len(idx) == 0:
-            continue
-        limit = r + t.radius[idx]
-        limit_rad = np.radians(limit)
-        dra_eff = _effective_ra_distance(
-            t.ra[idx] - center.ra, t.dec[idx], center.dec
-        )
-        fine_ok = dra_eff < limit_rad + 1e-9
-        idx, limit, limit_rad, dra_eff = (
-            idx[fine_ok], limit[fine_ok], limit_rad[fine_ok], dra_eff[fine_ok]
-        )
-        n_fine += len(idx)
-        if len(idx) == 0:
-            continue
-        ddec = np.radians(np.abs(t.dec[idx] - center.dec))
-        dec_ok = ddec < limit_rad + 1e-9
-        idx, limit, limit_rad, dra_eff, ddec = (
-            idx[dec_ok], limit[dec_ok], limit_rad[dec_ok],
-            dra_eff[dec_ok], ddec[dec_ok],
-        )
-        n_dec += len(idx)
-        if len(idx) == 0:
-            continue
-        # sound circle test: sqrt(ddec^2 + dra_eff^2) lower-bounds the
-        # arc distance, so a reject can never lose a true overlap
-        geom_ok = ddec * ddec + dra_eff * dra_eff < (limit_rad + 1e-9) ** 2
-        idx = idx[geom_ok]
-        limit = limit[geom_ok]
-        n_geom += len(idx)
-        if len(idx) == 0:
-            continue
-        dx = t.x[idx] - qv.x
-        dy = t.y[idx] - qv.y
-        dz = t.z[idx] - qv.z
-        dist = np.degrees(
-            2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dx * dx + dy * dy + dz * dz) / 2.0))
-        )
-        exact = dist < limit
-        hits.append(t.objid[idx][exact])
+        alpha = ra_window_deg(r + h, center.dec)  # 180 for a reach past a pole, or of 180
+        _, rows = t.scan_ra(lo_z, hi_z, center.ra - alpha, center.ra + alpha)
+        if len(rows):
+            kept.append((t, rows))
+    ra, dec, radii, x, y, z, objid = (
+        np.concatenate([getattr(t, k)[rows] for t, rows in kept] or [np.empty(0)])
+        for k in ("ra", "dec", "radius", "x", "y", "z", "objid")
+    )
+    limit = r + radii
+    limit_rad = np.radians(limit)
+    dra_eff = _effective_ra_distance(ra - center.ra, dec, center.dec)
+    ddec = np.radians(np.abs(dec - center.dec))
+    dx = x - qv.x
+    dy = y - qv.y
+    dz = z - qv.z
+    dist = np.degrees(
+        2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dx * dx + dy * dy + dz * dz) / 2.0))
+    )
+    fine_ok = dra_eff < limit_rad + 1e-9
+    dec_ok = fine_ok & (ddec < limit_rad + 1e-9)
+    # sound circle test: sqrt(ddec^2 + dra_eff^2) lower-bounds the arc
+    # distance, so a reject can never lose a true overlap
+    geom_ok = dec_ok & (ddec * ddec + dra_eff * dra_eff < (limit_rad + 1e-9) ** 2)
+    matched = geom_ok & (dist < limit)
     # one id per entry, as from_tables and insert check
-    ids = np.sort(np.concatenate(hits)) if hits else np.empty(0, dtype=np.int64)
+    ids = np.sort(objid[matched])
     if stats is not None:
         stats.update(
             zone_scale=n_zone,
-            ra=n_ra,
-            fine_ra=n_fine,
-            dec=n_dec,
-            geometry=n_geom,
+            ra=len(ra),
+            fine_ra=int(fine_ok.sum()),
+            dec=int(dec_ok.sum()),
+            geometry=int(geom_ok.sum()),
             matched=len(ids),
         )
     return [int(i) for i in ids]
@@ -257,17 +241,13 @@ def _far_point_on_circle(c: UnitVec3, normal: UnitVec3, l: float) -> UnitVec3 | 
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     s = math.sqrt(s2)
     if tn < 1e-14:
-        # c on the circle's axis: every circle point is equidistant
+        # c on the circle's axis: every circle point is equidistant, so
+        # any direction perpendicular to the axis will do
         if abs(normal.z) < 0.9:
-            tx, ty, tz = -normal.y, normal.x, 0.0
+            tx, ty, tz = normal.y, -normal.x, 0.0
         else:
-            tx, ty, tz = normal.z, 0.0, -normal.x
+            tx, ty, tz = -normal.z, 0.0, normal.x
         tn = math.sqrt(tx * tx + ty * ty + tz * tz)
-        return UnitVec3.normalized(
-            l * normal.x + s * tx / tn,
-            l * normal.y + s * ty / tn,
-            l * normal.z + s * tz / tn,
-        )
     return UnitVec3.normalized(
         l * normal.x - s * tx / tn,
         l * normal.y - s * ty / tn,

@@ -13,9 +13,9 @@ its column's dtype where numpy deems the cast safe (an int as <f8).
 Values are little-endian and round-trip bit exactly. A version mismatch,
 a failed length or CRC check, a column its schema does not allow, or
 columns that do not make a valid structure raise SnapshotError; no
-partial state is ever returned. Zone tables (the catalog's and each
-pyramid scale's) must also hold what a build would have made of their
-rows, and the pyramid's scales what its inserts would have. A save
+partial state is ever returned. Every table must also hold what a build
+could have made of its rows (the catalog's mesh ids are checked for
+their depth only), and the pyramid's scales what inserts would have. A save
 writes each column straight from its array, with no joined copy of the
 payload, to a temporary file beside the target and renames it over the
 target, so a failed save leaves the previous snapshot intact.
@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import RegionStore
-from .catalog import Catalog
+from .catalog import Catalog, check_catalog
 from .pyramid import PyramidConfig, PyramidIndex
-from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_zone_table
+from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors, check_zone_table
 
 MAGIC = b"SKYIDXSN"
 VERSION = 4
@@ -223,13 +223,17 @@ def _zone_columns(t: ZoneTable | None, schema: dict) -> dict | None:
     return {k: getattr(t.cfg if k in _ZONE_CONFIG else t, k) for k in schema}
 
 
-def _zone_table(cols: dict | None) -> ZoneTable | None:
+def _checked(build, check, cols: dict | None):
+    """build(**cols) once check has passed it; None for an absent section."""
     if cols is None:
         return None
-    cfg = ZoneConfig(**{k: cols.pop(k) for k in _ZONE_CONFIG})
-    table = ZoneTable(cfg, **cols)
-    check_zone_table(table)
-    return table
+    obj = build(**cols)
+    check(obj)
+    return obj
+
+
+def _zone_table(zone_height: float, **rows) -> ZoneTable:
+    return ZoneTable(ZoneConfig(zone_height), **rows)
 
 
 def save_state(state: AppState, path) -> None:
@@ -288,28 +292,21 @@ def load_state(path) -> AppState:
     if zlib.crc32(payload) != crc:
         raise SnapshotError(f"{path}: checksum mismatch, snapshot is corrupt")
     r = _Reader(payload)
-    # a constructor refusing decoded columns raises its module's ValueError
+    # a constructor or check refusing decoded columns raises its module's ValueError
     try:
-        cat = r.section(_CATALOG, "catalog")
-        zone_table = _zone_table(r.section(_ZONES, "zone table"))
-        neighbors = r.section(_NEIGHBORS, "neighbors")
-        region_cols = r.section(_REGIONS, "region store", absent_ok=False)
-        regions = RegionStore.from_columns(region_cols)
+        cat = _checked(Catalog, check_catalog, r.section(_CATALOG, "catalog"))
+        zone_table = _checked(_zone_table, check_zone_table, r.section(_ZONES, "zone table"))
+        neighbors = _checked(NeighborsTable, check_neighbors, r.section(_NEIGHBORS, "neighbors"))
+        regions = RegionStore.from_columns(r.section(_REGIONS, "region store", absent_ok=False))
         pyr = r.section(_PYRAMID, "pyramid")
         if pyr is not None:
             tables = {}
             for scale in pyr.pop("scale").tolist():
                 scale_cols = r.section(_SCALE, "pyramid scale", absent_ok=False)
-                tables[scale] = _zone_table(scale_cols)
+                tables[scale] = _checked(_zone_table, check_zone_table, scale_cols)
             pyr = PyramidIndex.from_tables(PyramidConfig(**pyr), tables)
         if r.pos != len(payload):
             raise SnapshotError("trailing bytes after payload")
-        return AppState(
-            catalog=None if cat is None else Catalog(**cat),
-            zone_table=zone_table,
-            neighbors=None if neighbors is None else NeighborsTable(**neighbors),
-            regions=regions,
-            pyramid=pyr,
-        )
+        return AppState(cat, zone_table, neighbors, regions, pyr)
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc

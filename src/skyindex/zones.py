@@ -207,7 +207,7 @@ class ZoneTable:
         return gather_runs(a.ravel(), b.ravel(), edges.shape[1])
 
 
-def _check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray) -> None:
+def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray) -> None:
     """Raise ZoneError unless objid is unique, ra in [0, 360) and dec in
     [-90, 90]; the range tests are negated, so that NaN fails them."""
     if has_duplicates(objid):
@@ -228,7 +228,7 @@ def check_zone_table(t: ZoneTable) -> None:
     from its rows: valid rows, each zone the one of its dec, and rows
     sorted by (zone, ra), which is all scan_ra relies on. For tables that
     come from elsewhere, such as a snapshot."""
-    _check_rows(t.objid, t.ra, t.dec)
+    check_rows(t.objid, t.ra, t.dec)
     if not np.array_equal(t.zone, _zone_column(t.dec, t.cfg)):
         raise ZoneError("zone column does not match dec")
     if not (t.key[1:] >= t.key[:-1]).all():
@@ -245,7 +245,7 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     ra = np.asarray(catalog.ra, dtype=float)
     dec = np.asarray(catalog.dec, dtype=float)
     radius = getattr(catalog, "radius", None)
-    _check_rows(objid, ra, dec)
+    check_rows(objid, ra, dec)
     zone = _zone_column(dec, cfg)
     order = np.lexsort((objid, ra, zone))
 
@@ -325,6 +325,19 @@ class NeighborsTable:
         return [
             (int(self.neighbor[i]), float(self.distance[i])) for i in range(lo, hi)
         ]
+
+
+def check_neighbors(t: NeighborsTable) -> None:
+    """Raise ZoneError unless t could come from build_neighbors: a radius
+    in (0, 180], candidate_pairs >= 0, distances in [0, 180] (NaN fails)
+    and rows in the (objid, neighbor) order neighbors_of searches."""
+    if not (0.0 < t.radius <= 180.0 and t.candidate_pairs >= 0):
+        raise ZoneError("neighbors radius outside (0, 180] or candidate_pairs below 0")
+    if not ((t.distance >= 0.0) & (t.distance <= 180.0)).all():
+        raise ZoneError("neighbor distance outside [0, 180]")
+    a, b = t.objid, t.neighbor
+    if not ((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))).all():
+        raise ZoneError("neighbor rows not sorted by (objid, neighbor)")
 
 
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:

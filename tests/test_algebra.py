@@ -248,6 +248,38 @@ class TestBoolean:
             count = sum(1 for c in geometry.convexes if inside_convex(c, p))
             assert count <= 1
 
+    def test_results_keep_operand_rows_bit_for_bit(self, store, rng):
+        # normals whose stored (normalized) form moves when normalized
+        # again: results must copy the operands' rows, not normalize them
+        def unsettled():
+            while True:
+                n = UnitVec3.normalized(*rng.normal(size=3))
+                if stored_normal(n) != n:
+                    return n
+
+        def region(convexes, size):
+            rid = store.region_new("r")
+            for _ in range(convexes):
+                cid = store.region_new_convex(rid)
+                for _ in range(size):
+                    n = unsettled()
+                    store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, float(rng.uniform(-0.5, 0.5)))
+            return rid
+
+        def rows(rid):
+            return {row[1:] for c in store.regions[rid].convexes for row in c.constraints}
+
+        a, b, c = region(3, 4), region(2, 3), region(2, 2)
+        operands = rows(a) | rows(b) | rows(c)
+        allowed = operands | {tuple(-v for v in row) for row in operands}
+        results = [
+            store.region_or(a, a, "o"), store.region_or(a, b, "o"), store.region_and(a, b, "a"),
+            store.region_not(b, "n"), store.region_not(c, "n"),
+        ]
+        assert rows(results[0]) == rows(a)
+        for rid in results:
+            assert rows(rid) <= allowed
+
     def test_boolean_laws_sampled(self, store, rng):
         # commutativity, associativity, distributivity in membership terms
         specs = ["CONVEX 0 0 1 0.2", "CIRCLE J2000 40 10 600", "RECT J2000 10 -20 60 20"]

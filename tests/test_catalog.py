@@ -492,6 +492,80 @@ class TestSnapshot:
         assert zones.nearby_objects(loaded.zone_table, center, 10.0) == oracle.cone_scan(cat, center, 10.0)
 
     @pytest.mark.parametrize("fault, message", [
+        ("objid all 0", "duplicate objID"),
+        ("nan dec", "dec must be within"),
+        ("ra + 360", "ra must be normalized to"),
+        ("x scaled", "x, y, z must be unit vectors"),
+        ("nan z", "x, y, z must be unit vectors"),
+        ("depth 31", "mesh depth outside"),
+        ("depth 19", "mesh ids not one per row at depth 19"),
+        ("negative id", "mesh ids not one per row at depth 20"),
+    ])
+    def test_catalog_checked_on_load(self, tmp_path, fault, message):
+        cat = random_catalog(2000, seed=12, compute_htm=True)
+        cols = {k: getattr(cat, k).copy() for k in ("objid", "ra", "dec", "x", "z", "htmid")}
+        depth = cat.htm_depth
+        if fault == "objid all 0":
+            cols["objid"][:] = 0
+        elif fault == "nan dec":
+            cols["dec"][7] = math.nan
+        elif fault == "ra + 360":
+            cols["ra"][7] += 360.0
+        elif fault == "x scaled":
+            cols["x"][7] *= 1.0 + 1e-9
+        elif fault == "nan z":
+            cols["z"][7] = math.nan
+        elif fault == "depth 31":
+            depth = 31
+        elif fault == "depth 19":
+            depth = 19
+        else:
+            cols["htmid"][7] = -cols["htmid"][7]
+        path = tmp_path / "s.snap"
+        save_state(AppState(dataclasses.replace(cat, htm_depth=depth, **cols)), path)
+        with pytest.raises(SnapshotError, match=message):
+            load_state(path)
+        save_state(AppState(cat), path)
+        loaded = load_state(path).catalog
+        center = SkyPoint(10.0, 0.0)
+        assert htm_cone_search(loaded, center, 10.0) == oracle.cone_scan(cat, center, 10.0)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("reversed", "neighbor rows not sorted"),
+        ("repeated row", "neighbor rows not sorted"),
+        ("radius 0", "neighbors radius outside"),
+        ("nan radius", "neighbors radius outside"),
+        ("candidate_pairs", "candidate_pairs below 0"),
+        ("nan distance", "neighbor distance outside"),
+        ("distance 200", "neighbor distance outside"),
+    ])
+    def test_neighbors_checked_on_load(self, tmp_path, fault, message):
+        cat = random_catalog(2000, seed=12)
+        table = zones.build_neighbors(cat, 3.0)
+        assert len(table.neighbors_of(5)) == 3
+        changes = {}
+        if fault == "reversed":
+            changes = {k: getattr(table, k)[::-1] for k in ("objid", "neighbor", "distance")}
+        elif fault == "repeated row":
+            changes = {k: np.insert(getattr(table, k), 1, getattr(table, k)[0]) for k in ("objid", "neighbor", "distance")}
+        elif fault == "radius 0":
+            changes = {"radius": 0.0}
+        elif fault == "nan radius":
+            changes = {"radius": math.nan}
+        elif fault == "candidate_pairs":
+            changes = {"candidate_pairs": -1}
+        else:
+            distance = table.distance.copy()
+            distance[7] = math.nan if fault == "nan distance" else 200.0
+            changes = {"distance": distance}
+        path = tmp_path / "s.snap"
+        save_state(AppState(neighbors=dataclasses.replace(table, **changes)), path)
+        with pytest.raises(SnapshotError, match=message):
+            load_state(path)
+        save_state(AppState(neighbors=table), path)
+        assert load_state(path).neighbors.neighbors_of(5) == table.neighbors_of(5)
+
+    @pytest.mark.parametrize("fault, message", [
         ("ra + 720", "ra must be normalized to"),
         ("zone height", "scale 1: zone height"),
         ("radius", "scale 1: a radius that belongs on another scale"),

@@ -257,6 +257,51 @@ class TestOverlapSearch:
                 >= stats["matched"]
             )
 
+    @staticmethod
+    def _checked_search(entries, center, r):
+        """overlap_search on an index of the (ra, dec, radius) entries,
+        checked against oracle.overlap_scan and for a monotone stage
+        chain; returns the stats."""
+        idx = PyramidIndex()
+        for i, (ra, dec, er) in enumerate(entries):
+            idx.insert(i, SkyPoint(ra, dec), er)
+        vecs = [sky_to_vec(SkyPoint(ra, dec)) for ra, dec, _ in entries]
+        ex, ey, ez = (np.array([getattr(v, c) for v in vecs]) for c in "xyz")
+        radii = np.array([er for _, _, er in entries])
+        stats = {}
+        assert overlap_search(idx, center, r, stats=stats) == oracle.overlap_scan(ex, ey, ez, radii, center, r)
+        chain = [stats[k] for k in ("zone_scale", "ra", "fine_ra", "dec", "geometry", "matched")]
+        assert chain == sorted(chain, reverse=True)
+        return stats
+
+    def test_no_candidate_on_any_scale(self):
+        # an empty index, entries outside every scale's dec band, and
+        # entries inside the bands but outside the ra windows
+        assert self._checked_search([], SkyPoint(10.0, 0.0), 1.0)["zone_scale"] == 0
+        far_dec = [(10.0, 60.0, 0.01), (10.0, -60.0, 2.0)]
+        assert self._checked_search(far_dec, SkyPoint(10.0, 0.0), 1.0)["zone_scale"] == 0
+        far_ra = [(190.0, 0.0, 0.01), (200.0, 0.5, 2.0), (350.0, -0.5, 0.5)]
+        stats = self._checked_search(far_ra, SkyPoint(10.0, 0.0), 1.0)
+        assert stats["zone_scale"] == 3
+        assert [stats[k] for k in ("ra", "fine_ra", "dec", "geometry", "matched")] == [0] * 5
+
+    def test_one_scale_fails_fine_ra_entirely(self):
+        # radius 3 lands on the 512-arcminute-band scale (h = 4.27 deg),
+        # whose ra window at dec 0 reaches 1 + h: entries 4.5 deg away
+        # are scanned but fail the fine ra stage (4.5 > 1 + 3)
+        assert scale_of(3.0, PyramidConfig()) == 9
+        entries = [(104.5, 0.0, 3.0), (95.5, 0.2, 3.0), (100.5, 0.0, 0.01), (99.0, 0.3, 0.5)]
+        stats = self._checked_search(entries, SkyPoint(100.0, 0.0), 1.0)
+        assert (stats["ra"], stats["fine_ra"], stats["matched"]) == (4, 2, 2)
+
+    def test_query_radius_180_finds_every_entry(self, rng):
+        ra = rng.uniform(0.0, 360.0, 300)
+        dec = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 300)))
+        radii = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 300))
+        entries = [(float(a), float(d), float(r)) for a, d, r in zip(ra, dec, radii)]
+        for center in (SkyPoint(0.0, 0.0), SkyPoint(200.0, 90.0), SkyPoint(359.9, -45.0)):
+            assert self._checked_search(entries, center, 180.0)["matched"] == 300
+
 
 class TestBoundingCircle:
     def test_single_circle_exact(self):
