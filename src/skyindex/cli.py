@@ -524,6 +524,14 @@ def cmd_bench_overlap(args, out: Output) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for sizes: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skyindex",
@@ -637,20 +645,20 @@ def build_parser() -> argparse.ArgumentParser:
         dest="bench_cmd", required=True
     )
     p = be.add_parser("nearby")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--queries", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--queries", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zone-height", type=float, default=4.0 / 60.0)
     p.add_argument("--max-radius", type=float, default=1.0)
     p.set_defaults(func=cmd_bench_nearby)
     p = be.add_parser("neighbors")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, default=0.5)
     p.set_defaults(func=cmd_bench_neighbors)
     p = be.add_parser("overlap")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--queries", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--queries", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench_overlap)
 

@@ -5,9 +5,12 @@ levels whose zone heights grow in powers of two from a base height, so an
 entry's radius never exceeds its scale's zone height. Each scale is a
 zones.ZoneTable of its circles (zone height the scale's height, plus a
 radius column), built and scanned by the same code as a catalog's zone
-table, so wraparound at ra 0/360 is the scan's alone. An overlap query
-scans each scale's narrow dec band over one ra window with a single
-ZoneTable.scan_ra call, then runs one cascade over the candidates of
+table. An overlap query takes each scale's narrow dec band, which is a
+run of contiguous rows, and keeps the rows of every band that lie in
+their scale's ra window with one mask over the edges zones.ra_images
+gives, so wraparound at ra 0/360 follows the zone scan's one rule. Bands
+here are sparse (many zones, few rows each), so this costs less than a
+binary search per zone. One cascade then runs over the candidates of
 every scale together: fine ra window, dec band, a sound planar-style
 circle test, and finally the exact spherical test arc_distance(centers)
 < query_radius + entry_radius. Per-stage candidate counts are exposed
@@ -37,7 +40,15 @@ from .geom import (
     region_intersection,
     sky_to_vec,
 )
-from .zones import ZoneConfig, ZoneTable, build_zone_table, has_duplicates, ra_window_deg
+from .zones import (
+    ZoneConfig,
+    ZoneTable,
+    build_zone_table,
+    gather_runs,
+    has_duplicates,
+    ra_images,
+    ra_window_deg,
+)
 
 
 class PyramidError(ValueError):
@@ -49,8 +60,10 @@ class PyramidConfig:
     base_zone_height: float = 0.5 / 60.0
 
     def __post_init__(self):
-        if self.base_zone_height <= 0:
-            raise PyramidError("base_zone_height must be positive")
+        if not 0 < self.base_zone_height < math.inf:  # NaN fails too
+            raise PyramidError(
+                f"base_zone_height must be positive and finite: {self.base_zone_height!r}"
+            )
 
     @property
     def max_scale(self) -> int:
@@ -89,6 +102,7 @@ class PyramidIndex:
         self._tables: dict[int, ZoneTable] = {}
         self._queued: dict[int, list[tuple]] = {}
         self._ids: set[int] = set()
+        self._stack: tuple[SimpleNamespace, list[int]] | None = None
 
     @classmethod
     def from_tables(cls, cfg: PyramidConfig, tables: dict[int, ZoneTable]) -> "PyramidIndex":
@@ -143,7 +157,22 @@ class PyramidIndex:
                 )
             self._queued = {}
             self._tables = dict(sorted(self._tables.items()))
+            self._stack = None
         return self._tables
+
+    def stacked(self) -> tuple[SimpleNamespace, list[int]]:
+        """The columns of every scale's table stacked in scale order, and
+        the row at which each table starts, so that a band of any scale is
+        one run of stacked rows. Rebuilt after the scales change."""
+        tables = list(self.tables().values())
+        if self._stack is None:
+            cols = SimpleNamespace(**{
+                k: np.concatenate([getattr(t, k) for t in tables] or [np.empty(0)])
+                for k in _ENTRY_COLUMNS
+            })
+            sizes = [len(t) for t in tables]
+            self._stack = cols, [sum(sizes[:i]) for i in range(len(sizes))]
+        return self._stack
 
     def scales(self) -> list[int]:
         return list(self.tables())
@@ -159,42 +188,58 @@ def _effective_ra_distance(dra, dec1, dec2) -> np.ndarray:
     return 2.0 * np.arcsin(np.minimum(1.0, s))
 
 
+def scale_band(table: ZoneTable, dec: float, r: float) -> tuple[int, int]:
+    """The first and last zone of a scale's table that can hold the center
+    of an entry overlapping a circle of radius r at dec: an entry's radius
+    is at most the zone height h, so its center is within dec +- (r + h)."""
+    h = table.cfg.zone_height
+    lo_z = max(0, int(math.floor((dec + 90.0 - r - h) / h)))
+    hi_z = min(table.cfg.zone_count - 1, int(math.floor((dec + 90.0 + r + h) / h)))
+    return lo_z, hi_z
+
+
 def overlap_search(
     index: PyramidIndex,
     center: SkyPoint,
     radius,
     stats: dict | None = None,
 ) -> list[int]:
-    """Ids of entries whose bounding circles overlap the query circle
-    (exact spherical test; the cascade stages only narrow candidates).
+    """Ids of entries whose bounding circles overlap the query circle, for
+    a radius in [0, 180] (exact spherical test; the cascade stages only
+    narrow candidates).
 
-    At scale s an entry radius is at most the zone height h, so overlap
-    confines entry centers to dec +- (radius + h): each scale's zones in
-    that band are scanned over the ra window of a circle of radius + h.
-    The candidates of every scale are then gathered once and filtered
-    once, by nested masks: fine ra, dec band, circle test, exact test.
+    Each scale's scale_band is one run of its table's rows, kept where ra
+    is in the window of a circle of radius + h (h the scale's zone
+    height). One mask tests the rows of every band at once; the rows kept
+    are gathered once and filtered once, by nested masks: fine ra, dec
+    band, circle test, exact test.
     """
     r = as_degrees(radius)
-    if r < 0:
-        raise PyramidError(f"radius must be non-negative: {r!r}")
+    if not 0 <= r <= 180:
+        raise PyramidError(f"radius out of [0, 180] degrees: {r!r}")
     qv = sky_to_vec(center)
-    n_zone = 0
-    kept: list[tuple[ZoneTable, np.ndarray]] = []
-    for t in index.tables().values():
-        h = t.cfg.zone_height
-        lo_z = max(0, int(math.floor((center.dec + 90.0 - r - h) / h)))
-        hi_z = min(t.cfg.zone_count - 1, int(math.floor((center.dec + 90.0 + r + h) / h)))
-        in_band = int(t.zone_bounds[hi_z + 1] - t.zone_bounds[lo_z])
-        if in_band == 0:
-            continue
-        n_zone += in_band
-        alpha = ra_window_deg(r + h, center.dec)  # 180 for a reach past a pole, or of 180
-        _, rows = t.scan_ra(lo_z, hi_z, center.ra - alpha, center.ra + alpha)
-        if len(rows):
-            kept.append((t, rows))
+    cols, first = index.stacked()
+    starts, ends, alphas = [], [], []
+    for t, row0 in zip(index.tables().values(), first):
+        lo_z, hi_z = scale_band(t, center.dec, r)
+        a, b = t.zone_bounds[[lo_z, hi_z + 1]].tolist()
+        if a < b:
+            starts.append(row0 + a)
+            ends.append(row0 + b)
+            # 180 for a reach past a pole, or of 180
+            alphas.append(ra_window_deg(r + t.cfg.zone_height, center.dec))
+    n_zone, rows = 0, np.empty(0, dtype=np.int64)
+    if starts:
+        starts, ends = np.array(starts), np.array(ends)
+        _, rows = gather_runs(starts, ends)
+        n_zone = len(rows)
+        alpha = np.array(alphas)
+        # every band row is tested against its own scale's window
+        lo, hi = np.repeat(ra_images(center.ra - alpha, center.ra + alpha), ends - starts, axis=2)
+        ra = cols.ra[rows]
+        rows = rows[((lo <= ra) & (ra <= hi)).any(axis=0)]
     ra, dec, radii, x, y, z, objid = (
-        np.concatenate([getattr(t, k)[rows] for t, rows in kept] or [np.empty(0)])
-        for k in ("ra", "dec", "radius", "x", "y", "z", "objid")
+        getattr(cols, k)[rows] for k in ("ra", "dec", "radius", "x", "y", "z", "objid")
     )
     limit = r + radii
     limit_rad = np.radians(limit)
@@ -223,7 +268,7 @@ def overlap_search(
             geometry=int(geom_ok.sum()),
             matched=len(ids),
         )
-    return [int(i) for i in ids]
+    return ids.tolist()
 
 
 # -- bounding circles --------------------------------------------------------

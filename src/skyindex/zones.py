@@ -2,13 +2,17 @@
 
 A catalog is bucketed into horizontal zones of fixed height; rows are kept
 sorted by (zone, ra, objid), one row per object with ra in [0, 360).
-ZoneTable.scan_ra is the one access method: it scans a band of zones for
-many ra windows at once with a binary search on an exact (zone, ra) key,
-so a cone search is one scan of its dec band and the all-pairs neighbor
-join is one scan per zone. Wraparound is handled in the scan alone: it
-searches each window's -360, 0 and +360 images, and a full-circle window
-(polar queries) becomes [0, 360) first. The zone papers copy rows near
-ra 0/360 into margins instead, because a SQL range predicate cannot wrap;
+ZoneTable.scan_ra scans a band of zones for many ra windows at once with
+a binary search on an exact (zone, ra) key, so a cone search is one scan
+of its dec band and the all-pairs neighbor join is one scan per zone.
+The pyramid's scales have sparse bands, where a binary search per zone
+costs more than a look at every row, so pyramid.overlap_search masks its
+bands' contiguous rows instead (the choice between an index seek and a
+range scan that the zone papers leave to the SQL optimizer). Both test
+the edges ra_images gives, which holds the one wraparound rule: each
+window's -360, 0 and +360 images, and a full-circle window (polar
+queries) taken as [0, 360) first. The zone papers copy rows near ra
+0/360 into margins instead, because a SQL range predicate cannot wrap;
 a sorted array search can.
 
 Both cone searches end in the same two steps: gather_runs turns sorted
@@ -36,8 +40,8 @@ class ZoneConfig:
     zone_height: float = 4.0 / 60.0
 
     def __post_init__(self):
-        if self.zone_height <= 0:
-            raise ZoneError("zone_height must be positive")
+        if not 0 < self.zone_height < math.inf:  # NaN fails too
+            raise ZoneError(f"zone_height must be positive and finite: {self.zone_height!r}")
 
     @property
     def zone_count(self) -> int:
@@ -78,10 +82,29 @@ def _ra_windows_arr(radius: float, dec: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = np.array([-360.0, 0.0, 360.0])
-# what scan_ra searches for a full-circle window: every stored ra, and
-# nothing in the window's -360 and +360 images
+# what a full-circle window becomes: every stored ra, and nothing in the
+# window's -360 and +360 images
 _FULL_CIRCLE = ((0.0,), (math.nextafter(360.0, 0.0),))
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def ra_images(lo, hi) -> np.ndarray:
+    """The ra edges of windows [lo, hi] in their -360, 0 and +360 images,
+    as a (2, 3, k) array: [0] the lower and [1] the upper edge of image i
+    of window k. A stored ra in [0, 360) is in a window when lo' <= ra <=
+    hi' for one of its images.
+
+    lo and hi are scalars or equal-length non-empty arrays, with -360 <
+    lo <= hi < 720. A window narrower than 360 has disjoint images in
+    ascending ra order, so no row is in two of them. A full-circle window
+    (hi - lo >= 360) is first mapped to [0, nextafter(360, 0)], whose
+    other two images hold no stored ra, so it takes each row once.
+    """
+    edges = np.array((lo, hi), dtype=float).reshape(2, -1)
+    width = edges[1] - edges[0]
+    if width.max() >= 360.0:
+        edges[:, width >= 360.0] = _FULL_CIRCLE
+    return edges[:, None, :] + _SHIFTS[:, None]
 
 
 def gather_runs(starts: np.ndarray, ends: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -185,26 +208,19 @@ class ZoneTable:
         windows). Each window's rows come in ascending order; with several
         windows the pairs are grouped by zone, not by window.
 
-        The stored ra lie in [0, 360), so a row is in a window when it is
-        in the window's -360, 0 or +360 image, and all three are scanned.
-        A window narrower than 360 has disjoint images in ascending ra
-        order, so their row ranges, taken in shift order, are already
-        sorted and take no row twice. A full-circle window (hi - lo >= 360)
-        is first mapped to [0, nextafter(360, 0)], whose other two images
-        hold no row, so it takes each row of its zones once.
+        A row is in a window when it is in one of the window's ra_images,
+        and all three are searched. Their row ranges, taken in shift
+        order, are already sorted and take no row twice.
         """
-        edges = np.array((lo, hi), dtype=float).reshape(2, -1)
-        width = edges[1] - edges[0]
-        if width.max() >= 360.0:
-            edges[:, width >= 360.0] = _FULL_CIRCLE
+        images = ra_images(lo, hi)
         # search keys (lo or hi, zone, shift, window): ascending ra within
         # a zone keeps each side's keys near-sorted, which numpy exploits
-        q = np.empty((2, z1 - z0 + 1, 3, edges.shape[1]), dtype=complex)
+        q = np.empty((2, z1 - z0 + 1, 3, images.shape[2]), dtype=complex)
         q.real = np.arange(z0, z1 + 1)[:, None, None]
-        q.imag = (edges[:, None, :] + _SHIFTS[:, None])[:, None]
+        q.imag = images[:, None]
         a = self.key.searchsorted(q[0], side="left")
         b = self.key.searchsorted(q[1], side="right")
-        return gather_runs(a.ravel(), b.ravel(), edges.shape[1])
+        return gather_runs(a.ravel(), b.ravel(), images.shape[2])
 
 
 def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray) -> None:

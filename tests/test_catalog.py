@@ -593,6 +593,22 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match=message):
             load_state(path)
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf])
+    def test_non_finite_heights_refused_on_load(self, tmp_path, height):
+        # configs that no constructor accepts, as a file written before the
+        # height checks could hold them
+        cat = random_catalog(200, seed=12)
+        table = zones.build_zone_table(cat, zones.ZoneConfig())
+        table.cfg = zones.ZoneConfig()
+        object.__setattr__(table.cfg, "zone_height", height)
+        pyr = PyramidIndex()
+        object.__setattr__(pyr.cfg, "base_zone_height", height)
+        path = tmp_path / "s.snap"
+        for state, message in ((AppState(cat, table), "zone_height"), (AppState(pyramid=pyr), "base_zone_height")):
+            save_state(state, path)
+            with pytest.raises(SnapshotError, match=message):
+                load_state(path)
+
     def test_region_ids_survive_reload(self, tmp_path):
         store = RegionStore()
         a = store.region_new("a")

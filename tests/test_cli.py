@@ -99,6 +99,18 @@ class TestIngestAndZone:
         assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("height", ["nan", "inf", "-inf", "0"])
+    def test_zone_height_not_positive_and_finite_exit_4(self, capsys, snap, csv3, height):
+        # inf used to save a table whose next nearby query raised
+        # IndexError; nan ended in a ValueError traceback
+        run(capsys, "--snapshot", snap, "ingest", csv3)
+        before = Path(snap).read_bytes()
+        for argv in (("zone", "build"), ("neighbors", "build", "--r", "1")):
+            code = main(["--snapshot", snap, *argv, f"--zone-height={height}"])
+            assert code == 4
+            assert "zone_height" in capsys.readouterr().err
+        assert Path(snap).read_bytes() == before
+
     def test_usage_error_exit_2(self, capsys, snap):
         with pytest.raises(SystemExit) as exc:
             main(["--snapshot", snap, "zone", "nearby", "--bogus-flag", "1"])
@@ -347,7 +359,18 @@ class TestPyramidCli:
         assert "result objid=2" not in out
         assert "stages " in out
 
-    @pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("with_region", [True, False])
+    @pytest.mark.parametrize("height", ["nan", "inf"])
+    def test_build_height_not_finite_exit_4(self, capsys, snap, height, with_region):
+        if with_region:
+            run(capsys, "--snapshot", snap, "region", "new", "--type", "c1",
+                "--from", "CIRCLE J2000 10 10 30")
+        code = main(["--snapshot", snap, "pyramid", "build", "--base-zone-height", height])
+        assert code == 4
+        assert "base_zone_height" in capsys.readouterr().err
+        assert not os.path.exists(snap) or load_state(snap).pyramid is None
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-1", "1e300"])
     def test_overlap_bad_radius_exit_4(self, capsys, snap, radius):
         run(capsys, "--snapshot", snap, "region", "new", "--type", "c1",
             "--from", "CIRCLE J2000 10 10 30")
@@ -411,6 +434,19 @@ class TestBenchCli:
                         "--n", "1500", "--queries", "20", "--seed", "2")
         assert code == 0
         assert "matches=20" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("nearby", "--n", "-1", "--queries", "2"),
+        ("nearby", "--n", "10", "--queries", "0"),
+        ("neighbors", "--n", "-3"),
+        ("overlap", "--n", "-1", "--queries", "2"),
+        ("overlap", "--n", "10", "--queries", "-2"),
+    ])
+    def test_sizes_below_1_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_readme_walkthrough_runs(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyindex import oracle
+from skyindex import oracle, pyramid
 from skyindex.geom import (
     Convex,
     HalfSpace,
@@ -26,7 +26,6 @@ from skyindex.pyramid import (
     segment_elongated_region,
 )
 from skyindex.regionspec import compile_region_string
-from skyindex.zones import ZoneTable
 
 from conftest import edge_dec, edge_ra, near_max_radius, sample_cap, sample_sphere
 
@@ -51,6 +50,11 @@ class TestConfig:
             scale_of(0.0, cfg)
         with pytest.raises(PyramidError):
             scale_of(-1.0, cfg)
+
+    @pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_height_not_positive_and_finite(self, height):
+        with pytest.raises(PyramidError, match="base_zone_height"):
+            PyramidConfig(base_zone_height=height)
 
     def test_scale_accommodates_radius(self, rng):
         cfg = PyramidConfig()
@@ -91,9 +95,9 @@ class TestInsert:
 
 
 class TestCandidateZones:
-    """The (scale, zone) band that overlap_search scans, seen through the
-    ZoneTable.scan_ra calls it makes on a pyramid with an entry in every
-    zone of every scale."""
+    """The (scale, zone) band that overlap_search masks, seen through the
+    scale_band calls it makes on a pyramid with an entry in every zone of
+    every scale."""
 
     # 10-scale configuration: base height * 2^9 covers the sphere
     CFG = PyramidConfig(base_zone_height=180.0 / 512.0)
@@ -112,14 +116,15 @@ class TestCandidateZones:
     def scanned(self, idx, monkeypatch, dec, radius):
         scale = {self.CFG.zone_height(s): s for s in range(self.CFG.max_scale + 1)}
         calls = set()
-        scan_ra = ZoneTable.scan_ra
+        band = pyramid.scale_band
 
-        def spy(table, z0, z1, lo, hi):
+        def spy(table, dec, r):
+            z0, z1 = band(table, dec, r)
             calls.update((scale[table.cfg.zone_height], z) for z in range(z0, z1 + 1))
-            return scan_ra(table, z0, z1, lo, hi)
+            return z0, z1
 
         with monkeypatch.context() as m:
-            m.setattr(ZoneTable, "scan_ra", spy)
+            m.setattr(pyramid, "scale_band", spy)
             overlap_search(idx, SkyPoint(90.0, dec), radius)
         return calls
 
@@ -302,6 +307,38 @@ class TestOverlapSearch:
         for center in (SkyPoint(0.0, 0.0), SkyPoint(200.0, 90.0), SkyPoint(359.9, -45.0)):
             assert self._checked_search(entries, center, 180.0)["matched"] == 300
 
+    def test_query_radius_above_180_refused(self):
+        idx = PyramidIndex()
+        idx.insert(1, SkyPoint(10.0, 0.0), 1.0)
+        assert overlap_search(idx, SkyPoint(190.0, 0.0), 180.0) == [1]
+        for r in (math.nextafter(180.0, math.inf), 1e300):
+            with pytest.raises(PyramidError, match="radius out of"):
+                overlap_search(idx, SkyPoint(190.0, 0.0), r)
+
+    def test_stage_totals_pinned(self):
+        # summed stage counts of a seeded query set, as the pyramid gave
+        # them when it binary-searched each zone of a band: masking the
+        # band's rows instead must not move any of them
+        rng = np.random.default_rng(20261018)
+        n = 3000
+        ra = rng.uniform(0, 360, n)
+        dec = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
+        ra[:300] = np.mod(rng.uniform(-1, 1, 300), 360.0)
+        dec[300:600] = np.sign(rng.uniform(-1, 1, 300)) * rng.uniform(88, 90, 300)
+        radii = np.exp(rng.uniform(np.log(1e-3), np.log(5.0), n))
+        idx = PyramidIndex()
+        for i in range(n):
+            idx.insert(i, SkyPoint(float(ra[i]), float(dec[i])), float(radii[i]))
+        keys = ("zone_scale", "ra", "fine_ra", "dec", "geometry", "matched")
+        total = dict.fromkeys(keys, 0)
+        for _ in range(300):
+            q = SkyPoint(float(rng.uniform(0, 360)), float(np.degrees(np.arcsin(rng.uniform(-1, 1)))))
+            stats = {}
+            overlap_search(idx, q, float(np.exp(rng.uniform(np.log(0.01), np.log(20.0)))), stats=stats)
+            for key in keys:
+                total[key] += stats[key]
+        assert [total[k] for k in keys] == [46138, 3358, 2966, 2619, 2081, 2076]
+
 
 class TestBoundingCircle:
     def test_single_circle_exact(self):
@@ -420,3 +457,34 @@ def test_overlap_search_matches_overlap_scan(entries, query):
     assert got == oracle.overlap_scan(ex, ey, ez, radii, center, query[2])
     chain = [stats[k] for k in ("zone_scale", "ra", "fine_ra", "dec", "geometry", "matched")]
     assert chain == sorted(chain, reverse=True)
+
+
+# -- oracle property on default pyramids near ra 0/360 and the poles --------
+
+
+def _wrap_or_pole():
+    """(ra, dec) biased to ra 0/360 (edge_ra), or within 3 degrees of a
+    pole."""
+    return st.one_of(
+        st.tuples(edge_ra(3.0), st.floats(-90.0, 90.0)),
+        st.tuples(edge_ra(), st.floats(87.0, 90.0) | st.floats(-90.0, -87.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(_wrap_or_pole(), st.floats(1e-3, 5.0) | st.floats(5.0, 180.0)),
+        min_size=1, max_size=60,
+    ),
+    query=st.tuples(_wrap_or_pole(), st.floats(0.0, 3.0) | near_max_radius(180.0)),
+)
+def test_overlap_search_matches_overlap_scan_at_wrap_and_poles(entries, query):
+    idx = PyramidIndex()
+    for i, ((ra, dec), r) in enumerate(entries):
+        idx.insert(i, SkyPoint(ra, dec), r)
+    vecs = [sky_to_vec(SkyPoint(ra, dec)) for (ra, dec), _ in entries]
+    ex, ey, ez = (np.array([getattr(v, c) for v in vecs]) for c in "xyz")
+    radii = np.array([r for _, r in entries])
+    center = SkyPoint(*query[0])
+    assert overlap_search(idx, center, query[1]) == oracle.overlap_scan(ex, ey, ez, radii, center, query[1])

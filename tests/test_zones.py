@@ -15,6 +15,7 @@ from skyindex.zones import (
     build_neighbors,
     build_zone_table,
     nearby_objects,
+    ra_images,
     ra_window_deg,
     zone_of,
 )
@@ -65,6 +66,13 @@ class TestZoneOf:
     def test_north_pole_clamped(self):
         assert zone_of(90.0, 1.0) == 179
         assert zone_of(90.0, 0.7) == math.ceil(180 / 0.7) - 1
+
+
+class TestZoneConfig:
+    @pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_height_not_positive_and_finite(self, height):
+        with pytest.raises(ZoneError, match="zone_height"):
+            ZoneConfig(zone_height=height)
 
 
 class TestBuildZoneTable:
@@ -214,6 +222,36 @@ class TestScanRa:
         window, row = table.scan_ra(z, z, lo, hi)
         for k in range(len(lo)):
             assert row[window == k].tolist() == self.want(table, z, lo[k], hi[k])
+
+
+    def test_ra_images_mask_takes_scan_rows(self, rng):
+        # masking a band's contiguous rows with the edges ra_images gives,
+        # as the pyramid does, takes exactly the rows scan_ra searches out,
+        # in the same order: rows at 0, just under 360, and on and beside
+        # every shifted edge, for narrow, wrapping, touching-image and
+        # full-circle windows
+        windows = [(-0.5, 0.5), (359.5, 360.5), (10.0, 20.0), (-100.0, 155.8333318035505),
+                   (300.0, math.nextafter(660.0, 0.0)), (0.0, 360.0), (-180.0, 180.0),
+                   (-1.0, 400.0), (math.nextafter(-360.0, 0.0), math.nextafter(720.0, 0.0))]
+        ra = [0.0, 5e-324, math.nextafter(360.0, 0.0), *rng.uniform(0.0, 360.0, 200).tolist()]
+        for lo, hi in windows:
+            for edge in ra_images(lo, hi).ravel().tolist():
+                for v in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                    if 0.0 <= v < 360.0:
+                        ra.append(v)
+        ra = sorted(set(ra))
+        cat = catmod.from_arrays(np.arange(len(ra)), ra, rng.uniform(-30.0, 30.0, len(ra)), compute_htm=False)
+        table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
+        for z0, z1 in ((0, table.cfg.zone_count - 1), (7, 9), (8, 8)):
+            start, stop = table.zone_bounds[z0], table.zone_bounds[z1 + 1]
+            stored = table.ra[start:stop]
+            for lo, hi in windows:
+                lo_edges, hi_edges = ra_images(lo, hi)
+                mask = ((lo_edges <= stored) & (stored <= hi_edges)).any(axis=0)
+                _, rows = table.scan_ra(z0, z1, lo, hi)
+                assert (start + np.flatnonzero(mask)).tolist() == rows.tolist()
+                if hi - lo >= 360.0:
+                    assert mask.all()
 
 
 class TestNearby:
