@@ -467,7 +467,7 @@ def cmd_bench_overlap(args, out: Output) -> int:
     t0 = time.perf_counter()
     for i in range(n):
         idx.insert(i, SkyPoint(float(ra[i]), float(dec[i])), float(radii[i]))
-    idx.scales()  # builds the queued scale tables inside the timed build
+    idx.scales()  # sorts the queued entries in inside the timed build
     t_build = time.perf_counter() - t0
     rr = np.radians(ra)
     dd = np.radians(dec)
@@ -530,6 +530,15 @@ def positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {n}")
     return n
+
+
+def max_cone_radius(text: str) -> float:
+    """An argparse type for bench nearby's --max-radius: degrees in
+    [0.01, 180], as oracle.bench_queries draws radii from (0.01, it]."""
+    r = float(text)
+    if not 0.01 <= r <= 180.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be within [0.01, 180] degrees: {r!r}")
+    return r
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zone-height", type=float, default=4.0 / 60.0)
-    p.add_argument("--max-radius", type=float, default=1.0)
+    p.add_argument("--max-radius", type=max_cone_radius, default=1.0)
     p.set_defaults(func=cmd_bench_nearby)
     p = be.add_parser("neighbors")
     p.add_argument("--n", type=positive_int, required=True)

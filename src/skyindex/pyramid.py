@@ -2,26 +2,27 @@
 
 Regions are reduced to bounding circles and bucketed by radius into scale
 levels whose zone heights grow in powers of two from a base height, so an
-entry's radius never exceeds its scale's zone height. Each scale is a
-zones.ZoneTable of its circles (zone height the scale's height, plus a
-radius column), built and scanned by the same code as a catalog's zone
-table. An overlap query takes each scale's narrow dec band, which is a
-run of contiguous rows, and keeps the rows of every band that lie in
-their scale's ra window with one mask over the edges zones.ra_images
-gives, so wraparound at ra 0/360 follows the zone scan's one rule. Bands
-here are sparse (many zones, few rows each), so this costs less than a
-binary search per zone. One cascade then runs over the candidates of
-every scale together: fine ra window, dec band, a sound planar-style
-circle test, and finally the exact spherical test arc_distance(centers)
-< query_radius + entry_radius. Per-stage candidate counts are exposed
-for diagnostics.
+entry's radius never exceeds its scale's zone height. The pyramid is one
+table of entry columns (objid, ra, dec, x, y, z, radius), stably sorted by
+(scale, zone), the layout of one SQL table clustered on (scale, zone);
+both parts of that key are derived from the radius and dec (scale_of,
+zones.zone_column), never stored. An overlap query finds each populated
+scale's narrow dec band, a run of contiguous rows, with two binary
+searches on the key, and keeps the rows of every band that lie in their
+scale's ra window with one mask over the edges zones.ra_images gives, so
+wraparound at ra 0/360 follows the zone scan's one rule. Bands here are
+sparse (many zones, few rows each), so this costs less than a binary
+search per zone. One cascade then runs over the candidates of every
+scale together: fine ra window, dec band, a sound planar-style circle
+test, and finally the exact spherical test arc_distance(centers) <
+query_radius + entry_radius. Per-stage candidate counts are exposed for
+diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,15 +40,15 @@ from .geom import (
     min_enclosing_cap,
     region_intersection,
     sky_to_vec,
+    unit_rows,
 )
 from .zones import (
-    ZoneConfig,
-    ZoneTable,
-    build_zone_table,
+    check_rows,
+    check_zone_height,
     gather_runs,
-    has_duplicates,
     ra_images,
     ra_window_deg,
+    zone_column,
 )
 
 
@@ -60,10 +61,7 @@ class PyramidConfig:
     base_zone_height: float = 0.5 / 60.0
 
     def __post_init__(self):
-        if not 0 < self.base_zone_height < math.inf:  # NaN fails too
-            raise PyramidError(
-                f"base_zone_height must be positive and finite: {self.base_zone_height!r}"
-            )
+        check_zone_height(self.base_zone_height, "base_zone_height", PyramidError)
 
     @property
     def max_scale(self) -> int:
@@ -71,111 +69,108 @@ class PyramidConfig:
         m = int(math.ceil(180.0 / self.base_zone_height))
         return max(0, (m - 1).bit_length())
 
-    def zone_height(self, scale: int) -> float:
-        return self.base_zone_height * (1 << scale)
+    def zone_height(self, scale):
+        """The zone height of a scale, or of each of an array of scales."""
+        return self.base_zone_height * 2.0 ** scale
 
 
-def scale_of(radius, cfg: PyramidConfig) -> int:
-    """Smallest scale whose zone height accommodates the radius."""
-    r = as_degrees(radius)
-    if r <= 0:
-        raise PyramidError(f"radius must be positive: {r!r}")
-    m = int(math.ceil(r / cfg.base_zone_height - 1e-12))
-    return min((max(m, 1) - 1).bit_length(), cfg.max_scale)
+def scale_of(radius, cfg: PyramidConfig):
+    """Smallest scale whose zone height accommodates a radius in (0, 180]
+    degrees: an int for one radius, an int64 array for an array of radii.
+
+    The scale is the bit length of m - 1 (0 for m = 0), m = ceil(r /
+    base), which frexp gives as its exponent: exact, since m <= 180 / base
+    <= MAX_ZONE_COUNT. No radius up to 180 lands past max_scale. One
+    radius takes math's functions, an array numpy's, in one expression.
+    """
+    r = radius if isinstance(radius, np.ndarray) else as_degrees(radius)
+    xp = np if isinstance(r, np.ndarray) else math
+    ok = (r > 0.0) & (r <= 180.0)  # NaN fails too
+    if not (ok.all() if xp is np else ok):
+        bad = r[~ok][0] if xp is np else r
+        raise PyramidError(f"bounding radius outside (0, 180] degrees: {float(bad)!r}")
+    m = xp.ceil(r / cfg.base_zone_height - 1e-12)
+    s = xp.frexp((m - 1) * (m >= 1))[1]
+    return s.astype(np.int64) if xp is np else s
 
 
-# the columns of a queued entry, in the order insert queues them
-_ENTRY_COLUMNS = ("objid", "ra", "dec", "x", "y", "z", "radius")
+# the entry columns and their dtypes, in the order insert queues them
+_ENTRY_COLUMNS = {"objid": np.int64, **dict.fromkeys(("ra", "dec", "x", "y", "z", "radius"), np.float64)}
 
 
 class PyramidIndex:
     """Bounding circles (objid, center, radius) bucketed by radius.
 
-    Scale s is a ZoneTable of its entries, with a radius column, built
-    with zone height cfg.zone_height(s): an entry's radius never exceeds
-    its scale's zone height. insert only queues an entry; the next query
-    rebuilds the scales that received entries.
+    One set of entry columns, stably sorted by (scale, zone): an entry's
+    scale is scale_of(radius), its zone that of its dec at the scale's
+    zone height, so its radius never exceeds its zone height. insert only
+    queues an entry; the next query sorts the queue in.
     """
 
     def __init__(self, cfg: PyramidConfig | None = None):
         self.cfg = cfg or PyramidConfig()
-        self._tables: dict[int, ZoneTable] = {}
-        self._queued: dict[int, list[tuple]] = {}
+        self._cols = {k: np.empty(0, t) for k, t in _ENTRY_COLUMNS.items()}
+        self._key = np.empty(0, complex)  # scale + 1j * zone, row by row
+        self._scales = np.empty(0, np.int64)  # the populated scales, ascending
+        self._queued: list[tuple] = []
         self._ids: set[int] = set()
-        self._stack: tuple[SimpleNamespace, list[int]] | None = None
 
     @classmethod
-    def from_tables(cls, cfg: PyramidConfig, tables: dict[int, ZoneTable]) -> "PyramidIndex":
-        """An index whose scale s is tables[s], as tables() returned them.
+    def from_columns(cls, cfg: PyramidConfig, cols: dict[str, np.ndarray]) -> "PyramidIndex":
+        """An index of the entries in cols, named as columns() names them,
+        in any row order.
 
-        Raises PyramidError unless every table is one insert could have
-        built: zone height cfg.zone_height(s), every radius one that insert
-        puts on scale s, and no objid on two scales. The tables' own rows
-        are zones.check_zone_table's to check.
+        Raises PyramidError or zones.ZoneError unless every row is one
+        insert could have queued: a unique objid, ra in [0, 360), dec in
+        [-90, 90], unit x, y, z and a radius in (0, 180].
         """
+        check_rows(cols["objid"], cols["ra"], cols["dec"])
+        if not unit_rows(cols["x"], cols["y"], cols["z"]):
+            raise PyramidError("x, y, z must be unit vectors")
         idx = cls(cfg)
-        idx._tables = dict(sorted(tables.items()))
-        for s, t in idx._tables.items():
-            if t.cfg.zone_height != cfg.zone_height(s):
-                raise PyramidError(f"scale {s}: zone height {t.cfg.zone_height!r}, not {cfg.zone_height(s)!r}")
-            if not all(0.0 < r <= 180.0 and scale_of(r, cfg) == s for r in t.radius.tolist()):
-                raise PyramidError(f"scale {s}: a radius that belongs on another scale")
-        ids = np.concatenate([t.objid for t in idx._tables.values()] or [np.empty(0, np.int64)])
-        if has_duplicates(ids):
-            raise PyramidError("an objId on two scales")
-        idx._ids.update(ids.tolist())
+        idx._sort_in(cols)
+        idx._ids.update(cols["objid"].tolist())
         return idx
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def insert(self, objid: int, center: SkyPoint, radius) -> int:
-        """Add one bounding circle; returns the scale it landed on."""
+        """Add one bounding circle; returns the scale it lands on."""
         r = as_degrees(radius)
         if objid in self._ids:
             raise PyramidError(f"duplicate objId: {objid}")
-        if r > 180.0:
-            raise PyramidError(f"bounding radius above 180 degrees: {r!r}")
         s = scale_of(r, self.cfg)
-        v = sky_to_vec(center)
-        self._queued.setdefault(s, []).append(
-            (int(objid), center.ra, center.dec, v.x, v.y, v.z, r)
-        )
+        self._queued.append((int(objid), center.ra, center.dec, *sky_to_vec(center).as_tuple(), r))
         self._ids.add(int(objid))
         return s
 
-    def tables(self) -> dict[int, ZoneTable]:
-        """Scale -> its zone table, in ascending scale order."""
-        if self._queued:
-            for s, entries in self._queued.items():
-                cols = dict(zip(_ENTRY_COLUMNS, (np.array(c) for c in zip(*entries))))
-                old = self._tables.get(s)
-                if old is not None:
-                    cols = {k: np.concatenate([getattr(old, k), c]) for k, c in cols.items()}
-                self._tables[s] = build_zone_table(
-                    SimpleNamespace(**cols), ZoneConfig(zone_height=self.cfg.zone_height(s))
-                )
-            self._queued = {}
-            self._tables = dict(sorted(self._tables.items()))
-            self._stack = None
-        return self._tables
+    def _sort_in(self, new: dict[str, np.ndarray]) -> None:
+        """Add the entries of new columns to the table, keeping it stably
+        sorted by (scale, zone): the rows already sorted keep their order."""
+        scale = scale_of(new["radius"], self.cfg)
+        zone = zone_column(new["dec"], self.cfg.zone_height(scale))
+        # numpy orders and searches complex values by (real, imag), and
+        # both parts are exact integers, so key orders rows by (scale, zone)
+        key = np.concatenate([self._key, scale + 1j * zone])
+        order = key.argsort(kind="stable")
+        self._key = key[order]
+        self._cols = {k: np.concatenate([c, new[k]])[order] for k, c in self._cols.items()}
+        self._scales = np.union1d(self._scales, scale)
 
-    def stacked(self) -> tuple[SimpleNamespace, list[int]]:
-        """The columns of every scale's table stacked in scale order, and
-        the row at which each table starts, so that a band of any scale is
-        one run of stacked rows. Rebuilt after the scales change."""
-        tables = list(self.tables().values())
-        if self._stack is None:
-            cols = SimpleNamespace(**{
-                k: np.concatenate([getattr(t, k) for t in tables] or [np.empty(0)])
-                for k in _ENTRY_COLUMNS
-            })
-            sizes = [len(t) for t in tables]
-            self._stack = cols, [sum(sizes[:i]) for i in range(len(sizes))]
-        return self._stack
+    def columns(self) -> dict[str, np.ndarray]:
+        """The entry columns by name, rows sorted by (scale, zone), with
+        the queued entries sorted in; the index's own arrays, not copies."""
+        if self._queued:
+            rows = zip(*self._queued)
+            self._sort_in({k: np.array(c, t) for (k, t), c in zip(_ENTRY_COLUMNS.items(), rows)})
+            self._queued = []
+        return self._cols
 
     def scales(self) -> list[int]:
-        return list(self.tables())
+        """The scales that hold an entry, ascending."""
+        self.columns()
+        return self._scales.tolist()
 
 
 def _effective_ra_distance(dra, dec1, dec2) -> np.ndarray:
@@ -188,13 +183,13 @@ def _effective_ra_distance(dra, dec1, dec2) -> np.ndarray:
     return 2.0 * np.arcsin(np.minimum(1.0, s))
 
 
-def scale_band(table: ZoneTable, dec: float, r: float) -> tuple[int, int]:
-    """The first and last zone of a scale's table that can hold the center
-    of an entry overlapping a circle of radius r at dec: an entry's radius
-    is at most the zone height h, so its center is within dec +- (r + h)."""
-    h = table.cfg.zone_height
-    lo_z = max(0, int(math.floor((dec + 90.0 - r - h) / h)))
-    hi_z = min(table.cfg.zone_count - 1, int(math.floor((dec + 90.0 + r + h) / h)))
+def scale_band(heights: np.ndarray, dec: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last zone, at each zone height h, that can hold the
+    center of an entry overlapping a circle of radius r at dec: an entry's
+    radius is at most h, so its center is within dec +- (r + h). Zones
+    come as integral floats."""
+    lo_z = np.maximum(0.0, np.floor((dec + 90.0 - r - heights) / heights))
+    hi_z = np.minimum(np.ceil(180.0 / heights) - 1.0, np.floor((dec + 90.0 + r + heights) / heights))
     return lo_z, hi_z
 
 
@@ -208,39 +203,35 @@ def overlap_search(
     a radius in [0, 180] (exact spherical test; the cascade stages only
     narrow candidates).
 
-    Each scale's scale_band is one run of its table's rows, kept where ra
-    is in the window of a circle of radius + h (h the scale's zone
-    height). One mask tests the rows of every band at once; the rows kept
-    are gathered once and filtered once, by nested masks: fine ra, dec
-    band, circle test, exact test.
+    Each populated scale's scale_band is one run of rows, kept where ra is
+    in the window of a circle of radius + h (h the scale's zone height).
+    One mask tests the rows of every band at once; the rows kept are
+    gathered once and filtered once, by nested masks: fine ra, dec band,
+    circle test, exact test.
     """
     r = as_degrees(radius)
     if not 0 <= r <= 180:
         raise PyramidError(f"radius out of [0, 180] degrees: {r!r}")
     qv = sky_to_vec(center)
-    cols, first = index.stacked()
-    starts, ends, alphas = [], [], []
-    for t, row0 in zip(index.tables().values(), first):
-        lo_z, hi_z = scale_band(t, center.dec, r)
-        a, b = t.zone_bounds[[lo_z, hi_z + 1]].tolist()
-        if a < b:
-            starts.append(row0 + a)
-            ends.append(row0 + b)
-            # 180 for a reach past a pole, or of 180
-            alphas.append(ra_window_deg(r + t.cfg.zone_height, center.dec))
+    cols = index.columns()
+    scales = index._scales
+    heights = index.cfg.zone_height(scales)
+    lo_z, hi_z = scale_band(heights, center.dec, r)
+    starts = index._key.searchsorted(scales + 1j * lo_z, side="left")
+    ends = index._key.searchsorted(scales + 1j * hi_z, side="right")
+    band = starts < ends
     n_zone, rows = 0, np.empty(0, dtype=np.int64)
-    if starts:
-        starts, ends = np.array(starts), np.array(ends)
+    if band.any():
+        starts, ends = starts[band], ends[band]
         _, rows = gather_runs(starts, ends)
         n_zone = len(rows)
-        alpha = np.array(alphas)
+        # 180 for a reach past a pole, or of 180
+        alpha = np.array([ra_window_deg(r + h, center.dec) for h in heights[band].tolist()])
         # every band row is tested against its own scale's window
         lo, hi = np.repeat(ra_images(center.ra - alpha, center.ra + alpha), ends - starts, axis=2)
-        ra = cols.ra[rows]
+        ra = cols["ra"][rows]
         rows = rows[((lo <= ra) & (ra <= hi)).any(axis=0)]
-    ra, dec, radii, x, y, z, objid = (
-        getattr(cols, k)[rows] for k in ("ra", "dec", "radius", "x", "y", "z", "objid")
-    )
+    ra, dec, radii, x, y, z, objid = (cols[k][rows] for k in ("ra", "dec", "radius", "x", "y", "z", "objid"))
     limit = r + radii
     limit_rad = np.radians(limit)
     dra_eff = _effective_ra_distance(ra - center.ra, dec, center.dec)
@@ -257,7 +248,7 @@ def overlap_search(
     # distance, so a reject can never lose a true overlap
     geom_ok = dec_ok & (ddec * ddec + dra_eff * dra_eff < (limit_rad + 1e-9) ** 2)
     matched = geom_ok & (dist < limit)
-    # one id per entry, as from_tables and insert check
+    # one id per entry, as from_columns and insert check
     ids = np.sort(objid[matched])
     if stats is not None:
         stats.update(

@@ -2,22 +2,22 @@
 
 Layout: 8-byte magic, u32 format version, u64 payload length, u32 CRC32 of
 the payload, then the payload: the sections catalog, zone table, neighbors
-table, region store and pyramid, then one zone-table section per pyramid
-scale. A section is absent (a u32 0xFFFFFFFF) or a u32 column count and
-its columns; a column is its name, its numpy dtype string and its shape,
-then its values. One schema per section gives each column's name, the
-dtypes it may have and a name for each of its dimensions; the columns
-that name one dimension (such as a catalog's rows) share its length. A
-text column is UTF-8 bytes plus a length column. A save casts a value to
-its column's dtype where numpy deems the cast safe (an int as <f8).
-Values are little-endian and round-trip bit exactly. A version mismatch,
-a failed length or CRC check, a column its schema does not allow, or
-columns that do not make a valid structure raise SnapshotError; no
-partial state is ever returned. Every table must also hold what a build
-could have made of its rows (the catalog's mesh ids are checked for
-their depth only), and the pyramid's scales what inserts would have. A save
-writes each column straight from its array, with no joined copy of the
-payload, to a temporary file beside the target and renames it over the
+table, region store and pyramid. A section is absent (a u32 0xFFFFFFFF) or
+a u32 column count and its columns; a column is its name, its numpy dtype
+string and its shape, then its values. One schema per section gives each
+column's name, the dtypes it may have and a name for each of its
+dimensions; the columns that name one dimension (such as a catalog's rows)
+share its length. A text column is UTF-8 bytes plus a length column. A
+save casts a value to its column's dtype where numpy deems the cast safe
+(an int as <f8). Values are little-endian and round-trip bit exactly. A
+version mismatch, a failed length or CRC check, a column its schema does
+not allow, or columns that do not make a valid structure raise
+SnapshotError; no partial state is ever returned. Every table must also
+hold what a build could have made of its rows (the catalog's mesh ids are
+checked for their depth only). The pyramid section is its base zone height
+and its entry columns, which loading checks and sorts as inserts would. A
+save writes each column straight from its array, with no joined copy of
+the payload, to a temporary file beside the target and renames it over the
 target, so a failed save leaves the previous snapshot intact.
 """
 
@@ -37,7 +37,7 @@ from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors, check_zone_table
 
 MAGIC = b"SKYIDXSN"
-VERSION = 4
+VERSION = 5
 _ABSENT = 0xFFFFFFFF
 
 
@@ -77,9 +77,8 @@ _CATALOG = {
     "z": _F8,
     "htmid": _Col("<i8 <u8", optional=True),  # uint64 at htm.MAX_DEPTH
 }
-_ZONE_CONFIG = {"zone_height": _F8_SCALAR}
 _ZONES = {
-    **_ZONE_CONFIG,
+    "zone_height": _F8_SCALAR,
     "zone": _I8,
     "ra": _F8,
     "objid": _I8,
@@ -88,7 +87,6 @@ _ZONES = {
     "y": _F8,
     "z": _F8,
 }
-_SCALE = {**_ZONES, "radius": _F8}  # a pyramid scale: a zone table of circles
 _NEIGHBORS = {
     "radius": _F8_SCALAR,
     "candidate_pairs": _I8_SCALAR,
@@ -96,8 +94,9 @@ _NEIGHBORS = {
     "neighbor": _I8,
     "distance": _F8,
 }
-_PYRAMID_CONFIG = {"base_zone_height": _F8_SCALAR}
-_PYRAMID = {**_PYRAMID_CONFIG, "scale": _Col("<i8", ("scale",))}
+# the config, then PyramidIndex.columns()
+_PYRAMID = {"base_zone_height": _F8_SCALAR, "objid": _I8}
+_PYRAMID |= dict.fromkeys(("ra", "dec", "x", "y", "z", "radius"), _F8)
 _REGIONS = {  # RegionStore.columns()
     "next_region_id": _I8_SCALAR,
     "region_id": _REGION,
@@ -217,10 +216,10 @@ def _fields(obj, schema: dict) -> dict | None:
     return None if obj is None else {k: getattr(obj, k) for k in schema}
 
 
-def _zone_columns(t: ZoneTable | None, schema: dict) -> dict | None:
+def _zone_columns(t: ZoneTable | None) -> dict | None:
     if t is None:
         return None
-    return {k: getattr(t.cfg if k in _ZONE_CONFIG else t, k) for k in schema}
+    return {k: getattr(t.cfg if k == "zone_height" else t, k) for k in _ZONES}
 
 
 def _checked(build, check, cols: dict | None):
@@ -238,19 +237,14 @@ def _zone_table(zone_height: float, **rows) -> ZoneTable:
 
 def save_state(state: AppState, path) -> None:
     pyr = state.pyramid
-    tables = {} if pyr is None else pyr.tables()
-    pyramid = _fields(None if pyr is None else pyr.cfg, _PYRAMID_CONFIG)
-    if pyramid is not None:
-        pyramid["scale"] = np.array(list(tables), dtype=np.int64)
+    pyramid = None if pyr is None else {"base_zone_height": pyr.cfg.base_zone_height, **pyr.columns()}
     sections = [
         (_CATALOG, "catalog", _fields(state.catalog, _CATALOG)),
-        (_ZONES, "zone table", _zone_columns(state.zone_table, _ZONES)),
+        (_ZONES, "zone table", _zone_columns(state.zone_table)),
         (_NEIGHBORS, "neighbors", _fields(state.neighbors, _NEIGHBORS)),
         (_REGIONS, "region store", state.regions.columns()),
         (_PYRAMID, "pyramid", pyramid),
     ]
-    for t in tables.values():
-        sections.append((_SCALE, "pyramid scale", _zone_columns(t, _SCALE)))
     chunks = [chunk for section in sections for chunk in _encode(*section)]
     length = crc = 0
     for chunk in chunks:
@@ -300,11 +294,7 @@ def load_state(path) -> AppState:
         regions = RegionStore.from_columns(r.section(_REGIONS, "region store", absent_ok=False))
         pyr = r.section(_PYRAMID, "pyramid")
         if pyr is not None:
-            tables = {}
-            for scale in pyr.pop("scale").tolist():
-                scale_cols = r.section(_SCALE, "pyramid scale", absent_ok=False)
-                tables[scale] = _checked(_zone_table, check_zone_table, scale_cols)
-            pyr = PyramidIndex.from_tables(PyramidConfig(**pyr), tables)
+            pyr = PyramidIndex.from_columns(PyramidConfig(pyr.pop("base_zone_height")), pyr)
         if r.pos != len(payload):
             raise SnapshotError("trailing bytes after payload")
         return AppState(cat, zone_table, neighbors, regions, pyr)

@@ -5,8 +5,8 @@ sorted by (zone, ra, objid), one row per object with ra in [0, 360).
 ZoneTable.scan_ra scans a band of zones for many ra windows at once with
 a binary search on an exact (zone, ra) key, so a cone search is one scan
 of its dec band and the all-pairs neighbor join is one scan per zone.
-The pyramid's scales have sparse bands, where a binary search per zone
-costs more than a look at every row, so pyramid.overlap_search masks its
+The pyramid's bands are sparse, where a binary search per zone costs
+more than a look at every row, so pyramid.overlap_search masks its
 bands' contiguous rows instead (the choice between an index seek and a
 range scan that the zone papers leave to the SQL optimizer). Both test
 the edges ra_images gives, which holds the one wraparound rule: each
@@ -19,6 +19,9 @@ Both cone searches end in the same two steps: gather_runs turns sorted
 index ranges into row indices (the (zone, ra) windows here, the trixel id
 ranges of catalog.htm_cone_search), and cone_matches runs the exact
 chord test and sorts the answer.
+
+A zone table holds points only; the pyramid keeps its circles in a
+(scale, zone) table of its own, with the zone rule zone_column.
 """
 
 from __future__ import annotations
@@ -35,13 +38,27 @@ class ZoneError(ValueError):
     """Bad zone configuration or query arguments."""
 
 
+# The most zones a height may give. zone_bounds holds zone_count + 1
+# int64s and build_neighbors visits every zone in Python, so 2^20 zones
+# cost 8 MiB and about a second; 180 / 2^20 degrees (0.62 arcsec) is
+# below survey astrometric errors. Zone numbers stay exact in the complex
+# search keys, which need them below 2^53.
+MAX_ZONE_COUNT = 1 << 20
+
+
+def check_zone_height(height: float, name: str, error: type[ValueError]) -> None:
+    """Raise error unless height is finite and gives at most
+    MAX_ZONE_COUNT zones; NaN and heights <= 0 fail too."""
+    if not (0 < height < math.inf and 180.0 / height <= MAX_ZONE_COUNT):
+        raise error(f"{name} must be finite and at least 180/{MAX_ZONE_COUNT} degrees: {height!r}")
+
+
 @dataclass(frozen=True)
 class ZoneConfig:
     zone_height: float = 4.0 / 60.0
 
     def __post_init__(self):
-        if not 0 < self.zone_height < math.inf:  # NaN fails too
-            raise ZoneError(f"zone_height must be positive and finite: {self.zone_height!r}")
+        check_zone_height(self.zone_height, "zone_height", ZoneError)
 
     @property
     def zone_count(self) -> int:
@@ -153,11 +170,8 @@ def has_duplicates(values: np.ndarray) -> bool:
 @dataclass(eq=False)
 class ZoneTable:
     """Immutable after build; one row per input row, sorted by
-    (zone, ra, objid), with ra in [0, 360).
-
-    radius is a per-row column carried along for tables of circles (a
-    pyramid scale) and None for tables of points (a catalog). key is the
-    (zone, ra) search key scan_ra runs on, derived here and never stored.
+    (zone, ra, objid), with ra in [0, 360). key is the (zone, ra) search
+    key scan_ra runs on, derived here and never stored.
     """
 
     cfg: ZoneConfig
@@ -168,7 +182,6 @@ class ZoneTable:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    radius: np.ndarray | None = None
     zone_bounds: np.ndarray = field(init=False)
     key: np.ndarray = field(init=False)
 
@@ -227,16 +240,18 @@ def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray) -> None:
     """Raise ZoneError unless objid is unique, ra in [0, 360) and dec in
     [-90, 90]; the range tests are negated, so that NaN fails them."""
     if has_duplicates(objid):
-        raise ZoneError("duplicate objID in catalog")
+        raise ZoneError("duplicate objID")
     if not ((ra >= 0.0) & (ra < 360.0)).all():
         raise ZoneError("ra must be normalized to [0, 360)")
     if not ((dec >= -90.0) & (dec <= 90.0)).all():
         raise ZoneError("dec must be within [-90, 90]")
 
 
-def _zone_column(dec: np.ndarray, cfg: ZoneConfig) -> np.ndarray:
-    """Each row's zone, as zone_of gives it."""
-    return np.minimum(np.floor((dec + 90.0) / cfg.zone_height).astype(np.int64), cfg.zone_count - 1)
+def zone_column(dec: np.ndarray, height) -> np.ndarray:
+    """Each row's zone, as zone_of gives it, for one zone height or one
+    height per row."""
+    top = np.ceil(180.0 / height).astype(np.int64) - 1
+    return np.minimum(np.floor((dec + 90.0) / height).astype(np.int64), top)
 
 
 def check_zone_table(t: ZoneTable) -> None:
@@ -245,7 +260,7 @@ def check_zone_table(t: ZoneTable) -> None:
     sorted by (zone, ra), which is all scan_ra relies on. For tables that
     come from elsewhere, such as a snapshot."""
     check_rows(t.objid, t.ra, t.dec)
-    if not np.array_equal(t.zone, _zone_column(t.dec, t.cfg)):
+    if not np.array_equal(t.zone, zone_column(t.dec, t.cfg.zone_height)):
         raise ZoneError("zone column does not match dec")
     if not (t.key[1:] >= t.key[:-1]).all():
         raise ZoneError("rows not sorted by (zone, ra)")
@@ -255,14 +270,13 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     """Bucket rows into zones: one table row per input row.
 
     catalog: any object with objid, ra, dec, x, y, z columns, such as a
-    Catalog, and optionally a radius column that the table carries along.
+    Catalog.
     """
     objid = np.asarray(catalog.objid, dtype=np.int64)
     ra = np.asarray(catalog.ra, dtype=float)
     dec = np.asarray(catalog.dec, dtype=float)
-    radius = getattr(catalog, "radius", None)
     check_rows(objid, ra, dec)
-    zone = _zone_column(dec, cfg)
+    zone = zone_column(dec, cfg.zone_height)
     order = np.lexsort((objid, ra, zone))
 
     def column(values):
@@ -277,7 +291,6 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
         x=column(catalog.x),
         y=column(catalog.y),
         z=column(catalog.z),
-        radius=None if radius is None else column(radius),
     )
 
 
@@ -362,12 +375,13 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     Scans the zone band around each zone with one ra window per row of the
     zone, keeping objid1 < objid2 to do half the work, then mirroring.
     zone_height defaults to the radius, which minimizes the candidate area
-    of the join.
+    of the join, or to the least height MAX_ZONE_COUNT allows if that is
+    larger.
     """
     r = as_degrees(radius)
     if not 0 < r <= 180:
         raise ZoneError(f"neighbors radius out of (0, 180] degrees: {r!r}")
-    zh = zone_height if zone_height is not None else r
+    zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)
     cfg = ZoneConfig(zone_height=zh)
     table = build_zone_table(catalog, cfg)
     deltas = int(math.ceil(r / zh - 1e-12))

@@ -34,16 +34,16 @@ def assert_same_columns(a: RegionStore, b: RegionStore):
         assert np.asarray(cols_a[k]).tobytes() == np.asarray(cols_b[k]).tobytes(), k
 
 
-def write_sections(path, catalog=(snapshot._CATALOG, None), regions=None):
+def write_sections(path, catalog=(snapshot._CATALOG, None), regions=None, pyramid=None):
     """A CRC-valid snapshot of a catalog section written under the given
-    schema, and the given region store columns, unchecked by the loader's
-    schemas; no zone table, neighbors or pyramid."""
+    schema, and the given region store and pyramid columns, unchecked by
+    the loader's schemas; no zone table or neighbors."""
     sections = [
         catalog,
         (snapshot._ZONES, None),
         (snapshot._NEIGHBORS, None),
         (snapshot._REGIONS, RegionStore().columns() if regions is None else regions),
-        (snapshot._PYRAMID, None),
+        (snapshot._PYRAMID, pyramid),
     ]
     payload = b"".join(b for schema, cols in sections for b in snapshot._encode(schema, "test", cols))
     header = MAGIC + struct.pack("<IQI", snapshot.VERSION, len(payload), zlib.crc32(payload))
@@ -267,11 +267,12 @@ class TestSnapshot:
         assert np.array_equal(loaded.neighbors.objid, neighbors.objid)
         assert_same_columns(loaded.regions, store)
         assert loaded.pyramid.scales() == pyr.scales()
-        for s, t in pyr.tables().items():
-            got = loaded.pyramid.tables()[s]
-            assert got.cfg == t.cfg
-            for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "radius", "zone_bounds", "key"):
-                assert getattr(got, col).tobytes() == getattr(t, col).tobytes(), col
+        assert loaded.pyramid.cfg == pyr.cfg
+        want_cols, got_cols = pyr.columns(), loaded.pyramid.columns()
+        assert list(got_cols) == list(want_cols)
+        for col, want in want_cols.items():
+            assert got_cols[col].dtype == want.dtype, col
+            assert got_cols[col].tobytes() == want.tobytes(), col
         for k in range(40):
             if k == 20:  # entries inserted after the reload land in both
                 for p in (pyr, loaded.pyramid):
@@ -567,31 +568,37 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("fault, message", [
         ("ra + 720", "ra must be normalized to"),
-        ("zone height", "scale 1: zone height"),
-        ("radius", "scale 1: a radius that belongs on another scale"),
-        ("objid", "an objId on two scales"),
+        ("radius 0", "bounding radius outside"),
+        ("nan radius", "bounding radius outside"),
+        ("radius 200", "bounding radius outside"),
+        ("objid", "duplicate objID"),
+        ("x scaled", "x, y, z must be unit vectors"),
     ])
     def test_pyramid_scales_checked_on_load(self, tmp_path, fault, message):
         pyr = PyramidIndex()
         for i in range(40):
             pyr.insert(i, SkyPoint(9.0 * i, 2.0 * i - 40.0), 0.01 if i % 2 else 1.0)
-        tables = pyr.tables()  # the index's own dict: edits below reach the index
-        assert list(tables) == [1, 7]
-        t = tables[1]
+        assert pyr.scales() == [1, 7]
+        cols = {k: a.copy() for k, a in pyr.columns().items()}
         if fault == "ra + 720":
-            tables[1] = dataclasses.replace(t, ra=t.ra + 720.0)
-        elif fault == "zone height":
-            tables[1] = zones.build_zone_table(t, zones.ZoneConfig(2 * t.cfg.zone_height))
-        elif fault == "radius":
-            tables[1] = dataclasses.replace(t, radius=4 * t.radius)
+            cols["ra"] += 720.0
+        elif fault == "radius 0":
+            cols["radius"][3] = 0.0
+        elif fault == "nan radius":
+            cols["radius"][3] = math.nan
+        elif fault == "radius 200":
+            cols["radius"][3] = 200.0
+        elif fault == "objid":
+            cols["objid"][1] = cols["objid"][0]
         else:
-            objid = t.objid.copy()
-            objid[0] = tables[7].objid[0]
-            tables[1] = dataclasses.replace(t, objid=objid)
+            cols["x"] *= 1.01
         path = tmp_path / "s.snap"
-        save_state(AppState(pyramid=pyr), path)
+        write_sections(path, pyramid={"base_zone_height": pyr.cfg.base_zone_height, **cols})
         with pytest.raises(SnapshotError, match=message):
             load_state(path)
+        # the columns as the index holds them load
+        write_sections(path, pyramid={"base_zone_height": pyr.cfg.base_zone_height, **pyr.columns()})
+        assert load_state(path).pyramid.scales() == [1, 7]
 
     @pytest.mark.parametrize("height", [math.nan, math.inf])
     def test_non_finite_heights_refused_on_load(self, tmp_path, height):
@@ -637,32 +644,16 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="checksum"):
             load_state(path)
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_version_rejected(self, tmp_path, version):
+        # format 3 stored zone tables with wraparound margin rows, format 4
+        # one zone-table section per pyramid scale
         path = tmp_path / "s.snap"
         save_state(AppState(), path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, len(MAGIC), 1)
+        struct.pack_into("<I", blob, len(MAGIC), version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 1 != supported 4"):
-            load_state(path)
-
-    def test_version_2_rejected(self, tmp_path):
-        path = tmp_path / "s.snap"
-        save_state(AppState(), path)
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, len(MAGIC), 2)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 2 != supported 4"):
-            load_state(path)
-
-    def test_version_3_rejected(self, tmp_path):
-        # format 3 stored zone tables with wraparound margin rows
-        path = tmp_path / "s.snap"
-        save_state(AppState(), path)
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, len(MAGIC), 3)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 3 != supported 4"):
+        with pytest.raises(SnapshotError, match=f"version {version} != supported 5"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

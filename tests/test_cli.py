@@ -111,6 +111,21 @@ class TestIngestAndZone:
             assert "zone_height" in capsys.readouterr().err
         assert Path(snap).read_bytes() == before
 
+    def test_height_past_zone_count_ceiling_exit_4(self, capsys, snap, csv3):
+        # 1e-7 deg gives 1.8e9 zones: refused before any table is allocated
+        run(capsys, "--snapshot", snap, "ingest", csv3)
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "c1",
+            "--from", "CIRCLE J2000 10 10 30")
+        before = Path(snap).read_bytes()
+        for argv, name in (
+            (("zone", "build", "--zone-height=1e-7"), "zone_height"),
+            (("neighbors", "build", "--r", "1", "--zone-height=1e-7"), "zone_height"),
+            (("pyramid", "build", "--base-zone-height=1e-7"), "base_zone_height"),
+        ):
+            assert main(["--snapshot", snap, *argv]) == 4
+            assert f"error: {name} must be finite and at least 180/" in capsys.readouterr().err
+        assert Path(snap).read_bytes() == before
+
     def test_usage_error_exit_2(self, capsys, snap):
         with pytest.raises(SystemExit) as exc:
             main(["--snapshot", snap, "zone", "nearby", "--bogus-flag", "1"])
@@ -447,6 +462,21 @@ class TestBenchCli:
             main(["bench", *argv])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "-1", "0", "0.0099", "180.5", "1e300"])
+    def test_max_radius_out_of_range_usage_error(self, capsys, radius):
+        # nan and -1 used to end in numpy tracebacks inside bench_queries
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "nearby", "--n", "10", "--queries", "2", f"--max-radius={radius}"])
+        assert exc.value.code == 2
+        assert "must be within [0.01, 180] degrees" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["0.01", "180"])
+    def test_max_radius_range_ends_accepted(self, capsys, radius):
+        code, out = run(capsys, "--format", "records", "bench", "nearby", "--n", "50",
+                        "--queries", "3", f"--max-radius={radius}")
+        assert code == 0
+        assert "matches=3" in out
 
 
 def test_readme_walkthrough_runs(capsys, tmp_path):

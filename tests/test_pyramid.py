@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyindex import oracle, pyramid
+from skyindex import oracle, pyramid, zones
 from skyindex.geom import (
     Convex,
     HalfSpace,
@@ -56,6 +56,35 @@ class TestConfig:
         with pytest.raises(PyramidError, match="base_zone_height"):
             PyramidConfig(base_zone_height=height)
 
+    def test_zone_count_ceiling(self):
+        assert PyramidConfig(base_zone_height=180.0 / zones.MAX_ZONE_COUNT).max_scale == 20
+        with pytest.raises(PyramidError, match="base_zone_height"):
+            PyramidConfig(base_zone_height=180.0 / (zones.MAX_ZONE_COUNT + 1))
+
+    @pytest.mark.parametrize("base", [0.5 / 60.0, 0.1, 180.0 / 512.0, 180.0 / zones.MAX_ZONE_COUNT, 7.0])
+    def test_array_scale_of_matches_scalar_rule(self, rng, base):
+        def scalar_rule(r, cfg):
+            m = int(math.ceil(r / cfg.base_zone_height - 1e-12))
+            return min((max(m, 1) - 1).bit_length(), cfg.max_scale)
+
+        cfg = PyramidConfig(base_zone_height=base)
+        radii = [base / 3, 180.0, math.nextafter(180.0, 0.0), 5e-324]
+        for k in range(cfg.max_scale + 1):
+            r = base * 2.0**k
+            radii += [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
+        radii += np.exp(rng.uniform(np.log(1e-6), np.log(180.0), 2000)).tolist()
+        radii = [r for r in radii if 0.0 < r <= 180.0]
+        want = [scalar_rule(r, cfg) for r in radii]
+        got = scale_of(np.array(radii), cfg)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert [scale_of(r, cfg) for r in radii] == want
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.nextafter(180.0, math.inf), math.inf])
+    def test_array_scale_of_rejects_radius_outside_0_180(self, radius):
+        with pytest.raises(PyramidError, match="bounding radius outside"):
+            scale_of(np.array([1.0, radius, 2.0]), PyramidConfig())
+
     def test_scale_accommodates_radius(self, rng):
         cfg = PyramidConfig()
         for _ in range(300):
@@ -75,14 +104,15 @@ class TestInsert:
         idx = PyramidIndex()
         s = idx.insert(1, SkyPoint(10, 10), 170.0)
         assert s == idx.cfg.max_scale
-        assert set(idx.tables()[s].zone.tolist()) == {0}
+        assert idx.scales() == [s]
+        assert zones.zone_column(idx.columns()["dec"], idx.cfg.zone_height(s)).tolist() == [0]
 
     def test_margin_duplicate_near_meridian(self):
         """No margin duplicate: an entry beside ra = 0 keeps one row, and
         queries from either side of ra = 0 find it."""
         idx = PyramidIndex()
         idx.insert(1, SkyPoint(0.001, 0.0), idx.cfg.base_zone_height / 2)
-        assert idx.tables()[0].ra.tolist() == [0.001]
+        assert idx.columns()["ra"].tolist() == [0.001]
         for ra in (359.995, 0.0, 0.007):
             assert overlap_search(idx, SkyPoint(ra, 0.0), 0.005) == [1]
         assert overlap_search(idx, SkyPoint(359.99, 0.0), 0.005) == []
@@ -118,10 +148,11 @@ class TestCandidateZones:
         calls = set()
         band = pyramid.scale_band
 
-        def spy(table, dec, r):
-            z0, z1 = band(table, dec, r)
-            calls.update((scale[table.cfg.zone_height], z) for z in range(z0, z1 + 1))
-            return z0, z1
+        def spy(heights, dec, r):
+            lo, hi = band(heights, dec, r)
+            for h, z0, z1 in zip(heights.tolist(), lo.tolist(), hi.tolist()):
+                calls.update((scale[h], z) for z in range(int(z0), int(z1) + 1))
+            return lo, hi
 
         with monkeypatch.context() as m:
             m.setattr(pyramid, "scale_band", spy)
@@ -314,6 +345,29 @@ class TestOverlapSearch:
         for r in (math.nextafter(180.0, math.inf), 1e300):
             with pytest.raises(PyramidError, match="radius out of"):
                 overlap_search(idx, SkyPoint(190.0, 0.0), r)
+
+    def test_zone_scale_count_brute_force(self, rng):
+        # an entry is a zone_scale candidate when its zone lies in the band
+        # of its scale, counted here entry by entry with scalar arithmetic
+        idx, _ = self._build(rng, 3000)
+        cols = idx.columns()
+        cfg = idx.cfg
+        entries = []  # (zone height, top zone, zone) of each entry
+        for dec, er in zip(cols["dec"].tolist(), cols["radius"].tolist()):
+            h = cfg.zone_height(scale_of(er, cfg))
+            top = math.ceil(180.0 / h) - 1
+            entries.append((h, top, min(math.floor((dec + 90.0) / h), top)))
+        for k in range(60):
+            q = SkyPoint(float(rng.uniform(0, 360)), float(rng.uniform(-90, 90)) if k % 4 else 89.5)
+            qr = float(np.exp(rng.uniform(np.log(0.01), np.log(20.0))))
+            want = 0
+            for h, top, zone in entries:
+                lo = max(0, math.floor((q.dec + 90.0 - qr - h) / h))
+                hi = min(top, math.floor((q.dec + 90.0 + qr + h) / h))
+                want += lo <= zone <= hi
+            stats = {}
+            overlap_search(idx, q, qr, stats=stats)
+            assert stats["zone_scale"] == want
 
     def test_stage_totals_pinned(self):
         # summed stage counts of a seeded query set, as the pyramid gave

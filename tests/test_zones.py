@@ -9,6 +9,7 @@ from skyindex import catalog as catmod
 from skyindex import oracle
 from skyindex.geom import SkyPoint, sky_to_vec
 from skyindex.zones import (
+    MAX_ZONE_COUNT,
     NeighborsTable,
     ZoneConfig,
     ZoneError,
@@ -73,6 +74,24 @@ class TestZoneConfig:
     def test_rejects_height_not_positive_and_finite(self, height):
         with pytest.raises(ZoneError, match="zone_height"):
             ZoneConfig(zone_height=height)
+
+    def test_zone_count_ceiling(self):
+        assert ZoneConfig(zone_height=180.0 / MAX_ZONE_COUNT).zone_count == MAX_ZONE_COUNT
+        for height in (180.0 / (MAX_ZONE_COUNT + 1), 1e-7, 5e-324):
+            with pytest.raises(ZoneError, match="zone_height"):
+                ZoneConfig(zone_height=height)
+
+    def test_neighbors_default_height_clamped_to_ceiling(self):
+        # a zone height of 1e-7 deg would give 1.8e9 zones; the default
+        # height stops at the ceiling's, and the join stays exact
+        cat = catmod.from_points(
+            [(1, SkyPoint(10.0, 20.0)), (2, SkyPoint(10.0, 20.0 + 5e-8)), (3, SkyPoint(10.0, 20.0 + 2e-7))],
+            htm_depth=5,
+        )
+        table = build_neighbors(cat, 1e-7)
+        assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == brute_pairs(cat, 1e-7) == {(1, 2), (2, 1)}
+        with pytest.raises(ZoneError, match="zone_height"):
+            build_neighbors(cat, 1e-7, zone_height=1e-7)
 
 
 class TestBuildZoneTable:
