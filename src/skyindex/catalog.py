@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import htm
-from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec, unit_rows
+from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec, sky_to_xyz
 from .zones import check_rows, cone_matches, gather_runs, has_duplicates
 
 
@@ -54,6 +54,21 @@ class Catalog:
             self._htm_sorted_ids = self.ensure_htm()[self.htm_order()]
         return self._htm_sorted_ids
 
+    @classmethod
+    def from_columns(cls, objid, ra, dec, htm_depth: int, htmid=None) -> "Catalog":
+        """The catalog of a snapshot's columns, x, y, z derived as from_arrays
+        derives them. Raises CatalogError or zones.ZoneError unless from_arrays
+        could have made them: valid rows (zones.check_rows), a depth in [0,
+        htm.MAX_DEPTH] and one id per row at it (marker bit, face 8..15)."""
+        check_rows(objid, ra, dec)
+        if not 0 <= htm_depth <= htm.MAX_DEPTH:
+            raise CatalogError(f"mesh depth outside [0, {htm.MAX_DEPTH}]: {htm_depth!r}")
+        if htmid is not None:
+            face = htmid >> htmid.dtype.type(2 * htm_depth)
+            if len(htmid) != len(objid) or not ((face >= 8) & (face <= 15)).all():
+                raise CatalogError(f"mesh ids not one per row at depth {htm_depth}")
+        return cls(objid, ra, dec, *sky_to_xyz(ra, dec), htm_depth=htm_depth, htmid=htmid)
+
     def points(self):
         """(objid, UnitVec3) pairs, one Python object per row. The region
         queries take the objid, x, y, z columns instead."""
@@ -63,23 +78,6 @@ class Catalog:
         ]
 
 
-def check_catalog(cat: Catalog) -> None:
-    """Raise CatalogError or zones.ZoneError unless cat could come from
-    from_arrays: valid rows (zones.check_rows), unit x, y, z, a mesh depth
-    in [0, htm.MAX_DEPTH] and, if present, one mesh id per row at that
-    depth (marker bit and face 8..15). The ids' values are trusted."""
-    check_rows(cat.objid, cat.ra, cat.dec)
-    if not unit_rows(cat.x, cat.y, cat.z):
-        raise CatalogError("x, y, z must be unit vectors")
-    if not 0 <= cat.htm_depth <= htm.MAX_DEPTH:
-        raise CatalogError(f"mesh depth outside [0, {htm.MAX_DEPTH}]: {cat.htm_depth!r}")
-    ids = cat.htmid
-    if ids is not None:
-        face = ids >> ids.dtype.type(2 * cat.htm_depth)
-        if len(ids) != len(cat) or not ((face >= 8) & (face <= 15)).all():
-            raise CatalogError(f"mesh ids not one per row at depth {cat.htm_depth}")
-
-
 def from_arrays(
     objid,
     ra,
@@ -87,7 +85,10 @@ def from_arrays(
     htm_depth: int = DEFAULT_HTM_DEPTH,
     compute_htm: bool = True,
 ) -> Catalog:
-    objid = np.asarray(objid, dtype=np.int64)
+    try:
+        objid = np.asarray(objid, dtype=np.int64)
+    except OverflowError:  # a Python int outside int64
+        raise CatalogError("objID outside the int64 range") from None
     ra = np.asarray(ra, dtype=float)
     dec = np.asarray(dec, dtype=float)
     if not (np.isfinite(ra).all() and np.isfinite(dec).all()):
@@ -98,12 +99,7 @@ def from_arrays(
         raise CatalogError("duplicate objID")
     if len(dec) and (dec.min() < -90.0 or dec.max() > 90.0):
         raise CatalogError("dec out of range [-90, 90]")
-    rr = np.radians(ra)
-    dd = np.radians(dec)
-    x = np.cos(dd) * np.cos(rr)
-    y = np.cos(dd) * np.sin(rr)
-    z = np.sin(dd)
-    cat = Catalog(objid, ra, dec, x, y, z, htm_depth=htm_depth)
+    cat = Catalog(objid, ra, dec, *sky_to_xyz(ra, dec), htm_depth=htm_depth)
     if compute_htm:
         cat.ensure_htm()
     return cat
@@ -153,6 +149,8 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
                 raise CatalogError(
                     f"{path}:{lineno}: column 1: invalid objID {parts[0].strip()!r}"
                 ) from None
+            if not -(1 << 63) <= objid < 1 << 63:
+                raise CatalogError(f"{path}:{lineno}: column 1: objID outside the int64 range: {objid}")
             values = []
             for col, text in enumerate(parts[1:], start=2):
                 try:

@@ -24,7 +24,7 @@ import numpy as np
 from . import catalog as catmod
 from . import htm, oracle, regionspec, zones
 from .algebra import RegionStore, RegionStoreError
-from .geom import GeometryError, SkyPoint, UnitVec3, sky_to_vec, vec_to_sky
+from .geom import GeometryError, SkyPoint, UnitVec3, sky_to_vec, sky_to_xyz, vec_to_sky
 from .htm import HtmError
 from .pyramid import (
     PyramidConfig,
@@ -469,9 +469,7 @@ def cmd_bench_overlap(args, out: Output) -> int:
         idx.insert(i, SkyPoint(float(ra[i]), float(dec[i])), float(radii[i]))
     idx.scales()  # sorts the queued entries in inside the timed build
     t_build = time.perf_counter() - t0
-    rr = np.radians(ra)
-    dd = np.radians(dec)
-    ex, ey, ez = np.cos(dd) * np.cos(rr), np.cos(dd) * np.sin(rr), np.sin(dd)
+    ex, ey, ez = sky_to_xyz(ra, dec)
     matches = 0
     t_idx = t_brute = 0.0
     agg = {"zone_scale": 0, "ra": 0, "fine_ra": 0, "dec": 0, "geometry": 0, "matched": 0}

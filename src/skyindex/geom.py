@@ -174,6 +174,14 @@ def sky_to_vec(p: SkyPoint) -> UnitVec3:
     return UnitVec3(cd * math.cos(ra), cd * math.sin(ra), math.sin(dec))
 
 
+def sky_to_xyz(ra: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sky_to_vec of columns; catalogs built or loaded derive x, y, z here."""
+    rr = np.radians(ra)
+    dd = np.radians(dec)
+    cd = np.cos(dd)
+    return cd * np.cos(rr), cd * np.sin(rr), np.sin(dd)
+
+
 def vec_to_sky(v: UnitVec3) -> SkyPoint:
     """Inverse of sky_to_vec. At the poles (|z| = 1 within 1e-12) ra is 0."""
     if abs(abs(v.z) - 1.0) <= 1e-12:

@@ -138,6 +138,8 @@ class PyramidIndex:
     def insert(self, objid: int, center: SkyPoint, radius) -> int:
         """Add one bounding circle; returns the scale it lands on."""
         r = as_degrees(radius)
+        if not -(1 << 63) <= objid < 1 << 63:  # the int64 objid column's range
+            raise PyramidError(f"objId outside the int64 range: {objid}")
         if objid in self._ids:
             raise PyramidError(f"duplicate objId: {objid}")
         s = scale_of(r, self.cfg)

@@ -12,13 +12,18 @@ save casts a value to its column's dtype where numpy deems the cast safe
 (an int as <f8). Values are little-endian and round-trip bit exactly. A
 version mismatch, a failed length or CRC check, a column its schema does
 not allow, or columns that do not make a valid structure raise
-SnapshotError; no partial state is ever returned. Every table must also
-hold what a build could have made of its rows (the catalog's mesh ids are
-checked for their depth only). The pyramid section is its base zone height
-and its entry columns, which loading checks and sorts as inserts would. A
-save writes each column straight from its array, with no joined copy of
-the payload, to a temporary file beside the target and renames it over the
-target, so a failed save leaves the previous snapshot intact.
+SnapshotError; no partial state is ever returned. Each catalog row is
+stored once: the catalog section holds no x, y, z (Catalog.from_columns
+derives them), and the zone-table section is its zone height and row, the
+permutation of the catalog's rows it is gathered by (zones.zone_table_of);
+a save refuses a table that does not hold the catalog's rows at row. Every
+table must hold what a build could have made of its rows (the catalog's
+mesh ids are checked for their depth only). The pyramid section is its
+base zone height and its entry columns, which loading checks and sorts as
+inserts would. A save writes each column straight from its array, with no
+joined copy of the payload, to a temporary file beside the target and
+renames it over the target, so a failed save leaves the previous snapshot
+intact.
 """
 
 from __future__ import annotations
@@ -32,12 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import RegionStore
-from .catalog import Catalog, check_catalog
+from .catalog import Catalog
 from .pyramid import PyramidConfig, PyramidIndex
-from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors, check_zone_table
+from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors, zone_table_of
 
 MAGIC = b"SKYIDXSN"
-VERSION = 5
+VERSION = 6
 _ABSENT = 0xFFFFFFFF
 
 
@@ -72,21 +77,9 @@ _CATALOG = {
     "objid": _I8,
     "ra": _F8,
     "dec": _F8,
-    "x": _F8,
-    "y": _F8,
-    "z": _F8,
     "htmid": _Col("<i8 <u8", optional=True),  # uint64 at htm.MAX_DEPTH
 }
-_ZONES = {
-    "zone_height": _F8_SCALAR,
-    "zone": _I8,
-    "ra": _F8,
-    "objid": _I8,
-    "dec": _F8,
-    "x": _F8,
-    "y": _F8,
-    "z": _F8,
-}
+_ZONES = {"zone_height": _F8_SCALAR, "row": _I8}
 _NEIGHBORS = {
     "radius": _F8_SCALAR,
     "candidate_pairs": _I8_SCALAR,
@@ -115,6 +108,10 @@ _REGIONS = {  # RegionStore.columns()
     "nz": _HALFSPACE,
     "l": _HALFSPACE,
 }
+
+
+_SECTIONS = ((_CATALOG, "catalog"), (_ZONES, "zone table"), (_NEIGHBORS, "neighbors"),
+             (_REGIONS, "region store"), (_PYRAMID, "pyramid"))  # in file order
 
 
 def _check_column(schema: dict, what: str, name: str, dtype: str, ndim: int) -> None:
@@ -189,13 +186,11 @@ class _Reader:
         start = self._take(*self._unpack("<B"))
         return bytes(self.payload[start : self.pos]).decode("ascii", "replace")
 
-    def section(self, schema: dict, what: str, absent_ok: bool = True) -> dict | None:
-        """The section's columns by name, a scalar as a Python number."""
+    def section(self, schema: dict, what: str) -> dict | None:
+        """The section's columns by name, a scalar as a Python number; None if absent."""
         (count,) = self._unpack("<I")
         if count == _ABSENT:
-            if absent_ok:
-                return None
-            raise SnapshotError(f"{what} section absent")
+            return None
         cols = {}
         for _ in range(count):
             name, dtype = self._text(), self._text()
@@ -216,36 +211,35 @@ def _fields(obj, schema: dict) -> dict | None:
     return None if obj is None else {k: getattr(obj, k) for k in schema}
 
 
-def _zone_columns(t: ZoneTable | None) -> dict | None:
+def _check_rows_of(row: np.ndarray, cat: Catalog | None) -> None:
+    """Raise SnapshotError unless row is a permutation of cat's rows."""
+    if cat is None:
+        raise SnapshotError("zone table without a catalog")
+    n = len(cat)  # the range test keeps bincount from sizing by a bad row
+    if not (len(row) == n and ((row >= 0) & (row < n)).all() and (np.bincount(row, minlength=n) == 1).all()):
+        raise SnapshotError("zone table rows are not a permutation of the catalog's rows")
+
+
+def _zone_section(state: AppState) -> dict | None:
+    t, cat = state.zone_table, state.catalog
     if t is None:
         return None
-    return {k: getattr(t.cfg if k == "zone_height" else t, k) for k in _ZONES}
-
-
-def _checked(build, check, cols: dict | None):
-    """build(**cols) once check has passed it; None for an absent section."""
-    if cols is None:
-        return None
-    obj = build(**cols)
-    check(obj)
-    return obj
-
-
-def _zone_table(zone_height: float, **rows) -> ZoneTable:
-    return ZoneTable(ZoneConfig(zone_height), **rows)
+    _check_rows_of(t.row, cat)
+    if not all(np.array_equal(getattr(t, k), getattr(cat, k)[t.row]) for k in ("objid", "ra", "dec")):
+        raise SnapshotError("zone table rows differ from the catalog's rows it names")
+    return {"zone_height": t.cfg.zone_height, "row": t.row}
 
 
 def save_state(state: AppState, path) -> None:
     pyr = state.pyramid
-    pyramid = None if pyr is None else {"base_zone_height": pyr.cfg.base_zone_height, **pyr.columns()}
-    sections = [
-        (_CATALOG, "catalog", _fields(state.catalog, _CATALOG)),
-        (_ZONES, "zone table", _zone_columns(state.zone_table)),
-        (_NEIGHBORS, "neighbors", _fields(state.neighbors, _NEIGHBORS)),
-        (_REGIONS, "region store", state.regions.columns()),
-        (_PYRAMID, "pyramid", pyramid),
-    ]
-    chunks = [chunk for section in sections for chunk in _encode(*section)]
+    values = (
+        _fields(state.catalog, _CATALOG),
+        _zone_section(state),
+        _fields(state.neighbors, _NEIGHBORS),
+        state.regions.columns(),
+        None if pyr is None else {"base_zone_height": pyr.cfg.base_zone_height, **pyr.columns()},
+    )
+    chunks = [chunk for (schema, what), cols in zip(_SECTIONS, values) for chunk in _encode(schema, what, cols)]
     length = crc = 0
     for chunk in chunks:
         length += len(chunk)
@@ -288,15 +282,23 @@ def load_state(path) -> AppState:
     r = _Reader(payload)
     # a constructor or check refusing decoded columns raises its module's ValueError
     try:
-        cat = _checked(Catalog, check_catalog, r.section(_CATALOG, "catalog"))
-        zone_table = _checked(_zone_table, check_zone_table, r.section(_ZONES, "zone table"))
-        neighbors = _checked(NeighborsTable, check_neighbors, r.section(_NEIGHBORS, "neighbors"))
-        regions = RegionStore.from_columns(r.section(_REGIONS, "region store", absent_ok=False))
-        pyr = r.section(_PYRAMID, "pyramid")
-        if pyr is not None:
-            pyr = PyramidIndex.from_columns(PyramidConfig(pyr.pop("base_zone_height")), pyr)
+        cat, zone_table, neighbors, regions, pyr = [r.section(schema, what) for schema, what in _SECTIONS]
         if r.pos != len(payload):
             raise SnapshotError("trailing bytes after payload")
+        if regions is None:
+            raise SnapshotError("region store section absent")
+        del blob, payload, r  # the columns are copies: free the file's bytes before building
+        if cat is not None:
+            cat = Catalog.from_columns(**cat)
+        if zone_table is not None:
+            _check_rows_of(zone_table["row"], cat)
+            zone_table = zone_table_of(cat, ZoneConfig(zone_table["zone_height"]), zone_table["row"])
+        if neighbors is not None:
+            neighbors = NeighborsTable(**neighbors)
+            check_neighbors(neighbors)
+        regions = RegionStore.from_columns(regions)
+        if pyr is not None:
+            pyr = PyramidIndex.from_columns(PyramidConfig(pyr.pop("base_zone_height")), pyr)
         return AppState(cat, zone_table, neighbors, regions, pyr)
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc

@@ -1,7 +1,8 @@
 """Zone bucketing: declination stripes with ordered (zone, ra) scans.
 
 A catalog is bucketed into horizontal zones of fixed height; rows are kept
-sorted by (zone, ra, objid), one row per object with ra in [0, 360).
+sorted by (zone, ra, objid), one row per object with ra in [0, 360): an
+index over the catalog, as in the zone papers, gathered by a row permutation.
 ZoneTable.scan_ra scans a band of zones for many ra windows at once with
 a binary search on an exact (zone, ra) key, so a cone search is one scan
 of its dec band and the all-pairs neighbor join is one scan per zone.
@@ -39,8 +40,7 @@ class ZoneError(ValueError):
 
 
 # The most zones a height may give. zone_bounds holds zone_count + 1
-# int64s and build_neighbors visits every zone in Python, so 2^20 zones
-# cost 8 MiB and about a second; 180 / 2^20 degrees (0.62 arcsec) is
+# int64s, so 2^20 zones cost 8 MiB; 180 / 2^20 degrees (0.62 arcsec) is
 # below survey astrometric errors. Zone numbers stay exact in the complex
 # search keys, which need them below 2^53.
 MAX_ZONE_COUNT = 1 << 20
@@ -169,10 +169,10 @@ def has_duplicates(values: np.ndarray) -> bool:
 
 @dataclass(eq=False)
 class ZoneTable:
-    """Immutable after build; one row per input row, sorted by
+    """Immutable after build; one row per catalog row, sorted by
     (zone, ra, objid), with ra in [0, 360). key is the (zone, ra) search
-    key scan_ra runs on, derived here and never stored.
-    """
+    key scan_ra runs on, derived here and never stored; rows out of its
+    order raise ZoneError."""
 
     cfg: ZoneConfig
     zone: np.ndarray
@@ -182,6 +182,7 @@ class ZoneTable:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    row: np.ndarray  # the catalog row of each table row
     zone_bounds: np.ndarray = field(init=False)
     key: np.ndarray = field(init=False)
 
@@ -193,6 +194,8 @@ class ZoneTable:
         # (real, imag), and zone + 1j * ra keeps both parts exact, so key
         # orders rows exactly by (zone, ra)
         self.key = self.zone + 1j * self.ra
+        if not (self.key[1:] >= self.key[:-1]).all():  # all scan_ra relies on
+            raise ZoneError("rows not sorted by (zone, ra)")
 
     def __len__(self) -> int:
         return len(self.zone)
@@ -254,44 +257,33 @@ def zone_column(dec: np.ndarray, height) -> np.ndarray:
     return np.minimum(np.floor((dec + 90.0) / height).astype(np.int64), top)
 
 
-def check_zone_table(t: ZoneTable) -> None:
-    """Raise ZoneError unless t holds what build_zone_table would build
-    from its rows: valid rows, each zone the one of its dec, and rows
-    sorted by (zone, ra), which is all scan_ra relies on. For tables that
-    come from elsewhere, such as a snapshot."""
-    check_rows(t.objid, t.ra, t.dec)
-    if not np.array_equal(t.zone, zone_column(t.dec, t.cfg.zone_height)):
-        raise ZoneError("zone column does not match dec")
-    if not (t.key[1:] >= t.key[:-1]).all():
-        raise ZoneError("rows not sorted by (zone, ra)")
+def zone_table_of(catalog, cfg: ZoneConfig, row: np.ndarray) -> ZoneTable:
+    """The zone table whose row i is catalog row row[i], its zone derived
+    from its dec: build_zone_table ends here, and so does loading one.
+    catalog: any object with array columns objid, ra, dec, x, y, z."""
+    dec = catalog.dec[row]
+    return ZoneTable(
+        cfg=cfg,
+        zone=zone_column(dec, cfg.zone_height),
+        ra=catalog.ra[row],
+        objid=catalog.objid[row],
+        dec=dec,
+        x=catalog.x[row],
+        y=catalog.y[row],
+        z=catalog.z[row],
+        row=row,
+    )
 
 
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     """Bucket rows into zones: one table row per input row.
 
-    catalog: any object with objid, ra, dec, x, y, z columns, such as a
-    Catalog.
+    catalog: any object with array columns objid, ra, dec, x, y, z, such
+    as a Catalog.
     """
-    objid = np.asarray(catalog.objid, dtype=np.int64)
-    ra = np.asarray(catalog.ra, dtype=float)
-    dec = np.asarray(catalog.dec, dtype=float)
-    check_rows(objid, ra, dec)
-    zone = zone_column(dec, cfg.zone_height)
-    order = np.lexsort((objid, ra, zone))
-
-    def column(values):
-        return np.asarray(values, dtype=float)[order]
-
-    return ZoneTable(
-        cfg=cfg,
-        zone=zone[order],
-        ra=ra[order],
-        objid=objid[order],
-        dec=dec[order],
-        x=column(catalog.x),
-        y=column(catalog.y),
-        z=column(catalog.z),
-    )
+    check_rows(catalog.objid, catalog.ra, catalog.dec)
+    order = np.lexsort((catalog.objid, catalog.ra, zone_column(catalog.dec, cfg.zone_height)))
+    return zone_table_of(catalog, cfg, order)
 
 
 def nearby_objects(
@@ -372,8 +364,9 @@ def check_neighbors(t: NeighborsTable) -> None:
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
     """Materialize all object pairs strictly within a radius in (0, 180].
 
-    Scans the zone band around each zone with one ra window per row of the
-    zone, keeping objid1 < objid2 to do half the work, then mirroring.
+    Scans the zone band around each populated zone with one ra window per
+    row of the zone, keeping objid1 < objid2 to do half the work, then
+    mirroring.
     zone_height defaults to the radius, which minimizes the candidate area
     of the join, or to the least height MAX_ZONE_COUNT allows if that is
     larger.
@@ -391,10 +384,8 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     pairs_b = [np.empty(0, dtype=np.int64)]
     pair_d2 = [np.empty(0, dtype=float)]
     candidates = 0
-    for z in range(nz):
+    for z in np.flatnonzero(np.diff(table.zone_bounds)).tolist():  # the populated zones
         s = table.zone_slice(z)
-        if s.start == s.stop:
-            continue
         alpha = _ra_windows_arr(r, table.dec[s])
         window, right = table.scan_ra(
             max(0, z - deltas), min(nz - 1, z + deltas),
@@ -414,18 +405,16 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
         pairs_a.append(table.objid[left][hit])
         pairs_b.append(table.objid[right][hit])
         pair_d2.append(d2[hit])
-    a = np.concatenate(pairs_a)
-    b = np.concatenate(pairs_b)
-    d2 = np.concatenate(pair_d2)
-    dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
-    all_a = np.concatenate([a, b])
-    all_b = np.concatenate([b, a])
-    all_d = np.concatenate([dist, dist])
-    order = np.lexsort((all_b, all_a))
+    # both orders of every pair; the table is freed before the sort, which sets peak memory
+    a = np.concatenate(pairs_a + pairs_b)
+    b = np.concatenate(pairs_b + pairs_a)
+    d2 = np.concatenate(pair_d2 * 2)
+    del table, pairs_a, pairs_b, pair_d2
+    order = np.lexsort((b, a))
     return NeighborsTable(
         radius=r,
-        objid=all_a[order],
-        neighbor=all_b[order],
-        distance=all_d[order],
+        objid=a[order],
+        neighbor=b[order],
+        distance=np.degrees(2.0 * np.arcsin(np.sqrt(d2[order]) / 2.0)),
         candidate_pairs=candidates,
     )

@@ -34,13 +34,13 @@ def assert_same_columns(a: RegionStore, b: RegionStore):
         assert np.asarray(cols_a[k]).tobytes() == np.asarray(cols_b[k]).tobytes(), k
 
 
-def write_sections(path, catalog=(snapshot._CATALOG, None), regions=None, pyramid=None):
+def write_sections(path, catalog=(snapshot._CATALOG, None), zones=None, regions=None, pyramid=None):
     """A CRC-valid snapshot of a catalog section written under the given
-    schema, and the given region store and pyramid columns, unchecked by
-    the loader's schemas; no zone table or neighbors."""
+    schema, and the given zone table, region store and pyramid columns,
+    unchecked by the loader's schemas or save_state; no neighbors."""
     sections = [
         catalog,
-        (snapshot._ZONES, None),
+        (snapshot._ZONES, zones),
         (snapshot._NEIGHBORS, None),
         (snapshot._REGIONS, RegionStore().columns() if regions is None else regions),
         (snapshot._PYRAMID, pyramid),
@@ -103,6 +103,19 @@ class TestIngest:
         p = write_csv(tmp_path / "c.csv", [row])
         with pytest.raises(CatalogError, match=where + ": non-finite"):
             ingest_csv(p)
+
+    @pytest.mark.parametrize("objid", [2**63, 1180591620717411303424, -(2**63) - 1])
+    def test_objid_outside_int64_names_line_and_column(self, tmp_path, objid):
+        p = write_csv(tmp_path / "c.csv", ["1,10,0", f"{objid},20,0"])
+        with pytest.raises(CatalogError, match=":3: column 1: objID outside the int64 range"):
+            ingest_csv(p)
+
+    def test_from_arrays_rejects_objid_outside_int64(self):
+        for objid in (2**63, -(2**63) - 1):
+            with pytest.raises(CatalogError, match="int64"):
+                catmod.from_arrays([1, objid], [10.0, 20.0], [0.0, 0.0])
+        ends = [-(2**63), 2**63 - 1]
+        assert catmod.from_arrays(ends, [10.0, 20.0], [0.0, 0.0]).objid.tolist() == ends
 
     def test_from_arrays_rejects_non_finite(self):
         with pytest.raises(CatalogError, match="finite"):
@@ -251,10 +264,13 @@ class TestSnapshot:
         save_state(state, path)
         loaded = load_state(path)
 
-        assert loaded.catalog.x.tobytes() == cat.x.tobytes()
+        # x, y, z and every zone-table column but row are derived on load
+        for col in ("x", "y", "z"):
+            assert getattr(loaded.catalog, col).tobytes() == getattr(cat, col).tobytes(), col
         assert np.array_equal(loaded.catalog.htmid, cat.htmid)
-        # the (zone, ra) search key is derived on load, never stored
-        assert loaded.zone_table.key.tobytes() == table.key.tobytes()
+        for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "row", "key"):
+            got, want = getattr(loaded.zone_table, col), getattr(table, col)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), col
         for _ in range(25):
             center = SkyPoint(
                 float(rng.uniform(0, 360)),
@@ -459,71 +475,90 @@ class TestSnapshot:
             assert [i for i, _ in htm_cone_search(c, SkyPoint(10.0, 5.0), 0.5)] == [1, 2]
 
     @pytest.mark.parametrize("fault, message", [
-        ("ra + 720", "ra must be normalized to"),
-        ("nan ra", "ra must be normalized to"),
-        ("dec", "dec must be within"),
-        ("objid", "duplicate objID"),
-        ("zone", "zone column does not match dec"),
-        ("order", "rows not sorted"),
+        ("row out of range", "not a permutation"),
+        ("negative row", "not a permutation"),
+        ("repeated row", "not a permutation"),
+        ("row one short", "not a permutation"),
+        ("rows swapped", "rows not sorted"),  # the first and the last row
+        ("order", "rows not sorted"),  # reversed rows
     ])
     def test_zone_table_checked_on_load(self, tmp_path, fault, message):
+        # the zone-table section is its zone height and the row permutation
         cat = random_catalog(2000, seed=12)
         table = zones.build_zone_table(cat, zones.ZoneConfig())
-        rows = ("zone", "ra", "objid", "dec", "x", "y", "z")
-        cols = {k: getattr(table, k).copy() for k in rows}
-        if fault == "ra + 720":
-            cols["ra"] += 720.0
-        elif fault == "nan ra":
-            cols["ra"][7] = math.nan
-        elif fault == "dec":
-            cols["dec"][7] = 90.5
-        elif fault == "objid":
-            cols["objid"][7] = cols["objid"][8]
-        elif fault == "zone":
-            cols["zone"][-1] -= 1
+        row = table.row.copy()
+        if fault == "row out of range":
+            row[7] = len(cat)
+        elif fault == "negative row":
+            row[7] = -1  # a gather would wrap it to the last row
+        elif fault == "repeated row":
+            row[7] = row[8]
+        elif fault == "row one short":
+            row = row[:-1]
+        elif fault == "rows swapped":
+            row[[0, -1]] = row[[-1, 0]]
         else:
-            cols = {k: v[::-1] for k, v in cols.items()}
+            row = row[::-1]
         path = tmp_path / "s.snap"
-        save_state(AppState(cat, dataclasses.replace(table, **cols)), path)
+        catalog = (snapshot._CATALOG, {k: getattr(cat, k) for k in snapshot._CATALOG})
+        write_sections(path, catalog, zones={"zone_height": table.cfg.zone_height, "row": row})
         with pytest.raises(SnapshotError, match=message):
+            load_state(path)
+        write_sections(path, zones={"zone_height": table.cfg.zone_height, "row": table.row})
+        with pytest.raises(SnapshotError, match="zone table without a catalog"):
             load_state(path)
         save_state(AppState(cat, table), path)
         loaded = load_state(path)
         center = SkyPoint(10.0, 0.0)
         assert zones.nearby_objects(loaded.zone_table, center, 10.0) == oracle.cone_scan(cat, center, 10.0)
 
+    def test_zone_table_of_another_catalog_not_saved(self, tmp_path):
+        # same objids, other positions: a file pairing them would load and
+        # answer from the wrong rows
+        cat = random_catalog(2000, seed=12)
+        other = zones.build_zone_table(random_catalog(2000, seed=13), zones.ZoneConfig())
+        path = tmp_path / "s.snap"
+        save_state(AppState(cat), path)
+        before = path.read_bytes()
+        for state in (AppState(cat, other), AppState(zone_table=other)):
+            with pytest.raises(SnapshotError, match="zone table"):
+                save_state(state, path)
+            assert path.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("fault, message", [
         ("objid all 0", "duplicate objID"),
         ("nan dec", "dec must be within"),
         ("ra + 360", "ra must be normalized to"),
-        ("x scaled", "x, y, z must be unit vectors"),
-        ("nan z", "x, y, z must be unit vectors"),
+        ("x column", "unknown column 'x'"),
+        ("z column", "unknown column 'z'"),
         ("depth 31", "mesh depth outside"),
         ("depth 19", "mesh ids not one per row at depth 19"),
         ("negative id", "mesh ids not one per row at depth 20"),
     ])
     def test_catalog_checked_on_load(self, tmp_path, fault, message):
         cat = random_catalog(2000, seed=12, compute_htm=True)
-        cols = {k: getattr(cat, k).copy() for k in ("objid", "ra", "dec", "x", "z", "htmid")}
-        depth = cat.htm_depth
+        schema = dict(snapshot._CATALOG)
+        cols = {k: getattr(cat, k).copy() for k in ("objid", "ra", "dec", "htmid")}
+        cols["htm_depth"] = cat.htm_depth
         if fault == "objid all 0":
             cols["objid"][:] = 0
         elif fault == "nan dec":
             cols["dec"][7] = math.nan
         elif fault == "ra + 360":
             cols["ra"][7] += 360.0
-        elif fault == "x scaled":
-            cols["x"][7] *= 1.0 + 1e-9
-        elif fault == "nan z":
-            cols["z"][7] = math.nan
+        elif fault in ("x column", "z column"):
+            # x, y, z are derived on load, so a file cannot hold them
+            name = fault[0]
+            schema[name], cols[name] = snapshot._F8, getattr(cat, name)
         elif fault == "depth 31":
-            depth = 31
+            cols["htm_depth"] = 31
         elif fault == "depth 19":
-            depth = 19
+            cols["htm_depth"] = 19
         else:
             cols["htmid"][7] = -cols["htmid"][7]
         path = tmp_path / "s.snap"
-        save_state(AppState(dataclasses.replace(cat, htm_depth=depth, **cols)), path)
+        write_sections(path, catalog=(schema, cols))
         with pytest.raises(SnapshotError, match=message):
             load_state(path)
         save_state(AppState(cat), path)
@@ -644,16 +679,17 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="checksum"):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_rejected(self, tmp_path, version):
         # format 3 stored zone tables with wraparound margin rows, format 4
-        # one zone-table section per pyramid scale
+        # one zone-table section per pyramid scale, format 5 every catalog
+        # row twice and x, y, z
         path = tmp_path / "s.snap"
         save_state(AppState(), path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match=f"version {version} != supported 5"):
+        with pytest.raises(SnapshotError, match=f"version {version} != supported 6"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyindex import oracle
 from skyindex.catalog import random_catalog
@@ -71,6 +75,14 @@ class TestIngestAndZone:
         code = main(["--snapshot", snap, "ingest", str(bad)])
         assert code == 3
         assert ":3: column 2: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(snap)
+
+    def test_objid_outside_int64_is_parse_error(self, capsys, snap, tmp_path):
+        bad = tmp_path / "big.csv"
+        bad.write_text("objID,ra,dec\n1,10,0\n1180591620717411303424,20,0\n")
+        code = main(["--snapshot", snap, "ingest", str(bad)])
+        assert code == 3
+        assert ":3: column 1: objID outside the int64 range" in capsys.readouterr().err
         assert not os.path.exists(snap)
 
     def test_radius_over_margin_is_query_error(self, capsys, snap, csv3):
@@ -498,3 +510,89 @@ def test_readme_walkthrough_runs(capsys, tmp_path):
         code = main(["--snapshot", snap] + argv)
         err = capsys.readouterr().err
         assert code == 0, (argv, err)
+
+
+# The numeric-argument fuzz. Every value is passed as --name=value, so that
+# "-inf" and "-1" reach the argument's type instead of reading as options.
+# Sizes (--n, --queries, --max-ranges) are drawn small or invalid only, so
+# that no case starts a large allocation or a long refinement.
+_AWKWARD = ["nan", "-nan", "inf", "-inf", "0", "-0.0", "-1", "-400", "1e308", "-1e308", "1e-300", "5e-324", "1e999", "x"]
+
+
+def _number(valid):
+    return st.one_of(st.sampled_from(_AWKWARD), valid.map(repr), st.floats().map(repr))
+
+
+def _integer(valid):
+    return st.one_of(st.sampled_from(_AWKWARD + ["99999999999999999999999", "-99999999999999999999999"]), valid.map(str))
+
+
+_RA = _number(st.floats(-720.0, 720.0))
+_DEC = _number(st.floats(-90.0, 90.0))
+_RADIUS = _number(st.floats(0.0, 180.0))
+_HEIGHT = _number(st.floats(0.01, 90.0))
+_SIZE = st.sampled_from(["-3", "0", "1", "2", "17", "nan", "2.5", "1e9", "x"])
+_DEPTH = _integer(st.integers(-2, 33))
+
+
+def _opts(*pairs):
+    """argv tokens --name=value, a value drawn from each pair's strategy."""
+    return st.tuples(*(values.map(lambda v, n=name: f"{n}={v}") for name, values in pairs)).map(list)
+
+
+def _cli_argv(csv):
+    commands = [
+        (["zone", "build"], _opts(("--zone-height", _HEIGHT))),
+        (["zone", "nearby", "--stats"], _opts(("--ra", _RA), ("--dec", _DEC), ("--r", _RADIUS))),
+        (["neighbors", "build"], _opts(("--r", _RADIUS))),
+        (["neighbors", "build"], _opts(("--r", _RADIUS), ("--zone-height", _HEIGHT))),
+        (["neighbors", "of"], _opts(("--objid", _integer(st.integers(-3, 9))))),
+        (["pyramid", "build"], _opts(("--base-zone-height", _HEIGHT))),
+        (["pyramid", "overlap", "--stage-counts"], _opts(("--ra", _RA), ("--dec", _DEC), ("--r", _RADIUS))),
+        (["htm", "id"], _opts(("--ra", _RA), ("--dec", _DEC), ("--depth", _DEPTH))),
+        (["htm", "cover", "--region", "CIRCLE J2000 10 20 1"],
+         _opts(("--max-ranges", st.sampled_from(["-1", "0", "1", "20", "nan"])), ("--max-depth", _DEPTH))),
+        (["region", "contains"], _opts(("--ra", _RA), ("--dec", _DEC))),
+        (["region", "contains", "--id=1"], _opts(("--x", _RADIUS), ("--y", _RADIUS), ("--z", _RADIUS))),
+        (["region", "constraint", "--id=1", "--convex=1"],
+         _opts(("--x", _RADIUS), ("--y", _RADIUS), ("--z", _RADIUS), ("--l", _RADIUS))),
+        (["ingest", csv], _opts(("--htm-depth", _DEPTH))),
+        (["bench", "nearby"], _opts(("--n", _SIZE), ("--queries", _SIZE), ("--max-radius", _RADIUS), ("--zone-height", _HEIGHT))),
+        (["bench", "neighbors"], _opts(("--n", _SIZE), ("--r", _RADIUS))),
+        (["bench", "overlap"], _opts(("--n", _SIZE), ("--queries", _SIZE))),
+    ]
+    return st.one_of([opts.map(lambda tail, head=head: head + tail) for head, opts in commands])
+
+
+@pytest.fixture(scope="module")
+def fuzz_snapshot(tmp_path_factory):
+    """A snapshot holding every section, its bytes, and a CSV to ingest."""
+    root = tmp_path_factory.mktemp("fuzz")
+    csv = root / "five.csv"
+    csv.write_text("objID,ra,dec\n1,0.1,0.0\n2,359.9,0.0\n3,180.0,45.0\n4,30.0,20.0\n5,30.2,20.1\n")
+    snap = str(root / "fuzz.snap")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["ingest", str(csv)], ["zone", "build"], ["neighbors", "build", "--r", "1"],
+                     ["region", "new", "--type", "c", "--from", "CIRCLE J2000 10 20 60"], ["pyramid", "build"]):
+            assert main(["--snapshot", snap] + argv) == 0
+    return snap, Path(snap).read_bytes(), str(csv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_arguments_fuzz(fuzz_snapshot, data):
+    """Any numeric argument ends in exit 0, 2, 3 or 4 with no traceback,
+    and a failing command leaves the snapshot byte-identical."""
+    snap, before, csv = fuzz_snapshot
+    argv = data.draw(_cli_argv(csv), label="argv")
+    Path(snap).write_bytes(before)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--snapshot", snap] + argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert Path(snap).read_bytes() == before

@@ -124,6 +124,22 @@ class TestInsert:
             idx.insert(1, SkyPoint(20, 20), 1.0)
 
 
+    @pytest.mark.parametrize("objid", [2**63, -(2**63) - 1, 2**70])
+    def test_objid_outside_int64_rejected(self, objid):
+        idx = PyramidIndex()
+        centers = [SkyPoint(10.0, 10.0), SkyPoint(11.0, 10.5), SkyPoint(359.5, -3.0)]
+        radii = np.array([1.0, 0.2, 2.0])
+        for i, (c, r) in enumerate(zip(centers, radii)):
+            idx.insert(i, c, r)
+        with pytest.raises(PyramidError, match="int64"):
+            idx.insert(objid, SkyPoint(1.0, 2.0), 0.5)
+        assert len(idx) == 3
+        ex, ey, ez = (np.array(c) for c in zip(*(sky_to_vec(c).as_tuple() for c in centers)))
+        for q, qr in ((SkyPoint(10.5, 10.0), 1.0), (SkyPoint(0.0, -3.0), 1.0)):
+            assert overlap_search(idx, q, qr) == oracle.overlap_scan(ex, ey, ez, radii, q, qr)
+        assert idx.insert(2**63 - 1, SkyPoint(1.0, 2.0), 0.5) == 6
+
+
 class TestCandidateZones:
     """The (scale, zone) band that overlap_search masks, seen through the
     scale_band calls it makes on a pyramid with an entry in every zone of

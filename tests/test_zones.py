@@ -12,12 +12,14 @@ from skyindex.zones import (
     MAX_ZONE_COUNT,
     NeighborsTable,
     ZoneConfig,
+    ZoneTable,
     ZoneError,
     build_neighbors,
     build_zone_table,
     nearby_objects,
     ra_images,
     ra_window_deg,
+    zone_column,
     zone_of,
 )
 
@@ -92,6 +94,36 @@ class TestZoneConfig:
         assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == brute_pairs(cat, 1e-7) == {(1, 2), (2, 1)}
         with pytest.raises(ZoneError, match="zone_height"):
             build_neighbors(cat, 1e-7, zone_height=1e-7)
+
+
+    def test_neighbors_visit_populated_zones_only(self, monkeypatch):
+        # 2^20 zones at r = 1e-7, 203 rows (three pairs 5e-8 deg apart):
+        # one visit and one scan per populated zone
+        base = catmod.random_catalog(200, seed=3)
+        ra = np.concatenate([base.ra, base.ra[:3]])
+        dec = np.concatenate([base.dec, base.dec[:3] + 5e-8])
+        cat = catmod.from_arrays(np.arange(203), ra, dec, compute_htm=False)
+        visits, scans = [], []
+        zone_slice, scan_ra = ZoneTable.zone_slice, ZoneTable.scan_ra
+
+        def slice_spy(self, z):
+            visits.append(z)
+            return zone_slice(self, z)
+
+        def scan_spy(self, z0, z1, lo, hi):
+            scans.append(z0)
+            return scan_ra(self, z0, z1, lo, hi)
+
+        monkeypatch.setattr(ZoneTable, "zone_slice", slice_spy)
+        monkeypatch.setattr(ZoneTable, "scan_ra", scan_spy)
+        table = build_neighbors(cat, 1e-7)
+        populated = np.unique(zone_column(cat.dec, 180.0 / MAX_ZONE_COUNT)).tolist()
+        assert visits == populated
+        assert scans == [max(0, z - 1) for z in populated]
+        a, b, d = oracle.pair_scan(cat, 1e-7)
+        assert len(a) == 6
+        assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
+        assert np.array_equal(table.distance, d)
 
 
 class TestBuildZoneTable:
