@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,14 +119,29 @@ def from_points(pairs, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
 
 
 def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
-    """Read an objID,ra,dec CSV. ra is normalized into [0, 360); a dec
-    outside [-90, 90], a malformed or non-finite number, or a repeated
-    objID is an error naming the offending line."""
+    """Read an objID,ra,dec CSV in UTF-8. ra is normalized into [0, 360); a
+    dec outside [-90, 90], a malformed or non-finite number, a repeated
+    objID or a byte not in UTF-8 is an error naming the line, and an
+    unreadable file one naming the path."""
+    try:
+        ids, ras, decs = _read_csv(path)
+    except OSError as exc:
+        raise CatalogError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        # the first line, counted as _read_csv counts, with a byte escaped as U+DC80..U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            lineno = next(i for i, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
+        raise CatalogError(f"{path}:{lineno}: not valid UTF-8") from None
+    return from_arrays(ids, ras, decs, htm_depth=htm_depth)
+
+
+def _read_csv(path) -> tuple[list[int], list[float], list[float]]:
+    """The objid, ra and dec columns of ingest_csv's file."""
     ids: list[int] = []
     ras: list[float] = []
     decs: list[float] = []
     seen: dict[int, int] = {}
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline()
         if header == "":
             raise CatalogError(f"{path}: empty file, expected objID,ra,dec header")
@@ -177,7 +193,7 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
             ids.append(objid)
             ras.append(ra)  # from_arrays normalizes into [0, 360)
             decs.append(dec)
-    return from_arrays(ids, ras, decs, htm_depth=htm_depth)
+    return ids, ras, decs
 
 
 def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:

@@ -15,15 +15,16 @@ not allow, or columns that do not make a valid structure raise
 SnapshotError; no partial state is ever returned. Each catalog row is
 stored once: the catalog section holds no x, y, z (Catalog.from_columns
 derives them), and the zone-table section is its zone height and row, the
-permutation of the catalog's rows it is gathered by (zones.zone_table_of);
-a save refuses a table that does not hold the catalog's rows at row. Every
+permutation of the catalog's rows that is all a zones.ZoneTable holds.
+Loading makes the table over the loaded catalog and gathers no column; a
+save refuses a table over another catalog object than the state's. Every
 table must hold what a build could have made of its rows (the catalog's
 mesh ids are checked for their depth only). The pyramid section is its
 base zone height and its entry columns, which loading checks and sorts as
 inserts would. A save writes each column straight from its array, with no
 joined copy of the payload, to a temporary file beside the target and
 renames it over the target, so a failed save leaves the previous snapshot
-intact.
+intact; a save the file system refuses raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .algebra import RegionStore
 from .catalog import Catalog
 from .pyramid import PyramidConfig, PyramidIndex
-from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors, zone_table_of
+from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors
 
 MAGIC = b"SKYIDXSN"
 VERSION = 6
@@ -211,22 +212,12 @@ def _fields(obj, schema: dict) -> dict | None:
     return None if obj is None else {k: getattr(obj, k) for k in schema}
 
 
-def _check_rows_of(row: np.ndarray, cat: Catalog | None) -> None:
-    """Raise SnapshotError unless row is a permutation of cat's rows."""
-    if cat is None:
-        raise SnapshotError("zone table without a catalog")
-    n = len(cat)  # the range test keeps bincount from sizing by a bad row
-    if not (len(row) == n and ((row >= 0) & (row < n)).all() and (np.bincount(row, minlength=n) == 1).all()):
-        raise SnapshotError("zone table rows are not a permutation of the catalog's rows")
-
-
 def _zone_section(state: AppState) -> dict | None:
-    t, cat = state.zone_table, state.catalog
+    t = state.zone_table
     if t is None:
         return None
-    _check_rows_of(t.row, cat)
-    if not all(np.array_equal(getattr(t, k), getattr(cat, k)[t.row]) for k in ("objid", "ra", "dec")):
-        raise SnapshotError("zone table rows differ from the catalog's rows it names")
+    if t.catalog is not state.catalog:
+        raise SnapshotError("zone table indexes a catalog object other than the state's")
     return {"zone_height": t.cfg.zone_height, "row": t.row}
 
 
@@ -253,9 +244,11 @@ def save_state(state: AppState, path) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise SnapshotError(f"cannot write snapshot {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -291,8 +284,9 @@ def load_state(path) -> AppState:
         if cat is not None:
             cat = Catalog.from_columns(**cat)
         if zone_table is not None:
-            _check_rows_of(zone_table["row"], cat)
-            zone_table = zone_table_of(cat, ZoneConfig(zone_table["zone_height"]), zone_table["row"])
+            if cat is None:
+                raise SnapshotError("zone table without a catalog")
+            zone_table = ZoneTable(ZoneConfig(zone_table["zone_height"]), cat, zone_table["row"])
         if neighbors is not None:
             neighbors = NeighborsTable(**neighbors)
             check_neighbors(neighbors)

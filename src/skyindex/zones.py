@@ -1,8 +1,8 @@
 """Zone bucketing: declination stripes with ordered (zone, ra) scans.
 
-A catalog is bucketed into horizontal zones of fixed height; rows are kept
-sorted by (zone, ra, objid), one row per object with ra in [0, 360): an
-index over the catalog, as in the zone papers, gathered by a row permutation.
+A catalog is bucketed into horizontal zones of fixed height; a ZoneTable
+is an index over it, as in the zone papers: the catalog's rows in (zone,
+ra, objid) order, one per object with ra in [0, 360), and no copied column.
 ZoneTable.scan_ra scans a band of zones for many ra windows at once with
 a binary search on an exact (zone, ra) key, so a cone search is one scan
 of its dec band and the all-pairs neighbor join is one scan per zone.
@@ -17,9 +17,9 @@ queries) taken as [0, 360) first. The zone papers copy rows near ra
 a sorted array search can.
 
 Both cone searches end in the same two steps: gather_runs turns sorted
-index ranges into row indices (the (zone, ra) windows here, the trixel id
-ranges of catalog.htm_cone_search), and cone_matches runs the exact
-chord test and sorts the answer.
+index ranges into positions that a permutation maps to catalog rows
+(ZoneTable.row here, Catalog.htm_order() for catalog.htm_cone_search's
+trixel id ranges), and cone_matches runs the exact chord test.
 
 A zone table holds points only; the pyramid keeps its circles in a
 (scale, zone) table of its own, with the zone rule zone_column.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -141,20 +142,20 @@ def gather_runs(starts: np.ndarray, ends: np.ndarray, period: int = 1) -> tuple[
     return label, np.repeat(ends - total, counts) + np.arange(total[-1])
 
 
-def cone_matches(cols, rows: np.ndarray, cx: float, cy: float, cz: float, r: float) -> list[tuple[int, float]]:
-    """(objid, distance) of the given rows strictly within r degrees of the
-    unit vector (cx, cy, cz), sorted by (distance, objid).
+def cone_matches(catalog, rows: np.ndarray, cx: float, cy: float, cz: float, r: float) -> list[tuple[int, float]]:
+    """(objid, distance) of the given catalog rows strictly within r
+    degrees of the unit vector (cx, cy, cz), sorted by (distance, objid).
 
-    cols is anything with objid, x, y, z columns (a ZoneTable or a
-    Catalog). The exact test is on the squared chord, |p - c|^2 <
-    4 sin^2(r/2); the distance is 2 asin(|p - c| / 2) in degrees.
+    catalog is anything with objid, x, y, z columns, such as a Catalog.
+    The exact test is on the squared chord, |p - c|^2 < 4 sin^2(r/2); the
+    distance is 2 asin(|p - c| / 2) in degrees.
     """
-    dx = cols.x[rows] - cx
-    dy = cols.y[rows] - cy
-    dz = cols.z[rows] - cz
+    dx = catalog.x[rows] - cx
+    dy = catalog.y[rows] - cy
+    dz = catalog.z[rows] - cz
     d2 = dx * dx + dy * dy + dz * dz
     hit = d2 < 4.0 * math.sin(math.radians(r) / 2.0) ** 2
-    ids = cols.objid[rows][hit]
+    ids = catalog.objid[rows][hit]
     dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2[hit]) / 2.0))
     order = np.lexsort((ids, dist))
     return list(zip(ids[order].tolist(), dist[order].tolist()))
@@ -169,46 +170,43 @@ def has_duplicates(values: np.ndarray) -> bool:
 
 @dataclass(eq=False)
 class ZoneTable:
-    """Immutable after build; one row per catalog row, sorted by
-    (zone, ra, objid), with ra in [0, 360). key is the (zone, ra) search
-    key scan_ra runs on, derived here and never stored; rows out of its
-    order raise ZoneError."""
+    """An index over a catalog (any object with array columns objid, ra,
+    dec, x, y, z), immutable after build: row lists the catalog's rows in
+    (zone, ra, objid) order. key is the (zone, ra) search key scan_ra runs
+    on, derived here and never stored. A row that is not a permutation of
+    the catalog's rows, or out of key order, raises ZoneError."""
 
     cfg: ZoneConfig
-    zone: np.ndarray
-    ra: np.ndarray
-    objid: np.ndarray
-    dec: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    row: np.ndarray  # the catalog row of each table row
+    catalog: Any
+    row: np.ndarray
     zone_bounds: np.ndarray = field(init=False)
     key: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.zone_bounds = np.searchsorted(
-            self.zone, np.arange(self.cfg.zone_count + 1)
-        )
+        cat, row, n = self.catalog, self.row, len(self.catalog.ra)
+        # the range test keeps bincount from sizing by a bad row
+        if not (len(row) == n and ((row >= 0) & (row < n)).all() and (np.bincount(row, minlength=n) == 1).all()):
+            raise ZoneError("zone table rows are not a permutation of the catalog's rows")
+        zone = zone_column(cat.dec[row], self.cfg.zone_height)
+        self.zone_bounds = np.searchsorted(zone, np.arange(self.cfg.zone_count + 1))
         # numpy orders and searches complex values lexicographically by
         # (real, imag), and zone + 1j * ra keeps both parts exact, so key
         # orders rows exactly by (zone, ra)
-        self.key = self.zone + 1j * self.ra
+        self.key = zone + 1j * cat.ra[row]
         if not (self.key[1:] >= self.key[:-1]).all():  # all scan_ra relies on
             raise ZoneError("rows not sorted by (zone, ra)")
 
     def __len__(self) -> int:
-        return len(self.zone)
+        return len(self.row)
 
-    @property
-    def is_main(self) -> np.ndarray:
-        """All True, derived and never stored: every row is its input row.
-        Kept for perfbench, which reads it; nothing in skyindex does."""
-        return np.ones(len(self), dtype=bool)
+    # zone, ra, objid, is_main and main_row_count() are derived and never
+    # stored; they stay because perfbench reads them, and nothing in skyindex does
+    zone = property(lambda self: self.key.real)
+    ra = property(lambda self: self.key.imag)
+    objid = property(lambda self: self.catalog.objid[self.row])
+    is_main = property(lambda self: np.ones(len(self), dtype=bool))  # every row is its input row
 
     def main_row_count(self) -> int:
-        """len(self). Kept for perfbench, which reads it; nothing in
-        skyindex does."""
         return len(self)
 
     def zone_slice(self, z: int) -> slice:
@@ -222,7 +220,8 @@ class ZoneTable:
         zone_count. Returns (window, row) index arrays: every row of the
         band in window k, once per window, paired with k (0 for scalar
         windows). Each window's rows come in ascending order; with several
-        windows the pairs are grouped by zone, not by window.
+        windows the pairs are grouped by zone, not by window. The rows are
+        the table's; self.row maps them to the catalog's.
 
         A row is in a window when it is in one of the window's ra_images,
         and all three are searched. Their row ranges, taken in shift
@@ -257,24 +256,6 @@ def zone_column(dec: np.ndarray, height) -> np.ndarray:
     return np.minimum(np.floor((dec + 90.0) / height).astype(np.int64), top)
 
 
-def zone_table_of(catalog, cfg: ZoneConfig, row: np.ndarray) -> ZoneTable:
-    """The zone table whose row i is catalog row row[i], its zone derived
-    from its dec: build_zone_table ends here, and so does loading one.
-    catalog: any object with array columns objid, ra, dec, x, y, z."""
-    dec = catalog.dec[row]
-    return ZoneTable(
-        cfg=cfg,
-        zone=zone_column(dec, cfg.zone_height),
-        ra=catalog.ra[row],
-        objid=catalog.objid[row],
-        dec=dec,
-        x=catalog.x[row],
-        y=catalog.y[row],
-        z=catalog.z[row],
-        row=row,
-    )
-
-
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     """Bucket rows into zones: one table row per input row.
 
@@ -283,7 +264,7 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     """
     check_rows(catalog.objid, catalog.ra, catalog.dec)
     order = np.lexsort((catalog.objid, catalog.ra, zone_column(catalog.dec, cfg.zone_height)))
-    return zone_table_of(catalog, cfg, order)
+    return ZoneTable(cfg, catalog, order)
 
 
 def nearby_objects(
@@ -312,14 +293,14 @@ def nearby_objects(
     zmax = min(nz - 1, int(math.floor((center.dec + 90.0 + r) / cfg.zone_height)))
     alpha = ra_window_deg(r, center.dec)
     _, idx = table.scan_ra(zmin, zmax, center.ra - alpha, center.ra + alpha)
-    n_ra = len(idx)
-    idx = idx[np.abs(table.dec[idx] - center.dec) <= r]
+    cat, rows = table.catalog, table.row[idx]
+    rows = rows[np.abs(cat.dec[rows] - center.dec) <= r]
     ra, dec = math.radians(center.ra), math.radians(center.dec)
     cd = math.cos(dec)  # the centre as sky_to_vec computes it
-    found = cone_matches(table, idx, cd * math.cos(ra), cd * math.sin(ra), math.sin(dec), r)
+    found = cone_matches(cat, rows, cd * math.cos(ra), cd * math.sin(ra), math.sin(dec), r)
     if stats is not None:
         stats.update(
-            zones=zmax - zmin + 1, ra_candidates=n_ra, dec_filtered=len(idx), matched=len(found)
+            zones=zmax - zmin + 1, ra_candidates=len(idx), dec_filtered=len(rows), matched=len(found)
         )
     return found
 
@@ -377,6 +358,8 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)
     cfg = ZoneConfig(zone_height=zh)
     table = build_zone_table(catalog, cfg)
+    # the join's columns, gathered once in zone order
+    objid, ra, dec, x, y, z = (getattr(catalog, c)[table.row] for c in ("objid", "ra", "dec", "x", "y", "z"))
     deltas = int(math.ceil(r / zh - 1e-12))
     chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
     nz = cfg.zone_count
@@ -384,32 +367,31 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     pairs_b = [np.empty(0, dtype=np.int64)]
     pair_d2 = [np.empty(0, dtype=float)]
     candidates = 0
-    for z in np.flatnonzero(np.diff(table.zone_bounds)).tolist():  # the populated zones
-        s = table.zone_slice(z)
-        alpha = _ra_windows_arr(r, table.dec[s])
+    for zone in np.flatnonzero(np.diff(table.zone_bounds)).tolist():  # the populated zones
+        s = table.zone_slice(zone)
+        alpha = _ra_windows_arr(r, dec[s])
         window, right = table.scan_ra(
-            max(0, z - deltas), min(nz - 1, z + deltas),
-            table.ra[s] - alpha, table.ra[s] + alpha,
+            max(0, zone - deltas), min(nz - 1, zone + deltas), ra[s] - alpha, ra[s] + alpha
         )
         candidates += len(right)
         left = s.start + window
-        keep = table.objid[left] < table.objid[right]
+        keep = objid[left] < objid[right]
         left, right = left[keep], right[keep]
-        keep = np.abs(table.dec[left] - table.dec[right]) <= r
+        keep = np.abs(dec[left] - dec[right]) <= r
         left, right = left[keep], right[keep]
-        dx = table.x[left] - table.x[right]
-        dy = table.y[left] - table.y[right]
-        dz = table.z[left] - table.z[right]
+        dx = x[left] - x[right]
+        dy = y[left] - y[right]
+        dz = z[left] - z[right]
         d2 = dx * dx + dy * dy + dz * dz
         hit = d2 < chord2_limit
-        pairs_a.append(table.objid[left][hit])
-        pairs_b.append(table.objid[right][hit])
+        pairs_a.append(objid[left][hit])
+        pairs_b.append(objid[right][hit])
         pair_d2.append(d2[hit])
-    # both orders of every pair; the table is freed before the sort, which sets peak memory
+    # both orders of every pair; the table and columns are freed before the sort, which sets peak memory
     a = np.concatenate(pairs_a + pairs_b)
     b = np.concatenate(pairs_b + pairs_a)
     d2 = np.concatenate(pair_d2 * 2)
-    del table, pairs_a, pairs_b, pair_d2
+    del table, objid, ra, dec, x, y, z, pairs_a, pairs_b, pair_d2
     order = np.lexsort((b, a))
     return NeighborsTable(
         radius=r,

@@ -268,7 +268,8 @@ class TestSnapshot:
         for col in ("x", "y", "z"):
             assert getattr(loaded.catalog, col).tobytes() == getattr(cat, col).tobytes(), col
         assert np.array_equal(loaded.catalog.htmid, cat.htmid)
-        for col in ("zone", "ra", "objid", "dec", "x", "y", "z", "row", "key"):
+        assert loaded.zone_table.catalog is loaded.catalog
+        for col in ("zone", "ra", "objid", "row", "key"):
             got, want = getattr(loaded.zone_table, col), getattr(table, col)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), col
         for _ in range(25):
@@ -457,8 +458,9 @@ class TestSnapshot:
                 m.setattr(snapshot, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
             else:
                 m.setattr(snapshot.os, "fsync", fail)
-            with pytest.raises(OSError):
+            with pytest.raises(SnapshotError, match="cannot write snapshot") as err:
                 save_state(AppState(catalog=random_catalog(200, seed=6)), path)
+        assert isinstance(err.value.__cause__, OSError)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
         assert len(load_state(path).catalog) == 100
@@ -514,13 +516,15 @@ class TestSnapshot:
 
     def test_zone_table_of_another_catalog_not_saved(self, tmp_path):
         # same objids, other positions: a file pairing them would load and
-        # answer from the wrong rows
+        # answer from the wrong rows; a table is saved only beside the
+        # catalog object it indexes, not even beside an equal copy
         cat = random_catalog(2000, seed=12)
         other = zones.build_zone_table(random_catalog(2000, seed=13), zones.ZoneConfig())
+        copy = zones.build_zone_table(random_catalog(2000, seed=12), zones.ZoneConfig())
         path = tmp_path / "s.snap"
         save_state(AppState(cat), path)
         before = path.read_bytes()
-        for state in (AppState(cat, other), AppState(zone_table=other)):
+        for state in (AppState(cat, other), AppState(zone_table=other), AppState(cat, copy)):
             with pytest.raises(SnapshotError, match="zone table"):
                 save_state(state, path)
             assert path.read_bytes() == before

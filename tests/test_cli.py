@@ -85,6 +85,33 @@ class TestIngestAndZone:
         assert ":3: column 1: objID outside the int64 range" in capsys.readouterr().err
         assert not os.path.exists(snap)
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+    def test_unreadable_csv_is_parse_error(self, capsys, snap, tmp_path, case):
+        path = tmp_path / "cat.csv"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not utf-8":
+            path.write_bytes(b"objID,ra,dec\n1,10,0\n2,2\xff0,0\n3,30,0\n")
+        code = main(["--snapshot", snap, "ingest", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1
+        if case == "not utf-8":
+            assert err.startswith(f"error: {path}:3: not valid UTF-8")
+        assert sorted(tmp_path.iterdir()) == ([] if case == "missing" else [path])
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "CSV"],
+        ["region", "new", "--type", "a", "--from", "CIRCLE J2000 10 20 60"],
+    ])
+    def test_snapshot_in_missing_directory_is_query_error(self, capsys, tmp_path, csv3, argv):
+        snap = tmp_path / "missing" / "s.snap"
+        code = main(["--snapshot", str(snap), *[csv3 if a == "CSV" else a for a in argv]])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith(f"error: cannot write snapshot {snap}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [Path(csv3)]
+
     def test_radius_over_margin_is_query_error(self, capsys, snap, csv3):
         """r = 50 is answered as the brute-force scan answers it, and a
         radius above 180 degrees exits 4."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ class TestBuildZoneTable:
         cat = catmod.from_points([(1, SkyPoint(10, 0)), (2, (20.0, 5.0))])
         table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
         assert len(table) == 2
+
+    @pytest.mark.parametrize("fault", ["repeated", "out of range", "negative", "short"])
+    def test_row_not_a_permutation_rejected(self, fault):
+        cat = catmod.random_catalog(200, seed=9)
+        row = build_zone_table(cat, ZoneConfig()).row.copy()
+        if fault == "repeated":
+            row[7] = row[8]
+        elif fault == "out of range":
+            row[7] = len(cat)
+        elif fault == "negative":
+            row[7] = -1  # a gather would wrap it to the last row
+        else:
+            row = row[:-1]
+        with pytest.raises(ZoneError, match="not a permutation"):
+            ZoneTable(ZoneConfig(), cat, row)
+
+    def test_table_copies_no_catalog_column(self):
+        # an index over the catalog: row (8 B) and key (16 B) per row, and
+        # zone_bounds, 2701 entries at the default height
+        cat = catmod.random_catalog(50_000, seed=5)
+        tracemalloc.start()
+        try:
+            table = build_zone_table(cat, ZoneConfig())
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table.catalog is cat
+        assert retained / len(cat) <= 32
 
 
 class TestRaWindow:
@@ -569,7 +598,7 @@ def test_build_zone_table_one_row_per_input_row(case):
     assert len(table) == len(cat)
     order = np.lexsort((table.objid, table.ra, table.zone))
     assert order.tolist() == list(range(len(table)))
-    assert sorted(zip(table.objid.tolist(), table.ra.tolist(), table.dec.tolist())) == sorted(
+    assert sorted(zip(table.objid.tolist(), table.ra.tolist(), cat.dec[table.row].tolist())) == sorted(
         zip(cat.objid.tolist(), cat.ra.tolist(), cat.dec.tolist())
     )
 
