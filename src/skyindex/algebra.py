@@ -92,12 +92,6 @@ class CompiledPredicate:
 
     convexes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]  # (nx, ny, nz, l)
 
-    def evaluate(self, p: UnitVec3) -> bool:
-        return any(
-            (_dot(p.x, p.y, p.z, nx, ny, nz) > l).all()
-            for nx, ny, nz, l in self.convexes
-        )
-
     def evaluate_columns(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Unit vectors as three (n,) columns -> boolean mask."""
         out = np.zeros(len(x), dtype=bool)

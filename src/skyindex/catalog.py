@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import htm
 from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec, sky_to_xyz
-from .zones import check_rows, cone_matches, gather_runs, has_duplicates
+from .zones import check_rows, cone_matches, gather_runs
 
 
 DEFAULT_HTM_DEPTH = 20
@@ -22,14 +23,11 @@ class CatalogError(ValueError):
 
 @dataclass(eq=False)
 class Catalog:
-    """Column-oriented point catalog with derived (x, y, z) and mesh ids."""
+    """Point catalog columns objid, ra, dec; x, y, z and mesh ids derived on first use."""
 
     objid: np.ndarray
     ra: np.ndarray
     dec: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
     htm_depth: int = DEFAULT_HTM_DEPTH
     htmid: np.ndarray = field(default=None)
     _htm_order: np.ndarray = field(default=None, repr=False, compare=False)
@@ -37,6 +35,15 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self.objid)
+
+    @cached_property
+    def _xyz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return sky_to_xyz(self.ra, self.dec)
+
+    # each row's unit vector, all three derived together on the first read
+    x = property(lambda self: self._xyz[0])
+    y = property(lambda self: self._xyz[1])
+    z = property(lambda self: self._xyz[2])
 
     def ensure_htm(self) -> np.ndarray:
         if self.htmid is None:
@@ -57,18 +64,18 @@ class Catalog:
 
     @classmethod
     def from_columns(cls, objid, ra, dec, htm_depth: int, htmid=None) -> "Catalog":
-        """The catalog of a snapshot's columns, x, y, z derived as from_arrays
-        derives them. Raises CatalogError or zones.ZoneError unless from_arrays
-        could have made them: valid rows (zones.check_rows), a depth in [0,
-        htm.MAX_DEPTH] and one id per row at it (marker bit, face 8..15)."""
-        check_rows(objid, ra, dec)
+        """The catalog of the columns, the one check every catalog passes,
+        built (from_arrays) or loaded. Raises CatalogError unless they are
+        valid rows (zones.check_rows), a depth in [0, htm.MAX_DEPTH] and,
+        if given, one mesh id per row at it (marker bit, face 8..15)."""
+        check_rows(objid, ra, dec, CatalogError)
         if not 0 <= htm_depth <= htm.MAX_DEPTH:
             raise CatalogError(f"mesh depth outside [0, {htm.MAX_DEPTH}]: {htm_depth!r}")
         if htmid is not None:
             face = htmid >> htmid.dtype.type(2 * htm_depth)
             if len(htmid) != len(objid) or not ((face >= 8) & (face <= 15)).all():
                 raise CatalogError(f"mesh ids not one per row at depth {htm_depth}")
-        return cls(objid, ra, dec, *sky_to_xyz(ra, dec), htm_depth=htm_depth, htmid=htmid)
+        return cls(objid, ra, dec, htm_depth, htmid)
 
     def points(self):
         """(objid, UnitVec3) pairs, one Python object per row. The region
@@ -86,6 +93,7 @@ def from_arrays(
     htm_depth: int = DEFAULT_HTM_DEPTH,
     compute_htm: bool = True,
 ) -> Catalog:
+    """int64 ids and finite ra, dec with ra put in [0, 360), then Catalog.from_columns."""
     try:
         objid = np.asarray(objid, dtype=np.int64)
     except OverflowError:  # a Python int outside int64
@@ -96,11 +104,7 @@ def from_arrays(
         raise CatalogError("ra and dec must be finite (got NaN or inf)")
     ra = np.mod(ra, 360.0)
     ra[ra >= 360.0] = 0.0  # fmod of a negative epsilon can round to 360
-    if has_duplicates(objid):
-        raise CatalogError("duplicate objID")
-    if len(dec) and (dec.min() < -90.0 or dec.max() > 90.0):
-        raise CatalogError("dec out of range [-90, 90]")
-    cat = Catalog(objid, ra, dec, *sky_to_xyz(ra, dec), htm_depth=htm_depth)
+    cat = Catalog.from_columns(objid, ra, dec, htm_depth)
     if compute_htm:
         cat.ensure_htm()
     return cat

@@ -209,9 +209,9 @@ def cmd_htm_cover(args, out: Output) -> int:
 _READ_ONLY_REGION_CMDS = {"contains", "points-in", "predicate", "show"}
 
 
-def cmd_region(args, out: Output) -> int:
-    state = _load_or_new(args)
-    store = state.regions
+def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
+    """Apply a region subcommand that changes the store (the last,
+    simplify, by default); returns the record (kind, fields) to print."""
     if args.region_cmd == "new":
         rid = store.region_new(args.type, args.comment)
         if getattr(args, "from_spec", None):
@@ -222,33 +222,37 @@ def cmd_region(args, out: Output) -> int:
                     store.region_new_convex_constraint(
                         rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
                     )
-        out.record("region", id=rid)
-    elif args.region_cmd == "new-convex":
-        cid = store.region_new_convex(args.id)
-        out.record("convex", region=args.id, convex=cid)
-    elif args.region_cmd == "constraint":
+        return "region", {"id": rid}
+    if args.region_cmd == "new-convex":
+        return "convex", {"region": args.id, "convex": store.region_new_convex(args.id)}
+    if args.region_cmd == "constraint":
         hid = store.region_new_convex_constraint(
             args.id, args.convex, args.x, args.y, args.z, args.l
         )
-        out.record("halfspace", region=args.id, convex=args.convex, halfspace=hid)
-    elif args.region_cmd == "or":
-        rid = store.region_or(args.id1, args.id2, args.type, args.comment)
-        out.record("region", id=rid)
-    elif args.region_cmd == "and":
-        rid = store.region_and(args.id1, args.id2, args.type, args.comment)
-        out.record("region", id=rid)
-    elif args.region_cmd == "not":
-        rid = store.region_not(args.id, args.type, args.comment)
-        out.record("region", id=rid)
-    elif args.region_cmd == "drop":
+        return "halfspace", {"region": args.id, "convex": args.convex, "halfspace": hid}
+    if args.region_cmd in ("or", "and"):
+        op = store.region_or if args.region_cmd == "or" else store.region_and
+        return "region", {"id": op(args.id1, args.id2, args.type, args.comment)}
+    if args.region_cmd == "not":
+        return "region", {"id": store.region_not(args.id, args.type, args.comment)}
+    if args.region_cmd == "drop":
         store.region_drop(args.id)
-        out.record("dropped", id=args.id)
-    elif args.region_cmd == "simplify":
-        reg = store.regions.get(args.id)
-        before = 0 if reg is None else len(reg.convexes)
-        store.region_simplify(args.id)  # raises on an unknown id
-        after = len(store.regions[args.id].convexes)
-        out.record("simplified", id=args.id, convexes_before=before, convexes_after=after)
+        return "dropped", {"id": args.id}
+    reg = store.regions.get(args.id)
+    before = 0 if reg is None else len(reg.convexes)
+    store.region_simplify(args.id)  # raises on an unknown id
+    after = len(store.regions[args.id].convexes)
+    return "simplified", {"id": args.id, "convexes_before": before, "convexes_after": after}
+
+
+def cmd_region(args, out: Output) -> int:
+    state = _load_or_new(args)
+    store = state.regions
+    if args.region_cmd not in _READ_ONLY_REGION_CMDS:
+        kind, fields = _edit_region(store, args)
+        state.pyramid = None  # it indexes the regions as they were
+        save_state(state, args.snapshot)
+        out.record(kind, **fields)
     elif args.region_cmd == "contains":
         p = _point_from_args(args)
         if args.id is not None:
@@ -303,8 +307,6 @@ def cmd_region(args, out: Output) -> int:
                     convexes=len(reg.convexes),
                 )
             out.record("summary", count=len(store.regions))
-    if args.region_cmd not in _READ_ONLY_REGION_CMDS:
-        save_state(state, args.snapshot)
     return EXIT_OK
 
 

@@ -3,10 +3,11 @@
 Regions are reduced to bounding circles and bucketed by radius into scale
 levels whose zone heights grow in powers of two from a base height, so an
 entry's radius never exceeds its scale's zone height. The pyramid is one
-table of entry columns (objid, ra, dec, x, y, z, radius), stably sorted by
-(scale, zone), the layout of one SQL table clustered on (scale, zone);
-both parts of that key are derived from the radius and dec (scale_of,
-zones.zone_column), never stored. An overlap query finds each populated
+table of entry columns (objid, ra, dec, radius), stably sorted by (scale,
+zone), the layout of one SQL table clustered on (scale, zone); both parts
+of that key are derived from the radius and dec (scale_of,
+zones.zone_column), and each row's unit vector x, y, z from its ra and
+dec (geom.sky_to_xyz), never stored. An overlap query finds each populated
 scale's narrow dec band, a run of contiguous rows, with two binary
 searches on the key, and keeps the rows of every band that lie in their
 scale's ra window with one mask over the edges zones.ra_images gives, so
@@ -40,7 +41,7 @@ from .geom import (
     min_enclosing_cap,
     region_intersection,
     sky_to_vec,
-    unit_rows,
+    sky_to_xyz,
 )
 from .zones import (
     check_rows,
@@ -95,7 +96,7 @@ def scale_of(radius, cfg: PyramidConfig):
 
 
 # the entry columns and their dtypes, in the order insert queues them
-_ENTRY_COLUMNS = {"objid": np.int64, **dict.fromkeys(("ra", "dec", "x", "y", "z", "radius"), np.float64)}
+_ENTRY_COLUMNS = {"objid": np.int64, **dict.fromkeys(("ra", "dec", "radius"), np.float64)}
 
 
 class PyramidIndex:
@@ -103,13 +104,14 @@ class PyramidIndex:
 
     One set of entry columns, stably sorted by (scale, zone): an entry's
     scale is scale_of(radius), its zone that of its dec at the scale's
-    zone height, so its radius never exceeds its zone height. insert only
+    zone height, so its radius never exceeds its zone height. _cols also
+    holds each row's x, y, z, derived as rows are sorted in. insert only
     queues an entry; the next query sorts the queue in.
     """
 
     def __init__(self, cfg: PyramidConfig | None = None):
         self.cfg = cfg or PyramidConfig()
-        self._cols = {k: np.empty(0, t) for k, t in _ENTRY_COLUMNS.items()}
+        self._cols = {k: np.empty(0, _ENTRY_COLUMNS.get(k, np.float64)) for k in (*_ENTRY_COLUMNS, *"xyz")}
         self._key = np.empty(0, complex)  # scale + 1j * zone, row by row
         self._scales = np.empty(0, np.int64)  # the populated scales, ascending
         self._queued: list[tuple] = []
@@ -120,13 +122,11 @@ class PyramidIndex:
         """An index of the entries in cols, named as columns() names them,
         in any row order.
 
-        Raises PyramidError or zones.ZoneError unless every row is one
-        insert could have queued: a unique objid, ra in [0, 360), dec in
-        [-90, 90], unit x, y, z and a radius in (0, 180].
+        Raises PyramidError unless every row is one insert could have
+        queued: a unique objid, ra in [0, 360), dec in [-90, 90] and a
+        radius in (0, 180].
         """
-        check_rows(cols["objid"], cols["ra"], cols["dec"])
-        if not unit_rows(cols["x"], cols["y"], cols["z"]):
-            raise PyramidError("x, y, z must be unit vectors")
+        check_rows(cols["objid"], cols["ra"], cols["dec"], PyramidError)
         idx = cls(cfg)
         idx._sort_in(cols)
         idx._ids.update(cols["objid"].tolist())
@@ -143,15 +143,16 @@ class PyramidIndex:
         if objid in self._ids:
             raise PyramidError(f"duplicate objId: {objid}")
         s = scale_of(r, self.cfg)
-        self._queued.append((int(objid), center.ra, center.dec, *sky_to_vec(center).as_tuple(), r))
+        self._queued.append((int(objid), center.ra, center.dec, r))
         self._ids.add(int(objid))
         return s
 
     def _sort_in(self, new: dict[str, np.ndarray]) -> None:
-        """Add the entries of new columns to the table, keeping it stably
-        sorted by (scale, zone): the rows already sorted keep their order."""
+        """Add the rows of new entry columns, with their x, y, z, keeping the
+        table stably sorted by (scale, zone): sorted rows keep their order."""
         scale = scale_of(new["radius"], self.cfg)
         zone = zone_column(new["dec"], self.cfg.zone_height(scale))
+        new = {**new, **dict(zip("xyz", sky_to_xyz(new["ra"], new["dec"])))}
         # numpy orders and searches complex values by (real, imag), and
         # both parts are exact integers, so key orders rows by (scale, zone)
         key = np.concatenate([self._key, scale + 1j * zone])
@@ -167,7 +168,7 @@ class PyramidIndex:
             rows = zip(*self._queued)
             self._sort_in({k: np.array(c, t) for (k, t), c in zip(_ENTRY_COLUMNS.items(), rows)})
             self._queued = []
-        return self._cols
+        return {k: self._cols[k] for k in _ENTRY_COLUMNS}
 
     def scales(self) -> list[int]:
         """The scales that hold an entry, ascending."""
@@ -215,8 +216,8 @@ def overlap_search(
     if not 0 <= r <= 180:
         raise PyramidError(f"radius out of [0, 180] degrees: {r!r}")
     qv = sky_to_vec(center)
-    cols = index.columns()
-    scales = index._scales
+    index.columns()  # sorts the queue in
+    cols, scales = index._cols, index._scales
     heights = index.cfg.zone_height(scales)
     lo_z, hi_z = scale_band(heights, center.dec, r)
     starts = index._key.searchsorted(scales + 1j * lo_z, side="left")

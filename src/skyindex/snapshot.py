@@ -12,19 +12,20 @@ save casts a value to its column's dtype where numpy deems the cast safe
 (an int as <f8). Values are little-endian and round-trip bit exactly. A
 version mismatch, a failed length or CRC check, a column its schema does
 not allow, or columns that do not make a valid structure raise
-SnapshotError; no partial state is ever returned. Each catalog row is
-stored once: the catalog section holds no x, y, z (Catalog.from_columns
-derives them), and the zone-table section is its zone height and row, the
-permutation of the catalog's rows that is all a zones.ZoneTable holds.
-Loading makes the table over the loaded catalog and gathers no column; a
-save refuses a table over another catalog object than the state's. Every
-table must hold what a build could have made of its rows (the catalog's
-mesh ids are checked for their depth only). The pyramid section is its
-base zone height and its entry columns, which loading checks and sorts as
-inserts would. A save writes each column straight from its array, with no
-joined copy of the payload, to a temporary file beside the target and
-renames it over the target, so a failed save leaves the previous snapshot
-intact; a save the file system refuses raises SnapshotError.
+SnapshotError; no partial state is ever returned. Only source columns
+are stored: no section holds x, y, z (a catalog derives them on first
+use, a pyramid as it sorts rows in), and the zone-table section is its
+zone height and row, the permutation of the catalog's rows that is all a
+zones.ZoneTable holds. Loading makes the table over the loaded catalog
+and gathers no column; a save refuses a table over another catalog
+object than the state's. Every table must hold what a build could have
+made of its rows (the catalog's mesh ids are checked for their depth
+only). The pyramid section is its base zone height and its entry
+columns, which loading checks and sorts as inserts would. A save writes
+each column straight from its array, with no joined copy of the payload,
+to a temporary file beside the target and renames it over the target,
+so a failed save leaves the previous snapshot intact; a save the file
+system refuses raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors
 
 MAGIC = b"SKYIDXSN"
-VERSION = 6
+VERSION = 7
 _ABSENT = 0xFFFFFFFF
 
 
@@ -89,8 +90,7 @@ _NEIGHBORS = {
     "distance": _F8,
 }
 # the config, then PyramidIndex.columns()
-_PYRAMID = {"base_zone_height": _F8_SCALAR, "objid": _I8}
-_PYRAMID |= dict.fromkeys(("ra", "dec", "x", "y", "z", "radius"), _F8)
+_PYRAMID = {"base_zone_height": _F8_SCALAR, "objid": _I8, "ra": _F8, "dec": _F8, "radius": _F8}
 _REGIONS = {  # RegionStore.columns()
     "next_region_id": _I8_SCALAR,
     "region_id": _REGION,

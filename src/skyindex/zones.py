@@ -238,15 +238,15 @@ class ZoneTable:
         return gather_runs(a.ravel(), b.ravel(), images.shape[2])
 
 
-def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray) -> None:
-    """Raise ZoneError unless objid is unique, ra in [0, 360) and dec in
+def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray, error: type[ValueError]) -> None:
+    """Raise error unless objid is unique, ra in [0, 360) and dec in
     [-90, 90]; the range tests are negated, so that NaN fails them."""
     if has_duplicates(objid):
-        raise ZoneError("duplicate objID")
+        raise error("duplicate objID")
     if not ((ra >= 0.0) & (ra < 360.0)).all():
-        raise ZoneError("ra must be normalized to [0, 360)")
+        raise error("ra must be normalized to [0, 360)")
     if not ((dec >= -90.0) & (dec <= 90.0)).all():
-        raise ZoneError("dec must be within [-90, 90]")
+        raise error("dec must be within [-90, 90]")
 
 
 def zone_column(dec: np.ndarray, height) -> np.ndarray:
@@ -262,7 +262,7 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     catalog: any object with array columns objid, ra, dec, x, y, z, such
     as a Catalog.
     """
-    check_rows(catalog.objid, catalog.ra, catalog.dec)
+    check_rows(catalog.objid, catalog.ra, catalog.dec, ZoneError)
     order = np.lexsort((catalog.objid, catalog.ra, zone_column(catalog.dec, cfg.zone_height)))
     return ZoneTable(cfg, catalog, order)
 

@@ -54,6 +54,11 @@ def columns(points):
     return objid, xyz[:, 0], xyz[:, 1], xyz[:, 2]
 
 
+def evaluate_at(pred: CompiledPredicate, p: UnitVec3) -> bool:
+    """pred at one point, through evaluate_columns with one-row columns."""
+    return bool(pred.evaluate_columns(*(np.array([c]) for c in p.as_tuple()))[0])
+
+
 def stored_normal(n: UnitVec3) -> UnitVec3 | None:
     """n moved to a vector that normalizing leaves unchanged, so that the
     store keeps it bit for bit as a constraint normal; None if it does
@@ -500,7 +505,7 @@ class TestQueries:
             assert store.contains(rid, p) is False
             assert rid not in {r for r, _ in store.regions_on_point(p)}
             pred = store.region_predicate(rid)
-            assert pred.evaluate(p) is False
+            assert evaluate_at(pred, p) is False
             assert pred.evaluate_batch(xyz).tolist() == want
             assert store.points_in_region(rid, objid, x, y, z) == objid[want].tolist()
         for p in points:
@@ -520,7 +525,7 @@ class TestQueries:
                 if m is None:
                     continue
                 assert bool(b) == m, text
-                assert pred.evaluate(p) == m, text
+                assert evaluate_at(pred, p) == m, text
 
     def test_predicate_text_forms(self, store):
         empty = store.region_new("empty")
@@ -538,7 +543,7 @@ class TestQueries:
         store.region_new_convex_constraint(rid, cid, 0, 0, 1, 0.0)
         pred = store.region_predicate(rid)
         store.region_drop(rid)
-        assert pred.evaluate(UnitVec3(0, 0, 1))
+        assert evaluate_at(pred, UnitVec3(0, 0, 1))
 
 
 # -- the half-space table behind regions_on_point ----------------------------

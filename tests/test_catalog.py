@@ -13,7 +13,7 @@ from skyindex import catalog as catmod
 from skyindex import htm, oracle, snapshot, zones
 from skyindex.algebra import RegionStore
 from skyindex.catalog import CatalogError, htm_cone_search, ingest_csv, random_catalog
-from skyindex.geom import Convex, Region, SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec
+from skyindex.geom import Convex, Region, SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec, sky_to_xyz
 from skyindex.pyramid import PyramidConfig, PyramidIndex, overlap_search
 from skyindex.snapshot import (
     MAGIC,
@@ -34,16 +34,16 @@ def assert_same_columns(a: RegionStore, b: RegionStore):
         assert np.asarray(cols_a[k]).tobytes() == np.asarray(cols_b[k]).tobytes(), k
 
 
-def write_sections(path, catalog=(snapshot._CATALOG, None), zones=None, regions=None, pyramid=None):
-    """A CRC-valid snapshot of a catalog section written under the given
-    schema, and the given zone table, region store and pyramid columns,
+def write_sections(path, catalog=(snapshot._CATALOG, None), zones=None, regions=None, pyramid=(snapshot._PYRAMID, None)):
+    """A CRC-valid snapshot of catalog and pyramid sections written under
+    the given schemas, and the given zone table and region store columns,
     unchecked by the loader's schemas or save_state; no neighbors."""
     sections = [
         catalog,
         (snapshot._ZONES, zones),
         (snapshot._NEIGHBORS, None),
         (snapshot._REGIONS, RegionStore().columns() if regions is None else regions),
-        (snapshot._PYRAMID, pyramid),
+        pyramid,
     ]
     payload = b"".join(b for schema, cols in sections for b in snapshot._encode(schema, "test", cols))
     header = MAGIC + struct.pack("<IQI", snapshot.VERSION, len(payload), zlib.crc32(payload))
@@ -122,6 +122,21 @@ class TestIngest:
             catmod.from_arrays([1, 2], [math.inf, 10.0], [0.0, math.nan])
         with pytest.raises(CatalogError, match="finite"):
             catmod.from_arrays([1], [10.0], [math.nan], compute_htm=False)
+
+    @pytest.mark.parametrize("objid, dec, message", [
+        ([1, 1], [0.0, 5.0], "duplicate objID"),
+        ([1, 2], [0.0, 90.5], "dec must be within"),
+    ], ids=["duplicate", "dec 90.5"])
+    def test_from_arrays_rejects_rows_with_catalog_error(self, objid, dec, message):
+        with pytest.raises(CatalogError, match=message):
+            catmod.from_arrays(objid, [10.0, 20.0], dec, compute_htm=False)
+
+    @pytest.mark.parametrize("depth", [31, -1])
+    def test_from_arrays_rejects_depth_outside_0_30(self, depth):
+        # refused with no mesh id to compute too, so no catalog that a
+        # snapshot load refuses can be built and saved
+        with pytest.raises(CatalogError, match="mesh depth outside"):
+            catmod.from_arrays([1, 2], [10.0, 20.0], [0.0, 5.0], htm_depth=depth, compute_htm=False)
 
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", ["1,2,3"], header="a,b,c")
@@ -222,25 +237,45 @@ class TestSnapshot:
 
     def test_strided_columns_round_trip(self, tmp_path):
         # a save writes each column's values as a view of its array, so a
-        # strided column (a slice of a wider array) must still land whole
+        # strided column (a slice of a wider array) must still land whole,
+        # and the x, y, z derived from it on load are the same bytes
         cat = random_catalog(500, seed=8, compute_htm=True)
-        wide = np.stack([cat.x, cat.y, cat.z, cat.ra, cat.dec], axis=1)
+        wide = np.stack([cat.ra, cat.dec], axis=1)
         strided = catmod.Catalog(
             objid=np.repeat(cat.objid, 2)[::2],
-            ra=wide[:, 3],
-            dec=wide[:, 4],
-            x=wide[:, 0],
-            y=wide[:, 1],
-            z=wide[:, 2],
+            ra=wide[:, 0],
+            dec=wide[:, 1],
             htm_depth=cat.htm_depth,
             htmid=cat.htmid[::-1].copy()[::-1],
         )
-        assert not any(getattr(strided, c).flags.c_contiguous for c in ("objid", "x", "htmid"))
+        assert not any(getattr(strided, c).flags.c_contiguous for c in ("objid", "ra", "dec", "htmid"))
         path = tmp_path / "s.snap"
         save_state(AppState(catalog=strided), path)
         loaded = load_state(path).catalog
         for col in ("objid", "ra", "dec", "x", "y", "z", "htmid"):
             assert getattr(loaded, col).tobytes() == getattr(cat, col).tobytes(), col
+
+    def test_xyz_derived_on_first_use(self, tmp_path, monkeypatch):
+        cat = random_catalog(2000, seed=12)
+        path = tmp_path / "s.snap"
+        save_state(AppState(cat, zones.build_zone_table(cat, zones.ZoneConfig())), path)
+        center = SkyPoint(10.0, 0.0)
+        want = oracle.cone_scan(cat, center, 5.0)
+        calls = []
+
+        def counted(ra, dec):
+            calls.append(len(ra))
+            return sky_to_xyz(ra, dec)
+
+        monkeypatch.setattr(catmod, "sky_to_xyz", counted)
+        loaded = load_state(path)
+        assert calls == []
+        assert zones.nearby_objects(loaded.zone_table, center, 5.0) == want
+        assert calls == [2000]
+        assert htm_cone_search(loaded.catalog, center, 5.0) == want
+        assert zones.nearby_objects(loaded.zone_table, center, 5.0) == want
+        assert calls == [2000]
+        assert loaded.catalog.x.tobytes() == cat.x.tobytes()
 
     def test_full_round_trip_queries_identical(self, tmp_path, rng):
         cat = random_catalog(3000, seed=41, compute_htm=True)
@@ -611,13 +646,14 @@ class TestSnapshot:
         ("nan radius", "bounding radius outside"),
         ("radius 200", "bounding radius outside"),
         ("objid", "duplicate objID"),
-        ("x scaled", "x, y, z must be unit vectors"),
+        ("x column", "unknown column 'x'"),
     ])
     def test_pyramid_scales_checked_on_load(self, tmp_path, fault, message):
         pyr = PyramidIndex()
         for i in range(40):
             pyr.insert(i, SkyPoint(9.0 * i, 2.0 * i - 40.0), 0.01 if i % 2 else 1.0)
         assert pyr.scales() == [1, 7]
+        schema = dict(snapshot._PYRAMID)
         cols = {k: a.copy() for k, a in pyr.columns().items()}
         if fault == "ra + 720":
             cols["ra"] += 720.0
@@ -630,13 +666,14 @@ class TestSnapshot:
         elif fault == "objid":
             cols["objid"][1] = cols["objid"][0]
         else:
-            cols["x"] *= 1.01
+            # x, y, z are derived as rows are sorted in, so a file cannot hold them
+            schema["x"], cols["x"] = snapshot._F8, pyr._cols["x"]
         path = tmp_path / "s.snap"
-        write_sections(path, pyramid={"base_zone_height": pyr.cfg.base_zone_height, **cols})
+        write_sections(path, pyramid=(schema, {"base_zone_height": pyr.cfg.base_zone_height, **cols}))
         with pytest.raises(SnapshotError, match=message):
             load_state(path)
         # the columns as the index holds them load
-        write_sections(path, pyramid={"base_zone_height": pyr.cfg.base_zone_height, **pyr.columns()})
+        write_sections(path, pyramid=(snapshot._PYRAMID, {"base_zone_height": pyr.cfg.base_zone_height, **pyr.columns()}))
         assert load_state(path).pyramid.scales() == [1, 7]
 
     @pytest.mark.parametrize("height", [math.nan, math.inf])
@@ -683,17 +720,17 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="checksum"):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_version_rejected(self, tmp_path, version):
         # format 3 stored zone tables with wraparound margin rows, format 4
         # one zone-table section per pyramid scale, format 5 every catalog
-        # row twice and x, y, z
+        # row twice and x, y, z, format 6 the pyramid's x, y, z
         path = tmp_path / "s.snap"
         save_state(AppState(), path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match=f"version {version} != supported 6"):
+        with pytest.raises(SnapshotError, match=f"version {version} != supported 7"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

@@ -105,10 +105,12 @@ class TestIngestAndZone:
         ["region", "new", "--type", "a", "--from", "CIRCLE J2000 10 20 60"],
     ])
     def test_snapshot_in_missing_directory_is_query_error(self, capsys, tmp_path, csv3, argv):
+        # the save comes first, so nothing reports a change that was not saved
         snap = tmp_path / "missing" / "s.snap"
         code = main(["--snapshot", str(snap), *[csv3 if a == "CSV" else a for a in argv]])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 4
+        assert out == ""
         assert err.startswith(f"error: cannot write snapshot {snap}: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [Path(csv3)]
 
@@ -412,6 +414,37 @@ class TestPyramidCli:
         assert "result objid=1" in out
         assert "result objid=2" not in out
         assert "stages " in out
+
+    @pytest.mark.parametrize("edit", [
+        ["new", "--type", "c3", "--from", "CIRCLE J2000 10 20 30"],
+        ["new-convex", "--id", "1"],
+        ["constraint", "--id", "1", "--convex", "1", "--x", "0", "--y", "0", "--z", "1", "--l", "0"],
+        ["or", "--id1", "1", "--id2", "2", "--type", "u"],
+        ["and", "--id1", "1", "--id2", "2", "--type", "i"],
+        ["not", "--id", "1", "--type", "n"],
+        ["drop", "--id", "1"],
+        ["simplify", "--id", "1"],
+    ], ids=lambda edit: edit[0])
+    def test_region_edit_drops_pyramid(self, capsys, snap, edit):
+        # a pyramid indexes the regions as they were when it was built, so
+        # every edit that saves drops it rather than leave it answering
+        # for regions that changed or are gone
+        for ra in ("10", "11"):
+            run(capsys, "--snapshot", snap, "region", "new", "--type", "c",
+                "--from", f"CIRCLE J2000 {ra} 20 60")
+        overlap = ["--snapshot", snap, "--format", "records", "pyramid", "overlap",
+                   "--ra", "10", "--dec", "20", "--r", "0.1"]
+        assert run(capsys, "--snapshot", snap, "pyramid", "build")[0] == 0
+        assert run(capsys, *overlap)[0] == 0
+        code, _ = run(capsys, "--snapshot", snap, "region", *edit)
+        assert code == 0 and load_state(snap).pyramid is None
+        code = main(overlap)
+        assert code == 4
+        assert "run `pyramid build` first" in capsys.readouterr().err
+        run(capsys, "--snapshot", snap, "pyramid", "build")
+        code, out = run(capsys, *overlap)
+        ids = {int(l.split("=")[1]) for l in out.splitlines() if l.startswith("result ")}
+        assert code == 0 and ids and ids <= set(load_state(snap).regions.regions)
 
     @pytest.mark.parametrize("with_region", [True, False])
     @pytest.mark.parametrize("height", ["nan", "inf"])

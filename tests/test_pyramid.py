@@ -26,6 +26,7 @@ from skyindex.pyramid import (
     segment_elongated_region,
 )
 from skyindex.regionspec import compile_region_string
+from skyindex.snapshot import AppState, load_state, save_state
 
 from conftest import edge_dec, edge_ra, near_max_radius, sample_cap, sample_sphere
 
@@ -216,6 +217,33 @@ class TestOverlapSearch:
         rr, dd = np.radians(ra), np.radians(dec)
         ex, ey, ez = np.cos(dd) * np.cos(rr), np.cos(dd) * np.sin(rr), np.sin(dd)
         return idx, (ex, ey, ez, radii)
+
+    def test_loaded_index_same_as_built(self, rng, tmp_path):
+        # inserts and a load both derive x, y, z as rows are sorted in, so
+        # the two indexes hold the same bits and give the same answers
+        idx, _ = self._build(rng, 3000)
+        edge = [(0.0, 0.0), (0.0, 90.0), (180.0, -90.0), (359.9999, 89.99), (1e-9, -89.9),
+                (math.nextafter(360.0, 0.0), 12.0)]
+        for i, (ra, dec) in enumerate(edge):
+            idx.insert(3000 + i, SkyPoint(ra, dec), 0.5 + i)
+        path = tmp_path / "p.snap"
+        save_state(AppState(pyramid=idx), path)
+        loaded = load_state(path).pyramid
+        assert list(loaded.columns()) == ["objid", "ra", "dec", "radius"]
+        for k, col in idx._cols.items():
+            assert loaded._cols[k].tobytes() == col.tobytes(), k
+        n = 222
+        ra = rng.uniform(0, 360, n)
+        dec = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
+        ra[:40] = rng.uniform(-0.5, 0.5, 40) % 360  # beside ra 0
+        dec[40:80] = rng.uniform(85, 90, 40) * rng.choice([-1, 1], 40)  # near a pole
+        radii = np.exp(rng.uniform(np.log(0.01), np.log(20.0), n))
+        queries = [(SkyPoint(*e), r) for e in edge for r in (0.01, 1.0, 30.0)]
+        queries += [(SkyPoint(a, d), r) for a, d, r in zip(ra.tolist(), dec.tolist(), radii.tolist())]
+        for q, r in queries:
+            built_stats, loaded_stats = {}, {}
+            assert overlap_search(loaded, q, r, loaded_stats) == overlap_search(idx, q, r, built_stats)
+            assert loaded_stats == built_stats
 
     def test_far_query_empty(self, rng):
         idx = PyramidIndex()
