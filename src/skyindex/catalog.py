@@ -10,11 +10,29 @@ from functools import cached_property
 import numpy as np
 
 from . import htm
-from .geom import Convex, Region, SkyPoint, UnitVec3, as_degrees, circle_to_halfspace, sky_to_vec, sky_to_xyz
+from .geom import (
+    Convex,
+    Region,
+    SkyPoint,
+    UnitVec3,
+    as_degrees,
+    buffer_halfspace,
+    circle_to_halfspace,
+    sky_to_vec,
+    sky_to_xyz,
+)
 from .zones import check_rows, cone_matches, gather_runs
 
 
 DEFAULT_HTM_DEPTH = 20
+
+# The mesh cone search covers its circle grown by this much, in degrees,
+# so that the cover holds every row the chord test accepts. A cap's
+# l = cos(r) cannot tell a radius below ~1e-6 degrees from 0, and a row's
+# trixel at depth d may lie up to ~6e-16 * 2^d radians from it (the
+# -1e-15 tie tolerance of htm.point_to_id on an unnormalized edge dot),
+# which stays below a fifth of this at the depth the search stops at.
+COVER_PAD_DEG = 1e-5
 
 
 class CatalogError(ValueError):
@@ -202,10 +220,17 @@ def _read_csv(path) -> tuple[list[int], list[float], list[float]]:
 
 def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:
     """Cone search through the mesh index: cover the circle with at most
-    20 trixel ranges at no more than the catalog's depth, search all of
-    them at once in the id-sorted catalog, gather their rows with
-    zones.gather_runs, then run zones.cone_matches' exact chord test.
-    Gives what zones.nearby_objects gives, distances included.
+    20 trixel ranges, search all of them at once in the id-sorted catalog,
+    gather their rows with zones.gather_runs, then run zones.cone_matches'
+    exact chord test. Gives what zones.nearby_objects gives, distances
+    included.
+
+    The cover is of the circle grown by COVER_PAD_DEG, and stops at depth
+    ceil(log2(90 / (r + COVER_PAD_DEG))), where a trixel is about the
+    circle's size, or at the catalog's depth if that is shallower: finer
+    trixels would trim fewer rows than they cost to classify, and the
+    chord test makes the answer exact at any depth. A zero radius matches
+    nothing and covers nothing.
 
     The range bounds are shifted to the catalog's depth in the ids' own
     dtype: at htm.MAX_DEPTH that is uint64, where the last face's
@@ -213,8 +238,12 @@ def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, f
     """
     r = as_degrees(radius)
     v = sky_to_vec(center)
-    region = Region((Convex((circle_to_halfspace(v, r),)),))
-    ranges = htm.cover(region, max_ranges=20, max_depth=cat.htm_depth)
+    h = circle_to_halfspace(v, r)
+    if r == 0:
+        return []
+    region = Region((Convex((buffer_halfspace(h, COVER_PAD_DEG),)),))
+    depth = min(cat.htm_depth, max(0, math.ceil(math.log2(90.0 / (r + COVER_PAD_DEG)))))
+    ranges = htm.cover(region, max_ranges=20, max_depth=depth)
     if not ranges:
         return []
     sorted_ids = cat.htm_sorted_ids()

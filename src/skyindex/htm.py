@@ -224,12 +224,64 @@ def _circle_intersects_arc(n, l, a, b) -> bool:
     return False
 
 
-def _classify_halfspace(corners, normal, l) -> int:
-    n = normal
-    d = [
-        n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
-        for c in corners
-    ]
+# The bounding-cap pre-test's clearance, in radians. Its own angles are
+# acos of dots, off by less than 3e-8 near a dot of 1. The exact test
+# wavers near the boundary circle: within ~1e-8 where it takes acos near
+# 1, and within about 1e-15 / |edge| where _contains tests a point of the
+# circle, under 1e-9 to depth 20. So to depth 20 a trixel clear by this
+# much gets the exact test's verdict; deeper, the pre-test's verdict is
+# still sound.
+_CAP_MARGIN = 1e-6
+
+
+def _bounding_cap(corners):
+    """A cap holding the trixel: the unit centroid c of its corners and
+    the angle rho in radians to the farthest corner. A trixel is the
+    convex hull of its corners and rho < 90 degrees, so the cap holds it."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = corners
+    x, y, z = ax + bx + cx, ay + by + cy, az + bz + cz
+    n = math.sqrt(x * x + y * y + z * z)
+    x, y, z = x / n, y / n, z / n
+    cos_rho = min(x * ax + y * ay + z * az, x * bx + y * by + z * bz, x * cx + y * cy + z * cz, 1.0)
+    return (x, y, z), math.acos(cos_rho)
+
+
+def _halfspaces(c: Convex):
+    """c's constraints as (normal tuple, l, acos(l)), made once per cover."""
+    return tuple((h.normal.as_tuple(), h.l, math.acos(h.l)) for h in c.constraints)
+
+
+def _classify_halfspace(corners, cap, n, l, theta) -> int:
+    """The trixel, with its _bounding_cap, against the cap {p . n > l} of
+    angular radius theta.
+
+    Cheap verdicts first, each exact: corners strictly on both sides of
+    the boundary make it PARTIAL; a bounding cap clear of the boundary by
+    _CAP_MARGIN makes it OUTSIDE (disjoint from the cap) or INSIDE (within
+    it); corners all outside the cap while its centre n lies inside the
+    trixel make it PARTIAL. Only the rest run the exact test, the boundary
+    circle against each edge arc. Szalay et al., "Indexing the Sphere with
+    the Hierarchical Triangular Mesh" (MSR-TR-2005-123), test a trixel's
+    bounding circle first in the same way.
+    """
+    nx, ny, nz = n
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = corners
+    d0 = nx * ax + ny * ay + nz * az
+    d1 = nx * bx + ny * by + nz * bz
+    d2 = nx * cx + ny * cy + nz * cz
+    if -1.0 < l < 1.0:
+        below = d0 < l or d1 < l or d2 < l
+        if below and (d0 > l or d1 > l or d2 > l):
+            return PARTIAL
+        (ux, uy, uz), rho = cap
+        delta = math.acos(max(-1.0, min(1.0, nx * ux + ny * uy + nz * uz)))
+        if below:
+            if delta > theta + rho + _CAP_MARGIN:
+                return OUTSIDE
+            if min(_edge_dots(corners, n)) > 0.0:
+                return PARTIAL  # the cap's centre lies in the trixel
+        elif delta + rho + _CAP_MARGIN < theta:
+            return INSIDE
     edges = ((corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0]))
     if any(_circle_intersects_arc(n, l, a, b) for a, b in edges):
         return PARTIAL
@@ -251,35 +303,31 @@ def _classify_halfspace(corners, normal, l) -> int:
         # l = -1: everything but the antipodal point
         anti = (-n[0], -n[1], -n[2])
         return PARTIAL if _contains(corners, anti) else INSIDE
-    if all(x > l for x in d):
+    if d0 > l and d1 > l and d2 > l:
         return INSIDE
-    if all(x < l for x in d):
+    if d0 < l and d1 < l and d2 < l:
         return OUTSIDE
     return PARTIAL
 
 
-def classify_trixel_convex(t_corners, c: Convex) -> int:
-    """Conservative: INSIDE/OUTSIDE only when provable, else PARTIAL."""
-    verdict = INSIDE
-    for h in c.constraints:
-        r = _classify_halfspace(t_corners, h.normal.as_tuple(), h.l)
-        if r == OUTSIDE:
-            return OUTSIDE
-        if r == PARTIAL:
-            verdict = PARTIAL
-    return verdict
-
-
 def classify_trixel(t: Trixel, c: Convex) -> int:
-    return classify_trixel_convex(
-        (t.v0.as_tuple(), t.v1.as_tuple(), t.v2.as_tuple()), c
-    )
+    """Conservative: INSIDE/OUTSIDE only when provable, else PARTIAL."""
+    return _classify_region((t.v0.as_tuple(), t.v1.as_tuple(), t.v2.as_tuple()), [_halfspaces(c)])
 
 
-def _classify_region(t_corners, r: Region) -> int:
+def _classify_region(corners, convexes) -> int:
+    """The trixel against a union of convexes, each given by _halfspaces."""
+    cap = _bounding_cap(corners)
     verdict = OUTSIDE
-    for c in r.convexes:
-        res = classify_trixel_convex(t_corners, c)
+    for halfspaces in convexes:
+        res = INSIDE
+        for n, l, theta in halfspaces:
+            r = _classify_halfspace(corners, cap, n, l, theta)
+            if r == OUTSIDE:
+                res = OUTSIDE
+                break
+            if r == PARTIAL:
+                res = PARTIAL
         if res == INSIDE:
             return INSIDE
         if res == PARTIAL:
@@ -294,8 +342,11 @@ def cover(region: Region, max_ranges: int = 20, max_depth: int = 20) -> list[tup
     """Sound trixel-range cover of a region.
 
     Breadth-first refinement of boundary trixels; fully-inside trixels are
-    accepted whole, refinement stops once the budget is hit and remaining
-    boundary trixels are accepted conservatively. All ranges are emitted at
+    accepted whole, refinement stops at max_depth or once the budget is
+    hit, and remaining boundary trixels are accepted conservatively. Each
+    half-space's normal and angular radius are taken once per cover, and
+    most trixels are settled by their corners or their bounding cap before
+    the exact edge test (_classify_halfspace). All ranges are emitted at
     the deepest level reached, sorted, disjoint and coalesced; if more than
     max_ranges remain, nearest ranges are merged (which only widens the
     cover, never drops any of it).
@@ -304,13 +355,14 @@ def cover(region: Region, max_ranges: int = 20, max_depth: int = 20) -> list[tup
         raise HtmError("max_ranges must be >= 1")
     if not (0 <= max_depth <= MAX_DEPTH):
         raise HtmError(f"max_depth out of range 0..{MAX_DEPTH}")
+    convexes = [_halfspaces(c) for c in region.convexes]
     accepted: list[tuple[int, int]] = []  # (id, depth)
     frontier = [(8 + f, FACE_CORNERS[f]) for f in range(8)]
     depth = 0
     while True:
         boundary = []
         for hid, corners in frontier:
-            res = _classify_region(corners, region)
+            res = _classify_region(corners, convexes)
             if res == INSIDE:
                 accepted.append((hid, depth))
             elif res == PARTIAL:

@@ -259,10 +259,14 @@ def zone_column(dec: np.ndarray, height) -> np.ndarray:
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     """Bucket rows into zones: one table row per input row.
 
-    catalog: any object with array columns objid, ra, dec, x, y, z, such
-    as a Catalog.
+    catalog: any object with array columns objid, ra, dec, x, y, z. Its
+    rows are checked here (check_rows) unless it is a Catalog, whose rows
+    Catalog.from_columns has checked.
     """
-    check_rows(catalog.objid, catalog.ra, catalog.dec, ZoneError)
+    from .catalog import Catalog  # a module-level import would be circular
+
+    if not isinstance(catalog, Catalog):
+        check_rows(catalog.objid, catalog.ra, catalog.dec, ZoneError)
     order = np.lexsort((catalog.objid, catalog.ra, zone_column(catalog.dec, cfg.zone_height)))
     return ZoneTable(cfg, catalog, order)
 

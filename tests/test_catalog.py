@@ -207,6 +207,32 @@ class TestHtmConeSearch:
         lo, hi = htm.cover(region, max_depth=htm.MAX_DEPTH)[-1]
         assert (hi + 1) << 2 * (htm.MAX_DEPTH - htm.id_depth(hi)) == 1 << 64
 
+    @pytest.mark.parametrize("depth", [0, 3, 20, 30])
+    def test_cover_depth_from_radius_matches_oracle(self, depth):
+        # the cover stops at ceil(log2(90 / (r + COVER_PAD_DEG))) or the
+        # catalog's depth: radii put that depth below, at and above each
+        # catalog's, down to r = 1e-9 and r = 0, around centres at the
+        # poles, at ra = 0, on a face corner and on a face's centroid, each
+        # with rows from 1e-10 to 10 degrees away. Without the pad, the
+        # covers for r = 1e-9 and 1e-8 miss rows (cos r rounds to 1)
+        rng = np.random.default_rng(16)
+        centres = [(0.0, 90.0), (0.0, -90.0), (0.0, 10.0), (math.nextafter(360.0, 0.0), -20.0),
+                   (90.0, 0.0), (45.0, math.degrees(math.asin(1.0 / math.sqrt(3.0))))]
+        ra, dec = [rng.uniform(0.0, 360.0, 2000)], [np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 2000)))]
+        for cra, cdec in centres:
+            off = 10.0 ** rng.uniform(-10.0, 1.0, 60)
+            az = rng.uniform(0.0, 2.0 * math.pi, 60)
+            d = np.clip(cdec + off * np.cos(az), -90.0, 90.0)
+            ra.append(cra + off * np.sin(az) / max(math.cos(math.radians(cdec)), 1e-3))
+            dec.append(d)
+        cat = catmod.from_arrays(np.arange(2360), np.concatenate(ra), np.concatenate(dec), htm_depth=depth)
+        radii = (0.0, 1e-9, 1e-8, 1e-5, 1e-3, 0.01, 0.3, 1.0, 30.0, 90.0, 120.0, 180.0)
+        for cra, cdec in centres:
+            for r in radii:
+                center = SkyPoint(cra, cdec)
+                got = htm_cone_search(cat, center, r)
+                assert got == oracle.cone_scan(cat, center, r), (cra, cdec, r)
+
     def test_same_list_as_zone_search(self, rng):
         # both searches end in zones.cone_matches, so they agree exactly,
         # distances included, also at the poles and across ra = 0
