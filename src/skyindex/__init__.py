@@ -17,7 +17,6 @@ from .geom import (
     UnitVec3,
     arc_distance_deg,
     buffer_halfspace,
-    buffer_region,
     circle_to_halfspace,
     inside_convex,
     inside_halfspace,
@@ -35,7 +34,7 @@ from .regionspec import (
     serialize_region,
 )
 from .algebra import CompiledPredicate, RegionStore, RegionStoreError
-from .catalog import Catalog, CatalogError, from_points, htm_cone_search, ingest_csv, random_catalog
+from .catalog import Catalog, CatalogError, htm_cone_search, ingest_csv, random_catalog
 from .pyramid import (
     PyramidConfig,
     PyramidError,
@@ -43,7 +42,6 @@ from .pyramid import (
     bounding_circle,
     overlap_search,
     scale_of,
-    segment_elongated_region,
 )
 from .snapshot import AppState, SnapshotError, load_state, save_state
 from .zones import (

@@ -18,13 +18,13 @@ same relations decide convex-in-convex containment and the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geom import (
     Convex,
+    GeometryError,
     HalfSpace,
     Region,
     UnitVec3,
@@ -395,10 +395,11 @@ class RegionStore:
             raise RegionStoreError(f"unknown convexID {cid} in region {rid}")
         if not (-1.0 <= l <= 1.0):
             raise RegionStoreError(f"constraint length outside [-1, 1]: {l!r}")
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise RegionStoreError("constraint normal must be non-zero")
-        row = convex.add(HalfSpace(UnitVec3(x / n, y / n, z / n), l))
+        try:
+            normal = UnitVec3.normalized(x, y, z)
+        except GeometryError as exc:
+            raise RegionStoreError(f"constraint normal: {exc}") from None
+        row = convex.add(HalfSpace(normal, l))
         if self._table is not None:
             self._table.add_halfspace(rid, cid, row)
         return row[0]

@@ -128,18 +128,6 @@ def from_arrays(
     return cat
 
 
-def from_points(pairs, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
-    """pairs: iterable of (objid, SkyPoint-or-(ra, dec))."""
-    ids, ras, decs = [], [], []
-    for objid, p in pairs:
-        if not isinstance(p, SkyPoint):
-            p = SkyPoint(p[0], p[1])
-        ids.append(int(objid))
-        ras.append(p.ra)
-        decs.append(p.dec)
-    return from_arrays(ids, ras, decs, htm_depth=htm_depth)
-
-
 def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
     """Read an objID,ra,dec CSV in UTF-8. ra is normalized into [0, 360); a
     dec outside [-90, 90], a malformed or non-finite number, a repeated

@@ -15,6 +15,7 @@ around boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,19 @@ class UnitVec3:
 
     @staticmethod
     def normalized(x: float, y: float, z: float) -> "UnitVec3":
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise GeometryError("cannot normalize the zero vector")
+        n2 = x * x + y * y + z * z
+        # `not <=` so that a NaN sum takes this branch too
+        if not (sys.float_info.min <= n2 < math.inf):
+            # the squares overflowed or underflowed: divide by the largest
+            # component first, so the sum lies in [1, 3]
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise GeometryError(f"cannot normalize a vector that is not finite: {(x, y, z)!r}")
+            m = max(abs(x), abs(y), abs(z))
+            if m == 0.0:
+                raise GeometryError("cannot normalize the zero vector")
+            x, y, z = x / m, y / m, z / m
+            n2 = x * x + y * y + z * z
+        n = math.sqrt(n2)
         return UnitVec3(x / n, y / n, z / n)
 
     def dot(self, other: "UnitVec3") -> float:
@@ -233,16 +244,6 @@ def buffer_halfspace(h: HalfSpace, theta) -> HalfSpace:
     if a >= math.pi:
         return HalfSpace(h.normal, -1.0)
     return HalfSpace(h.normal, math.cos(a))
-
-
-def buffer_region(r: Region, theta) -> Region:
-    """Buffer every constraint of every convex by theta."""
-    return Region(
-        tuple(
-            Convex(tuple(buffer_halfspace(h, theta) for h in c.constraints))
-            for c in r.convexes
-        )
-    )
 
 
 def negate_halfspace(h: HalfSpace) -> HalfSpace:
@@ -492,15 +493,3 @@ def closed_hemisphere_witness(points: list[UnitVec3], margin: float = -1e-12):
     if best_m >= margin:
         return best_w
     return None
-
-
-# -- pure-geometry boolean combinations -----------------------------------
-
-
-def region_intersection(a: Region, b: Region) -> Region:
-    """Distribute the conjunction: every pair of convexes intersects into one."""
-    out = []
-    for ca in a.convexes:
-        for cb in b.convexes:
-            out.append(Convex(ca.constraints + cb.constraints))
-    return Region(tuple(out))

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import simplify_region_geometry
 from .geom import (
     Convex,
-    HalfSpace,
     Region,
     SkyPoint,
     UnitVec3,
@@ -39,7 +37,6 @@ from .geom import (
     convex_boundary_vertices,
     inside_convex,
     min_enclosing_cap,
-    region_intersection,
     sky_to_vec,
     sky_to_xyz,
 )
@@ -345,68 +342,3 @@ def bounding_circle(region: Region) -> tuple[UnitVec3, float]:
         for convex, verts in zip(region.convexes, all_verts)
     )
     return center, radius
-
-
-# -- segmentation of elongated regions ---------------------------------------
-
-
-def segment_elongated_region(
-    region: Region, max_aspect: float, base_id: int = 0
-) -> list[tuple[Region, int]]:
-    """Split a long thin region into compact slices sharing one base id.
-
-    The region is cut by planes perpendicular to its principal axis
-    (estimated from boundary vertices); slice unions reproduce the region
-    everywhere off the measure-zero cut circles. Compact regions (aspect
-    within max_aspect) come back whole.
-    """
-    if not region.convexes:
-        raise PyramidError("cannot segment an empty region")
-    if max_aspect < 1.0:
-        raise PyramidError("max_aspect must be >= 1")
-    verts: list[UnitVec3] = []
-    for convex in region.convexes:
-        verts.extend(convex_boundary_vertices(convex))
-    if len(verts) < 3:
-        return [(region, base_id)]
-    c, _ = min_enclosing_cap(verts)
-    # orthographic tangent-plane components
-    rel = np.array([v.as_tuple() for v in verts]) - np.outer(
-        [v.dot(c) for v in verts], c.as_tuple()
-    )
-    cov = rel.T @ rel
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    major = eigvecs[:, -1]
-    minor = eigvecs[:, -2]
-    t_major = rel @ major
-    t_minor = rel @ minor
-    extent_major = float(t_major.max() - t_major.min())
-    extent_minor = float(t_minor.max() - t_minor.min())
-    aspect = extent_major / max(extent_minor, 1e-9)
-    if aspect <= max_aspect or extent_major <= 0:
-        return [(region, base_id)]
-    n_seg = min(int(math.ceil(aspect / max_aspect)), 64)
-    u = UnitVec3.normalized(*major)
-    t_all = np.array([v.dot(u) for v in verts])
-    t_lo, t_hi = float(t_all.min()), float(t_all.max())
-    cuts = np.linspace(t_lo, t_hi, n_seg + 1)[1:-1]
-    segments = []
-    for i in range(n_seg):
-        constraints = []
-        if i > 0:
-            constraints.append(HalfSpace(u, float(cuts[i - 1])))
-        if i < n_seg - 1:
-            constraints.append(HalfSpace(u.negated(), -float(cuts[i])))
-        if constraints:
-            slab = Region((Convex(tuple(constraints)),))
-            piece = region_intersection(region, slab)
-        else:
-            piece = region
-        reduced = simplify_region_geometry(
-            [list(cv.constraints) for cv in piece.convexes]
-        )
-        if reduced:
-            segments.append(
-                (Region(tuple(Convex(tuple(cl)) for cl in reduced)), base_id)
-            )
-    return segments if segments else [(region, base_id)]

@@ -433,7 +433,7 @@ def _compile_convex_spec(spec: ConvexSpec) -> Convex:
         try:
             normal = UnitVec3.normalized(x, y, z)
         except GeometryError as exc:
-            raise RegionCompileError("constraint normal must be non-zero") from exc
+            raise RegionCompileError(f"constraint normal: {exc}") from exc
         halves.append(HalfSpace(normal, d))
     return Convex(tuple(halves))
 

@@ -183,7 +183,7 @@ class TestHtmConeSearch:
         assert np.all(sorted_ids[1:] >= sorted_ids[:-1])
 
     def test_empty_far_from_points(self):
-        cat = catmod.from_points([(1, SkyPoint(10, 10))], htm_depth=10)
+        cat = catmod.from_arrays([1], [10.0], [10.0], htm_depth=10)
         assert htm_cone_search(cat, SkyPoint(200, -40), 0.5) == []
 
     def test_max_depth_last_face_matches_oracle(self, rng):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -374,6 +375,46 @@ class TestRegionCli:
             parsed.append((kind, {k: json.loads(v) if v.startswith('"') else v for k, v in pairs}))
         assert [f["comment"] for kind, f in parsed if f.get("region_cmd") == "new"] == comments
         assert [f["comment"] for kind, f in parsed if kind == "region" and "comment" in f] == comments
+
+    @pytest.mark.parametrize("xyz", [("1e-200", "0", "0"), ("1e200", "1e200", "0"), ("3e-160", "4e-160", "0")])
+    def test_normals_whose_squares_overflow_or_underflow(self, capsys, snap, xyz):
+        """A finite direction is normalized even when x^2 + y^2 + z^2 is not a
+        normal float, by the constraint command, the grammar and contains."""
+        v = [float(c) for c in xyz]
+        m = max(v)
+        want = [c / m / math.hypot(*(c / m for c in v)) for c in v]
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "t")
+        run(capsys, "--snapshot", snap, "region", "new-convex", "--id", "1")
+        code, _ = run(capsys, "--snapshot", snap, "region", "constraint", "--id", "1", "--convex", "1",
+                      "--x", xyz[0], "--y", xyz[1], "--z", xyz[2], "--l", "0.5")
+        assert code == 0
+        for spec in (f"CONVEX {' '.join(xyz)} 0.5", f"CIRCLE CARTESIAN {' '.join(xyz)} 60"):
+            code, _ = run(capsys, "--snapshot", snap, "region", "new", "--type", "t", "--from", spec)
+            assert code == 0, spec
+        for rid in ("1", "2", "3"):
+            code, out = run(capsys, "--snapshot", snap, "--format", "records", "region", "show", "--id", rid)
+            assert code == 0
+            normal = re.search(r"^halfspace .* x=(\S+) y=(\S+) z=(\S+) l=", out, re.M).groups()
+            assert [float(c) for c in normal] == pytest.approx(want, abs=1e-15)
+        code, out = run(capsys, "--snapshot", snap, "--format", "records", "region", "contains", "--id", "1",
+                        "--x", xyz[0], "--y", xyz[1], "--z", xyz[2])
+        assert code == 0 and "inside=True" in out
+
+    @pytest.mark.parametrize("spec, fault", [
+        ("CONVEX 1e400 0 0 0.5", "not finite"),
+        ("CONVEX 0 0 0 0.5", "zero vector"),
+    ])
+    def test_bad_convex_normal_names_its_fault(self, capsys, snap, spec, fault):
+        code = main(["--snapshot", snap, "region", "new", "--type", "t", "--from", spec])
+        err = capsys.readouterr().err
+        assert code == 3 and fault in err
+        code = main(["--snapshot", snap, "region", "new", "--type", "t"])
+        assert code == 0 and main(["--snapshot", snap, "region", "new-convex", "--id", "1"]) == 0
+        xyz = spec.split()[1:4]
+        code = main(["--snapshot", snap, "region", "constraint", "--id", "1", "--convex", "1",
+                     "--x", xyz[0], "--y", xyz[1], "--z", xyz[2], "--l", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 4 and fault in err
 
     @pytest.mark.parametrize("point", [
         ("--ra", "nan", "--dec", "0"),

@@ -1,8 +1,12 @@
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from skyindex.geom import (
     ArcAngle,
@@ -15,7 +19,6 @@ from skyindex.geom import (
     arc_distance_deg,
     as_degrees,
     buffer_halfspace,
-    buffer_region,
     circle_to_halfspace,
     closed_hemisphere_witness,
     inside_convex,
@@ -122,8 +125,31 @@ class TestVecConversion:
     def test_non_finite_rejected(self, xyz):
         with pytest.raises(GeometryError):
             UnitVec3(*xyz)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="not finite"):
             UnitVec3.normalized(*xyz)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.integers(-1074, 996))
+    @example((1e-200, 0.0, 0.0), 0)  # the square underflows to 0
+    @example((1.0, 1.0, 0.0), 900)  # the squares overflow
+    @example((3e-160, 4e-160, 0.0), 0)  # the sum is subnormal
+    def test_normalized_at_every_scale(self, mantissas, exponent):
+        """Scales from the smallest subnormal to ~1e300: the result is unit,
+        parallel to the input, and bit-equal to the plain formula wherever
+        x^2 + y^2 + z^2 is a normal float."""
+        x, y, z = (math.ldexp(m, exponent) for m in mantissas)
+        assume(x or y or z)
+        u = UnitVec3.normalized(x, y, z)
+        assert abs(u.x * u.x + u.y * u.y + u.z * u.z - 1.0) <= 1e-15
+        # exact rational arithmetic: |u x v| <= 4e-16 |v| and u . v > 0
+        ux, uy, uz, vx, vy, vz = map(Fraction, (u.x, u.y, u.z, x, y, z))
+        cross2 = (uy * vz - uz * vy) ** 2 + (uz * vx - ux * vz) ** 2 + (ux * vy - uy * vx) ** 2
+        assert cross2 <= Fraction(4e-16) ** 2 * (vx * vx + vy * vy + vz * vz)
+        assert ux * vx + uy * vy + uz * vz > 0
+        n2 = x * x + y * y + z * z
+        if sys.float_info.min <= n2 < math.inf:
+            n = math.sqrt(n2)
+            assert [c.hex() for c in u.as_tuple()] == [(x / n).hex(), (y / n).hex(), (z / n).hex()]
 
 
 class TestContainment:
@@ -216,32 +242,19 @@ class TestBuffer:
         assert buffer_halfspace(h, 2.0).l == -1.0
 
     def test_region_monotone(self, rng):
-        region = Region(
-            (
-                Convex(
-                    (
-                        HalfSpace(UnitVec3(0, 0, 1), 0.0),
-                        HalfSpace(UnitVec3(1, 0, 0), 0.0),
-                    )
-                ),
-            )
-        )
-        grown = buffer_region(region, 1.0)
+        # buffering each constraint of a convex keeps every point it held
+        convex = Convex((HalfSpace(UnitVec3(0, 0, 1), 0.0), HalfSpace(UnitVec3(1, 0, 0), 0.0)))
+        grown = Convex(tuple(buffer_halfspace(h, 1.0) for h in convex.constraints))
         inside = 0
         for p in sample_sphere(rng, 1000):
-            if inside_region(region, p):
+            if inside_convex(convex, p):
                 inside += 1
-                assert inside_region(grown, p)
+                assert inside_convex(grown, p)
         assert inside > 0
-
-    def test_empty_region(self):
-        assert buffer_region(Region(()), 1.0) == Region(())
 
     def test_single_circle_grows_to_r_plus_theta(self):
         center = sky_to_vec(SkyPoint(30, 20))
-        region = Region((Convex((circle_to_halfspace(center, 0.5),)),))
-        grown = buffer_region(region, 0.25)
-        h = grown.convexes[0].constraints[0]
+        h = buffer_halfspace(circle_to_halfspace(center, 0.5), 0.25)
         assert h.normal == center
         assert h.l == pytest.approx(math.cos(math.radians(0.75)), abs=1e-15)
 

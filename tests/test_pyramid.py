@@ -23,7 +23,6 @@ from skyindex.pyramid import (
     bounding_circle,
     overlap_search,
     scale_of,
-    segment_elongated_region,
 )
 from skyindex.regionspec import compile_region_string
 from skyindex.snapshot import AppState, load_state, save_state
@@ -479,44 +478,6 @@ class TestBoundingCircle:
         for p in sample_cap(rng, UnitVec3(0, 0, 1), 30.0, 3000):
             if inside_region(region, p):
                 assert arc_distance_deg(center, p) <= radius + 1e-9
-
-
-class TestSegmentation:
-    def test_compact_region_unsplit(self):
-        region = compile_region_string("CIRCLE J2000 30 20 3")
-        segments = segment_elongated_region(region, 4.0, base_id=9)
-        assert segments == [(region, 9)]
-
-    def test_strip_segmented(self, rng):
-        strip = compile_region_string("POLY J2000 0 -0.05 60 -0.05 60 0.05 0 0.05")
-        _, orig_radius = bounding_circle(strip)
-        segments = segment_elongated_region(strip, 100.0, base_id=3)
-        assert len(segments) >= 4
-        assert all(bid == 3 for _, bid in segments)
-        radii = [bounding_circle(seg)[1] for seg, _ in segments]
-        assert max(radii) <= orig_radius / 3
-
-    def test_union_membership_preserved(self, rng):
-        strip = compile_region_string("POLY J2000 0 -0.05 60 -0.05 60 0.05 0 0.05")
-        segments = segment_elongated_region(strip, 100.0)
-        hit_any = 0
-        for _ in range(4000):
-            az = float(rng.uniform(0, math.radians(61)))
-            z = float(rng.uniform(-0.002, 0.002))
-            p = UnitVec3.normalized(
-                math.sqrt(1 - z * z) * math.cos(az),
-                math.sqrt(1 - z * z) * math.sin(az),
-                z,
-            )
-            in_orig = inside_region(strip, p)
-            in_union = any(inside_region(seg, p) for seg, _ in segments)
-            assert in_orig == in_union
-            hit_any += in_orig
-        assert hit_any > 100
-
-    def test_empty_region_rejected(self):
-        with pytest.raises(PyramidError):
-            segment_elongated_region(Region(()), 4.0)
 
 
 # -- oracle property on small pyramids at the zone-scan edges ----------------

@@ -87,10 +87,7 @@ class TestZoneConfig:
     def test_neighbors_default_height_clamped_to_ceiling(self):
         # a zone height of 1e-7 deg would give 1.8e9 zones; the default
         # height stops at the ceiling's, and the join stays exact
-        cat = catmod.from_points(
-            [(1, SkyPoint(10.0, 20.0)), (2, SkyPoint(10.0, 20.0 + 5e-8)), (3, SkyPoint(10.0, 20.0 + 2e-7))],
-            htm_depth=5,
-        )
+        cat = catmod.from_arrays([1, 2, 3], [10.0] * 3, [20.0, 20.0 + 5e-8, 20.0 + 2e-7], htm_depth=5)
         table = build_neighbors(cat, 1e-7)
         assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == brute_pairs(cat, 1e-7) == {(1, 2), (2, 1)}
         with pytest.raises(ZoneError, match="zone_height"):
@@ -130,19 +127,19 @@ class TestZoneConfig:
 class TestBuildZoneTable:
     def test_margin_rows(self):
         """No margin rows: an object beside ra = 0 keeps one row, its ra as given."""
-        cat = catmod.from_points([(1, SkyPoint(0.1, 0.0))], htm_depth=5)
+        cat = catmod.from_arrays([1], [0.1], [0.0], htm_depth=5)
         table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
         assert [(int(z), float(r)) for z, r in zip(table.zone, table.ra)] == [(90, 0.1)]
 
     def test_interior_object_single_row(self):
-        cat = catmod.from_points([(1, SkyPoint(180.0, 0.0))], htm_depth=5)
+        cat = catmod.from_arrays([1], [180.0], [0.0], htm_depth=5)
         table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
         assert len(table) == 1
 
     def test_near_pole_gets_both_margins(self):
         """No margin rows: an object near a pole and just under ra = 360
         keeps one row, yet cones from either side of ra = 0 find it."""
-        cat = catmod.from_points([(1, SkyPoint(359.9999, 89.99))], htm_depth=5)
+        cat = catmod.from_arrays([1], [359.9999], [89.99], htm_depth=5)
         table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
         assert table.ra.tolist() == [359.9999]
         for ra in (0.0, 359.0, 180.0):
@@ -150,7 +147,7 @@ class TestBuildZoneTable:
 
     def test_duplicate_objid_rejected(self):
         with pytest.raises((ZoneError, catmod.CatalogError)):
-            cat = catmod.from_points([(1, SkyPoint(10, 0)), (1, SkyPoint(20, 0))])
+            cat = catmod.from_arrays([1, 1], [10.0, 20.0], [0.0, 0.0])
             build_zone_table(cat, ZoneConfig(zone_height=1.0))
 
     def test_unnormalized_rejected(self):
@@ -164,11 +161,6 @@ class TestBuildZoneTable:
 
         with pytest.raises(ZoneError):
             build_zone_table(Fake(), ZoneConfig(zone_height=1.0))
-
-    def test_accepts_pair_list(self):
-        cat = catmod.from_points([(1, SkyPoint(10, 0)), (2, (20.0, 5.0))])
-        table = build_zone_table(cat, ZoneConfig(zone_height=1.0))
-        assert len(table) == 2
 
     @pytest.mark.parametrize("fault", ["repeated", "out of range", "negative", "short"])
     def test_row_not_a_permutation_rejected(self, fault):
@@ -351,10 +343,7 @@ class TestNearby:
                 nearby_objects(table, SkyPoint(0, 0), r)
 
     def test_wraparound_example(self):
-        cat = catmod.from_points(
-            [(1, SkyPoint(359.9, 0.0)), (2, SkyPoint(0.1, 0.0)), (3, SkyPoint(5.0, 0.0))],
-            htm_depth=5,
-        )
+        cat = catmod.from_arrays([1, 2, 3], [359.9, 0.1, 5.0], [0.0] * 3, htm_depth=5)
         table = build_zone_table(cat, ZoneConfig(zone_height=4 / 60))
         got = nearby_objects(table, SkyPoint(0.05, 0.0), 0.2)
         assert sorted(i for i, _ in got) == [1, 2]
@@ -415,7 +404,7 @@ class TestNearby:
             assert got == brute_cone(cat, center, 0.9)
 
     def test_distances_reported(self):
-        cat = catmod.from_points([(7, SkyPoint(10.0, 0.0))], htm_depth=5)
+        cat = catmod.from_arrays([7], [10.0], [0.0], htm_depth=5)
         table = build_zone_table(cat, ZoneConfig())
         got = nearby_objects(table, SkyPoint(10.5, 0.0), 0.9)
         assert len(got) == 1
@@ -469,9 +458,7 @@ class TestNearby:
 
 class TestNeighbors:
     def test_two_objects_mirror_pair(self):
-        cat = catmod.from_points(
-            [(1, SkyPoint(10.0, 0.0)), (2, SkyPoint(10.4, 0.0))], htm_depth=5
-        )
+        cat = catmod.from_arrays([1, 2], [10.0, 10.4], [0.0, 0.0], htm_depth=5)
         table = build_neighbors(cat, 0.5)
         assert len(table) == 2
         assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == {
@@ -480,9 +467,7 @@ class TestNeighbors:
         }
 
     def test_wraparound_counted_once_before_mirror(self):
-        cat = catmod.from_points(
-            [(1, SkyPoint(0.01, 0.0)), (2, SkyPoint(359.99, 0.0))], htm_depth=5
-        )
+        cat = catmod.from_arrays([1, 2], [0.01, 359.99], [0.0, 0.0], htm_depth=5)
         table = build_neighbors(cat, 0.5)
         assert len(table) == 2
 
@@ -501,14 +486,8 @@ class TestNeighbors:
             assert (b, a) in pair_set
 
     def test_neighbors_of(self):
-        cat = catmod.from_points(
-            [
-                (1, SkyPoint(10.0, 0.0)),
-                (2, SkyPoint(10.3, 0.0)),
-                (3, SkyPoint(10.0, 0.3)),
-                (99, SkyPoint(200.0, -40.0)),
-            ],
-            htm_depth=5,
+        cat = catmod.from_arrays(
+            [1, 2, 3, 99], [10.0, 10.3, 10.0, 200.0], [0.0, 0.0, 0.3, -40.0], htm_depth=5
         )
         table = build_neighbors(cat, 0.5)
         assert {n for n, _ in table.neighbors_of(1)} == {2, 3}
@@ -516,8 +495,7 @@ class TestNeighbors:
         assert table.neighbors_of(12345) == []
 
     def test_polar_cluster(self):
-        pts = [(i, SkyPoint(i * 36.0, 89.9)) for i in range(10)]
-        cat = catmod.from_points(pts, htm_depth=5)
+        cat = catmod.from_arrays(range(10), [i * 36.0 for i in range(10)], [89.9] * 10, htm_depth=5)
         table = build_neighbors(cat, 0.5)
         assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == brute_pairs(
             cat, 0.5
@@ -547,10 +525,7 @@ class TestNeighbors:
     def test_radius_above_180_rejected(self):
         # past 180 degrees the chord limit 4 sin^2(r/2) falls again, so it
         # would drop the antipodal pair at r = 200 and every pair at r = 400
-        cat = catmod.from_points(
-            [(1, SkyPoint(0.0, 0.0)), (2, SkyPoint(90.0, 0.0)), (3, SkyPoint(180.0, 0.0))],
-            htm_depth=5,
-        )
+        cat = catmod.from_arrays([1, 2, 3], [0.0, 90.0, 180.0], [0.0] * 3, htm_depth=5)
         for r in (math.nextafter(180.0, math.inf), 200.0, 400.0):
             with pytest.raises(ZoneError, match="radius out of"):
                 build_neighbors(cat, r)
