@@ -433,9 +433,10 @@ class RegionStore:
             if self._table is not None:
                 self._table.add_convex(rid, convex)
 
-    def _new_from_convex_lists(
+    def region_new_from_convexes(
         self, lists: list[list[HalfSpace]], rtype: str, comment: str
     ) -> int:
+        """A new region whose convexes are the lists, stored as given."""
         rid = self.region_new(rtype, comment)
         self._add_convexes(rid, lists)
         return rid
@@ -445,13 +446,13 @@ class RegionStore:
 
     def region_or(self, id1: int, id2: int, rtype: str, comment: str = "") -> int:
         lists = self._convex_lists(id1) + self._convex_lists(id2)
-        return self._new_from_convex_lists(lists, rtype, comment)
+        return self.region_new_from_convexes(lists, rtype, comment)
 
     def region_and(self, id1: int, id2: int, rtype: str, comment: str = "") -> int:
         lists = [
             a + b for a in self._convex_lists(id1) for b in self._convex_lists(id2)
         ]
-        return self._new_from_convex_lists(lists, rtype, comment)
+        return self.region_new_from_convexes(lists, rtype, comment)
 
     def region_not(self, id1: int, rtype: str, comment: str = "") -> int:
         sources = self._convex_lists(id1)
@@ -463,7 +464,7 @@ class RegionStore:
                 comp = complement_convex_lists(cvx)
                 acc = [a + c for a in acc for c in comp]
                 acc = simplify_region_geometry(acc)
-        return self._new_from_convex_lists(acc, rtype, comment)
+        return self.region_new_from_convexes(acc, rtype, comment)
 
     def region_simplify(self, rid: int) -> None:
         reg = self._get(rid)

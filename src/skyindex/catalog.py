@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,9 +47,6 @@ class Catalog:
     ra: np.ndarray
     dec: np.ndarray
     htm_depth: int = DEFAULT_HTM_DEPTH
-    htmid: np.ndarray = field(default=None)
-    _htm_order: np.ndarray = field(default=None, repr=False, compare=False)
-    _htm_sorted_ids: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.objid)
@@ -63,37 +60,34 @@ class Catalog:
     y = property(lambda self: self._xyz[1])
     z = property(lambda self: self._xyz[2])
 
-    def ensure_htm(self) -> np.ndarray:
-        if self.htmid is None:
-            self.htmid = htm.ids_for_points(self.x, self.y, self.z, self.htm_depth)
-        return self.htmid
+    @cached_property
+    def htmid(self) -> np.ndarray:
+        """Each row's mesh id at htm_depth, derived on the first read
+        (uint64 at htm.MAX_DEPTH, int64 below)."""
+        return htm.ids_for_points(self.x, self.y, self.z, self.htm_depth)
+
+    @cached_property
+    def _htm_index(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.htmid, kind="stable")
+        return order, self.htmid[order]
 
     def htm_order(self) -> np.ndarray:
         """Row permutation sorting the catalog by mesh id (cached)."""
-        if self._htm_order is None:
-            self._htm_order = np.argsort(self.ensure_htm(), kind="stable")
-        return self._htm_order
+        return self._htm_index[0]
 
     def htm_sorted_ids(self) -> np.ndarray:
         """Mesh ids in htm_order(), ascending (cached)."""
-        if self._htm_sorted_ids is None:
-            self._htm_sorted_ids = self.ensure_htm()[self.htm_order()]
-        return self._htm_sorted_ids
+        return self._htm_index[1]
 
     @classmethod
-    def from_columns(cls, objid, ra, dec, htm_depth: int, htmid=None) -> "Catalog":
+    def from_columns(cls, objid, ra, dec, htm_depth: int) -> "Catalog":
         """The catalog of the columns, the one check every catalog passes,
         built (from_arrays) or loaded. Raises CatalogError unless they are
-        valid rows (zones.check_rows), a depth in [0, htm.MAX_DEPTH] and,
-        if given, one mesh id per row at it (marker bit, face 8..15)."""
+        valid rows (zones.check_rows) and a depth in [0, htm.MAX_DEPTH]."""
         check_rows(objid, ra, dec, CatalogError)
         if not 0 <= htm_depth <= htm.MAX_DEPTH:
             raise CatalogError(f"mesh depth outside [0, {htm.MAX_DEPTH}]: {htm_depth!r}")
-        if htmid is not None:
-            face = htmid >> htmid.dtype.type(2 * htm_depth)
-            if len(htmid) != len(objid) or not ((face >= 8) & (face <= 15)).all():
-                raise CatalogError(f"mesh ids not one per row at depth {htm_depth}")
-        return cls(objid, ra, dec, htm_depth, htmid)
+        return cls(objid, ra, dec, htm_depth)
 
     def points(self):
         """(objid, UnitVec3) pairs, one Python object per row. The region
@@ -109,9 +103,11 @@ def from_arrays(
     ra,
     dec,
     htm_depth: int = DEFAULT_HTM_DEPTH,
-    compute_htm: bool = True,
+    compute_htm: bool = False,
 ) -> Catalog:
-    """int64 ids and finite ra, dec with ra put in [0, 360), then Catalog.from_columns."""
+    """int64 ids and finite ra, dec with ra put in [0, 360), then
+    Catalog.from_columns. compute_htm reads the mesh ids at once instead of
+    on first use; only the benchmark in perfbench/ still passes it."""
     try:
         objid = np.asarray(objid, dtype=np.int64)
     except OverflowError:  # a Python int outside int64
@@ -124,7 +120,7 @@ def from_arrays(
     ra[ra >= 360.0] = 0.0  # fmod of a negative epsilon can round to 360
     cat = Catalog.from_columns(objid, ra, dec, htm_depth)
     if compute_htm:
-        cat.ensure_htm()
+        cat.htmid
     return cat
 
 
@@ -243,7 +239,7 @@ def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, f
     return cone_matches(cat, cat.htm_order()[rows], v.x, v.y, v.z, r)
 
 
-def random_catalog(n: int, seed: int, compute_htm: bool = False) -> Catalog:
+def random_catalog(n: int, seed: int) -> Catalog:
     """The benchmark fixture: n points uniform on the sphere.
 
     Generator: numpy default_rng(seed); ra = uniform[0, 360),
@@ -252,4 +248,4 @@ def random_catalog(n: int, seed: int, compute_htm: bool = False) -> Catalog:
     rng = np.random.default_rng(seed)
     ra = rng.uniform(0.0, 360.0, n)
     dec = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
-    return from_arrays(np.arange(n, dtype=np.int64), ra, dec, compute_htm=compute_htm)
+    return from_arrays(np.arange(n, dtype=np.int64), ra, dec)

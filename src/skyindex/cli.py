@@ -213,16 +213,11 @@ def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
     """Apply a region subcommand that changes the store (the last,
     simplify, by default); returns the record (kind, fields) to print."""
     if args.region_cmd == "new":
-        rid = store.region_new(args.type, args.comment)
-        if getattr(args, "from_spec", None):
-            region = regionspec.compile_region_string(args.from_spec)
-            for convex in region.convexes:
-                cid = store.region_new_convex(rid)
-                for h in convex.constraints:
-                    store.region_new_convex_constraint(
-                        rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
-                    )
-        return "region", {"id": rid}
+        if not args.from_spec:
+            return "region", {"id": store.region_new(args.type, args.comment)}
+        region = regionspec.compile_region_string(args.from_spec)
+        lists = [list(c.constraints) for c in region.convexes]  # stored bit for bit
+        return "region", {"id": store.region_new_from_convexes(lists, args.type, args.comment)}
     if args.region_cmd == "new-convex":
         return "convex", {"region": args.id, "convex": store.region_new_convex(args.id)}
     if args.region_cmd == "constraint":
@@ -367,7 +362,7 @@ def _speedup_table(out: Output, rows: list[tuple[str, float, int]]):
 def cmd_bench_nearby(args, out: Output) -> int:
     cat = catmod.random_catalog(args.n, args.seed)
     t0 = time.perf_counter()
-    cat.ensure_htm()
+    cat.htmid  # derived on the first read
     mesh_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     table = zones.build_zone_table(cat, ZoneConfig(zone_height=args.zone_height))

@@ -5,27 +5,27 @@ the payload, then the payload: the sections catalog, zone table, neighbors
 table, region store and pyramid. A section is absent (a u32 0xFFFFFFFF) or
 a u32 column count and its columns; a column is its name, its numpy dtype
 string and its shape, then its values. One schema per section gives each
-column's name, the dtypes it may have and a name for each of its
-dimensions; the columns that name one dimension (such as a catalog's rows)
-share its length. A text column is UTF-8 bytes plus a length column. A
-save casts a value to its column's dtype where numpy deems the cast safe
-(an int as <f8). Values are little-endian and round-trip bit exactly. A
-version mismatch, a failed length or CRC check, a column its schema does
-not allow, or columns that do not make a valid structure raise
-SnapshotError; no partial state is ever returned. Only source columns
-are stored: no section holds x, y, z (a catalog derives them on first
-use, a pyramid as it sorts rows in), and the zone-table section is its
-zone height and row, the permutation of the catalog's rows that is all a
-zones.ZoneTable holds. Loading makes the table over the loaded catalog
-and gathers no column; a save refuses a table over another catalog
-object than the state's. Every table must hold what a build could have
-made of its rows (the catalog's mesh ids are checked for their depth
-only). The pyramid section is its base zone height and its entry
-columns, which loading checks and sorts as inserts would. A save writes
-each column straight from its array, with no joined copy of the payload,
-to a temporary file beside the target and renames it over the target,
-so a failed save leaves the previous snapshot intact; a save the file
-system refuses raises SnapshotError.
+column's name, its dtype and a name for each of its dimensions; the
+columns that name one dimension (such as a catalog's rows) share its
+length. A text column is UTF-8 bytes plus a length column. A save casts a
+value to its column's dtype where numpy deems the cast safe (an int as
+<f8). Values are little-endian and round-trip bit exactly. A version
+mismatch, a failed length or CRC check, a column its schema does not
+allow, or columns that do not make a valid structure raise SnapshotError;
+no partial state is ever returned. Only source columns are stored: the
+catalog section is its mesh depth, objid, ra and dec (a catalog derives
+x, y, z and its mesh ids on first use, a pyramid x, y, z as it sorts rows
+in), and the zone-table section is its zone height and row, the
+permutation of the catalog's rows that is all a zones.ZoneTable holds.
+Loading makes the table over the loaded catalog and gathers no column; a
+save refuses a table over another catalog object than the state's. Every
+table must hold what a build could have made of its rows. The pyramid
+section is its base zone height and its entry columns, which loading
+checks and sorts as inserts would. A save writes each column straight
+from its array, with no joined copy of the payload, to a temporary file
+beside the target and renames it over the target, so a failed save
+leaves the previous snapshot intact; a save the file system refuses
+raises SnapshotError.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors
 
 MAGIC = b"SKYIDXSN"
-VERSION = 7
+VERSION = 8
 _ABSENT = 0xFFFFFFFF
 
 
@@ -64,9 +64,8 @@ class AppState:
 
 
 class _Col(NamedTuple):
-    dtypes: str  # the numpy dtype strings it may have, space separated
+    dtype: str  # the numpy dtype string
     dims: tuple[str, ...] = ("row",)  # a name per dimension; () for a scalar
-    optional: bool = False
 
 
 _F8, _I8 = _Col("<f8"), _Col("<i8")
@@ -74,13 +73,7 @@ _F8_SCALAR, _I8_SCALAR = _Col("<f8", ()), _Col("<i8", ())
 _REGION, _CONVEX = _Col("<i8", ("region",)), _Col("<i8", ("convex",))
 _HALFSPACE = _Col("<f8", ("halfspace",))
 
-_CATALOG = {
-    "htm_depth": _I8_SCALAR,
-    "objid": _I8,
-    "ra": _F8,
-    "dec": _F8,
-    "htmid": _Col("<i8 <u8", optional=True),  # uint64 at htm.MAX_DEPTH
-}
+_CATALOG = {"htm_depth": _I8_SCALAR, "objid": _I8, "ra": _F8, "dec": _F8}
 _ZONES = {"zone_height": _F8_SCALAR, "row": _I8}
 _NEIGHBORS = {
     "radius": _F8_SCALAR,
@@ -119,14 +112,14 @@ def _check_column(schema: dict, what: str, name: str, dtype: str, ndim: int) -> 
     spec = schema.get(name)
     if spec is None:
         raise SnapshotError(f"{what} section: unknown column {name!r}")
-    if dtype not in spec.dtypes.split() or ndim != len(spec.dims):
+    if dtype != spec.dtype or ndim != len(spec.dims):
         raise SnapshotError(
-            f"{what} column {name!r}: {ndim}-d {dtype}, not {len(spec.dims)}-d {spec.dtypes}"
+            f"{what} column {name!r}: {ndim}-d {dtype}, not {len(spec.dims)}-d {spec.dtype}"
         )
 
 
 def _check_section(schema: dict, what: str, cols: dict[str, np.ndarray]) -> None:
-    missing = [k for k, spec in schema.items() if k not in cols and not spec.optional]
+    missing = [k for k in schema if k not in cols]
     if missing:
         raise SnapshotError(f"{what} section: missing column {missing[0]!r}")
     lengths: dict[str, int] = {}
@@ -137,22 +130,20 @@ def _check_section(schema: dict, what: str, cols: dict[str, np.ndarray]) -> None
 
 
 def _column(spec: _Col | None, value) -> np.ndarray:
-    """value as an array; one whose dtype spec does not list is cast to the
-    first it lists when numpy deems that cast safe (an int as <f8)."""
+    """value as an array, cast to spec's dtype when numpy deems that cast
+    safe (an int as <f8)."""
     a = np.asarray(value)
-    if spec is not None and a.dtype.str not in spec.dtypes.split():
-        dtype = spec.dtypes.split()[0]
-        if np.can_cast(a.dtype, dtype):
-            return a.astype(dtype)
+    if spec is not None and np.can_cast(a.dtype, spec.dtype):
+        return a.astype(spec.dtype, copy=False)
     return a
 
 
 def _encode(schema: dict, what: str, cols: dict | None) -> list:
     """A section as byte chunks, each column's values a view of its array
-    rather than a copy; None columns are left out."""
+    rather than a copy."""
     if cols is None:
         return [struct.pack("<I", _ABSENT)]
-    arrays = {k: _column(schema.get(k), v) for k, v in cols.items() if v is not None}
+    arrays = {k: _column(schema.get(k), v) for k, v in cols.items()}
     for name, a in arrays.items():
         _check_column(schema, what, name, a.dtype.str, a.ndim)
     _check_section(schema, what, arrays)

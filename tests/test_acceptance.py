@@ -156,7 +156,6 @@ def test_criterion_01_cone_search_oracle_equivalence(cone_fixture):
 
 def test_criterion_02_htm_path_equivalence(cone_fixture, corpus):
     cat, _, queries, truth = cone_fixture
-    cat.ensure_htm()
     mismatches = 0
     for (center, r), want in zip(queries, truth):
         got = frozenset(i for i, _ in htm_cone_search(cat, center, r))

@@ -121,7 +121,7 @@ class TestIngest:
         with pytest.raises(CatalogError, match="finite"):
             catmod.from_arrays([1, 2], [math.inf, 10.0], [0.0, math.nan])
         with pytest.raises(CatalogError, match="finite"):
-            catmod.from_arrays([1], [10.0], [math.nan], compute_htm=False)
+            catmod.from_arrays([1], [10.0], [math.nan])
 
     @pytest.mark.parametrize("objid, dec, message", [
         ([1, 1], [0.0, 5.0], "duplicate objID"),
@@ -129,14 +129,14 @@ class TestIngest:
     ], ids=["duplicate", "dec 90.5"])
     def test_from_arrays_rejects_rows_with_catalog_error(self, objid, dec, message):
         with pytest.raises(CatalogError, match=message):
-            catmod.from_arrays(objid, [10.0, 20.0], dec, compute_htm=False)
+            catmod.from_arrays(objid, [10.0, 20.0], dec)
 
     @pytest.mark.parametrize("depth", [31, -1])
     def test_from_arrays_rejects_depth_outside_0_30(self, depth):
         # refused with no mesh id to compute too, so no catalog that a
         # snapshot load refuses can be built and saved
         with pytest.raises(CatalogError, match="mesh depth outside"):
-            catmod.from_arrays([1, 2], [10.0, 20.0], [0.0, 5.0], htm_depth=depth, compute_htm=False)
+            catmod.from_arrays([1, 2], [10.0, 20.0], [0.0, 5.0], htm_depth=depth)
 
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", ["1,2,3"], header="a,b,c")
@@ -164,7 +164,7 @@ class TestIngest:
 
 class TestHtmConeSearch:
     def test_matches_oracle(self, rng):
-        cat = random_catalog(4000, seed=31, compute_htm=True)
+        cat = random_catalog(4000, seed=31)
         for _ in range(40):
             center = SkyPoint(
                 float(rng.uniform(0, 360)),
@@ -176,7 +176,7 @@ class TestHtmConeSearch:
             assert got == want
 
     def test_sorted_ids_cached(self):
-        cat = random_catalog(500, seed=4, compute_htm=True)
+        cat = random_catalog(500, seed=4)
         sorted_ids = cat.htm_sorted_ids()
         assert sorted_ids is cat.htm_sorted_ids()
         assert np.array_equal(sorted_ids, cat.htmid[cat.htm_order()])
@@ -236,7 +236,7 @@ class TestHtmConeSearch:
     def test_same_list_as_zone_search(self, rng):
         # both searches end in zones.cone_matches, so they agree exactly,
         # distances included, also at the poles and across ra = 0
-        cat = random_catalog(50000, seed=33, compute_htm=True)
+        cat = random_catalog(50000, seed=33)
         table = zones.build_zone_table(cat, zones.ZoneConfig())
         centres = [(0.0, 90.0), (123.0, -90.0), (0.0, 89.5), (200.0, -88.0), (0.0, 0.0),
                    (359.95, 10.0), (0.05, -30.0), (359.999, 60.0)]
@@ -264,17 +264,16 @@ class TestSnapshot:
     def test_strided_columns_round_trip(self, tmp_path):
         # a save writes each column's values as a view of its array, so a
         # strided column (a slice of a wider array) must still land whole,
-        # and the x, y, z derived from it on load are the same bytes
-        cat = random_catalog(500, seed=8, compute_htm=True)
+        # and the x, y, z and mesh ids derived from it on load are the same bytes
+        cat = random_catalog(500, seed=8)
         wide = np.stack([cat.ra, cat.dec], axis=1)
         strided = catmod.Catalog(
             objid=np.repeat(cat.objid, 2)[::2],
             ra=wide[:, 0],
             dec=wide[:, 1],
             htm_depth=cat.htm_depth,
-            htmid=cat.htmid[::-1].copy()[::-1],
         )
-        assert not any(getattr(strided, c).flags.c_contiguous for c in ("objid", "ra", "dec", "htmid"))
+        assert not any(getattr(strided, c).flags.c_contiguous for c in ("objid", "ra", "dec"))
         path = tmp_path / "s.snap"
         save_state(AppState(catalog=strided), path)
         loaded = load_state(path).catalog
@@ -303,8 +302,44 @@ class TestSnapshot:
         assert calls == [2000]
         assert loaded.catalog.x.tobytes() == cat.x.tobytes()
 
+    def test_mesh_ids_derived_once_on_first_cone_search(self, tmp_path, monkeypatch):
+        ids_for_points, calls = htm.ids_for_points, []
+
+        def counted(x, y, z, depth):
+            calls.append(len(x))
+            return ids_for_points(x, y, z, depth)
+
+        monkeypatch.setattr(htm, "ids_for_points", counted)
+        cat = random_catalog(2000, seed=12)
+        path = tmp_path / "s.snap"
+        save_state(AppState(cat), path)
+        loaded = load_state(path).catalog
+        assert calls == []
+        center = SkyPoint(10.0, 0.0)
+        want = oracle.cone_scan(cat, center, 5.0)
+        assert htm_cone_search(loaded, center, 5.0) == want
+        assert calls == [2000]
+        assert htm_cone_search(loaded, center, 5.0) == want
+        assert loaded.htm_sorted_ids() is loaded.htm_sorted_ids()
+        assert calls == [2000]
+
+    @pytest.mark.parametrize("depth", [0, 20, htm.MAX_DEPTH])
+    def test_loaded_mesh_ids_match_point_to_id(self, tmp_path, depth):
+        # uniform rows plus rows at the poles, on ra = 0 and on face corners
+        rng = np.random.default_rng(depth)
+        ra = np.concatenate([[0.0, 0.0, 0.0, 45.0, 90.0, 359.999999], rng.uniform(0.0, 360.0, 300)])
+        corner = math.degrees(math.asin(1.0 / math.sqrt(3.0)))
+        dec = np.concatenate([[90.0, -90.0, 0.0, corner, 0.0, -1e-9],
+                              np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 300)))])
+        path = tmp_path / "s.snap"
+        save_state(AppState(catmod.from_arrays(np.arange(len(ra)), ra, dec, htm_depth=depth)), path)
+        loaded = load_state(path).catalog
+        want = [htm.point_to_id(UnitVec3(*p), depth) for p in zip(loaded.x, loaded.y, loaded.z)]
+        assert loaded.htmid.tolist() == want
+        assert loaded.htmid.dtype == (np.uint64 if depth == htm.MAX_DEPTH else np.int64)
+
     def test_full_round_trip_queries_identical(self, tmp_path, rng):
-        cat = random_catalog(3000, seed=41, compute_htm=True)
+        cat = random_catalog(3000, seed=41)
         table = zones.build_zone_table(cat, zones.ZoneConfig())
         neighbors = zones.build_neighbors(cat, 0.5)
         store = RegionStore()
@@ -598,13 +633,12 @@ class TestSnapshot:
         ("x column", "unknown column 'x'"),
         ("z column", "unknown column 'z'"),
         ("depth 31", "mesh depth outside"),
-        ("depth 19", "mesh ids not one per row at depth 19"),
-        ("negative id", "mesh ids not one per row at depth 20"),
+        ("htmid column", "unknown column 'htmid'"),
     ])
     def test_catalog_checked_on_load(self, tmp_path, fault, message):
-        cat = random_catalog(2000, seed=12, compute_htm=True)
+        cat = random_catalog(2000, seed=12)
         schema = dict(snapshot._CATALOG)
-        cols = {k: getattr(cat, k).copy() for k in ("objid", "ra", "dec", "htmid")}
+        cols = {k: getattr(cat, k).copy() for k in ("objid", "ra", "dec")}
         cols["htm_depth"] = cat.htm_depth
         if fault == "objid all 0":
             cols["objid"][:] = 0
@@ -618,10 +652,9 @@ class TestSnapshot:
             schema[name], cols[name] = snapshot._F8, getattr(cat, name)
         elif fault == "depth 31":
             cols["htm_depth"] = 31
-        elif fault == "depth 19":
-            cols["htm_depth"] = 19
         else:
-            cols["htmid"][7] = -cols["htmid"][7]
+            # nor mesh ids, so a file cannot hold ids that disagree with ra, dec
+            schema["htmid"], cols["htmid"] = snapshot._I8, np.roll(cat.htmid, 1)
         path = tmp_path / "s.snap"
         write_sections(path, catalog=(schema, cols))
         with pytest.raises(SnapshotError, match=message):
@@ -746,17 +779,18 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="checksum"):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_version_rejected(self, tmp_path, version):
         # format 3 stored zone tables with wraparound margin rows, format 4
         # one zone-table section per pyramid scale, format 5 every catalog
-        # row twice and x, y, z, format 6 the pyramid's x, y, z
+        # row twice and x, y, z, format 6 the pyramid's x, y, z, format 7
+        # the catalog's mesh ids
         path = tmp_path / "s.snap"
         save_state(AppState(), path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match=f"version {version} != supported 7"):
+        with pytest.raises(SnapshotError, match=f"version {version} != supported 8"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -781,7 +815,7 @@ class TestSnapshot:
     @pytest.fixture(scope="class")
     def every_section(self, tmp_path_factory):
         """A saved snapshot with every section filled, and its bytes."""
-        cat = random_catalog(40, seed=8, compute_htm=True)
+        cat = random_catalog(40, seed=8)
         store = RegionStore()
         rid = store.region_new("circle")
         store.region_new_convex_constraint(rid, store.region_new_convex(rid), 0.0, 0.0, 1.0, 0.5)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyindex import oracle
+from skyindex import htm, oracle, regionspec
 from skyindex.catalog import random_catalog
 from skyindex.cli import main
 from skyindex.geom import SkyPoint
@@ -173,6 +173,16 @@ class TestIngestAndZone:
             main(["--snapshot", snap, "zone", "nearby", "--bogus-flag", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+    def test_ingest_and_builds_compute_no_mesh_ids(self, snap, csv3, monkeypatch):
+        # mesh ids are derived on their first read, and none of these reads them
+        def refuse(*args):
+            raise AssertionError("mesh ids computed")
+
+        monkeypatch.setattr(htm, "ids_for_points", refuse)
+        for argv in (["ingest", csv3], ["zone", "build"], ["neighbors", "build", "--r", "1"]):
+            assert main(["--snapshot", snap, *argv]) == 0, argv
 
 
 class TestNeighborsCli:
@@ -399,6 +409,26 @@ class TestRegionCli:
         code, out = run(capsys, "--snapshot", snap, "--format", "records", "region", "contains", "--id", "1",
                         "--x", xyz[0], "--y", xyz[1], "--z", xyz[2])
         assert code == 0 and "inside=True" in out
+
+    def test_new_from_stores_compiled_halfspaces_bit_for_bit(self, snap):
+        # the compiled normals are unit already: normalizing them once more
+        # moved about one in three by an ulp
+        rng = np.random.default_rng(18)
+        specs = []
+        for _ in range(40):
+            x, y, z, a, b, c = (float(v) for v in rng.normal(size=6))
+            specs.append(f"CIRCLE CARTESIAN {x!r} {y!r} {z!r} {float(rng.uniform(1.0, 600.0))!r}")
+            l1, l2 = (float(v) for v in rng.uniform(-0.9, 0.9, 2))
+            specs.append(f"CONVEX {x!r} {y!r} {z!r} {l1!r} {a!r} {b!r} {c!r} {l2!r}")
+        for spec in specs:
+            assert main(["--snapshot", snap, "region", "new", "--type", "t", "--from", spec]) == 0, spec
+        store = load_state(snap).regions
+        for rid, spec in enumerate(specs, 1):
+            convexes = regionspec.compile_region_string(spec).convexes
+            want = [[(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.constraints] for c in convexes]
+            got = [[(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.halfspaces()]
+                   for c in store.regions[rid].convexes]
+            assert got == want, spec
 
     @pytest.mark.parametrize("spec, fault", [
         ("CONVEX 1e400 0 0 0.5", "not finite"),

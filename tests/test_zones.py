@@ -100,7 +100,7 @@ class TestZoneConfig:
         base = catmod.random_catalog(200, seed=3)
         ra = np.concatenate([base.ra, base.ra[:3]])
         dec = np.concatenate([base.dec, base.dec[:3] + 5e-8])
-        cat = catmod.from_arrays(np.arange(203), ra, dec, compute_htm=False)
+        cat = catmod.from_arrays(np.arange(203), ra, dec)
         visits, scans = [], []
         zone_slice, scan_ra = ZoneTable.zone_slice, ZoneTable.scan_ra
 
@@ -222,7 +222,7 @@ class TestScanRa:
         n = 3000
         ra = np.concatenate([rng.uniform(0, 360, n), rng.uniform(0, 2, n // 4), rng.uniform(358, 360, n // 4)])
         dec = np.concatenate([rng.uniform(-90, 90, n), rng.uniform(-89.5, 89.5, n // 2)])
-        cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
+        cat = catmod.from_arrays(np.arange(len(ra)), ra, dec)
         return build_zone_table(cat, ZoneConfig(zone_height=10.0))
 
     @staticmethod
@@ -270,7 +270,7 @@ class TestScanRa:
                     if 0.0 <= v < 360.0:
                         rows.append(v)
         rows = sorted(set(rows))
-        cat = catmod.from_arrays(np.arange(len(rows)), rows, [89.99] * len(rows), compute_htm=False)
+        cat = catmod.from_arrays(np.arange(len(rows)), rows, [89.99] * len(rows))
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         top = table.cfg.zone_count - 1
         for lo, hi in windows:
@@ -282,7 +282,7 @@ class TestScanRa:
         # from full-circle windows wherever they sit, alone or among
         # narrow windows
         ra = [0.0, 5e-324, 180.0, math.nextafter(360.0, 0.0)]
-        cat = catmod.from_arrays(np.arange(len(ra)), ra, [15.0] * len(ra), compute_htm=False)
+        cat = catmod.from_arrays(np.arange(len(ra)), ra, [15.0] * len(ra))
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         z = int(table.zone[0])
         full = [(0.0, 360.0), (-180.0, 180.0), (-359.5, 0.5), (359.5, 719.5),
@@ -312,7 +312,7 @@ class TestScanRa:
                     if 0.0 <= v < 360.0:
                         ra.append(v)
         ra = sorted(set(ra))
-        cat = catmod.from_arrays(np.arange(len(ra)), ra, rng.uniform(-30.0, 30.0, len(ra)), compute_htm=False)
+        cat = catmod.from_arrays(np.arange(len(ra)), ra, rng.uniform(-30.0, 30.0, len(ra)))
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         for z0, z1 in ((0, table.cfg.zone_count - 1), (7, 9), (8, 8)):
             start, stop = table.zone_bounds[z0], table.zone_bounds[z1 + 1]
@@ -382,7 +382,7 @@ class TestNearby:
                 np.degrees(np.arcsin(rng.uniform(-1, 1, third))),
             ]
         )
-        cat = catmod.from_arrays(np.arange(n, dtype=np.int64), ra, dec, compute_htm=False)
+        cat = catmod.from_arrays(np.arange(n, dtype=np.int64), ra, dec)
         table = build_zone_table(cat, ZoneConfig())
         for k in range(40):
             if k % 3 == 0:
@@ -415,9 +415,7 @@ class TestNearby:
         # wraparound completeness: rotating the whole catalog by 180 deg in
         # ra must not change any result set
         cat = catmod.random_catalog(2000, seed=13)
-        rot = catmod.from_arrays(
-            cat.objid, (cat.ra + 180.0) % 360.0, cat.dec, compute_htm=False
-        )
+        rot = catmod.from_arrays(cat.objid, (cat.ra + 180.0) % 360.0, cat.dec)
         t1 = build_zone_table(cat, ZoneConfig())
         t2 = build_zone_table(rot, ZoneConfig())
         for _ in range(40):
@@ -568,7 +566,7 @@ def cone_case(draw):
 )
 def test_build_zone_table_one_row_per_input_row(case):
     h, (ra, dec) = case
-    cat = catmod.from_arrays(np.arange(len(ra))[::-1], ra, dec, compute_htm=False)
+    cat = catmod.from_arrays(np.arange(len(ra))[::-1], ra, dec)
     table = build_zone_table(cat, ZoneConfig(zone_height=h))
     assert len(table) == len(cat)
     order = np.lexsort((table.objid, table.ra, table.zone))
@@ -582,7 +580,7 @@ def test_build_zone_table_one_row_per_input_row(case):
 @given(cone_case())
 def test_nearby_objects_matches_cone_scan(case):
     cfg, ra, dec, center, r = case
-    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
+    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec)
     got = nearby_objects(build_zone_table(cat, cfg), center, r)
     want = oracle.cone_scan(cat, center, r)
     # the index tests the chord and the oracle the arc: the two may round
@@ -601,7 +599,7 @@ def test_nearby_objects_matches_cone_scan(case):
 )
 def test_build_neighbors_matches_pair_scan(case):
     r, (ra, dec), zone_height = case
-    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec, compute_htm=False)
+    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec)
     table = build_neighbors(cat, r, zone_height)
     a, b, d = oracle.pair_scan(cat, r)
     assert table.objid.tolist() == a.tolist()
