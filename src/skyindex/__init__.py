@@ -8,7 +8,6 @@ for region-overlap queries. A small grammar describes regions as text.
 """
 
 from .geom import (
-    ArcAngle,
     Convex,
     GeometryError,
     HalfSpace,

@@ -15,7 +15,6 @@ from .geom import (
     Region,
     SkyPoint,
     UnitVec3,
-    as_degrees,
     buffer_halfspace,
     circle_to_halfspace,
     sky_to_vec,
@@ -220,7 +219,7 @@ def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, f
     dtype: at htm.MAX_DEPTH that is uint64, where the last face's
     ((hi + 1) << shift) - 1 wraps through 2^64 to the right bound.
     """
-    r = as_degrees(radius)
+    r = float(radius)
     v = sky_to_vec(center)
     h = circle_to_halfspace(v, r)
     if r == 0:

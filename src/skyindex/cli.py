@@ -241,7 +241,7 @@ def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
 
 
 def cmd_region(args, out: Output) -> int:
-    state = _load_or_new(args)
+    state = (_load if args.region_cmd in _READ_ONLY_REGION_CMDS else _load_or_new)(args)
     store = state.regions
     if args.region_cmd not in _READ_ONLY_REGION_CMDS:
         kind, fields = _edit_region(store, args)

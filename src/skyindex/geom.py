@@ -114,32 +114,6 @@ class UnitVec3:
 
 
 @dataclass(frozen=True)
-class ArcAngle:
-    """A non-negative arc angle, stored in degrees."""
-
-    degrees: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.degrees <= 360.0):
-            raise GeometryError(f"arc angle out of range [0, 360]: {self.degrees!r}")
-        object.__setattr__(self, "degrees", float(self.degrees))
-
-    @staticmethod
-    def from_arcmin(value: float) -> "ArcAngle":
-        return ArcAngle(value / 60.0)
-
-
-def as_degrees(angle) -> float:
-    """Accept an ArcAngle or a plain finite number of degrees."""
-    if isinstance(angle, ArcAngle):
-        return angle.degrees
-    deg = float(angle)
-    if not math.isfinite(deg):
-        raise GeometryError(f"angle is not finite: {deg!r}")
-    return deg
-
-
-@dataclass(frozen=True)
 class HalfSpace:
     """The open cap {p : p . normal > l}, l in [-1, 1]."""
 
@@ -231,16 +205,18 @@ def arc_distance_deg(a: UnitVec3, b: UnitVec3) -> float:
 
 def circle_to_halfspace(center: UnitVec3, radius) -> HalfSpace:
     """Cap of the given angular radius around center: normal = center, l = cos(radius)."""
-    r = as_degrees(radius)
+    r = float(radius)
     if not (0.0 <= r <= 180.0):
         raise GeometryError(f"circle radius out of [0, 180] degrees: {r!r}")
     return HalfSpace(center, math.cos(math.radians(r)))
 
 
 def buffer_halfspace(h: HalfSpace, theta) -> HalfSpace:
-    """Enlarge the cap by theta: l' = cos(acos(l) + theta), clamped to -1."""
-    t = math.radians(as_degrees(theta))
-    a = math.acos(h.l) + t
+    """Enlarge the cap by theta >= 0 degrees: l' = cos(acos(l) + theta), clamped to -1."""
+    t = float(theta)
+    if not 0.0 <= t < math.inf:
+        raise GeometryError(f"buffer angle not finite and >= 0 degrees: {t!r}")
+    a = math.acos(h.l) + math.radians(t)
     if a >= math.pi:
         return HalfSpace(h.normal, -1.0)
     return HalfSpace(h.normal, math.cos(a))
@@ -285,9 +261,9 @@ def _plane_pair_points(h1: HalfSpace, h2: HalfSpace) -> list[UnitVec3]:
     return out
 
 
-def convex_boundary_vertices(c: Convex, tol: float = 1e-12) -> list[UnitVec3]:
+def convex_boundary_vertices(c: Convex) -> list[UnitVec3]:
     """Pairwise cap-boundary intersection points that satisfy all other
-    constraints of the convex (within tol). These are the corner points of
+    constraints of the convex (within 1e-12). These are the corner points of
     the convex's boundary patches."""
     cons = c.constraints
     verts: list[UnitVec3] = []
@@ -298,7 +274,7 @@ def convex_boundary_vertices(c: Convex, tol: float = 1e-12) -> list[UnitVec3]:
                 for k, h in enumerate(cons):
                     if k == i or k == j:
                         continue
-                    if p.dot(h.normal) < h.l - tol:
+                    if p.dot(h.normal) < h.l - 1e-12:
                         ok = False
                         break
                 if ok:

@@ -15,6 +15,7 @@ the two adjacent edge midpoints; digit 3 is the central midpoint triangle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,10 +352,12 @@ def cover(region: Region, max_ranges: int = 20, max_depth: int = 20) -> list[tup
     max_ranges remain, nearest ranges are merged (which only widens the
     cover, never drops any of it).
     """
-    if max_ranges < 1:
-        raise HtmError("max_ranges must be >= 1")
-    if not (0 <= max_depth <= MAX_DEPTH):
-        raise HtmError(f"max_depth out of range 0..{MAX_DEPTH}")
+    try:  # operator.index refuses a float, NaN included
+        ok = operator.index(max_ranges) >= 1 and 0 <= operator.index(max_depth) <= MAX_DEPTH
+    except TypeError:
+        ok = False
+    if not ok:
+        raise HtmError(f"need an integer max_ranges >= 1 and max_depth in 0..{MAX_DEPTH}: {max_ranges!r}, {max_depth!r}")
     convexes = [_halfspaces(c) for c in region.convexes]
     accepted: list[tuple[int, int]] = []  # (id, depth)
     frontier = [(8 + f, FACE_CORNERS[f]) for f in range(8)]

@@ -13,17 +13,22 @@ import math
 import numpy as np
 
 from .catalog import Catalog
-from .geom import SkyPoint, as_degrees, sky_to_vec
+from .geom import GeometryError, SkyPoint, sky_to_vec
+
+
+def _radius(radius) -> float:
+    """A radius in degrees, any finite value: the scans check no range."""
+    r = float(radius)
+    if not math.isfinite(r):
+        raise GeometryError(f"radius is not finite: {r!r}")
+    return r
 
 
 def cone_scan(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:
     """Every object strictly within radius of center, by scanning all rows."""
-    r = as_degrees(radius)
+    r = _radius(radius)
     v = sky_to_vec(center)
-    dx = cat.x - v.x
-    dy = cat.y - v.y
-    dz = cat.z - v.z
-    chord = np.sqrt(dx * dx + dy * dy + dz * dz)
+    chord = np.sqrt((cat.x - v.x) ** 2 + (cat.y - v.y) ** 2 + (cat.z - v.z) ** 2)
     dist = np.degrees(2.0 * np.arcsin(np.minimum(1.0, chord / 2.0)))
     hit = dist < r
     ids = cat.objid[hit]
@@ -32,18 +37,18 @@ def cone_scan(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]
     return [(int(i), float(x)) for i, x in zip(ids[order], d[order])]
 
 
-def pair_scan(cat: Catalog, radius, chunk: int = 512):
+def pair_scan(cat: Catalog, radius):
     """All ordered pairs (a, b), a != b, strictly within radius.
 
     Returns (objid_a, objid_b, distance) arrays sorted by (a, b).
     """
-    r = as_degrees(radius)
+    r = _radius(radius)
     # 4 sin^2(r/2) falls again past 180 degrees, where every pair is within r
     limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2 if r <= 180.0 else math.inf
     n = len(cat)
     out_a, out_b, out_d = [], [], []
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
+    for start in range(0, n, 512):  # 512 rows against all rows at a time
+        stop = min(n, start + 512)
         dx = cat.x[start:stop, None] - cat.x[None, :]
         dy = cat.y[start:stop, None] - cat.y[None, :]
         dz = cat.z[start:stop, None] - cat.z[None, :]
@@ -66,7 +71,7 @@ def pair_scan(cat: Catalog, radius, chunk: int = 512):
 def overlap_scan(ex, ey, ez, radii, center: SkyPoint, radius) -> list[int]:
     """Indices of bounding circles overlapping the query circle: the exact
     spherical test arc_distance(centers) < r_query + r_entry."""
-    r = as_degrees(radius)
+    r = _radius(radius)
     v = sky_to_vec(center)
     chord = np.sqrt((ex - v.x) ** 2 + (ey - v.y) ** 2 + (ez - v.z) ** 2)
     dist = np.degrees(2.0 * np.arcsin(np.minimum(1.0, chord / 2.0)))

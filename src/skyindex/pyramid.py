@@ -23,6 +23,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .geom import (
     SkyPoint,
     UnitVec3,
     arc_distance_deg,
-    as_degrees,
     convex_boundary_vertices,
     inside_convex,
     min_enclosing_cap,
@@ -81,7 +81,7 @@ def scale_of(radius, cfg: PyramidConfig):
     <= MAX_ZONE_COUNT. No radius up to 180 lands past max_scale. One
     radius takes math's functions, an array numpy's, in one expression.
     """
-    r = radius if isinstance(radius, np.ndarray) else as_degrees(radius)
+    r = radius if isinstance(radius, np.ndarray) else float(radius)
     xp = np if isinstance(r, np.ndarray) else math
     ok = (r > 0.0) & (r <= 180.0)  # NaN fails too
     if not (ok.all() if xp is np else ok):
@@ -134,14 +134,18 @@ class PyramidIndex:
 
     def insert(self, objid: int, center: SkyPoint, radius) -> int:
         """Add one bounding circle; returns the scale it lands on."""
-        r = as_degrees(radius)
+        r = float(radius)
+        try:
+            objid = operator.index(objid)
+        except TypeError:
+            raise PyramidError(f"objId is not an integer: {objid!r}") from None
         if not -(1 << 63) <= objid < 1 << 63:  # the int64 objid column's range
             raise PyramidError(f"objId outside the int64 range: {objid}")
         if objid in self._ids:
             raise PyramidError(f"duplicate objId: {objid}")
         s = scale_of(r, self.cfg)
-        self._queued.append((int(objid), center.ra, center.dec, r))
-        self._ids.add(int(objid))
+        self._queued.append((objid, center.ra, center.dec, r))
+        self._ids.add(objid)
         return s
 
     def _sort_in(self, new: dict[str, np.ndarray]) -> None:
@@ -209,7 +213,7 @@ def overlap_search(
     gathered once and filtered once, by nested masks: fine ra, dec band,
     circle test, exact test.
     """
-    r = as_degrees(radius)
+    r = float(radius)
     if not 0 <= r <= 180:
         raise PyramidError(f"radius out of [0, 180] degrees: {r!r}")
     qv = sky_to_vec(center)

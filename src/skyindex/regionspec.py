@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass
 
 from .geom import (
-    ArcAngle,
     Convex,
     GeometryError,
     HalfSpace,
@@ -446,7 +445,7 @@ def compile_to_region(ast: AreaSpec) -> Region:
             raise RegionCompileError(
                 f"circle radius must be within [0, 10800] arcmin: {ast.radius_arcmin!r}"
             )
-        h = circle_to_halfspace(center, ArcAngle.from_arcmin(ast.radius_arcmin))
+        h = circle_to_halfspace(center, ast.radius_arcmin / 60.0)
         return Region((Convex((h,)),))
     if isinstance(ast, RectSpec):
         return Region((_compile_rect(ast),))

@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .geom import SkyPoint, as_degrees
+from .geom import SkyPoint
 
 
 class ZoneError(ValueError):
@@ -284,7 +284,7 @@ def nearby_objects(
     dec band filter, then cone_matches' exact chord test. Results are
     sorted by (distance, objid).
     """
-    r = as_degrees(radius)
+    r = float(radius)
     cfg = table.cfg
     if not 0 <= r <= 180:
         raise ZoneError(f"radius out of [0, 180] degrees: {r!r}")
@@ -356,7 +356,7 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     of the join, or to the least height MAX_ZONE_COUNT allows if that is
     larger.
     """
-    r = as_degrees(radius)
+    r = float(radius)
     if not 0 < r <= 180:
         raise ZoneError(f"neighbors radius out of (0, 180] degrees: {r!r}")
     zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)

@@ -288,6 +288,16 @@ class TestRegionCli:
             assert code == 4
         assert not os.path.exists(snap)
 
+    @pytest.mark.parametrize("argv", [["show"], ["contains", "--ra", "0", "--dec", "0"]])
+    def test_read_only_command_on_missing_snapshot_exit_4(self, capsys, snap, argv):
+        # these once read a missing snapshot as an empty store: a mistyped
+        # path printed "summary count=0" and exited 0
+        code = main(["--snapshot", snap, "--format", "records", "region", *argv])
+        captured = capsys.readouterr()
+        assert code == 4 and "missing snapshot" in captured.err
+        assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
+        assert not os.path.exists(snap)
+
     def test_read_only_commands_keep_snapshot(self, capsys, snap, csv3):
         run(capsys, "--snapshot", snap, "ingest", csv3)
         run(capsys, "--snapshot", snap, "region", "new", "--type", "cap",

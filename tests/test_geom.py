@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skyindex.geom import (
-    ArcAngle,
     Convex,
     GeometryError,
     HalfSpace,
@@ -17,7 +16,6 @@ from skyindex.geom import (
     SkyPoint,
     UnitVec3,
     arc_distance_deg,
-    as_degrees,
     buffer_halfspace,
     circle_to_halfspace,
     closed_hemisphere_witness,
@@ -30,6 +28,9 @@ from skyindex.geom import (
     vec_to_sky,
 )
 from skyindex.algebra import _contains_cap, _disjoint_caps
+from skyindex.catalog import htm_cone_search, random_catalog
+from skyindex.pyramid import PyramidConfig, PyramidError, PyramidIndex, overlap_search, scale_of
+from skyindex.zones import ZoneConfig, ZoneError, build_neighbors, build_zone_table, nearby_objects
 
 from conftest import rotate_toward, sample_sphere
 
@@ -66,15 +67,30 @@ class TestSkyPoint:
             SkyPoint(ra, dec)
 
 
-class TestAsDegrees:
-    def test_numbers_and_arc_angles(self):
-        assert as_degrees(2) == 2.0
-        assert as_degrees(ArcAngle.from_arcmin(30)) == 0.5
+def _catalog():
+    return random_catalog(50, seed=3)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(GeometryError):
-            as_degrees(bad)
+
+_RADIUS_CHECKS = {
+    "zones.nearby_objects": (ZoneError, lambda r: nearby_objects(build_zone_table(_catalog(), ZoneConfig(1.0)), SkyPoint(1, 2), r)),
+    "zones.build_neighbors": (ZoneError, lambda r: build_neighbors(_catalog(), r)),
+    "pyramid.overlap_search": (PyramidError, lambda r: overlap_search(PyramidIndex(), SkyPoint(1, 2), r)),
+    "PyramidIndex.insert": (PyramidError, lambda r: PyramidIndex().insert(1, SkyPoint(1, 2), r)),
+    "pyramid.scale_of": (PyramidError, lambda r: scale_of(r, PyramidConfig())),
+    "pyramid.scale_of[array]": (PyramidError, lambda r: scale_of(np.array([1.0, r]), PyramidConfig())),
+    "geom.circle_to_halfspace": (GeometryError, lambda r: circle_to_halfspace(UnitVec3(0, 0, 1), r)),
+    "catalog.htm_cone_search": (GeometryError, lambda r: htm_cone_search(_catalog(), SkyPoint(1, 2), r)),
+}
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, 181.0])
+@pytest.mark.parametrize("call", sorted(_RADIUS_CHECKS))
+def test_radius_out_of_range_raises_the_modules_own_error(call, radius):
+    """Each function's range check is the only check of a radius in
+    degrees, so NaN and inf raise the same error as -1 or 181."""
+    error, search = _RADIUS_CHECKS[call]
+    with pytest.raises(error, match=r"radius out"):
+        search(radius)
 
 
 class TestVecConversion:
@@ -160,7 +176,7 @@ class TestContainment:
 
     def test_halfspace_small_circle(self):
         center = sky_to_vec(SkyPoint(30, 20))
-        h = circle_to_halfspace(center, ArcAngle.from_arcmin(3))
+        h = circle_to_halfspace(center, 3 / 60)
         assert inside_halfspace(h, sky_to_vec(SkyPoint(30, 20.049)))
         assert not inside_halfspace(h, sky_to_vec(SkyPoint(30, 20.051)))
 
@@ -230,7 +246,7 @@ class TestDistance:
 class TestBuffer:
     def test_formula(self):
         h = HalfSpace(UnitVec3(0, 0, 1), math.cos(math.radians(3 / 60)))
-        buffered = buffer_halfspace(h, ArcAngle.from_arcmin(2))
+        buffered = buffer_halfspace(h, 2 / 60)
         assert buffered.l == pytest.approx(math.cos(math.radians(5 / 60)), abs=1e-15)
 
     def test_zero_is_identity(self):
@@ -240,6 +256,14 @@ class TestBuffer:
     def test_clamp_to_full_sphere(self):
         h = HalfSpace(UnitVec3(0, 0, 1), math.cos(math.radians(179)))
         assert buffer_halfspace(h, 2.0).l == -1.0
+
+    @pytest.mark.parametrize("theta", [-0.5, -2.0, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, theta):
+        # cos is even, so a negative theta once came back as a cap of
+        # radius |acos(l) + theta| instead of failing
+        h = HalfSpace(UnitVec3(0, 0, 1), math.cos(math.radians(1.0)))
+        with pytest.raises(GeometryError, match="buffer angle"):
+            buffer_halfspace(h, theta)
 
     def test_region_monotone(self, rng):
         # buffering each constraint of a convex keeps every point it held
@@ -282,7 +306,7 @@ class TestCircleToHalfspace:
         assert h.l == pytest.approx(0.0, abs=1e-15)
 
     def test_three_arcmin(self):
-        h = circle_to_halfspace(UnitVec3(1, 0, 0), ArcAngle.from_arcmin(3))
+        h = circle_to_halfspace(UnitVec3(1, 0, 0), 3 / 60)
         assert h.l == pytest.approx(math.cos(math.radians(0.05)), abs=1e-15)
 
     def test_radius_out_of_range(self):

@@ -259,6 +259,23 @@ class TestCover:
                 assert alo <= ahi
                 assert blo > ahi + 1
 
+    @pytest.mark.parametrize("budget", [
+        {"max_ranges": math.nan, "max_depth": 4},
+        {"max_ranges": 2.5, "max_depth": 4},
+        {"max_ranges": 20, "max_depth": 2.5},
+        {"max_ranges": 0, "max_depth": 4},
+        {"max_ranges": 20, "max_depth": htm.MAX_DEPTH + 1},
+    ])
+    def test_budget_not_an_integer_in_range_rejected(self, budget):
+        # a NaN max_ranges never stopped the refinement: this 40 x 30 deg
+        # POLY then gave 20 ranges at depth 4 instead of 11
+        from skyindex.regionspec import compile_region_string
+
+        region = compile_region_string("POLY J2000 10 -10 50 -10 50 20 10 20")
+        with pytest.raises(HtmError):
+            cover(region, **budget)
+        assert cover(region, max_ranges=np.int64(18), max_depth=np.int64(4)) == cover(region, 18, 4)
+
     def test_common_depth(self, corpus_regions):
         for _, region in corpus_regions:
             ranges = cover(region)

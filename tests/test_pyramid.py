@@ -139,6 +139,20 @@ class TestInsert:
             assert overlap_search(idx, q, qr) == oracle.overlap_scan(ex, ey, ez, radii, q, qr)
         assert idx.insert(2**63 - 1, SkyPoint(1.0, 2.0), 0.5) == 6
 
+    @pytest.mark.parametrize("objid", [1.5, np.float64(2.0), "3"])
+    def test_objid_not_an_integer_rejected(self, objid, tmp_path):
+        # 1.5 once passed the duplicate check beside objid 1 and was
+        # stored as a second objid 1, so the saved index failed to load
+        idx = PyramidIndex()
+        idx.insert(1, SkyPoint(10.0, 10.0), 1.0)
+        with pytest.raises(PyramidError, match="not an integer"):
+            idx.insert(objid, SkyPoint(20.0, 20.0), 1.0)
+        idx.insert(np.int64(2), SkyPoint(30.0, 30.0), 1.0)
+        idx.insert(3, SkyPoint(40.0, 40.0), 1.0)
+        assert len(idx) == 3 and idx.columns()["objid"].tolist() == [1, 2, 3]
+        save_state(AppState(pyramid=idx), tmp_path / "p.snap")
+        assert load_state(tmp_path / "p.snap").pyramid.columns()["objid"].tolist() == [1, 2, 3]
+
 
 class TestCandidateZones:
     """The (scale, zone) band that overlap_search masks, seen through the

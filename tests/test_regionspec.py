@@ -220,6 +220,12 @@ class TestCompile:
         h = compile_region_string("CIRCLE J2000 0 0 10800").convexes[0].constraints[0]
         assert h.l == -1.0
 
+    @pytest.mark.parametrize("arcmin", [0.0, 1e-9, 0.5, 3.0, 7.3, 59.99, 60.0, 1234.5, 5400.0, 10799.0])
+    @pytest.mark.parametrize("frame", ["J2000 30 20", "CARTESIAN 0.3 -0.2 0.9"])
+    def test_circle_cut_is_cos_of_arcmin_over_60(self, frame, arcmin):
+        h = compile_region_string(f"CIRCLE {frame} {arcmin!r}").convexes[0].constraints[0]
+        assert h.l == math.cos(math.radians(arcmin / 60.0))
+
 
 _NUMBER_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
