@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +21,7 @@ from .geom import (
     sky_to_vec,
     sky_to_xyz,
 )
-from .zones import check_rows, cone_matches, gather_runs
+from .zones import check_rows, cone_matches, gather_runs, has_duplicates
 
 
 DEFAULT_HTM_DEPTH = 20
@@ -140,21 +141,58 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
     return from_arrays(ids, ras, decs, htm_depth=htm_depth)
 
 
-def _read_csv(path) -> tuple[list[int], list[float], list[float]]:
-    """The objid, ra and dec columns of ingest_csv's file."""
+# the row type np.loadtxt reads: objID as int64, never through float64
+_CSV_ROW = np.dtype([("objid", "<i8"), ("ra", "<f8"), ("dec", "<f8")])
+
+
+def _read_csv(path) -> tuple:
+    """The objid, ra and dec columns of ingest_csv's file, as arrays, or
+    as lists where _read_csv_lines reads them.
+
+    Bulk first: np.loadtxt parses the rows from the open file, and the
+    columns pass the per-line checks at once (finite ra and dec, dec in
+    [-90, 90], no repeated objID). It accepts a strict subset of what
+    int() and float() accept, with the same values. On any doubt, a row
+    it refuses, a warning (a file with no rows) or a failed check, the
+    file is read again by _read_csv_lines, the only source of row error
+    messages, so each keeps its line and column.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        _check_header(path, fh.readline())
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+        except Exception:  # whatever the bulk parse refuses, the per-line reader judges
+            return _read_csv_lines(path)
+    ids, ras, decs = (np.ascontiguousarray(rows[c]) for c in _CSV_ROW.names)
+    del rows
+    if (
+        np.isfinite(ras).all()
+        and np.isfinite(decs).all()
+        and ((decs >= -90.0) & (decs <= 90.0)).all()
+        and not has_duplicates(ids)
+    ):
+        return ids, ras, decs
+    return _read_csv_lines(path)
+
+
+def _check_header(path, header: str) -> None:
+    if header == "":
+        raise CatalogError(f"{path}: empty file, expected objID,ra,dec header")
+    cols = [c.strip().lower() for c in header.strip().split(",")]
+    if cols != ["objid", "ra", "dec"]:
+        raise CatalogError(f"{path}:1: expected header objID,ra,dec, got {header.strip()!r}")
+
+
+def _read_csv_lines(path) -> tuple[list[int], list[float], list[float]]:
+    """_read_csv one line at a time, raising the first row's error."""
     ids: list[int] = []
     ras: list[float] = []
     decs: list[float] = []
     seen: dict[int, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
-        if header == "":
-            raise CatalogError(f"{path}: empty file, expected objID,ra,dec header")
-        cols = [c.strip().lower() for c in header.strip().split(",")]
-        if cols != ["objid", "ra", "dec"]:
-            raise CatalogError(
-                f"{path}:1: expected header objID,ra,dec, got {header.strip()!r}"
-            )
+        _check_header(path, fh.readline())
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

@@ -99,9 +99,12 @@ class Output:
 # -- state helpers -----------------------------------------------------------
 
 
-def _load(args) -> AppState:
+def _load(args, first: str = "ingest") -> AppState:
+    """The snapshot's state; a missing one is an error naming the command
+    that makes one: ingest for the zone and neighbors commands, `region
+    new` for the region and pyramid reads."""
     if not os.path.exists(args.snapshot):
-        raise StateError(f"missing snapshot {args.snapshot!r}; run ingest first")
+        raise StateError(f"missing snapshot {args.snapshot!r}; run `{first}` first")
     return load_state(args.snapshot)
 
 
@@ -241,7 +244,10 @@ def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
 
 
 def cmd_region(args, out: Output) -> int:
-    state = (_load if args.region_cmd in _READ_ONLY_REGION_CMDS else _load_or_new)(args)
+    if args.region_cmd in _READ_ONLY_REGION_CMDS:
+        state = _load(args, "region new")
+    else:
+        state = _load_or_new(args)
     store = state.regions
     if args.region_cmd not in _READ_ONLY_REGION_CMDS:
         kind, fields = _edit_region(store, args)
@@ -331,7 +337,7 @@ def cmd_pyramid_build(args, out: Output) -> int:
 
 
 def cmd_pyramid_overlap(args, out: Output) -> int:
-    state = _load(args)
+    state = _load(args, "region new")
     idx = _need(state, "pyramid", "pyramid build")
     stats: dict = {}
     ids = overlap_search(idx, SkyPoint(args.ra, args.dec), args.r, stats=stats)

@@ -320,7 +320,9 @@ class NeighborsTable:
     objid: np.ndarray
     neighbor: np.ndarray
     distance: np.ndarray
-    candidate_pairs: int  # pairs examined by the careful test during build
+    # the unordered pairs the build's ra-window scans found, each counted
+    # once, that its chord test then examined
+    candidate_pairs: int
 
     def __len__(self) -> int:
         return len(self.objid)
@@ -346,12 +348,25 @@ def check_neighbors(t: NeighborsTable) -> None:
         raise ZoneError("neighbor rows not sorted by (objid, neighbor)")
 
 
+# The most rows build_neighbors joins: its packed sort key rank_a * n +
+# rank_b stays below 2^63 while n * n <= 2^63.
+MAX_JOIN_ROWS = 3_037_000_499
+
+
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
     """Materialize all object pairs strictly within a radius in (0, 180].
 
-    Scans the zone band around each populated zone with one ra window per
-    row of the zone, keeping objid1 < objid2 to do half the work, then
-    mirroring.
+    The zones algorithm's join of each zone with itself and the zones
+    above it: for each populated zone, one scan of zones zone..zone +
+    ceil(r / zone_height) with one ra window per row of the zone, keeping
+    the pairs whose right row comes after the left one in the zone-sorted
+    table. That yields each unordered pair exactly once, from the window
+    of its earlier row. Each goes straight to the exact chord test: a
+    dec-band prefilter saves no time there, and its rounding can drop a
+    pair at distance r that the chord test keeps. The pairs found are
+    mirrored and put in (objid, neighbor) order by one sort of a packed
+    key, rank(objid) * n + rank(neighbor), unique per pair; it fits int64
+    up to MAX_JOIN_ROWS rows, and more rows raise ZoneError.
     zone_height defaults to the radius, which minimizes the candidate area
     of the join, or to the least height MAX_ZONE_COUNT allows if that is
     larger.
@@ -359,48 +374,59 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     r = float(radius)
     if not 0 < r <= 180:
         raise ZoneError(f"neighbors radius out of (0, 180] degrees: {r!r}")
+    n = len(catalog.objid)
+    if n > MAX_JOIN_ROWS:
+        raise ZoneError(f"neighbors join takes at most {MAX_JOIN_ROWS} rows, got {n}")
     zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)
     cfg = ZoneConfig(zone_height=zh)
     table = build_zone_table(catalog, cfg)
     # the join's columns, gathered once in zone order
     objid, ra, dec, x, y, z = (getattr(catalog, c)[table.row] for c in ("objid", "ra", "dec", "x", "y", "z"))
+    by_objid = np.argsort(objid)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_objid] = np.arange(n)
     deltas = int(math.ceil(r / zh - 1e-12))
     chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
     nz = cfg.zone_count
-    pairs_a = [np.empty(0, dtype=np.int64)]
-    pairs_b = [np.empty(0, dtype=np.int64)]
+    keys_ab = [np.empty(0, dtype=np.int64)]
+    keys_ba = [np.empty(0, dtype=np.int64)]
     pair_d2 = [np.empty(0, dtype=float)]
     candidates = 0
     for zone in np.flatnonzero(np.diff(table.zone_bounds)).tolist():  # the populated zones
         s = table.zone_slice(zone)
         alpha = _ra_windows_arr(r, dec[s])
-        window, right = table.scan_ra(
-            max(0, zone - deltas), min(nz - 1, zone + deltas), ra[s] - alpha, ra[s] + alpha
-        )
-        candidates += len(right)
+        window, right = table.scan_ra(zone, min(nz - 1, zone + deltas), ra[s] - alpha, ra[s] + alpha)
         left = s.start + window
-        keep = objid[left] < objid[right]
+        keep = right > left
         left, right = left[keep], right[keep]
-        keep = np.abs(dec[left] - dec[right]) <= r
-        left, right = left[keep], right[keep]
+        candidates += len(right)
         dx = x[left] - x[right]
         dy = y[left] - y[right]
         dz = z[left] - z[right]
         d2 = dx * dx + dy * dy + dz * dz
         hit = d2 < chord2_limit
-        pairs_a.append(objid[left][hit])
-        pairs_b.append(objid[right][hit])
+        rank_l, rank_r = rank[left[hit]], rank[right[hit]]
+        keys_ab.append(rank_l * n + rank_r)
+        keys_ba.append(rank_r * n + rank_l)
         pair_d2.append(d2[hit])
-    # both orders of every pair; the table and columns are freed before the sort, which sets peak memory
-    a = np.concatenate(pairs_a + pairs_b)
-    b = np.concatenate(pairs_b + pairs_a)
-    d2 = np.concatenate(pair_d2 * 2)
-    del table, objid, ra, dec, x, y, z, pairs_a, pairs_b, pair_d2
-    order = np.lexsort((b, a))
+    # the sort sets peak memory, so the table and columns are freed before
+    # it and each pair-sized array as soon as it is used
+    sorted_objid = objid[by_objid]
+    del table, objid, ra, dec, x, y, z, by_objid, rank
+    key = np.concatenate(keys_ab + keys_ba)  # both orders of every pair
+    del keys_ab, keys_ba
+    order = np.argsort(key)  # the keys are unique, so any sort gives this order
+    key = key[order]
+    rank_b = key % n
+    key //= n
+    objid, neighbor = sorted_objid[key], sorted_objid[rank_b]
+    del key, rank_b
+    d2 = np.concatenate(pair_d2 * 2)[order]
+    del pair_d2, order
     return NeighborsTable(
         radius=r,
-        objid=a[order],
-        neighbor=b[order],
-        distance=np.degrees(2.0 * np.arcsin(np.sqrt(d2[order]) / 2.0)),
+        objid=objid,
+        neighbor=neighbor,
+        distance=np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0)),
         candidate_pairs=candidates,
     )

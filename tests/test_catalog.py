@@ -162,6 +162,90 @@ class TestIngest:
             assert int(cat.htmid[i]) == htm.point_to_id(v, 10)
 
 
+# tokens that int() and float() read and np.loadtxt refuses, or that no
+# reader accepts, so that a file holding one goes to the per-line reader
+_ODD_TOKENS = [
+    "1_000", "\u0663", "\xa07\xa0", " 12 ", "nan", "-inf", "1e400", "+.5e+1", "1.0", "1e3",
+    str(2**63), str(-(2**63) - 1), "", "x", "0x10", "-0", "95", "-90.5", "\u0663.5", "1_0.5",
+]
+
+
+@st.composite
+def csv_token(draw, column, odd):
+    if odd and draw(st.integers(0, 5)) == 0:
+        text = draw(st.sampled_from(_ODD_TOKENS))
+    elif column == "objid":
+        i = draw(st.one_of(st.integers(0, 20), st.integers(-(2**63), 2**63 - 1)))
+        text = draw(st.sampled_from([str(i), f"+{i}" if i >= 0 else str(i), f"{i:05d}"]))
+    else:
+        lo, hi = (-720.0, 720.0) if column == "ra" else (-90.0, 90.0)
+        v = draw(st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi, -0.0, 5e-324])))
+        text = draw(st.sampled_from([repr(v), f"{v:.17g}", f"{v:.3f}", f"{v:e}", f"{v:g}"]))
+    pad = st.sampled_from(["", "", " ", "\t", "\xa0"])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def csv_file(draw):
+    """The text of an objID,ra,dec CSV: rows of valid numbers in several
+    spellings, and in half the files also odd tokens and short lines,
+    with blank and whitespace-only lines and mixed line endings; no rows
+    at all gives a header-only file."""
+    odd = draw(st.booleans())
+    header = draw(st.sampled_from(["objID,ra,dec", "objid, RA ,Dec"]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "space"] + ["short"] * odd))
+        if kind == "row":
+            lines.append(",".join(draw(csv_token(c, odd)) for c in ("objid", "ra", "dec")))
+        else:
+            lines.append({"blank": "", "space": "  \t", "short": "1,2"}[kind])
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def ingest_outcome(ingest, path):
+    """The catalog columns ingest(path) gives, or its CatalogError message."""
+    try:
+        cat = ingest(path)
+    except CatalogError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in (cat.objid, cat.ra, cat.dec)]
+
+
+def ingest_lines(path):
+    """ingest_csv through the per-line reader alone."""
+    return catmod.from_arrays(*catmod._read_csv_lines(path), htm_depth=0)
+
+
+class TestBulkParse:
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv") / "c.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_file())
+    def test_bulk_parse_matches_per_line_reader(self, csv_path, text):
+        # the same columns bit for bit, or the same error message
+        csv_path.write_bytes(text.encode("utf-8"))
+        got = ingest_outcome(lambda p: ingest_csv(p, htm_depth=0), csv_path)
+        assert got == ingest_outcome(ingest_lines, csv_path)
+
+    def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        ra, dec = rng.uniform(-10.0, 370.0, 1000).tolist(), rng.uniform(-90.0, 90.0, 1000).tolist()
+        objid = (rng.permutation(10**6)[:1000] - 500).tolist()
+        p = write_csv(tmp_path / "c.csv", [f"{i},{a!r},{d!r}" for i, a, d in zip(objid, ra, dec)])
+        want = ingest_outcome(ingest_lines, p)
+
+        def refuse(path):
+            raise AssertionError("a clean file fell back to the per-line reader")
+
+        monkeypatch.setattr(catmod, "_read_csv_lines", refuse)
+        assert ingest_outcome(lambda p: ingest_csv(p, htm_depth=0), p) == want
+
+
 class TestHtmConeSearch:
     def test_matches_oracle(self, rng):
         cat = random_catalog(4000, seed=31)

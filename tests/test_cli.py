@@ -288,6 +288,23 @@ class TestRegionCli:
             assert code == 4
         assert not os.path.exists(snap)
 
+    @pytest.mark.parametrize("argv, first", [
+        (["region", "show"], "region new"),
+        (["region", "contains", "--ra", "0", "--dec", "0"], "region new"),
+        (["region", "points-in", "--id", "1"], "region new"),
+        (["region", "predicate", "--id", "1"], "region new"),
+        (["pyramid", "overlap", "--ra", "0", "--dec", "0", "--r", "1"], "region new"),
+        (["zone", "build"], "ingest"),
+        (["zone", "nearby", "--ra", "0", "--dec", "0", "--r", "1"], "ingest"),
+        (["neighbors", "build", "--r", "1"], "ingest"),
+        (["neighbors", "of", "--objid", "1"], "ingest"),
+    ])
+    def test_missing_snapshot_names_the_command_that_makes_one(self, capsys, snap, argv, first):
+        # ingest makes no region, so a region read is told to make one
+        code = main(["--snapshot", snap, *argv])
+        err = capsys.readouterr().err
+        assert code == 4 and f"missing snapshot {snap!r}; run `{first}` first" in err
+
     @pytest.mark.parametrize("argv", [["show"], ["contains", "--ra", "0", "--dec", "0"]])
     def test_read_only_command_on_missing_snapshot_exit_4(self, capsys, snap, argv):
         # these once read a missing snapshot as an empty store: a mistyped

@@ -10,6 +10,7 @@ from skyindex import catalog as catmod
 from skyindex import oracle
 from skyindex.geom import SkyPoint, sky_to_vec
 from skyindex.zones import (
+    MAX_JOIN_ROWS,
     MAX_ZONE_COUNT,
     NeighborsTable,
     ZoneConfig,
@@ -96,7 +97,8 @@ class TestZoneConfig:
 
     def test_neighbors_visit_populated_zones_only(self, monkeypatch):
         # 2^20 zones at r = 1e-7, 203 rows (three pairs 5e-8 deg apart):
-        # one visit and one scan per populated zone
+        # one visit and one scan per populated zone, each scan starting at
+        # its own zone (the half band: that zone and the ones above it)
         base = catmod.random_catalog(200, seed=3)
         ra = np.concatenate([base.ra, base.ra[:3]])
         dec = np.concatenate([base.dec, base.dec[:3] + 5e-8])
@@ -117,7 +119,7 @@ class TestZoneConfig:
         table = build_neighbors(cat, 1e-7)
         populated = np.unique(zone_column(cat.dec, 180.0 / MAX_ZONE_COUNT)).tolist()
         assert visits == populated
-        assert scans == [max(0, z - 1) for z in populated]
+        assert scans == populated
         a, b, d = oracle.pair_scan(cat, 1e-7)
         assert len(a) == 6
         assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
@@ -531,6 +533,26 @@ class TestNeighbors:
         assert set(zip(table.objid.tolist(), table.neighbor.tolist())) == {(1, 2), (2, 1), (2, 3), (3, 2)}
 
 
+def test_join_keeps_a_pair_on_the_circle_that_the_chord_test_keeps():
+    # the pole and a row r away: their dec difference rounds above r while
+    # the chord rounds below, so a dec-band prefilter dropped the pair
+    r = 2.93403292246742
+    cat = catmod.from_arrays([0, 1, 2], [0.0, 0.0, 0.0], [0.0, -90.0, -90.0 + r])
+    table = build_neighbors(cat, r)
+    a, b, d = oracle.pair_scan(cat, r)
+    assert a.tolist() == [1, 2] and b.tolist() == [2, 1]
+    assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
+    assert table.distance.tobytes() == d.tobytes()
+
+
+def test_join_refuses_rows_past_the_packed_key():
+    class Huge:  # a zero-stride column: its length costs no memory
+        objid = np.broadcast_to(np.int64(0), (MAX_JOIN_ROWS + 1,))
+
+    with pytest.raises(ZoneError, match="at most 3037000499 rows"):
+        build_neighbors(Huge(), 1.0)
+
+
 def test_pair_scan_above_180_takes_every_pair():
     cat = catmod.random_catalog(30, seed=3)
     a, b, _ = oracle.pair_scan(cat, 190.0)
@@ -605,3 +627,29 @@ def test_build_neighbors_matches_pair_scan(case):
     assert table.objid.tolist() == a.tolist()
     assert table.neighbor.tolist() == b.tolist()
     assert table.distance.tolist() == d.tolist()
+
+
+@st.composite
+def join_case(draw):
+    """(catalog, r, zone_height): rows at the poles and at ra 0/360, close
+    pairs inside one zone, objids in no order, and zone heights below, at
+    and above a radius up to 180."""
+    r = draw(st.one_of(st.sampled_from([0.05, 0.5, 2.0, 10.0, 120.0, 180.0]), st.floats(0.01, 180.0)))
+    zone_height = draw(st.sampled_from([None, r / 2.5, r, 2.0 * r]))
+    ra, dec = draw(edge_sky(zone_height or r, max_rows=30))
+    k = draw(st.integers(0, len(ra)))  # rows given a twin a hair away
+    eps = st.floats(-1e-6, 1e-6)
+    ra = np.concatenate([ra, ra[:k] + draw(st.lists(eps, min_size=k, max_size=k))])
+    dec = np.concatenate([dec, np.clip(dec[:k] + draw(st.lists(eps, min_size=k, max_size=k)), -90.0, 90.0)])
+    n = len(ra)
+    objid = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True))
+    return catmod.from_arrays(objid, ra, dec), r, zone_height
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_case())
+def test_build_neighbors_equals_pair_scan_bit_for_bit(case):
+    cat, r, zone_height = case
+    table = build_neighbors(cat, r, zone_height)
+    for got, want in zip((table.objid, table.neighbor, table.distance), oracle.pair_scan(cat, r)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
