@@ -613,22 +613,6 @@ def test_nearby_objects_matches_cone_scan(case):
     assert len(got) == len(got_ids)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([0.05, 0.5, 2.0, 10.0, 120.0, 180.0]).flatmap(
-        lambda r: st.tuples(st.just(r), edge_sky(r), st.sampled_from([None, r / 2.5, 2.0 * r]))
-    )
-)
-def test_build_neighbors_matches_pair_scan(case):
-    r, (ra, dec), zone_height = case
-    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec)
-    table = build_neighbors(cat, r, zone_height)
-    a, b, d = oracle.pair_scan(cat, r)
-    assert table.objid.tolist() == a.tolist()
-    assert table.neighbor.tolist() == b.tolist()
-    assert table.distance.tolist() == d.tolist()
-
-
 @st.composite
 def join_case(draw):
     """(catalog, r, zone_height): rows at the poles and at ra 0/360, close
@@ -648,7 +632,8 @@ def join_case(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(join_case())
-def test_build_neighbors_equals_pair_scan_bit_for_bit(case):
+def test_build_neighbors_matches_pair_scan(case):
+    # objid, neighbor and distance bit for bit
     cat, r, zone_height = case
     table = build_neighbors(cat, r, zone_height)
     for got, want in zip((table.objid, table.neighbor, table.distance), oracle.pair_scan(cat, r)):
