@@ -27,11 +27,8 @@ from .zones import check_rows, cone_matches, gather_runs, has_duplicates
 DEFAULT_HTM_DEPTH = 20
 
 # The mesh cone search covers its circle grown by this much, in degrees,
-# so that the cover holds every row the chord test accepts. A cap's
-# l = cos(r) cannot tell a radius below ~1e-6 degrees from 0, and a row's
-# trixel at depth d may lie up to ~6e-16 * 2^d radians from it (the
-# -1e-15 tie tolerance of htm.point_to_id on an unnormalized edge dot),
-# which stays below a fifth of this at the depth the search stops at.
+# so that the cover holds every row the chord test accepts: a cap's
+# l = cos(r) cannot tell a radius below ~1e-6 degrees from 0.
 COVER_PAD_DEG = 1e-5
 
 

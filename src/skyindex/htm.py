@@ -93,30 +93,85 @@ def _contains(corners, p, eps=_TIE_EPS) -> bool:
     return d0 >= eps and d1 >= eps and d2 >= eps
 
 
-def _pick(cands, p):
-    """First candidate whose edge tests all pass; else the most-interior one."""
-    best_i = 0
-    best_min = -math.inf
-    for i, corners in enumerate(cands):
-        m = min(_edge_dots(corners, p))
-        if m >= _TIE_EPS:
-            return i, corners
-        if m > best_min:
-            best_min = m
-            best_i = i
-    return best_i, cands[best_i]
+# Each face's edge dots (a x b, b x c, c x a) . p as rows of the signed
+# components (x, y, z, -x, -y, -z): a face's corners are axis vectors, so
+# each edge normal is one signed axis and each dot is exact. Face 0 =
+# (x, y, z-axis) has a x b = z, b x c = x and c x a = y, rows (2, 0, 1).
+_FACE_EDGES = ((2, 0, 1), (2, 1, 3), (2, 3, 4), (2, 4, 0), (5, 1, 0), (5, 3, 1), (5, 4, 3), (5, 0, 4))
+
+
+def _kids(e_ab, e_bc, e_ca, c_ab, c_bc, c_ca, sqrt):
+    """One level of the descent, on floats (sqrt = math.sqrt) or arrays
+    (np.sqrt) by the same expressions in the same order.
+
+    A trixel (a, b, c) is carried as its edge dots e_ab = (a x b) . p,
+    e_bc, e_ca and its corner cosines c_ab = a . b, c_bc, c_ca. With the
+    midpoints w0 = (b + c) / n0, w1 = (c + a) / n1, w2 = (a + b) / n2,
+    where n0 = |b + c| = sqrt(2 + 2 c_bc) and so on, the central child's
+    edge dots are i0 = (w0 x w1) . p = (e_bc - e_ab + e_ca) / (n0 n1),
+    i1 = (w1 x w2) . p and i2 = (w2 x w0) . p. Every child's dots and
+    cosines follow by the same identities, so no corner is ever formed:
+    child 0 = (a, w2, w1) has a x w2 = (a x b) / n2, w2 x w1 = -(w1 x w2),
+    w1 x a = (c x a) / n1, a . w2 = n2 / 2 and w2 . w1 = s / (n1 n2),
+    where s = 1 + c_ab + c_bc + c_ca; children 1 and 2 rotate it.
+
+    Returns the values each child's carry is drawn from, as _CARRY lists.
+    """
+    n0 = sqrt(2.0 + 2.0 * c_bc)
+    n1 = sqrt(2.0 + 2.0 * c_ca)
+    n2 = sqrt(2.0 + 2.0 * c_ab)
+    s = 1.0 + c_ab + c_bc + c_ca
+    n01, n12, n20 = n0 * n1, n1 * n2, n2 * n0
+    i0 = (e_bc - e_ab + e_ca) / n01
+    i1 = (e_ca - e_bc + e_ab) / n12
+    i2 = (e_ab - e_ca + e_bc) / n20
+    return (
+        e_ab / n2, e_bc / n0, e_ca / n1,
+        i0, i1, i2, -i0, -i1, -i2,
+        0.5 * n2, 0.5 * n0, 0.5 * n1,
+        s / n01, s / n12, s / n20,
+    )  # fmt: skip
+
+
+# Each child's carry (e_ab, e_bc, e_ca, c_ab, c_bc, c_ca) as indices into
+# _kids' values. Child 3 = (w0, w1, w2) carries (i0, i1, i2) and its
+# cosines s / (n0 n1), s / (n1 n2), s / (n2 n0).
+_CARRY = (
+    (0, 7, 2, 9, 13, 11),  # child 0 = (a, w2, w1)
+    (1, 8, 0, 10, 14, 9),  # child 1 = (b, w0, w2)
+    (2, 6, 1, 11, 12, 10),  # child 2 = (c, w1, w0)
+    (3, 4, 5, 12, 13, 14),  # child 3 = (w0, w1, w2)
+)
+
+# The child digit by which of i1, i2, i0 (bits 0, 1, 2) are below 0: p
+# outside the central child's edge w1 w2 lies in child 0, outside w2 w0
+# in child 1, outside w0 w1 in child 2, the first of these winning.
+_DIGIT = (3, 0, 1, 0, 2, 0, 1, 0)
 
 
 def point_to_id(p: UnitVec3, depth: int) -> int:
-    """Trixel id at the given depth containing p. Deterministic on edges:
-    the lowest face/child digit whose (non-strict) plane tests pass wins."""
+    """Trixel id at the given depth containing p.
+
+    The face is the first whose edge dots, exactly +-x, +-y or +-z, are
+    all >= 0; each level then takes the child _DIGIT names, by _kids'
+    inner-edge dots. These are exact identities of the normalized
+    midpoints, rounded once per operation, so the id is p's geometric
+    trixel at every depth: p lies in it, or just outside it (far less
+    than 1e-15 radians) where rounding breaks a tie on an edge.
+    """
     if not (0 <= depth <= MAX_DEPTH):
         raise HtmError(f"depth out of range 0..{MAX_DEPTH}: {depth}")
-    pt = (p.x, p.y, p.z)
-    face, corners = _pick(FACE_CORNERS, pt)
+    signed = (p.x, p.y, p.z, -p.x, -p.y, -p.z)
+    for face, rows in enumerate(_FACE_EDGES):
+        if min(signed[r] for r in rows) >= 0.0:
+            break
+    carry = (*(signed[r] for r in rows), 0.0, 0.0, 0.0)
     hid = 8 + face
     for _ in range(depth):
-        digit, corners = _pick(_children(corners), pt)
+        vals = _kids(*carry, math.sqrt)
+        i0, i1, i2 = vals[3:6]
+        digit = _DIGIT[(i1 < 0.0) + 2 * (i2 < 0.0) + 4 * (i0 < 0.0)]
+        carry = tuple(vals[k] for k in _CARRY[digit])
         hid = (hid << 2) | digit
     return hid
 
@@ -410,32 +465,19 @@ def cover(region: Region, max_ranges: int = 20, max_depth: int = 20) -> list[tup
 
 # -- vectorized id computation ----------------------------------------------
 
-# Points per block: each level's temporaries, about forty arrays of this
+# Points per block: each level's temporaries, a few dozen arrays of this
 # length, stay small enough to remain in cache.
 _BLOCK = 8192
-
-_FACE_CORNER_ARR = np.array(FACE_CORNERS)  # (face, corner, component)
 
 
 def ids_for_points(x, y, z, depth: int) -> np.ndarray:
     """point_to_id for arrays of unit-vector components, equal to it bit for bit.
 
-    The points are walked in blocks of _BLOCK, component-major: x, y and z
-    and each trixel corner component are separate 1-D arrays. Every level
-    evaluates the floating-point expressions point_to_id does, in the same
-    order: the edge midpoints by _mid's formula, each child's edge dots by
-    _edge_dots' formula, and _pick's rule (the first child whose smallest
-    dot is >= _TIE_EPS, else the one with the largest smallest dot, the
-    first on ties). So the ids equal point_to_id's on every finite input,
-    edges, corners and poles included. The corner children's inner edges
-    are the central child's edges reversed, and IEEE subtraction is
-    antisymmetric, so those three dots are the central child's negated:
-    9 dots per level, not 12, with no change to any result.
-
-    The usual shortcut, three sign tests against the central child's edges
-    to pick the child, is not used: it settles points on and near edges
-    by those three planes rather than by _pick's rule, so its ids differ
-    from point_to_id's there (on 141 of 200k uniform points at depth 20).
+    The points are walked in blocks of _BLOCK. Each level runs _kids on
+    whole columns, the expressions point_to_id evaluates in the same
+    order, and draws each point's next carry by the same _DIGIT and
+    _CARRY tables. So the ids equal point_to_id's on every finite input,
+    edges, corners and poles included.
 
     The ids are int64, except at MAX_DEPTH, whose ids take all 64 bits and
     come back as uint64. Raises HtmError on an out-of-range depth, inputs
@@ -454,90 +496,32 @@ def ids_for_points(x, y, z, depth: int) -> np.ndarray:
     ids = np.empty(n, dtype=np.uint64)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        ids[lo:hi] = _block_ids(
-            np.ascontiguousarray(x[lo:hi]),
-            np.ascontiguousarray(y[lo:hi]),
-            np.ascontiguousarray(z[lo:hi]),
-            depth,
-        )
+        ids[lo:hi] = _block_ids(x[lo:hi], y[lo:hi], z[lo:hi], depth)
     return ids if depth == MAX_DEPTH else ids.view(np.int64)
 
 
-def _block_ids(px, py, pz, depth: int) -> np.ndarray:
-    p = (px, py, pz)
-    face = _first_passing([
-        np.minimum(
-            np.minimum(_edge_dot_cols(*a, *b, *p), _edge_dot_cols(*b, *c, *p)),
-            _edge_dot_cols(*c, *a, *p),
-        )
-        for a, b, c in FACE_CORNERS
-    ])
-    corners = _FACE_CORNER_ARR[face]
-    a, b, c = (tuple(corners[:, i, k] for k in range(3)) for i in range(3))
-    ids = face + 8
+def _block_ids(x, y, z, depth: int) -> np.ndarray:
+    signed = np.stack((x, y, z, -x, -y, -z))
+    face = np.zeros(len(x), dtype=np.intp)
+    for f in range(len(_FACE_EDGES) - 1, -1, -1):
+        face[signed[list(_FACE_EDGES[f])].min(axis=0) >= 0.0] = f
+    carry = (*_take_rows(signed, _FACE_EDGES, face), *np.zeros((3, len(x))))
+    ids = (face + 8).astype(np.uint64)
+    digits = np.array(_DIGIT, dtype=np.uint8)
     for _ in range(depth):
-        w0 = _mid_cols(*b, *c)
-        w1 = _mid_cols(*c, *a)
-        w2 = _mid_cols(*a, *b)
-        # Child 3 is (w0, w1, w2); children 0..2 are (a, w2, w1),
-        # (b, w0, w2) and (c, w1, w0), whose middle edges are child 3's
-        # reversed: e(w2, w1) = -i1, e(w0, w2) = -i2, e(w1, w0) = -i0.
-        i0 = _edge_dot_cols(*w0, *w1, *p)
-        i1 = _edge_dot_cols(*w1, *w2, *p)
-        i2 = _edge_dot_cols(*w2, *w0, *p)
-        m0 = np.minimum(np.minimum(_edge_dot_cols(*a, *w2, *p), -i1), _edge_dot_cols(*w1, *a, *p))
-        m1 = np.minimum(np.minimum(_edge_dot_cols(*b, *w0, *p), -i2), _edge_dot_cols(*w2, *b, *p))
-        m2 = np.minimum(np.minimum(_edge_dot_cols(*c, *w1, *p), -i0), _edge_dot_cols(*w0, *c, *p))
-        m3 = np.minimum(np.minimum(i0, i1), i2)
-        digit = _first_passing([m0, m1, m2, m3])
+        vals = np.stack(_kids(*carry, np.sqrt))
+        neg0, neg1, neg2 = (vals[3:6] < 0.0).view(np.uint8)  # i0, i1, i2 below 0
+        digit = digits.take(neg1 + 2 * neg2 + 4 * neg0)
+        carry = _take_rows(vals, _CARRY, digit)
         ids <<= 2
         ids |= digit
-        k0, k1, k2 = digit == 0, digit == 1, digit == 2
-        a, b, c = (
-            tuple(np.where(k0, a[i], np.where(k1, b[i], np.where(k2, c[i], w0[i]))) for i in range(3)),
-            tuple(np.where(k0, w2[i], np.where(k1, w0[i], w1[i])) for i in range(3)),
-            tuple(np.where(k0, w1[i], np.where(k2, w0[i], w2[i])) for i in range(3)),
-        )
     return ids
 
 
-def _mid_cols(ux, uy, uz, vx, vy, vz):
-    """_mid on component arrays, same operations in the same order."""
-    x, y, z = ux + vx, uy + vy, uz + vz
-    n = x * x
-    n += y * y
-    n += z * z
-    np.sqrt(n, out=n)
-    x /= n
-    y /= n
-    z /= n
-    return x, y, z
-
-
-def _edge_dot_cols(ux, uy, uz, vx, vy, vz, px, py, pz):
-    """(u x v) . p on component arrays, in _edge_dots' operation order.
-    u and v may be scalars (a face's corners)."""
-    d = uy * vz
-    d -= uz * vy
-    d *= px
-    t = uz * vx
-    t -= ux * vz
-    t *= py
-    d += t
-    t = ux * vy
-    t -= uy * vx
-    t *= pz
-    d += t
-    return d
-
-
-def _first_passing(mins) -> np.ndarray:
-    """_pick's rule per point over candidates' smallest edge dots: the first
-    candidate with mins[i] >= _TIE_EPS, else the argmax, the first on ties."""
-    choice = np.full(mins[0].shape, len(mins), dtype=np.uint64)
-    for i in range(len(mins) - 1, -1, -1):
-        choice[mins[i] >= _TIE_EPS] = i
-    miss = np.flatnonzero(choice == len(mins))
-    if miss.size:
-        choice[miss] = np.stack([m[miss] for m in mins]).argmax(axis=0)
-    return choice
+def _take_rows(vals, table, choice) -> np.ndarray:
+    """Point j's rows table[choice[j]] of the stacked columns vals, as one
+    gather: a np.where per choice would branch on every point."""
+    n = vals.shape[1]
+    at = (np.array(table).T * n).take(choice, axis=1)
+    at += np.arange(n)
+    return vals.take(at)

@@ -280,9 +280,9 @@ def nearby_objects(
     """All catalog objects strictly within the radius of center, for a
     radius in [0, 180].
 
-    Scan order: one scan of the zone band over the circle's ra window, the
-    dec band filter, then cone_matches' exact chord test. Results are
-    sorted by (distance, objid).
+    Scan order: one scan of the zone band over the circle's ra window,
+    then cone_matches' exact chord test on every row it finds. Results
+    are sorted by (distance, objid).
     """
     r = float(radius)
     cfg = table.cfg
@@ -298,7 +298,6 @@ def nearby_objects(
     alpha = ra_window_deg(r, center.dec)
     _, idx = table.scan_ra(zmin, zmax, center.ra - alpha, center.ra + alpha)
     cat, rows = table.catalog, table.row[idx]
-    rows = rows[np.abs(cat.dec[rows] - center.dec) <= r]
     ra, dec = math.radians(center.ra), math.radians(center.dec)
     cd = math.cos(dec)  # the centre as sky_to_vec computes it
     found = cone_matches(cat, rows, cd * math.cos(ra), cd * math.sin(ra), math.sin(dec), r)

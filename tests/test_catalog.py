@@ -291,7 +291,7 @@ class TestHtmConeSearch:
         lo, hi = htm.cover(region, max_depth=htm.MAX_DEPTH)[-1]
         assert (hi + 1) << 2 * (htm.MAX_DEPTH - htm.id_depth(hi)) == 1 << 64
 
-    @pytest.mark.parametrize("depth", [0, 3, 20, 30])
+    @pytest.mark.parametrize("depth", [0, 3, 20, 25, 30])
     def test_cover_depth_from_radius_matches_oracle(self, depth):
         # the cover stops at ceil(log2(90 / (r + COVER_PAD_DEG))) or the
         # catalog's depth: radii put that depth below, at and above each

@@ -38,7 +38,7 @@ from skyindex.htm import (
     trixel_max_edge_deg,
 )
 
-from conftest import generate_corpus_specs, membership_with_guard, sample_cap, sample_sphere
+from conftest import edge_ra, generate_corpus_specs, membership_with_guard, sample_cap, sample_sphere
 from skyindex.pyramid import bounding_circle
 
 
@@ -570,8 +570,9 @@ def normalized_lerp(u, v, f, dot=0.0):
 
 def edge_points(depths, per_depth_sample, rng):
     """Corners, edge midpoints and 0.3-fractions of trixels, the latter also
-    moved to an edge dot of about _TIE_EPS: every trixel at depths up to 2,
-    a seeded sample of per_depth_sample beyond."""
+    moved to an edge dot of about -1e-15, where rounding decides the child:
+    every trixel at depths up to 2, a seeded sample of per_depth_sample
+    beyond."""
     pts = set()
     for depth in depths:
         first, last = 8 << (2 * depth), 16 << (2 * depth)
@@ -672,8 +673,8 @@ def unit_vectors(draw):
 @st.composite
 def near_edge_vectors(draw):
     """A point on a trixel edge, nudged off it along the edge's normal so
-    that its edge dot is about 0 or about _TIE_EPS = -1e-15, where the
-    rounding of each dot decides the pick."""
+    that its edge dot is about 0 or about -1e-15, where the rounding of
+    each dot decides the child."""
     depth = draw(st.integers(0, 12))
     hid = draw(st.integers(8 << (2 * depth), (16 << (2 * depth)) - 1))
     corners = htm._corners_of_id(hid)
@@ -696,6 +697,80 @@ def near_edge_vectors(draw):
 def test_ids_for_points_matches_point_to_id_property(pts, depth):
     xs, ys, zs = (np.array([p[k] for p in pts]) for k in range(3))
     assert_ids_match_scalar(xs, ys, zs, depths=(depth,))
+
+
+def test_face_edge_rows_are_the_face_edge_dots():
+    # each face's edge dots are one signed component of p, exactly
+    rng = np.random.default_rng(41)
+    points = [p.as_tuple() for p in sample_sphere(rng, 20)] + [(0.0, 0.0, 1.0), (-0.0, 1.0, -0.0)]
+    for corners, rows in zip(htm.FACE_CORNERS, htm._FACE_EDGES):
+        for p in points:
+            signed = (*p, -p[0], -p[1], -p[2])
+            assert htm._edge_dots(corners, p) == tuple(signed[r] for r in rows)
+
+
+# -- every point lies in the trixel of its own id, at 50 digits ---------------
+
+# How far a point may lie outside the trixel of its id, in radians: a tie
+# on an edge is broken by rounding, a few 1e-17 off.
+OUTSIDE_TOL_RAD = 1e-15
+
+
+def mp_outside_per_depth(p, hid30) -> list[float]:
+    """How far p lies outside each trixel on hid30's path, depths 0..30, in
+    radians (0 inside): the trixels rebuilt at 50 digits from FACE_CORNERS
+    by their own normalized midpoints, never by htm's code."""
+    with mpmath.workdps(50):
+        q = [mpmath.mpf(c) for c in p]
+        norm = mpmath.sqrt(sum(c * c for c in q))
+        q = [c / norm for c in q]
+        corners = [[mpmath.mpf(c) for c in v] for v in htm.FACE_CORNERS[(hid30 >> 60) - 8]]
+        out = []
+        for level in range(htm.MAX_DEPTH + 1):
+            worst = mpmath.mpf(0)
+            for i in range(3):
+                u, v = corners[i], corners[(i + 1) % 3]
+                n = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+                worst = max(worst, -sum(a * b for a, b in zip(n, q)) / mpmath.sqrt(sum(a * a for a in n)))
+            out.append(float(mpmath.asin(worst)))
+            if level < htm.MAX_DEPTH:
+                a, b, c = corners
+                w0, w1, w2 = _mp_mid(b, c), _mp_mid(c, a), _mp_mid(a, b)
+                corners = [(a, w2, w1), (b, w0, w2), (c, w1, w0), (w0, w1, w2)][(hid30 >> (58 - 2 * level)) & 3]
+        return out
+
+
+@st.composite
+def trixel_probe_points(draw):
+    """A unit vector anywhere, at or near a pole, on the ra = 0 meridian,
+    or on a trixel corner or edge at any depth, nudged off the edge by at
+    most 1e-15 in dot."""
+    kind = draw(st.sampled_from(["any", "pole", "ra0", "corner", "edge"]))
+    if kind == "any":
+        return draw(unit_vectors())
+    if kind == "pole":
+        dec = draw(st.sampled_from([90.0, -90.0]) | st.floats(89.999, 90.0) | st.floats(-90.0, -89.999))
+        return draw(st.sampled_from([(0.0, 0.0, math.copysign(1.0, dec)), sky_to_vec(SkyPoint(draw(edge_ra()), dec)).as_tuple()]))
+    if kind == "ra0":
+        ra = draw(st.sampled_from([0.0, 1e-12, math.nextafter(360.0, 0.0)]))
+        return sky_to_vec(SkyPoint(ra, draw(st.floats(-90.0, 90.0)))).as_tuple()
+    depth = draw(st.integers(0, htm.MAX_DEPTH))
+    corners = htm._corners_of_id(draw(st.integers(8 << (2 * depth), (16 << (2 * depth)) - 1)))
+    i = draw(st.integers(0, 2))
+    if kind == "corner":
+        return corners[i]
+    f = draw(st.floats(0.0, 1.0))
+    return normalized_lerp(corners[i], corners[(i + 1) % 3], f, draw(st.sampled_from([0.0]) | st.floats(-1e-15, 1e-15)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pts=st.lists(trixel_probe_points(), min_size=1, max_size=8), depth=st.integers(0, htm.MAX_DEPTH))
+def test_every_point_lies_in_the_trixel_of_its_id_property(pts, depth):
+    xs, ys, zs = (np.array([p[k] for p in pts]) for k in range(3))
+    for p, hid30 in zip(pts, ids_for_points(xs, ys, zs, htm.MAX_DEPTH).tolist()):
+        assert point_to_id(UnitVec3(*p), depth) == hid30 >> (2 * (htm.MAX_DEPTH - depth))
+        outside = mp_outside_per_depth(p, hid30)
+        assert max(outside) <= OUTSIDE_TOL_RAD, (p, hid30, outside.index(max(outside)), max(outside))
 
 
 # -- cover soundness and the bounding cap, property-based ---------------------

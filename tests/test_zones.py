@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skyindex import catalog as catmod
@@ -611,6 +611,24 @@ def test_nearby_objects_matches_cone_scan(case):
     dist = dict(oracle.cone_scan(cat, center, 360.0))
     assert all(abs(dist[i] - r) < 1e-9 for i in got_ids ^ want_ids)
     assert len(got) == len(got_ids)
+
+
+# rows (0, -90) and (0, -90 + r): their dec difference rounds to above r,
+# their distance, 2.9340329224674164, is below it
+POLE_PAIR_R = 2.93403292246742
+POLE_PAIR = (np.array([0.0, 0.0]), np.array([-90.0, -90.0 + POLE_PAIR_R]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_case())
+@example((ZoneConfig(zone_height=1.0), *POLE_PAIR, SkyPoint(0.0, -90.0), POLE_PAIR_R))
+@example((ZoneConfig(zone_height=1.0), *POLE_PAIR, SkyPoint(0.0, -90.0 + POLE_PAIR_R), POLE_PAIR_R))
+def test_nearby_objects_equals_htm_cone_search(case):
+    # both end in cone_matches' chord test, and neither may drop a row
+    # before it: the lists agree exactly, distances included
+    cfg, ra, dec, center, r = case
+    cat = catmod.from_arrays(np.arange(len(ra)), ra, dec)
+    assert nearby_objects(build_zone_table(cat, cfg), center, r) == catmod.htm_cone_search(cat, center, r)
 
 
 @st.composite
