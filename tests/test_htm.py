@@ -750,7 +750,9 @@ def trixel_probe_points(draw):
         return draw(unit_vectors())
     if kind == "pole":
         dec = draw(st.sampled_from([90.0, -90.0]) | st.floats(89.999, 90.0) | st.floats(-90.0, -89.999))
-        return draw(st.sampled_from([(0.0, 0.0, math.copysign(1.0, dec)), sky_to_vec(SkyPoint(draw(edge_ra()), dec)).as_tuple()]))
+        if draw(st.booleans()):
+            return (0.0, 0.0, math.copysign(1.0, dec))
+        return sky_to_vec(SkyPoint(draw(edge_ra()), dec)).as_tuple()
     if kind == "ra0":
         ra = draw(st.sampled_from([0.0, 1e-12, math.nextafter(360.0, 0.0)]))
         return sky_to_vec(SkyPoint(ra, draw(st.floats(-90.0, 90.0)))).as_tuple()
