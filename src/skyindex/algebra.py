@@ -29,7 +29,6 @@ from .geom import (
     Region,
     UnitVec3,
     arc_distance_deg,
-    inside_convex,
     negate_halfspace,
     unit_rows,
 )
@@ -519,8 +518,10 @@ class RegionStore:
     # introspection / persistence
 
     def contains(self, rid: int, p: UnitVec3) -> bool:
+        """Whether p is in region rid, by _dot on the stored rows."""
         return any(
-            inside_convex(c, p) for c in self.geometry(rid).convexes
+            all(_dot(p.x, p.y, p.z, nx, ny, nz) > l for _, nx, ny, nz, l in c.constraints)
+            for c in self._get(rid).convexes
         )
 
     def columns(self) -> dict[str, np.ndarray]:

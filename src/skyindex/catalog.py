@@ -21,7 +21,7 @@ from .geom import (
     sky_to_vec,
     sky_to_xyz,
 )
-from .zones import check_rows, cone_matches, gather_runs, has_duplicates
+from .zones import check_rows, cone_matches, gather_runs
 
 
 DEFAULT_HTM_DEPTH = 20
@@ -125,7 +125,9 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
     """Read an objID,ra,dec CSV in UTF-8. ra is normalized into [0, 360); a
     dec outside [-90, 90], a malformed or non-finite number, a repeated
     objID or a byte not in UTF-8 is an error naming the line, and an
-    unreadable file one naming the path."""
+    unreadable file one naming the path. from_arrays checks the bulk
+    columns; rows it refuses are read again by _read_csv_lines, the only
+    source of row error messages, so each keeps its line and column."""
     try:
         ids, ras, decs = _read_csv(path)
     except OSError as exc:
@@ -135,7 +137,10 @@ def ingest_csv(path, htm_depth: int = DEFAULT_HTM_DEPTH) -> Catalog:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
             lineno = next(i for i, line in enumerate(fh, 1) if re.search("[\udc80-\udcff]", line))
         raise CatalogError(f"{path}:{lineno}: not valid UTF-8") from None
-    return from_arrays(ids, ras, decs, htm_depth=htm_depth)
+    try:
+        return from_arrays(ids, ras, decs, htm_depth=htm_depth)
+    except CatalogError:
+        return from_arrays(*_read_csv_lines(path), htm_depth=htm_depth)
 
 
 # the row type np.loadtxt reads: objID as int64, never through float64
@@ -146,13 +151,10 @@ def _read_csv(path) -> tuple:
     """The objid, ra and dec columns of ingest_csv's file, as arrays, or
     as lists where _read_csv_lines reads them.
 
-    Bulk first: np.loadtxt parses the rows from the open file, and the
-    columns pass the per-line checks at once (finite ra and dec, dec in
-    [-90, 90], no repeated objID). It accepts a strict subset of what
-    int() and float() accept, with the same values. On any doubt, a row
-    it refuses, a warning (a file with no rows) or a failed check, the
-    file is read again by _read_csv_lines, the only source of row error
-    messages, so each keeps its line and column.
+    Bulk first: np.loadtxt parses the rows from the open file, accepting a
+    strict subset of what int() and float() accept, with the same values,
+    and checks no row (from_arrays does). On a row it refuses or a warning
+    (a file with no rows), the file is read by _read_csv_lines instead.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         _check_header(path, fh.readline())
@@ -162,16 +164,7 @@ def _read_csv(path) -> tuple:
                 rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
         except Exception:  # whatever the bulk parse refuses, the per-line reader judges
             return _read_csv_lines(path)
-    ids, ras, decs = (np.ascontiguousarray(rows[c]) for c in _CSV_ROW.names)
-    del rows
-    if (
-        np.isfinite(ras).all()
-        and np.isfinite(decs).all()
-        and ((decs >= -90.0) & (decs <= 90.0)).all()
-        and not has_duplicates(ids)
-    ):
-        return ids, ras, decs
-    return _read_csv_lines(path)
+    return tuple(np.ascontiguousarray(rows[c]) for c in _CSV_ROW.names)
 
 
 def _check_header(path, header: str) -> None:

@@ -3,9 +3,10 @@
 A catalog is bucketed into horizontal zones of fixed height; a ZoneTable
 is an index over it, as in the zone papers: the catalog's rows in (zone,
 ra, objid) order, one per object with ra in [0, 360), and no copied column.
-ZoneTable.scan_ra scans a band of zones for many ra windows at once with
-a binary search on an exact (zone, ra) key, so a cone search is one scan
-of its dec band and the all-pairs neighbor join is one scan per zone.
+ZoneTable.scan_ra scans many ra windows, each over its own band of zones,
+at once with a binary search on an exact (zone, ra) key, so a cone search
+is one scan of its dec band and the all-pairs neighbor join one scan per
+block of rows.
 The pyramid's bands are sparse, where a binary search per zone costs
 more than a look at every row, so pyramid.overlap_search masks its
 bands' contiguous rows instead (the choice between an index seek and a
@@ -40,8 +41,7 @@ class ZoneError(ValueError):
     """Bad zone configuration or query arguments."""
 
 
-# The most zones a height may give. zone_bounds holds zone_count + 1
-# int64s, so 2^20 zones cost 8 MiB; 180 / 2^20 degrees (0.62 arcsec) is
+# The most zones a height may give: 180 / 2^20 degrees (0.62 arcsec) is
 # below survey astrometric errors. Zone numbers stay exact in the complex
 # search keys, which need them below 2^53.
 MAX_ZONE_COUNT = 1 << 20
@@ -161,13 +161,6 @@ def cone_matches(catalog, rows: np.ndarray, cx: float, cy: float, cz: float, r: 
     return list(zip(ids[order].tolist(), dist[order].tolist()))
 
 
-def has_duplicates(values: np.ndarray) -> bool:
-    """Whether a value occurs twice: a sort and a compare of neighbours,
-    far cheaper than np.unique on large arrays."""
-    s = np.sort(values)
-    return bool((s[1:] == s[:-1]).any())
-
-
 @dataclass(eq=False)
 class ZoneTable:
     """An index over a catalog (any object with array columns objid, ra,
@@ -179,7 +172,6 @@ class ZoneTable:
     cfg: ZoneConfig
     catalog: Any
     row: np.ndarray
-    zone_bounds: np.ndarray = field(init=False)
     key: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -188,7 +180,6 @@ class ZoneTable:
         if not (len(row) == n and ((row >= 0) & (row < n)).all() and (np.bincount(row, minlength=n) == 1).all()):
             raise ZoneError("zone table rows are not a permutation of the catalog's rows")
         zone = zone_column(cat.dec[row], self.cfg.zone_height)
-        self.zone_bounds = np.searchsorted(zone, np.arange(self.cfg.zone_count + 1))
         # numpy orders and searches complex values lexicographically by
         # (real, imag), and zone + 1j * ra keeps both parts exact, so key
         # orders rows exactly by (zone, ra)
@@ -209,29 +200,28 @@ class ZoneTable:
     def main_row_count(self) -> int:
         return len(self)
 
-    def zone_slice(self, z: int) -> slice:
-        return slice(int(self.zone_bounds[z]), int(self.zone_bounds[z + 1]))
-
-    def scan_ra(self, z0: int, z1: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of zones z0..z1 whose ra (mod 360) falls in a window [lo, hi].
+    def scan_ra(self, z0, height: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of a band of zones whose ra (mod 360) falls in a window [lo, hi].
 
         lo and hi are scalars or equal-length non-empty arrays, one window
-        per entry, with -360 < lo <= hi < 720 and 0 <= z0 <= z1 <
-        zone_count. Returns (window, row) index arrays: every row of the
-        band in window k, once per window, paired with k (0 for scalar
-        windows). Each window's rows come in ascending order; with several
-        windows the pairs are grouped by zone, not by window. The rows are
-        the table's; self.row maps them to the catalog's.
+        per entry, with -360 < lo <= hi < 720. Window k's band is zones
+        z0[k]..z0[k] + height - 1, for height >= 1 and one z0 >= 0 for all
+        windows or one per window; no row lies past the top zone. Returns
+        (window, row) index arrays: every row of its band in window k, once
+        per window, paired with k (0 for scalar windows). Each window's
+        rows come in ascending order; with several windows the pairs are
+        grouped by zone offset, not by window. The rows are the table's;
+        self.row maps them to the catalog's.
 
         A row is in a window when it is in one of the window's ra_images,
         and all three are searched. Their row ranges, taken in shift
         order, are already sorted and take no row twice.
         """
         images = ra_images(lo, hi)
-        # search keys (lo or hi, zone, shift, window): ascending ra within
-        # a zone keeps each side's keys near-sorted, which numpy exploits
-        q = np.empty((2, z1 - z0 + 1, 3, images.shape[2]), dtype=complex)
-        q.real = np.arange(z0, z1 + 1)[:, None, None]
+        # search keys (lo or hi, zone offset, shift, window): ascending ra
+        # within a zone keeps each side's keys near-sorted, which numpy exploits
+        q = np.empty((2, height, 3, images.shape[2]), dtype=complex)
+        q.real = np.arange(height)[:, None, None] + z0
         q.imag = images[:, None]
         a = self.key.searchsorted(q[0], side="left")
         b = self.key.searchsorted(q[1], side="right")
@@ -241,7 +231,8 @@ class ZoneTable:
 def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray, error: type[ValueError]) -> None:
     """Raise error unless objid is unique, ra in [0, 360) and dec in
     [-90, 90]; the range tests are negated, so that NaN fails them."""
-    if has_duplicates(objid):
+    s = np.sort(objid)  # a sort and a compare of neighbours, far cheaper than np.unique
+    if (s[1:] == s[:-1]).any():
         raise error("duplicate objID")
     if not ((ra >= 0.0) & (ra < 360.0)).all():
         raise error("ra must be normalized to [0, 360)")
@@ -296,7 +287,7 @@ def nearby_objects(
     zmin = max(0, zone_of(max(-90.0, center.dec - r), cfg.zone_height))
     zmax = min(nz - 1, int(math.floor((center.dec + 90.0 + r) / cfg.zone_height)))
     alpha = ra_window_deg(r, center.dec)
-    _, idx = table.scan_ra(zmin, zmax, center.ra - alpha, center.ra + alpha)
+    _, idx = table.scan_ra(zmin, zmax - zmin + 1, center.ra - alpha, center.ra + alpha)
     cat, rows = table.catalog, table.row[idx]
     ra, dec = math.radians(center.ra), math.radians(center.dec)
     cd = math.cos(dec)  # the centre as sky_to_vec computes it
@@ -351,16 +342,22 @@ def check_neighbors(t: NeighborsTable) -> None:
 # rank_b stays below 2^63 while n * n <= 2^63.
 MAX_JOIN_ROWS = 3_037_000_499
 
+# Rows times band height per join scan: each block's search keys and
+# their two searchsorted results stay a few MiB at any zone height.
+_JOIN_KEYS = 1 << 15
+
 
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
     """Materialize all object pairs strictly within a radius in (0, 180].
 
     The zones algorithm's join of each zone with itself and the zones
-    above it: for each populated zone, one scan of zones zone..zone +
-    ceil(r / zone_height) with one ra window per row of the zone, keeping
-    the pairs whose right row comes after the left one in the zone-sorted
-    table. That yields each unordered pair exactly once, from the window
-    of its earlier row. Each goes straight to the exact chord test: a
+    above it: one scan per block of rows of the zone-sorted table, each
+    row with its own ra window over its own band of zones, zone..zone +
+    ceil(r / zone_height), keeping the pairs whose right row comes after
+    the left one in the table. That yields each unordered pair exactly
+    once, from the window of its earlier row. A block holds _JOIN_KEYS //
+    band height rows, so its search keys take the same memory at any
+    zone height. Each pair goes straight to the exact chord test: a
     dec-band prefilter saves no time there, and its rounding can drop a
     pair at distance r that the chord test keeps. The pairs found are
     mirrored and put in (objid, neighbor) order by one sort of a packed
@@ -377,25 +374,24 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     if n > MAX_JOIN_ROWS:
         raise ZoneError(f"neighbors join takes at most {MAX_JOIN_ROWS} rows, got {n}")
     zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)
-    cfg = ZoneConfig(zone_height=zh)
-    table = build_zone_table(catalog, cfg)
+    table = build_zone_table(catalog, ZoneConfig(zone_height=zh))
     # the join's columns, gathered once in zone order
     objid, ra, dec, x, y, z = (getattr(catalog, c)[table.row] for c in ("objid", "ra", "dec", "x", "y", "z"))
     by_objid = np.argsort(objid)
     rank = np.empty(n, dtype=np.int64)
     rank[by_objid] = np.arange(n)
-    deltas = int(math.ceil(r / zh - 1e-12))
+    height = int(math.ceil(r / zh - 1e-12)) + 1
+    block = max(1, _JOIN_KEYS // height)
     chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
-    nz = cfg.zone_count
     keys_ab = [np.empty(0, dtype=np.int64)]
     keys_ba = [np.empty(0, dtype=np.int64)]
     pair_d2 = [np.empty(0, dtype=float)]
     candidates = 0
-    for zone in np.flatnonzero(np.diff(table.zone_bounds)).tolist():  # the populated zones
-        s = table.zone_slice(zone)
+    for start in range(0, n, block):
+        s = slice(start, start + block)
         alpha = _ra_windows_arr(r, dec[s])
-        window, right = table.scan_ra(zone, min(nz - 1, zone + deltas), ra[s] - alpha, ra[s] + alpha)
-        left = s.start + window
+        window, right = table.scan_ra(table.key.real[s], height, ra[s] - alpha, ra[s] + alpha)
+        left = start + window
         keep = right > left
         left, right = left[keep], right[keep]
         candidates += len(right)

@@ -13,6 +13,7 @@ from skyindex import catalog as catmod
 from skyindex import htm, oracle, snapshot, zones
 from skyindex.algebra import RegionStore
 from skyindex.catalog import CatalogError, htm_cone_search, ingest_csv, random_catalog
+from skyindex.cli import main
 from skyindex.geom import Convex, Region, SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec, sky_to_xyz
 from skyindex.pyramid import PyramidConfig, PyramidIndex, overlap_search
 from skyindex.snapshot import (
@@ -45,7 +46,16 @@ def write_sections(path, catalog=(snapshot._CATALOG, None), zones=None, regions=
         (snapshot._REGIONS, RegionStore().columns() if regions is None else regions),
         pyramid,
     ]
-    payload = b"".join(b for schema, cols in sections for b in snapshot._encode(schema, "test", cols))
+    write_payload(path, b"".join(section_bytes(schema, cols) for schema, cols in sections))
+
+
+def section_bytes(schema, cols) -> bytes:
+    """A section's bytes as a save writes them; cols None for an absent one."""
+    return b"".join(snapshot._encode(schema, "test", cols))
+
+
+def write_payload(path, payload: bytes):
+    """payload under a header whose length and CRC match it."""
     header = MAGIC + struct.pack("<IQI", snapshot.VERSION, len(payload), zlib.crc32(payload))
     path.write_bytes(header + payload)
 
@@ -242,8 +252,16 @@ class TestBulkParse:
         def refuse(path):
             raise AssertionError("a clean file fell back to the per-line reader")
 
+        checks = []
+
+        def check_rows(*args):
+            checks.append(args)
+            return zones.check_rows(*args)
+
         monkeypatch.setattr(catmod, "_read_csv_lines", refuse)
+        monkeypatch.setattr(catmod, "check_rows", check_rows)
         assert ingest_outcome(lambda p: ingest_csv(p, htm_depth=0), p) == want
+        assert len(checks) == 1  # the rows are checked, and their objids sorted, once
 
 
 class TestHtmConeSearch:
@@ -845,6 +863,38 @@ class TestSnapshot:
         loaded = load_state(path)
         c = loaded.regions.region_new("c")
         assert c != b and c != a
+
+    @pytest.mark.parametrize("fault, message", [
+        ("section truncated", "snapshot payload truncated"),
+        ("column twice", "catalog section: column 'ra' twice"),
+        ("trailing bytes", "trailing bytes after payload"),
+        ("no region store", "region store section absent"),
+    ])
+    def test_payload_with_valid_crc_refused(self, tmp_path, capsys, fault, message):
+        # each payload passes the length and CRC checks, so only the section
+        # reader can refuse it: it raises, and a CLI command on the file
+        # exits 4 and leaves the file as it was
+        cat = random_catalog(10, seed=3)
+        catalog = section_bytes(snapshot._CATALOG, {k: getattr(cat, k) for k in snapshot._CATALOG})
+        regions = section_bytes(snapshot._REGIONS, RegionStore().columns())
+        absent = section_bytes(snapshot._ZONES, None)
+        if fault == "section truncated":
+            payload = catalog[:-8]  # the last dec value, and every section after it
+        elif fault == "column twice":
+            ra = section_bytes({"ra": snapshot._F8}, {"ra": cat.ra})[4:]
+            payload = struct.pack("<I", 5) + catalog[4:] + ra + absent * 2 + regions + absent
+        elif fault == "trailing bytes":
+            payload = catalog + absent * 2 + regions + absent + b"\0"
+        else:
+            payload = catalog + absent * 4
+        path = tmp_path / "s.snap"
+        write_payload(path, payload)
+        with pytest.raises(SnapshotError, match=message):
+            load_state(path)
+        for argv in (["region", "show"], ["region", "new", "--type", "a"]):
+            assert main(["--snapshot", str(path), *argv]) == 4
+            assert message in capsys.readouterr().err
+        assert path.read_bytes()[len(MAGIC) + 16 :] == payload
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "s.snap"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyindex import catalog as catmod
 from skyindex import htm, oracle, regionspec
 from skyindex.catalog import random_catalog
 from skyindex.cli import main
@@ -76,6 +77,23 @@ class TestIngestAndZone:
         code = main(["--snapshot", snap, "ingest", str(bad)])
         assert code == 3
         assert ":3: column 2: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(snap)
+
+    @pytest.mark.parametrize("rows, depth, message", [
+        ("1,10,5\n2,nan,-5\n3,30,0\n", "20", "{}:3: column 2: non-finite number 'nan'"),
+        ("1,10,5\n2,20,91\n3,30,0\n", "20", "{}:3: dec out of range [-90, 90]: 91.0"),
+        ("1,10,5\n2,20,-5\n1,30,0\n", "20", "{}:4: duplicate objID 1 (first at line 2)"),
+        ("1,10,5\n2,20,-5\n3,30,0\n", "31", "mesh depth outside [0, 30]: 31"),
+    ], ids=["nan ra", "dec 91", "repeated objID", "depth 31"])
+    def test_bulk_parsed_file_refused_with_line_message(self, capsys, snap, tmp_path, rows, depth, message):
+        # files the bulk parse takes whole: from_arrays refuses their rows,
+        # and the per-line reader names the line
+        csv = tmp_path / "c.csv"
+        csv.write_text("objID,ra,dec\n" + rows)
+        assert all(isinstance(c, np.ndarray) for c in catmod._read_csv(csv))
+        code = main(["--snapshot", snap, "ingest", str(csv), "--htm-depth", depth])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message.format(csv)}\n"
         assert not os.path.exists(snap)
 
     def test_objid_outside_int64_is_parse_error(self, capsys, snap, tmp_path):
@@ -281,6 +299,25 @@ class TestRegionCli:
         assert code == 0
         assert "onpoint region=1" in out
         assert "region=2" not in out
+
+    def test_unknown_id_and_partial_point_exit_4(self, capsys, snap):
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "cap",
+            "--from", "CONVEX 0 0 1 0.5")
+        inode = os.stat(snap).st_ino
+        for argv, message in ((["show", "--id", "99"], "unknown regionID: 99"),
+                              (["contains", "--x", "1"], "give all of --x --y --z")):
+            code = main(["--snapshot", snap, "--format", "records", "region", *argv])
+            captured = capsys.readouterr()
+            assert code == 4 and message in captured.err
+            assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
+        assert os.stat(snap).st_ino == inode
+
+    def test_predicate_of_an_empty_convex_is_true(self, capsys, snap):
+        # a convex with no constraint holds every point
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "all")
+        run(capsys, "--snapshot", snap, "region", "new-convex", "--id", "1")
+        code, out = run(capsys, "--snapshot", snap, "region", "predicate", "--id", "1")
+        assert code == 0 and out == "predicate region=1 text=or(true)\n"
 
     def test_unknown_region_exit_4(self, capsys, snap):
         for cmd in ("predicate", "simplify", "show", "drop"):
@@ -512,6 +549,15 @@ class TestPyramidCli:
         assert "result objid=1" in out
         assert "result objid=2" not in out
         assert "stages " in out
+
+    def test_build_skips_empty_regions(self, capsys, snap):
+        # a region with no convex covers nothing, so the pyramid holds no entry for it
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "empty")
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "c",
+            "--from", "CIRCLE J2000 10 10 30")
+        code, out = run(capsys, "--snapshot", snap, "--format", "records", "pyramid", "build")
+        assert code == 0 and "pyramid_build entries=1 " in out and out.endswith(" skipped_empty=1\n")
+        assert load_state(snap).pyramid.columns()["objid"].tolist() == [2]
 
     @pytest.mark.parametrize("edit", [
         ["new", "--type", "c3", "--from", "CIRCLE J2000 10 20 30"],

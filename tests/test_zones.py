@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skyindex import catalog as catmod
-from skyindex import oracle
+from skyindex import oracle, zones
 from skyindex.geom import SkyPoint, sky_to_vec
 from skyindex.zones import (
     MAX_JOIN_ROWS,
@@ -95,35 +95,36 @@ class TestZoneConfig:
             build_neighbors(cat, 1e-7, zone_height=1e-7)
 
 
-    def test_neighbors_visit_populated_zones_only(self, monkeypatch):
-        # 2^20 zones at r = 1e-7, 203 rows (three pairs 5e-8 deg apart):
-        # one visit and one scan per populated zone, each scan starting at
-        # its own zone (the half band: that zone and the ones above it)
+    def test_neighbors_scan_once_per_block(self, monkeypatch):
+        # 2^20 zones at r = 1e-7, 203 rows in ~200 populated zones (three
+        # pairs 5e-8 deg apart), a band of 2 zones: one scan per block of
+        # _JOIN_KEYS // 2 rows, not one per populated zone, each row's band
+        # starting at its own zone
         base = catmod.random_catalog(200, seed=3)
         ra = np.concatenate([base.ra, base.ra[:3]])
         dec = np.concatenate([base.dec, base.dec[:3] + 5e-8])
         cat = catmod.from_arrays(np.arange(203), ra, dec)
-        visits, scans = [], []
-        zone_slice, scan_ra = ZoneTable.zone_slice, ZoneTable.scan_ra
-
-        def slice_spy(self, z):
-            visits.append(z)
-            return zone_slice(self, z)
-
-        def scan_spy(self, z0, z1, lo, hi):
-            scans.append(z0)
-            return scan_ra(self, z0, z1, lo, hi)
-
-        monkeypatch.setattr(ZoneTable, "zone_slice", slice_spy)
-        monkeypatch.setattr(ZoneTable, "scan_ra", scan_spy)
-        table = build_neighbors(cat, 1e-7)
-        populated = np.unique(zone_column(cat.dec, 180.0 / MAX_ZONE_COUNT)).tolist()
-        assert visits == populated
-        assert scans == populated
+        zone = zone_column(cat.dec, 180.0 / MAX_ZONE_COUNT)
+        assert len(np.unique(zone)) > 190
         a, b, d = oracle.pair_scan(cat, 1e-7)
         assert len(a) == 6
-        assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
-        assert np.array_equal(table.distance, d)
+        scan_ra = ZoneTable.scan_ra
+        for join_keys, scans in ((zones._JOIN_KEYS, 1), (128, 4)):
+            starts, heights = [], []
+
+            def scan_spy(self, z0, height, lo, hi):
+                starts.append(np.array(z0, dtype=np.int64))
+                heights.append(height)
+                return scan_ra(self, z0, height, lo, hi)
+
+            monkeypatch.setattr(zones, "_JOIN_KEYS", join_keys)
+            monkeypatch.setattr(ZoneTable, "scan_ra", scan_spy)
+            table = build_neighbors(cat, 1e-7)
+            assert len(starts) == scans and heights == [2] * scans
+            assert [len(z0) for z0 in starts[:-1]] == [join_keys // 2] * (scans - 1)
+            assert np.concatenate(starts).tolist() == sorted(zone.tolist())
+            assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
+            assert np.array_equal(table.distance, d)
 
 
 class TestBuildZoneTable:
@@ -180,8 +181,7 @@ class TestBuildZoneTable:
             ZoneTable(ZoneConfig(), cat, row)
 
     def test_table_copies_no_catalog_column(self):
-        # an index over the catalog: row (8 B) and key (16 B) per row, and
-        # zone_bounds, 2701 entries at the default height
+        # an index over the catalog: row (8 B) and key (16 B) per row
         cat = catmod.random_catalog(50_000, seed=5)
         tracemalloc.start()
         try:
@@ -206,10 +206,14 @@ class TestRaWindow:
 
 class TestScanRa:
     @staticmethod
-    def want(table, z, lo, hi):
+    def zone_rows(table, z0, z1):
+        """The table rows of zones z0..z1, a slice found on the key's zone part."""
+        return slice(*np.searchsorted(table.key.real, [z0, z1 + 1]).tolist())
+
+    def want(self, table, z, lo, hi):
         """Rows of zone z in any of the window's -360/0/+360 images, once
         each and ascending; every row for a full circle."""
-        s = table.zone_slice(z)
+        s = self.zone_rows(table, z, z)
         if hi - lo >= 360.0:
             return list(range(s.start, s.stop))
         stored = table.ra[s]
@@ -239,7 +243,7 @@ class TestScanRa:
         for _ in range(400):
             z = int(rng.integers(table.cfg.zone_count))
             lo, hi = self.random_window(rng)
-            window, row = table.scan_ra(z, z, lo, hi)
+            window, row = table.scan_ra(z, 1, lo, hi)
             assert not window.any()
             assert row.tolist() == self.want(table, z, lo, hi)
 
@@ -252,10 +256,26 @@ class TestScanRa:
             z0 = int(rng.integers(nz))
             z1 = int(rng.integers(z0, nz))
             lo, hi = np.array([self.random_window(rng) for _ in range(int(rng.integers(1, 12)))]).T
-            window, row = table.scan_ra(z0, z1, lo, hi)
+            window, row = table.scan_ra(z0, z1 - z0 + 1, lo, hi)
             for k in range(len(lo)):
                 want = [i for z in range(z0, z1 + 1) for i in self.want(table, z, lo[k], hi[k])]
                 assert row[window == k].tolist() == want
+
+    def test_band_start_per_window(self, rng):
+        # each window scans its own band, of one shared height, with
+        # bands running past the top zone; it gets the rows its own
+        # single-window scan gets, in the same order
+        table = self.edge_table(rng)
+        nz = table.cfg.zone_count
+        for _ in range(60):
+            k = int(rng.integers(1, 12))
+            height = int(rng.integers(1, nz + 3))
+            z0 = rng.integers(0, nz + 2, k)
+            lo, hi = np.array([self.random_window(rng) for _ in range(k)]).T
+            window, row = table.scan_ra(z0, height, lo, hi)
+            for j in range(k):
+                want = [i for z in range(z0[j], min(nz, z0[j] + height)) for i in self.want(table, z, lo[j], hi[j])]
+                assert row[window == j].tolist() == want == table.scan_ra(int(z0[j]), height, lo[j], hi[j])[1].tolist()
 
     def test_touching_images_give_each_row_once(self):
         # windows one rounding step under 360 wide, whose images all but
@@ -276,7 +296,7 @@ class TestScanRa:
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         top = table.cfg.zone_count - 1
         for lo, hi in windows:
-            assert table.scan_ra(top, top, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
+            assert table.scan_ra(top, 1, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
 
 
     def test_full_circle_takes_edge_rows_once(self):
@@ -290,10 +310,10 @@ class TestScanRa:
         full = [(0.0, 360.0), (-180.0, 180.0), (-359.5, 0.5), (359.5, 719.5),
                 (-1.0, 400.0), (math.nextafter(-360.0, 0.0), math.nextafter(720.0, 0.0))]
         for lo, hi in full:
-            window, row = table.scan_ra(z, z, lo, hi)
+            window, row = table.scan_ra(z, 1, lo, hi)
             assert row.tolist() == [0, 1, 2, 3] and not window.any()
         lo, hi = np.array(full + [(170.0, 190.0), (-1.0, 1.0)]).T
-        window, row = table.scan_ra(z, z, lo, hi)
+        window, row = table.scan_ra(z, 1, lo, hi)
         for k in range(len(lo)):
             assert row[window == k].tolist() == self.want(table, z, lo[k], hi[k])
 
@@ -317,13 +337,13 @@ class TestScanRa:
         cat = catmod.from_arrays(np.arange(len(ra)), ra, rng.uniform(-30.0, 30.0, len(ra)))
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         for z0, z1 in ((0, table.cfg.zone_count - 1), (7, 9), (8, 8)):
-            start, stop = table.zone_bounds[z0], table.zone_bounds[z1 + 1]
-            stored = table.ra[start:stop]
+            rows = self.zone_rows(table, z0, z1)
+            start, stored = rows.start, table.ra[rows]
             for lo, hi in windows:
                 lo_edges, hi_edges = ra_images(lo, hi)
                 mask = ((lo_edges <= stored) & (stored <= hi_edges)).any(axis=0)
-                _, rows = table.scan_ra(z0, z1, lo, hi)
-                assert (start + np.flatnonzero(mask)).tolist() == rows.tolist()
+                _, found = table.scan_ra(z0, z1 - z0 + 1, lo, hi)
+                assert (start + np.flatnonzero(mask)).tolist() == found.tolist()
                 if hi - lo >= 360.0:
                     assert mask.all()
 
@@ -634,10 +654,14 @@ def test_nearby_objects_equals_htm_cone_search(case):
 @st.composite
 def join_case(draw):
     """(catalog, r, zone_height): rows at the poles and at ra 0/360, close
-    pairs inside one zone, objids in no order, and zone heights below, at
-    and above a radius up to 180."""
-    r = draw(st.one_of(st.sampled_from([0.05, 0.5, 2.0, 10.0, 120.0, 180.0]), st.floats(0.01, 180.0)))
-    zone_height = draw(st.sampled_from([None, r / 2.5, r, 2.0 * r]))
+    pairs inside one zone, objids in no order, radii from 1e-6 to 180, and
+    zone heights from 100 times below a radius to twice above it, but
+    none below the least that MAX_ZONE_COUNT allows."""
+    r = draw(st.one_of(
+        st.sampled_from([1e-6, 0.05, 0.5, 2.0, 10.0, 120.0, 180.0]), st.floats(1e-6, 0.01), st.floats(0.01, 180.0)
+    ))
+    ratio = draw(st.sampled_from([None, 0.01, 1 / 8, 0.4, 1.0, 2.0]))
+    zone_height = None if ratio is None else max(ratio * r, 180.0 / MAX_ZONE_COUNT)
     ra, dec = draw(edge_sky(zone_height or r, max_rows=30))
     k = draw(st.integers(0, len(ra)))  # rows given a twin a hair away
     eps = st.floats(-1e-6, 1e-6)
