@@ -308,8 +308,9 @@ def _halfspaces(c: Convex):
 
 
 def _classify_halfspace(corners, cap, n, l, theta) -> int:
-    """The trixel, with its _bounding_cap, against the cap {p . n > l} of
-    angular radius theta.
+    """The trixel against the cap {p . n > l} of angular radius theta.
+    cap holds the trixel's _bounding_cap, or is empty until a verdict
+    first needs it, so a trixel the corner test settles never makes one.
 
     Cheap verdicts first, each exact: corners strictly on both sides of
     the boundary make it PARTIAL; a bounding cap clear of the boundary by
@@ -329,7 +330,9 @@ def _classify_halfspace(corners, cap, n, l, theta) -> int:
         below = d0 < l or d1 < l or d2 < l
         if below and (d0 > l or d1 > l or d2 > l):
             return PARTIAL
-        (ux, uy, uz), rho = cap
+        if not cap:
+            cap.append(_bounding_cap(corners))
+        (ux, uy, uz), rho = cap[0]
         delta = math.acos(max(-1.0, min(1.0, nx * ux + ny * uy + nz * uz)))
         if below:
             if delta > theta + rho + _CAP_MARGIN:
@@ -373,7 +376,7 @@ def classify_trixel(t: Trixel, c: Convex) -> int:
 
 def _classify_region(corners, convexes) -> int:
     """The trixel against a union of convexes, each given by _halfspaces."""
-    cap = _bounding_cap(corners)
+    cap = []  # its _bounding_cap, made once, by the first half-space that needs it
     verdict = OUTSIDE
     for halfspaces in convexes:
         res = INSIDE

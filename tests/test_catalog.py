@@ -148,6 +148,18 @@ class TestIngest:
         with pytest.raises(CatalogError, match="mesh depth outside"):
             catmod.from_arrays([1, 2], [10.0, 20.0], [0.0, 5.0], htm_depth=depth)
 
+    def test_ingest_refuses_depth_before_reading(self, tmp_path, monkeypatch):
+        # the depth depends on no row, so neither parse runs
+        p = write_csv(tmp_path / "c.csv", ["1,10,5", "2,20,-5"])
+
+        def refuse(path):
+            raise AssertionError("the file was parsed")
+
+        monkeypatch.setattr(catmod, "_read_csv", refuse)
+        monkeypatch.setattr(catmod, "_read_csv_lines", refuse)
+        with pytest.raises(CatalogError, match=r"mesh depth outside \[0, 30\]: 31"):
+            ingest_csv(p, htm_depth=31)
+
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", ["1,2,3"], header="a,b,c")
         with pytest.raises(CatalogError, match=":1"):
@@ -264,18 +276,65 @@ class TestBulkParse:
         assert len(checks) == 1  # the rows are checked, and their objids sorted, once
 
 
+@pytest.fixture
+def covers(monkeypatch):
+    """(max_depth, ranges) of each htm.cover call, recorded through the
+    module attribute that htm_cone_search calls."""
+    calls = []
+    cover = htm.cover
+
+    def recorded(region, **kw):
+        calls.append((kw["max_depth"], cover(region, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(htm, "cover", recorded)
+    return calls
+
+
 class TestHtmConeSearch:
-    def test_matches_oracle(self, rng):
-        cat = random_catalog(4000, seed=31)
+    @pytest.mark.parametrize("rows, r, htm_depth, depth", [
+        (0, 1e-3, 20, 0),
+        (1, 1e-3, 20, 0),
+        (2047, 1e-3, 20, 0),
+        (2048, 1e-3, 20, 0),
+        (2049, 1e-3, 20, 1),
+        (200_000, 1e-3, 20, 4),
+        (1_000_000, 1e-3, 20, 5),
+        (1_000_000, 60.0, 20, 1),
+        (1_000_000, 1e-3, 3, 3),
+    ])
+    def test_cover_depth(self, rows, r, htm_depth, depth):
+        # the least of the catalog's depth, the radius depth and the
+        # shallowest depth d at which an average trixel, one of 8 * 4^d,
+        # holds at most ROWS_PER_TRIXEL = 256 rows
+        assert catmod.ROWS_PER_TRIXEL == 256
+        assert catmod._cover_depth(rows, r, htm_depth) == depth
+
+    @pytest.mark.parametrize("rows, htm_depth, radii, depth", [
+        (1000, 20, (0.01, 1.0), 0),  # every row fits one trixel per face
+        (2000, htm.MAX_DEPTH, (0.01, 1.0), 0),
+        (50000, 20, (0.01, 1.0), 3),  # the radius depth is 7 or more
+        (50000, 20, (46.0, 89.0), 1),  # 90 / r is below 2, the density depth 3
+        (50000, 2, (0.01, 1.0), 2),
+    ], ids=["density-0", "density-0-uint64", "density-3", "radius", "catalog-depth"])
+    def test_matches_oracle(self, rng, covers, rows, htm_depth, radii, depth):
+        # each bound of the cover depth binds in some case. The first
+        # centre, face 15's centroid, lies at every depth in the all-3
+        # trixel, the mesh's last id, so its cover ends there; at depth 30
+        # the end bound ((hi + 1) << shift) - 1 passes through 2^64 in uint64
+        cat = random_catalog(rows, seed=31)
+        cat = catmod.from_arrays(cat.objid, cat.ra, cat.dec, htm_depth=htm_depth)
+        centres = [SkyPoint(315.0, -math.degrees(math.asin(1.0 / math.sqrt(3.0))))]
         for _ in range(40):
-            center = SkyPoint(
+            centres.append(SkyPoint(
                 float(rng.uniform(0, 360)),
                 float(np.degrees(np.arcsin(rng.uniform(-1, 1)))),
-            )
-            r = float(rng.uniform(0.01, 1.0))
-            got = {i for i, _ in htm_cone_search(cat, center, r)}
-            want = {i for i, _ in oracle.cone_scan(cat, center, r)}
-            assert got == want
+            ))
+        for center in centres:
+            r = float(rng.uniform(*radii))
+            assert htm_cone_search(cat, center, r) == oracle.cone_scan(cat, center, r)
+        assert {d for d, _ in covers} == {depth}
+        assert covers[0][1][-1][1] == (16 << 2 * depth) - 1
 
     def test_sorted_ids_cached(self):
         cat = random_catalog(500, seed=4)
@@ -311,9 +370,10 @@ class TestHtmConeSearch:
 
     @pytest.mark.parametrize("depth", [0, 3, 20, 25, 30])
     def test_cover_depth_from_radius_matches_oracle(self, depth):
-        # the cover stops at ceil(log2(90 / (r + COVER_PAD_DEG))) or the
-        # catalog's depth: radii put that depth below, at and above each
-        # catalog's, down to r = 1e-9 and r = 0, around centres at the
+        # 2360 rows hold more than ROWS_PER_TRIXEL per trixel only at
+        # depth 0, so the cover stops at depth 1 from the density, or
+        # shallower at the catalog's depth 0 or a radius of 45 degrees or
+        # more. Radii go down to r = 1e-9 and r = 0, around centres at the
         # poles, at ra = 0, on a face corner and on a face's centroid, each
         # with rows from 1e-10 to 10 degrees away. Without the pad, the
         # covers for r = 1e-9 and 1e-8 miss rows (cos r rounds to 1)
