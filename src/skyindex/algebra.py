@@ -18,10 +18,12 @@ same relations decide convex-in-convex containment and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import COVER_PAD_DEG
 from .geom import (
     Convex,
     GeometryError,
@@ -30,8 +32,10 @@ from .geom import (
     UnitVec3,
     arc_distance_deg,
     negate_halfspace,
+    sky_to_xyz,
     unit_rows,
 )
+from .pyramid import bounding_circle
 
 _TOL_DEG = 1e-9
 _MAX_TYPE_LEN = 16
@@ -500,12 +504,30 @@ class RegionStore:
         return self._table.on_point(p)
 
     def points_in_region(
-        self, rid: int, objid: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
+        self, rid: int, objid: np.ndarray, ra: np.ndarray, dec: np.ndarray
     ) -> list[int]:
-        """objids of the rows whose unit vector (x, y, z) lies in region
-        rid, in row order."""
+        """objids of the catalog rows (objid, ra, dec) that lie in region
+        rid, in row order.
+
+        The paper's zone idea: the region's bounding circle of radius r
+        about dec_c bounds its dec, so only the rows with
+        |dec - dec_c| <= r + COVER_PAD_DEG can be inside. Those rows alone
+        get unit vectors (`sky_to_xyz`, which gives a row the same bits as
+        the catalog's x, y, z columns) and the exact half-space test, so
+        the answer is that of `evaluate_columns` over the whole catalog.
+        The pad is above the circle's slack (<= 1e-7 degrees) and the
+        rounding of p . n > l (a few 1e-6 degrees near l = 1). dec_c comes
+        from atan2, which keeps its precision next to the poles.
+        """
+        geometry = self.geometry(rid)
+        if not geometry.convexes:
+            return []
+        center, radius = bounding_circle(geometry)
+        dec_c = math.degrees(math.atan2(center.z, math.hypot(center.x, center.y)))
+        rows = np.flatnonzero(np.abs(dec - dec_c) <= radius + COVER_PAD_DEG)
+        x, y, z = sky_to_xyz(ra[rows], dec[rows])
         mask = self.region_predicate(rid).evaluate_columns(x, y, z)
-        return objid[mask].tolist()
+        return objid[rows[mask]].tolist()
 
     def region_predicate(self, rid: int) -> CompiledPredicate:
         reg = self._get(rid)

@@ -28,7 +28,8 @@ DEFAULT_HTM_DEPTH = 20
 
 # The mesh cone search covers its circle grown by this much, in degrees,
 # so that the cover holds every row the chord test accepts: a cap's
-# l = cos(r) cannot tell a radius below ~1e-6 degrees from 0.
+# l = cos(r) cannot tell a radius below ~1e-6 degrees from 0. A region's
+# points-in scan widens its dec band by the same pad.
 COVER_PAD_DEG = 1e-5
 
 # The mesh cone search refines its cover no deeper than the shallowest

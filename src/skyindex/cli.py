@@ -265,7 +265,7 @@ def cmd_region(args, out: Output) -> int:
             out.record("summary", count=len(hits))
     elif args.region_cmd == "points-in":
         cat = _need(state, "catalog", "ingest")
-        ids = store.points_in_region(args.id, cat.objid, cat.x, cat.y, cat.z)
+        ids = store.points_in_region(args.id, cat.objid, cat.ra, cat.dec)
         for objid in ids:
             out.record("result", objid=objid)
         out.record("summary", count=len(ids))

@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -16,6 +16,7 @@ from skyindex.algebra import (
     complement_convex_lists,
     simplify_convex,
 )
+from skyindex.catalog import Catalog
 from skyindex.geom import (
     Convex,
     HalfSpace,
@@ -24,10 +25,13 @@ from skyindex.geom import (
     inside_convex,
     inside_region,
     sky_to_vec,
+    sky_to_xyz,
+    vec_to_sky,
 )
+from skyindex.regionspec import compile_region_string
 from skyindex.snapshot import AppState, load_state, save_state
 
-from conftest import membership_with_guard, sample_sphere
+from conftest import _convex_poly_points, membership_with_guard, sample_sphere
 
 
 @pytest.fixture
@@ -46,12 +50,19 @@ def add_region(store, region, rtype="r", comment=""):
     return rid
 
 
-def columns(points):
-    """Catalog-style columns (objid, x, y, z) of a point list; objids are
-    spread out so that a row index is never mistaken for one."""
-    xyz = np.array([p.as_tuple() for p in points]).reshape(-1, 3)
-    objid = 1000 + 7 * np.arange(len(points), dtype=np.int64)
-    return objid, xyz[:, 0], xyz[:, 1], xyz[:, 2]
+def sky_columns(ra, dec):
+    """Catalog columns (objid, ra, dec) and the unit vectors a catalog
+    derives from them; objids are spread out so that a row index is never
+    mistaken for one."""
+    ra = np.asarray(ra, dtype=np.float64)
+    dec = np.asarray(dec, dtype=np.float64)
+    objid = 1000 + 7 * np.arange(len(ra), dtype=np.int64)
+    return objid, ra, dec, sky_to_xyz(ra, dec)
+
+
+def random_sky(rng, n):
+    """n (ra, dec) rows uniform on the sphere."""
+    return rng.uniform(0.0, 360.0, n), np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
 
 
 def evaluate_at(pred: CompiledPredicate, p: UnitVec3) -> bool:
@@ -462,38 +473,43 @@ class TestQueries:
         rid = store.region_new("north")
         cid = store.region_new_convex(rid)
         store.region_new_convex_constraint(rid, cid, 0, 0, 1, 0.0)
-        objid, x, y, z = columns(sample_sphere(rng, 2000))
-        got = store.points_in_region(rid, objid, x, y, z)
+        ra, dec = random_sky(rng, 2000)
+        dec[:10] = 0.0  # on the boundary, so outside
+        objid, ra, dec, (x, y, z) = sky_columns(ra, dec)
+        got = store.points_in_region(rid, objid, ra, dec)
         want = [int(i) for i, pz in zip(objid, z) if pz > 0]
         assert got == want
+        assert got == [int(i) for i, d in zip(objid, dec) if d > 0]
         empty = np.array([])
-        assert store.points_in_region(rid, empty.astype(np.int64), empty, empty, empty) == []
+        assert store.points_in_region(rid, empty.astype(np.int64), empty, empty) == []
 
     def test_points_in_whole_sphere(self, store, rng):
         rid = store.region_new("all")
         store.region_new_convex(rid)
-        objid, x, y, z = columns(sample_sphere(rng, 50))
-        assert store.points_in_region(rid, objid, x, y, z) == objid.tolist()
+        ra, dec = random_sky(rng, 50)
+        dec[:2] = [90.0, -90.0]
+        objid, ra, dec, _ = sky_columns(ra, dec)
+        assert store.points_in_region(rid, objid, ra, dec) == objid.tolist()
 
     def test_boundary_points_all_paths_agree(self, store, rng):
-        # Each point lies exactly on its own region's boundary (p . n == l),
-        # so it is outside. A dot summed in another order than UnitVec3.dot
-        # (as BLAS may) rounds above l for about one pair in six; the first
-        # pair is one where `xyz @ normals.T` put the point inside.
-        pairs = [(
-            UnitVec3(-0.9090383987025042, 0.16383819762414065, -0.38315301732292245),
-            UnitVec3(0.05299980382820608, 0.2672325046196405, -0.9621734818986053),
-        )]
-        pairs += [
-            (p, n) for p, n in zip(sample_sphere(rng, 150), map(stored_normal, sample_sphere(rng, 150)))
-            if n is not None
-        ]
-        assert len(pairs) > 100
-        points = [p for p, _ in pairs]
-        objid, x, y, z = columns(points)
+        # Each row lies exactly on its own region's boundary (p . n == l for
+        # the unit vector p derived from the row's ra, dec), so it is
+        # outside. A dot summed in another order than UnitVec3.dot (as BLAS
+        # may) rounds above l for about one pair in six; the first pair's
+        # normal is one where `xyz @ normals.T` put its point inside.
+        first = vec_to_sky(UnitVec3(-0.9090383987025042, 0.16383819762414065, -0.38315301732292245))
+        ra, dec = random_sky(rng, 150)
+        ra[0], dec[0] = first.ra, first.dec
+        normals = [UnitVec3(0.05299980382820608, 0.2672325046196405, -0.9621734818986053)]
+        normals += [stored_normal(n) for n in sample_sphere(rng, 149)]
+        keep = np.array([n is not None for n in normals])
+        normals = [n for n in normals if n is not None]
+        assert len(normals) > 100
+        objid, ra, dec, (x, y, z) = sky_columns(ra[keep], dec[keep])
         xyz = np.stack([x, y, z], axis=1)
+        points = [UnitVec3(*row) for row in xyz.tolist()]
         rids = []
-        for p, n in pairs:
+        for p, n in zip(points, normals):
             rid = store.region_new("edge")
             cid = store.region_new_convex(rid)
             store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, p.dot(n))
@@ -507,7 +523,7 @@ class TestQueries:
             pred = store.region_predicate(rid)
             assert evaluate_at(pred, p) is False
             assert pred.evaluate_batch(xyz).tolist() == want
-            assert store.points_in_region(rid, objid, x, y, z) == objid[want].tolist()
+            assert store.points_in_region(rid, objid, ra, dec) == objid[want].tolist()
         for p in points:
             assert store.regions_on_point(p) == [
                 (rid, 1) for rid in rids if store.contains(rid, p)
@@ -544,6 +560,172 @@ class TestQueries:
         pred = store.region_predicate(rid)
         store.region_drop(rid)
         assert evaluate_at(pred, UnitVec3(0, 0, 1))
+
+
+# -- points-in's dec band against the whole catalog ---------------------------
+
+
+def whole_catalog_points_in(store, rid, objid, ra, dec):
+    """What points_in_region must return: the region's predicate over the
+    x, y, z columns of the whole catalog."""
+    cat = Catalog(objid, ra, dec)
+    return objid[store.region_predicate(rid).evaluate_columns(cat.x, cat.y, cat.z)].tolist()
+
+
+def row_vector(ra, dec) -> UnitVec3:
+    """The unit vector a catalog derives for the row (ra, dec)."""
+    return UnitVec3(*(float(c[0]) for c in sky_to_xyz(np.array([ra]), np.array([dec]))))
+
+
+def circle_text(ra, dec, arcmin):
+    return f"CIRCLE J2000 {float(ra)!r} {float(dec)!r} {float(arcmin)!r}"
+
+
+_BAND_RA = st.floats(0.0, 360.0, exclude_max=True) | st.sampled_from([0.0, 359.9999999])
+_BAND_DEC = (
+    st.floats(-90.0, 90.0)
+    | st.sampled_from([90.0, -90.0, 1e-9, -1e-9, 89.99995, -89.99995])
+    | st.floats(89.999, 90.0)
+    | st.floats(-90.0, -89.999)
+)
+_ARCMIN = (
+    st.floats(-6.0, math.log10(10800.0)).map(lambda e: min(10800.0, 10.0**e))
+    | st.sampled_from([1e-6, 1e-3, 1.0, 5400.0, 10800.0])
+)
+# circles whose l = cos(r) lies within ~1e-10 of 1, where rounding moves
+# the cap's edge most
+_TINY_ARCMIN = st.floats(-6.0, -2.0).map(lambda e: 10.0**e) | st.sampled_from([1e-6, 1e-3])
+
+
+@st.composite
+def band_case(draw):
+    """(store, rid, ra, dec): one region built from grammar text, constraint
+    rows or the algebra, and a catalog biased to the poles, ra = 0, dec 0,
+    the dec extremes of the drawn circles and the drawn cap boundaries."""
+    ra = draw(st.lists(_BAND_RA, max_size=16))
+    dec = draw(st.lists(_BAND_DEC, min_size=len(ra), max_size=len(ra)))
+    store = RegionStore()
+
+    def circle(arcmin_values):
+        if ra and draw(st.booleans()):
+            i = draw(st.integers(0, len(ra) - 1))
+            ra_c, dec_c = ra[i], dec[i]
+        else:
+            ra_c, dec_c = draw(_BAND_RA), draw(_BAND_DEC)
+        arcmin = draw(arcmin_values)
+        # a row at the centre, and rows on the circle's meridian within
+        # 2e-6 degrees of its dec extremes: a ladder and a few drawn
+        ladder = [0.0, 1e-9, 1e-8, 1e-7, 5e-7, 9e-7, 2e-6]
+        offsets = ladder + [-o for o in ladder[1:]] + draw(st.lists(st.floats(-2e-6, 2e-6), max_size=3))
+        for d in [dec_c] + [dec_c + s * (arcmin / 60.0 + o) for o in offsets for s in (1.0, -1.0)]:
+            if -90.0 <= d <= 90.0:
+                ra.append(ra_c)
+                dec.append(d)
+        return add_region(store, compile_region_string(circle_text(ra_c, dec_c, arcmin)))
+
+    def rect():
+        ra1, width = draw(st.floats(0.0, 359.0)), draw(st.floats(1e-3, 179.0))
+        dec1 = draw(st.floats(-90.0, 89.0))
+        dec2 = draw(st.floats(dec1 + 1e-3, 90.0))
+        return add_region(store, compile_region_string(f"RECT J2000 {ra1!r} {dec1!r} {ra1 + width!r} {dec2!r}"))
+
+    def poly():
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pts = [vec_to_sky(p) for p in _convex_poly_points(rng, int(rng.integers(3, 7)), 55.0)]
+        return add_region(store, compile_region_string(
+            "POLY J2000 " + " ".join(f"{p.ra!r} {p.dec!r}" for p in pts)))
+
+    def constraints(first_l):
+        """One convex of 1-3 constraints; the first has length first_l, or
+        passes through a catalog row when first_l is None."""
+        rid = store.region_new("convex")
+        cid = store.region_new_convex(rid)
+        for k in range(draw(st.integers(1, 3))):
+            n = stored_normal(sky_to_vec(SkyPoint(draw(_BAND_RA), draw(_BAND_DEC)))) or UnitVec3(0.0, 0.0, 1.0)
+            if k == 0 and first_l is None and ra:
+                i = draw(st.integers(0, len(ra) - 1))
+                l = min(1.0, row_vector(ra[i], dec[i]).dot(n))  # p == n can round above 1
+            else:
+                l = first_l if k == 0 and first_l is not None else draw(st.floats(-1.0, 1.0))
+            store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, l)
+        return rid
+
+    def empty():
+        return store.region_new("empty")
+
+    def whole_sky():
+        rid = store.region_new("sky")
+        store.region_new_convex(rid)
+        return rid
+
+    makers = {
+        "circle": lambda: circle(_ARCMIN), "tiny_circle": lambda: circle(_TINY_ARCMIN), "rect": rect, "poly": poly, "empty": empty, "sky": whole_sky,
+        "negative_l": lambda: constraints(draw(st.floats(-1.0, -1e-9))),
+        "boundary": lambda: constraints(None),
+    }
+    rid = makers[draw(st.sampled_from(sorted(makers)))]()
+    op = draw(st.sampled_from(["none", "none", "not", "or", "and"]))
+    if op == "not" and len(store.regions[rid].convexes) <= 1:
+        rid = store.region_not(rid, "not")
+    elif op in ("or", "and"):
+        other = makers[draw(st.sampled_from(sorted(makers)))]()
+        rid = (store.region_or if op == "or" else store.region_and)(rid, other, op)
+    if draw(st.booleans()):
+        store.region_simplify(rid)
+    return store, rid, np.array(ra, dtype=np.float64), np.array(dec, dtype=np.float64)
+
+
+class TestPointsInBand:
+    @given(band_case())
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_band_matches_whole_catalog(self, case):
+        store, rid, ra, dec = case
+        objid = 1000 + 7 * np.arange(len(ra), dtype=np.int64)
+        got = store.points_in_region(rid, objid, ra, dec)
+        assert got == whole_catalog_points_in(store, rid, objid, ra, dec)
+
+    @pytest.mark.parametrize("dec_c", [0.0, 45.0, -60.0, 89.99995, -89.99995, 90.0])
+    @pytest.mark.parametrize("arcmin", [1e-6, 1e-3, 1.0, 60.0, 5400.0, 10800.0])
+    def test_rows_next_to_the_dec_extremes(self, store, dec_c, arcmin):
+        # Rows on the circle's meridian, up to 2e-6 degrees inside and
+        # outside its dec extremes: a band narrower than the circle, or
+        # unpadded, loses some that the whole-catalog test accepts.
+        ra_c = 123.25
+        rid = add_region(store, compile_region_string(circle_text(ra_c, dec_c, arcmin)))
+        offsets = np.array([0.0, 1e-9, 1e-8, 1e-7, 5e-7, 9e-7, 2e-6])
+        dec = dec_c + np.concatenate([arcmin / 60.0 - offsets, -(arcmin / 60.0 - offsets),
+                                      arcmin / 60.0 + offsets, -(arcmin / 60.0 + offsets), [0.0]])
+        # past a pole the meridian runs down the far side, at ra_c + 180
+        ra = np.where(np.abs(dec) > 90.0, ra_c + 180.0, ra_c)
+        dec = np.where(dec > 90.0, 180.0 - dec, np.where(dec < -90.0, -180.0 - dec, dec))
+        objid, ra, dec, _ = sky_columns(ra, dec)
+        want = whole_catalog_points_in(store, rid, objid, ra, dec)
+        assert store.points_in_region(rid, objid, ra, dec) == want
+        if 1e-3 <= arcmin < 10800.0:
+            # rows 5e-7 degrees inside both extremes are in the answer
+            assert {objid[4], objid[11]} <= set(want)
+
+    def test_rows_in_their_own_tiny_circles(self, store, rng):
+        # A 1e-6 arcmin circle has l = 1.0 and radius_deg() 0, yet a row at
+        # its centre is inside when |p|^2 rounds above 1: the band's pad
+        # keeps it, whatever its dec and the atan2 of its circle's normal.
+        ra, dec = random_sky(rng, 300)
+        dec[:4] = [89.99995, -89.99995, 1e-9, -1e-9]
+        objid, ra, dec, _ = sky_columns(ra, dec)
+        hits = 0
+        for r, d in zip(ra, dec):
+            for arcmin in (1e-6, 1e-3):
+                rid = add_region(store, compile_region_string(circle_text(r, d, arcmin)))
+                want = whole_catalog_points_in(store, rid, objid, ra, dec)
+                assert store.points_in_region(rid, objid, ra, dec) == want
+                hits += len(want)
+        assert hits > 300
+
+    def test_empty_and_unknown_regions(self, store):
+        objid, ra, dec, _ = sky_columns([0.0, 180.0], [90.0, -90.0])
+        assert store.points_in_region(store.region_new("empty"), objid, ra, dec) == []
+        with pytest.raises(RegionStoreError):
+            store.points_in_region(99, objid, ra, dec)
 
 
 # -- the half-space table behind regions_on_point ----------------------------

@@ -90,6 +90,25 @@ class TestIngest:
         )
         assert (cat.x[0], cat.y[0], cat.z[0]) == pytest.approx(want, abs=1e-15)
 
+    def test_row_subsets_derive_the_catalog_bits(self):
+        # points_in_region derives unit vectors for a dec band's rows only;
+        # it agrees with Catalog.x/y/z (and so with cone_matches and the
+        # oracle) because sky_to_xyz gives a row the same bits whatever
+        # other rows share its call.
+        rng = np.random.default_rng(31)
+        n = 200_000
+        cat = catmod.Catalog(np.arange(n, dtype=np.int64), rng.uniform(0.0, 360.0, n),
+                             np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n))))
+        subsets = [np.arange(k) for k in range(1, 18)]  # the lengths of vector tails
+        subsets += [np.arange(start, start + length) for start, length in
+                    zip(rng.integers(0, n // 2, 40), rng.integers(1, n // 2, 40))]
+        subsets += [np.flatnonzero(rng.uniform(size=n) < q) for q in np.geomspace(1e-5, 0.9, 60)]
+        subsets += [np.flatnonzero(np.abs(cat.dec - c) <= h) for c, h in
+                    zip(rng.uniform(-90.0, 90.0, 100), np.geomspace(1e-4, 90.0, 100))]
+        for rows in subsets:
+            for got, full in zip(sky_to_xyz(cat.ra[rows], cat.dec[rows]), (cat.x, cat.y, cat.z)):
+                assert got.tobytes() == full[rows].tobytes()
+
     def test_duplicate_objid_names_line(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", ["1,10,0", "2,20,0", "1,30,0"])
         with pytest.raises(CatalogError, match=":4.*duplicate objID 1"):
