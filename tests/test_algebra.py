@@ -592,8 +592,8 @@ _ARCMIN = (
     st.floats(-6.0, math.log10(10800.0)).map(lambda e: min(10800.0, 10.0**e))
     | st.sampled_from([1e-6, 1e-3, 1.0, 5400.0, 10800.0])
 )
-# circles whose l = cos(r) lies within ~1e-10 of 1, where rounding moves
-# the cap's edge most
+# circles of r <= 0.01 arcmin, whose l = cos(r) lies within 5e-12 of 1,
+# where rounding moves the cap's edge most
 _TINY_ARCMIN = st.floats(-6.0, -2.0).map(lambda e: 10.0**e) | st.sampled_from([1e-6, 1e-3])
 
 
@@ -659,9 +659,14 @@ def band_case(draw):
         return rid
 
     makers = {
-        "circle": lambda: circle(_ARCMIN), "tiny_circle": lambda: circle(_TINY_ARCMIN), "rect": rect, "poly": poly, "empty": empty, "sky": whole_sky,
+        "circle": lambda: circle(_ARCMIN),
+        "tiny_circle": lambda: circle(_TINY_ARCMIN),
+        "rect": rect,
+        "poly": poly,
         "negative_l": lambda: constraints(draw(st.floats(-1.0, -1e-9))),
         "boundary": lambda: constraints(None),
+        "empty": empty,
+        "sky": whole_sky,
     }
     rid = makers[draw(st.sampled_from(sorted(makers)))]()
     op = draw(st.sampled_from(["none", "none", "not", "or", "and"]))
