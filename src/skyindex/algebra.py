@@ -14,6 +14,12 @@ disjoint iff angle(centers) >= radius(A) + radius(B). Contained-cap
 constraints are redundant, a disjoint pair empties its convex, and the
 same relations decide convex-in-convex containment and the
 (A and B) or (A and not B) merge.
+
+Every half-space, stored or in flight through the algebra, is one plain
+row (nx, ny, nz, l): a unit normal and a cut length in [-1, 1], as the
+paper's HalfSpace table holds it. A half-space's id is its position in
+its convex, from 1: rows are only ever appended to a convex, so the id is
+derived and never stored.
 """
 
 from __future__ import annotations
@@ -24,21 +30,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import COVER_PAD_DEG
-from .geom import (
-    Convex,
-    GeometryError,
-    HalfSpace,
-    Region,
-    UnitVec3,
-    arc_distance_deg,
-    negate_halfspace,
-    sky_to_xyz,
-    unit_rows,
-)
+from .geom import Convex, GeometryError, HalfSpace, Region, UnitVec3, sky_to_xyz
 from .pyramid import bounding_circle
 
 _TOL_DEG = 1e-9
 _MAX_TYPE_LEN = 16
+# How far |n|^2 of a loaded normal may lie from 1. The store writes normals
+# within 2.5 ulps (measured over 200k `UnitVec3.normalized` and
+# `sky_to_vec` vectors). A normal 16 ulps long widens its cap by at most
+# 3.4e-6 degrees (at l = 1), which with the 2.6e-6 degree rounding of
+# p . n > l stays inside points_in_region's COVER_PAD_DEG of 1e-5 degrees.
+_NORM2_TOL = 16 * 2.0**-52
+
+Row = tuple[float, float, float, float]  # one half-space: (nx, ny, nz, l)
 
 
 class RegionStoreError(ValueError):
@@ -47,24 +51,16 @@ class RegionStoreError(ValueError):
 
 @dataclass
 class StoredConvex:
-    """A stored convex. constraints holds one plain row per half-space,
-    (halfspaceID, nx, ny, nz, l): a unit normal and a cut length in
-    [-1, 1], in the layout of the snapshot's half-space columns and of the
-    store's half-space table. halfspaces() builds the geometry objects."""
+    """A stored convex. constraints holds one row (nx, ny, nz, l) per
+    half-space, in the layout of the snapshot's half-space columns and of
+    the store's half-space table; a row's id is its index + 1.
+    halfspaces() builds the geometry objects."""
 
     convex_id: int
-    constraints: list[tuple[int, float, float, float, float]] = field(default_factory=list)
-    next_halfspace_id: int = 1
+    constraints: list[Row] = field(default_factory=list)
 
     def halfspaces(self) -> list[HalfSpace]:
-        return [HalfSpace(UnitVec3(x, y, z), l) for _, x, y, z, l in self.constraints]
-
-    def add(self, h: HalfSpace) -> tuple[int, float, float, float, float]:
-        """Store h under the next half-space id; returns its row."""
-        row = (self.next_halfspace_id, h.normal.x, h.normal.y, h.normal.z, h.l)
-        self.next_halfspace_id += 1
-        self.constraints.append(row)
-        return row
+        return [HalfSpace(UnitVec3(x, y, z), l) for x, y, z, l in self.constraints]
 
 
 @dataclass
@@ -126,28 +122,37 @@ class CompiledPredicate:
         return "or(" + ", ".join(parts) + ")"
 
 
-# -- geometric simplification (shared by the store and NOT) -----------------
+# -- geometric simplification on rows (shared by the store and NOT) ---------
 
 
-def _contains_cap(outer: HalfSpace, inner: HalfSpace) -> bool:
-    return (
-        arc_distance_deg(outer.normal, inner.normal) + inner.radius_deg()
-        <= outer.radius_deg() + _TOL_DEG
-    )
+def _radius_deg(h: Row) -> float:
+    """`HalfSpace.radius_deg` of a row."""
+    return math.degrees(math.acos(h[3]))
 
 
-def _disjoint_caps(a: HalfSpace, b: HalfSpace) -> bool:
-    return (
-        arc_distance_deg(a.normal, b.normal)
-        >= a.radius_deg() + b.radius_deg() - _TOL_DEG
-    )
+def _arc_deg(a: Row, b: Row) -> float:
+    """`geom.arc_distance_deg` between two rows' normals, in its operation
+    order."""
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dz = a[2] - b[2]
+    half_chord = 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
+    return math.degrees(2.0 * math.asin(min(1.0, half_chord)))
 
 
-def simplify_convex(halfspaces: list[HalfSpace]) -> list[HalfSpace] | None:
+def _contains_cap(outer: Row, inner: Row) -> bool:
+    return _arc_deg(outer, inner) + _radius_deg(inner) <= _radius_deg(outer) + _TOL_DEG
+
+
+def _disjoint_caps(a: Row, b: Row) -> bool:
+    return _arc_deg(a, b) >= _radius_deg(a) + _radius_deg(b) - _TOL_DEG
+
+
+def simplify_convex(rows: list[Row]) -> list[Row] | None:
     """Drop implied constraints, detect provable emptiness (None)."""
-    kept = [h for h in halfspaces if h.l > -1.0]
+    kept = [h for h in rows if h[3] > -1.0]
     for h in kept:
-        if h.l >= 1.0:
+        if h[3] >= 1.0:
             return None
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
@@ -165,31 +170,27 @@ def simplify_convex(halfspaces: list[HalfSpace]) -> list[HalfSpace] | None:
     return [h for h, ok in zip(kept, alive) if ok]
 
 
-def _constraints_equal(a: HalfSpace, b: HalfSpace) -> bool:
-    return (
-        a.normal.dot(b.normal) >= 1.0 - 1e-12 and abs(a.l - b.l) <= 1e-12
-    )
+def _constraints_equal(a: Row, b: Row) -> bool:
+    return _dot(a[0], a[1], a[2], b[0], b[1], b[2]) >= 1.0 - 1e-12 and abs(a[3] - b[3]) <= 1e-12
 
 
-def _constraints_negated(a: HalfSpace, b: HalfSpace) -> bool:
-    return (
-        a.normal.dot(b.normal) <= -1.0 + 1e-12 and abs(a.l + b.l) <= 1e-12
-    )
+def _constraints_negated(a: Row, b: Row) -> bool:
+    return _dot(a[0], a[1], a[2], b[0], b[1], b[2]) <= -1.0 + 1e-12 and abs(a[3] + b[3]) <= 1e-12
 
 
-def _convex_in_convex(inner: list[HalfSpace], outer: list[HalfSpace]) -> bool:
+def _convex_in_convex(inner: list[Row], outer: list[Row]) -> bool:
     """Sufficient test: every outer constraint is implied by some inner one."""
     return all(any(_contains_cap(b, a) for a in inner) for b in outer)
 
 
-def _try_merge(ca: list[HalfSpace], cb: list[HalfSpace]) -> list[HalfSpace] | None:
+def _try_merge(ca: list[Row], cb: list[Row]) -> list[Row] | None:
     """(A and b) or (A and not b) -> A, for convexes differing in one
     negated constraint."""
     if len(ca) != len(cb) or not ca:
         return None
     used = [False] * len(cb)
-    odd_a = None
-    for a in ca:
+    odd_a = None  # the index of ca's one unmatched row
+    for i, a in enumerate(ca):
         hit = False
         for j, b in enumerate(cb):
             if not used[j] and _constraints_equal(a, b):
@@ -199,16 +200,16 @@ def _try_merge(ca: list[HalfSpace], cb: list[HalfSpace]) -> list[HalfSpace] | No
         if not hit:
             if odd_a is not None:
                 return None
-            odd_a = a
+            odd_a = i
     if odd_a is None:
         return None  # identical convexes; containment rule handles them
     odd_b = [b for j, b in enumerate(cb) if not used[j]]
-    if len(odd_b) != 1 or not _constraints_negated(odd_a, odd_b[0]):
+    if len(odd_b) != 1 or not _constraints_negated(ca[odd_a], odd_b[0]):
         return None
-    return [a for a in ca if a is not odd_a]
+    return ca[:odd_a] + ca[odd_a + 1 :]
 
 
-def simplify_region_geometry(convex_lists: list[list[HalfSpace]]) -> list[list[HalfSpace]]:
+def simplify_region_geometry(convex_lists: list[list[Row]]) -> list[list[Row]]:
     """Full membership-preserving reduction, run to a fixpoint."""
     convexes = []
     for cl in convex_lists:
@@ -252,13 +253,11 @@ def simplify_region_geometry(convex_lists: list[list[HalfSpace]]) -> list[list[H
     return convexes
 
 
-def complement_convex_lists(halfspaces: list[HalfSpace]) -> list[list[HalfSpace]]:
+def complement_convex_lists(rows: list[Row]) -> list[list[Row]]:
     """Disjoint complement of one convex: the j-th output keeps constraints
-    1..j-1 and negates the j-th, so outputs are pairwise disjoint."""
-    out = []
-    for j in range(len(halfspaces)):
-        out.append(list(halfspaces[:j]) + [negate_halfspace(halfspaces[j])])
-    return out
+    1..j-1 and negates the j-th (all four components), so outputs are
+    pairwise disjoint."""
+    return [rows[:j] + [tuple(-v for v in rows[j])] for j in range(len(rows))]
 
 
 # -- the half-space table ----------------------------------------------------
@@ -301,14 +300,11 @@ class _HalfSpaceTable:
         for row in convex.constraints:
             self.add_halfspace(rid, convex.convex_id, row)
 
-    def add_halfspace(self, rid: int, cid: int, row: tuple) -> None:
-        """Queue one stored row (halfspaceID, nx, ny, nz, l)."""
-        slot, nx, ny, nz, l = self.new_rows
-        slot.append(self.slot_of[(rid, cid)])
-        nx.append(row[1])
-        ny.append(row[2])
-        nz.append(row[3])
-        l.append(row[4])
+    def add_halfspace(self, rid: int, cid: int, row: Row) -> None:
+        """Queue one stored row (nx, ny, nz, l)."""
+        self.new_rows[0].append(self.slot_of[(rid, cid)])
+        for col, value in zip(self.new_rows[1:], row):
+            col.append(value)
         self.live += 1
 
     def retire(self, rid: int, convexes: list[StoredConvex]) -> None:
@@ -402,10 +398,11 @@ class RegionStore:
             normal = UnitVec3.normalized(x, y, z)
         except GeometryError as exc:
             raise RegionStoreError(f"constraint normal: {exc}") from None
-        row = convex.add(HalfSpace(normal, l))
+        row = (normal.x, normal.y, normal.z, float(l))
+        convex.constraints.append(row)
         if self._table is not None:
             self._table.add_halfspace(rid, cid, row)
-        return row[0]
+        return len(convex.constraints)
 
     def region_drop(self, rid: int) -> None:
         reg = self._get(rid)
@@ -422,30 +419,28 @@ class RegionStore:
 
     # boolean algebra
 
-    def _add_convexes(self, rid: int, lists: list[list[HalfSpace]]) -> None:
-        """Store each list as a new convex of region rid, every half-space
-        kept bit for bit: they are valid already, so none is normalized
-        again."""
+    def _add_convexes(self, rid: int, lists: list[list[Row]]) -> None:
+        """Store a copy of each list as a new convex of region rid, every
+        row kept bit for bit: they are valid already, so none is
+        normalized again."""
         reg = self._get(rid)
-        for halfspaces in lists:
-            convex = StoredConvex(reg.next_convex_id)
+        for rows in lists:
+            convex = StoredConvex(reg.next_convex_id, list(rows))
             reg.next_convex_id += 1
-            for h in halfspaces:
-                convex.add(h)
             reg.convexes.append(convex)
             if self._table is not None:
                 self._table.add_convex(rid, convex)
 
-    def region_new_from_convexes(
-        self, lists: list[list[HalfSpace]], rtype: str, comment: str
-    ) -> int:
-        """A new region whose convexes are the lists, stored as given."""
+    def region_new_from_convexes(self, lists: list[list[Row]], rtype: str, comment: str) -> int:
+        """A new region whose convexes are the lists of rows, stored as given."""
         rid = self.region_new(rtype, comment)
         self._add_convexes(rid, lists)
         return rid
 
-    def _convex_lists(self, rid: int) -> list[list[HalfSpace]]:
-        return [c.halfspaces() for c in self._get(rid).convexes]
+    def _convex_lists(self, rid: int) -> list[list[Row]]:
+        """The stored row lists of region rid's convexes, not copies: no
+        caller may mutate them."""
+        return [c.constraints for c in self._get(rid).convexes]
 
     def region_or(self, id1: int, id2: int, rtype: str, comment: str = "") -> int:
         lists = self._convex_lists(id1) + self._convex_lists(id2)
@@ -460,7 +455,7 @@ class RegionStore:
     def region_not(self, id1: int, rtype: str, comment: str = "") -> int:
         sources = self._convex_lists(id1)
         if not sources:
-            acc: list[list[HalfSpace]] = [[]]  # complement of empty is the sphere
+            acc: list[list[Row]] = [[]]  # complement of empty is the sphere
         else:
             acc = complement_convex_lists(sources[0])
             for cvx in sources[1:]:
@@ -471,7 +466,7 @@ class RegionStore:
 
     def region_simplify(self, rid: int) -> None:
         reg = self._get(rid)
-        reduced = simplify_region_geometry([c.halfspaces() for c in reg.convexes])
+        reduced = simplify_region_geometry(self._convex_lists(rid))
         self._retire(rid, reg.convexes)
         reg.convexes = []
         self._add_convexes(rid, reduced)
@@ -533,18 +528,15 @@ class RegionStore:
         reg = self._get(rid)
         compiled = []
         for convex in reg.convexes:
-            rows = [row[1:] for row in convex.constraints]
-            compiled.append(tuple(np.array(rows, dtype=np.float64).reshape(-1, 4).T))
+            compiled.append(tuple(np.array(convex.constraints, dtype=np.float64).reshape(-1, 4).T))
         return CompiledPredicate(tuple(compiled))
 
     # introspection / persistence
 
     def contains(self, rid: int, p: UnitVec3) -> bool:
-        """Whether p is in region rid, by _dot on the stored rows."""
-        return any(
-            all(_dot(p.x, p.y, p.z, nx, ny, nz) > l for _, nx, ny, nz, l in c.constraints)
-            for c in self._get(rid).convexes
-        )
+        """Whether p is in region rid, by its compiled predicate."""
+        point = (np.array([c]) for c in p.as_tuple())
+        return bool(self.region_predicate(rid).evaluate_columns(*point)[0])
 
     def columns(self) -> dict[str, np.ndarray]:
         """The store as named columns: a row per region (in id order), per
@@ -553,14 +545,12 @@ class RegionStore:
         regs = [self.regions[rid] for rid in sorted(self.regions)]
         convexes = [c for reg in regs for c in reg.convexes]
         rows = [row for c in convexes for row in c.constraints]
+        nx, ny, nz, l = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
         types = [reg.rtype.encode() for reg in regs]
         comments = [reg.comment.encode() for reg in regs]
 
         def ints(values):
             return np.array(values, dtype=np.int64)
-
-        def floats(values):
-            return np.array(values, dtype=np.float64)
 
         return {
             "next_region_id": np.int64(self._next_region_id),
@@ -572,26 +562,24 @@ class RegionStore:
             "comment_len": ints([len(t) for t in comments]),
             "comment_utf8": np.frombuffer(b"".join(comments), dtype=np.uint8),
             "convex_id": ints([c.convex_id for c in convexes]),
-            "next_halfspace_id": ints([c.next_halfspace_id for c in convexes]),
             "halfspaces": ints([len(c.constraints) for c in convexes]),
-            "hid": ints([hid for hid, _, _, _, _ in rows]),
-            "nx": floats([nx for _, nx, _, _, _ in rows]),
-            "ny": floats([ny for _, _, ny, _, _ in rows]),
-            "nz": floats([nz for _, _, _, nz, _ in rows]),
-            "l": floats([l for _, _, _, _, l in rows]),
+            "nx": nx,
+            "ny": ny,
+            "nz": nz,
+            "l": l,
         }
 
     @classmethod
     def from_columns(cls, cols: dict) -> "RegionStore":
         """The store columns() gave, from columns whose levels each share
         one length. Raises RegionStoreError unless each count matches the
-        rows it nests, the ids rise within their parent from 1 to below
-        its counter, and each half-space row holds a finite unit normal
-        (as `UnitVec3` checks it) and a length in [-1, 1]. Builds no
-        geometry objects."""
+        rows it nests, the region and convex ids rise within their parent
+        from 1 to below its counter, and each half-space row holds a
+        finite normal with |n|^2 within _NORM2_TOL of 1 and a length in
+        [-1, 1]. Builds no geometry objects."""
         nesting = (
             (cols["convexes"], cols["convex_id"]),
-            (cols["halfspaces"], cols["hid"]),
+            (cols["halfspaces"], cols["nx"]),
             (cols["type_len"], cols["type_utf8"]),
             (cols["comment_len"], cols["comment_utf8"]),
         )
@@ -603,7 +591,6 @@ class RegionStore:
         ids = (
             (region_ids, [len(region_ids)], [cols["next_region_id"]]),
             (cols["convex_id"], cols["convexes"], cols["next_convex_id"]),
-            (cols["hid"], cols["halfspaces"], cols["next_halfspace_id"]),
         )
         for level_ids, counts, counters in ids:
             if not _ids_rise(level_ids, counts, counters):
@@ -611,21 +598,17 @@ class RegionStore:
                     "region columns hold an id out of order or past its counter"
                 )
         nx, ny, nz, l = cols["nx"], cols["ny"], cols["nz"], cols["l"]
-        if not (unit_rows(nx, ny, nz) and ((-1.0 <= l) & (l <= 1.0)).all()):
+        with np.errstate(over="ignore"):
+            n2 = nx * nx + ny * ny + nz * nz  # in UnitVec3's order; NaN or inf fails below
+        if not ((np.abs(n2 - 1.0) <= _NORM2_TOL) & (-1.0 <= l) & (l <= 1.0)).all():
             raise RegionStoreError(
                 "region columns hold a non-unit normal or a length outside [-1, 1]"
             )
 
-        rows = list(zip(
-            cols["hid"].tolist(), nx.tolist(), ny.tolist(), nz.tolist(), l.tolist()
-        ))
+        rows = list(zip(nx.tolist(), ny.tolist(), nz.tolist(), l.tolist()))
         convexes = [
-            StoredConvex(cid, constraints, next_hid)
-            for cid, constraints, next_hid in zip(
-                cols["convex_id"].tolist(),
-                _split(rows, cols["halfspaces"]),
-                cols["next_halfspace_id"].tolist(),
-            )
+            StoredConvex(cid, constraints)
+            for cid, constraints in zip(cols["convex_id"].tolist(), _split(rows, cols["halfspaces"]))
         ]
         types = _split(cols["type_utf8"].tobytes(), cols["type_len"])
         comments = _split(cols["comment_utf8"].tobytes(), cols["comment_len"])

@@ -219,7 +219,9 @@ def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
         if not args.from_spec:
             return "region", {"id": store.region_new(args.type, args.comment)}
         region = regionspec.compile_region_string(args.from_spec)
-        lists = [list(c.constraints) for c in region.convexes]  # stored bit for bit
+        lists = [  # stored bit for bit
+            [(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.constraints] for c in region.convexes
+        ]
         return "region", {"id": store.region_new_from_convexes(lists, args.type, args.comment)}
     if args.region_cmd == "new-convex":
         return "convex", {"region": args.id, "convex": store.region_new_convex(args.id)}
@@ -286,7 +288,7 @@ def cmd_region(args, out: Output) -> int:
                 spec=regionspec.serialize_region(reg.geometry()),
             )
             for convex in reg.convexes:
-                for hid, x, y, z, l in convex.constraints:
+                for hid, (x, y, z, l) in enumerate(convex.constraints, 1):
                     out.record(
                         "halfspace",
                         region=reg.region_id,

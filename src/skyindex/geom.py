@@ -28,14 +28,6 @@ class GeometryError(ValueError):
     """Invalid geometric argument (bad range, non-unit vector, ...)."""
 
 
-def unit_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
-    """Whether every row of the columns x, y, z is a finite unit vector,
-    as UnitVec3 checks one, with its norm taken in the same order."""
-    with np.errstate(over="ignore"):
-        n2 = x * x + y * y + z * z  # NaN or inf fails below
-    return bool((np.abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL).all())
-
-
 def _normalize_ra(ra: float) -> float:
     ra = math.fmod(ra, 360.0)
     if ra < 0.0:
@@ -168,8 +160,9 @@ def sky_to_xyz(ra: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def vec_to_sky(v: UnitVec3) -> SkyPoint:
-    """Inverse of sky_to_vec. At the poles (|z| = 1 within 1e-12) ra is 0."""
-    if abs(abs(v.z) - 1.0) <= 1e-12:
+    """Inverse of sky_to_vec. At the poles (x = y = 0) ra is 0; every other
+    vector keeps its own ra and dec, however close to a pole."""
+    if v.x == 0.0 and v.y == 0.0:
         return SkyPoint(0.0, 90.0 if v.z > 0 else -90.0)
     ra = math.degrees(math.atan2(v.y, v.x))
     if ra < 0.0:

@@ -44,7 +44,7 @@ from .pyramid import PyramidConfig, PyramidIndex
 from .zones import NeighborsTable, ZoneConfig, ZoneTable, check_neighbors
 
 MAGIC = b"SKYIDXSN"
-VERSION = 8
+VERSION = 9
 _ABSENT = 0xFFFFFFFF
 
 
@@ -94,9 +94,7 @@ _REGIONS = {  # RegionStore.columns()
     "comment_len": _REGION,
     "comment_utf8": _Col("|u1", ("comment_byte",)),
     "convex_id": _CONVEX,
-    "next_halfspace_id": _CONVEX,
     "halfspaces": _CONVEX,
-    "hid": _Col("<i8", ("halfspace",)),
     "nx": _HALFSPACE,
     "ny": _HALFSPACE,
     "nz": _HALFSPACE,

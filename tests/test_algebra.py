@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import shutil
@@ -17,9 +18,9 @@ from skyindex.algebra import (
     simplify_convex,
 )
 from skyindex.catalog import Catalog
+from skyindex.pyramid import bounding_circle
 from skyindex.geom import (
     Convex,
-    HalfSpace,
     SkyPoint,
     UnitVec3,
     inside_convex,
@@ -31,7 +32,7 @@ from skyindex.geom import (
 from skyindex.regionspec import compile_region_string
 from skyindex.snapshot import AppState, load_state, save_state
 
-from conftest import _convex_poly_points, membership_with_guard, sample_sphere
+from conftest import _convex_poly_points, generate_corpus_specs, membership_with_guard, sample_sphere
 
 
 @pytest.fixture
@@ -283,7 +284,7 @@ class TestBoolean:
             return rid
 
         def rows(rid):
-            return {row[1:] for c in store.regions[rid].convexes for row in c.constraints}
+            return {row for c in store.regions[rid].convexes for row in c.constraints}
 
         a, b, c = region(3, 4), region(2, 3), region(2, 2)
         operands = rows(a) | rows(b) | rows(c)
@@ -430,13 +431,13 @@ class TestSimplify:
             assert store.regions[rid].geometry() == first, text
 
     def test_simplify_convex_unit(self):
-        h1 = HalfSpace(UnitVec3(0, 0, 1), 0.0)
-        h2 = HalfSpace(UnitVec3(0, 0, 1), -0.5)
+        h1 = (0.0, 0.0, 1.0, 0.0)
+        h2 = (0.0, 0.0, 1.0, -0.5)
         assert simplify_convex([h1, h2]) == [h1]
-        h3 = HalfSpace(UnitVec3(0, 0, -1), 0.0)
+        h3 = (0.0, 0.0, -1.0, 0.0)
         assert simplify_convex([h1, h3]) is None
         # overlapping band survives
-        h4 = HalfSpace(UnitVec3(0, 0, -1), -0.5)
+        h4 = (0.0, 0.0, -1.0, -0.5)
         assert simplify_convex([h1, h4]) == [h1, h4]
 
 
@@ -560,6 +561,50 @@ class TestQueries:
         pred = store.region_predicate(rid)
         store.region_drop(rid)
         assert evaluate_at(pred, UnitVec3(0, 0, 1))
+
+
+# -- a pinned run of the algebra ---------------------------------------------
+
+
+def seeded_run_digest() -> str:
+    """SHA-256 of a seeded run: grammar shapes stored as constraint rows,
+    then or/and/not/simplify/drop edits; it hashes the store's columns,
+    regions_on_point at fixed points and every region's bounding circle."""
+    rng = np.random.default_rng(25)
+    store = RegionStore()
+    for text in generate_corpus_specs(seed=25, count=60):
+        add_region(store, compile_region_string(text))
+    for _ in range(300):
+        rids = [rid for rid in sorted(store.regions) if len(store.regions[rid].convexes) <= 4]
+        a, b = (rids[int(rng.integers(len(rids)))] for _ in range(2))
+        op = int(rng.integers(5))
+        if op == 0:
+            store.region_or(a, b, "or")
+        elif op == 1:
+            store.region_and(a, b, "and")
+        elif op == 2 and len(store.regions[a].convexes) <= 2:
+            store.region_not(a, "not")
+        elif op == 3:
+            store.region_simplify(a)
+        elif op == 4 and len(rids) > 20:
+            store.region_drop(a)
+    h = hashlib.sha256()
+    for name, col in store.columns().items():
+        h.update(name.encode() + np.asarray(col).tobytes())
+    for p in EDGE_POINTS + sample_sphere(rng, 200):
+        h.update(repr(store.regions_on_point(p)).encode())
+    for rid in sorted(store.regions):
+        geometry = store.geometry(rid)
+        if geometry.convexes:
+            center, radius = bounding_circle(geometry)
+            h.update(repr((rid, center.as_tuple(), radius)).encode())
+    return h.hexdigest()
+
+
+def test_seeded_run_digest():
+    # taken with the format-8 store, whose columns held the same rows plus
+    # two id columns that a half-space's position now gives
+    assert seeded_run_digest() == "0f2eaa6fd008eff1c141aab34d8b7186aef56d1fda056fb71fc7f63ab0a85b78"
 
 
 # -- points-in's dec band against the whole catalog ---------------------------

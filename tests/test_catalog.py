@@ -621,7 +621,6 @@ class TestSnapshot:
         ("next_region_id", 2),  # region 2 at or past the counter
         ("convex_id", [2, 1, 1]),  # falling within region 1
         ("next_convex_id", [2, 2]),  # region 1's convex 2 past its counter
-        ("hid", [1, 1]),  # a repeated half-space id in one convex
     ])
     def test_region_ids_checked(self, tmp_path, column, value):
         store = RegionStore()
@@ -669,6 +668,37 @@ class TestSnapshot:
         write_sections(path, regions=cols)
         with pytest.raises(SnapshotError, match="non-unit normal or a length"):
             load_state(path)
+
+    @pytest.mark.parametrize("nx, loads", [
+        (1.0 + 1.9e-12, False),  # |n|^2 - 1 = 3.8e-12: a cap at l = 1 widened by 1.1e-4 degrees
+        (1.0 + 8 * 2.0**-52, True),  # |n|^2 - 1 = 16 * 2^-52, the bound
+        (1.0 + 9 * 2.0**-52, False),
+    ])
+    def test_region_normal_length_bound(self, tmp_path, nx, loads):
+        store = RegionStore()
+        rid = store.region_new("t")
+        store.region_new_convex_constraint(rid, store.region_new_convex(rid), 1.0, 0.0, 0.0, 1.0)
+        cols = store.columns()
+        cols["nx"] = np.array([nx])
+        path = tmp_path / "s.snap"
+        write_sections(path, regions=cols)
+        if loads:
+            assert load_state(path).regions.regions[rid].convexes[0].constraints == [(nx, 0.0, 0.0, 1.0)]
+        else:
+            with pytest.raises(SnapshotError, match="non-unit normal"):
+                load_state(path)
+
+    def test_store_written_normals_load(self, tmp_path, rng):
+        # normalized and sky_to_vec normals, as constraint and grammar rows
+        # hold them, lie inside the load bound
+        normals = [UnitVec3.normalized(*v) for v in rng.normal(size=(5000, 3)).tolist()]
+        normals += [sky_to_vec(SkyPoint(ra, dec)) for ra, dec in zip(
+            rng.uniform(0.0, 360.0, 5000).tolist(), rng.uniform(-90.0, 90.0, 5000).tolist())]
+        store = RegionStore()
+        store.region_new_from_convexes([[(*n.as_tuple(), 0.5) for n in normals]], "t", "")
+        path = tmp_path / "s.snap"
+        save_state(AppState(regions=store), path)
+        assert_same_columns(load_state(path).regions, store)
 
     def test_catalog_lengths_checked(self, tmp_path):
         cat = random_catalog(10, seed=3)
@@ -992,18 +1022,19 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="checksum"):
             load_state(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_old_version_rejected(self, tmp_path, version):
         # format 3 stored zone tables with wraparound margin rows, format 4
         # one zone-table section per pyramid scale, format 5 every catalog
         # row twice and x, y, z, format 6 the pyramid's x, y, z, format 7
-        # the catalog's mesh ids
+        # the catalog's mesh ids, format 8 each half-space's id and each
+        # convex's next half-space id
         path = tmp_path / "s.snap"
         save_state(AppState(), path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, len(MAGIC), version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match=f"version {version} != supported 8"):
+        with pytest.raises(SnapshotError, match=f"version {version} != supported 9"):
             load_state(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

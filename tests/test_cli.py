@@ -16,7 +16,7 @@ from skyindex import catalog as catmod
 from skyindex import htm, oracle, regionspec
 from skyindex.catalog import random_catalog
 from skyindex.cli import main
-from skyindex.geom import SkyPoint
+from skyindex.geom import SkyPoint, sky_to_vec
 from skyindex.snapshot import load_state
 
 
@@ -412,7 +412,7 @@ class TestRegionCli:
             inside = np.zeros(len(cat), dtype=bool)
             for convex in reg.convexes:
                 ok = np.ones(len(cat), dtype=bool)
-                for _, nx, ny, nz, l in convex.constraints:
+                for nx, ny, nz, l in convex.constraints:
                     ok &= cat.x * nx + cat.y * ny + cat.z * nz > l
                 inside |= ok
             want = cat.objid[inside].tolist()
@@ -589,6 +589,23 @@ class TestPyramidCli:
         code, out = run(capsys, *overlap)
         ids = {int(l.split("=")[1]) for l in out.splitlines() if l.startswith("result ")}
         assert code == 0 and ids and ids <= set(load_state(snap).regions.regions)
+
+    @pytest.mark.parametrize("spec, ra, dec", [
+        ("CIRCLE J2000 0 89.99992 0.0006", "0", "89.999911"),
+        ("CIRCLE J2000 123 -89.99992 0.0006", "123", "-89.999911"),
+    ])
+    def test_overlap_next_to_a_pole(self, capsys, snap, spec, ra, dec):
+        # The region's bounding circle is centred less than 1e-12 from
+        # |z| = 1, and its entry takes the least radius, half of the base
+        # zone height. Placed at the pole, 8e-5 degrees away, it missed
+        # these points of the region.
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "c", "--from", spec)
+        assert load_state(snap).regions.contains(1, sky_to_vec(SkyPoint(float(ra), float(dec))))
+        run(capsys, "--snapshot", snap, "pyramid", "build", f"--base-zone-height={180 / 2**20!r}")
+        code, out = run(capsys, "--snapshot", snap, "--format", "records", "pyramid", "overlap",
+                        "--ra", ra, f"--dec={dec}", "--r", "1e-7")
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith("result ")] == ["result objid=1"]
 
     @pytest.mark.parametrize("with_region", [True, False])
     @pytest.mark.parametrize("height", ["nan", "inf"])
@@ -800,3 +817,60 @@ def test_numeric_arguments_fuzz(fuzz_snapshot, data):
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert Path(snap).read_bytes() == before
+
+
+_ID_SPECS = ["CIRCLE J2000 10 20 60", "RECT J2000 10 -5 30 5", "POLY J2000 0 0 10 0 5 8",
+             "REGION CONVEX 0 0 1 0.2 CONVEX 1 0 0 0.1 -1 0 0 -0.3"]
+_ID_NORMAL = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: max(map(abs, v)) > 1e-3)
+_ID_STEP = st.one_of(
+    st.tuples(st.just("new"), st.sampled_from(_ID_SPECS)),
+    st.tuples(st.just("new-convex"), st.integers(0, 99)),
+    st.tuples(st.just("constraint"), st.integers(0, 99), st.integers(0, 99), _ID_NORMAL, st.floats(-1.0, 1.0)),
+    st.tuples(st.just("simplify"), st.integers(0, 99)),
+)
+
+
+@pytest.fixture(scope="module")
+def id_snapshot(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("ids") / "ids.snap")
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(_ID_STEP, min_size=1, max_size=8))
+def test_show_numbers_halfspaces_from_1(id_snapshot, steps):
+    """However a convex was made (constraint appends, new --from, simplify),
+    and across the save and load of every command, `region show` numbers
+    its half-spaces 1..k in stored order, and `constraint` answers with the
+    new k."""
+    snap = id_snapshot
+    if os.path.exists(snap):
+        os.remove(snap)
+
+    def region(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--snapshot", snap, "--format", "records", "region", *argv]) == 0
+        return out.getvalue()
+
+    region("new", "--type", "t", "--from", _ID_SPECS[-1])
+    for step in steps:
+        regions = load_state(snap).regions.regions
+        rid = sorted(regions)[step[1] % len(regions)] if step[0] != "new" else None
+        if step[0] == "new":
+            region("new", "--type", "t", "--from", step[1])
+        elif step[0] == "new-convex":
+            region("new-convex", "--id", str(rid))
+        elif step[0] == "constraint" and regions[rid].convexes:
+            convex = regions[rid].convexes[step[2] % len(regions[rid].convexes)]
+            (x, y, z), l = step[3], step[4]
+            out = region("constraint", "--id", str(rid), "--convex", str(convex.convex_id),
+                         f"--x={x!r}", f"--y={y!r}", f"--z={z!r}", f"--l={l!r}")
+            assert f" halfspace={len(convex.constraints) + 1}" in out
+        elif step[0] == "simplify":
+            region("simplify", "--id", str(rid))
+    store = load_state(snap).regions
+    for rid, reg in store.regions.items():
+        shown = re.findall(r"^halfspace region=\d+ convex=(\d+) halfspace=(\d+) x=(\S+) y=(\S+) z=(\S+) l=(\S+)$",
+                           region("show", "--id", str(rid)), re.M)
+        want = [(c.convex_id, k, *row) for c in reg.convexes for k, row in enumerate(c.constraints, 1)]
+        assert [(int(c), int(k), *map(float, row)) for c, k, *row in shown] == want

@@ -113,6 +113,13 @@ class TestVecConversion:
         assert vec_to_sky(UnitVec3(0, 0, -1)) == SkyPoint(0, -90)
         assert vec_to_sky(UnitVec3(1, 0, 0)) == SkyPoint(0, 0)
 
+    @pytest.mark.parametrize("dec", [89.99992, -89.99995])
+    def test_next_to_a_pole_not_snapped(self, dec):
+        # |z| is within 1e-12 of 1 here, up to 8.1e-5 degrees from the pole
+        p = vec_to_sky(sky_to_vec(SkyPoint(123.0, dec)))
+        assert p.ra == pytest.approx(123.0, abs=1e-6)
+        assert p.dec == pytest.approx(dec, abs=1e-8) and abs(p.dec) < 90.0
+
     def test_inverse_example(self):
         # full-precision inverse is 1e-9-exact; the 7-digit rendering of the
         # same vector can only resolve ~1e-6 deg
@@ -324,11 +331,15 @@ class TestUnitNormPreservation:
 
 class TestCapRelations:
     def test_containment_and_disjointness(self):
-        big = circle_to_halfspace(UnitVec3(0, 0, 1), 40.0)
-        small = circle_to_halfspace(sky_to_vec(SkyPoint(0, 80)), 10.0)
+        def row(center, radius):
+            h = circle_to_halfspace(center, radius)
+            return (*h.normal.as_tuple(), h.l)
+
+        big = row(UnitVec3(0, 0, 1), 40.0)
+        small = row(sky_to_vec(SkyPoint(0, 80)), 10.0)
         assert _contains_cap(big, small)
         assert not _contains_cap(small, big)
-        far = circle_to_halfspace(UnitVec3(0, 0, -1), 20.0)
+        far = row(UnitVec3(0, 0, -1), 20.0)
         assert _disjoint_caps(small, far)
         assert not _disjoint_caps(big, small)
 
