@@ -2,7 +2,9 @@
 
 Regions live in a store as numbered sets of convexes, each convex a
 numbered set of half-space constraints; region ids are never reused. The
-boolean operations work structurally: OR concatenates convex lists, AND
+store keeps them as the paper's Region, Convex and HalfSpace tables of
+columns, which a snapshot's columns become as they are. The boolean
+operations work structurally: OR concatenates convex lists, AND
 forms the NxM pairwise constraint union, NOT expands a convex's complement
 into disjoint convexes (prefix-conjunction form) and folds multi-convex
 complements through the AND product.
@@ -25,7 +27,10 @@ derived and never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,34 +54,29 @@ class RegionStoreError(ValueError):
     """Unknown ids, bad arguments, or constraint-table violations."""
 
 
-@dataclass
-class StoredConvex:
-    """A stored convex. constraints holds one row (nx, ny, nz, l) per
-    half-space, in the layout of the snapshot's half-space columns and of
-    the store's half-space table; a row's id is its index + 1.
-    halfspaces() builds the geometry objects."""
+class StoredConvex(NamedTuple):
+    """A stored convex as read from the store: a row (nx, ny, nz, l) per
+    half-space, whose id is its index + 1; halfspaces() builds objects."""
 
     convex_id: int
-    constraints: list[Row] = field(default_factory=list)
+    constraints: list[Row]
 
     def halfspaces(self) -> list[HalfSpace]:
         return [HalfSpace(UnitVec3(x, y, z), l) for x, y, z, l in self.constraints]
 
 
-@dataclass
-class StoredRegion:
+class StoredRegion(NamedTuple):
+    """A stored region as read from the store (`RegionStore.regions`)."""
+
     region_id: int
     rtype: str
     comment: str
-    convexes: list[StoredConvex] = field(default_factory=list)
-    next_convex_id: int = 1
-
-    def geometry(self) -> Region:
-        return Region(tuple(Convex(tuple(c.halfspaces())) for c in self.convexes))
+    convexes: list[StoredConvex]
+    next_convex_id: int
 
 
 def _dot(x, y, z, nx, ny, nz):
-    """p . n in `UnitVec3.dot`'s operation order, elementwise over arrays.
+    """p . n in `UnitVec3.dot`'s operation order, on floats or elementwise.
 
     Every containment path goes through this one expression (no BLAS
     product, which may sum in another order), so all of them agree with
@@ -151,20 +151,18 @@ def _disjoint_caps(a: Row, b: Row) -> bool:
 def simplify_convex(rows: list[Row]) -> list[Row] | None:
     """Drop implied constraints, detect provable emptiness (None)."""
     kept = [h for h in rows if h[3] > -1.0]
-    for h in kept:
-        if h[3] >= 1.0:
-            return None
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
+    n = len(kept)
+    if any(h[3] >= 1.0 for h in kept):
+        return None
+    for i in range(n):
+        for j in range(i + 1, n):
             if _disjoint_caps(kept[i], kept[j]):
                 return None
     # weakest-first removal so mutual (equal) caps keep exactly one
-    alive = [True] * len(kept)
-    for j in range(len(kept)):
-        for i in range(len(kept)):
-            if i == j or not alive[i] or not alive[j]:
-                continue
-            if _contains_cap(kept[j], kept[i]):
+    alive = [True] * n
+    for j in range(n):
+        for i in range(n):
+            if i != j and alive[i] and _contains_cap(kept[j], kept[i]):
                 alive[j] = False
                 break
     return [h for h, ok in zip(kept, alive) if ok]
@@ -191,13 +189,11 @@ def _try_merge(ca: list[Row], cb: list[Row]) -> list[Row] | None:
     used = [False] * len(cb)
     odd_a = None  # the index of ca's one unmatched row
     for i, a in enumerate(ca):
-        hit = False
         for j, b in enumerate(cb):
             if not used[j] and _constraints_equal(a, b):
                 used[j] = True
-                hit = True
                 break
-        if not hit:
+        else:
             if odd_a is not None:
                 return None
             odd_a = i
@@ -211,46 +207,24 @@ def _try_merge(ca: list[Row], cb: list[Row]) -> list[Row] | None:
 
 def simplify_region_geometry(convex_lists: list[list[Row]]) -> list[list[Row]]:
     """Full membership-preserving reduction, run to a fixpoint."""
-    convexes = []
-    for cl in convex_lists:
-        s = simplify_convex(list(cl))
-        if s is not None:
-            convexes.append(s)
-    changed = True
-    while changed:
-        changed = False
-        # merge (A and b) | (A and not b)
-        for i in range(len(convexes)):
-            for j in range(i + 1, len(convexes)):
-                merged = _try_merge(convexes[i], convexes[j])
-                if merged is not None:
-                    merged = simplify_convex(merged)
-                    keep = [
-                        c for k, c in enumerate(convexes) if k != i and k != j
-                    ]
-                    if merged is not None:
-                        keep.append(merged)
-                    convexes = keep
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
+    convexes = [s for s in (simplify_convex(list(cl)) for cl in convex_lists) if s is not None]
+    while True:
+        n = len(convexes)
+        # merge the first pair (A and b) | (A and not b)
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        merge = next(((i, j, m) for i, j in pairs if (m := _try_merge(convexes[i], convexes[j])) is not None), None)
+        if merge is not None:
+            i, j, merged = merge
+            merged = simplify_convex(merged)
+            convexes = [c for k, c in enumerate(convexes) if k != i and k != j] + ([] if merged is None else [merged])
             continue
-        # drop convexes contained in another
-        for i in range(len(convexes)):
-            for j in range(len(convexes)):
-                if i != j and _convex_in_convex(convexes[i], convexes[j]):
-                    # i is inside j: i is redundant; on mutual containment
-                    # (equal convexes) keep the earlier index
-                    if i < j and _convex_in_convex(convexes[j], convexes[i]):
-                        continue
-                    convexes.pop(i)
-                    changed = True
-                    break
-            if changed:
-                break
-    return convexes
+        # drop the first convex contained in another; of two equal ones,
+        # the later
+        inner = next((i for i in range(n) for j in range(n) if i != j and _convex_in_convex(convexes[i], convexes[j])
+                      and not (i < j and _convex_in_convex(convexes[j], convexes[i]))), None)
+        if inner is None:
+            return convexes
+        convexes.pop(inner)
 
 
 def complement_convex_lists(rows: list[Row]) -> list[list[Row]]:
@@ -260,106 +234,131 @@ def complement_convex_lists(rows: list[Row]) -> list[list[Row]]:
     return [rows[:j] + [tuple(-v for v in rows[j])] for j in range(len(rows))]
 
 
-# -- the half-space table ----------------------------------------------------
+# -- the store's tables ------------------------------------------------------
 
 
-class _HalfSpaceTable:
-    """Every stored half-space as one row of columns nx, ny, nz, l, tagged
-    with its convex's slot; each slot records (regionID, convexID) and
-    whether the convex is still stored.
+class _Table:
+    """Equal-length numpy columns, of which the first n entries are in use.
+    append writes after entry n, moving a full column into a new array of
+    twice the capacity; it never rewrites an entry in use, so a slice taken
+    before it still holds the same values."""
 
-    Rows and slots are only appended, and dropped convexes are only marked
-    dead; the store discards the table for a full rebuild once dead
-    entries outnumber live ones. Appends and deaths queue in Python lists
-    (cheap per edit) and reach the arrays at the next query.
-    """
+    def __init__(self, **cols: np.ndarray):
+        self.names = tuple(cols)
+        self.__dict__.update(cols)
+        self.n = len(cols[self.names[0]])
 
-    def __init__(self, regions: dict[int, StoredRegion]):
-        self.slot_of: dict[tuple[int, int], int] = {}
-        self.slots = self.rows = 0  # in the arrays
-        self.slot_rid = np.empty(0, dtype=np.int64)
-        self.slot_cid = np.empty(0, dtype=np.int64)
-        self.alive = np.empty(0, dtype=bool)
-        self.row_slot = np.empty(0, dtype=np.int64)
-        self.nx, self.ny, self.nz, self.l = (np.empty(0) for _ in range(4))
-        self.new_slots: tuple[list, ...] = ([], [], [])  # rid, cid, alive
-        self.new_rows: tuple[list, ...] = ([], [], [], [], [])  # slot, nx, ny, nz, l
-        self.new_dead: list[int] = []
-        self.live = self.dead = 0  # entries (slots plus rows)
-        for rid, reg in regions.items():
-            for convex in reg.convexes:
-                self.add_convex(rid, convex)
-
-    def add_convex(self, rid: int, convex: StoredConvex) -> None:
-        rids, cids, alive = self.new_slots
-        self.slot_of[(rid, convex.convex_id)] = self.slots + len(rids)
-        rids.append(rid)
-        cids.append(convex.convex_id)
-        alive.append(True)
-        self.live += 1
-        for row in convex.constraints:
-            self.add_halfspace(rid, convex.convex_id, row)
-
-    def add_halfspace(self, rid: int, cid: int, row: Row) -> None:
-        """Queue one stored row (nx, ny, nz, l)."""
-        self.new_rows[0].append(self.slot_of[(rid, cid)])
-        for col, value in zip(self.new_rows[1:], row):
-            col.append(value)
-        self.live += 1
-
-    def retire(self, rid: int, convexes: list[StoredConvex]) -> None:
-        """Mark the slots of convexes that left region rid dead."""
-        for convex in convexes:
-            self.new_dead.append(self.slot_of.pop((rid, convex.convex_id)))
-            entries = 1 + len(convex.constraints)
-            self.live -= entries
-            self.dead += entries
-
-    def _append(self, names: tuple[str, ...], start: int, cols: tuple[list, ...]) -> int:
-        """Move queued column values into the arrays after index start,
-        doubling an array's capacity when it is full."""
-        end = start + len(cols[0])
-        for name, col in zip(names, cols):
-            arr = getattr(self, name)
+    def append(self, entries: list[tuple]) -> None:
+        """Write entries, each a tuple of a value per column."""
+        start, end = self.n, self.n + len(entries)
+        for name, values in zip(self.names, zip(*entries)):
+            arr = self.__dict__[name]
             if end > len(arr):
                 grown = np.empty(max(end, 2 * len(arr)), dtype=arr.dtype)
                 grown[:start] = arr[:start]
-                arr = grown
-                setattr(self, name, arr)
-            arr[start:end] = col
-            col.clear()
-        return end
+                self.__dict__[name] = arr = grown
+            arr[start:end] = values
+        self.n = end
 
-    def _flush(self) -> None:
-        if self.new_slots[0]:
-            self.slots = self._append(("slot_rid", "slot_cid", "alive"), self.slots, self.new_slots)
-        if self.new_rows[0]:
-            self.rows = self._append(("row_slot", "nx", "ny", "nz", "l"), self.rows, self.new_rows)
-        if self.new_dead:
-            self.alive[self.new_dead] = False
-            self.new_dead = []
 
-    def on_point(self, p: UnitVec3) -> list[tuple[int, int]]:
-        self._flush()
-        n, m = self.rows, self.slots
-        d = _dot(p.x, p.y, p.z, self.nx[:n], self.ny[:n], self.nz[:n])
-        excluded = np.bincount(self.row_slot[:n][d <= self.l[:n]], minlength=m)
-        hit = np.flatnonzero((excluded == 0) & self.alive[:m])
-        rid, cid = self.slot_rid[hit], self.slot_cid[hit]
-        order = np.lexsort((cid, rid))
-        return list(zip(rid[order].tolist(), cid[order].tolist()))
+@dataclass
+class _Region:
+    """A region table row; slots lists its convexes' slots in convex order."""
+
+    rtype: str
+    comment: str
+    next_convex_id: int = 1
+    slots: Sequence[int] = range(0)  # not (): numpy reads () as "every entry"
+
+
+class _RegionsView(Mapping):
+    """regionID -> StoredRegion, each record built when read and not kept."""
+
+    def __init__(self, store: "RegionStore"):
+        self._store = store
+
+    def __getitem__(self, rid: int) -> StoredRegion:
+        store, reg = self._store, self._store._regions[rid]
+        convexes = [StoredConvex(store._cid(slot), store._rows_of(slot)) for slot in reg.slots]
+        return StoredRegion(rid, reg.rtype, reg.comment, convexes, reg.next_convex_id)
+
+    def __iter__(self):
+        return iter(self._store._regions)
+
+    def __len__(self) -> int:
+        return len(self._store._regions)
 
 
 # -- the store ---------------------------------------------------------------
 
 
 class RegionStore:
-    """Mutable catalog of named regions. Single-writer, multi-reader."""
+    """Mutable catalog of named regions. Single-writer, multi-reader.
+
+    The paper's three tables: half-spaces as columns nx, ny, nz, l; per
+    convex slot, its regionID, convexID, first row, row count (a convex's
+    rows are contiguous) and whether it is stored; per region, its type,
+    comment, convexID counter and slots. A new convex is pending, its rows
+    a list, until a query writes all pending convexes at the tables' end
+    with one assignment per column (a numpy write costs several list
+    appends), so each half-space is held once. A constraint added to a
+    convex in the tables moves it to the end, pending again. Once dead
+    entries outnumber live ones, the next write rebuilds the tables from
+    columns() into new arrays: no slice a CompiledPredicate holds is ever
+    rewritten.
+    """
 
     def __init__(self):
-        self.regions: dict[int, StoredRegion] = {}
+        self._regions: dict[int, _Region] = {}  # in id order, as ids only rise
         self._next_region_id = 1
-        self._table: _HalfSpaceTable | None = None  # built by regions_on_point
+        none, no_ids = np.empty(0), np.empty(0, dtype=np.int64)
+        self._adopt({"region_id": no_ids, "convexes": no_ids, "convex_id": no_ids,
+                     "halfspaces": no_ids, "nx": none, "ny": none, "nz": none, "l": none})
+
+    @property
+    def regions(self) -> Mapping[int, StoredRegion]:
+        """A read-only view of the stored regions."""
+        return _RegionsView(self)
+
+    def _adopt(self, cols: dict) -> None:
+        """Make columns in columns()' layout the tables, taking the arrays
+        as they are; the regions, in id order, get consecutive slots."""
+        counts, per_region = cols["halfspaces"], cols["convexes"]
+        self._rows = _Table(**{k: np.asarray(cols[k], dtype=np.float64) for k in ("nx", "ny", "nz", "l")})
+        self._convexes = _Table(
+            rid=np.repeat(cols["region_id"], per_region),
+            cid=np.asarray(cols["convex_id"], dtype=np.int64),
+            first=np.cumsum(counts) - counts,
+            count=np.asarray(counts, dtype=np.int64),
+            alive=np.ones(len(counts), dtype=bool),
+        )
+        ends = np.cumsum(per_region).tolist()
+        for reg, start, end in zip(self._regions.values(), [0] + ends[:-1], ends):
+            reg.slots = range(start, end)
+        self._pending: list[list] = []  # [rid, cid, rows, alive] of slot self._convexes.n + index
+        self._dead = 0  # dead slots plus dead rows
+
+    def _flush(self) -> None:
+        """Write the pending convexes, and the live ones' rows, at the end of
+        the tables; rebuild them once dead entries outnumber live ones."""
+        if self._pending:
+            counts = [len(rows) if alive else 0 for _, _, rows, alive in self._pending]
+            firsts = accumulate(counts[:-1], initial=self._rows.n)
+            self._convexes.append([(rid, cid, first, count, alive) for (rid, cid, _, alive), first, count
+                                   in zip(self._pending, firsts, counts)])
+            self._rows.append([row for _, _, rows, alive in self._pending if alive for row in rows])
+            self._pending = []
+        if 2 * self._dead > self._rows.n + self._convexes.n:
+            self._dead = 0  # before columns(), which flushes again
+            self._adopt(self.columns())
+
+    def _pending_of(self, slot: int) -> list | None:
+        i = slot - self._convexes.n
+        return self._pending[i] if i >= 0 else None
+
+    def _cid(self, slot: int) -> int:
+        pending = self._pending_of(slot)
+        return self._convexes.cid.item(slot) if pending is None else pending[1]
 
     # construction
 
@@ -368,27 +367,31 @@ class RegionStore:
             raise RegionStoreError(
                 f"region type longer than {_MAX_TYPE_LEN} chars: {rtype!r}"
             )
+        try:
+            rtype.encode(), comment.encode()
+        except UnicodeEncodeError as exc:
+            raise RegionStoreError(f"region text is not valid UTF-8: {exc.object!r}") from None
         rid = self._next_region_id
         self._next_region_id += 1
-        self.regions[rid] = StoredRegion(rid, rtype, comment)
+        self._regions[rid] = _Region(rtype, comment)
         return rid
 
-    def _get(self, rid: int) -> StoredRegion:
+    def _get(self, rid: int) -> _Region:
         try:
-            return self.regions[rid]
+            return self._regions[rid]
         except KeyError:
             raise RegionStoreError(f"unknown regionID: {rid}") from None
 
     def region_new_convex(self, rid: int) -> int:
         self._add_convexes(rid, [[]])
-        return self.regions[rid].convexes[-1].convex_id
+        return self._regions[rid].next_convex_id - 1
 
     def region_new_convex_constraint(
         self, rid: int, cid: int, x: float, y: float, z: float, l: float
     ) -> int:
         reg = self._get(rid)
-        for convex in reg.convexes:
-            if convex.convex_id == cid:
+        for k, slot in enumerate(reg.slots):
+            if self._cid(slot) == cid:
                 break
         else:
             raise RegionStoreError(f"unknown convexID {cid} in region {rid}")
@@ -398,38 +401,42 @@ class RegionStore:
             normal = UnitVec3.normalized(x, y, z)
         except GeometryError as exc:
             raise RegionStoreError(f"constraint normal: {exc}") from None
-        row = (normal.x, normal.y, normal.z, float(l))
-        convex.constraints.append(row)
-        if self._table is not None:
-            self._table.add_halfspace(rid, cid, row)
-        return len(convex.constraints)
+        pending = self._pending_of(slot)
+        if pending is None:  # in the tables: the convex moves to the end, pending again
+            pending = [rid, cid, self._rows_of(slot), True]
+            self._retire([slot])
+            self._pending.append(pending)
+            reg.slots = [*reg.slots[:k], self._convexes.n + len(self._pending) - 1, *reg.slots[k + 1 :]]
+        pending[2].append((normal.x, normal.y, normal.z, float(l)))
+        return len(pending[2])
 
     def region_drop(self, rid: int) -> None:
         reg = self._get(rid)
-        del self.regions[rid]
-        self._retire(rid, reg.convexes)
+        del self._regions[rid]
+        self._retire(reg.slots)
 
-    def _retire(self, rid: int, convexes: list[StoredConvex]) -> None:
-        """Keep a built table current when convexes leave region rid."""
-        if self._table is None:
-            return
-        self._table.retire(rid, convexes)
-        if self._table.dead > self._table.live:
-            self._table = None  # compacted by the next query's full rebuild
+    def _retire(self, slots: Sequence[int]) -> None:
+        """Mark convexes dead; a pending one's rows are never written."""
+        for slot in slots:
+            pending = self._pending_of(slot)
+            if pending is None:
+                self._convexes.alive[slot] = False
+                self._dead += 1 + self._convexes.count.item(slot)
+            else:
+                pending[3] = False
+                self._dead += 1
 
     # boolean algebra
 
     def _add_convexes(self, rid: int, lists: list[list[Row]]) -> None:
-        """Store a copy of each list as a new convex of region rid, every
-        row kept bit for bit: they are valid already, so none is
-        normalized again."""
+        """Store each list as a new convex of region rid, every row kept
+        bit for bit: they are valid already, so none is normalized
+        again."""
         reg = self._get(rid)
-        for rows in lists:
-            convex = StoredConvex(reg.next_convex_id, list(rows))
-            reg.next_convex_id += 1
-            reg.convexes.append(convex)
-            if self._table is not None:
-                self._table.add_convex(rid, convex)
+        start = self._convexes.n + len(self._pending)
+        self._pending += [[rid, reg.next_convex_id + i, list(rows), True] for i, rows in enumerate(lists)]
+        reg.next_convex_id += len(lists)
+        reg.slots = [*reg.slots, *range(start, start + len(lists))]
 
     def region_new_from_convexes(self, lists: list[list[Row]], rtype: str, comment: str) -> int:
         """A new region whose convexes are the lists of rows, stored as given."""
@@ -437,10 +444,23 @@ class RegionStore:
         self._add_convexes(rid, lists)
         return rid
 
+    def _slices(self, slot: int) -> tuple[np.ndarray, ...]:
+        """The rows of a slot in the tables, as slices of nx, ny, nz, l."""
+        a = self._convexes.first.item(slot)
+        b = a + self._convexes.count.item(slot)
+        t = self._rows
+        return t.nx[a:b], t.ny[a:b], t.nz[a:b], t.l[a:b]
+
+    def _rows_of(self, slot: int) -> list[Row]:
+        pending = self._pending_of(slot)
+        if pending is not None:
+            return list(pending[2])
+        nx, ny, nz, l = self._slices(slot)
+        return list(zip(nx.tolist(), ny.tolist(), nz.tolist(), l.tolist()))
+
     def _convex_lists(self, rid: int) -> list[list[Row]]:
-        """The stored row lists of region rid's convexes, not copies: no
-        caller may mutate them."""
-        return [c.constraints for c in self._get(rid).convexes]
+        """The rows of region rid's convexes, in convex order."""
+        return [self._rows_of(slot) for slot in self._get(rid).slots]
 
     def region_or(self, id1: int, id2: int, rtype: str, comment: str = "") -> int:
         lists = self._convex_lists(id1) + self._convex_lists(id2)
@@ -453,28 +473,26 @@ class RegionStore:
         return self.region_new_from_convexes(lists, rtype, comment)
 
     def region_not(self, id1: int, rtype: str, comment: str = "") -> int:
-        sources = self._convex_lists(id1)
-        if not sources:
-            acc: list[list[Row]] = [[]]  # complement of empty is the sphere
-        else:
-            acc = complement_convex_lists(sources[0])
-            for cvx in sources[1:]:
-                comp = complement_convex_lists(cvx)
-                acc = [a + c for a in acc for c in comp]
+        acc: list[list[Row]] = [[]]  # the complement of the empty region is the sphere
+        for k, cvx in enumerate(self._convex_lists(id1)):
+            acc = [a + c for a in acc for c in complement_convex_lists(cvx)]
+            if k:
                 acc = simplify_region_geometry(acc)
         return self.region_new_from_convexes(acc, rtype, comment)
 
     def region_simplify(self, rid: int) -> None:
         reg = self._get(rid)
         reduced = simplify_region_geometry(self._convex_lists(rid))
-        self._retire(rid, reg.convexes)
-        reg.convexes = []
+        old, reg.slots = reg.slots, range(0)
+        self._retire(old)
         self._add_convexes(rid, reduced)
 
     # queries
 
     def geometry(self, rid: int) -> Region:
-        return self._get(rid).geometry()
+        return Region(tuple(
+            Convex(tuple(HalfSpace(UnitVec3(x, y, z), l) for x, y, z, l in rows)) for rows in self._convex_lists(rid)
+        ))
 
     def regions_on_point(self, p: UnitVec3) -> list[tuple[int, int]]:
         """(regionID, convexID) for every convex containing p, sorted.
@@ -482,21 +500,21 @@ class RegionStore:
         The paper's regions-containing-point query: for each convex, count
         the half-spaces that exclude p (p . n <= l); the convex contains p
         when that count is 0, so a convex with no constraints contains
-        every point. One pass over a table of every stored half-space
-        answers it, with the dot taken in `UnitVec3.dot`'s order, so the
-        hits are exactly those of `inside_convex`.
-
-        The table is built from `regions` on the first call, so loading or
-        importing a store costs nothing for it. From then on every mutator
-        keeps it current: new convexes and constraints append rows; drop
-        and simplify mark the old convexes dead (simplify then appends its
-        result). Edits queue these changes, and the next call moves them
-        into the arrays. Once dead entries outnumber live ones the table is
-        discarded and the next call rebuilds it.
+        every point. One pass over the half-space table answers it, with
+        the dot taken in `UnitVec3.dot`'s order, so the hits are exactly
+        those of `inside_convex`. Dead rows are scanned too; their slots
+        are masked out.
         """
-        if self._table is None:
-            self._table = _HalfSpaceTable(self.regions)
-        return self._table.on_point(p)
+        self._flush()
+        t, c = self._rows, self._convexes
+        n, m = t.n, c.n
+        outside = _dot(p.x, p.y, p.z, t.nx[:n], t.ny[:n], t.nz[:n]) <= t.l[:n]
+        before = np.concatenate(([0], np.cumsum(outside)))  # rows excluding p before each row
+        first = c.first[:m]
+        hit = np.flatnonzero((before[first + c.count[:m]] == before[first]) & c.alive[:m])
+        rid, cid = c.rid[hit], c.cid[hit]
+        order = np.lexsort((cid, rid))
+        return list(zip(rid[order].tolist(), cid[order].tolist()))
 
     def points_in_region(
         self, rid: int, objid: np.ndarray, ra: np.ndarray, dec: np.ndarray
@@ -525,27 +543,31 @@ class RegionStore:
         return objid[rows[mask]].tolist()
 
     def region_predicate(self, rid: int) -> CompiledPredicate:
-        reg = self._get(rid)
-        compiled = []
-        for convex in reg.convexes:
-            compiled.append(tuple(np.array(convex.constraints, dtype=np.float64).reshape(-1, 4).T))
-        return CompiledPredicate(tuple(compiled))
+        """The region's test, made of slices of the half-space table."""
+        self._flush()
+        return CompiledPredicate(tuple(self._slices(slot) for slot in self._get(rid).slots))
 
     # introspection / persistence
 
     def contains(self, rid: int, p: UnitVec3) -> bool:
-        """Whether p is in region rid, by its compiled predicate."""
-        point = (np.array([c]) for c in p.as_tuple())
-        return bool(self.region_predicate(rid).evaluate_columns(*point)[0])
+        """Whether p is in region rid: its rows tested one by one, in the
+        predicate's arithmetic."""
+        x, y, z = p.as_tuple()
+        return any(
+            all(_dot(x, y, z, nx, ny, nz) > l for nx, ny, nz, l in rows)
+            for rows in self._convex_lists(rid)
+        )
 
     def columns(self) -> dict[str, np.ndarray]:
         """The store as named columns: a row per region (in id order), per
         convex and per half-space, with each parent's count of children,
         and the id counters. A text is UTF-8 bytes plus a length column."""
-        regs = [self.regions[rid] for rid in sorted(self.regions)]
-        convexes = [c for reg in regs for c in reg.convexes]
-        rows = [row for c in convexes for row in c.constraints]
-        nx, ny, nz, l = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+        self._flush()
+        regs, c, hs = self._regions.values(), self._convexes, self._rows
+        slots = np.array([s for reg in regs for s in reg.slots], dtype=np.int64)
+        counts = c.count[slots]
+        first = np.cumsum(counts) - counts  # each convex's first row in the output
+        rows = np.repeat(c.first[slots] - first, counts) + np.arange(counts.sum())
         types = [reg.rtype.encode() for reg in regs]
         comments = [reg.comment.encode() for reg in regs]
 
@@ -554,19 +576,16 @@ class RegionStore:
 
         return {
             "next_region_id": np.int64(self._next_region_id),
-            "region_id": ints([reg.region_id for reg in regs]),
+            "region_id": ints(list(self._regions)),
             "next_convex_id": ints([reg.next_convex_id for reg in regs]),
-            "convexes": ints([len(reg.convexes) for reg in regs]),
+            "convexes": ints([len(reg.slots) for reg in regs]),
             "type_len": ints([len(t) for t in types]),
             "type_utf8": np.frombuffer(b"".join(types), dtype=np.uint8),
             "comment_len": ints([len(t) for t in comments]),
             "comment_utf8": np.frombuffer(b"".join(comments), dtype=np.uint8),
-            "convex_id": ints([c.convex_id for c in convexes]),
-            "halfspaces": ints([len(c.constraints) for c in convexes]),
-            "nx": nx,
-            "ny": ny,
-            "nz": nz,
-            "l": l,
+            "convex_id": c.cid[slots],
+            "halfspaces": counts,
+            **{name: getattr(hs, name)[rows] for name in ("nx", "ny", "nz", "l")},
         }
 
     @classmethod
@@ -576,7 +595,8 @@ class RegionStore:
         rows it nests, the region and convex ids rise within their parent
         from 1 to below its counter, and each half-space row holds a
         finite normal with |n|^2 within _NORM2_TOL of 1 and a length in
-        [-1, 1]. Builds no geometry objects."""
+        [-1, 1]; a text that is not UTF-8 raises UnicodeDecodeError. The
+        columns become the tables as they are, with no object per row."""
         nesting = (
             (cols["convexes"], cols["convex_id"]),
             (cols["halfspaces"], cols["nx"]),
@@ -605,25 +625,17 @@ class RegionStore:
                 "region columns hold a non-unit normal or a length outside [-1, 1]"
             )
 
-        rows = list(zip(nx.tolist(), ny.tolist(), nz.tolist(), l.tolist()))
-        convexes = [
-            StoredConvex(cid, constraints)
-            for cid, constraints in zip(cols["convex_id"].tolist(), _split(rows, cols["halfspaces"]))
-        ]
         types = _split(cols["type_utf8"].tobytes(), cols["type_len"])
         comments = _split(cols["comment_utf8"].tobytes(), cols["comment_len"])
         store = cls()
         store._next_region_id = int(cols["next_region_id"])
-        store.regions = {
-            rid: StoredRegion(rid, rtype.decode(), comment.decode(), region_convexes, next_cid)
-            for rid, rtype, comment, region_convexes, next_cid in zip(
-                region_ids.tolist(),
-                types,
-                comments,
-                _split(convexes, cols["convexes"]),
-                cols["next_convex_id"].tolist(),
+        store._regions = {
+            rid: _Region(rtype.decode(), comment.decode(), next_cid)
+            for rid, rtype, comment, next_cid in zip(
+                region_ids.tolist(), types, comments, cols["next_convex_id"].tolist()
             )
         }
+        store._adopt(cols)
         return store
 
 

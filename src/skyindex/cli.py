@@ -238,10 +238,9 @@ def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
     if args.region_cmd == "drop":
         store.region_drop(args.id)
         return "dropped", {"id": args.id}
-    reg = store.regions.get(args.id)
-    before = 0 if reg is None else len(reg.convexes)
-    store.region_simplify(args.id)  # raises on an unknown id
-    after = len(store.regions[args.id].convexes)
+    before = len(store.geometry(args.id).convexes)  # raises on an unknown id
+    store.region_simplify(args.id)
+    after = len(store.geometry(args.id).convexes)
     return "simplified", {"id": args.id, "convexes_before": before, "convexes_after": after}
 
 
@@ -276,16 +275,15 @@ def cmd_region(args, out: Output) -> int:
         out.record("predicate", region=args.id, text=pred.text)
     elif args.region_cmd == "show":
         if args.id is not None:
-            reg = store.regions.get(args.id)
-            if reg is None:
-                raise RegionStoreError(f"unknown regionID: {args.id}")
+            spec = regionspec.serialize_region(store.geometry(args.id))  # raises on an unknown id
+            reg = store.regions[args.id]
             out.record(
                 "region",
                 id=reg.region_id,
                 type=reg.rtype,
                 comment=reg.comment,
                 convexes=len(reg.convexes),
-                spec=regionspec.serialize_region(reg.geometry()),
+                spec=spec,
             )
             for convex in reg.convexes:
                 for hid, (x, y, z, l) in enumerate(convex.constraints, 1):
@@ -300,8 +298,7 @@ def cmd_region(args, out: Output) -> int:
                         l=l,
                     )
         else:
-            for rid in sorted(store.regions):
-                reg = store.regions[rid]
+            for rid, reg in store.regions.items():  # in id order
                 out.record(
                     "region",
                     id=rid,

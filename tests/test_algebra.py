@@ -16,6 +16,7 @@ from skyindex.algebra import (
     RegionStoreError,
     complement_convex_lists,
     simplify_convex,
+    simplify_region_geometry,
 )
 from skyindex.catalog import Catalog
 from skyindex.pyramid import bounding_circle
@@ -426,9 +427,9 @@ class TestSimplify:
         for text, region in corpus_regions:
             rid = add_region(store, region)
             store.region_simplify(rid)
-            first = store.regions[rid].geometry()
+            first = store.geometry(rid)
             store.region_simplify(rid)
-            assert store.regions[rid].geometry() == first, text
+            assert store.geometry(rid) == first, text
 
     def test_simplify_convex_unit(self):
         h1 = (0.0, 0.0, 1.0, 0.0)
@@ -559,7 +560,28 @@ class TestQueries:
         cid = store.region_new_convex(rid)
         store.region_new_convex_constraint(rid, cid, 0, 0, 1, 0.0)
         pred = store.region_predicate(rid)
+        text = pred.text
+        xyz = np.array([p.as_tuple() for p in sample_sphere(rng, 200)])
+        want = pred.evaluate_batch(xyz)
+        table = store._rows
+        # appends that grow the half-space table, moves, then drops that
+        # compact it; each query writes the pending convexes in
+        normals = sample_sphere(rng, 400)
+        others = [
+            store.region_new_from_convexes([[(*n.as_tuple(), 0.5)] * 3], "o", "") for n in normals[:200]
+        ]
+        store.regions_on_point(normals[0])
+        for rid2, n in zip(others[:50], normals[200:250]):
+            store.region_new_convex_constraint(rid2, 1, n.x, n.y, n.z, -0.5)
+        store.regions_on_point(normals[1])
+        assert store._rows is table and len(table.nx) > 512 and store._dead > 0
         store.region_drop(rid)
+        for rid2 in others:
+            store.region_drop(rid2)
+        store.regions_on_point(normals[2])
+        assert store._rows is not table and store._rows.n == 0
+        assert pred.text == text
+        assert (pred.evaluate_batch(xyz) == want).all()
         assert evaluate_at(pred, UnitVec3(0, 0, 1))
 
 
@@ -778,7 +800,7 @@ class TestPointsInBand:
             store.points_in_region(99, objid, ra, dec)
 
 
-# -- the half-space table behind regions_on_point ----------------------------
+# -- the store's tables behind regions_on_point ------------------------------
 
 
 def brute_on_point(store, p):
@@ -797,6 +819,10 @@ EDGE_POINTS = [UnitVec3(0.0, 0.0, 1.0), UnitVec3(0.0, 0.0, -1.0)] + [
 ]
 
 
+def live_rows(store):
+    return sum(len(c.constraints) for reg in store.regions.values() for c in reg.convexes)
+
+
 class TestHalfSpaceTable:
     def assert_matches(self, store, points):
         for p in points:
@@ -806,44 +832,64 @@ class TestHalfSpaceTable:
         rids = [add_region(store, region) for _, region in corpus_regions[:8]]
         points = EDGE_POINTS + sample_sphere(rng, 60)
         self.assert_matches(store, points)
-        table = store._table
+        tables = store._rows, store._convexes
         a = store.region_or(rids[0], rids[1], "or")
         b = store.region_and(rids[2], rids[3], "and")
         c = store.region_not(rids[4], "not")
         store.region_simplify(a)
         store.region_simplify(c)
+        store.regions_on_point(points[0])  # writes the pending convexes into the tables
         cid = store.region_new_convex(b)
         store.region_new_convex_constraint(b, cid, 0.0, 0.0, 1.0, 0.25)
+        store.region_new_convex_constraint(b, 1, 0.0, 1.0, 0.0, -0.5)  # moves convex 1 to the end
         store.region_new_convex(store.region_new("sphere"))
         store.region_drop(rids[5])
-        assert store._table is table  # no edit above asked for a rebuild
+        assert (store._rows, store._convexes) == tables  # no edit above asked for a rebuild
+        assert store._dead > 0
         self.assert_matches(store, points)
 
     def test_compaction_once_dead_outnumber_live(self, store, corpus_regions, rng):
         rids = [add_region(store, region) for _, region in corpus_regions[:10]]
         points = EDGE_POINTS + sample_sphere(rng, 40)
         self.assert_matches(store, points)
+        table = store._rows
         for rid in rids[:-1]:
             store.region_drop(rid)
-            if store._table is None:
+            store.regions_on_point(points[0])  # a query writes and compacts
+            if store._rows is not table:
                 break
         else:
-            pytest.fail("dropping 9 of 10 regions never compacted the table")
+            pytest.fail("dropping 9 of 10 regions never compacted the tables")
         self.assert_matches(store, points)
-        live_rows = sum(
-            len(c.constraints) for reg in store.regions.values() for c in reg.convexes
-        )
-        assert store._table.rows == live_rows and store._table.dead == 0
+        assert store._rows.n == live_rows(store) and store._dead == 0
+        assert store._convexes.alive[: store._convexes.n].all()
 
-    def test_loaded_store_builds_on_first_query(self, store, corpus_regions, rng, tmp_path):
+    def test_records_are_copies(self, store):
+        rid = store.region_new_from_convexes([[(0.0, 0.0, 1.0, 0.5)]], "cap", "")
+        for _ in range(2):  # a pending convex, then one in the tables
+            store.regions[rid].convexes[0].constraints.append((1.0, 0.0, 0.0, 0.0))
+            assert store.regions[rid].convexes[0].constraints == [(0.0, 0.0, 1.0, 0.5)]
+            store.regions_on_point(UnitVec3(0.0, 0.0, 1.0))
+
+    def test_loaded_store_adopts_its_columns(self, store, corpus_regions, rng, tmp_path):
         for _, region in corpus_regions[:6]:
             add_region(store, region)
-        store.regions_on_point(EDGE_POINTS[0])
+        store.region_drop(2)
+        cols = store.columns()
+        adopted = RegionStore.from_columns(cols)
+        assert all(getattr(adopted._rows, k) is cols[k] for k in ("nx", "ny", "nz", "l"))
         path = str(tmp_path / "s.snap")
         save_state(AppState(regions=store), path)
         loaded = load_state(path).regions
-        assert loaded._table is None
-        self.assert_matches(loaded, EDGE_POINTS + sample_sphere(rng, 40))
+        assert loaded._rows.n == live_rows(store) and loaded._dead == 0
+        points = EDGE_POINTS + sample_sphere(rng, 40)
+        self.assert_matches(loaded, points)
+        # rows written after a load go into new arrays, not the adopted ones
+        nx = cols["nx"].copy()
+        rid = adopted.region_new_from_convexes([[(0.0, 0.0, 1.0, 0.5)]], "cap", "")
+        assert adopted.contains(rid, UnitVec3(0.0, 0.0, 1.0))
+        self.assert_matches(adopted, points)
+        assert adopted._rows.nx is not cols["nx"] and cols["nx"].tobytes() == nx.tobytes()
 
 
 def _sky_vectors():
@@ -856,15 +902,42 @@ _PICK = st.integers(0, 1 << 20)
 
 
 class RegionStoreMachine(RuleBasedStateMachine):
-    """Random edit sequences; after every step regions_on_point must equal
-    inside_convex over the whole store, at poles, on the ra = 0 meridian,
-    at random points and at points lying exactly on a stored boundary."""
+    """Random edit sequences; after every step the store must hold what a
+    plain model of its regions holds, and regions_on_point, contains and
+    each region's predicate must equal inside_convex over the whole store,
+    at poles, on the ra = 0 meridian, at random points and at points lying
+    exactly on a stored boundary; a save and load must give back the same
+    columns."""
 
     def __init__(self):
         super().__init__()
         self.store = RegionStore()
+        self.model: dict[int, list] = {}  # rid -> [next convex id, [(convex id, rows)]]
         self.points = list(EDGE_POINTS)
         self.tmp = tempfile.mkdtemp()
+
+    def stored(self, rid, lists):
+        """Record in the model that region rid gained convexes of these rows."""
+        entry = self.model.setdefault(rid, [1, []])
+        for rows in lists:
+            entry[1].append((entry[0], list(rows)))
+            entry[0] += 1
+
+    def rows(self, rid):
+        return [rows for _, rows in self.model[rid][1]]
+
+    def constrain(self, rid, cid, x, y, z, l):
+        hid = self.store.region_new_convex_constraint(rid, cid, x, y, z, l)
+        rows = dict(self.model[rid][1])[cid]
+        n = UnitVec3.normalized(x, y, z)
+        rows.append((n.x, n.y, n.z, float(l)))
+        assert hid == len(rows)
+
+    def new_convex_of(self, rid):
+        cid = self.store.region_new_convex(rid)
+        assert cid == self.model[rid][0]
+        self.stored(rid, [[]])
+        return cid
 
     def teardown(self):
         shutil.rmtree(self.tmp, ignore_errors=True)
@@ -875,20 +948,19 @@ class RegionStoreMachine(RuleBasedStateMachine):
 
     @rule()
     def new_region(self):
-        self.store.region_new("r")
+        self.stored(self.store.region_new("r"), [])
 
     @precondition(lambda self: self.store.regions)
     @rule(k=_PICK)
     def new_convex(self, k):
-        self.store.region_new_convex(self.pick(k))
+        self.new_convex_of(self.pick(k))
 
     def _add_constraint(self, k, j, n, l):
         rid = self.pick(k, lambda reg: reg.convexes and len(reg.convexes) <= 6)
         if rid is None:
             return
         convexes = self.store.regions[rid].convexes
-        cid = convexes[j % len(convexes)].convex_id
-        self.store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, l)
+        self.constrain(rid, convexes[j % len(convexes)].convex_id, n.x, n.y, n.z, l)
 
     @precondition(lambda self: self.store.regions)
     @rule(k=_PICK, j=_PICK, n=_sky_vectors(), l=st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]))
@@ -907,10 +979,21 @@ class RegionStoreMachine(RuleBasedStateMachine):
             return
         if fresh:
             rid = self.pick(k)
-            cid = self.store.region_new_convex(rid)
-            self.store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, p.dot(n))
+            self.constrain(rid, self.new_convex_of(rid), n.x, n.y, n.z, p.dot(n))
         else:
             self._add_constraint(k, j, n, p.dot(n))
+
+    @precondition(lambda self: self.store.regions)
+    @rule(k=_PICK, j=_PICK, n=_sky_vectors(), l=st.floats(-1.0, 1.0))
+    def constraint_before_a_later_convex(self, k, j, n, l):
+        """A constraint on a convex that a later convex with rows follows,
+        so that the convex moves to the end of the half-space table."""
+        rid = self.pick(k, lambda reg: reg.convexes and len(reg.convexes) <= 6)
+        if rid is None:
+            return
+        self.constrain(rid, self.new_convex_of(rid), n.x, n.y, n.z, l)
+        convexes = self.store.regions[rid].convexes
+        self.constrain(rid, convexes[j % (len(convexes) - 1)].convex_id, -n.x, -n.y, -n.z, -l)
 
     @rule(p=_sky_vectors())
     def add_point(self, p):
@@ -924,8 +1007,11 @@ class RegionStoreMachine(RuleBasedStateMachine):
         id1, id2 = self.pick(a, small), self.pick(b, small)
         if id1 is None or id2 is None:
             return
-        method = self.store.region_or if op == "or" else self.store.region_and
-        method(id1, id2, op)
+        if op == "or":
+            self.stored(self.store.region_or(id1, id2, op), self.rows(id1) + self.rows(id2))
+        else:
+            lists = [a + b for a in self.rows(id1) for b in self.rows(id2)]
+            self.stored(self.store.region_and(id1, id2, op), lists)
 
     @precondition(lambda self: self.store.regions)
     @rule(k=_PICK)
@@ -933,12 +1019,18 @@ class RegionStoreMachine(RuleBasedStateMachine):
         rid = self.pick(k, lambda reg: len(reg.convexes) <= 2
                         and all(len(c.constraints) <= 3 for c in reg.convexes))
         if rid is not None:
-            self.store.region_not(rid, "not")
+            acc = [[]]
+            for i, rows in enumerate(self.rows(rid)):
+                acc = [a + c for a in acc for c in complement_convex_lists(rows)]
+                acc = simplify_region_geometry(acc) if i else acc
+            self.stored(self.store.region_not(rid, "not"), acc)
 
     @precondition(lambda self: self.store.regions)
     @rule(k=_PICK)
     def drop(self, k):
-        self.store.region_drop(self.pick(k))
+        rid = self.pick(k)
+        self.store.region_drop(rid)
+        del self.model[rid]
 
     @precondition(lambda self: self.store.regions)
     @rule(k=_PICK)
@@ -946,17 +1038,44 @@ class RegionStoreMachine(RuleBasedStateMachine):
         rid = self.pick(k, lambda reg: len(reg.convexes) <= 12)
         if rid is not None:
             self.store.region_simplify(rid)
+            reduced = simplify_region_geometry(self.rows(rid))
+            self.model[rid][1] = []
+            self.stored(rid, reduced)
 
     @rule()
     def save_and_load(self):
         path = os.path.join(self.tmp, "state.snap")
+        saved = self.store.columns()
         save_state(AppState(regions=self.store), path)
         self.store = load_state(path).regions
+        loaded = self.store.columns()
+        assert list(loaded) == list(saved)
+        for name, col in saved.items():
+            a, b = np.asarray(loaded[name]), np.asarray(col)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @invariant()
+    def store_holds_the_model(self):
+        held = {
+            rid: [reg.next_convex_id, [(c.convex_id, c.constraints) for c in reg.convexes]]
+            for rid, reg in self.store.regions.items()
+        }
+        assert held == self.model
 
     @invariant()
     def on_point_matches_inside_convex(self):
         for p in self.points:
             assert self.store.regions_on_point(p) == brute_on_point(self.store, p)
+
+    @invariant()
+    def contains_and_predicate_match_inside_convex(self):
+        for rid, reg in self.store.regions.items():
+            convexes = [Convex(tuple(c.halfspaces())) for c in reg.convexes]
+            pred = self.store.region_predicate(rid)
+            for p in self.points:
+                want = any(inside_convex(c, p) for c in convexes)
+                assert self.store.contains(rid, p) is want
+                assert evaluate_at(pred, p) is want
 
 
 RegionStoreMachine.TestCase.settings = settings(

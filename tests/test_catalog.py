@@ -615,6 +615,19 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="region columns"):
             load_state(path)
 
+    @pytest.mark.parametrize("column", ["type_utf8", "comment_utf8"])
+    def test_region_text_not_utf8_refused(self, tmp_path, column):
+        store = RegionStore()
+        store.region_new("ab", "cd")
+        store.region_new("é", "ü")
+        cols = store.columns()
+        cols[column] = cols[column].copy()
+        cols[column][-1] = 0xFF  # the second region's text: a lead byte cut short
+        path = tmp_path / "s.snap"
+        write_sections(path, regions=cols)
+        with pytest.raises(SnapshotError, match="decode"):
+            load_state(path)
+
     @pytest.mark.parametrize("column, value", [
         ("region_id", [1, 1]),  # two regions under one id
         ("region_id", [0, 1]),  # ids start at 1

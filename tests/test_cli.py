@@ -312,6 +312,19 @@ class TestRegionCli:
             assert [l for l in captured.out.splitlines() if not l.startswith("config ")] == []
         assert os.stat(snap).st_ino == inode
 
+    @pytest.mark.parametrize("flags", [
+        ["--type", "b", "--comment", "\udcff"],  # how Python passes argv byte 0xff
+        ["--type", "a\udcff"],
+    ])
+    def test_text_not_utf8_exit_4(self, capsys, snap, flags):
+        run(capsys, "--snapshot", snap, "region", "new", "--type", "cap",
+            "--from", "CONVEX 0 0 1 0.5")
+        before = Path(snap).read_bytes()
+        code = main(["--snapshot", snap, "region", "new", *flags])
+        err = capsys.readouterr().err
+        assert code == 4 and "not valid UTF-8" in err and "Traceback" not in err
+        assert Path(snap).read_bytes() == before
+
     def test_predicate_of_an_empty_convex_is_true(self, capsys, snap):
         # a convex with no constraint holds every point
         run(capsys, "--snapshot", snap, "region", "new", "--type", "all")
