@@ -11,32 +11,19 @@ from functools import cached_property
 import numpy as np
 
 from . import htm
-from .geom import (
-    Convex,
-    Region,
-    SkyPoint,
-    UnitVec3,
-    buffer_halfspace,
-    circle_to_halfspace,
-    sky_to_vec,
-    sky_to_xyz,
-)
+from .geom import SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec, sky_to_xyz
 from .zones import check_rows, cone_matches, gather_runs
 
 
 DEFAULT_HTM_DEPTH = 20
 
-# The mesh cone search covers its circle grown by this much, in degrees,
-# so that the cover holds every row the chord test accepts: a cap's
-# l = cos(r) cannot tell a radius below ~1e-6 degrees from 0. A region's
-# points-in scan widens its dec band by the same pad.
+# The mesh cone search keeps the trixels that may meet its circle grown by
+# this much, in degrees, as a region's points-in scan widens its dec band.
 COVER_PAD_DEG = 1e-5
 
-# The mesh cone search refines its cover no deeper than the shallowest
-# depth at which an average trixel holds at most this many rows: below it,
-# classifying a trixel costs more than the rows it trims from the chord
-# test. An in-process sweep put the fastest depth at 100 to 600 rows per
-# trixel for uniform catalogs of 20k, 200k and 1M rows.
+# The mesh cone search's trixel table is at the shallowest depth at which
+# an average trixel holds at most this many rows. Sweeps of 20k, 200k and
+# 1M uniform rows put the fastest depth at 100 to 600 rows per trixel.
 ROWS_PER_TRIXEL = 256
 
 
@@ -83,6 +70,23 @@ class Catalog:
     def htm_sorted_ids(self) -> np.ndarray:
         """Mesh ids in htm_order(), ascending (cached)."""
         return self._htm_index[1]
+
+    @cached_property
+    def _trixel_table(self) -> tuple[np.ndarray, ...]:
+        """htm_cone_search's columns of the trixels at _table_depth, in id
+        order: htm._bounding_cap's centroid (rows of an array) and rho, the
+        cosine and sine of rho + htm._CAP_MARGIN, and the run [start, end)
+        of rows in htm_order(), the last ending at len(self): at
+        htm.MAX_DEPTH the bound after it would wrap uint64."""
+        depth = _table_depth(len(self), self.htm_depth)
+        corners = htm.trixel_corners(depth)
+        c = corners.sum(axis=0)  # the sums and products of _bounding_cap, in its order
+        c /= np.sqrt((c * c).sum(axis=0))
+        rho = np.arccos(np.minimum((c * corners).sum(axis=1).min(axis=0), 1.0))
+        ids = self.htm_sorted_ids()
+        start = ids.searchsorted(np.arange(8 << 2 * depth, 16 << 2 * depth, dtype=ids.dtype) << 2 * (self.htm_depth - depth))
+        padded = rho + htm._CAP_MARGIN
+        return c.T.copy(), rho, np.cos(padded), np.sin(padded), start, np.append(start[1:], len(self))
 
     @classmethod
     def from_columns(cls, objid, ra, dec, htm_depth: int) -> "Catalog":
@@ -195,6 +199,10 @@ def _read_csv_lines(path) -> tuple[list[int], list[float], list[float]]:
     ras: list[float] = []
     decs: list[float] = []
     seen: dict[int, int] = {}
+
+    def error(msg: str) -> CatalogError:  # names the line being read
+        return CatalogError(f"{path}:{lineno}: {msg}")
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         _check_header(path, fh.readline())
         for lineno, line in enumerate(fh, start=2):
@@ -203,39 +211,27 @@ def _read_csv_lines(path) -> tuple[list[int], list[float], list[float]]:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise CatalogError(
-                    f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}"
-                )
+                raise error(f"expected 3 comma-separated fields, got {len(parts)}")
             try:
                 objid = int(parts[0].strip())
             except ValueError:
-                raise CatalogError(
-                    f"{path}:{lineno}: column 1: invalid objID {parts[0].strip()!r}"
-                ) from None
+                raise error(f"column 1: invalid objID {parts[0].strip()!r}") from None
             if not -(1 << 63) <= objid < 1 << 63:
-                raise CatalogError(f"{path}:{lineno}: column 1: objID outside the int64 range: {objid}")
+                raise error(f"column 1: objID outside the int64 range: {objid}")
             values = []
             for col, text in enumerate(parts[1:], start=2):
                 try:
                     value = float(text.strip())
                 except ValueError:
-                    raise CatalogError(
-                        f"{path}:{lineno}: column {col}: invalid number {text.strip()!r}"
-                    ) from None
+                    raise error(f"column {col}: invalid number {text.strip()!r}") from None
                 if not math.isfinite(value):
-                    raise CatalogError(
-                        f"{path}:{lineno}: column {col}: non-finite number {text.strip()!r}"
-                    )
+                    raise error(f"column {col}: non-finite number {text.strip()!r}")
                 values.append(value)
             ra, dec = values
             if not (-90.0 <= dec <= 90.0):
-                raise CatalogError(
-                    f"{path}:{lineno}: dec out of range [-90, 90]: {dec!r}"
-                )
+                raise error(f"dec out of range [-90, 90]: {dec!r}")
             if objid in seen:
-                raise CatalogError(
-                    f"{path}:{lineno}: duplicate objID {objid} (first at line {seen[objid]})"
-                )
+                raise error(f"duplicate objID {objid} (first at line {seen[objid]})")
             seen[objid] = lineno
             ids.append(objid)
             ras.append(ra)  # from_arrays normalizes into [0, 360)
@@ -244,51 +240,37 @@ def _read_csv_lines(path) -> tuple[list[int], list[float], list[float]]:
 
 
 def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:
-    """Cone search through the mesh index: cover the circle with at most
-    20 trixel ranges, search all of them at once in the id-sorted catalog,
-    gather their rows with zones.gather_runs, then run zones.cone_matches'
-    exact chord test. Gives what zones.nearby_objects gives, distances
-    included.
+    """Cone search through the mesh index: keep each trixel of the
+    catalog's _trixel_table whose centroid is within theta + rho +
+    htm._CAP_MARGIN of the centre (every one once that reaches pi), theta =
+    r + COVER_PAD_DEG, gather the kept runs (zones.gather_runs), then run
+    zones.cone_matches' exact chord test. Gives what zones.nearby_objects
+    gives, distances included; a zero radius matches nothing.
 
-    The cover is of the circle grown by COVER_PAD_DEG, and stops at
-    _cover_depth, set by the radius, the catalog's density and its mesh
-    depth: finer trixels would trim fewer rows than they cost to classify,
-    and the chord test makes the answer exact at any depth. A zero radius
-    matches nothing and covers nothing.
-
-    The range bounds are shifted to the catalog's depth in the ids' own
-    dtype: at htm.MAX_DEPTH that is uint64, where the last face's
-    ((hi + 1) << shift) - 1 wraps through 2^64 to the right bound.
-    """
+    The kept runs hold every hit: a row's id is its geometric trixel
+    (htm.point_to_id), which lies in its cap, as the cap holds its corners
+    and rho is under 90 degrees. The rounding of the dot, of the angle-sum
+    cosine and of rho moves the compared angle by at most a few 1e-8
+    radians, even near 0 or pi, far below _CAP_MARGIN. The centre's own
+    trixel is always kept, so some run is."""
     r = float(radius)
     v = sky_to_vec(center)
-    h = circle_to_halfspace(v, r)
+    circle_to_halfspace(v, r)  # refuses a radius outside [0, 180]
     if r == 0:
         return []
-    region = Region((Convex((buffer_halfspace(h, COVER_PAD_DEG),)),))
-    ranges = htm.cover(region, max_ranges=20, max_depth=_cover_depth(len(cat), r, cat.htm_depth))
-    if not ranges:
-        return []
-    sorted_ids = cat.htm_sorted_ids()
-    bounds = np.array(ranges, dtype=sorted_ids.dtype)
-    shift = 2 * (cat.htm_depth - htm.id_depth(ranges[0][0]))
-    a = sorted_ids.searchsorted(bounds[:, 0] << shift, side="left")
-    b = sorted_ids.searchsorted(((bounds[:, 1] + 1) << shift) - 1, side="right")
-    _, rows = gather_runs(a, b)
+    centroid, rho, cos_padded, sin_padded, start, end = cat._trixel_table
+    theta = math.radians(r + COVER_PAD_DEG)
+    bound = math.cos(theta) * cos_padded - math.sin(theta) * sin_padded
+    keep = (centroid @ v.as_tuple() >= bound) | (rho >= math.pi - htm._CAP_MARGIN - theta)
+    _, rows = gather_runs(start[keep], end[keep])
     return cone_matches(cat, cat.htm_order()[rows], v.x, v.y, v.z, r)
 
 
-def _cover_depth(rows: int, r: float, htm_depth: int) -> int:
-    """htm_cone_search's cover depth for a catalog of the given rows and
-    mesh depth and a radius of r degrees: the least of htm_depth, the
-    radius depth ceil(log2(90 / (r + COVER_PAD_DEG))), where a trixel is
-    about the circle's size, and the density depth, the shallowest d at
-    which an average trixel, one of 8 * 4^d, holds at most ROWS_PER_TRIXEL
-    rows. A catalog of at most 8 * ROWS_PER_TRIXEL rows gets depth 0."""
-    radius_depth = max(0, math.ceil(math.log2(90.0 / (r + COVER_PAD_DEG))))
-    per_face = max(1, -(-rows // (8 * ROWS_PER_TRIXEL)))  # trixels each face needs
-    density_depth = ((per_face - 1).bit_length() + 1) // 2  # ceil(log4(per_face))
-    return min(htm_depth, radius_depth, density_depth)
+def _table_depth(rows: int, htm_depth: int) -> int:
+    """The lesser of htm_depth and the shallowest depth d at which an average
+    trixel, one of 8 * 4^d, holds at most ROWS_PER_TRIXEL of the rows."""
+    per_face = -(-max(rows, 1) // (8 * ROWS_PER_TRIXEL))  # trixels each face needs
+    return min(htm_depth, ((per_face - 1).bit_length() + 1) // 2)  # ceil(log4(per_face))
 
 
 def random_catalog(n: int, seed: int) -> Catalog:

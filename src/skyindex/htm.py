@@ -59,18 +59,27 @@ def base_trixels() -> list[Trixel]:
     return [Trixel(*(UnitVec3(*c) for c in corners)) for corners in FACE_CORNERS]
 
 
-def _mid(a, b):
+def _mid(a, b, sqrt=math.sqrt):
     x, y, z = a[0] + b[0], a[1] + b[1], a[2] + b[2]
-    n = math.sqrt(x * x + y * y + z * z)
+    n = sqrt(x * x + y * y + z * z)
     return (x / n, y / n, z / n)
 
 
-def _children(corners):
+def _children(corners, sqrt=math.sqrt):  # on floats, or on columns with np.sqrt
     v0, v1, v2 = corners
-    w0 = _mid(v1, v2)
-    w1 = _mid(v2, v0)
-    w2 = _mid(v0, v1)
+    w0 = _mid(v1, v2, sqrt)
+    w1 = _mid(v2, v0, sqrt)
+    w2 = _mid(v0, v1, sqrt)
     return ((v0, w2, w1), (v1, w0, w2), (v2, w1, w0), (w0, w1, w2))
+
+
+def trixel_corners(depth: int) -> np.ndarray:
+    """_corners_of_id of every trixel at depth, bit for bit, as a (corner,
+    component, trixel) array: column k is id (8 << 2 * depth) + k."""
+    corners = np.array(FACE_CORNERS).transpose(1, 2, 0)
+    for _ in range(depth):  # child digit fastest, as in the ids
+        corners = np.array(_children(corners, np.sqrt)).transpose(1, 2, 3, 0).reshape(3, 3, -1)
+    return corners
 
 
 def subdivide(t: Trixel) -> list[Trixel]:

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -747,8 +747,27 @@ def band_case(draw):
     return store, rid, np.array(ra, dtype=np.float64), np.array(dec, dtype=np.float64)
 
 
+def pole_lens_case():
+    """band_case's draw of the AND of two 1-arcmin circles at (0, 90) and
+    (0, 89.998046875), with a row at each centre and its ladder rows. The
+    normals' 1 - d^2 is 1.2e-9, and a bounding circle from vertices formed
+    through d alone missed most of the lens: points-in kept 2 of 8 rows."""
+    store, ra, dec = RegionStore(), [], []
+    ladder = [0.0, 1e-9, 1e-8, 1e-7, 5e-7, 9e-7, 2e-6]
+    rids = []
+    for dec_c in (90.0, 89.998046875):
+        for d in [dec_c] + [dec_c + s * (1 / 60 + o) for o in ladder + [-o for o in ladder[1:]] for s in (1.0, -1.0)]:
+            if -90.0 <= d <= 90.0:
+                ra.append(0.0)
+                dec.append(d)
+        rids.append(add_region(store, compile_region_string(circle_text(0.0, dec_c, 1.0))))
+    rid = store.region_and(*rids, "and")
+    return store, rid, np.array(ra), np.array(dec)
+
+
 class TestPointsInBand:
     @given(band_case())
+    @example(pole_lens_case())
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_band_matches_whole_catalog(self, case):
         store, rid, ra, dec = case

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import struct
 import zlib
@@ -6,7 +7,7 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skyindex import catalog as catmod
@@ -296,18 +297,13 @@ class TestBulkParse:
 
 
 @pytest.fixture
-def covers(monkeypatch):
-    """(max_depth, ranges) of each htm.cover call, recorded through the
-    module attribute that htm_cone_search calls."""
-    calls = []
-    cover = htm.cover
+def no_cover(monkeypatch):
+    """htm.cover made to fail: the mesh cone search answers from its
+    catalog's trixel table and never covers."""
+    def refuse(*args, **kw):
+        raise AssertionError("htm_cone_search called htm.cover")
 
-    def recorded(region, **kw):
-        calls.append((kw["max_depth"], cover(region, **kw)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(htm, "cover", recorded)
-    return calls
+    monkeypatch.setattr(htm, "cover", refuse)
 
 
 class TestHtmConeSearch:
@@ -319,28 +315,28 @@ class TestHtmConeSearch:
         (2049, 1e-3, 20, 1),
         (200_000, 1e-3, 20, 4),
         (1_000_000, 1e-3, 20, 5),
-        (1_000_000, 60.0, 20, 1),
+        (1_000_000, 60.0, 20, 5),
         (1_000_000, 1e-3, 3, 3),
     ])
     def test_cover_depth(self, rows, r, htm_depth, depth):
-        # the least of the catalog's depth, the radius depth and the
-        # shallowest depth d at which an average trixel, one of 8 * 4^d,
-        # holds at most ROWS_PER_TRIXEL = 256 rows
+        # the trixel table's depth: the lesser of the catalog's depth and
+        # the shallowest depth d at which an average trixel, one of 8 * 4^d,
+        # holds at most ROWS_PER_TRIXEL = 256 rows; the radius plays no part
         assert catmod.ROWS_PER_TRIXEL == 256
-        assert catmod._cover_depth(rows, r, htm_depth) == depth
+        assert catmod._table_depth(rows, htm_depth) == depth
 
     @pytest.mark.parametrize("rows, htm_depth, radii, depth", [
         (1000, 20, (0.01, 1.0), 0),  # every row fits one trixel per face
         (2000, htm.MAX_DEPTH, (0.01, 1.0), 0),
-        (50000, 20, (0.01, 1.0), 3),  # the radius depth is 7 or more
-        (50000, 20, (46.0, 89.0), 1),  # 90 / r is below 2, the density depth 3
+        (50000, 20, (0.01, 1.0), 3),
+        (50000, 20, (46.0, 89.0), 3),  # 90 / r is below 2: the radius does not bind
         (50000, 2, (0.01, 1.0), 2),
     ], ids=["density-0", "density-0-uint64", "density-3", "radius", "catalog-depth"])
-    def test_matches_oracle(self, rng, covers, rows, htm_depth, radii, depth):
-        # each bound of the cover depth binds in some case. The first
+    def test_matches_oracle(self, rng, no_cover, rows, htm_depth, radii, depth):
+        # each bound of the table depth binds in some case. The first
         # centre, face 15's centroid, lies at every depth in the all-3
-        # trixel, the mesh's last id, so its cover ends there; at depth 30
-        # the end bound ((hi + 1) << shift) - 1 passes through 2^64 in uint64
+        # trixel, the mesh's last id, whose run is the table's last; at
+        # depth 30 the bound after it would wrap uint64
         cat = random_catalog(rows, seed=31)
         cat = catmod.from_arrays(cat.objid, cat.ra, cat.dec, htm_depth=htm_depth)
         centres = [SkyPoint(315.0, -math.degrees(math.asin(1.0 / math.sqrt(3.0))))]
@@ -352,8 +348,8 @@ class TestHtmConeSearch:
         for center in centres:
             r = float(rng.uniform(*radii))
             assert htm_cone_search(cat, center, r) == oracle.cone_scan(cat, center, r)
-        assert {d for d, _ in covers} == {depth}
-        assert covers[0][1][-1][1] == (16 << 2 * depth) - 1
+        _, rho, _, _, _, end = cat._trixel_table
+        assert len(rho) == 8 << 2 * depth and end[-1] == rows
 
     def test_sorted_ids_cached(self):
         cat = random_catalog(500, seed=4)
@@ -388,14 +384,14 @@ class TestHtmConeSearch:
         assert (hi + 1) << 2 * (htm.MAX_DEPTH - htm.id_depth(hi)) == 1 << 64
 
     @pytest.mark.parametrize("depth", [0, 3, 20, 25, 30])
-    def test_cover_depth_from_radius_matches_oracle(self, depth):
+    def test_cover_depth_from_radius_matches_oracle(self, no_cover, depth):
         # 2360 rows hold more than ROWS_PER_TRIXEL per trixel only at
-        # depth 0, so the cover stops at depth 1 from the density, or
-        # shallower at the catalog's depth 0 or a radius of 45 degrees or
-        # more. Radii go down to r = 1e-9 and r = 0, around centres at the
-        # poles, at ra = 0, on a face corner and on a face's centroid, each
-        # with rows from 1e-10 to 10 degrees away. Without the pad, the
-        # covers for r = 1e-9 and 1e-8 miss rows (cos r rounds to 1)
+        # depth 0, so the trixel table has depth 1 from the density, or 0
+        # at the catalog's depth 0, whatever the radius. Radii go down to
+        # r = 1e-9 and r = 0, around centres at the poles, at ra = 0, on a
+        # face corner and on a face's centroid, each with rows from 1e-10
+        # to 10 degrees away. Without the pad, r = 1e-9 and 1e-8 would
+        # rest on the cap margin alone
         rng = np.random.default_rng(16)
         centres = [(0.0, 90.0), (0.0, -90.0), (0.0, 10.0), (math.nextafter(360.0, 0.0), -20.0),
                    (90.0, 0.0), (45.0, math.degrees(math.asin(1.0 / math.sqrt(3.0))))]
@@ -407,6 +403,7 @@ class TestHtmConeSearch:
             ra.append(cra + off * np.sin(az) / max(math.cos(math.radians(cdec)), 1e-3))
             dec.append(d)
         cat = catmod.from_arrays(np.arange(2360), np.concatenate(ra), np.concatenate(dec), htm_depth=depth)
+        assert catmod._table_depth(len(cat), depth) == min(depth, 1)
         radii = (0.0, 1e-9, 1e-8, 1e-5, 1e-3, 0.01, 0.3, 1.0, 30.0, 90.0, 120.0, 180.0)
         for cra, cdec in centres:
             for r in radii:
@@ -429,6 +426,101 @@ class TestHtmConeSearch:
                 assert got == zones.nearby_objects(table, center, r)
                 found += len(got)
         assert found > 400
+
+
+def trixel_vertices(depth):
+    """(ra, dec) arrays of the corners of every trixel at depth, each once:
+    at depth d + 1, the corners and edge midpoints of the trixels at d."""
+    corners = htm.trixel_corners(depth).transpose(0, 2, 1).reshape(-1, 3)
+    x, y, z = np.unique(corners, axis=0).T
+    return np.degrees(np.arctan2(y, x)) % 360.0, np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
+
+
+# rows (0, -90) and (0, -90 + r): their dec difference rounds to above r,
+# their distance, 2.9340329224674164, is below it
+POLE_PAIR_R = 2.93403292246742
+
+# the corners and edge midpoints of the trixels of every table that
+# mesh_catalog's sizes give (depth 0 or 1)
+TABLE_VERTICES = list(zip(*(a.tolist() for a in trixel_vertices(2))))
+
+
+@functools.cache
+def mesh_catalog(rows, htm_depth):
+    """(catalog, zone table) of the given rows and mesh depth: first the
+    pole pair, rows at ra 0 and 359.9999999, and every table vertex with
+    rows 1e-9, 1e-6 and 1e-3 degrees from it, then uniform rows."""
+    rng = np.random.default_rng(rows)
+    vra, vdec = (np.array(c) for c in zip(*TABLE_VERTICES))
+    off = np.repeat([[1e-9, 1e-6, 1e-3]], len(vra), axis=0).ravel()
+    az = rng.uniform(0.0, 2.0 * np.pi, off.size)
+    jdec = np.clip(np.repeat(vdec, 3) + off * np.cos(az), -90.0, 90.0)
+    jra = np.repeat(vra, 3) + off * np.sin(az) / np.maximum(np.cos(np.radians(jdec)), 1e-3)
+    ra = np.concatenate([[0.0, 0.0, 0.0, 359.9999999, 0.0, 359.9999999], vra, jra, rng.uniform(0.0, 360.0, rows)])
+    dec = np.concatenate([[-90.0, -90.0 + POLE_PAIR_R, 90.0, 0.0, 30.0, -60.0], vdec, jdec,
+                          np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, rows)))])
+    cat = catmod.from_arrays(np.arange(rows), ra[:rows], dec[:rows], htm_depth=htm_depth)
+    return cat, zones.build_zone_table(cat, zones.ZoneConfig())
+
+
+_MESH_CENTRE = st.one_of(
+    st.sampled_from(TABLE_VERTICES + [(0.0, 90.0), (0.0, -90.0), (0.0, 0.0), (359.9999999, 30.0), (0.0, -60.0)]),
+    st.tuples(st.floats(0.0, 360.0, exclude_max=True), st.floats(-90.0, 90.0)),
+)
+_MESH_RADIUS = st.one_of(
+    st.sampled_from([1e-9, 1e-6, 1e-3, 0.5, 45.0, 90.0, 135.0, 179.999, 180.0]),
+    st.floats(-9.0, math.log10(180.0)).map(lambda e: min(180.0, 10.0**e)),
+)
+
+
+class TestTrixelTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0, 1, 2048, 2049]), st.sampled_from([0, 20, htm.MAX_DEPTH]), _MESH_CENTRE, _MESH_RADIUS)
+    @example(2048, 20, (0.0, -90.0), POLE_PAIR_R)
+    @example(2049, htm.MAX_DEPTH, (0.0, -90.0 + POLE_PAIR_R), POLE_PAIR_R)
+    def test_mesh_search_equals_nearby_objects(self, rows, htm_depth, centre, r):
+        # catalogs at table depth 0 (up to 2048 rows, or mesh depth 0) and
+        # 1, centres on and next to the table's corners and edges, at the
+        # poles and on ra 0: ids and distances equal, bit for bit
+        cat, table = mesh_catalog(rows, htm_depth)
+        center = SkyPoint(*centre)
+        assert htm_cone_search(cat, center, r) == zones.nearby_objects(table, center, r)
+
+    @pytest.mark.parametrize("rows, htm_depth", [(0, 20), (2049, 0), (2049, 20), (200_000, 20), (200_000, htm.MAX_DEPTH), (50_000, 2)])
+    def test_runs_and_caps(self, rows, htm_depth):
+        cat = random_catalog(rows, seed=9)
+        cat = catmod.from_arrays(cat.objid, cat.ra, cat.dec, htm_depth=htm_depth)
+        depth = catmod._table_depth(rows, htm_depth)
+        centroid, rho, cos_padded, sin_padded, start, end = cat._trixel_table
+        ids = np.arange(8 << 2 * depth, 16 << 2 * depth)
+        assert len(rho) == len(ids)
+        # the runs partition [0, len(cat)) in id order, each holding the
+        # rows whose mesh id lies in its trixel
+        assert start[0] == 0 and end[-1] == rows and (start[1:] == end[:-1]).all() and (start <= end).all()
+        run = np.repeat(np.arange(len(ids)), end - start)
+        assert ((cat.htm_sorted_ids() >> 2 * (htm_depth - depth)).astype(np.int64) == ids[run]).all()
+        # every row of a run lies within its trixel's cap, by the chord
+        rows_xyz = np.stack([cat.x, cat.y, cat.z], axis=1)[cat.htm_order()]
+        chord = np.sqrt(((rows_xyz - centroid[run]) ** 2).sum(axis=1))
+        assert (chord <= 2.0 * np.sin(rho[run] / 2.0) + 1e-15).all()
+        # each cap is htm._bounding_cap's
+        for k, hid in enumerate(ids.tolist()):
+            c, r = htm._bounding_cap(htm._corners_of_id(hid))
+            assert np.abs(centroid[k] - c).max() <= 1e-15 and abs(rho[k] - r) <= 1e-15
+        assert (cos_padded == np.cos(rho + htm._CAP_MARGIN)).all() and (sin_padded == np.sin(rho + htm._CAP_MARGIN)).all()
+
+    def test_built_once_per_catalog(self, monkeypatch):
+        calls = []
+        corners = htm.trixel_corners
+        monkeypatch.setattr(htm, "trixel_corners", lambda depth: calls.append(depth) or corners(depth))
+        cat = random_catalog(5000, seed=3)
+        for ra in range(0, 360, 20):
+            htm_cone_search(cat, SkyPoint(ra, 10.0), 5.0)
+        table = cat._trixel_table
+        htm_cone_search(cat, SkyPoint(0.0, -90.0), 180.0)
+        assert calls == [1] and cat._trixel_table is table
+        htm_cone_search(random_catalog(100, seed=3), SkyPoint(0.0, 0.0), 1.0)
+        assert calls == [1, 0]
 
 
 class TestSnapshot:

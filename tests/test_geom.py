@@ -26,6 +26,7 @@ from skyindex.geom import (
     negate_halfspace,
     sky_to_vec,
     vec_to_sky,
+    _plane_pair_points,
 )
 from skyindex.algebra import _contains_cap, _disjoint_caps
 from skyindex.catalog import htm_cone_search, random_catalog
@@ -342,6 +343,56 @@ class TestCapRelations:
         far = row(UnitVec3(0, 0, -1), 20.0)
         assert _disjoint_caps(small, far)
         assert not _disjoint_caps(big, small)
+
+
+def mp_plane_pair_points(h1, h2):
+    """_plane_pair_points at 50 digits, for the normals' exact directions."""
+    with mpmath.workdps(50):
+        def unit(v):
+            v = [mpmath.mpf(c) for c in v.as_tuple()]
+            n = mpmath.sqrt(sum(c * c for c in v))
+            return [c / n for c in v]
+
+        n1, n2 = unit(h1.normal), unit(h2.normal)
+        d = sum(a * b for a, b in zip(n1, n2))
+        alpha = (h1.l - h2.l * d) / (1 - d * d)
+        beta = (h2.l - h1.l * d) / (1 - d * d)
+        q = [alpha * a + beta * b for a, b in zip(n1, n2)]
+        c = [n1[1] * n2[2] - n1[2] * n2[1], n1[2] * n2[0] - n1[0] * n2[2], n1[0] * n2[1] - n1[1] * n2[0]]
+        g = mpmath.sqrt((1 - sum(x * x for x in q)) / sum(x * x for x in c))
+        return [[float(a + s * g * b) for a, b in zip(q, c)] for s in (1, -1)]
+
+
+class TestPlanePairPoints:
+    # two 1-arcmin circles at the pole, 0.00195 degrees apart: their
+    # normals' 1 - d^2 is 1.2e-9, and the form through d put the lens
+    # vertices at y = +-1.70e-5 instead of +-2.904e-4
+    POLE_LENS = (
+        HalfSpace(UnitVec3(6.123233995736766e-17, 0.0, 1.0), 0.9999999576920253),
+        HalfSpace(UnitVec3(3.4088461946422855e-05, 0.0, 0.9999999994189884), 0.9999999576920253),
+    )
+
+    def test_pole_lens_vertices(self):
+        got = _plane_pair_points(*self.POLE_LENS)
+        assert [p.y for p in got] == pytest.approx([2.904e-4, -2.904e-4], rel=1e-3)
+        for p, w in zip(got, mp_plane_pair_points(*self.POLE_LENS)):
+            assert max(abs(x - y) for x, y in zip(p.as_tuple(), w)) < 1e-13
+
+    @pytest.mark.parametrize("ra, dec", [(0.0, 90.0), (0.0, 0.0), (359.9999999, -45.0), (123.4, -89.99)])
+    @pytest.mark.parametrize("radius", [1 / 60, 1.0, 20.0])
+    @pytest.mark.parametrize("part", [1e-3, 0.1, 0.5, 1.5])
+    def test_vertices_match_mpmath(self, ra, dec, radius, part):
+        # two circles whose centres lie part of the first's radius apart,
+        # of one radius or the second larger by half that distance, so
+        # that they cross: each vertex within 1e-12 of the 50-digit one
+        a = sky_to_vec(SkyPoint(ra, dec))
+        b = rotate_toward(a, radius * part, 1.0)
+        for r2 in (radius, radius * (1.0 + part / 2.0)):
+            h1, h2 = circle_to_halfspace(a, radius), circle_to_halfspace(b, r2)
+            got = _plane_pair_points(h1, h2)
+            assert len(got) == 2
+            for p, w in zip(got, mp_plane_pair_points(h1, h2)):
+                assert max(abs(x - y) for x, y in zip(p.as_tuple(), w)) < 1e-12, (p, w)
 
 
 class TestEnclosingCap:

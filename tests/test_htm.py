@@ -96,6 +96,14 @@ class TestSubdivide:
         assert kids[1].v0 == t.v1
         assert kids[2].v0 == t.v2
 
+    @pytest.mark.parametrize("depth", range(5))
+    def test_trixel_corners_in_id_order(self, depth):
+        # column k holds the corners of id (8 << 2 depth) + k, bit for bit
+        corners = htm.trixel_corners(depth)
+        assert corners.shape == (3, 3, 8 << 2 * depth)
+        for k in range(corners.shape[2]):
+            assert tuple(map(tuple, corners[:, :, k].tolist())) == htm._corners_of_id((8 << 2 * depth) + k)
+
 
 class TestPointToId:
     def test_depth_zero_northern(self):
