@@ -196,6 +196,18 @@ def generate_corpus_specs(seed: int, count: int) -> list[str]:
     return specs
 
 
+def add_region(store, region, rtype="r", comment=""):
+    """Store a compiled Region's constraints as a new region; its id."""
+    rid = store.region_new(rtype, comment)
+    for convex in region.convexes:
+        cid = store.region_new_convex(rid)
+        for h in convex.constraints:
+            store.region_new_convex_constraint(
+                rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
+            )
+    return rid
+
+
 def membership_with_guard(region, p, guard=1e-11):
     """inside_region, or None when p sits within the guard band of any
     constraint boundary (strict-inequality edges are legitimately unstable)."""

@@ -33,23 +33,12 @@ from skyindex.geom import (
 from skyindex.regionspec import compile_region_string
 from skyindex.snapshot import AppState, load_state, save_state
 
-from conftest import _convex_poly_points, generate_corpus_specs, membership_with_guard, sample_sphere
+from conftest import _convex_poly_points, add_region, generate_corpus_specs, membership_with_guard, sample_sphere
 
 
 @pytest.fixture
 def store():
     return RegionStore()
-
-
-def add_region(store, region, rtype="r", comment=""):
-    rid = store.region_new(rtype, comment)
-    for convex in region.convexes:
-        cid = store.region_new_convex(rid)
-        for h in convex.constraints:
-            store.region_new_convex_constraint(
-                rid, cid, h.normal.x, h.normal.y, h.normal.z, h.l
-            )
-    return rid
 
 
 def sky_columns(ra, dec):

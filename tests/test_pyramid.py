@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyindex import oracle, pyramid, zones
+from skyindex.algebra import RegionStore
 from skyindex.geom import (
     Convex,
     HalfSpace,
@@ -13,6 +15,7 @@ from skyindex.geom import (
     SkyPoint,
     UnitVec3,
     arc_distance_deg,
+    euclidean_miniball,
     inside_region,
     sky_to_vec,
 )
@@ -27,7 +30,15 @@ from skyindex.pyramid import (
 from skyindex.regionspec import compile_region_string
 from skyindex.snapshot import AppState, load_state, save_state
 
-from conftest import edge_dec, edge_ra, near_max_radius, sample_cap, sample_sphere
+from conftest import (
+    add_region,
+    edge_dec,
+    edge_ra,
+    generate_corpus_specs,
+    near_max_radius,
+    sample_cap,
+    sample_sphere,
+)
 
 
 class TestConfig:
@@ -492,6 +503,97 @@ class TestBoundingCircle:
         for p in sample_cap(rng, UnitVec3(0, 0, 1), 30.0, 3000):
             if inside_region(region, p):
                 assert arc_distance_deg(center, p) <= radius + 1e-9
+
+
+# -- bounding circles: pinned bits, the miniball ------------------------------
+
+
+def bounding_circle_digest(regions) -> str:
+    h = hashlib.sha256()
+    for region in regions:
+        center, radius = bounding_circle(region)
+        h.update(repr((center.as_tuple(), radius)).encode())
+    return h.hexdigest()
+
+
+def seeded_edit_regions(seed: int, edits: int) -> list[Region]:
+    """Every nonempty region of a seeded run: grammar shapes and circles
+    that meet, then or/and/not/simplify edits with multi-convex results."""
+    rng = np.random.default_rng(seed)
+    store = RegionStore()
+    for text in generate_corpus_specs(seed=seed, count=150):
+        add_region(store, compile_region_string(text))
+    for _ in range(60):
+        ra, dec = float(rng.uniform(0, 360)), float(rng.uniform(-90, 90))
+        arcmin = float(10.0 ** rng.uniform(-2, 3))
+        a = add_region(store, compile_region_string(f"CIRCLE J2000 {ra!r} {dec!r} {arcmin!r}"))
+        shift = min(90.0, max(-90.0, dec + float(rng.uniform(-1.5, 1.5)) * arcmin / 60.0))
+        b = add_region(store, compile_region_string(f"CIRCLE J2000 {ra!r} {shift!r} {arcmin!r}"))
+        store.region_and(a, b, "lens")
+    for _ in range(edits):
+        rids = [rid for rid in sorted(store.regions) if len(store.regions[rid].convexes) <= 4]
+        a, b = (rids[int(rng.integers(len(rids)))] for _ in range(2))
+        op = int(rng.integers(4))
+        if op == 0:
+            store.region_or(a, b, "or")
+        elif op == 1:
+            store.region_and(a, b, "and")
+        elif op == 2 and len(store.regions[a].convexes) <= 2:
+            store.region_not(a, "not")
+        elif op == 3:
+            store.region_simplify(a)
+    regions = [store.geometry(rid) for rid in sorted(store.regions)]
+    return [r for r in regions if r.convexes]
+
+
+class TestBoundingCircleBits:
+    # Digests of repr((center.as_tuple(), radius)) for every region, taken
+    # at commit 6e350b2, before the bounding circle ran on rows: each
+    # center and radius keeps its bits.
+    def test_corpus_shapes(self):
+        regions = [compile_region_string(t) for t in generate_corpus_specs(seed=7, count=2000)]
+        want = "5b3a41ce56594d1a9d2e7e78ad4d271ce6f2a0e041a2d57a0928337d84625a97"
+        assert bounding_circle_digest(r for r in regions if r.convexes) == want
+
+    def test_seeded_edit_run(self):
+        regions = seeded_edit_regions(seed=28, edits=600)
+        assert sum(len(r.convexes) > 1 for r in regions) > 200
+        assert bounding_circle_digest(regions) == "bd3381f7f44907fd1a47901ee875cb61e58238e1875d950e95c839d418c6d555"
+
+
+def miniball_sets() -> dict[str, list[tuple[float, float, float]]]:
+    """Seeded point sets of more than 400 points, which take the sample and
+    violator loop: general, on the sphere, and degenerate."""
+    rng = np.random.default_rng(401)
+    center = sky_to_vec(SkyPoint(33.0, -12.0))
+    cap = [p.as_tuple() for p in sample_cap(rng, center, 20.0, 400)]
+    t = np.linspace(0.0, 2.0 * math.pi, 450, endpoint=False)
+    tilt = math.radians(23.4)
+    return {
+        "401": [tuple(p) for p in rng.normal(size=(401, 3)).tolist()],
+        "1500": [p.as_tuple() for p in sample_cap(rng, center, 40.0, 1500)],
+        "duplicates": [p for p in cap[:60] for _ in range(8)],
+        "antipodal": cap + [center.as_tuple(), center.negated().as_tuple()],
+        "great_circle": [
+            (c, s * math.cos(tilt), s * math.sin(tilt)) for c, s in zip(np.cos(t).tolist(), np.sin(t).tolist())
+        ],
+    }
+
+
+class TestMiniballLargeSets:
+    def test_sound(self):
+        for name, pts in miniball_sets().items():
+            assert len(pts) > 400
+            c, r = euclidean_miniball(pts)
+            for p in pts:
+                assert math.dist(c, p) <= r * (1 + 1e-10) + 1e-12, name
+
+    def test_bits(self):
+        # taken at commit 6e350b2, with Welzl's algorithm recursive
+        h = hashlib.sha256()
+        for name, pts in miniball_sets().items():
+            h.update(repr((name, euclidean_miniball(pts))).encode())
+        assert h.hexdigest() == "c6df8806011b4191874bd631d8362881bb460bbbb7a6e545b01fb8edee167145"
 
 
 # -- oracle property on small pyramids at the zone-scan edges ----------------
