@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import COVER_PAD_DEG
-from .geom import Convex, GeometryError, HalfSpace, Region, UnitVec3, sky_to_xyz
-from .pyramid import bounding_circle
+from .geom import Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, radius_deg, sky_to_xyz
+from .pyramid import bounding_circle_rows
 
 _TOL_DEG = 1e-9
 _MAX_TYPE_LEN = 16
@@ -46,8 +46,6 @@ _MAX_TYPE_LEN = 16
 # 3.4e-6 degrees (at l = 1), which with the 2.6e-6 degree rounding of
 # p . n > l stays inside points_in_region's COVER_PAD_DEG of 1e-5 degrees.
 _NORM2_TOL = 16 * 2.0**-52
-
-Row = tuple[float, float, float, float]  # one half-space: (nx, ny, nz, l)
 
 
 class RegionStoreError(ValueError):
@@ -125,27 +123,12 @@ class CompiledPredicate:
 # -- geometric simplification on rows (shared by the store and NOT) ---------
 
 
-def _radius_deg(h: Row) -> float:
-    """`HalfSpace.radius_deg` of a row."""
-    return math.degrees(math.acos(h[3]))
-
-
-def _arc_deg(a: Row, b: Row) -> float:
-    """`geom.arc_distance_deg` between two rows' normals, in its operation
-    order."""
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    dz = a[2] - b[2]
-    half_chord = 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
-    return math.degrees(2.0 * math.asin(min(1.0, half_chord)))
-
-
 def _contains_cap(outer: Row, inner: Row) -> bool:
-    return _arc_deg(outer, inner) + _radius_deg(inner) <= _radius_deg(outer) + _TOL_DEG
+    return arc_deg(outer, inner) + radius_deg(inner) <= radius_deg(outer) + _TOL_DEG
 
 
 def _disjoint_caps(a: Row, b: Row) -> bool:
-    return _arc_deg(a, b) >= _radius_deg(a) + _radius_deg(b) - _TOL_DEG
+    return arc_deg(a, b) >= radius_deg(a) + radius_deg(b) - _TOL_DEG
 
 
 def simplify_convex(rows: list[Row]) -> list[Row] | None:
@@ -532,11 +515,11 @@ class RegionStore:
         rounding of p . n > l (a few 1e-6 degrees near l = 1). dec_c comes
         from atan2, which keeps its precision next to the poles.
         """
-        geometry = self.geometry(rid)
-        if not geometry.convexes:
+        convexes = self._convex_lists(rid)
+        if not convexes:
             return []
-        center, radius = bounding_circle(geometry)
-        dec_c = math.degrees(math.atan2(center.z, math.hypot(center.x, center.y)))
+        (cx, cy, cz), radius = bounding_circle_rows(convexes)
+        dec_c = math.degrees(math.atan2(cz, math.hypot(cx, cy)))
         rows = np.flatnonzero(np.abs(dec - dec_c) <= radius + COVER_PAD_DEG)
         x, y, z = sky_to_xyz(ra[rows], dec[rows])
         mask = self.region_predicate(rid).evaluate_columns(x, y, z)

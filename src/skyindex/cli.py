@@ -30,7 +30,7 @@ from .pyramid import (
     PyramidConfig,
     PyramidError,
     PyramidIndex,
-    bounding_circle,
+    bounding_circle_rows,
     overlap_search,
 )
 from .regionspec import RegionCompileError, RegionSyntaxError
@@ -316,12 +316,12 @@ def cmd_pyramid_build(args, out: Output) -> int:
     idx = PyramidIndex(cfg)
     skipped = 0
     for rid in sorted(state.regions.regions):
-        geometry = state.regions.geometry(rid)
-        if not geometry.convexes:
+        convexes = state.regions._convex_lists(rid)
+        if not convexes:
             skipped += 1
             continue
-        center, radius = bounding_circle(geometry)
-        sky = vec_to_sky(center)
+        center, radius = bounding_circle_rows(convexes)
+        sky = vec_to_sky(UnitVec3(*center))
         idx.insert(rid, sky, max(radius, cfg.base_zone_height / 2))
     state.pyramid = idx
     save_state(state, args.snapshot)

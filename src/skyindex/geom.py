@@ -15,13 +15,18 @@ around boundaries.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 
 UNIT_NORM_TOL = 1e-12
+
+Vec = tuple[float, float, float]  # a point on the unit sphere: (x, y, z)
+Row = tuple[float, float, float, float]  # one half-space: (nx, ny, nz, l)
 
 
 class GeometryError(ValueError):
@@ -54,6 +59,33 @@ class SkyPoint:
         object.__setattr__(self, "dec", float(self.dec))
 
 
+def _check_unit(x: float, y: float, z: float) -> None:
+    n2 = x * x + y * y + z * z
+    # `not <=` rather than `>`, so that a NaN norm fails it too
+    if not (abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL):
+        raise GeometryError(f"not a unit vector: norm^2 = {n2!r}")
+
+
+def normalized_xyz(x: float, y: float, z: float) -> Vec:
+    """(x, y, z) scaled to unit length, checked as UnitVec3 checks."""
+    n2 = x * x + y * y + z * z
+    # `not <=` so that a NaN sum takes this branch too
+    if not (sys.float_info.min <= n2 < math.inf):
+        # the squares overflowed or underflowed: divide by the largest
+        # component first, so the sum lies in [1, 3]
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise GeometryError(f"cannot normalize a vector that is not finite: {(x, y, z)!r}")
+        m = max(abs(x), abs(y), abs(z))
+        if m == 0.0:
+            raise GeometryError("cannot normalize the zero vector")
+        x, y, z = x / m, y / m, z / m
+        n2 = x * x + y * y + z * z
+    n = math.sqrt(n2)
+    v = (x / n, y / n, z / n)
+    _check_unit(*v)
+    return v
+
+
 @dataclass(frozen=True)
 class UnitVec3:
     """A point on the unit sphere. Construction rejects non-unit input."""
@@ -66,27 +98,11 @@ class UnitVec3:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        # `not <=` rather than `>`, so that a NaN norm fails it too
-        if not (abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL):
-            raise GeometryError(f"not a unit vector: norm^2 = {n2!r}")
+        _check_unit(self.x, self.y, self.z)
 
     @staticmethod
     def normalized(x: float, y: float, z: float) -> "UnitVec3":
-        n2 = x * x + y * y + z * z
-        # `not <=` so that a NaN sum takes this branch too
-        if not (sys.float_info.min <= n2 < math.inf):
-            # the squares overflowed or underflowed: divide by the largest
-            # component first, so the sum lies in [1, 3]
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise GeometryError(f"cannot normalize a vector that is not finite: {(x, y, z)!r}")
-            m = max(abs(x), abs(y), abs(z))
-            if m == 0.0:
-                raise GeometryError("cannot normalize the zero vector")
-            x, y, z = x / m, y / m, z / m
-            n2 = x * x + y * y + z * z
-        n = math.sqrt(n2)
-        return UnitVec3(x / n, y / n, z / n)
+        return UnitVec3(*normalized_xyz(x, y, z))
 
     def dot(self, other: "UnitVec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -117,10 +133,6 @@ class HalfSpace:
         if not (-1.0 - 1e-9 <= l <= 1.0 + 1e-9):
             raise GeometryError(f"half-space length out of [-1, 1]: {l!r}")
         object.__setattr__(self, "l", min(1.0, max(-1.0, l)))
-
-    def radius_deg(self) -> float:
-        """Angular radius of the cap in degrees."""
-        return math.degrees(math.acos(self.l))
 
 
 @dataclass(frozen=True)
@@ -183,17 +195,28 @@ def inside_region(r: Region, p: UnitVec3) -> bool:
     return any(inside_convex(c, p) for c in r.convexes)
 
 
-def arc_distance_deg(a: UnitVec3, b: UnitVec3) -> float:
-    """Arc distance in degrees via the chord: 2 asin(|a - b| / 2).
+def arc_deg(a, b) -> float:
+    """Arc distance in degrees between a and b, each (x, y, z) or a row's
+    normal (nx, ny, nz, l), via the chord: 2 asin(|a - b| / 2).
 
     Stable for very small separations, where acos of the dot product loses
     all precision.
     """
-    dx = a.x - b.x
-    dy = a.y - b.y
-    dz = a.z - b.z
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dz = a[2] - b[2]
     half_chord = 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
     return math.degrees(2.0 * math.asin(min(1.0, half_chord)))
+
+
+def arc_distance_deg(a: UnitVec3, b: UnitVec3) -> float:
+    """arc_deg of two UnitVec3."""
+    return arc_deg(a.as_tuple(), b.as_tuple())
+
+
+def radius_deg(h: Row) -> float:
+    """Angular radius in degrees of a row's cap."""
+    return math.degrees(math.acos(h[3]))
 
 
 def circle_to_halfspace(center: UnitVec3, radius) -> HalfSpace:
@@ -229,27 +252,27 @@ def negate_halfspace(h: HalfSpace) -> HalfSpace:
 _NEAR_PARALLEL = 1e-2
 
 
-def _plane_pair_points(h1: HalfSpace, h2: HalfSpace) -> list[UnitVec3]:
-    """The (0, 1, or 2) unit-sphere points on both cap boundary planes,
+def _plane_pair_points(h1: Row, h2: Row) -> list[Vec]:
+    """The (0, 1, or 2) unit-sphere points on both rows' boundary planes,
     q +- g (n1 x n2) with q = alpha n1 + beta n2. For near-parallel normals,
     alpha, beta and 1 - |q|^2 are written through e = 1 - d, the last as
     ((1 - d)(1 + d) - (l1 - l2)^2 - 2 l1 l2 (1 - d)) / (1 - d^2)."""
-    n1, n2, l1, l2 = h1.normal, h2.normal, h1.l, h2.l
-    d = n1.dot(n2)
+    (n1x, n1y, n1z, l1), (n2x, n2y, n2z, l2) = h1, h2
+    d = n1x * n2x + n1y * n2y + n1z * n2z
     denom = 1.0 - d * d
     if denom <= 1e-14:
         return []
     if denom < _NEAR_PARALLEL:
-        e = 0.5 * ((n1.x - n2.x) ** 2 + (n1.y - n2.y) ** 2 + (n1.z - n2.z) ** 2)
+        e = 0.5 * ((n1x - n2x) ** 2 + (n1y - n2y) ** 2 + (n1z - n2z) ** 2)
         denom = e * (2.0 - e)
         alpha, beta = (l1 - l2 + l2 * e) / denom, (l2 - l1 + l1 * e) / denom
         rest = (denom - (l1 - l2) ** 2 - 2.0 * l1 * l2 * e) / denom
     else:
         alpha, beta, rest = (l1 - l2 * d) / denom, (l2 - l1 * d) / denom, None
-    qx = alpha * n1.x + beta * n2.x
-    qy = alpha * n1.y + beta * n2.y
-    qz = alpha * n1.z + beta * n2.z
-    cx, cy, cz = n1.cross(n2)
+    qx = alpha * n1x + beta * n2x
+    qy = alpha * n1y + beta * n2y
+    qz = alpha * n1z + beta * n2z
+    cx, cy, cz = n1y * n2z - n1z * n2y, n1z * n2x - n1x * n2z, n1x * n2y - n1y * n2x
     c2 = cx * cx + cy * cy + cz * cz
     g2 = (1.0 - (qx * qx + qy * qy + qz * qz) if rest is None else rest) / c2
     if g2 <= -1e-14:
@@ -259,29 +282,25 @@ def _plane_pair_points(h1: HalfSpace, h2: HalfSpace) -> list[UnitVec3]:
     for s in ((g,) if g == 0.0 else (g, -g)):
         vx, vy, vz = qx + s * cx, qy + s * cy, qz + s * cz
         try:
-            out.append(UnitVec3.normalized(vx, vy, vz))
+            out.append(normalized_xyz(vx, vy, vz))
         except GeometryError:
             pass
     return out
 
 
-def convex_boundary_vertices(c: Convex) -> list[UnitVec3]:
+def convex_boundary_vertices(rows: list[Row]) -> list[Vec]:
     """Pairwise cap-boundary intersection points that satisfy all other
-    constraints of the convex (within 1e-12). These are the corner points of
-    the convex's boundary patches."""
-    cons = c.constraints
-    verts: list[UnitVec3] = []
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            for p in _plane_pair_points(cons[i], cons[j]):
-                ok = True
-                for k, h in enumerate(cons):
-                    if k == i or k == j:
-                        continue
-                    if p.dot(h.normal) < h.l - 1e-12:
-                        ok = False
+    rows of the convex (within 1e-12). These are the corner points of the
+    convex's boundary patches."""
+    verts: list[Vec] = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            for p in _plane_pair_points(rows[i], rows[j]):
+                px, py, pz = p
+                for k, (nx, ny, nz, l) in enumerate(rows):
+                    if k != i and k != j and px * nx + py * ny + pz * nz < l - 1e-12:
                         break
-                if ok:
+                else:
                     verts.append(p)
     return verts
 
@@ -292,16 +311,6 @@ def convex_boundary_vertices(c: Convex) -> list[UnitVec3]:
 # enclosing ball of the unit vectors (Welzl's algorithm): for cap radii
 # below 90 degrees the normalized ball center is the cap center, and a
 # ball centered at the origin means no hemisphere holds the points.
-
-
-def _ball_2(a, b):
-    c = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2)
-    return c, _edist(c, a)
-
-
-def _edist(a, b):
-    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _solve3(rows, rhs):
@@ -316,7 +325,7 @@ def _solve3(rows, rhs):
 
 
 def _circum(points):
-    """Circumcenter of 2, 3 or 4 points in 3D (equidistant point), or None."""
+    """Circumcenter of 3 or 4 points in 3D (equidistant point), or None."""
     a = points[0]
     rows = []
     rhs = []
@@ -324,8 +333,6 @@ def _circum(points):
         u = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
         rows.append(u)
         rhs.append((u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / 2.0)
-    if len(rows) == 1:
-        return _ball_2(a, points[1])[0]
     if len(rows) == 2:
         u, v = rows
         w = (
@@ -347,21 +354,27 @@ def _ball_of_support(support):
     if len(support) == 1:
         return support[0], 0.0
     best = None
-    k = len(support)
     # smallest ball with all support points on its boundary-or-inside:
     # try diameters, then circumcenters of sub-triples/quadruple
-    import itertools
-
-    for m in (2, 3, 4):
-        if m > k:
-            break
-        for combo in itertools.combinations(range(k), m):
+    for m in range(2, len(support) + 1):
+        for combo in combinations(range(len(support)), m):
             pts = [support[i] for i in combo]
-            c = _ball_2(*pts)[0] if m == 2 else _circum(pts)
-            if c is None:
+            if len(pts) == 2:
+                (ax, ay, az), (bx, by, bz) = pts
+                c = ((ax + bx) / 2, (ay + by) / 2, (az + bz) / 2)
+            elif (c := _circum(pts)) is None:
                 continue
-            r = max(_edist(c, p) for p in pts)
-            if all(_edist(c, p) <= r * (1 + 1e-12) + 1e-14 for p in support):
+            cx, cy, cz = c
+            r = None
+            for x, y, z in pts:
+                d = math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y) + (cz - z) * (cz - z))
+                if r is None or d > r:
+                    r = d
+            bound = r * (1 + 1e-12) + 1e-14
+            for x, y, z in support:
+                if not math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y) + (cz - z) * (cz - z)) <= bound:
+                    break
+            else:
                 if best is None or r < best[1]:
                     best = (c, r)
         if best is not None:
@@ -370,13 +383,17 @@ def _ball_of_support(support):
 
 
 def _welzl(points, support, idx):
-    if idx == len(points) or len(support) == 4:
-        return _ball_of_support(support)
-    c, r = _welzl(points, support, idx + 1)
-    p = points[idx]
-    if _edist(c, p) <= r * (1 + 1e-12) + 1e-14:
+    """Welzl's (1991) smallest ball of points[idx:] with support on its
+    boundary; tail recursion unrolled, so calls nest at most 4 deep."""
+    c, r = _ball_of_support(support)
+    if len(support) == 4:
         return c, r
-    return _welzl(points, support + [p], idx + 1)
+    for j in range(len(points) - 1, idx - 1, -1):
+        px, py, pz = p = points[j]
+        dx, dy, dz = c[0] - px, c[1] - py, c[2] - pz
+        if not math.sqrt(dx * dx + dy * dy + dz * dz) <= r * (1 + 1e-12) + 1e-14:
+            c, r = _welzl(points, support + [p], j + 1)
+    return c, r
 
 
 def euclidean_miniball(points: list[tuple[float, float, float]]):
@@ -384,23 +401,24 @@ def euclidean_miniball(points: list[tuple[float, float, float]]):
     if not points:
         raise GeometryError("miniball of no points")
     pts = list(points)
-    import random as _random
-
-    _random.Random(0x5EED).shuffle(pts)
+    random.Random(0x5EED).shuffle(pts)
     if len(pts) > 400:
-        # cap the recursion; refine with violators until stable
+        # Welzl on a sample, grown by the worst violator until it holds all
         sample = pts[:400]
         while True:
             c, r = _welzl(sample, [], 0)
-            worst = max(pts, key=lambda p: _edist(c, p))
-            if _edist(c, worst) <= r * (1 + 1e-10) + 1e-12:
+            cx, cy, cz = c
+            dists = [math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y) + (cz - z) * (cz - z)) for x, y, z in pts]
+            worst = max(dists)
+            if worst <= r * (1 + 1e-10) + 1e-12:
                 return c, r
-            sample.append(worst)
+            sample.append(pts[dists.index(worst)])
     return _welzl(pts, [], 0)
 
 
-def min_enclosing_cap(points: list[UnitVec3]) -> tuple[UnitVec3, float]:
-    """Near-minimal cap covering the points: (center, radius degrees).
+def min_enclosing_cap(points: list[Vec]) -> tuple[Vec, float]:
+    """Near-minimal cap covering the unit (x, y, z) points: (center, radius
+    degrees).
 
     The radius is measured against the chosen center, so the cap covers the
     inputs even in the degenerate case where the Euclidean ball center
@@ -410,13 +428,12 @@ def min_enclosing_cap(points: list[UnitVec3]) -> tuple[UnitVec3, float]:
         raise GeometryError("min_enclosing_cap of no points")
     if len(points) == 1:
         return points[0], 0.0
-    c, _ = euclidean_miniball([p.as_tuple() for p in points])
-    n = math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    if n < 1e-9:
-        center = UnitVec3(0.0, 0.0, 1.0)
+    c, _ = euclidean_miniball(points)
+    if math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2]) < 1e-9:
+        center = (0.0, 0.0, 1.0)
     else:
-        center = UnitVec3(c[0] / n, c[1] / n, c[2] / n)
-    radius = max(arc_distance_deg(center, p) for p in points)
+        center = normalized_xyz(*c)
+    radius = max(arc_deg(center, p) for p in points)
     return center, radius
 
 
@@ -440,7 +457,7 @@ def closed_hemisphere_witness(points: list[UnitVec3], margin: float = -1e-12):
         w = UnitVec3.normalized(sx, sy, sz)
         if min_dot(w) >= margin:
             return w
-    w, _ = min_enclosing_cap(points)
+    w = UnitVec3(*min_enclosing_cap([p.as_tuple() for p in points])[0])
     if min_dot(w) >= margin:
         return w
     if len(points) > 64:

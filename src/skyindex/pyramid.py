@@ -29,14 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
-    Convex,
     Region,
+    Row,
     SkyPoint,
     UnitVec3,
-    arc_distance_deg,
+    Vec,
+    arc_deg,
     convex_boundary_vertices,
-    inside_convex,
     min_enclosing_cap,
+    normalized_xyz,
+    radius_deg,
     sky_to_vec,
     sky_to_xyz,
 )
@@ -269,80 +271,77 @@ def overlap_search(
 # -- bounding circles --------------------------------------------------------
 
 
-def _far_point_on_circle(c: UnitVec3, normal: UnitVec3, l: float) -> UnitVec3 | None:
-    """The point of the circle {p . normal = l} farthest from c."""
+def _far_point_on_circle(c: Vec, h: Row) -> Vec | None:
+    """The point of the circle {p . n = l} of row h farthest from c. At
+    l = -1 the circle is the one point -n, which the cap's closure holds;
+    at l = 1 the cap is empty."""
+    nx, ny, nz, l = h
     s2 = 1.0 - l * l
     if s2 <= 0:
-        return None
-    d = c.dot(normal)
-    tx = c.x - d * normal.x
-    ty = c.y - d * normal.y
-    tz = c.z - d * normal.z
+        return (-nx, -ny, -nz) if l < 0 else None
+    cx, cy, cz = c
+    d = cx * nx + cy * ny + cz * nz
+    tx = cx - d * nx
+    ty = cy - d * ny
+    tz = cz - d * nz
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     s = math.sqrt(s2)
     if tn < 1e-14:
         # c on the circle's axis: every circle point is equidistant, so
         # any direction perpendicular to the axis will do
-        if abs(normal.z) < 0.9:
-            tx, ty, tz = normal.y, -normal.x, 0.0
+        if abs(nz) < 0.9:
+            tx, ty, tz = ny, -nx, 0.0
         else:
-            tx, ty, tz = -normal.z, 0.0, normal.x
+            tx, ty, tz = -nz, 0.0, nx
         tn = math.sqrt(tx * tx + ty * ty + tz * tz)
-    return UnitVec3.normalized(
-        l * normal.x - s * tx / tn,
-        l * normal.y - s * ty / tn,
-        l * normal.z - s * tz / tn,
-    )
+    return normalized_xyz(l * nx - s * tx / tn, l * ny - s * ty / tn, l * nz - s * tz / tn)
 
 
-def _convex_radius_about(c: UnitVec3, convex: Convex, verts: list[UnitVec3]) -> float:
-    """Tight sound covering radius of one convex as seen from center c."""
-    cons = convex.constraints
-    if not cons:
-        return 180.0
-    if inside_convex(convex, c.negated()):
-        return 180.0
-    terms = [arc_distance_deg(c, v) for v in verts]
-    for i, h in enumerate(cons):
-        f = _far_point_on_circle(c, h.normal, h.l)
+def _convex_radius_about(c: Vec, rows: list[Row], verts: list[Vec]) -> float:
+    """Tight sound covering radius of one convex's rows as seen from c."""
+    if all(-c[0] * nx - c[1] * ny - c[2] * nz > l for nx, ny, nz, l in rows):
+        return 180.0  # the convex holds c's antipode
+    terms = [arc_deg(c, v) for v in verts]
+    for i, h in enumerate(rows):
+        f = _far_point_on_circle(c, h)
         if f is None:
             continue
-        ok = True
-        for k, other in enumerate(cons):
-            if k != i and f.dot(other.normal) < other.l - 1e-9:
-                ok = False
+        fx, fy, fz = f
+        for k, (nx, ny, nz, l) in enumerate(rows):
+            if k != i and fx * nx + fy * ny + fz * nz < l - 1e-9:
                 break
-        if ok:
-            terms.append(arc_distance_deg(c, f))
+        else:
+            terms.append(arc_deg(c, f))
     if terms:
         return min(180.0, max(terms))
     # no boundary features survive: fall back to the smallest cap, which
     # always contains the convex
-    best = min(
-        (arc_distance_deg(c, h.normal) + h.radius_deg() for h in cons),
-    )
-    return min(180.0, best)
+    return min(180.0, min(arc_deg(c, h) + radius_deg(h) for h in rows))
+
+
+def bounding_circle_rows(convexes: list[list[Row]]) -> tuple[Vec, float]:
+    """(center (x, y, z), radius degrees) covering every point of the
+    region whose convexes hold these (nx, ny, nz, l) rows."""
+    if not convexes:
+        raise PyramidError("bounding circle of an empty region")
+    if any(not rows for rows in convexes):
+        return (0.0, 0.0, 1.0), 180.0
+    if len(convexes) == 1 and len(convexes[0]) == 1:
+        h = convexes[0][0]
+        return h[:3], radius_deg(h)
+    all_verts = [convex_boundary_vertices(rows) for rows in convexes]
+    anchors: list[Vec] = []
+    for rows, verts in zip(convexes, all_verts):
+        anchors.extend(verts)
+        if not verts:
+            anchors.append(max(rows, key=lambda h: h[3])[:3])  # the smallest cap's normal
+    center, _ = min_enclosing_cap(anchors)
+    radius = max(_convex_radius_about(center, rows, verts) for rows, verts in zip(convexes, all_verts))
+    return center, radius
 
 
 def bounding_circle(region: Region) -> tuple[UnitVec3, float]:
     """(center, radius degrees) covering every point of the region."""
-    if not region.convexes:
-        raise PyramidError("bounding circle of an empty region")
-    if any(not c.constraints for c in region.convexes):
-        return UnitVec3(0.0, 0.0, 1.0), 180.0
-    if len(region.convexes) == 1 and len(region.convexes[0].constraints) == 1:
-        h = region.convexes[0].constraints[0]
-        return h.normal, h.radius_deg()
-    all_verts = [convex_boundary_vertices(c) for c in region.convexes]
-    anchors: list[UnitVec3] = []
-    for convex, verts in zip(region.convexes, all_verts):
-        anchors.extend(verts)
-        if not verts:
-            smallest = max(convex.constraints, key=lambda h: h.l)
-            anchors.append(smallest.normal)
-    center, _ = min_enclosing_cap(anchors)
-    radius = max(
-        _convex_radius_about(center, convex, verts)
-        for convex, verts in zip(region.convexes, all_verts)
-    )
-    return center, radius
+    rows = [[(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.constraints] for c in region.convexes]
+    center, radius = bounding_circle_rows(rows)
+    return UnitVec3(*center), radius

@@ -15,6 +15,7 @@ from skyindex.geom import (
     Region,
     SkyPoint,
     UnitVec3,
+    arc_deg,
     arc_distance_deg,
     buffer_halfspace,
     circle_to_halfspace,
@@ -346,17 +347,18 @@ class TestCapRelations:
 
 
 def mp_plane_pair_points(h1, h2):
-    """_plane_pair_points at 50 digits, for the normals' exact directions."""
+    """_plane_pair_points of two (nx, ny, nz, l) rows at 50 digits, for the
+    normals' exact directions."""
     with mpmath.workdps(50):
         def unit(v):
-            v = [mpmath.mpf(c) for c in v.as_tuple()]
+            v = [mpmath.mpf(c) for c in v[:3]]
             n = mpmath.sqrt(sum(c * c for c in v))
             return [c / n for c in v]
 
-        n1, n2 = unit(h1.normal), unit(h2.normal)
+        n1, n2 = unit(h1), unit(h2)
         d = sum(a * b for a, b in zip(n1, n2))
-        alpha = (h1.l - h2.l * d) / (1 - d * d)
-        beta = (h2.l - h1.l * d) / (1 - d * d)
+        alpha = (h1[3] - h2[3] * d) / (1 - d * d)
+        beta = (h2[3] - h1[3] * d) / (1 - d * d)
         q = [alpha * a + beta * b for a, b in zip(n1, n2)]
         c = [n1[1] * n2[2] - n1[2] * n2[1], n1[2] * n2[0] - n1[0] * n2[2], n1[0] * n2[1] - n1[1] * n2[0]]
         g = mpmath.sqrt((1 - sum(x * x for x in q)) / sum(x * x for x in c))
@@ -368,15 +370,15 @@ class TestPlanePairPoints:
     # normals' 1 - d^2 is 1.2e-9, and the form through d put the lens
     # vertices at y = +-1.70e-5 instead of +-2.904e-4
     POLE_LENS = (
-        HalfSpace(UnitVec3(6.123233995736766e-17, 0.0, 1.0), 0.9999999576920253),
-        HalfSpace(UnitVec3(3.4088461946422855e-05, 0.0, 0.9999999994189884), 0.9999999576920253),
+        (6.123233995736766e-17, 0.0, 1.0, 0.9999999576920253),
+        (3.4088461946422855e-05, 0.0, 0.9999999994189884, 0.9999999576920253),
     )
 
     def test_pole_lens_vertices(self):
         got = _plane_pair_points(*self.POLE_LENS)
-        assert [p.y for p in got] == pytest.approx([2.904e-4, -2.904e-4], rel=1e-3)
+        assert [p[1] for p in got] == pytest.approx([2.904e-4, -2.904e-4], rel=1e-3)
         for p, w in zip(got, mp_plane_pair_points(*self.POLE_LENS)):
-            assert max(abs(x - y) for x, y in zip(p.as_tuple(), w)) < 1e-13
+            assert max(abs(x - y) for x, y in zip(p, w)) < 1e-13
 
     @pytest.mark.parametrize("ra, dec", [(0.0, 90.0), (0.0, 0.0), (359.9999999, -45.0), (123.4, -89.99)])
     @pytest.mark.parametrize("radius", [1 / 60, 1.0, 20.0])
@@ -388,25 +390,27 @@ class TestPlanePairPoints:
         a = sky_to_vec(SkyPoint(ra, dec))
         b = rotate_toward(a, radius * part, 1.0)
         for r2 in (radius, radius * (1.0 + part / 2.0)):
-            h1, h2 = circle_to_halfspace(a, radius), circle_to_halfspace(b, r2)
+            h1, h2 = (
+                (*h.normal.as_tuple(), h.l) for h in (circle_to_halfspace(a, radius), circle_to_halfspace(b, r2))
+            )
             got = _plane_pair_points(h1, h2)
             assert len(got) == 2
             for p, w in zip(got, mp_plane_pair_points(h1, h2)):
-                assert max(abs(x - y) for x, y in zip(p.as_tuple(), w)) < 1e-12, (p, w)
+                assert max(abs(x - y) for x, y in zip(p, w)) < 1e-12, (p, w)
 
 
 class TestEnclosingCap:
     def test_cap_covers(self, rng):
-        pts = sample_sphere(rng, 40)
+        pts = [p.as_tuple() for p in sample_sphere(rng, 40)]
         center, radius = min_enclosing_cap(pts)
-        assert all(arc_distance_deg(center, p) <= radius + 1e-9 for p in pts)
+        assert all(arc_deg(center, p) <= radius + 1e-9 for p in pts)
 
     def test_tight_for_clustered(self, rng):
         center = sample_sphere(rng, 1)[0]
-        pts = [rotate_toward(center, 5.0, float(a)) for a in rng.uniform(0, 6.28, 30)]
+        pts = [rotate_toward(center, 5.0, float(a)).as_tuple() for a in rng.uniform(0, 6.28, 30)]
         c, r = min_enclosing_cap(pts)
         assert r <= 5.0 + 1e-6
-        assert arc_distance_deg(c, center) < 1.0
+        assert arc_deg(c, center.as_tuple()) < 1.0
 
     def test_hemisphere_witness_closed(self):
         pts = [UnitVec3(1, 0, 0), UnitVec3(0, 0, 1), UnitVec3(-1, 0, 0)]

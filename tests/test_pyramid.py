@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from skyindex import oracle, pyramid, zones
@@ -14,20 +14,25 @@ from skyindex.geom import (
     Region,
     SkyPoint,
     UnitVec3,
+    arc_deg,
     arc_distance_deg,
+    convex_boundary_vertices,
     euclidean_miniball,
     inside_region,
     sky_to_vec,
+    vec_to_sky,
 )
 from skyindex.pyramid import (
     PyramidConfig,
     PyramidError,
     PyramidIndex,
+    _far_point_on_circle,
     bounding_circle,
+    bounding_circle_rows,
     overlap_search,
     scale_of,
 )
-from skyindex.regionspec import compile_region_string
+from skyindex.regionspec import RegionCompileError, compile_region_string
 from skyindex.snapshot import AppState, load_state, save_state
 
 from conftest import (
@@ -35,7 +40,9 @@ from conftest import (
     edge_dec,
     edge_ra,
     generate_corpus_specs,
+    membership_with_guard,
     near_max_radius,
+    rotate_toward,
     sample_cap,
     sample_sphere,
 )
@@ -505,7 +512,170 @@ class TestBoundingCircle:
                 assert arc_distance_deg(center, p) <= radius + 1e-9
 
 
-# -- bounding circles: pinned bits, the miniball ------------------------------
+# -- bounding circles: soundness, pinned bits, the miniball ------------------
+
+
+def region_rows(region):
+    """A Region's convexes as lists of (nx, ny, nz, l) rows."""
+    return [[(*h.normal.as_tuple(), h.l) for h in c.constraints] for c in region.convexes]
+
+
+def kept(p, rows, skip):
+    """Whether p lies in the closure of every row but row skip."""
+    return all(p[0] * nx + p[1] * ny + p[2] * nz >= l for k, (nx, ny, nz, l) in enumerate(rows) if k != skip)
+
+
+def rounding_deg(radius):
+    """1e-9 degrees, plus the rounding of a radius in the chord form
+    2 asin(|c - p| / 2): asin's slope 1 / cos(radius / 2) magnifies a
+    chord rounded by a few ulps, to ~1e-8 degrees within 1e-3 of 180."""
+    return 1e-9 + math.degrees(1e-15 / max(math.cos(math.radians(radius / 2.0)), 1e-300))
+
+
+_SKY_RA = st.sampled_from([0.0, 359.9999999, 180.0]) | st.floats(0.0, 360.0, exclude_max=True)
+_SKY_DEC = (
+    st.sampled_from([90.0, -90.0, 89.9999, -89.9999, 0.0])
+    | st.floats(89.0, 90.0)
+    | st.floats(-90.0, -89.0)
+    | st.floats(-90.0, 90.0)
+)
+_CIRCLE_ARCMIN = st.floats(-6.0, math.log10(10800.0)).map(lambda e: min(10800.0, 10.0**e)) | st.sampled_from(
+    [1e-6, 1.0, 5400.0, 10800.0]
+)
+_CUT = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, -1e-9, 0.0, 0.5, 0.9999999])
+
+
+@st.composite
+def bounded_region(draw):
+    """(store, rid): a region from grammar text at the poles and ra 0,
+    constraint rows (negative lengths, hemisphere-sized convexes, a single
+    cap, nested and co-axial caps), the pole lens, or the whole sky, then
+    optionally NOT, OR or AND and a simplify."""
+    store = RegionStore()
+
+    def text(t):
+        try:
+            return add_region(store, compile_region_string(t))
+        except RegionCompileError:
+            assume(False)
+
+    def center():
+        return sky_to_vec(SkyPoint(draw(_SKY_RA), draw(_SKY_DEC)))
+
+    def circle():
+        return text(f"CIRCLE J2000 {draw(_SKY_RA)!r} {draw(_SKY_DEC)!r} {draw(_CIRCLE_ARCMIN)!r}")
+
+    def rect():
+        ra1, width = draw(st.floats(-10.0, 350.0)), draw(st.floats(1e-3, 179.0))
+        dec1 = draw(st.floats(-90.0, 89.9) | st.sampled_from([-90.0, 89.0, 89.9]))
+        dec2 = draw(st.floats(dec1 + 1e-3, 90.0) | st.just(90.0))
+        return text(f"RECT J2000 {ra1!r} {dec1!r} {ra1 + width!r} {dec2!r}")
+
+    def poly():
+        c, spread, k = center(), draw(st.floats(1e-3, 50.0)), draw(st.integers(3, 7))
+        azs = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=k, max_size=k)))
+        if max(b - a for a, b in zip(azs, azs[1:] + [azs[0] + 2 * math.pi])) >= math.pi - 1e-3:
+            azs = [azs[0] + 2 * math.pi * i / k for i in range(k)]
+        pts = [vec_to_sky(rotate_toward(c, spread, a)) for a in azs]
+        return text("POLY J2000 " + " ".join(f"{p.ra!r} {p.dec!r}" for p in pts))
+
+    def chull():
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cloud = sample_cap(rng, center(), draw(st.floats(1e-3, 55.0)), int(rng.integers(3, 11)))
+        return text("CHULL CARTESIAN " + " ".join(f"{p.x!r} {p.y!r} {p.z!r}" for p in cloud))
+
+    def rows(make):
+        rid = store.region_new("rows")
+        cid = store.region_new_convex(rid)
+        for n, l in make():
+            store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, l)
+        return rid
+
+    def caps():
+        return [(center(), draw(_CUT)) for _ in range(draw(st.integers(1, 3)))]
+
+    def hemisphere_sized():
+        return [(center(), draw(st.floats(-1.0, 0.05))) for _ in range(draw(st.integers(1, 3)))]
+
+    def nested():
+        n, l1, l2 = center(), draw(_CUT), draw(_CUT)
+        lo, hi = min(l1, l2), max(l1, l2)
+        if draw(st.booleans()):
+            return [(n, lo), (n, hi)]  # one cap inside the other
+        return [(n, lo), (n.negated(), -hi)]  # a cap minus a co-axial cap
+
+    def pole_lens():
+        rid1 = text("CIRCLE J2000 0.0 90.0 1.0")
+        return store.region_and(rid1, text("CIRCLE J2000 0.0 89.998046875 1.0"), "and")
+
+    def whole_sky():
+        rid = store.region_new("sky")
+        store.region_new_convex(rid)
+        return rid
+
+    makers = {
+        "circle": circle, "rect": rect, "poly": poly, "chull": chull,
+        "caps": lambda: rows(caps), "hemisphere": lambda: rows(hemisphere_sized),
+        "nested": lambda: rows(nested), "pole_lens": pole_lens, "sky": whole_sky,
+    }
+    rid = makers[draw(st.sampled_from(sorted(makers)))]()
+    op = draw(st.sampled_from(["none", "none", "not", "or", "and"]))
+    if op == "not" and len(store.regions[rid].convexes) <= 2:
+        rid = store.region_not(rid, "not")
+    elif op in ("or", "and"):
+        other = makers[draw(st.sampled_from(sorted(makers)))]()
+        rid = (store.region_or if op == "or" else store.region_and)(rid, other, op)
+    if draw(st.booleans()):
+        store.region_simplify(rid)
+    return store, rid
+
+
+def point_row_case():
+    """The OR of a 1-degree cap at the north pole and the southern
+    hemisphere written with a row of length -1, (0, 0, 1, -1), whose
+    boundary is the one point (0, 0, -1). The circle was centred on the
+    north pole with radius 90: that point's row gave no far point, so
+    members next to the south pole lay up to 180 degrees out."""
+    store = RegionStore()
+    rid = add_region(store, compile_region_string("REGION CONVEX 0 0 1 0.9998476951563913 CONVEX 0 0 1 -1 0 0 -1 0"))
+    return store, rid
+
+
+class TestBoundingCircleSound:
+    @given(bounded_region())
+    @example(point_row_case())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    def test_features_and_members_within_radius(self, case):
+        # Every boundary vertex, every far point of a cap circle that the
+        # other constraints keep, and sampled member points lie within the
+        # radius, plus rounding.
+        store, rid = case
+        convexes = store._convex_lists(rid)
+        assume(convexes)
+        center, radius = bounding_circle_rows(convexes)
+        assert (UnitVec3(*center), radius) == bounding_circle(store.geometry(rid))
+        assert 0.0 <= radius <= 180.0
+        bound = radius + rounding_deg(radius)
+        for rows in convexes:
+            for p in convex_boundary_vertices(rows):
+                assert arc_deg(center, p) <= bound, (rows, p)
+            for i, h in enumerate(rows):
+                f = _far_point_on_circle(center, h)
+                if f is not None and kept(f, rows, i):
+                    assert arc_deg(center, f) <= bound, (rows, f)
+        rng = np.random.default_rng(rid)
+        c = UnitVec3(*center)
+        region = store.geometry(rid)
+        for p in sample_cap(rng, c, min(180.0, 1.5 * radius + 1e-7), 300) + sample_sphere(rng, 100):
+            # members by more than rounding: 1e-11 from every boundary
+            if membership_with_guard(region, p):
+                assert arc_distance_deg(c, p) <= bound, (convexes, p)
+
+    def test_row_of_length_minus_one(self):
+        store, rid = point_row_case()
+        center, radius = bounding_circle(store.geometry(rid))
+        assert radius == 180.0
+        assert store.contains(rid, sky_to_vec(SkyPoint(0.0, -89.0)))
 
 
 def bounding_circle_digest(regions) -> str:
