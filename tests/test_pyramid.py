@@ -515,11 +515,6 @@ class TestBoundingCircle:
 # -- bounding circles: soundness, pinned bits, the miniball ------------------
 
 
-def region_rows(region):
-    """A Region's convexes as lists of (nx, ny, nz, l) rows."""
-    return [[(*h.normal.as_tuple(), h.l) for h in c.constraints] for c in region.convexes]
-
-
 def kept(p, rows, skip):
     """Whether p lies in the closure of every row but row skip."""
     return all(p[0] * nx + p[1] * ny + p[2] * nz >= l for k, (nx, ny, nz, l) in enumerate(rows) if k != skip)
@@ -672,10 +667,14 @@ class TestBoundingCircleSound:
                 assert arc_distance_deg(c, p) <= bound, (convexes, p)
 
     def test_row_of_length_minus_one(self):
+        # points-in scans the circle's dec band: with radius 90 about the
+        # north pole it dropped every row south of dec -1e-5
         store, rid = point_row_case()
-        center, radius = bounding_circle(store.geometry(rid))
-        assert radius == 180.0
-        assert store.contains(rid, sky_to_vec(SkyPoint(0.0, -89.0)))
+        assert bounding_circle(store.geometry(rid))[1] == 180.0
+        ra = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
+        dec = np.array([-89.0, -45.0, -1.0, 0.0, 89.5])
+        objid = np.arange(5, dtype=np.int64)
+        assert store.points_in_region(rid, objid, ra, dec) == [0, 1, 2, 4]
 
 
 def bounding_circle_digest(regions) -> str:
