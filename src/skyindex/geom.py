@@ -246,9 +246,10 @@ def negate_halfspace(h: HalfSpace) -> HalfSpace:
 # -- boundary vertices ----------------------------------------------------
 
 
-# Below this 1 - d^2 (normals at a dot d), _plane_pair_points forms 1 - d
-# as |n1 - n2|^2 / 2: from d, a vertex is ~2e-9 off at 3e-6. Past 1e-2 the
-# forms agree to ~1e-14, and the vertices there keep the bits they had.
+# Below this 1 - d^2 (normals at a dot d), _plane_pair_points forms 1 - |d|
+# as half a squared distance of the normals: from d, a vertex is ~2e-9 off
+# at 3e-6. Past 1e-2 the forms agree to ~1e-14, and the vertices there keep
+# the bits they had.
 _NEAR_PARALLEL = 1e-2
 
 
@@ -256,17 +257,22 @@ def _plane_pair_points(h1: Row, h2: Row) -> list[Vec]:
     """The (0, 1, or 2) unit-sphere points on both rows' boundary planes,
     q +- g (n1 x n2) with q = alpha n1 + beta n2. For near-parallel normals,
     alpha, beta and 1 - |q|^2 are written through e = 1 - d, the last as
-    ((1 - d)(1 + d) - (l1 - l2)^2 - 2 l1 l2 (1 - d)) / (1 - d^2)."""
+    ((1 - d)(1 + d) - (l1 - l2)^2 - 2 l1 l2 (1 - d)) / (1 - d^2), and
+    e = |n1 - n2|^2 / 2. For near-antiparallel ones (d < 0) the same forms
+    take h2's plane as (-n2, -l2), so e = |n1 + n2|^2 / 2 = 1 + d, which
+    1 - d^2 = e (2 - e) would otherwise lose to cancellation."""
     (n1x, n1y, n1z, l1), (n2x, n2y, n2z, l2) = h1, h2
     d = n1x * n2x + n1y * n2y + n1z * n2z
     denom = 1.0 - d * d
     if denom <= 1e-14:
         return []
     if denom < _NEAR_PARALLEL:
-        e = 0.5 * ((n1x - n2x) ** 2 + (n1y - n2y) ** 2 + (n1z - n2z) ** 2)
+        s = math.copysign(1.0, d)
+        m2x, m2y, m2z, m2 = s * n2x, s * n2y, s * n2z, s * l2
+        e = 0.5 * ((n1x - m2x) ** 2 + (n1y - m2y) ** 2 + (n1z - m2z) ** 2)
         denom = e * (2.0 - e)
-        alpha, beta = (l1 - l2 + l2 * e) / denom, (l2 - l1 + l1 * e) / denom
-        rest = (denom - (l1 - l2) ** 2 - 2.0 * l1 * l2 * e) / denom
+        alpha, beta = (l1 - m2 + m2 * e) / denom, s * (m2 - l1 + l1 * e) / denom
+        rest = (denom - (l1 - m2) ** 2 - 2.0 * l1 * m2 * e) / denom
     else:
         alpha, beta, rest = (l1 - l2 * d) / denom, (l2 - l1 * d) / denom, None
     qx = alpha * n1x + beta * n2x

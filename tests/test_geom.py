@@ -34,7 +34,7 @@ from skyindex.catalog import htm_cone_search, random_catalog
 from skyindex.pyramid import PyramidConfig, PyramidError, PyramidIndex, overlap_search, scale_of
 from skyindex.zones import ZoneConfig, ZoneError, build_neighbors, build_zone_table, nearby_objects
 
-from conftest import rotate_toward, sample_sphere
+from conftest import mp_plane_pair_points, rotate_toward, sample_sphere
 
 mpmath.mp.dps = 40
 
@@ -346,25 +346,6 @@ class TestCapRelations:
         assert not _disjoint_caps(big, small)
 
 
-def mp_plane_pair_points(h1, h2):
-    """_plane_pair_points of two (nx, ny, nz, l) rows at 50 digits, for the
-    normals' exact directions."""
-    with mpmath.workdps(50):
-        def unit(v):
-            v = [mpmath.mpf(c) for c in v[:3]]
-            n = mpmath.sqrt(sum(c * c for c in v))
-            return [c / n for c in v]
-
-        n1, n2 = unit(h1), unit(h2)
-        d = sum(a * b for a, b in zip(n1, n2))
-        alpha = (h1[3] - h2[3] * d) / (1 - d * d)
-        beta = (h2[3] - h1[3] * d) / (1 - d * d)
-        q = [alpha * a + beta * b for a, b in zip(n1, n2)]
-        c = [n1[1] * n2[2] - n1[2] * n2[1], n1[2] * n2[0] - n1[0] * n2[2], n1[0] * n2[1] - n1[1] * n2[0]]
-        g = mpmath.sqrt((1 - sum(x * x for x in q)) / sum(x * x for x in c))
-        return [[float(a + s * g * b) for a, b in zip(q, c)] for s in (1, -1)]
-
-
 class TestPlanePairPoints:
     # two 1-arcmin circles at the pole, 0.00195 degrees apart: their
     # normals' 1 - d^2 is 1.2e-9, and the form through d put the lens
@@ -379,6 +360,22 @@ class TestPlanePairPoints:
         assert [p[1] for p in got] == pytest.approx([2.904e-4, -2.904e-4], rel=1e-3)
         for p, w in zip(got, mp_plane_pair_points(*self.POLE_LENS)):
             assert max(abs(x - y) for x, y in zip(p, w)) < 1e-13
+
+    # two near-opposite planes: z = 0, and the plane of the normal 1e-5
+    # degrees from the south pole with l half its sine. 1 + d cancelled in
+    # e (2 - e), e = |n1 - n2|^2 / 2, and put the vertices at
+    # y = +-0.85997 instead of +-0.86603
+    SLIVER = (
+        (6.1e-17, 0.0, 1.0, 0.0),
+        (1.7453292528463437e-07, 0.0, -0.9999999999999848, 8.726646259971605e-08),
+    )
+
+    def test_near_antiparallel_vertices(self):
+        got = _plane_pair_points(*self.SLIVER)
+        assert len(got) == 2
+        # 1 - d^2 is 3e-14, so the planes' rounding moves q by ~1e-9 along z
+        for p, w in zip(got, mp_plane_pair_points(*self.SLIVER)):
+            assert max(abs(x - y) for x, y in zip(p, w)) < 1e-9, (p, w)
 
     @pytest.mark.parametrize("ra, dec", [(0.0, 90.0), (0.0, 0.0), (359.9999999, -45.0), (123.4, -89.99)])
     @pytest.mark.parametrize("radius", [1 / 60, 1.0, 20.0])

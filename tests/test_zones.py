@@ -604,6 +604,64 @@ def test_build_zone_table_one_row_per_input_row(case):
     )
 
 
+_FINEST = 180.0 / MAX_ZONE_COUNT
+
+
+def _ulps_up(v: float, k: int) -> float:
+    for _ in range(k):
+        v = math.nextafter(v, 360.0)
+    return v if v < 360.0 else math.nextafter(360.0, 0.0)
+
+
+@st.composite
+def tied_rows(draw):
+    """(height, objid, ra, dec) of a catalog whose rows share ra and dec
+    bits, or sit 1 ulp apart in ra, under shuffled objids: the ties the
+    float sort in build_zone_table hands to its lexsort."""
+    h = draw(st.sampled_from([_FINEST, 4.0 / 60.0, 180.0]))
+    ra_base = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, math.nextafter(360.0, 0.0)]),
+        st.floats(0.0, 360.0, exclude_max=True),
+    )
+    dec = st.one_of(edge_dec(h), edge_dec(h).map(lambda d: max(-90.0, math.nextafter(d, -90.0))))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.tuples(ra_base, st.integers(0, 3)).map(lambda t: _ulps_up(*t)), dec, st.integers(1, 4)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    ra = [r for r, _, m in pairs for _ in range(m)]
+    dec = [d for _, d, m in pairs for _ in range(m)]
+    objid = draw(st.permutations(range(len(ra))))
+    return h, np.array(objid, dtype=np.int64) * 7 - 3 * len(ra), np.array(ra), np.array(dec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_rows())
+@example((_FINEST, np.array([2, 1, 0]), np.array([0.0, -0.0, 0.0]), np.array([90.0, 90.0, -90.0])))
+def test_zone_order_equals_lexsort(case):
+    h, objid, ra, dec = case
+    cat = catmod.Catalog.from_columns(objid, ra, dec, 0)  # keeps -0.0, which from_arrays' mod would not
+    table = build_zone_table(cat, ZoneConfig(h))
+    assert table.row.tolist() == np.lexsort((objid, ra, zone_column(dec, h))).tolist()
+
+
+def test_zone_order_settles_distinct_ra_on_one_rough_key():
+    # zone 2^20 - 2 at the finest height: zone * 512 + ra lies in [2^28,
+    # 2^29), 2^-24 apart, so these four distinct ra values share one key
+    dec = -90.0 + (MAX_ZONE_COUNT - 2) * _FINEST + _FINEST / 2
+    ra = np.array([100.0 + 2.5e-8, 100.0 + 1.5e-8, math.nextafter(100.0, 360.0), 100.0])
+    objid = np.array([4, 3, 2, 1], dtype=np.int64)
+    zone = zone_column(np.full(4, dec), _FINEST)
+    assert (zone == MAX_ZONE_COUNT - 2).all()
+    assert len(set(ra.tolist())) == 4 and len(set((zone * 512.0 + ra).tolist())) == 1
+    cat = catmod.Catalog.from_columns(objid, ra, np.full(4, dec), 0)
+    # ra ascends from the last row to the first: only the lexsort of the
+    # tied run, not the float sort, can give that order
+    assert build_zone_table(cat, ZoneConfig(_FINEST)).row.tolist() == [3, 2, 1, 0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(cone_case())
 def test_nearby_objects_matches_cone_scan(case):
