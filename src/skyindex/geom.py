@@ -259,8 +259,8 @@ def _plane_pair_points(h1: Row, h2: Row) -> list[Vec]:
     alpha, beta and 1 - |q|^2 are written through e = 1 - d, the last as
     ((1 - d)(1 + d) - (l1 - l2)^2 - 2 l1 l2 (1 - d)) / (1 - d^2), and
     e = |n1 - n2|^2 / 2. For near-antiparallel ones (d < 0) the same forms
-    take h2's plane as (-n2, -l2), so e = |n1 + n2|^2 / 2 = 1 + d, which
-    1 - d^2 = e (2 - e) would otherwise lose to cancellation."""
+    take h2's plane as (-n2, -l2): e is then |n1 + n2|^2 / 2 = 1 + d, which
+    2 - e would give only through cancellation."""
     (n1x, n1y, n1z, l1), (n2x, n2y, n2z, l2) = h1, h2
     d = n1x * n2x + n1y * n2y + n1z * n2z
     denom = 1.0 - d * d

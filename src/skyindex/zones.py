@@ -261,7 +261,7 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     or from ra values that round together in high zones. A lexsort of
     those runs' rows alone puts each run in (zone, ra, objid) order, so
     the result is np.lexsort((objid, ra, zone)) bit for bit, ties and
-    -0.0 included, at a fifth of its cost.
+    -0.0 included, in a quarter of its time or less.
     """
     from .catalog import Catalog  # a module-level import would be circular
 

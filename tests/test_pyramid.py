@@ -755,11 +755,11 @@ def seeded_edit_regions(seed: int, edits: int) -> list[Region]:
 
 
 class TestBoundingCircleBits:
-    # Digests of repr((center.as_tuple(), radius)) for every region. They
-    # were taken again when near-antiparallel vertices and far points next
-    # to a circle's axis were mended (TestBoundingCirclePrecision): 37 of
-    # the 2,752 circles moved, 1 corpus shape and 36 of the edit run, and
-    # at 40 digits none of them is short of a vertex or far point.
+    # Digests of repr((center.as_tuple(), radius)) for every region. The
+    # mends that TestBoundingCirclePrecision checks moved 37 of the 2,752
+    # circles (1 corpus shape, 36 of the edit run); at 40 digits none of
+    # them is short of its region's vertices and far points by more than
+    # 5e-14 degrees.
     def test_corpus_shapes(self):
         regions = [compile_region_string(t) for t in generate_corpus_specs(seed=7, count=2000)]
         want = "832ade54726f549990259ef73426e5be62fe2758cf673e4d1790997a772ffcb6"
