@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -236,32 +235,3 @@ def corpus_regions(corpus_specs):
     from skyindex.regionspec import compile_region_string
 
     return [(s, compile_region_string(s)) for s in corpus_specs]
-
-
-def mp_plane_pair_points(h1, h2):
-    """_plane_pair_points of two (nx, ny, nz, l) rows at 50 digits, for the
-    normals' exact directions."""
-    with mpmath.workdps(50):
-        def unit(v):
-            v = [mpmath.mpf(c) for c in v[:3]]
-            n = mpmath.sqrt(sum(c * c for c in v))
-            return [c / n for c in v]
-
-        n1, n2 = unit(h1), unit(h2)
-        d = sum(a * b for a, b in zip(n1, n2))
-        alpha = (h1[3] - h2[3] * d) / (1 - d * d)
-        beta = (h2[3] - h1[3] * d) / (1 - d * d)
-        q = [alpha * a + beta * b for a, b in zip(n1, n2)]
-        c = [n1[1] * n2[2] - n1[2] * n2[1], n1[2] * n2[0] - n1[0] * n2[2], n1[0] * n2[1] - n1[1] * n2[0]]
-        g = mpmath.sqrt((1 - sum(x * x for x in q)) / sum(x * x for x in c))
-        return [[float(a + s * g * b) for a, b in zip(q, c)] for s in (1, -1)]
-
-
-def mp_arc_deg(a, b) -> mpmath.mpf:
-    """Arc in degrees between two points, each taken as its exact
-    direction, at 40 digits."""
-    with mpmath.workdps(40):
-        a, b = ([mpmath.mpf(c) for c in v] for v in (a, b))
-        a, b = ([c / mpmath.sqrt(sum(x * x for x in v)) for c in v] for v in (a, b))
-        chord = mpmath.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-        return mpmath.degrees(2 * mpmath.asin(min(1, chord / 2)))

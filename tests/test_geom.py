@@ -34,7 +34,7 @@ from skyindex.catalog import htm_cone_search, random_catalog
 from skyindex.pyramid import PyramidConfig, PyramidError, PyramidIndex, overlap_search, scale_of
 from skyindex.zones import ZoneConfig, ZoneError, build_neighbors, build_zone_table, nearby_objects
 
-from conftest import mp_plane_pair_points, rotate_toward, sample_sphere
+from conftest import rotate_toward, sample_sphere
 
 mpmath.mp.dps = 40
 
@@ -344,6 +344,25 @@ class TestCapRelations:
         far = row(UnitVec3(0, 0, -1), 20.0)
         assert _disjoint_caps(small, far)
         assert not _disjoint_caps(big, small)
+
+
+def mp_plane_pair_points(h1, h2):
+    """_plane_pair_points of two (nx, ny, nz, l) rows at 50 digits, for the
+    normals' exact directions."""
+    with mpmath.workdps(50):
+        def unit(v):
+            v = [mpmath.mpf(c) for c in v[:3]]
+            n = mpmath.sqrt(sum(c * c for c in v))
+            return [c / n for c in v]
+
+        n1, n2 = unit(h1), unit(h2)
+        d = sum(a * b for a, b in zip(n1, n2))
+        alpha = (h1[3] - h2[3] * d) / (1 - d * d)
+        beta = (h2[3] - h1[3] * d) / (1 - d * d)
+        q = [alpha * a + beta * b for a, b in zip(n1, n2)]
+        c = [n1[1] * n2[2] - n1[2] * n2[1], n1[2] * n2[0] - n1[0] * n2[2], n1[0] * n2[1] - n1[1] * n2[0]]
+        g = mpmath.sqrt((1 - sum(x * x for x in q)) / sum(x * x for x in c))
+        return [[float(a + s * g * b) for a, b in zip(q, c)] for s in (1, -1)]
 
 
 class TestPlanePairPoints:

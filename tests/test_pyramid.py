@@ -42,8 +42,6 @@ from conftest import (
     edge_ra,
     generate_corpus_specs,
     membership_with_guard,
-    mp_arc_deg,
-    mp_plane_pair_points,
     near_max_radius,
     rotate_toward,
     sample_cap,
@@ -523,6 +521,66 @@ def kept(p, rows, skip):
     return all(p[0] * nx + p[1] * ny + p[2] * nz >= l for k, (nx, ny, nz, l) in enumerate(rows) if k != skip)
 
 
+def mp_features(c, rows) -> list[list[mpmath.mpf]]:
+    """At 80 digits, one convex's boundary vertices and the far point from
+    c of each of its circles, each kept when the convex's other rows hold
+    it: the points a bounding circle about c must reach. A row is its
+    normal's exact direction with its l, as the circle code takes it; two
+    normals within 1e-30 of parallel give no vertex."""
+    with mpmath.workdps(80):
+        def unit(v):
+            v = [mpmath.mpf(x) for x in v]
+            s = mpmath.sqrt(sum(x * x for x in v))
+            return [x / s for x in v]
+
+        def dot(a, b):
+            return sum(x * y for x, y in zip(a, b))
+
+        rows = [(unit(h[:3]), mpmath.mpf(h[3])) for h in rows]
+
+        def kept(p, *skip):
+            return all(dot(p, n) >= l - mpmath.mpf(1e-40) for k, (n, l) in enumerate(rows) if k not in skip)
+
+        out = []
+        for i, (n1, l1) in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                n2, l2 = rows[j]
+                d = dot(n1, n2)
+                if 1 - d * d < 1e-60:
+                    continue
+                q = [((l1 - l2 * d) * a + (l2 - l1 * d) * b) / (1 - d * d) for a, b in zip(n1, n2)]
+                cross = [n1[1] * n2[2] - n1[2] * n2[1], n1[2] * n2[0] - n1[0] * n2[2], n1[0] * n2[1] - n1[1] * n2[0]]
+                g2 = (1 - dot(q, q)) / dot(cross, cross)
+                if g2 >= 0:
+                    g = mpmath.sqrt(g2)
+                    out += [p for p in ([a + s * g * b for a, b in zip(q, cross)] for s in (1, -1)) if kept(p, i, j)]
+        c = unit(c)
+        for i, (n, l) in enumerate(rows):
+            if l >= 1:
+                continue
+            if l <= -1:  # the circle is the one point -n
+                f = [-x for x in n]
+            else:
+                t = [a - dot(c, n) * b for a, b in zip(c, n)]
+                if dot(t, t) < 1e-60:  # c on the axis: every circle point is as far
+                    t = [n[1], -n[0], 0] if abs(n[2]) < 0.9 else [-n[2], 0, n[0]]
+                t, s = unit(t), mpmath.sqrt(1 - l * l)
+                f = [l * b - s * a for a, b in zip(t, n)]
+            if kept(f, i):
+                out.append(f)
+        return out
+
+
+def mp_arc_deg(c, p) -> mpmath.mpf:
+    """Arc in degrees from c, taken as its exact direction, to the unit
+    vector p, at 40 digits."""
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(x) for x in c]
+        n = mpmath.sqrt(sum(x * x for x in c))
+        chord = mpmath.sqrt(sum((x / n - y) ** 2 for x, y in zip(c, p)))
+        return mpmath.degrees(2 * mpmath.asin(min(1, chord / 2)))
+
+
 def rounding_deg(radius):
     """1e-9 degrees, plus the rounding of a radius in the chord form
     2 asin(|c - p| / 2): asin's slope 1 / cos(radius / 2) magnifies a
@@ -680,29 +738,16 @@ class TestBoundingCircleSound:
         assert store.points_in_region(rid, objid, ra, dec) == [0, 1, 2, 4]
 
 
-def mp_far_point(c, h):
-    """_far_point_on_circle at 40 digits, for the exact directions of c
-    and of h's normal (h's l below 1 in length)."""
-    with mpmath.workdps(40):
-        unit = lambda v: [x / mpmath.sqrt(sum(y * y for y in v)) for x in v]
-        c, n = unit([mpmath.mpf(x) for x in c]), unit([mpmath.mpf(x) for x in h[:3]])
-        d = sum(a * b for a, b in zip(c, n))
-        t = unit([a - d * b for a, b in zip(c, n)])
-        s = mpmath.sqrt(1 - mpmath.mpf(h[3]) ** 2)
-        return [h[3] * b - s * a for a, b in zip(t, n)]
-
-
 class TestBoundingCirclePrecision:
-    # Two precision defects, each measured against 40 digits: the circle
-    # was short of a vertex or a far point that the region holds.
+    # Two precision defects: the circle was short of a vertex or a far
+    # point that the region holds, by more than rounding (mp_features).
     def test_near_antiparallel_sliver(self):
         # the sliver between z = 0 and a plane of a normal 1e-5 degrees
         # from the south pole: radius 59.3134 where its vertices lie
         # 60.0000 degrees from the centre
         rows = [(6.1e-17, 0.0, 1.0, 0.0), (1.7453292528463437e-07, 0.0, -0.9999999999999848, 8.726646259971605e-08)]
         center, radius = bounding_circle_rows([rows])
-        for p in mp_plane_pair_points(*rows):
-            assert radius >= mp_arc_deg(center, p) - 1e-12
+        assert max(mp_arc_deg(center, p) for p in mp_features(center, rows)) <= radius + 1e-12
 
     def test_far_point_next_to_the_axis(self):
         # a lune of two great circles 1e-4 degrees apart, the centre on
@@ -713,7 +758,7 @@ class TestBoundingCirclePrecision:
         assert center == (0.0, 0.0, 1.0)
         f = _far_point_on_circle(center, rows[1])
         assert abs(sum(a * b for a, b in zip(f, rows[1][:3])) - rows[1][3]) < 1e-15
-        assert radius >= mp_arc_deg(center, mp_far_point(center, rows[1])) - 1e-12
+        assert max(mp_arc_deg(center, p) for p in mp_features(center, rows)) <= radius + 1e-12
 
 
 def bounding_circle_digest(regions) -> str:
