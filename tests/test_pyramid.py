@@ -538,7 +538,7 @@ def mp_features(c, rows) -> list[list[mpmath.mpf]]:
 
         rows = [(unit(h[:3]), mpmath.mpf(h[3])) for h in rows]
 
-        def kept(p, *skip):
+        def holds(p, *skip):
             return all(dot(p, n) >= l - mpmath.mpf(1e-40) for k, (n, l) in enumerate(rows) if k not in skip)
 
         out = []
@@ -553,7 +553,7 @@ def mp_features(c, rows) -> list[list[mpmath.mpf]]:
                 g2 = (1 - dot(q, q)) / dot(cross, cross)
                 if g2 >= 0:
                     g = mpmath.sqrt(g2)
-                    out += [p for p in ([a + s * g * b for a, b in zip(q, cross)] for s in (1, -1)) if kept(p, i, j)]
+                    out += [p for p in ([a + s * g * b for a, b in zip(q, cross)] for s in (1, -1)) if holds(p, i, j)]
         c = unit(c)
         for i, (n, l) in enumerate(rows):
             if l >= 1:
@@ -566,7 +566,7 @@ def mp_features(c, rows) -> list[list[mpmath.mpf]]:
                     t = [n[1], -n[0], 0] if abs(n[2]) < 0.9 else [-n[2], 0, n[0]]
                 t, s = unit(t), mpmath.sqrt(1 - l * l)
                 f = [l * b - s * a for a, b in zip(t, n)]
-            if kept(f, i):
+            if holds(f, i):
                 out.append(f)
         return out
 
