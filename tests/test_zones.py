@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -557,6 +558,43 @@ def test_join_refuses_rows_past_the_packed_key():
 
     with pytest.raises(ZoneError, match="at most 3037000499 rows"):
         build_neighbors(Huge(), 1.0)
+
+
+def piled_catalog():
+    """1,609 rows piled where join windows wrap: on ra 0 and just under 360
+    across dec, and within 1.5 degrees of each pole, where windows are full
+    circles; plus exact edge rows and 600 rows anywhere. objids in no order."""
+    rng = np.random.default_rng(29)
+    below = math.nextafter(360.0, 0.0)
+    ra = np.concatenate([
+        [0.0, 0.0, below, below, 5e-324, 0.0, 180.0, 0.0, 90.0],
+        rng.uniform(0.0, 0.6, 500), rng.uniform(359.4, 360.0, 500), rng.uniform(0.0, 360.0, 600),
+    ])
+    dec = np.concatenate([
+        [90.0, -90.0, 0.0, 89.99, -89.99, 0.0, 90.0, -45.0, -90.0],
+        rng.uniform(-89.0, 89.0, 1000), rng.uniform(88.5, 90.0, 300), rng.uniform(-90.0, -88.5, 300),
+    ])
+    return catmod.from_arrays(rng.permutation(len(ra)) * 7 - 3000, ra % 360.0, dec)
+
+
+@pytest.mark.parametrize(
+    "case, r, rows, candidates, digest",
+    [
+        ("random", 0.5, 7530, 7331, "0f19597af477963ad7db5780b814606af0cfc396657e5448da5ae06d1eb88a9c"),
+        ("random", 1.5, 68630, 65932, "b98eb569f73b8dad93f71694db20429617d59c720a72d7112477bd390f40e868"),
+        ("piled", 0.5, 34824, 34401, "a7b71c5c67fa370c2ebcef956c38f3176f0675ee15738492575671f122527fd0"),
+        ("piled", 5.0, 270648, 161258, "1f05d8611856e48cb673686af04eaeda420545639b7806596b7244724694c64a"),
+    ],
+)
+def test_join_output_pinned(case, r, rows, candidates, digest):
+    # the SHA-256 of the objid, neighbor and distance bytes and the count
+    # of candidate pairs, as the join gave them when this test was written
+    cat = catmod.random_catalog(20_000, seed=301) if case == "random" else piled_catalog()
+    table = build_neighbors(cat, r)
+    h = hashlib.sha256()
+    for col in (table.objid, table.neighbor, table.distance):
+        h.update(col.tobytes())
+    assert (len(table), table.candidate_pairs, h.hexdigest()) == (rows, candidates, digest)
 
 
 def test_pair_scan_above_180_takes_every_pair():
