@@ -3,14 +3,15 @@
 A catalog is bucketed into horizontal zones of fixed height; a ZoneTable
 is an index over it, as in the zone papers: the catalog's rows in (zone,
 ra, objid) order, one per object with ra in [0, 360), and no copied column.
-ZoneTable.scan_ra scans many ra windows, each over its own band of zones,
-at once with a binary search on an exact (zone, ra) key, so a cone search
-is one scan of its dec band and the all-pairs neighbor join one scan per
-block of rows.
+ZoneTable.scan_images scans many ra windows, each over its own band of
+zones and at each of its ra images, at once with a binary search on an
+exact (zone, ra) key. A cone search is one scan_ra (all three images) of
+its dec band, and the all-pairs neighbor join one scan per block of rows
+at one image per window (see build_neighbors).
 The pyramid's bands are sparse, where a binary search per zone costs
 more than a look at every row, so pyramid.overlap_search masks its
 bands' contiguous rows instead (the choice between an index seek and a
-range scan that the zone papers leave to the SQL optimizer). Both test
+range scan that the zone papers leave to the SQL optimizer). All test
 the edges ra_images gives, which holds the one wraparound rule: each
 window's -360, 0 and +360 images, and a full-circle window (polar
 queries) taken as [0, 360) first. The zone papers copy rows near ra
@@ -214,13 +215,20 @@ class ZoneTable:
         self.row maps them to the catalog's.
 
         A row is in a window when it is in one of the window's ra_images,
-        and all three are searched. Their row ranges, taken in shift
-        order, are already sorted and take no row twice.
+        and scan_images searches all three.
         """
-        images = ra_images(lo, hi)
-        # search keys (lo or hi, zone offset, shift, window): ascending ra
+        return self.scan_images(z0, height, ra_images(lo, hi))
+
+    def scan_images(self, z0, height: int, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel of scan_ra and the neighbor join: scan_ra's (window,
+        row) pairs for windows given as a (2, s, k) array of image edges,
+        [0] the lower and [1] the upper edge of image i of window k. Each
+        window's images must be in ascending ra order and hold no row
+        twice, as ra_images' three (s = 3) or one image (s = 1) do; their
+        row ranges are then already sorted."""
+        # search keys (lo or hi, zone offset, image, window): ascending ra
         # within a zone keeps each side's keys near-sorted, which numpy exploits
-        q = np.empty((2, height, 3, images.shape[2]), dtype=complex)
+        q = np.empty((2, height) + images.shape[1:], dtype=complex)
         q.real = np.arange(height)[:, None, None] + z0
         q.imag = images[:, None]
         a = self.key.searchsorted(q[0], side="left")
@@ -364,6 +372,18 @@ MAX_JOIN_ROWS = 3_037_000_499
 _JOIN_KEYS = 1 << 15
 
 
+def _chord2(cols, a, b) -> np.ndarray:
+    """The squared chords between rows a and b of the x, y, z columns,
+    summed in one order, so that (a, b) and (b, a) give the same bits."""
+    d2 = np.zeros(len(a))
+    for col in cols:
+        d = col[a]
+        d -= col[b]
+        d *= d
+        d2 += d
+    return d2
+
+
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
     """Materialize all object pairs strictly within a radius in (0, 180].
 
@@ -374,12 +394,15 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     the left one in the table. That yields each unordered pair exactly
     once, from the window of its earlier row. A block holds _JOIN_KEYS //
     band height rows, so its search keys take the same memory at any
-    zone height. Each pair goes straight to the exact chord test: a
+    zone height. Each window is scanned at one image: its own, and, as an
+    extra window of its row, its +360 or -360 image if it passes ra 0 or
+    360. Each pair goes straight to the exact chord test: a
     dec-band prefilter saves no time there, and its rounding can drop a
     pair at distance r that the chord test keeps. The pairs found are
     mirrored and put in (objid, neighbor) order by one sort of a packed
     key, rank(objid) * n + rank(neighbor), unique per pair; it fits int64
-    up to MAX_JOIN_ROWS rows, and more rows raise ZoneError.
+    up to MAX_JOIN_ROWS rows, and more rows raise ZoneError. _chord2 then
+    gives each pair's distance the chord test's bits again.
     zone_height defaults to the radius, which minimizes the candidate area
     of the join, or to the least height MAX_ZONE_COUNT allows if that is
     larger.
@@ -402,43 +425,48 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     chord2_limit = 4.0 * math.sin(math.radians(r) / 2.0) ** 2
     keys_ab = [np.empty(0, dtype=np.int64)]
     keys_ba = [np.empty(0, dtype=np.int64)]
-    pair_d2 = [np.empty(0, dtype=float)]
     candidates = 0
     for start in range(0, n, block):
         s = slice(start, start + block)
         alpha = _ra_windows_arr(r, dec[s])
-        window, right = table.scan_ra(table.key.real[s], height, ra[s] - alpha, ra[s] + alpha)
-        left = start + window
+        images = ra_images(ra[s] - alpha, ra[s] + alpha)
+        # the 0 images, then as extra windows the other images that can
+        # hold a stored ra (start below 360, end at or past 0); src maps
+        # each window to its row
+        past0 = np.flatnonzero(images[0, 2] < 360.0)
+        past360 = np.flatnonzero(images[1, 0] >= 0.0)
+        edges = np.concatenate((images[:, 1], images[:, 2, past0], images[:, 0, past360]), axis=1)
+        src = np.concatenate((np.arange(len(alpha)), past0, past360))
+        window, right = table.scan_images(table.key.real[s][src], height, edges[:, None])
+        left = start + src[window]
         keep = right > left
         left, right = left[keep], right[keep]
         candidates += len(right)
-        dx = x[left] - x[right]
-        dy = y[left] - y[right]
-        dz = z[left] - z[right]
-        d2 = dx * dx + dy * dy + dz * dz
-        hit = d2 < chord2_limit
+        hit = _chord2((x, y, z), left, right) < chord2_limit
         rank_l, rank_r = rank[left[hit]], rank[right[hit]]
         keys_ab.append(rank_l * n + rank_r)
         keys_ba.append(rank_r * n + rank_l)
-        pair_d2.append(d2[hit])
-    # the sort sets peak memory, so the table and columns are freed before
-    # it and each pair-sized array as soon as it is used
-    sorted_objid = objid[by_objid]
+    # the pair tail sets peak memory, so the table and columns are freed
+    # before it and each pair-sized array as soon as it is used
+    by_rank = table.row[by_objid]
     del table, objid, ra, dec, x, y, z, by_objid, rank
     key = np.concatenate(keys_ab + keys_ba)  # both orders of every pair
     del keys_ab, keys_ba
-    order = np.argsort(key)  # the keys are unique, so any sort gives this order
-    key = key[order]
-    rank_b = key % n
-    key //= n
-    objid, neighbor = sorted_objid[key], sorted_objid[rank_b]
-    del key, rank_b
-    d2 = np.concatenate(pair_d2 * 2)[order]
-    del pair_d2, order
+    key.sort()  # the keys are unique, so any sort gives this order
+    a, b = np.divmod(key, n)
+    del key
+    d2 = _chord2((getattr(catalog, c)[by_rank] for c in "xyz"), a, b)
+    objid = catalog.objid[by_rank]
+    a, b = objid[a], objid[b]
+    np.sqrt(d2, out=d2)
+    d2 /= 2.0
+    np.arcsin(d2, out=d2)
+    d2 *= 2.0
+    np.degrees(d2, out=d2)
     return NeighborsTable(
         radius=r,
-        objid=objid,
-        neighbor=neighbor,
-        distance=np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0)),
+        objid=a,
+        neighbor=b,
+        distance=d2,
         candidate_pairs=candidates,
     )

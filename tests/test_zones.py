@@ -109,19 +109,22 @@ class TestZoneConfig:
         assert len(np.unique(zone)) > 190
         a, b, d = oracle.pair_scan(cat, 1e-7)
         assert len(a) == 6
-        scan_ra = ZoneTable.scan_ra
+        scan_images = ZoneTable.scan_images
         for join_keys, scans in ((zones._JOIN_KEYS, 1), (128, 4)):
-            starts, heights = [], []
+            starts, heights, shapes = [], [], []
 
-            def scan_spy(self, z0, height, lo, hi):
+            def scan_spy(self, z0, height, images):
                 starts.append(np.array(z0, dtype=np.int64))
                 heights.append(height)
-                return scan_ra(self, z0, height, lo, hi)
+                shapes.append(images.shape)
+                return scan_images(self, z0, height, images)
 
             monkeypatch.setattr(zones, "_JOIN_KEYS", join_keys)
-            monkeypatch.setattr(ZoneTable, "scan_ra", scan_spy)
+            monkeypatch.setattr(ZoneTable, "scan_images", scan_spy)
             table = build_neighbors(cat, 1e-7)
             assert len(starts) == scans and heights == [2] * scans
+            # no window here passes ra 0 or 360, so each row has one image
+            assert shapes == [(2, 1, len(z0)) for z0 in starts]
             assert [len(z0) for z0 in starts[:-1]] == [join_keys // 2] * (scans - 1)
             assert np.concatenate(starts).tolist() == sorted(zone.tolist())
             assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
@@ -550,6 +553,30 @@ def test_join_keeps_a_pair_on_the_circle_that_the_chord_test_keeps():
     assert a.tolist() == [1, 2] and b.tolist() == [2, 1]
     assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
     assert table.distance.tobytes() == d.tobytes()
+
+
+@pytest.mark.parametrize("widen", [False, True])
+@pytest.mark.parametrize("r", [1e-12, 1e-7, 2e-7, 1e-4 - 2e-12, 1e-4, 0.5, 90.0, 180.0])
+def test_join_windows_across_ra_0_and_360(monkeypatch, r, widen):
+    # rows on both sides of ra 0/360 at the equator and next to both
+    # poles: windows that pass 0 or 360, windows that reach a pole (full
+    # circles) and, widened, windows of half-width 180 - 1e-13 that pass
+    # 0 or 360 and leave a 2e-13-degree gap. A wider window only adds
+    # candidates for the chord test, so the join stays exact
+    if widen:
+        windows = zones._ra_windows_arr
+        monkeypatch.setattr(
+            zones, "_ra_windows_arr", lambda r, dec: np.maximum(windows(r, dec), 180.0 - 1e-13)
+        )
+    ras = [0.0, 5e-324, math.nextafter(360.0, 0.0), 359.9999999]
+    ra, dec = np.array([(a, d) for d in (0.0, 89.9999, -89.9999) for a in ras]).T
+    cat = catmod.from_arrays(np.arange(len(ra))[::-1] * 3, ra, dec)
+    table = build_neighbors(cat, r)
+    a, b, d = oracle.pair_scan(cat, r)
+    assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
+    assert table.distance.tobytes() == d.tobytes()
+    # each unordered pair is a candidate at most once
+    assert len(a) // 2 <= table.candidate_pairs <= len(ra) * (len(ra) - 1) // 2
 
 
 def test_join_refuses_rows_past_the_packed_key():
