@@ -556,20 +556,23 @@ def test_join_keeps_a_pair_on_the_circle_that_the_chord_test_keeps():
 
 
 @pytest.mark.parametrize("widen", [False, True])
-@pytest.mark.parametrize("r", [1e-12, 1e-7, 2e-7, 1e-4 - 2e-12, 1e-4, 0.5, 90.0, 180.0])
+@pytest.mark.parametrize("r", [1e-13, 1e-12, 1e-7, 2e-7, 1e-4 - 2e-12, 1e-4, 0.5, 90.0, 180.0])
 def test_join_windows_across_ra_0_and_360(monkeypatch, r, widen):
-    # rows on both sides of ra 0/360 at the equator and next to both
-    # poles: windows that pass 0 or 360, windows that reach a pole (full
-    # circles) and, widened, windows of half-width 180 - 1e-13 that pass
-    # 0 or 360 and leave a 2e-13-degree gap. A wider window only adds
-    # candidates for the chord test, so the join stays exact
+    # rows on both sides of ra 0/360 at the equator, 1e-14 below it (dec
+    # 0 is a zone edge at the finest zone height, so a window there that
+    # passes 360 must find the ra 0 rows of the zone above) and next to
+    # both poles: windows that pass 0 or 360, by as little as 1e-13
+    # degrees, windows that reach a pole (full circles) and, widened,
+    # windows of half-width 180 - 1e-13 that pass 0 or 360 and leave a
+    # 2e-13-degree gap. A wider window only adds candidates for the chord
+    # test, so the join stays exact
     if widen:
         windows = zones._ra_windows_arr
         monkeypatch.setattr(
             zones, "_ra_windows_arr", lambda r, dec: np.maximum(windows(r, dec), 180.0 - 1e-13)
         )
     ras = [0.0, 5e-324, math.nextafter(360.0, 0.0), 359.9999999]
-    ra, dec = np.array([(a, d) for d in (0.0, 89.9999, -89.9999) for a in ras]).T
+    ra, dec = np.array([(a, d) for d in (0.0, -1e-14, 89.9999, -89.9999) for a in ras]).T
     cat = catmod.from_arrays(np.arange(len(ra))[::-1] * 3, ra, dec)
     table = build_neighbors(cat, r)
     a, b, d = oracle.pair_scan(cat, r)
@@ -588,9 +591,9 @@ def test_join_refuses_rows_past_the_packed_key():
 
 
 def piled_catalog():
-    """1,609 rows piled where join windows wrap: on ra 0 and just under 360
-    across dec, and within 1.5 degrees of each pole, where windows are full
-    circles; plus exact edge rows and 600 rows anywhere. objids in no order."""
+    """1,609 rows piled where join windows wrap: 1,000 within 0.6 degrees of
+    ra 0 on either side, 600 within 1.5 degrees of a pole, where windows
+    are full circles, and nine exact edge rows. objids in no order."""
     rng = np.random.default_rng(29)
     below = math.nextafter(360.0, 0.0)
     ra = np.concatenate([
