@@ -239,6 +239,27 @@ class TestHtmCli:
         ranges = [l for l in out.splitlines() if l.startswith("range ")]
         assert 1 <= len(ranges) <= 20
 
+    @pytest.mark.parametrize("spec, want", [
+        ("CIRCLE J2000 0 90 300",
+         "range lo=8704 hi=8707;range lo=8717 hi=8719;range lo=9728 hi=9731;range lo=9741 hi=9743;"
+         "range lo=10752 hi=10755;range lo=10765 hi=10767;range lo=11776 hi=11779;range lo=11789 hi=11791;"
+         "summary count=8 depth=5"),
+        ("CHULL J2000 358 -3 3 -2 2 4 357 2",
+         "range lo=8192 hi=8195;range lo=8205 hi=8205;range lo=11520 hi=11523;range lo=11533 hi=11533;"
+         "range lo=12544 hi=12547;range lo=12557 hi=12557;range lo=15360 hi=15363;range lo=15373 hi=15373;"
+         "summary count=8 depth=5"),
+        ("REGION CONVEX 0 0 1 0.5 CONVEX 1 0 0 0.9 0 1 0 0.1",
+         "range lo=32 hi=47;range lo=49 hi=49;summary count=2 depth=1"),
+        ("REGION", "summary count=0 depth=0"),
+    ])
+    def test_cover_output_pinned(self, capsys, snap, spec, want):
+        # a circle at the north pole, a CHULL across ra 0, two convexes
+        # and the empty region, at a budget that stops the refinement
+        code, out = run(capsys, "--snapshot", snap, "--format", "records", "htm", "cover",
+                        "--region", spec, "--max-ranges", "8", "--max-depth", "6")
+        assert code == 0
+        assert ";".join(l for l in out.splitlines() if not l.startswith("config ")) == want
+
     def test_bad_region_exit_3(self, capsys, snap):
         code, _ = run(capsys, "--snapshot", snap, "htm", "cover",
                       "--region", "CIRCLE NOPE 1 2 3")
