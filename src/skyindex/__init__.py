@@ -15,12 +15,9 @@ from .geom import (
     SkyPoint,
     UnitVec3,
     arc_distance_deg,
-    buffer_halfspace,
     circle_to_halfspace,
     inside_convex,
-    inside_halfspace,
     inside_region,
-    negate_halfspace,
     sky_to_vec,
     vec_to_sky,
 )

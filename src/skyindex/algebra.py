@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import COVER_PAD_DEG
-from .geom import Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, radius_deg, sky_to_xyz
+from .geom import Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, normalized_xyz, radius_deg, sky_to_xyz
 from .pyramid import bounding_circle_rows
 
 _TOL_DEG = 1e-9
@@ -381,7 +381,7 @@ class RegionStore:
         if not (-1.0 <= l <= 1.0):
             raise RegionStoreError(f"constraint length outside [-1, 1]: {l!r}")
         try:
-            normal = UnitVec3.normalized(x, y, z)
+            normal = normalized_xyz(x, y, z)
         except GeometryError as exc:
             raise RegionStoreError(f"constraint normal: {exc}") from None
         pending = self._pending_of(slot)
@@ -390,7 +390,7 @@ class RegionStore:
             self._retire([slot])
             self._pending.append(pending)
             reg.slots = [*reg.slots[:k], self._convexes.n + len(self._pending) - 1, *reg.slots[k + 1 :]]
-        pending[2].append((normal.x, normal.y, normal.z, float(l)))
+        pending[2].append((*normal, float(l)))
         return len(pending[2])
 
     def region_drop(self, rid: int) -> None:

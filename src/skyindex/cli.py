@@ -24,7 +24,7 @@ import numpy as np
 from . import catalog as catmod
 from . import htm, oracle, regionspec, zones
 from .algebra import RegionStore, RegionStoreError
-from .geom import GeometryError, SkyPoint, UnitVec3, sky_to_vec, sky_to_xyz, vec_to_sky
+from .geom import GeometryError, SkyPoint, UnitVec3, region_rows, sky_to_vec, sky_to_xyz, vec_to_sky
 from .htm import HtmError
 from .pyramid import (
     PyramidConfig,
@@ -200,8 +200,8 @@ def cmd_htm_id(args, out: Output) -> int:
 
 
 def cmd_htm_cover(args, out: Output) -> int:
-    region = regionspec.compile_region_string(args.region)
-    ranges = htm.cover(region, max_ranges=args.max_ranges, max_depth=args.max_depth)
+    rows = region_rows(regionspec.compile_region_string(args.region))
+    ranges = htm.cover(rows, max_ranges=args.max_ranges, max_depth=args.max_depth)
     depth = htm.id_depth(ranges[0][0]) if ranges else 0
     for lo, hi in ranges:
         out.record("range", lo=lo, hi=hi)
@@ -218,11 +218,8 @@ def _edit_region(store: RegionStore, args) -> tuple[str, dict]:
     if args.region_cmd == "new":
         if not args.from_spec:
             return "region", {"id": store.region_new(args.type, args.comment)}
-        region = regionspec.compile_region_string(args.from_spec)
-        lists = [  # stored bit for bit
-            [(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.constraints] for c in region.convexes
-        ]
-        return "region", {"id": store.region_new_from_convexes(lists, args.type, args.comment)}
+        rows = region_rows(regionspec.compile_region_string(args.from_spec))  # stored bit for bit
+        return "region", {"id": store.region_new_from_convexes(rows, args.type, args.comment)}
     if args.region_cmd == "new-convex":
         return "convex", {"region": args.id, "convex": store.region_new_convex(args.id)}
     if args.region_cmd == "constraint":

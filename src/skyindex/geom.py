@@ -183,10 +183,6 @@ def vec_to_sky(v: UnitVec3) -> SkyPoint:
     return SkyPoint(ra, dec)
 
 
-def inside_halfspace(h: HalfSpace, p: UnitVec3) -> bool:
-    return p.dot(h.normal) > h.l
-
-
 def inside_convex(c: Convex, p: UnitVec3) -> bool:
     return all(p.dot(h.normal) > h.l for h in c.constraints)
 
@@ -227,20 +223,10 @@ def circle_to_halfspace(center: UnitVec3, radius) -> HalfSpace:
     return HalfSpace(center, math.cos(math.radians(r)))
 
 
-def buffer_halfspace(h: HalfSpace, theta) -> HalfSpace:
-    """Enlarge the cap by theta >= 0 degrees: l' = cos(acos(l) + theta), clamped to -1."""
-    t = float(theta)
-    if not 0.0 <= t < math.inf:
-        raise GeometryError(f"buffer angle not finite and >= 0 degrees: {t!r}")
-    a = math.acos(h.l) + math.radians(t)
-    if a >= math.pi:
-        return HalfSpace(h.normal, -1.0)
-    return HalfSpace(h.normal, math.cos(a))
-
-
-def negate_halfspace(h: HalfSpace) -> HalfSpace:
-    """Complement cap: all four components flip sign."""
-    return HalfSpace(h.normal.negated(), -h.l)
+def region_rows(region: Region) -> list[list[Row]]:
+    """The region's convexes as lists of (nx, ny, nz, l) rows, bit for bit:
+    the form the region store, the bounding circles and htm.cover take."""
+    return [[(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.constraints] for c in region.convexes]
 
 
 # -- boundary vertices ----------------------------------------------------

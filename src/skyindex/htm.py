@@ -10,17 +10,21 @@ the other's.
 Faces 0..3 (ids 8..11) tile the northern hemisphere anticlockwise from
 ra 0, faces 4..7 the southern. Child digit i keeps parent corner i with
 the two adjacent edge midpoints; digit 3 is the central midpoint triangle.
+
+A trixel is its three corners, a tuple of (x, y, z) tuples, as
+FACE_CORNERS, _children and _corners_of_id give them. A region is a list
+of its convexes, each a list of (nx, ny, nz, l) half-space rows, the
+region store's form.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Convex, Region, UnitVec3, arc_distance_deg
+from .geom import arc_deg
 
 MAX_DEPTH = 30
 
@@ -44,21 +48,6 @@ class HtmError(ValueError):
     """Malformed trixel id or out-of-range depth."""
 
 
-@dataclass(frozen=True)
-class Trixel:
-    v0: UnitVec3
-    v1: UnitVec3
-    v2: UnitVec3
-
-    def corners(self) -> tuple[UnitVec3, UnitVec3, UnitVec3]:
-        return (self.v0, self.v1, self.v2)
-
-
-def base_trixels() -> list[Trixel]:
-    """The 8 octahedral faces, in face order (ids 8..15)."""
-    return [Trixel(*(UnitVec3(*c) for c in corners)) for corners in FACE_CORNERS]
-
-
 def _mid(a, b, sqrt=math.sqrt):
     x, y, z = a[0] + b[0], a[1] + b[1], a[2] + b[2]
     n = sqrt(x * x + y * y + z * z)
@@ -80,12 +69,6 @@ def trixel_corners(depth: int) -> np.ndarray:
     for _ in range(depth):  # child digit fastest, as in the ids
         corners = np.array(_children(corners, np.sqrt)).transpose(1, 2, 3, 0).reshape(3, 3, -1)
     return corners
-
-
-def subdivide(t: Trixel) -> list[Trixel]:
-    """The 4 child trixels: corners 0..2 keep a parent corner, 3 is central."""
-    kids = _children((t.v0.as_tuple(), t.v1.as_tuple(), t.v2.as_tuple()))
-    return [Trixel(*(UnitVec3(*c) for c in kid)) for kid in kids]
 
 
 def _edge_dots(corners, p):
@@ -158,8 +141,9 @@ _CARRY = (
 _DIGIT = (3, 0, 1, 0, 2, 0, 1, 0)
 
 
-def point_to_id(p: UnitVec3, depth: int) -> int:
-    """Trixel id at the given depth containing p.
+def point_to_id(p, depth: int) -> int:
+    """Trixel id at the given depth containing p, a unit vector with x, y
+    and z attributes (a geom.UnitVec3).
 
     The face is the first whose edge dots, exactly +-x, +-y or +-z, are
     all >= 0; each level then takes the child _DIGIT names, by _kids'
@@ -219,11 +203,6 @@ def _corners_of_id(hid: int):
     return corners
 
 
-def id_to_trixel(hid: int) -> Trixel:
-    corners = _corners_of_id(hid)
-    return Trixel(*(UnitVec3(*c) for c in corners))
-
-
 def prefix_contains(a: int, b: int) -> bool:
     """True iff trixel a contains trixel b (a's id is a digit-prefix of b's)."""
     da, db = id_depth(a), id_depth(b)
@@ -232,14 +211,14 @@ def prefix_contains(a: int, b: int) -> bool:
     return (b >> (2 * (db - da))) == a
 
 
-def trixel_area_sr(t: Trixel) -> float:
+def trixel_area_sr(corners) -> float:
     """Spherical area (steradians) by the Van Oosterom-Strackee formula.
 
     tan(E/2) = |a . ((b - a) x (c - a))| / (1 + a.b + b.c + c.a). The edge
     differences keep the numerator accurate for tiny trixels, where
     Girard's excess (angle sum minus pi) cancels to nothing near MAX_DEPTH.
     """
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (v.as_tuple() for v in t.corners())
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = corners
     ux, uy, uz = bx - ax, by - ay, bz - az
     vx, vy, vz = cx - ax, cy - ay, cz - az
     triple = (
@@ -253,9 +232,8 @@ def trixel_area_sr(t: Trixel) -> float:
     return 2.0 * math.atan2(abs(triple), 1.0 + ab + bc + ca)
 
 
-def trixel_max_edge_deg(t: Trixel) -> float:
-    c = t.corners()
-    return max(arc_distance_deg(c[i], c[(i + 1) % 3]) for i in range(3))
+def trixel_max_edge_deg(corners) -> float:
+    return max(arc_deg(corners[i], corners[(i + 1) % 3]) for i in range(3))
 
 
 # -- trixel vs region classification ----------------------------------------
@@ -311,9 +289,9 @@ def _bounding_cap(corners):
     return (x, y, z), math.acos(cos_rho)
 
 
-def _halfspaces(c: Convex):
-    """c's constraints as (normal tuple, l, acos(l)), made once per cover."""
-    return tuple((h.normal.as_tuple(), h.l, math.acos(h.l)) for h in c.constraints)
+def _halfspaces(rows):
+    """A convex's rows as (normal tuple, l, acos(l)), made once per cover."""
+    return tuple(((nx, ny, nz), l, math.acos(l)) for nx, ny, nz, l in rows)
 
 
 def _classify_halfspace(corners, cap, n, l, theta) -> int:
@@ -378,9 +356,9 @@ def _classify_halfspace(corners, cap, n, l, theta) -> int:
     return PARTIAL
 
 
-def classify_trixel(t: Trixel, c: Convex) -> int:
-    """Conservative: INSIDE/OUTSIDE only when provable, else PARTIAL."""
-    return _classify_region((t.v0.as_tuple(), t.v1.as_tuple(), t.v2.as_tuple()), [_halfspaces(c)])
+def classify_trixel(corners, rows) -> int:
+    """The trixel against a convex's rows: INSIDE/OUTSIDE only when provable, else PARTIAL."""
+    return _classify_region(corners, [_halfspaces(rows)])
 
 
 def _classify_region(corners, convexes) -> int:
@@ -406,8 +384,9 @@ def _classify_region(corners, convexes) -> int:
 # -- region cover ------------------------------------------------------------
 
 
-def cover(region: Region, max_ranges: int = 20, max_depth: int = 20) -> list[tuple[int, int]]:
-    """Sound trixel-range cover of a region.
+def cover(convexes, max_ranges: int = 20, max_depth: int = 20) -> list[tuple[int, int]]:
+    """Sound trixel-range cover of a region, given as its convexes' rows,
+    unit normals and l in [-1, 1], as geom.region_rows makes them.
 
     Breadth-first refinement of boundary trixels; fully-inside trixels are
     accepted whole, refinement stops at max_depth or once the budget is
@@ -425,7 +404,7 @@ def cover(region: Region, max_ranges: int = 20, max_depth: int = 20) -> list[tup
         ok = False
     if not ok:
         raise HtmError(f"need an integer max_ranges >= 1 and max_depth in 0..{MAX_DEPTH}: {max_ranges!r}, {max_depth!r}")
-    convexes = [_halfspaces(c) for c in region.convexes]
+    convexes = [_halfspaces(rows) for rows in convexes]
     accepted: list[tuple[int, int]] = []  # (id, depth)
     frontier = [(8 + f, FACE_CORNERS[f]) for f in range(8)]
     depth = 0

@@ -39,6 +39,7 @@ from .geom import (
     min_enclosing_cap,
     normalized_xyz,
     radius_deg,
+    region_rows,
     sky_to_vec,
     sky_to_xyz,
 )
@@ -350,6 +351,5 @@ def bounding_circle_rows(convexes: list[list[Row]]) -> tuple[Vec, float]:
 
 def bounding_circle(region: Region) -> tuple[UnitVec3, float]:
     """(center, radius degrees) covering every point of the region."""
-    rows = [[(h.normal.x, h.normal.y, h.normal.z, h.l) for h in c.constraints] for c in region.convexes]
-    center, radius = bounding_circle_rows(rows)
+    center, radius = bounding_circle_rows(region_rows(region))
     return UnitVec3(*center), radius

@@ -275,7 +275,7 @@ def load_state(path) -> AppState:
         if zone_table is not None:
             if cat is None:
                 raise SnapshotError("zone table without a catalog")
-            zone_table = ZoneTable(ZoneConfig(zone_table["zone_height"]), cat, zone_table["row"])
+            zone_table = ZoneTable.from_columns(ZoneConfig(zone_table["zone_height"]), cat, zone_table["row"])
         if neighbors is not None:
             neighbors = NeighborsTable(**neighbors)
             check_neighbors(neighbors)

@@ -30,7 +30,7 @@ A zone table holds points only; the pyramid keeps its circles in a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -167,26 +167,30 @@ class ZoneTable:
     """An index over a catalog (any object with array columns objid, ra,
     dec, x, y, z), immutable after build: row lists the catalog's rows in
     (zone, ra, objid) order. key is the (zone, ra) search key scan_ra runs
-    on, derived here and never stored. A row that is not a permutation of
-    the catalog's rows, or out of key order, raises ZoneError."""
+    on, zone + 1j * ra of each row, derived and never stored: numpy orders
+    and searches complex values lexicographically by (real, imag), and
+    both parts are exact, so key orders rows exactly by (zone, ra).
+    build_zone_table makes both in order; from_columns checks a loaded row."""
 
     cfg: ZoneConfig
     catalog: Any
     row: np.ndarray
-    key: np.ndarray = field(init=False)
+    key: np.ndarray
 
-    def __post_init__(self):
-        cat, row, n = self.catalog, self.row, len(self.catalog.ra)
+    @classmethod
+    def from_columns(cls, cfg: ZoneConfig, catalog, row: np.ndarray) -> "ZoneTable":
+        """The table of a row column, as a snapshot stores it. A row that is
+        not a permutation of the catalog's rows, or out of key order,
+        raises ZoneError."""
+        n = len(catalog.ra)
         # the range test keeps bincount from sizing by a bad row
         if not (len(row) == n and ((row >= 0) & (row < n)).all() and (np.bincount(row, minlength=n) == 1).all()):
             raise ZoneError("zone table rows are not a permutation of the catalog's rows")
-        zone = zone_column(cat.dec[row], self.cfg.zone_height)
-        # numpy orders and searches complex values lexicographically by
-        # (real, imag), and zone + 1j * ra keeps both parts exact, so key
-        # orders rows exactly by (zone, ra)
-        self.key = zone + 1j * cat.ra[row]
-        if not (self.key[1:] >= self.key[:-1]).all():  # all scan_ra relies on
+        zone = zone_column(catalog.dec[row], cfg.zone_height)
+        key = zone + 1j * catalog.ra[row]
+        if not (key[1:] >= key[:-1]).all():  # all scan_ra relies on
             raise ZoneError("rows not sorted by (zone, ra)")
+        return cls(cfg, catalog, row, key)
 
     def __len__(self) -> int:
         return len(self.row)
@@ -284,7 +288,7 @@ def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
         at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
         rows = order[at]
         order[at] = rows[np.lexsort((catalog.objid[rows], catalog.ra[rows], zone[rows], rough[at]))]
-    return ZoneTable(cfg, catalog, order)
+    return ZoneTable(cfg, catalog, order, zone[order] + 1j * catalog.ra[order])  # the key from_columns derives, in order
 
 
 def nearby_objects(

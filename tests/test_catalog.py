@@ -7,7 +7,7 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skyindex import catalog as catmod
@@ -15,7 +15,7 @@ from skyindex import htm, oracle, snapshot, zones
 from skyindex.algebra import RegionStore
 from skyindex.catalog import CatalogError, htm_cone_search, ingest_csv, random_catalog
 from skyindex.cli import main
-from skyindex.geom import Convex, Region, SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec, sky_to_xyz
+from skyindex.geom import SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec, sky_to_xyz
 from skyindex.pyramid import PyramidConfig, PyramidIndex, overlap_search
 from skyindex.snapshot import (
     MAGIC,
@@ -379,8 +379,8 @@ class TestHtmConeSearch:
             got = [i for i, _ in htm_cone_search(cat, center, r)]
             want = [i for i, _ in oracle.cone_scan(cat, center, r)]
             assert got == want
-        region = Region((Convex((circle_to_halfspace(sky_to_vec(centre), 0.3),)),))
-        lo, hi = htm.cover(region, max_depth=htm.MAX_DEPTH)[-1]
+        h = circle_to_halfspace(sky_to_vec(centre), 0.3)
+        lo, hi = htm.cover([[(*h.normal.as_tuple(), h.l)]], max_depth=htm.MAX_DEPTH)[-1]
         assert (hi + 1) << 2 * (htm.MAX_DEPTH - htm.id_depth(hi)) == 1 << 64
 
     @pytest.mark.parametrize("depth", [0, 3, 20, 25, 30])
@@ -461,6 +461,20 @@ def mesh_catalog(rows, htm_depth):
                           np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, rows)))])
     cat = catmod.from_arrays(np.arange(rows), ra[:rows], dec[:rows], htm_depth=htm_depth)
     return cat, zones.build_zone_table(cat, zones.ZoneConfig())
+
+
+@functools.cache
+def zone_fuzz_catalog():
+    """300 rows: within a degree of the north pole, within half a degree
+    of ra 0 on both sides, anywhere, and ten positions held by two objids
+    each, whose rows tie on (zone, ra) at every height."""
+    rng = np.random.default_rng(76)
+    ra = np.concatenate([rng.uniform(0.0, 360.0, 60), rng.uniform(0.0, 0.5, 50), rng.uniform(359.5, 360.0, 50),
+                         rng.uniform(0.0, 360.0, 130)])
+    dec = np.concatenate([rng.uniform(89.0, 90.0, 60), rng.uniform(-5.0, 15.0, 100),
+                          np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 130)))])
+    ra, dec = np.concatenate([ra, ra[::29]]), np.concatenate([dec, dec[::29]])
+    return catmod.from_arrays(rng.permutation(len(ra)) * 3 + 1, ra, dec)
 
 
 _MESH_CENTRE = st.one_of(
@@ -925,6 +939,51 @@ class TestSnapshot:
         loaded = load_state(path)
         center = SkyPoint(10.0, 0.0)
         assert zones.nearby_objects(loaded.zone_table, center, 10.0) == oracle.cone_scan(cat, center, 10.0)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        height=st.sampled_from([4.0 / 60.0, 1.0, 30.0, 180.0 / 2**20]),
+        fault=st.sampled_from(["none", "-1", "n", "repeat", "swap", "roll", "cut", "height"]),
+        data=st.data(),
+    )
+    def test_zone_table_mutated_behind_the_checksum_property(self, tmp_path, height, fault, data):
+        # a mutated zone-table section under a valid CRC is refused, or the
+        # table it loads answers cone queries at a pole and across ra 0 as
+        # the oracle does
+        cat = zone_fuzz_catalog()
+        n = len(cat)
+        table = zones.build_zone_table(cat, zones.ZoneConfig(height))
+        row = table.row.copy()
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 2))
+        j += j >= i  # another row
+        if fault == "swap" and data.draw(st.booleans()):  # two rows tied on (zone, ra), still in order
+            i = data.draw(st.sampled_from(np.flatnonzero(table.key[1:] == table.key[:-1]).tolist()))
+            j = i + 1
+        if fault in ("-1", "n"):
+            row[i] = -1 if fault == "-1" else n
+        elif fault == "repeat":
+            row[i] = row[j]
+        elif fault == "swap":
+            row[[i, j]] = row[[j, i]]
+        elif fault == "roll":
+            row = np.roll(row, i + 1)
+        elif fault == "cut":
+            row = row[:i]
+        elif fault == "height":
+            fine = 180.0 / 2**20
+            height = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, fine, math.nextafter(fine, 0.0)]))
+        path = tmp_path / "z.snap"
+        catalog = (snapshot._CATALOG, {k: getattr(cat, k) for k in snapshot._CATALOG})
+        write_sections(path, catalog, zones={"zone_height": height, "row": row})
+        try:
+            loaded = load_state(path)
+        except SnapshotError:
+            return
+        assert loaded.zone_table.cfg.zone_height == height
+        assert loaded.zone_table.row.tolist() == row.tolist()
+        for ra, dec, r in [(0.0, 90.0, 5.0), (123.0, -90.0, 3.0), (359.9, 0.0, 1.0), (0.05, 10.0, 2.0), (0.0, 89.0, 2.0)]:
+            center = SkyPoint(ra, dec)
+            assert zones.nearby_objects(loaded.zone_table, center, r) == oracle.cone_scan(loaded.catalog, center, r)
 
     def test_zone_table_of_another_catalog_not_saved(self, tmp_path):
         # same objids, other positions: a file pairing them would load and

@@ -17,19 +17,17 @@ from skyindex.geom import (
     UnitVec3,
     arc_deg,
     arc_distance_deg,
-    buffer_halfspace,
     circle_to_halfspace,
     closed_hemisphere_witness,
     inside_convex,
-    inside_halfspace,
     inside_region,
     min_enclosing_cap,
-    negate_halfspace,
+    region_rows,
     sky_to_vec,
     vec_to_sky,
     _plane_pair_points,
 )
-from skyindex.algebra import _contains_cap, _disjoint_caps
+from skyindex.algebra import _contains_cap, _disjoint_caps, complement_convex_lists
 from skyindex.catalog import htm_cone_search, random_catalog
 from skyindex.pyramid import PyramidConfig, PyramidError, PyramidIndex, overlap_search, scale_of
 from skyindex.zones import ZoneConfig, ZoneError, build_neighbors, build_zone_table, nearby_objects
@@ -179,15 +177,15 @@ class TestVecConversion:
 
 class TestContainment:
     def test_halfspace_strict_edge(self):
-        h = HalfSpace(UnitVec3(0, 0, 1), 0.0)
-        assert inside_halfspace(h, UnitVec3(0, 0, 1))
-        assert not inside_halfspace(h, UnitVec3(1, 0, 0))  # dot == l exactly
+        cap = Convex((HalfSpace(UnitVec3(0, 0, 1), 0.0),))
+        assert inside_convex(cap, UnitVec3(0, 0, 1))
+        assert not inside_convex(cap, UnitVec3(1, 0, 0))  # dot == l exactly
 
     def test_halfspace_small_circle(self):
         center = sky_to_vec(SkyPoint(30, 20))
-        h = circle_to_halfspace(center, 3 / 60)
-        assert inside_halfspace(h, sky_to_vec(SkyPoint(30, 20.049)))
-        assert not inside_halfspace(h, sky_to_vec(SkyPoint(30, 20.051)))
+        cap = Convex((circle_to_halfspace(center, 3 / 60),))
+        assert inside_convex(cap, sky_to_vec(SkyPoint(30, 20.049)))
+        assert not inside_convex(cap, sky_to_vec(SkyPoint(30, 20.051)))
 
     def test_convex(self):
         assert inside_convex(Convex(()), UnitVec3(0, 0, -1))
@@ -205,12 +203,19 @@ class TestContainment:
     def test_halfspace_agrees_with_distance(self, rng):
         center = sample_sphere(rng, 1)[0]
         radius = 10.0
-        h = circle_to_halfspace(center, radius)
+        cap = Convex((circle_to_halfspace(center, radius),))
         for p in sample_sphere(rng, 10000):
             d = arc_distance_deg(center, p)
             if abs(d - radius) < 1e-9:
                 continue
-            assert inside_halfspace(h, p) == (d < radius)
+            assert inside_convex(cap, p) == (d < radius)
+
+    def test_region_rows_bit_for_bit(self):
+        center = sky_to_vec(SkyPoint(30, 20))
+        h = circle_to_halfspace(center, 1.0)
+        region = Region((Convex((h, HalfSpace(UnitVec3(0, 0, 1), -1.0))), Convex(())))
+        assert region_rows(region) == [[(center.x, center.y, center.z, h.l), (0.0, 0.0, 1.0, -1.0)], []]
+        assert region_rows(Region(())) == []
 
 
 class TestDistance:
@@ -252,61 +257,23 @@ class TestDistance:
             assert abs(got - truth) < abs(acos_got - truth)
 
 
-class TestBuffer:
-    def test_formula(self):
-        h = HalfSpace(UnitVec3(0, 0, 1), math.cos(math.radians(3 / 60)))
-        buffered = buffer_halfspace(h, 2 / 60)
-        assert buffered.l == pytest.approx(math.cos(math.radians(5 / 60)), abs=1e-15)
-
-    def test_zero_is_identity(self):
-        h = HalfSpace(UnitVec3(0, 0, 1), 0.25)
-        assert buffer_halfspace(h, 0.0).l == pytest.approx(h.l, abs=1e-15)
-
-    def test_clamp_to_full_sphere(self):
-        h = HalfSpace(UnitVec3(0, 0, 1), math.cos(math.radians(179)))
-        assert buffer_halfspace(h, 2.0).l == -1.0
-
-    @pytest.mark.parametrize("theta", [-0.5, -2.0, math.nan, math.inf])
-    def test_negative_or_non_finite_rejected(self, theta):
-        # cos is even, so a negative theta once came back as a cap of
-        # radius |acos(l) + theta| instead of failing
-        h = HalfSpace(UnitVec3(0, 0, 1), math.cos(math.radians(1.0)))
-        with pytest.raises(GeometryError, match="buffer angle"):
-            buffer_halfspace(h, theta)
-
-    def test_region_monotone(self, rng):
-        # buffering each constraint of a convex keeps every point it held
-        convex = Convex((HalfSpace(UnitVec3(0, 0, 1), 0.0), HalfSpace(UnitVec3(1, 0, 0), 0.0)))
-        grown = Convex(tuple(buffer_halfspace(h, 1.0) for h in convex.constraints))
-        inside = 0
-        for p in sample_sphere(rng, 1000):
-            if inside_convex(convex, p):
-                inside += 1
-                assert inside_convex(grown, p)
-        assert inside > 0
-
-    def test_single_circle_grows_to_r_plus_theta(self):
-        center = sky_to_vec(SkyPoint(30, 20))
-        h = buffer_halfspace(circle_to_halfspace(center, 0.5), 0.25)
-        assert h.normal == center
-        assert h.l == pytest.approx(math.cos(math.radians(0.75)), abs=1e-15)
-
-
 class TestNegate:
+    # the complement of a one-row convex is its row with all four
+    # components negated, as region NOT builds it
     def test_rule(self):
-        h = HalfSpace(UnitVec3(0, 0, 1), 0.0)
-        n = negate_halfspace(h)
-        assert n.normal == UnitVec3(0, 0, -1)
-        assert n.l == 0.0
-        assert negate_halfspace(n) == h
+        row = (0.0, 0.0, 1.0, 0.5)
+        [[n]] = complement_convex_lists([row])
+        assert n == (-0.0, -0.0, -1.0, -0.5)
+        assert complement_convex_lists([n]) == [[row]]
 
     def test_partition(self, rng):
         h = HalfSpace(sample_sphere(rng, 1)[0], float(rng.uniform(-0.9, 0.9)))
-        n = negate_halfspace(h)
+        [[(nx, ny, nz, l)]] = complement_convex_lists(region_rows(Region((Convex((h,)),)))[0])
+        n = Convex((HalfSpace(UnitVec3(nx, ny, nz), l),))
         for p in sample_sphere(rng, 2000):
             if abs(p.dot(h.normal) - h.l) <= 1e-9:
                 continue
-            assert inside_halfspace(h, p) != inside_halfspace(n, p)
+            assert inside_convex(Convex((h,)), p) != inside_convex(n, p)
 
 
 class TestCircleToHalfspace:
@@ -326,7 +293,7 @@ class TestCircleToHalfspace:
 class TestUnitNormPreservation:
     def test_operations_preserve_norm(self, rng):
         for p in sample_sphere(rng, 200):
-            for v in (p, negate_halfspace(HalfSpace(p, 0.1)).normal):
+            for v in (p, p.negated()):
                 n2 = v.x**2 + v.y**2 + v.z**2
                 assert abs(n2 - 1.0) <= 4e-12
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from skyindex import htm
 from skyindex.geom import (
     Convex,
-    HalfSpace,
     Region,
     SkyPoint,
     UnitVec3,
     arc_distance_deg,
     circle_to_halfspace,
+    region_rows,
     sky_to_vec,
 )
 from skyindex.htm import (
@@ -23,17 +23,14 @@ from skyindex.htm import (
     INSIDE,
     OUTSIDE,
     PARTIAL,
-    base_trixels,
     children_ids,
     classify_trixel,
     cover,
     id_depth,
-    id_to_trixel,
     ids_for_points,
     parent,
     point_to_id,
     prefix_contains,
-    subdivide,
     trixel_area_sr,
     trixel_max_edge_deg,
 )
@@ -42,40 +39,46 @@ from conftest import edge_ra, generate_corpus_specs, membership_with_guard, samp
 from skyindex.pyramid import bounding_circle
 
 
-def corners_tuple(t):
-    return (t.v0.as_tuple(), t.v1.as_tuple(), t.v2.as_tuple())
+def centroid_of(corners) -> UnitVec3:
+    a, b, c = corners
+    return UnitVec3.normalized(a[0] + b[0] + c[0], a[1] + b[1] + c[1], a[2] + b[2] + c[2])
+
+
+def cap_row(center: UnitVec3, radius: float):
+    """The row (nx, ny, nz, l) of a circle_to_halfspace cap."""
+    h = circle_to_halfspace(center, radius)
+    return (*h.normal.as_tuple(), h.l)
 
 
 class TestBaseTrixels:
     def test_partition_area(self):
-        total = sum(trixel_area_sr(t) for t in base_trixels())
+        total = sum(trixel_area_sr(t) for t in htm.FACE_CORNERS)
         assert total == pytest.approx(4 * math.pi, abs=1e-9)
 
     def test_each_face_is_an_octant(self):
-        for t in base_trixels():
+        for t in htm.FACE_CORNERS:
             assert trixel_area_sr(t) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_north_pole_shared_by_northern_faces(self):
         npole = (0.0, 0.0, 1.0)
         count = sum(
-            1 for t in base_trixels() if npole in corners_tuple(t)
+            1 for t in htm.FACE_CORNERS if npole in t
         )
         assert count == 4
 
 
 class TestSubdivide:
     def test_child_areas_sum(self):
-        for t in base_trixels():
-            kids = subdivide(t)
+        for t in htm.FACE_CORNERS:
+            kids = htm._children(t)
             assert sum(trixel_area_sr(k) for k in kids) == pytest.approx(
                 trixel_area_sr(t), rel=1e-9
             )
 
     def test_center_child_corners_are_midpoints(self):
-        t = base_trixels()[0]
-        center = subdivide(t)[3]
-        parents = corners_tuple(t)
-        for corner in corners_tuple(center):
+        parents = htm.FACE_CORNERS[0]
+        center = htm._children(parents)[3]
+        for corner in center:
             dots = [
                 abs(
                     corner[0] * 0.5 * (a[0] + b[0])
@@ -90,11 +93,11 @@ class TestSubdivide:
                        for d, (a, b) in zip(dots, [(a, b) for a in parents for b in parents if a != b]))
 
     def test_corner_child_keeps_parent_corner(self):
-        t = base_trixels()[2]
-        kids = subdivide(t)
-        assert kids[0].v0 == t.v0
-        assert kids[1].v0 == t.v1
-        assert kids[2].v0 == t.v2
+        t = htm.FACE_CORNERS[2]
+        kids = htm._children(t)
+        assert kids[0][0] == t[0]
+        assert kids[1][0] == t[1]
+        assert kids[2][0] == t[2]
 
     @pytest.mark.parametrize("depth", range(5))
     def test_trixel_corners_in_id_order(self, depth):
@@ -117,7 +120,7 @@ class TestPointToId:
 
     def test_depth20_edge_length_band(self, rng):
         for p in sample_sphere(rng, 50):
-            t = id_to_trixel(point_to_id(p, 20))
+            t = htm._corners_of_id(point_to_id(p, 20))
             edge = trixel_max_edge_deg(t) * 3600
             assert 0.15 <= edge <= 0.7
 
@@ -128,19 +131,14 @@ class TestPointToId:
     def test_containment_of_result(self, rng):
         for p in sample_sphere(rng, 500):
             depth = int(rng.integers(0, 13))
-            t = id_to_trixel(point_to_id(p, depth))
-            assert htm._contains(corners_tuple(t), p.as_tuple())
+            t = htm._corners_of_id(point_to_id(p, depth))
+            assert htm._contains(t, p.as_tuple())
 
     def test_round_trip_via_centroid(self, rng):
         for p in sample_sphere(rng, 500):
             depth = int(rng.integers(0, 13))
             hid = point_to_id(p, depth)
-            t = id_to_trixel(hid)
-            centroid = UnitVec3.normalized(
-                t.v0.x + t.v1.x + t.v2.x,
-                t.v0.y + t.v1.y + t.v2.y,
-                t.v0.z + t.v1.z + t.v2.z,
-            )
+            centroid = centroid_of(htm._corners_of_id(hid))
             assert point_to_id(centroid, depth) == hid
 
     def test_vectorized_matches_scalar(self, rng):
@@ -169,12 +167,11 @@ class TestIdStructure:
 
     def test_face_ids_valid(self):
         for hid in range(8, 16):
-            t = id_to_trixel(hid)
-            assert trixel_area_sr(t) > 0
+            assert trixel_area_sr(htm._corners_of_id(hid)) > 0
 
     def test_face_id_decodes_to_base_face(self):
         for f in range(8):
-            assert corners_tuple(id_to_trixel(8 + f)) == htm.FACE_CORNERS[f]
+            assert htm._corners_of_id(8 + f) == htm.FACE_CORNERS[f]
 
     def test_too_deep_rejected(self):
         with pytest.raises(HtmError):
@@ -202,33 +199,28 @@ class TestPrefixContains:
                 b = point_to_id(q, db)
             else:
                 b = point_to_id(p, db)
-            ta = corners_tuple(id_to_trixel(a))
-            tb = id_to_trixel(b)
+            ta = htm._corners_of_id(a)
+            tb = htm._corners_of_id(b)
             geo = all(
-                htm._contains(ta, c.as_tuple(), eps=-1e-9)
-                for c in tb.corners()
+                htm._contains(ta, c, eps=-1e-9)
+                for c in tb
             )
             assert prefix_contains(a, b) == geo, (a, b)
 
 
 class TestClassify:
     def test_hemisphere_cases(self):
-        hemi = Convex((HalfSpace(UnitVec3(0, 0, 1), 0.0),))
-        northern = id_to_trixel(children_ids(8)[2])  # corner child at the pole
-        southern = id_to_trixel(children_ids(12)[2])
+        hemi = [(0.0, 0.0, 1.0, 0.0)]
+        northern = htm._corners_of_id(children_ids(8)[2])  # corner child at the pole
+        southern = htm._corners_of_id(children_ids(12)[2])
         assert classify_trixel(northern, hemi) == INSIDE
         assert classify_trixel(southern, hemi) == OUTSIDE
-        assert classify_trixel(id_to_trixel(8), hemi) == PARTIAL
+        assert classify_trixel(htm._corners_of_id(8), hemi) == PARTIAL
 
     def test_small_hole_detected(self):
         # cap complement whose excluded circle is strictly inside a face
-        t = id_to_trixel(8)
-        centroid = UnitVec3.normalized(
-            t.v0.x + t.v1.x + t.v2.x,
-            t.v0.y + t.v1.y + t.v2.y,
-            t.v0.z + t.v1.z + t.v2.z,
-        )
-        hole = Convex((HalfSpace(centroid.negated(), -math.cos(math.radians(1.0))),))
+        t = htm._corners_of_id(8)
+        hole = [(*centroid_of(t).negated().as_tuple(), -math.cos(math.radians(1.0)))]
         # all corners satisfy the constraint but the excluded cap is inside
         assert classify_trixel(t, hole) == PARTIAL
 
@@ -236,31 +228,28 @@ class TestClassify:
         for _ in range(200):
             center = sample_sphere(rng, 1)[0]
             radius = float(rng.uniform(1.0, 120.0))
-            convex = Convex(
-                (HalfSpace(center, math.cos(math.radians(radius))),)
-            )
+            convex = [(*center.as_tuple(), math.cos(math.radians(radius)))]
             p = sample_sphere(rng, 1)[0]
-            t = id_to_trixel(point_to_id(p, int(rng.integers(0, 7))))
+            t = htm._corners_of_id(point_to_id(p, int(rng.integers(0, 7))))
             verdict = classify_trixel(t, convex)
             samples = sample_cap(rng, center, radius, 20)
             if verdict == OUTSIDE:
                 for s in samples:
-                    assert not htm._contains(corners_tuple(t), s.as_tuple(), eps=-1e-9) or (
+                    assert not htm._contains(t, s.as_tuple(), eps=-1e-9) or (
                         arc_distance_deg(center, s) >= radius - 1e-7
                     )
 
 
 class TestCover:
     def test_whole_sphere(self):
-        whole = Region((Convex(()),))
-        assert cover(whole) == [(8, 15)]
+        assert cover([[]]) == [(8, 15)]  # one convex of no rows
 
     def test_empty(self):
-        assert cover(Region(())) == []
+        assert cover([]) == []
 
     def test_budget_respected(self, corpus_regions):
         for text, region in corpus_regions:
-            ranges = cover(region, max_ranges=20, max_depth=20)
+            ranges = cover(region_rows(region), max_ranges=20, max_depth=20)
             assert len(ranges) <= 20, text
             # disjoint, sorted, not mergeable
             for (alo, ahi), (blo, bhi) in zip(ranges, ranges[1:]):
@@ -279,33 +268,30 @@ class TestCover:
         # POLY then gave 20 ranges at depth 4 instead of 11
         from skyindex.regionspec import compile_region_string
 
-        region = compile_region_string("POLY J2000 10 -10 50 -10 50 20 10 20")
+        region = region_rows(compile_region_string("POLY J2000 10 -10 50 -10 50 20 10 20"))
         with pytest.raises(HtmError):
             cover(region, **budget)
         assert cover(region, max_ranges=np.int64(18), max_depth=np.int64(4)) == cover(region, 18, 4)
 
     def test_common_depth(self, corpus_regions):
         for _, region in corpus_regions:
-            ranges = cover(region)
+            ranges = cover(region_rows(region))
             depths = {id_depth(lo) for lo, hi in ranges} | {
                 id_depth(hi) for lo, hi in ranges
             }
             assert len(depths) <= 1
 
     def test_cover_soundness_small_circle(self, rng):
-        region = Region(
-            (Convex((HalfSpace(sky_to_vec(SkyPoint(30, 20)), math.cos(math.radians(0.05))),)),)
-        )
-        ranges = cover(region)
-        depth = id_depth(ranges[0][0])
         center = sky_to_vec(SkyPoint(30, 20))
+        ranges = cover([[(*center.as_tuple(), math.cos(math.radians(0.05)))]])
+        depth = id_depth(ranges[0][0])
         for p in sample_cap(rng, center, 0.0499, 3000):
             hid = point_to_id(p, depth)
             assert any(lo <= hid <= hi for lo, hi in ranges)
 
     def test_cover_soundness_corpus(self, corpus_regions, rng):
         for text, region in corpus_regions:
-            ranges = cover(region)
+            ranges = cover(region_rows(region))
             if not ranges:
                 continue
             depth = id_depth(ranges[0][0])
@@ -318,21 +304,19 @@ class TestCover:
                     assert any(lo <= hid <= hi for lo, hi in ranges), text
 
     def test_area_ratio_small_circle(self, rng):
-        region = Region(
-            (Convex((HalfSpace(sky_to_vec(SkyPoint(30, 20)), math.cos(math.radians(0.05))),)),)
-        )
-        ranges = cover(region)
+        center = sky_to_vec(SkyPoint(30, 20))
+        ranges = cover([[(*center.as_tuple(), math.cos(math.radians(0.05)))]])
         area = 0.0
         for lo, hi in ranges:
             for hid in range(lo, hi + 1):
-                area += trixel_area_sr(id_to_trixel(hid))
+                area += trixel_area_sr(htm._corners_of_id(hid))
         circle_area = 2 * math.pi * (1 - math.cos(math.radians(0.05)))
         assert area / circle_area <= 2.0
 
 
 def pinned_cover_regions():
     """Seeded circles, then the grammar corpus (the corpus fixture's specs
-    and 200 more). The circles have radii log-uniform in [0.001, 180]
+    and 200 more), each region as its convexes' rows. The circles have radii log-uniform in [0.001, 180]
     degrees plus 0, 90 and 180, and centres anywhere, at and near the
     poles, at and near ra = 0, on trixel corners and on trixel edges."""
     from skyindex.regionspec import compile_region_string
@@ -354,14 +338,11 @@ def pinned_cover_regions():
             centres.append(corners[i])
         else:
             centres.append(normalized_lerp(corners[i], corners[(i + 1) % 3], rng.uniform()))
-    regions = [
-        Region((Convex((circle_to_halfspace(UnitVec3(*c), float(10.0 ** rng.uniform(-3.0, math.log10(180.0)))),)),))
-        for c in centres
-    ]
+    regions = [[[cap_row(UnitVec3(*c), float(10.0 ** rng.uniform(-3.0, math.log10(180.0))))]] for c in centres]
     for c in centres[:: len(centres) // 10]:
-        regions += [Region((Convex((circle_to_halfspace(UnitVec3(*c), r),)),)) for r in (0.0, 90.0, 180.0)]
+        regions += [[[cap_row(UnitVec3(*c), r)]] for r in (0.0, 90.0, 180.0)]
     specs = generate_corpus_specs(seed=1234, count=32) + generate_corpus_specs(seed=16, count=200)
-    return regions + [compile_region_string(s) for s in specs]
+    return regions + [region_rows(compile_region_string(s)) for s in specs]
 
 
 def cover_digest(regions) -> str:
@@ -387,8 +368,7 @@ def area_ratio_at_depth(depth: int) -> float:
     while stack:
         corners, d = stack.pop()
         if d == depth:
-            t = htm.Trixel(*(UnitVec3(*c) for c in corners))
-            areas.append(trixel_area_sr(t))
+            areas.append(trixel_area_sr(corners))
             continue
         for kid in htm._children(corners):
             stack.append((kid, d + 1))
@@ -496,8 +476,8 @@ class TestAreaPrecision:
     @pytest.mark.parametrize("depth", [0, 8, 20, 30])
     def test_area_matches_high_precision(self, depth, rng):
         for p in sample_sphere(rng, 20):
-            t = id_to_trixel(point_to_id(p, depth))
-            want = mp_area_sr(corners_tuple(t))
+            t = htm._corners_of_id(point_to_id(p, depth))
+            want = mp_area_sr(t)
             assert abs(trixel_area_sr(t) - want) <= 1e-12 * want
 
 
@@ -508,11 +488,11 @@ class TestPartition:
         for depth in (1, 3, 5, 8):
             for p in sample_sphere(rng, 400):
                 hid = point_to_id(p, depth)
-                t = corners_tuple(id_to_trixel(hid))
+                t = htm._corners_of_id(hid)
                 assert htm._contains(t, p.as_tuple())
                 strict_holders = 0
                 for sibling in children_ids(hid >> 2):
-                    corners = corners_tuple(id_to_trixel(sibling))
+                    corners = htm._corners_of_id(sibling)
                     if htm._contains(corners, p.as_tuple(), eps=1e-12):
                         strict_holders += 1
                 assert strict_holders <= 1
@@ -814,7 +794,7 @@ def assert_cover_holds(region, points, max_depth):
     """Every point inside the region, clear of its boundary by 1e-12 in
     dot, has its trixel at the cover's depth inside a range of the cover."""
     inside = [p for p in points if membership_with_guard(region, p, guard=1e-12)]
-    ranges = cover(region, max_depth=max_depth)
+    ranges = cover(region_rows(region), max_depth=max_depth)
     if inside:
         assert ranges
         depth = id_depth(ranges[0][0])

@@ -182,7 +182,22 @@ class TestBuildZoneTable:
         else:
             row = row[:-1]
         with pytest.raises(ZoneError, match="not a permutation"):
-            ZoneTable(ZoneConfig(), cat, row)
+            ZoneTable.from_columns(ZoneConfig(), cat, row)
+
+    @pytest.mark.parametrize("height", [4.0 / 60.0, 1.0, 180.0 / 2**20])
+    def test_built_key_is_the_key_from_columns_derives(self, height):
+        # build_zone_table hands its table the key its sort ordered; a
+        # loaded row gets the same bits from from_columns, which checks
+        # them. Rows at both poles, at ra 0 and next to 360, and tied pairs
+        rng = np.random.default_rng(31)
+        ra = np.concatenate([[0.0, 0.0, math.nextafter(360.0, 0.0), 5e-324], rng.uniform(0.0, 360.0, 2000)])
+        dec = np.concatenate([[90.0, -90.0, 0.0, -90.0], np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 2000)))])
+        ra, dec = np.concatenate([ra, ra[::97]]), np.concatenate([dec, dec[::97]])
+        cat = catmod.from_arrays(rng.permutation(len(ra)), ra, dec)
+        built = build_zone_table(cat, ZoneConfig(height))
+        loaded = ZoneTable.from_columns(ZoneConfig(height), cat, built.row)
+        assert built.key.dtype == loaded.key.dtype == complex
+        assert built.key.tobytes() == loaded.key.tobytes()
 
     def test_table_copies_no_catalog_column(self):
         # an index over the catalog: row (8 B) and key (16 B) per row
