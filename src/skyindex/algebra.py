@@ -35,17 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import COVER_PAD_DEG
-from .geom import Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, normalized_xyz, radius_deg, sky_to_xyz
+from .geom import _NORM2_TOL, Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, normalized_xyz, radius_deg, sky_to_xyz
 from .pyramid import bounding_circle_rows
 
 _TOL_DEG = 1e-9
 _MAX_TYPE_LEN = 16
-# How far |n|^2 of a loaded normal may lie from 1. The store writes normals
-# within 2.5 ulps (measured over 200k `UnitVec3.normalized` and
-# `sky_to_vec` vectors). A normal 16 ulps long widens its cap by at most
-# 3.4e-6 degrees (at l = 1), which with the 2.6e-6 degree rounding of
-# p . n > l stays inside points_in_region's COVER_PAD_DEG of 1e-5 degrees.
-_NORM2_TOL = 16 * 2.0**-52
 
 
 class RegionStoreError(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -169,19 +170,21 @@ def _read_csv(path) -> tuple:
     """The objid, ra and dec columns of ingest_csv's file, as arrays, or
     as lists where _read_csv_lines reads them.
 
-    Bulk first: np.loadtxt parses the rows from the open file, accepting a
-    strict subset of what int() and float() accept, with the same values,
-    and checks no row (from_arrays does). On a row it refuses or a warning
-    (a file with no rows), the file is read by _read_csv_lines instead.
+    Bulk first: np.loadtxt parses the rows from the path, in chunks (from
+    an open file it reads line by line), accepting a strict subset of what
+    int() and float() accept, with the same values, and checks no row
+    (from_arrays does). On a row it refuses or a warning (a file with no
+    rows), the file is read by _read_csv_lines instead.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         _check_header(path, fh.readline())
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
-        except Exception:  # whatever the bulk parse refuses, the per-line reader judges
-            return _read_csv_lines(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # absolute, or numpy's DataSource would fetch a local http://host/c.csv
+            rows = np.loadtxt(os.path.abspath(path), _CSV_ROW, delimiter=",", comments=None, ndmin=1, skiprows=1, encoding="utf-8")
+    except Exception:  # whatever the bulk parse refuses, the per-line reader judges
+        return _read_csv_lines(path)
     return tuple(np.ascontiguousarray(rows[c]) for c in _CSV_ROW.names)
 
 

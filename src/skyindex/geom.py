@@ -24,6 +24,12 @@ import numpy as np
 
 
 UNIT_NORM_TOL = 1e-12
+# How far |n|^2 of a stored or covered normal may lie from 1. The store
+# writes normals within 2.5 ulps (over 200k `UnitVec3.normalized` and
+# `sky_to_vec` vectors). A normal 16 ulps long widens its cap by at most
+# 3.4e-6 degrees (at l = 1), which with the 2.6e-6 degree rounding of
+# p . n > l stays inside points_in_region's COVER_PAD_DEG of 1e-5 degrees.
+_NORM2_TOL = 16 * 2.0**-52
 
 Vec = tuple[float, float, float]  # a point on the unit sphere: (x, y, z)
 Row = tuple[float, float, float, float]  # one half-space: (nx, ny, nz, l)

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .geom import arc_deg
+from .geom import _NORM2_TOL, arc_deg
 
 MAX_DEPTH = 30
 
@@ -45,7 +45,7 @@ OUTSIDE = -1
 
 
 class HtmError(ValueError):
-    """Malformed trixel id or out-of-range depth."""
+    """Malformed trixel id, out-of-range depth or bad half-space row."""
 
 
 def _mid(a, b, sqrt=math.sqrt):
@@ -290,7 +290,11 @@ def _bounding_cap(corners):
 
 
 def _halfspaces(rows):
-    """A convex's rows as (normal tuple, l, acos(l)), made once per cover."""
+    """A convex's rows as (normal tuple, l, acos(l)), made once per cover;
+    |n|^2 off 1 by more than _NORM2_TOL, l outside [-1, 1] or NaN raise."""
+    for nx, ny, nz, l in rows:
+        if not (abs(nx * nx + ny * ny + nz * nz - 1.0) <= _NORM2_TOL and -1.0 <= l <= 1.0):
+            raise HtmError(f"a half-space row needs a unit normal and l in [-1, 1]: {(nx, ny, nz, l)!r}")
     return tuple(((nx, ny, nz), l, math.acos(l)) for nx, ny, nz, l in rows)
 
 

@@ -3,11 +3,11 @@
 A catalog is bucketed into horizontal zones of fixed height; a ZoneTable
 is an index over it, as in the zone papers: the catalog's rows in (zone,
 ra, objid) order, one per object with ra in [0, 360), and no copied column.
-ZoneTable.scan_images scans many ra windows, each over its own band of
-zones and at each of its ra images, at once with a binary search on an
-exact (zone, ra) key. A cone search is one scan_ra (all three images) of
-its dec band, and the all-pairs neighbor join one scan per block of rows
-at one image per window (see build_neighbors).
+ZoneTable.scan_ra scans many ra windows, each over its own band of zones
+and at each of its ra images, at once with a binary search on an exact
+(zone, ra) key: a cone search is one scan_ra of its dec band, where a
+first search on a float key took twice as long. The all-pairs neighbor
+join, many windows per search, takes the float key first (build_neighbors).
 The pyramid's bands are sparse, where a binary search per zone costs
 more than a look at every row, so pyramid.overlap_search masks its
 bands' contiguous rows instead (the choice between an index seek and a
@@ -219,17 +219,9 @@ class ZoneTable:
         self.row maps them to the catalog's.
 
         A row is in a window when it is in one of the window's ra_images,
-        and scan_images searches all three.
+        whose three row ranges are disjoint and in ascending order.
         """
-        return self.scan_images(z0, height, ra_images(lo, hi))
-
-    def scan_images(self, z0, height: int, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel of scan_ra and the neighbor join: scan_ra's (window,
-        row) pairs for windows given as a (2, s, k) array of image edges,
-        [0] the lower and [1] the upper edge of image i of window k. Each
-        window's images must be in ascending ra order and hold no row
-        twice, as ra_images' three (s = 3) or one image (s = 1) do; their
-        row ranges are then already sorted."""
+        images = ra_images(lo, hi)
         # search keys (lo or hi, zone offset, image, window): ascending ra
         # within a zone keeps each side's keys near-sorted, which numpy exploits
         q = np.empty((2, height) + images.shape[1:], dtype=complex)
@@ -376,6 +368,18 @@ MAX_JOIN_ROWS = 3_037_000_499
 _JOIN_KEYS = 1 << 15
 
 
+def _join_search(fkey, key, z, edge, side: str) -> np.ndarray:
+    """key.searchsorted(z + 1j * edge, side), on fkey, the float key z * 512
+    + ra of the same rows. Edges clamped to [-1, 361] keep each search key
+    in its zone's float range; rounding is monotone, so only a search key
+    equal to a row's can be placed wrong, and those are searched on key."""
+    q = z * 512.0 + np.clip(edge, -1.0, 361.0)
+    pos = fkey.searchsorted(q, side)
+    tied = np.flatnonzero(fkey.take(pos if side == "left" else pos - 1, mode="clip") == q)
+    pos[tied] = key.searchsorted(z[tied] + 1j * edge[tied], side)
+    return pos
+
+
 def _chord2(cols, a, b) -> np.ndarray:
     """The squared chords between rows a and b of the x, y, z columns,
     summed in one order, so that (a, b) and (b, a) give the same bits."""
@@ -388,20 +392,49 @@ def _chord2(cols, a, b) -> np.ndarray:
     return d2
 
 
+def _join_candidates(table: ZoneTable, dec, r: float, height: int, block: int):
+    """(left, right) table rows of build_neighbors' candidate pairs, a
+    block of left rows at a time; dec is in table order."""
+    zone, ra = table.key.real, table.key.imag
+    fkey = zone * 512.0 + ra  # the rough key build_zone_table sorted, bit for bit
+    for start in range(0, len(table), block):
+        s = slice(start, start + block)
+        alpha = _ra_windows_arr(r, dec[s])
+        images = ra_images(ra[s] - alpha, ra[s] + alpha)
+        # each row's 0 image, then as extra windows its +360 and -360 images
+        # if they can hold a stored ra (start below 360, end at or past 0)
+        past0 = np.flatnonzero(images[0, 2] < 360.0)
+        past360 = np.flatnonzero(images[1, 0] >= 0.0)
+        edges = np.concatenate((images[:, 1], images[:, 2, past0], images[:, 0, past360]), axis=1)
+        src = start + np.concatenate((np.arange(len(alpha)), past0, past360))
+        # one run per window and zone offset, mapped to its row by run; the
+        # own zone has no -360 runs, and its 0 image runs start at row + 1
+        k, own = len(alpha), len(alpha) + len(past0)
+        run = np.concatenate((src[:own], np.tile(src, height - 1)))
+        zq = zone[run] + np.repeat(np.arange(height), [own] + [len(src)] * (height - 1))
+        lo, hi = np.concatenate((edges[:, :own], np.tile(edges, height - 1)), axis=1)
+        a = np.concatenate((run[:k] + 1, _join_search(fkey, table.key, zq[k:], lo[k:], "left")))
+        b = _join_search(fkey, table.key, zq, hi, "right")
+        label, right = gather_runs(a, b, len(run))
+        yield run[label], right
+
+
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
     """Materialize all object pairs strictly within a radius in (0, 180].
 
     The zones algorithm's join of each zone with itself and the zones
-    above it: one scan per block of rows of the zone-sorted table, each
+    above it: one search per block of rows of the zone-sorted table, each
     row with its own ra window over its own band of zones, zone..zone +
-    ceil(r / zone_height), keeping the pairs whose right row comes after
-    the left one in the table. That yields each unordered pair exactly
-    once, from the window of its earlier row. A block holds _JOIN_KEYS //
-    band height rows, so its search keys take the same memory at any
-    zone height. Each window is scanned at one image: its own, and, as an
-    extra window of its row, its +360 or -360 image if it passes ra 0 or
-    360. Each pair goes straight to the exact chord test: a
-    dec-band prefilter saves no time there, and its rounding can drop a
+    ceil(r / zone_height), finding each unordered pair once, from the
+    window of its earlier row, and no row it then drops. A block holds
+    _JOIN_KEYS // band height rows, so its search keys take the same
+    memory at any zone height. In its own zone a window's run starts at
+    its row + 1, and its -360 image, holding only earlier rows, is left
+    out; each pair there comes from the other row's 0 or +360 image. The
+    zones above take each window's own image and, as extra windows, its
+    +360 or -360 image if it passes ra 0 or 360. All search the float key
+    first (_join_search). Each pair goes straight to the exact chord test:
+    a dec-band prefilter saves no time there, and its rounding can drop a
     pair at distance r that the chord test keeps. The pairs found are
     mirrored and put in (objid, neighbor) order by one sort of a packed
     key, rank(objid) * n + rank(neighbor), unique per pair; it fits int64
@@ -420,7 +453,7 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)
     table = build_zone_table(catalog, ZoneConfig(zone_height=zh))
     # the join's columns, gathered once in zone order
-    objid, ra, dec, x, y, z = (getattr(catalog, c)[table.row] for c in ("objid", "ra", "dec", "x", "y", "z"))
+    objid, dec, x, y, z = (getattr(catalog, c)[table.row] for c in ("objid", "dec", "x", "y", "z"))
     by_objid = np.argsort(objid)
     rank = np.empty(n, dtype=np.int64)
     rank[by_objid] = np.arange(n)
@@ -430,21 +463,7 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     keys_ab = [np.empty(0, dtype=np.int64)]
     keys_ba = [np.empty(0, dtype=np.int64)]
     candidates = 0
-    for start in range(0, n, block):
-        s = slice(start, start + block)
-        alpha = _ra_windows_arr(r, dec[s])
-        images = ra_images(ra[s] - alpha, ra[s] + alpha)
-        # the 0 images, then as extra windows the other images that can
-        # hold a stored ra (start below 360, end at or past 0); src maps
-        # each window to its row
-        past0 = np.flatnonzero(images[0, 2] < 360.0)
-        past360 = np.flatnonzero(images[1, 0] >= 0.0)
-        edges = np.concatenate((images[:, 1], images[:, 2, past0], images[:, 0, past360]), axis=1)
-        src = np.concatenate((np.arange(len(alpha)), past0, past360))
-        window, right = table.scan_images(table.key.real[s][src], height, edges[:, None])
-        left = start + src[window]
-        keep = right > left
-        left, right = left[keep], right[keep]
+    for left, right in _join_candidates(table, dec, r, height, block):
         candidates += len(right)
         hit = _chord2((x, y, z), left, right) < chord2_limit
         rank_l, rank_r = rank[left[hit]], rank[right[hit]]
@@ -453,7 +472,7 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     # the pair tail sets peak memory, so the table and columns are freed
     # before it and each pair-sized array as soon as it is used
     by_rank = table.row[by_objid]
-    del table, objid, ra, dec, x, y, z, by_objid, rank
+    del table, objid, dec, x, y, z, by_objid, rank
     key = np.concatenate(keys_ab + keys_ba)  # both orders of every pair
     del keys_ab, keys_ba
     key.sort()  # the keys are unique, so any sort gives this order

@@ -261,6 +261,10 @@ def ingest_lines(path):
     return catmod.from_arrays(*catmod._read_csv_lines(path), htm_depth=0)
 
 
+# a byte not in UTF-8 on line 1502, past the text the header's read decodes
+_BAD_UTF8 = b"objID,ra,dec\n" + b"".join(b"%d,10,5\n" % i for i in range(1500)) + b"1500,2\xff0,5\n1501,20,5\n"
+
+
 class TestBulkParse:
     @pytest.fixture(scope="class")
     def csv_path(self, tmp_path_factory):
@@ -273,6 +277,70 @@ class TestBulkParse:
         csv_path.write_bytes(text.encode("utf-8"))
         got = ingest_outcome(lambda p: ingest_csv(p, htm_depth=0), csv_path)
         assert got == ingest_outcome(ingest_lines, csv_path)
+
+    @pytest.mark.parametrize("data, bulk, error", [
+        pytest.param(b"objID,ra,dec\n1,10.5,-5\n2,20,5\n", True, None, id="lf"),
+        pytest.param(b"objID,ra,dec\r\n1,10.5,-5\r\n2,20,5\r\n", True, None, id="crlf"),
+        pytest.param(b"objID,ra,dec\r1,10.5,-5\r2,20,5\r", True, None, id="cr"),
+        pytest.param(b"objID,ra,dec\n\n1,10.5,-5\n\n2,20,5\n\n", True, None, id="blank-lines"),
+        pytest.param(b"objID,ra,dec\n1,10.5,-5\n2,20,5", True, None, id="no-final-newline"),
+        pytest.param(b"objID,ra,dec\n1,\t10.5\t,-5\n\t2,20,5\n", True, None, id="tabs"),
+        pytest.param(b"objID,ra,dec\n+5,-30,1e-3\n-0,+.5e+1,-0.0\n", True, None, id="signs"),
+        pytest.param(b"objID,ra,dec\n9223372036854775807,10,5\n-9223372036854775808,20,5\n", True, None, id="int64-ends"),
+        pytest.param(b"objID,ra,dec\n1,nan,5\n", True, ":2: column 2: non-finite number 'nan'", id="nan"),
+        pytest.param(b"objID,ra,dec\n1,10,5\n2,20,90.5\n", True, ":3: dec out of range [-90, 90]: 90.5", id="dec-past-90"),
+        pytest.param(b"objID,ra,dec\n1,10,5\n2,20,5\n1,30,5\n", True, ":4: duplicate objID 1 (first at line 2)", id="duplicate"),
+        pytest.param(b"objID,ra,dec\n", False, None, id="header-only"),
+        pytest.param(b"objID,ra,dec\n1,10,5\n  \t\n2,20,5\n", False, None, id="whitespace-line"),
+        pytest.param(b"objID,ra,dec\r\n1_000,10,5\r\n2,20,-5\r\n", False, None, id="underscore"),
+        pytest.param(b'objID,ra,dec\n"1",10,5\n', False, ":2: column 1: invalid objID '\"1\"'", id="quoted"),
+        pytest.param(b"objID,ra,dec\n1,10,5 # note\n", False, ":2: column 3: invalid number '5 # note'", id="hash"),
+        pytest.param(b"objID,ra,dec\n1,10,5\n#2,20,5\n", False, ":3: column 1: invalid objID '#2'", id="hash-line"),
+        pytest.param(b"objID,ra,dec\n1.0,10,5\n", False, ":2: column 1: invalid objID '1.0'", id="float-objid"),
+        pytest.param(b"objID,ra,dec\n9223372036854775808,10,5\n", False, ":2: column 1: objID outside the int64 range", id="past-int64"),
+        pytest.param(b"objID,ra,dec\n1,10,5\n2,20\n", False, ":3: expected 3 comma-separated fields, got 2", id="two-fields"),
+        pytest.param(_BAD_UTF8, False, ":1502: not valid UTF-8", id="bad-utf-8"),
+    ])
+    def test_edge_files_match_per_line_reader(self, tmp_path, monkeypatch, data, bulk, error):
+        # line endings, blank lines, padding, signs, the int64 range, and
+        # rows the bulk parse or the row checks refuse: ingest_csv, whose
+        # bulk parse reads the path in chunks, gives the per-line reader's
+        # columns bit for bit or its error, line and column, and takes the
+        # files marked bulk without falling back to it
+        p = tmp_path / "c.csv"
+        p.write_bytes(data)
+        read_lines, fell_back = catmod._read_csv_lines, []
+        monkeypatch.setattr(catmod, "_read_csv_lines", lambda path: fell_back.append(path) or read_lines(path))
+        try:
+            catmod._read_csv(p)
+        except (CatalogError, UnicodeDecodeError):
+            pass
+        assert fell_back == ([] if bulk else [p])
+        got = ingest_outcome(lambda p: ingest_csv(p, htm_depth=0), p)
+        if error is None:
+            assert got == ingest_outcome(ingest_lines, p)
+        else:
+            assert isinstance(got, str) and got.startswith(f"{p}{error}")
+            if data is not _BAD_UTF8:  # the per-line reader leaves bad UTF-8 to ingest_csv
+                assert got == ingest_outcome(ingest_lines, p)
+
+    @pytest.mark.parametrize("name", ["http://localhost:1/c.csv", "c.csv.gz"])
+    def test_path_read_as_a_local_plain_file(self, tmp_path, monkeypatch, name):
+        # np.loadtxt opens a path through numpy's DataSource, which fetches
+        # a URL and decompresses by suffix: a local file named like a URL is
+        # still read in bulk, and a plain file named .gz by the per-line reader
+        def refuse(*args, **kw):
+            raise AssertionError("the bulk parse opened a URL")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("urllib.request.urlopen", refuse)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        write_csv(tmp_path / name, ["1,10,5", "2,20,-5"])
+        want = ingest_outcome(ingest_lines, name)
+        read_lines, fell_back = catmod._read_csv_lines, []
+        monkeypatch.setattr(catmod, "_read_csv_lines", lambda path: fell_back.append(path) or read_lines(path))
+        assert ingest_outcome(lambda p: ingest_csv(p, htm_depth=0), name) == want
+        assert fell_back == ([] if name.startswith("http") else [name])
 
     def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)

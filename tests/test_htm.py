@@ -273,6 +273,30 @@ class TestCover:
             cover(region, **budget)
         assert cover(region, max_ranges=np.int64(18), max_depth=np.int64(4)) == cover(region, 18, 4)
 
+    @pytest.mark.parametrize("row", [
+        (1.8490092644035885, -0.5174132742462024, -0.5598644869819172, 0.5952041442968893),  # |n| = 2
+        (0.0, 0.0, 1.0, 1.5),
+        (0.0, 0.0, 1.0, math.nan),
+        (math.nan, 0.0, 1.0, 0.5),
+        (0.0, 0.0, 1.0 + 2.0**-45, 0.5),  # |n|^2 32 ulps from 1
+        (0.0, 0.0, math.inf, 0.5),
+        (0.0, 0.0, 1.0, -1.0 - 2.0**-52),
+    ])
+    def test_row_not_a_unit_normal_with_l_in_range_rejected(self, row):
+        # a normal of length 2 gave a cover missing 125 of 6,964 seeded
+        # points inside, l = 1.5 a bare math domain error, and a NaN l no
+        # error; each row is checked, in any convex
+        with pytest.raises(HtmError, match="half-space row"):
+            cover([[row]])
+        with pytest.raises(HtmError, match="half-space row"):
+            cover([[(1.0, 0.0, 0.0, 0.0)], [(0.0, 1.0, 0.0, 0.0), row]])
+
+    def test_rows_at_the_norm_and_length_edges_taken(self):
+        # |n|^2 within _NORM2_TOL of 1 and l at either end of [-1, 1]
+        z = math.sqrt(1.0 + 15 * 2.0**-52)
+        assert cover([[(0.0, 0.0, 1.0, -1.0)]], max_depth=3) == [(8 << 6, (16 << 6) - 1)]  # all but the south pole
+        assert cover([[(0.0, 0.0, z, 1.0)]], max_depth=3) == cover([[(0.0, 0.0, 1.0, 1.0)]], max_depth=3)
+
     def test_common_depth(self, corpus_regions):
         for _, region in corpus_regions:
             ranges = cover(region_rows(region))

@@ -19,6 +19,7 @@ from skyindex.zones import (
     ZoneError,
     build_neighbors,
     build_zone_table,
+    gather_runs,
     nearby_objects,
     ra_images,
     ra_window_deg,
@@ -98,9 +99,9 @@ class TestZoneConfig:
 
     def test_neighbors_scan_once_per_block(self, monkeypatch):
         # 2^20 zones at r = 1e-7, 203 rows in ~200 populated zones (three
-        # pairs 5e-8 deg apart), a band of 2 zones: one scan per block of
-        # _JOIN_KEYS // 2 rows, not one per populated zone, each row's band
-        # starting at its own zone
+        # pairs 5e-8 deg apart), a band of 2 zones: one search batch per
+        # block of _JOIN_KEYS // 2 rows, not one per populated zone, each
+        # row's band starting at its own zone
         base = catmod.random_catalog(200, seed=3)
         ra = np.concatenate([base.ra, base.ra[:3]])
         dec = np.concatenate([base.dec, base.dec[:3] + 5e-8])
@@ -109,24 +110,30 @@ class TestZoneConfig:
         assert len(np.unique(zone)) > 190
         a, b, d = oracle.pair_scan(cat, 1e-7)
         assert len(a) == 6
-        scan_images = ZoneTable.scan_images
+        join_search = zones._join_search
         for join_keys, scans in ((zones._JOIN_KEYS, 1), (128, 4)):
-            starts, heights, shapes = [], [], []
+            calls = {"left": [], "right": []}
 
-            def scan_spy(self, z0, height, images):
-                starts.append(np.array(z0, dtype=np.int64))
-                heights.append(height)
-                shapes.append(images.shape)
-                return scan_images(self, z0, height, images)
+            def search_spy(fkey, key, z, edge, side):
+                calls[side].append(np.array(z, dtype=np.int64))
+                return join_search(fkey, key, z, edge, side)
 
             monkeypatch.setattr(zones, "_JOIN_KEYS", join_keys)
-            monkeypatch.setattr(ZoneTable, "scan_images", scan_spy)
+            monkeypatch.setattr(zones, "_join_search", search_spy)
             table = build_neighbors(cat, 1e-7)
-            assert len(starts) == scans and heights == [2] * scans
-            # no window here passes ra 0 or 360, so each row has one image
-            assert shapes == [(2, 1, len(z0)) for z0 in starts]
-            assert [len(z0) for z0 in starts[:-1]] == [join_keys // 2] * (scans - 1)
-            assert np.concatenate(starts).tolist() == sorted(zone.tolist())
+            lower, upper = calls["left"], calls["right"]
+            assert len(lower) == len(upper) == scans
+            # no window here passes ra 0 or 360, so each row has one image:
+            # its upper edge is searched in its own zone and the zone above,
+            # its lower edge only in the zone above (its own zone's run
+            # starts past the row itself)
+            rows = [len(z) for z in lower]
+            assert rows[:-1] == [join_keys // 2] * (scans - 1)
+            assert [len(z) for z in upper] == [2 * k for k in rows]
+            own = np.concatenate([z[:k] for z, k in zip(upper, rows)])
+            assert own.tolist() == sorted(zone.tolist())
+            for z, up, k in zip(lower, upper, rows):
+                assert z.tolist() == (up[:k] + 1).tolist() == up[k:].tolist()
             assert table.objid.tolist() == a.tolist() and table.neighbor.tolist() == b.tolist()
             assert np.array_equal(table.distance, d)
 
@@ -642,6 +649,23 @@ def test_join_output_pinned(case, r, rows, candidates, digest):
     assert (len(table), table.candidate_pairs, h.hexdigest()) == (rows, candidates, digest)
 
 
+def test_join_scans_return_only_candidate_pairs(monkeypatch):
+    # every row the join's scans return is past its left row and counted
+    # in candidate_pairs: none is gathered only to be dropped
+    returned = []
+
+    def gather_spy(starts, ends, period=1):
+        label, index = gather_runs(starts, ends, period)
+        returned.append(len(index))
+        return label, index
+
+    monkeypatch.setattr(zones, "gather_runs", gather_spy)
+    for cat, r in ((catmod.random_catalog(20_000, seed=301), 0.5), (piled_catalog(), 5.0)):
+        returned.clear()
+        table = build_neighbors(cat, r)
+        assert sum(returned) == table.candidate_pairs > 0
+
+
 def test_pair_scan_above_180_takes_every_pair():
     cat = catmod.random_catalog(30, seed=3)
     a, b, _ = oracle.pair_scan(cat, 190.0)
@@ -743,6 +767,63 @@ def test_zone_order_settles_distinct_ra_on_one_rough_key():
     # ra ascends from the last row to the first: only the lexsort of the
     # tied run, not the float sort, can give that order
     assert build_zone_table(cat, ZoneConfig(_FINEST)).row.tolist() == [3, 2, 1, 0]
+
+
+def test_join_float_key_ties_searched_again_on_the_exact_key(monkeypatch):
+    # zone 2^20 - 2 at the finest height, where zone * 512 + ra is a
+    # multiple of 2^-24: rows at ra 100, 100 + 1.5e-8 and 100 + 2.5e-8
+    # share one float key, and so do the upper edge of a window in that
+    # zone and the lower edge of a window from the zone below. Only the
+    # exact key tells which of the tied rows each window holds
+    r = 1e-7
+    high = -90.0 + (MAX_ZONE_COUNT - 2) * _FINEST + _FINEST / 2
+    alpha_high, alpha_below = zones._ra_windows_arr(r, np.array([high, high - _FINEST]))
+    pairs = [(100.0 + 2.5e-8, high), (100.0 + 1.5e-8, high), (100.0, high),
+             (100.0 + 2e-8 - alpha_high, high), (100.0 + 1e-8 + alpha_below, high - _FINEST)]
+    upper, lower = pairs[3][0] + alpha_high, pairs[4][0] - alpha_below
+    zone = zone_column(np.array([high, high - _FINEST]), _FINEST)
+    assert zone.tolist() == [MAX_ZONE_COUNT - 2, MAX_ZONE_COUNT - 3]
+    # the edges cut the tied rows, yet share their float key
+    assert 100.0 + 1.5e-8 < upper < 100.0 + 2.5e-8 and 100.0 < lower < 100.0 + 1.5e-8
+    assert len({zone[0] * 512.0 + v for v in (100.0, 100.0 + 2.5e-8, upper, lower)}) == 1
+    rows = [p for p in pairs for _ in range(3)]  # each three times, under shuffled objids
+    ra, dec = np.array(rows).T
+    cat = catmod.from_arrays(np.random.default_rng(1).permutation(len(rows)) * 7 + 1000, ra, dec)
+
+    exact = []
+
+    class ExactKey:  # the zone table's key, counting the rows searched on it
+        def __init__(self, key):
+            self.key, self.real, self.imag = key, key.real, key.imag
+
+        def searchsorted(self, v, side):
+            exact.append(len(v))
+            return self.key.searchsorted(v, side)
+
+    def build_spy(catalog, cfg):
+        table = build_zone_table(catalog, cfg)
+        table.key = ExactKey(table.key)
+        return table
+
+    monkeypatch.setattr(zones, "build_zone_table", build_spy)
+    table = build_neighbors(cat, r, _FINEST)
+    assert sum(exact) > 0
+    for got, want in zip((table.objid, table.neighbor, table.distance), oracle.pair_scan(cat, r)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # candidates as the exact (zone, ra) order gives them: each row later in
+    # (zone, ra, objid) order in a window's own zone or the zone above
+    # within that window's images. The float key alone would count every
+    # tied row in both windows
+    order = np.lexsort((cat.objid, cat.ra, zone_column(cat.dec, _FINEST)))
+    z_of = zone_column(cat.dec, _FINEST)
+    want = 0
+    for i, li in enumerate(order.tolist()):
+        alpha = zones._ra_windows_arr(r, cat.dec[[li]])[0]
+        lo, hi = ra_images(cat.ra[li] - alpha, cat.ra[li] + alpha)
+        for ri in order[i + 1:].tolist():
+            if z_of[ri] - z_of[li] <= 1 and ((lo <= cat.ra[ri]) & (cat.ra[ri] <= hi)).any():
+                want += 1
+    assert table.candidate_pairs == want
 
 
 @settings(max_examples=150, deadline=None)
