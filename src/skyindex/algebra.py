@@ -416,7 +416,16 @@ class RegionStore:
         reg.slots = [*reg.slots, *range(start, start + len(lists))]
 
     def region_new_from_convexes(self, lists: list[list[Row]], rtype: str, comment: str) -> int:
-        """A new region whose convexes are the lists of rows, stored as given."""
+        """A new region whose convexes are the lists of rows, stored as given;
+        a row htm.cover refuses (|n|^2 off 1 by more than _NORM2_TOL, l
+        outside [-1, 1] or NaN) raises RegionStoreError first."""
+        for nx, ny, nz, l in (row for rows in lists for row in rows):
+            if not (abs(nx * nx + ny * ny + nz * nz - 1.0) <= _NORM2_TOL and -1.0 <= l <= 1.0):
+                raise RegionStoreError(f"a half-space row needs a unit normal and l in [-1, 1]: {(nx, ny, nz, l)!r}")
+        return self._new_from_convexes(lists, rtype, comment)
+
+    def _new_from_convexes(self, lists: list[list[Row]], rtype: str, comment: str) -> int:
+        """region_new_from_convexes of rows the store holds, checked already."""
         rid = self.region_new(rtype, comment)
         self._add_convexes(rid, lists)
         return rid
@@ -441,13 +450,13 @@ class RegionStore:
 
     def region_or(self, id1: int, id2: int, rtype: str, comment: str = "") -> int:
         lists = self._convex_lists(id1) + self._convex_lists(id2)
-        return self.region_new_from_convexes(lists, rtype, comment)
+        return self._new_from_convexes(lists, rtype, comment)
 
     def region_and(self, id1: int, id2: int, rtype: str, comment: str = "") -> int:
         lists = [
             a + b for a in self._convex_lists(id1) for b in self._convex_lists(id2)
         ]
-        return self.region_new_from_convexes(lists, rtype, comment)
+        return self._new_from_convexes(lists, rtype, comment)
 
     def region_not(self, id1: int, rtype: str, comment: str = "") -> int:
         acc: list[list[Row]] = [[]]  # the complement of the empty region is the sphere
@@ -455,7 +464,7 @@ class RegionStore:
             acc = [a + c for a in acc for c in complement_convex_lists(cvx)]
             if k:
                 acc = simplify_region_geometry(acc)
-        return self.region_new_from_convexes(acc, rtype, comment)
+        return self._new_from_convexes(acc, rtype, comment)
 
     def region_simplify(self, rid: int) -> None:
         reg = self._get(rid)

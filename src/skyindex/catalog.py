@@ -45,13 +45,14 @@ class Catalog:
         return len(self.objid)
 
     @cached_property
-    def _xyz(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def xyz(self) -> np.ndarray:
+        """Each row's unit vector, as the columns of one (3, n) array
+        derived on the first read; x, y and z are its rows."""
         return sky_to_xyz(self.ra, self.dec)
 
-    # each row's unit vector, all three derived together on the first read
-    x = property(lambda self: self._xyz[0])
-    y = property(lambda self: self._xyz[1])
-    z = property(lambda self: self._xyz[2])
+    x = property(lambda self: self.xyz[0])
+    y = property(lambda self: self.xyz[1])
+    z = property(lambda self: self.xyz[2])
 
     @cached_property
     def htmid(self) -> np.ndarray:
@@ -60,34 +61,27 @@ class Catalog:
         return htm.ids_for_points(self.x, self.y, self.z, self.htm_depth)
 
     @cached_property
-    def _htm_index(self) -> tuple[np.ndarray, np.ndarray]:
+    def _mesh(self) -> tuple[np.ndarray, ...]:
+        """The mesh index: htm_order(), then htm_cone_search's columns of
+        the trixels at _table_depth, in id order: htm._bounding_cap's
+        centroid (rows of an array) and rho, the cosine and sine of rho +
+        htm._CAP_MARGIN, and the run [start, end) of rows in htm_order(),
+        the last ending at len(self): at htm.MAX_DEPTH the bound after it
+        would wrap uint64. The sorted ids it searches are not kept."""
         order = np.argsort(self.htmid, kind="stable")
-        return order, self.htmid[order]
-
-    def htm_order(self) -> np.ndarray:
-        """Row permutation sorting the catalog by mesh id (cached)."""
-        return self._htm_index[0]
-
-    def htm_sorted_ids(self) -> np.ndarray:
-        """Mesh ids in htm_order(), ascending (cached)."""
-        return self._htm_index[1]
-
-    @cached_property
-    def _trixel_table(self) -> tuple[np.ndarray, ...]:
-        """htm_cone_search's columns of the trixels at _table_depth, in id
-        order: htm._bounding_cap's centroid (rows of an array) and rho, the
-        cosine and sine of rho + htm._CAP_MARGIN, and the run [start, end)
-        of rows in htm_order(), the last ending at len(self): at
-        htm.MAX_DEPTH the bound after it would wrap uint64."""
         depth = _table_depth(len(self), self.htm_depth)
         corners = htm.trixel_corners(depth)
         c = corners.sum(axis=0)  # the sums and products of _bounding_cap, in its order
         c /= np.sqrt((c * c).sum(axis=0))
         rho = np.arccos(np.minimum((c * corners).sum(axis=1).min(axis=0), 1.0))
-        ids = self.htm_sorted_ids()
+        ids = self.htmid[order]
         start = ids.searchsorted(np.arange(8 << 2 * depth, 16 << 2 * depth, dtype=ids.dtype) << 2 * (self.htm_depth - depth))
         padded = rho + htm._CAP_MARGIN
-        return c.T.copy(), rho, np.cos(padded), np.sin(padded), start, np.append(start[1:], len(self))
+        return order, c.T.copy(), rho, np.cos(padded), np.sin(padded), start, np.append(start[1:], len(self))
+
+    def htm_order(self) -> np.ndarray:
+        """Row permutation sorting the catalog by mesh id (cached)."""
+        return self._mesh[0]
 
     @classmethod
     def from_columns(cls, objid, ra, dec, htm_depth: int) -> "Catalog":
@@ -244,7 +238,7 @@ def _read_csv_lines(path) -> tuple[list[int], list[float], list[float]]:
 
 def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:
     """Cone search through the mesh index: keep each trixel of the
-    catalog's _trixel_table whose centroid is within theta + rho +
+    catalog's mesh index (_mesh) whose centroid is within theta + rho +
     htm._CAP_MARGIN of the centre (every one once that reaches pi), theta =
     r + COVER_PAD_DEG, gather the kept runs (zones.gather_runs), then run
     zones.cone_matches' exact chord test. Gives what zones.nearby_objects
@@ -261,12 +255,11 @@ def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, f
     circle_to_halfspace(v, r)  # refuses a radius outside [0, 180]
     if r == 0:
         return []
-    centroid, rho, cos_padded, sin_padded, start, end = cat._trixel_table
+    order, centroid, rho, cos_padded, sin_padded, start, end = cat._mesh
     theta = math.radians(r + COVER_PAD_DEG)
     bound = math.cos(theta) * cos_padded - math.sin(theta) * sin_padded
     keep = (centroid @ v.as_tuple() >= bound) | (rho >= math.pi - htm._CAP_MARGIN - theta)
-    _, rows = gather_runs(start[keep], end[keep])
-    return cone_matches(cat, cat.htm_order()[rows], v.x, v.y, v.z, r)
+    return cone_matches(cat, order[gather_runs(start[keep], end[keep])], v.x, v.y, v.z, r)
 
 
 def _table_depth(rows: int, htm_depth: int) -> int:

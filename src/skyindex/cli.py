@@ -13,6 +13,7 @@ timings go to stderr there, since they never are.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -382,8 +383,8 @@ def cmd_bench_nearby(args, out: Output) -> int:
         t0 = time.perf_counter()
         want = oracle.cone_scan(cat, center, r)
         t_brute += time.perf_counter() - t0
-        want_ids = set(i for i, _ in want)
-        ok = set(i for i, _ in got_zone) == want_ids and set(i for i, _ in got_htm) == want_ids
+        # both paths end in cone_matches, so they agree to the distance bits and order
+        ok = got_zone == got_htm and {i for i, _ in got_zone} == {i for i, _ in want}
         if ok:
             matches += 1
         else:
@@ -538,7 +539,10 @@ def max_cone_radius(text: str) -> float:
     return r
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process. func names a cmd_* function,
+    which main looks up when it runs, so one wrapped or patched since runs."""
     parser = argparse.ArgumentParser(
         prog="skyindex",
         description="Spherical catalog search: zone, triangular-mesh, and region-pyramid indexes.",
@@ -553,20 +557,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="load an objID,ra,dec CSV into the snapshot")
     p.add_argument("csv")
     p.add_argument("--htm-depth", type=int, default=catmod.DEFAULT_HTM_DEPTH)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func="cmd_ingest")
 
     zone = sub.add_parser("zone", help="zone table commands").add_subparsers(
         dest="zone_cmd", required=True
     )
     p = zone.add_parser("build")
     p.add_argument("--zone-height", type=float, default=4.0 / 60.0)
-    p.set_defaults(func=cmd_zone_build)
+    p.set_defaults(func="cmd_zone_build")
     p = zone.add_parser("nearby")
     p.add_argument("--ra", type=float, required=True)
     p.add_argument("--dec", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--stats", action="store_true")
-    p.set_defaults(func=cmd_zone_nearby)
+    p.set_defaults(func="cmd_zone_nearby")
 
     nb = sub.add_parser("neighbors", help="materialized pair-list commands").add_subparsers(
         dest="nb_cmd", required=True
@@ -574,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = nb.add_parser("build")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--zone-height", type=float, default=None)
-    p.set_defaults(func=cmd_neighbors_build)
+    p.set_defaults(func="cmd_neighbors_build")
     p = nb.add_parser("of")
     p.add_argument("--objid", type=int, required=True)
-    p.set_defaults(func=cmd_neighbors_of)
+    p.set_defaults(func="cmd_neighbors_of")
 
     ht = sub.add_parser("htm", help="triangular mesh commands").add_subparsers(
         dest="htm_cmd", required=True
@@ -586,15 +590,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ra", type=float, required=True)
     p.add_argument("--dec", type=float, required=True)
     p.add_argument("--depth", type=int, default=catmod.DEFAULT_HTM_DEPTH)
-    p.set_defaults(func=cmd_htm_id)
+    p.set_defaults(func="cmd_htm_id")
     p = ht.add_parser("cover")
     p.add_argument("--region", required=True)
     p.add_argument("--max-ranges", type=int, default=20)
     p.add_argument("--max-depth", type=int, default=20)
-    p.set_defaults(func=cmd_htm_cover)
+    p.set_defaults(func="cmd_htm_cover")
 
     reg = sub.add_parser("region", help="region store and algebra")
-    reg.set_defaults(func=cmd_region)
+    reg.set_defaults(func="cmd_region")
     reg = reg.add_subparsers(dest="region_cmd", required=True)
     p = reg.add_parser("new")
     p.add_argument("--type", required=True)
@@ -639,13 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = py.add_parser("build")
     p.add_argument("--base-zone-height", type=float, default=0.5 / 60.0)
-    p.set_defaults(func=cmd_pyramid_build)
+    p.set_defaults(func="cmd_pyramid_build")
     p = py.add_parser("overlap")
     p.add_argument("--ra", type=float, required=True)
     p.add_argument("--dec", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--stage-counts", action="store_true")
-    p.set_defaults(func=cmd_pyramid_overlap)
+    p.set_defaults(func="cmd_pyramid_overlap")
 
     be = sub.add_parser("bench", help="index-vs-oracle benchmarks").add_subparsers(
         dest="bench_cmd", required=True
@@ -656,28 +660,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zone-height", type=float, default=4.0 / 60.0)
     p.add_argument("--max-radius", type=max_cone_radius, default=1.0)
-    p.set_defaults(func=cmd_bench_nearby)
+    p.set_defaults(func="cmd_bench_nearby")
     p = be.add_parser("neighbors")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", type=float, default=0.5)
-    p.set_defaults(func=cmd_bench_neighbors)
+    p.set_defaults(func="cmd_bench_neighbors")
     p = be.add_parser("overlap")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--queries", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench_overlap)
+    p.set_defaults(func="cmd_bench_overlap")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = Output(args.format)
     out.echo_config(args)
     try:
-        return args.func(args, out)
+        return globals()[args.func](args, out)
     except (catmod.CatalogError, RegionSyntaxError, RegionCompileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -169,12 +169,15 @@ def sky_to_vec(p: SkyPoint) -> UnitVec3:
     return UnitVec3(cd * math.cos(ra), cd * math.sin(ra), math.sin(dec))
 
 
-def sky_to_xyz(ra: np.ndarray, dec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sky_to_vec of columns; catalogs built or loaded derive x, y, z here."""
-    rr = np.radians(ra)
-    dd = np.radians(dec)
-    cd = np.cos(dd)
-    return cd * np.cos(rr), cd * np.sin(rr), np.sin(dd)
+def sky_to_xyz(ra: np.ndarray, dec: np.ndarray) -> np.ndarray:
+    """sky_to_vec of columns, as one (3, n) array of the x, y and z rows;
+    catalogs built or loaded derive their unit vectors here."""
+    rr, dd = np.radians(ra), np.radians(dec)
+    cd, xyz = np.cos(dd), np.empty((3,) + dd.shape)
+    np.multiply(cd, np.cos(rr), out=xyz[0])
+    np.multiply(cd, np.sin(rr), out=xyz[1])
+    np.sin(dd, out=xyz[2])
+    return xyz
 
 
 def vec_to_sky(v: UnitVec3) -> SkyPoint:

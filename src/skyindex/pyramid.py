@@ -230,7 +230,7 @@ def overlap_search(
     n_zone, rows = 0, np.empty(0, dtype=np.int64)
     if band.any():
         starts, ends = starts[band], ends[band]
-        _, rows = gather_runs(starts, ends)
+        rows = gather_runs(starts, ends)
         n_zone = len(rows)
         # 180 for a reach past a pole, or of 180
         alpha = np.array([ra_window_deg(r + h, center.dec) for h in heights[band].tolist()])

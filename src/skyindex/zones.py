@@ -3,11 +3,12 @@
 A catalog is bucketed into horizontal zones of fixed height; a ZoneTable
 is an index over it, as in the zone papers: the catalog's rows in (zone,
 ra, objid) order, one per object with ra in [0, 360), and no copied column.
-ZoneTable.scan_ra scans many ra windows, each over its own band of zones
-and at each of its ra images, at once with a binary search on an exact
-(zone, ra) key: a cone search is one scan_ra of its dec band, where a
-first search on a float key took twice as long. The all-pairs neighbor
-join, many windows per search, takes the float key first (build_neighbors).
+ZoneTable.scan_ra scans one ra window over a band of zones, at each of
+the window's ra images, with a binary search on an exact (zone, ra) key
+of one (2, height, 3) array of search keys: a cone search is one scan_ra
+of its dec band, where a first search on a float key took twice as long.
+The all-pairs neighbor join, many windows per search, takes the float key
+first (_join_search).
 The pyramid's bands are sparse, where a binary search per zone costs
 more than a look at every row, so pyramid.overlap_search masks its
 bands' contiguous rows instead (the choice between an index seek and a
@@ -19,9 +20,10 @@ queries) taken as [0, 360) first. The zone papers copy rows near ra
 a sorted array search can.
 
 Both cone searches end in the same two steps: gather_runs turns sorted
-index ranges into positions that a permutation maps to catalog rows
+index ranges into one index array that a permutation maps to catalog rows
 (ZoneTable.row here, Catalog.htm_order() for catalog.htm_cone_search's
-trixel id ranges), and cone_matches runs the exact chord test.
+trixel id ranges), and cone_matches runs the exact chord test on the
+rows' unit vectors, one gather from the catalog's (3, n) xyz block.
 
 A zone table holds points only; the pyramid keeps its circles in a
 (scale, zone) table of its own, with the zone rule zone_column.
@@ -101,8 +103,9 @@ def _ra_windows_arr(radius: float, dec: np.ndarray) -> np.ndarray:
 
 
 _SHIFTS = np.array([-360.0, 0.0, 360.0])
-# what a full-circle window becomes: every stored ra, and nothing in the
-# window's -360 and +360 images
+# what a full-circle window (hi - lo >= 360) becomes, in ra_images and in
+# scan_ra's one window: every stored ra, and nothing in its -360 and +360
+# images
 _FULL_CIRCLE = ((0.0,), (math.nextafter(360.0, 0.0),))
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
@@ -126,37 +129,34 @@ def ra_images(lo, hi) -> np.ndarray:
     return edges[:, None, :] + _SHIFTS[:, None]
 
 
-def gather_runs(starts: np.ndarray, ends: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Every index of the runs [starts[k], ends[k]) in run order, as
-    (label, index) arrays, each index labelled with its run's k % period.
+def gather_runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Every index of the runs [starts[k], ends[k]) in run order.
 
     starts and ends are flat non-empty arrays with starts <= ends, such as
     the two searchsorted results of a batch of ranges over a sorted key.
-    For runs laid out window fastest, period = the number of windows makes
-    the label each index's window.
     """
     counts = ends - starts
     total = counts.cumsum()
     if not total[-1]:
-        return _NO_ROWS, _NO_ROWS
-    label = np.repeat(np.arange(counts.size) % period, counts)
-    return label, np.repeat(ends - total, counts) + np.arange(total[-1])
+        return _NO_ROWS
+    return np.repeat(ends - total, counts) + np.arange(total[-1])
 
 
 def cone_matches(catalog, rows: np.ndarray, cx: float, cy: float, cz: float, r: float) -> list[tuple[int, float]]:
     """(objid, distance) of the given catalog rows strictly within r
     degrees of the unit vector (cx, cy, cz), sorted by (distance, objid).
 
-    catalog is anything with objid, x, y, z columns, such as a Catalog.
-    The exact test is on the squared chord, |p - c|^2 < 4 sin^2(r/2); the
+    catalog is anything with an objid column and a (3, n) xyz block of
+    unit vectors, such as a Catalog. The exact test is on the squared
+    chord, |p - c|^2 < 4 sin^2(r/2), summed (dx^2 + dy^2) + dz^2; the
     distance is 2 asin(|p - c| / 2) in degrees.
     """
-    dx = catalog.x[rows] - cx
-    dy = catalog.y[rows] - cy
-    dz = catalog.z[rows] - cz
-    d2 = dx * dx + dy * dy + dz * dz
+    d = catalog.xyz.take(rows, axis=1)
+    d -= ((cx,), (cy,), (cz,))
+    d *= d
+    d2 = d.sum(axis=0)
     hit = d2 < 4.0 * math.sin(math.radians(r) / 2.0) ** 2
-    ids = catalog.objid[rows][hit]
+    ids = catalog.objid[rows[hit]]
     dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2[hit]) / 2.0))
     order = np.lexsort((ids, dist))
     return list(zip(ids[order].tolist(), dist[order].tolist()))
@@ -164,12 +164,13 @@ def cone_matches(catalog, rows: np.ndarray, cx: float, cy: float, cz: float, r: 
 
 @dataclass(eq=False)
 class ZoneTable:
-    """An index over a catalog (any object with array columns objid, ra,
-    dec, x, y, z), immutable after build: row lists the catalog's rows in
-    (zone, ra, objid) order. key is the (zone, ra) search key scan_ra runs
-    on, zone + 1j * ra of each row, derived and never stored: numpy orders
-    and searches complex values lexicographically by (real, imag), and
-    both parts are exact, so key orders rows exactly by (zone, ra).
+    """An index over a catalog (any object with array columns objid, ra
+    and dec and a (3, n) xyz block), immutable after build: row lists the
+    catalog's rows in (zone, ra, objid) order. key is the (zone, ra) search
+    key scan_ra runs on, zone + 1j * ra of each row, derived and never
+    stored: numpy orders and searches complex values lexicographically by
+    (real, imag), and both parts are exact, so key orders rows exactly by
+    (zone, ra).
     build_zone_table makes both in order; from_columns checks a loaded row."""
 
     cfg: ZoneConfig
@@ -205,31 +206,24 @@ class ZoneTable:
     def main_row_count(self) -> int:
         return len(self)
 
-    def scan_ra(self, z0, height: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of a band of zones whose ra (mod 360) falls in a window [lo, hi].
+    def scan_ra(self, z0: int, height: int, lo: float, hi: float) -> np.ndarray:
+        """Rows of zones z0..z0 + height - 1 whose ra (mod 360) falls in
+        the window [lo, hi], -360 < lo <= hi < 720, each once and in
+        ascending order; no row lies past the top zone. The rows are the
+        table's; self.row maps them to the catalog's.
 
-        lo and hi are scalars or equal-length non-empty arrays, one window
-        per entry, with -360 < lo <= hi < 720. Window k's band is zones
-        z0[k]..z0[k] + height - 1, for height >= 1 and one z0 >= 0 for all
-        windows or one per window; no row lies past the top zone. Returns
-        (window, row) index arrays: every row of its band in window k, once
-        per window, paired with k (0 for scalar windows). Each window's
-        rows come in ascending order; with several windows the pairs are
-        grouped by zone offset, not by window. The rows are the table's;
-        self.row maps them to the catalog's.
-
-        A row is in a window when it is in one of the window's ra_images,
-        whose three row ranges are disjoint and in ascending order.
+        A row is in the window when it is in one of its ra_images, whose
+        three row ranges are disjoint and in ascending order.
         """
-        images = ra_images(lo, hi)
-        # search keys (lo or hi, zone offset, image, window): ascending ra
-        # within a zone keeps each side's keys near-sorted, which numpy exploits
-        q = np.empty((2, height) + images.shape[1:], dtype=complex)
-        q.real = np.arange(height)[:, None, None] + z0
-        q.imag = images[:, None]
+        if hi - lo >= 360.0:  # ra_images' full-circle rule
+            (lo,), (hi,) = _FULL_CIRCLE
+        # search keys (lo or hi, zone, image), ascending on each side
+        q = np.empty((2, height, 3), dtype=complex)
+        q.real = np.arange(z0, z0 + height)[:, None]
+        q.imag = ((lo - 360.0, lo, lo + 360.0),), ((hi - 360.0, hi, hi + 360.0),)
         a = self.key.searchsorted(q[0], side="left")
         b = self.key.searchsorted(q[1], side="right")
-        return gather_runs(a.ravel(), b.ravel(), images.shape[2])
+        return gather_runs(a.ravel(), b.ravel())
 
 
 def check_rows(objid: np.ndarray, ra: np.ndarray, dec: np.ndarray, error: type[ValueError]) -> None:
@@ -254,9 +248,9 @@ def zone_column(dec: np.ndarray, height) -> np.ndarray:
 def build_zone_table(catalog, cfg: ZoneConfig) -> ZoneTable:
     """Bucket rows into zones: one table row per input row.
 
-    catalog: any object with array columns objid, ra, dec, x, y, z. Its
-    rows are checked here (check_rows) unless it is a Catalog, whose rows
-    Catalog.from_columns has checked.
+    catalog: any object with array columns objid, ra and dec, and the
+    (3, n) xyz block queries read. Its rows are checked here (check_rows)
+    unless it is a Catalog, whose rows Catalog.from_columns has checked.
 
     The (zone, ra, objid) order comes from one float sort of zone * 512 +
     ra. zone * 512 is exact (below 2^29), and ra < 360 < 512, so the
@@ -308,7 +302,7 @@ def nearby_objects(
     zmin = max(0, zone_of(max(-90.0, center.dec - r), cfg.zone_height))
     zmax = min(nz - 1, int(math.floor((center.dec + 90.0 + r) / cfg.zone_height)))
     alpha = ra_window_deg(r, center.dec)
-    _, idx = table.scan_ra(zmin, zmax - zmin + 1, center.ra - alpha, center.ra + alpha)
+    idx = table.scan_ra(zmin, zmax - zmin + 1, center.ra - alpha, center.ra + alpha)
     cat, rows = table.catalog, table.row[idx]
     ra, dec = math.radians(center.ra), math.radians(center.dec)
     cd = math.cos(dec)  # the centre as sky_to_vec computes it
@@ -364,7 +358,8 @@ def check_neighbors(t: NeighborsTable) -> None:
 MAX_JOIN_ROWS = 3_037_000_499
 
 # Rows times band height per join scan: each block's search keys and
-# their two searchsorted results stay a few MiB at any zone height.
+# their two searchsorted results stay a few MiB at any zone height. The
+# pair tail takes its chords this many pairs at a time.
 _JOIN_KEYS = 1 << 15
 
 
@@ -380,11 +375,12 @@ def _join_search(fkey, key, z, edge, side: str) -> np.ndarray:
     return pos
 
 
-def _chord2(cols, a, b) -> np.ndarray:
-    """The squared chords between rows a and b of the x, y, z columns,
-    summed in one order, so that (a, b) and (b, a) give the same bits."""
+def _chord2(xyz, a, b) -> np.ndarray:
+    """The squared chords between columns a and b of a (3, n) xyz block,
+    summed (dx^2 + dy^2) + dz^2, so that (a, b) and (b, a) give the same
+    bits, and cone_matches' bits."""
     d2 = np.zeros(len(a))
-    for col in cols:
+    for col in xyz:
         d = col[a]
         d -= col[b]
         d *= d
@@ -415,8 +411,7 @@ def _join_candidates(table: ZoneTable, dec, r: float, height: int, block: int):
         lo, hi = np.concatenate((edges[:, :own], np.tile(edges, height - 1)), axis=1)
         a = np.concatenate((run[:k] + 1, _join_search(fkey, table.key, zq[k:], lo[k:], "left")))
         b = _join_search(fkey, table.key, zq, hi, "right")
-        label, right = gather_runs(a, b, len(run))
-        yield run[label], right
+        yield np.repeat(run, b - a), gather_runs(a, b)
 
 
 def build_neighbors(catalog, radius, zone_height: float | None = None) -> NeighborsTable:
@@ -453,8 +448,8 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     zh = zone_height if zone_height is not None else max(r, 180.0 / MAX_ZONE_COUNT)
     table = build_zone_table(catalog, ZoneConfig(zone_height=zh))
     # the join's columns, gathered once in zone order
-    objid, dec, x, y, z = (getattr(catalog, c)[table.row] for c in ("objid", "dec", "x", "y", "z"))
-    by_objid = np.argsort(objid)
+    dec, xyz = catalog.dec[table.row], catalog.xyz.take(table.row, axis=1)
+    by_objid = np.argsort(catalog.objid[table.row])
     rank = np.empty(n, dtype=np.int64)
     rank[by_objid] = np.arange(n)
     height = int(math.ceil(r / zh - 1e-12)) + 1
@@ -465,22 +460,28 @@ def build_neighbors(catalog, radius, zone_height: float | None = None) -> Neighb
     candidates = 0
     for left, right in _join_candidates(table, dec, r, height, block):
         candidates += len(right)
-        hit = _chord2((x, y, z), left, right) < chord2_limit
+        hit = _chord2(xyz, left, right) < chord2_limit
         rank_l, rank_r = rank[left[hit]], rank[right[hit]]
         keys_ab.append(rank_l * n + rank_r)
         keys_ba.append(rank_r * n + rank_l)
     # the pair tail sets peak memory, so the table and columns are freed
-    # before it and each pair-sized array as soon as it is used
+    # before it, each pair-sized array as soon as it is used, and the
+    # chords are taken _JOIN_KEYS pairs at a time
     by_rank = table.row[by_objid]
-    del table, objid, dec, x, y, z, by_objid, rank
+    del table, dec, xyz, by_objid, rank
     key = np.concatenate(keys_ab + keys_ba)  # both orders of every pair
     del keys_ab, keys_ba
     key.sort()  # the keys are unique, so any sort gives this order
     a, b = np.divmod(key, n)
     del key
-    d2 = _chord2((getattr(catalog, c)[by_rank] for c in "xyz"), a, b)
-    objid = catalog.objid[by_rank]
-    a, b = objid[a], objid[b]
+    xyz, objid = catalog.xyz.take(by_rank, axis=1), catalog.objid[by_rank]
+    del by_rank
+    d2 = np.empty(len(a))
+    for s in range(0, len(a), _JOIN_KEYS):
+        d2[s : s + _JOIN_KEYS] = _chord2(xyz, a[s : s + _JOIN_KEYS], b[s : s + _JOIN_KEYS])
+    del xyz
+    a = objid[a]
+    b = objid[b]
     np.sqrt(d2, out=d2)
     d2 /= 2.0
     np.arcsin(d2, out=d2)

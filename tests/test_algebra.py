@@ -91,6 +91,24 @@ class TestConstruction:
         with pytest.raises(RegionStoreError):
             store.region_new("x" * 17)
 
+    def test_rows_cover_refuses_are_not_stored(self, store, tmp_path):
+        # a row whose |n|^2 is off 1, whose l is outside [-1, 1] or with a
+        # NaN raises before anything is stored, so the store still saves
+        # and loads, and the algebra on its own rows still runs
+        cap = [(0.0, 0.0, 1.0, 0.5)]
+        rid = store.region_new_from_convexes([cap], "cap", "")
+        for row in [(2.0, 0.0, 0.0, 0.5), (0.0, 0.0, 1.0, 1.5), (0.0, 0.0, 1.0, -1.5),
+                    (0.0, 0.0, 1.0, math.nan), (math.nan, 0.0, 1.0, 0.5), (0.0, math.inf, 0.0, 0.0)]:
+            with pytest.raises(RegionStoreError, match="unit normal"):
+                store.region_new_from_convexes([cap, cap + [row]], "bad", "")
+        assert store.region_or(rid, rid, "or") == rid + 1
+        assert store.region_not(rid, "not") == rid + 2
+        path = str(tmp_path / "s.snap")
+        save_state(AppState(regions=store), path)
+        loaded = load_state(path).regions
+        assert sorted(loaded.regions) == [rid, rid + 1, rid + 2]
+        assert loaded.columns()["nx"].tobytes() == store.columns()["nx"].tobytes()
+
     def test_empty_convex_is_whole_sphere(self, store, rng):
         rid = store.region_new("all")
         store.region_new_convex(rid)

@@ -110,6 +110,32 @@ class TestIngest:
             for got, full in zip(sky_to_xyz(cat.ra[rows], cat.dec[rows]), (cat.x, cat.y, cat.z)):
                 assert got.tobytes() == full[rows].tobytes()
 
+    def test_xyz_block_and_cone_matches_bits(self):
+        # Catalog.xyz is one (3, n) block whose rows are x, y and z and
+        # whose columns are sky_to_vec's vectors; cone_matches' distances
+        # are the three-column formula's bits, (dx^2 + dy^2) + dz^2, on
+        # rows at both poles and on either side of ra 0
+        ra = [0.0, 0.0, 5e-324, 359.9999999, 0.0, 180.0, 1e-7, 359.5, 120.0, 0.0, 270.0]
+        dec = [90.0, -90.0, 0.0, 0.0, -89.9999, 89.99, 45.0, -30.0, 89.9, 0.0, -89.95]
+        cat = catmod.from_arrays(7 * np.arange(len(ra)) + 3, ra, dec)
+        assert cat.xyz.shape == (3, len(ra)) and cat.xyz is cat.xyz
+        for k, col in enumerate((cat.x, cat.y, cat.z)):
+            assert np.shares_memory(col, cat.xyz) and col.tobytes() == cat.xyz[k].tobytes()
+        for k in range(len(ra)):
+            v = sky_to_vec(SkyPoint(ra[k], dec[k]))
+            assert [float(c).hex() for c in cat.xyz[:, k]] == [c.hex() for c in v.as_tuple()]
+        rows = np.arange(len(ra))[::-1]
+        for centre in [(0.0, 90.0), (0.0, -90.0), (359.9, 0.0), (0.0, 0.0), (180.0, 89.95)]:
+            c = sky_to_vec(SkyPoint(*centre))
+            dx, dy, dz = cat.x - c.x, cat.y - c.y, cat.z - c.z
+            d2 = dx * dx + dy * dy + dz * dz
+            dist = np.degrees(2.0 * np.arcsin(np.sqrt(d2) / 2.0))
+            for r in (0.5, 10.0, 179.0, 180.0):
+                hit = d2 < 4.0 * math.sin(math.radians(r) / 2.0) ** 2
+                want = sorted(zip(dist[hit].tolist(), cat.objid[hit].tolist()))
+                got = zones.cone_matches(cat, rows, c.x, c.y, c.z, r)
+                assert [(i, d.hex()) for i, d in got] == [(i, d.hex()) for d, i in want]
+
     def test_duplicate_objid_names_line(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", ["1,10,0", "2,20,0", "1,30,0"])
         with pytest.raises(CatalogError, match=":4.*duplicate objID 1"):
@@ -416,15 +442,22 @@ class TestHtmConeSearch:
         for center in centres:
             r = float(rng.uniform(*radii))
             assert htm_cone_search(cat, center, r) == oracle.cone_scan(cat, center, r)
-        _, rho, _, _, _, end = cat._trixel_table
+        _, _, rho, _, _, _, end = cat._mesh
         assert len(rho) == 8 << 2 * depth and end[-1] == rows
 
-    def test_sorted_ids_cached(self):
-        cat = random_catalog(500, seed=4)
-        sorted_ids = cat.htm_sorted_ids()
-        assert sorted_ids is cat.htm_sorted_ids()
-        assert np.array_equal(sorted_ids, cat.htmid[cat.htm_order()])
+    def test_mesh_index_keeps_no_sorted_ids(self, tmp_path):
+        # after a mesh search a loaded catalog holds htm_order(), cached,
+        # which sorts its ids, and no array of the sorted ids themselves
+        path = tmp_path / "s.snap"
+        save_state(AppState(random_catalog(5000, seed=4)), path)
+        cat = load_state(path).catalog
+        htm_cone_search(cat, SkyPoint(10.0, 10.0), 2.0)
+        order = cat.htm_order()
+        assert order is cat.htm_order()
+        sorted_ids = cat.htmid[order]
         assert np.all(sorted_ids[1:] >= sorted_ids[:-1])
+        held = [v for v in (*vars(cat).values(), *cat._mesh) if isinstance(v, np.ndarray)]
+        assert len(held) > 5 and not any(v.shape == sorted_ids.shape and np.array_equal(v, sorted_ids) for v in held)
 
     def test_empty_far_from_points(self):
         cat = catmod.from_arrays([1], [10.0], [10.0], htm_depth=10)
@@ -573,16 +606,16 @@ class TestTrixelTable:
         cat = random_catalog(rows, seed=9)
         cat = catmod.from_arrays(cat.objid, cat.ra, cat.dec, htm_depth=htm_depth)
         depth = catmod._table_depth(rows, htm_depth)
-        centroid, rho, cos_padded, sin_padded, start, end = cat._trixel_table
+        order, centroid, rho, cos_padded, sin_padded, start, end = cat._mesh
         ids = np.arange(8 << 2 * depth, 16 << 2 * depth)
         assert len(rho) == len(ids)
         # the runs partition [0, len(cat)) in id order, each holding the
         # rows whose mesh id lies in its trixel
         assert start[0] == 0 and end[-1] == rows and (start[1:] == end[:-1]).all() and (start <= end).all()
         run = np.repeat(np.arange(len(ids)), end - start)
-        assert ((cat.htm_sorted_ids() >> 2 * (htm_depth - depth)).astype(np.int64) == ids[run]).all()
+        assert ((cat.htmid[order] >> 2 * (htm_depth - depth)).astype(np.int64) == ids[run]).all()
         # every row of a run lies within its trixel's cap, by the chord
-        rows_xyz = np.stack([cat.x, cat.y, cat.z], axis=1)[cat.htm_order()]
+        rows_xyz = np.stack([cat.x, cat.y, cat.z], axis=1)[order]
         chord = np.sqrt(((rows_xyz - centroid[run]) ** 2).sum(axis=1))
         assert (chord <= 2.0 * np.sin(rho[run] / 2.0) + 1e-15).all()
         # each cap is htm._bounding_cap's
@@ -598,9 +631,9 @@ class TestTrixelTable:
         cat = random_catalog(5000, seed=3)
         for ra in range(0, 360, 20):
             htm_cone_search(cat, SkyPoint(ra, 10.0), 5.0)
-        table = cat._trixel_table
+        table = cat._mesh
         htm_cone_search(cat, SkyPoint(0.0, -90.0), 180.0)
-        assert calls == [1] and cat._trixel_table is table
+        assert calls == [1] and cat._mesh is table
         htm_cone_search(random_catalog(100, seed=3), SkyPoint(0.0, 0.0), 1.0)
         assert calls == [1, 0]
 
@@ -675,7 +708,7 @@ class TestSnapshot:
         assert htm_cone_search(loaded, center, 5.0) == want
         assert calls == [2000]
         assert htm_cone_search(loaded, center, 5.0) == want
-        assert loaded.htm_sorted_ids() is loaded.htm_sorted_ids()
+        assert loaded.htm_order() is loaded.htm_order()
         assert calls == [2000]
 
     @pytest.mark.parametrize("depth", [0, 20, htm.MAX_DEPTH])

@@ -746,6 +746,19 @@ class TestBenchCli:
         assert "matches=3" in out
 
 
+def test_parser_built_once_and_command_looked_up_by_name(capsys, monkeypatch):
+    # main builds its parser once per process and looks the command up by
+    # name when it runs, so one patched after the first call still runs
+    from skyindex import cli
+
+    built = cli.build_parser()
+    assert run(capsys, "htm", "id", "--ra", "10", "--dec", "20")[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_htm_id", lambda args, out: calls.append(args.ra) or 0)
+    assert run(capsys, "htm", "id", "--ra", "11", "--dec", "20") == (0, "")
+    assert calls == [11.0] and cli.build_parser() is built
+
+
 def test_readme_walkthrough_runs(capsys, tmp_path):
     """Every non-bench line of README's CLI block, run in order on a small
     catalog, exits 0."""

@@ -269,25 +269,20 @@ class TestScanRa:
         for _ in range(400):
             z = int(rng.integers(table.cfg.zone_count))
             lo, hi = self.random_window(rng)
-            window, row = table.scan_ra(z, 1, lo, hi)
-            assert not window.any()
-            assert row.tolist() == self.want(table, z, lo, hi)
+            assert table.scan_ra(z, 1, lo, hi).tolist() == self.want(table, z, lo, hi)
 
-    def test_zone_band_and_window_arrays(self, rng):
-        # every window of an array gets the rows of its own band of zones,
-        # from one start for all windows or one each and running past the
-        # top zone, in zone order, as scanning it zone by zone would
+    def test_zone_band(self, rng):
+        # a window gets the rows of its band of zones, starting anywhere
+        # and running past the top zone, in zone order, as scanning it
+        # zone by zone would
         table = self.edge_table(rng)
         nz = table.cfg.zone_count
-        for _ in range(120):
-            k = int(rng.integers(1, 12))
+        for _ in range(300):
             height = int(rng.integers(1, nz + 3))
-            z0 = rng.integers(0, nz + 2, k) if rng.integers(2) else int(rng.integers(nz))
-            lo, hi = np.array([self.random_window(rng) for _ in range(k)]).T
-            window, row = table.scan_ra(z0, height, lo, hi)
-            for j, first in enumerate(np.broadcast_to(z0, k).tolist()):
-                want = [i for z in range(first, min(nz, first + height)) for i in self.want(table, z, lo[j], hi[j])]
-                assert row[window == j].tolist() == want
+            z0 = int(rng.integers(0, nz + 2))
+            lo, hi = self.random_window(rng)
+            want = [i for z in range(z0, min(nz, z0 + height)) for i in self.want(table, z, lo, hi)]
+            assert table.scan_ra(z0, height, lo, hi).tolist() == want
 
     def test_touching_images_give_each_row_once(self):
         # windows one rounding step under 360 wide, whose images all but
@@ -308,13 +303,13 @@ class TestScanRa:
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
         top = table.cfg.zone_count - 1
         for lo, hi in windows:
-            assert table.scan_ra(top, 1, lo, hi)[1].tolist() == self.want(table, top, lo, hi)
+            assert table.scan_ra(top, 1, lo, hi).tolist() == self.want(table, top, lo, hi)
 
 
     def test_full_circle_takes_edge_rows_once(self):
         # rows at both ends of the stored range [0, 360) come back once
-        # from full-circle windows wherever they sit, alone or among
-        # narrow windows
+        # from full-circle windows wherever they sit, and narrow windows
+        # at either end take theirs
         ra = [0.0, 5e-324, 180.0, math.nextafter(360.0, 0.0)]
         cat = catmod.from_arrays(np.arange(len(ra)), ra, [15.0] * len(ra))
         table = build_zone_table(cat, ZoneConfig(zone_height=10.0))
@@ -322,12 +317,9 @@ class TestScanRa:
         full = [(0.0, 360.0), (-180.0, 180.0), (-359.5, 0.5), (359.5, 719.5),
                 (-1.0, 400.0), (math.nextafter(-360.0, 0.0), math.nextafter(720.0, 0.0))]
         for lo, hi in full:
-            window, row = table.scan_ra(z, 1, lo, hi)
-            assert row.tolist() == [0, 1, 2, 3] and not window.any()
-        lo, hi = np.array(full + [(170.0, 190.0), (-1.0, 1.0)]).T
-        window, row = table.scan_ra(z, 1, lo, hi)
-        for k in range(len(lo)):
-            assert row[window == k].tolist() == self.want(table, z, lo[k], hi[k])
+            assert table.scan_ra(z, 1, lo, hi).tolist() == [0, 1, 2, 3]
+        for lo, hi in full + [(170.0, 190.0), (-1.0, 1.0), (359.0, 361.0), (-1e-300, 0.0)]:
+            assert table.scan_ra(z, 1, lo, hi).tolist() == self.want(table, z, lo, hi)
 
 
     def test_ra_images_mask_takes_scan_rows(self, rng):
@@ -354,7 +346,7 @@ class TestScanRa:
             for lo, hi in windows:
                 lo_edges, hi_edges = ra_images(lo, hi)
                 mask = ((lo_edges <= stored) & (stored <= hi_edges)).any(axis=0)
-                _, found = table.scan_ra(z0, z1 - z0 + 1, lo, hi)
+                found = table.scan_ra(z0, z1 - z0 + 1, lo, hi)
                 assert (start + np.flatnonzero(mask)).tolist() == found.tolist()
                 if hi - lo >= 360.0:
                     assert mask.all()
@@ -654,10 +646,10 @@ def test_join_scans_return_only_candidate_pairs(monkeypatch):
     # in candidate_pairs: none is gathered only to be dropped
     returned = []
 
-    def gather_spy(starts, ends, period=1):
-        label, index = gather_runs(starts, ends, period)
+    def gather_spy(starts, ends):
+        index = gather_runs(starts, ends)
         returned.append(len(index))
-        return label, index
+        return index
 
     monkeypatch.setattr(zones, "gather_runs", gather_spy)
     for cat, r in ((catmod.random_catalog(20_000, seed=301), 0.5), (piled_catalog(), 5.0)):
