@@ -4,18 +4,18 @@ A catalog is bucketed into horizontal zones of fixed height; a ZoneTable
 is an index over it, as in the zone papers: the catalog's rows in (zone,
 ra, objid) order, one per object with ra in [0, 360), and no copied column.
 ZoneTable.scan_ra scans one ra window over a band of zones, at each of
-the window's ra images, with a binary search on an exact (zone, ra) key
-of one (2, height, 3) array of search keys: a cone search is one scan_ra
-of its dec band, where a first search on a float key took twice as long.
+the window's ra images, binary-searching an exact (zone, ra) key with one
+(2, height, 3) array of search keys: a cone search is one scan_ra of its
+dec band, where a first search on a float key took twice as long.
 The all-pairs neighbor join, many windows per search, takes the float key
 first (_join_search).
 The pyramid's bands are sparse, where a binary search per zone costs
 more than a look at every row, so pyramid.overlap_search masks its
 bands' contiguous rows instead (the choice between an index seek and a
 range scan that the zone papers leave to the SQL optimizer). All test
-the edges ra_images gives, which holds the one wraparound rule: each
-window's -360, 0 and +360 images, and a full-circle window (polar
-queries) taken as [0, 360) first. The zone papers copy rows near ra
+the edges of one wraparound rule, which ra_images holds and scan_ra
+applies inline to its one window: each window's -360, 0 and +360
+images, and a full-circle window (polar queries) taken as [0, 360) first. The zone papers copy rows near ra
 0/360 into margins instead, because a SQL range predicate cannot wrap;
 a sorted array search can.
 
