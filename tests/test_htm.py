@@ -369,6 +369,29 @@ def pinned_cover_regions():
     return regions + [region_rows(compile_region_string(s)) for s in specs]
 
 
+def random_cover_cases(count: int = 600, seed: int = 34):
+    """Seeded (region, max_ranges, max_depth) cases: 1-3 convexes of 1-4
+    circles, radii log-uniform in [1e-6, 160] degrees or exactly 0, 90 or
+    180, max_depth in 0..30 and max_ranges in 1..40. A convex's later
+    circles are centred within its first, so most convexes are not empty."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        region = []
+        for _ in range(int(rng.integers(1, 4))):
+            centre = sample_sphere(rng, 1)[0]
+            convex = []
+            for k in range(int(rng.integers(1, 5))):
+                r = float(10.0 ** rng.uniform(-6.0, math.log10(160.0)))
+                if rng.uniform() < 0.1:
+                    r = float(rng.choice([0.0, 90.0, 180.0]))
+                c = centre if k == 0 else sample_cap(rng, centre, convex[0][1], 1)[0]
+                convex.append((c, r))
+            region.append([cap_row(c, r) for c, r in convex])
+        cases.append((region, int(rng.integers(1, 41)), int(rng.integers(0, htm.MAX_DEPTH + 1))))
+    return cases
+
+
 def cover_digest(regions) -> str:
     h = hashlib.sha256()
     for region in regions:
@@ -380,9 +403,20 @@ class TestPinnedCover:
     # cover_digest(pinned_cover_regions()) before the bounding-cap
     # pre-test: the pre-test settles trixels sooner but changes no range
     DIGEST = "44a27031c18bcfa624591077e0c430c3fa1afb90abb91eace285ecdb59ab6b39"
+    # the pinned regions at max_depth 25 and 30 with max_ranges 1, 7 and
+    # 40, then random_cover_cases(), as one SHA-256 of their ranges
+    DEEP_DIGEST = "9a99576f0b561e2f57bb5bb0b85ea3dbcc35ee4638b529e8acedcaa12d2fa390"
 
     def test_ranges_unchanged(self):
         assert cover_digest(pinned_cover_regions()) == self.DIGEST
+
+    def test_deep_ranges_unchanged(self):
+        regions = pinned_cover_regions()
+        cases = [(region, m, d) for d in (25, 30) for m in (1, 7, 40) for region in regions]
+        h = hashlib.sha256()
+        for region, max_ranges, max_depth in cases + random_cover_cases():
+            h.update(repr(cover(region, max_ranges, max_depth)).encode() + b"\n")
+        assert h.hexdigest() == self.DEEP_DIGEST
 
 
 def area_ratio_at_depth(depth: int) -> float:
