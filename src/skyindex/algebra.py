@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import COVER_PAD_DEG
-from .geom import _NORM2_TOL, Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, normalized_xyz, radius_deg, sky_to_xyz
+from .geom import Convex, GeometryError, HalfSpace, Region, Row, UnitVec3, arc_deg, normalized_xyz, radius_deg, row_is_halfspace, sky_to_xyz
 from .pyramid import bounding_circle_rows
 
 _TOL_DEG = 1e-9
@@ -417,10 +417,10 @@ class RegionStore:
 
     def region_new_from_convexes(self, lists: list[list[Row]], rtype: str, comment: str) -> int:
         """A new region whose convexes are the lists of rows, stored as given;
-        a row htm.cover refuses (|n|^2 off 1 by more than _NORM2_TOL, l
-        outside [-1, 1] or NaN) raises RegionStoreError first."""
+        a row geom.row_is_halfspace refuses, as htm.cover does, raises
+        RegionStoreError first."""
         for nx, ny, nz, l in (row for rows in lists for row in rows):
-            if not (abs(nx * nx + ny * ny + nz * nz - 1.0) <= _NORM2_TOL and -1.0 <= l <= 1.0):
+            if not row_is_halfspace(nx, ny, nz, l):
                 raise RegionStoreError(f"a half-space row needs a unit normal and l in [-1, 1]: {(nx, ny, nz, l)!r}")
         return self._new_from_convexes(lists, rtype, comment)
 
@@ -579,10 +579,10 @@ class RegionStore:
         """The store columns() gave, from columns whose levels each share
         one length. Raises RegionStoreError unless each count matches the
         rows it nests, the region and convex ids rise within their parent
-        from 1 to below its counter, and each half-space row holds a
-        finite normal with |n|^2 within _NORM2_TOL of 1 and a length in
-        [-1, 1]; a text that is not UTF-8 raises UnicodeDecodeError. The
-        columns become the tables as they are, with no object per row."""
+        from 1 to below its counter, and each half-space row passes
+        geom.row_is_halfspace; a text that is not UTF-8 raises
+        UnicodeDecodeError. The columns become the tables as they are,
+        with no object per row."""
         nesting = (
             (cols["convexes"], cols["convex_id"]),
             (cols["halfspaces"], cols["nx"]),
@@ -603,10 +603,7 @@ class RegionStore:
                 raise RegionStoreError(
                     "region columns hold an id out of order or past its counter"
                 )
-        nx, ny, nz, l = cols["nx"], cols["ny"], cols["nz"], cols["l"]
-        with np.errstate(over="ignore"):
-            n2 = nx * nx + ny * ny + nz * nz  # in UnitVec3's order; NaN or inf fails below
-        if not ((np.abs(n2 - 1.0) <= _NORM2_TOL) & (-1.0 <= l) & (l <= 1.0)).all():
+        if not row_is_halfspace(cols["nx"], cols["ny"], cols["nz"], cols["l"]).all():
             raise RegionStoreError(
                 "region columns hold a non-unit normal or a length outside [-1, 1]"
             )

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import htm
-from .geom import SkyPoint, UnitVec3, circle_to_halfspace, sky_to_vec, sky_to_xyz
+from .geom import GeometryError, SkyPoint, UnitVec3, sky_to_vec, sky_to_xyz
 from .zones import check_rows, cone_matches, gather_runs
 
 
@@ -26,6 +26,10 @@ COVER_PAD_DEG = 1e-5
 # an average trixel holds at most this many rows. Sweeps of 20k, 200k and
 # 1M uniform rows put the fastest depth at 100 to 600 rows per trixel.
 ROWS_PER_TRIXEL = 256
+
+# The mesh cone search's clearance in radians, added to each trixel's cap
+# angle rho: far above the rounding of the angles it compares.
+_CAP_MARGIN = 1e-6
 
 
 class CatalogError(ValueError):
@@ -65,7 +69,7 @@ class Catalog:
         """The mesh index: htm_order(), then htm_cone_search's columns of
         the trixels at _table_depth, in id order: htm._bounding_cap's
         centroid (rows of an array) and rho, the cosine and sine of rho +
-        htm._CAP_MARGIN, and the run [start, end) of rows in htm_order(),
+        _CAP_MARGIN, and the run [start, end) of rows in htm_order(),
         the last ending at len(self): at htm.MAX_DEPTH the bound after it
         would wrap uint64. The sorted ids it searches are not kept."""
         order = np.argsort(self.htmid, kind="stable")
@@ -76,7 +80,7 @@ class Catalog:
         rho = np.arccos(np.minimum((c * corners).sum(axis=1).min(axis=0), 1.0))
         ids = self.htmid[order]
         start = ids.searchsorted(np.arange(8 << 2 * depth, 16 << 2 * depth, dtype=ids.dtype) << 2 * (self.htm_depth - depth))
-        padded = rho + htm._CAP_MARGIN
+        padded = rho + _CAP_MARGIN
         return order, c.T.copy(), rho, np.cos(padded), np.sin(padded), start, np.append(start[1:], len(self))
 
     def htm_order(self) -> np.ndarray:
@@ -239,7 +243,7 @@ def _read_csv_lines(path) -> tuple[list[int], list[float], list[float]]:
 def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, float]]:
     """Cone search through the mesh index: keep each trixel of the
     catalog's mesh index (_mesh) whose centroid is within theta + rho +
-    htm._CAP_MARGIN of the centre (every one once that reaches pi), theta =
+    _CAP_MARGIN of the centre (every one once that reaches pi), theta =
     r + COVER_PAD_DEG, gather the kept runs (zones.gather_runs), then run
     zones.cone_matches' exact chord test. Gives what zones.nearby_objects
     gives, distances included; a zero radius matches nothing.
@@ -252,13 +256,14 @@ def htm_cone_search(cat: Catalog, center: SkyPoint, radius) -> list[tuple[int, f
     trixel is always kept, so some run is."""
     r = float(radius)
     v = sky_to_vec(center)
-    circle_to_halfspace(v, r)  # refuses a radius outside [0, 180]
+    if not (0.0 <= r <= 180.0):
+        raise GeometryError(f"circle radius out of [0, 180] degrees: {r!r}")
     if r == 0:
         return []
     order, centroid, rho, cos_padded, sin_padded, start, end = cat._mesh
     theta = math.radians(r + COVER_PAD_DEG)
     bound = math.cos(theta) * cos_padded - math.sin(theta) * sin_padded
-    keep = (centroid @ v.as_tuple() >= bound) | (rho >= math.pi - htm._CAP_MARGIN - theta)
+    keep = (centroid @ v.as_tuple() >= bound) | (rho >= math.pi - _CAP_MARGIN - theta)
     return cone_matches(cat, order[gather_runs(start[keep], end[keep])], v.x, v.y, v.z, r)
 
 

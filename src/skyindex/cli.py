@@ -530,6 +530,14 @@ def positive_int(text: str) -> int:
     return n
 
 
+def seed_int(text: str) -> int:
+    """An argparse type for --seed: an integer of at least 0, as default_rng takes."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {n}")
+    return n
+
+
 def max_cone_radius(text: str) -> float:
     """An argparse type for bench nearby's --max-radius: degrees in
     [0.01, 180], as oracle.bench_queries draws radii from (0.01, it]."""
@@ -657,19 +665,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = be.add_parser("nearby")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--queries", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--zone-height", type=float, default=4.0 / 60.0)
     p.add_argument("--max-radius", type=max_cone_radius, default=1.0)
     p.set_defaults(func="cmd_bench_nearby")
     p = be.add_parser("neighbors")
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--r", type=float, default=0.5)
     p.set_defaults(func="cmd_bench_neighbors")
     p = be.add_parser("overlap")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--queries", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.set_defaults(func="cmd_bench_overlap")
 
     return parser

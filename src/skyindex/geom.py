@@ -232,6 +232,14 @@ def circle_to_halfspace(center: UnitVec3, radius) -> HalfSpace:
     return HalfSpace(center, math.cos(math.radians(r)))
 
 
+def row_is_halfspace(nx, ny, nz, l):
+    """True where the row (nx, ny, nz, l), floats or arrays, has |n|^2
+    within _NORM2_TOL of 1 and l in [-1, 1]; NaN, inf or an overflowing square fail."""
+    with np.errstate(over="ignore"):
+        n2 = nx * nx + ny * ny + nz * nz  # in UnitVec3's order
+    return (abs(n2 - 1.0) <= _NORM2_TOL) & (-1.0 <= l) & (l <= 1.0)
+
+
 def region_rows(region: Region) -> list[list[Row]]:
     """The region's convexes as lists of (nx, ny, nz, l) rows, bit for bit:
     the form the region store, the bounding circles and htm.cover take."""

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .geom import _NORM2_TOL, arc_deg
+from .geom import arc_deg, row_is_halfspace
 
 MAX_DEPTH = 30
 
@@ -267,16 +267,6 @@ def _circle_intersects_arc(n, l, a, b) -> bool:
     return False
 
 
-# The bounding-cap pre-test's clearance, in radians. Its own angles are
-# acos of dots, off by less than 3e-8 near a dot of 1. The exact test
-# wavers near the boundary circle: within ~1e-8 where it takes acos near
-# 1, and within about 1e-15 / |edge| where _contains tests a point of the
-# circle, under 1e-9 to depth 20. So to depth 20 a trixel clear by this
-# much gets the exact test's verdict; deeper, the pre-test's verdict is
-# still sound.
-_CAP_MARGIN = 1e-6
-
-
 def _bounding_cap(corners):
     """A cap holding the trixel: the unit centroid c of its corners and
     the angle rho in radians to the farthest corner. A trixel is the
@@ -290,48 +280,18 @@ def _bounding_cap(corners):
 
 
 def _halfspaces(rows):
-    """A convex's rows as (normal tuple, l, acos(l)), made once per cover;
-    |n|^2 off 1 by more than _NORM2_TOL, l outside [-1, 1] or NaN raise."""
+    """A convex's rows as (normal tuple, l), made once per cover; a row
+    geom.row_is_halfspace refuses raises."""
     for nx, ny, nz, l in rows:
-        if not (abs(nx * nx + ny * ny + nz * nz - 1.0) <= _NORM2_TOL and -1.0 <= l <= 1.0):
+        if not row_is_halfspace(nx, ny, nz, l):
             raise HtmError(f"a half-space row needs a unit normal and l in [-1, 1]: {(nx, ny, nz, l)!r}")
-    return tuple(((nx, ny, nz), l, math.acos(l)) for nx, ny, nz, l in rows)
+    return tuple(((nx, ny, nz), l) for nx, ny, nz, l in rows)
 
 
-def _classify_halfspace(corners, cap, n, l, theta) -> int:
-    """The trixel against the cap {p . n > l} of angular radius theta.
-    cap holds the trixel's _bounding_cap, or is empty until a verdict
-    first needs it, so a trixel the corner test settles never makes one.
-
-    Cheap verdicts first, each exact: corners strictly on both sides of
-    the boundary make it PARTIAL; a bounding cap clear of the boundary by
-    _CAP_MARGIN makes it OUTSIDE (disjoint from the cap) or INSIDE (within
-    it); corners all outside the cap while its centre n lies inside the
-    trixel make it PARTIAL. Only the rest run the exact test, the boundary
-    circle against each edge arc. Szalay et al., "Indexing the Sphere with
-    the Hierarchical Triangular Mesh" (MSR-TR-2005-123), test a trixel's
-    bounding circle first in the same way.
-    """
-    nx, ny, nz = n
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = corners
-    d0 = nx * ax + ny * ay + nz * az
-    d1 = nx * bx + ny * by + nz * bz
-    d2 = nx * cx + ny * cy + nz * cz
-    if -1.0 < l < 1.0:
-        below = d0 < l or d1 < l or d2 < l
-        if below and (d0 > l or d1 > l or d2 > l):
-            return PARTIAL
-        if not cap:
-            cap.append(_bounding_cap(corners))
-        (ux, uy, uz), rho = cap[0]
-        delta = math.acos(max(-1.0, min(1.0, nx * ux + ny * uy + nz * uz)))
-        if below:
-            if delta > theta + rho + _CAP_MARGIN:
-                return OUTSIDE
-            if min(_edge_dots(corners, n)) > 0.0:
-                return PARTIAL  # the cap's centre lies in the trixel
-        elif delta + rho + _CAP_MARGIN < theta:
-            return INSIDE
+def _classify_halfspace(corners, n, l) -> int:
+    """The trixel against the cap {p . n > l}, by the exact test: the
+    boundary circle against each edge arc, then a point of the circle
+    inside the trixel, then the corners."""
     edges = ((corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0]))
     if any(_circle_intersects_arc(n, l, a, b) for a, b in edges):
         return PARTIAL
@@ -353,6 +313,7 @@ def _classify_halfspace(corners, cap, n, l, theta) -> int:
         # l = -1: everything but the antipodal point
         anti = (-n[0], -n[1], -n[2])
         return PARTIAL if _contains(corners, anti) else INSIDE
+    d0, d1, d2 = (n[0] * x + n[1] * y + n[2] * z for x, y, z in corners)
     if d0 > l and d1 > l and d2 > l:
         return INSIDE
     if d0 < l and d1 < l and d2 < l:
@@ -367,12 +328,11 @@ def classify_trixel(corners, rows) -> int:
 
 def _classify_region(corners, convexes) -> int:
     """The trixel against a union of convexes, each given by _halfspaces."""
-    cap = []  # its _bounding_cap, made once, by the first half-space that needs it
     verdict = OUTSIDE
     for halfspaces in convexes:
         res = INSIDE
-        for n, l, theta in halfspaces:
-            r = _classify_halfspace(corners, cap, n, l, theta)
+        for n, l in halfspaces:
+            r = _classify_halfspace(corners, n, l)
             if r == OUTSIDE:
                 res = OUTSIDE
                 break
@@ -395,12 +355,10 @@ def cover(convexes, max_ranges: int = 20, max_depth: int = 20) -> list[tuple[int
     Breadth-first refinement of boundary trixels; fully-inside trixels are
     accepted whole, refinement stops at max_depth or once the budget is
     hit, and remaining boundary trixels are accepted conservatively. Each
-    half-space's normal and angular radius are taken once per cover, and
-    most trixels are settled by their corners or their bounding cap before
-    the exact edge test (_classify_halfspace). All ranges are emitted at
-    the deepest level reached, sorted, disjoint and coalesced; if more than
-    max_ranges remain, nearest ranges are merged (which only widens the
-    cover, never drops any of it).
+    trixel gets _classify_halfspace's exact test against each row. All
+    ranges are emitted at the deepest level reached, sorted, disjoint and
+    coalesced; if more than max_ranges remain, nearest ranges are merged
+    (which only widens the cover, never drops any of it).
     """
     try:  # operator.index refuses a float, NaN included
         ok = operator.index(max_ranges) >= 1 and 0 <= operator.index(max_depth) <= MAX_DEPTH

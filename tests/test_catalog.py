@@ -622,7 +622,7 @@ class TestTrixelTable:
         for k, hid in enumerate(ids.tolist()):
             c, r = htm._bounding_cap(htm._corners_of_id(hid))
             assert np.abs(centroid[k] - c).max() <= 1e-15 and abs(rho[k] - r) <= 1e-15
-        assert (cos_padded == np.cos(rho + htm._CAP_MARGIN)).all() and (sin_padded == np.sin(rho + htm._CAP_MARGIN)).all()
+        assert (cos_padded == np.cos(rho + catmod._CAP_MARGIN)).all() and (sin_padded == np.sin(rho + catmod._CAP_MARGIN)).all()
 
     def test_built_once_per_catalog(self, monkeypatch):
         calls = []

@@ -730,6 +730,19 @@ class TestBenchCli:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("nearby", "--n", "10", "--queries", "2"),
+        ("neighbors", "--n", "10"),
+        ("overlap", "--n", "10", "--queries", "2"),
+    ])
+    def test_negative_seed_usage_error(self, capsys, argv):
+        # numpy's default_rng refuses a negative seed with a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv, "--seed=-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "must be at least 0" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "-1", "0", "0.0099", "180.5", "1e300"])
     def test_max_radius_out_of_range_usage_error(self, capsys, radius):
         # nan and -1 used to end in numpy tracebacks inside bench_queries

@@ -23,12 +23,14 @@ from skyindex.geom import (
     inside_region,
     min_enclosing_cap,
     region_rows,
+    row_is_halfspace,
     sky_to_vec,
     vec_to_sky,
     _plane_pair_points,
 )
-from skyindex.algebra import _contains_cap, _disjoint_caps, complement_convex_lists
+from skyindex.algebra import RegionStore, RegionStoreError, _contains_cap, _disjoint_caps, complement_convex_lists
 from skyindex.catalog import htm_cone_search, random_catalog
+from skyindex.htm import HtmError, cover
 from skyindex.pyramid import PyramidConfig, PyramidError, PyramidIndex, overlap_search, scale_of
 from skyindex.zones import ZoneConfig, ZoneError, build_neighbors, build_zone_table, nearby_objects
 
@@ -91,6 +93,52 @@ def test_radius_out_of_range_raises_the_modules_own_error(call, radius):
     error, search = _RADIUS_CHECKS[call]
     with pytest.raises(error, match=r"radius out"):
         search(radius)
+
+
+_ULP = 2.0**-52
+_HALFSPACE_ROWS = [  # (row, taken)
+    ((0.6, 0.8, 0.0, 0.1), True),
+    ((0.0, 0.0, 1.0 + 8 * _ULP, 0.5), True),  # |n|^2 - 1 = 16 ulps, the tolerance
+    ((0.0, 0.0, 1.0 + 9 * _ULP, 0.5), False),  # 18 ulps
+    ((0.0, 0.0, 1.0 - 8 * _ULP, 0.5), True),  # 1 - |n|^2 = 16 ulps
+    ((0.0, 0.0, 1.0 - 8.5 * _ULP, 0.5), False),  # 17 ulps
+    *(((*([0.0] * k), math.nan, *([0.0] * (3 - k))), False) for k in range(4)),
+    ((0.0, 0.0, 1.0, 1.0), True),
+    ((0.0, 0.0, 1.0, -1.0), True),
+    ((0.0, 0.0, 1.0, math.nextafter(1.0, 2.0)), False),
+    ((0.0, 0.0, 1.0, math.nextafter(-1.0, -2.0)), False),
+    ((math.inf, 0.0, 0.0, 0.5), False),
+    ((0.0, -math.inf, 0.0, 0.5), False),
+    ((0.0, 0.0, 1.0, math.inf), False),
+    ((0.0, 0.0, 1.0, -math.inf), False),
+    ((1e200, 0.0, 0.0, 0.5), False),  # the square overflows
+]
+
+
+@pytest.mark.parametrize("row, taken", _HALFSPACE_ROWS)
+def test_half_space_row_taken_alike_by_cover_store_and_loader(row, taken):
+    """htm.cover, the store's region_new_from_convexes and the loader's
+    RegionStore.from_columns take or refuse each row alike."""
+    verdicts = []
+    for error, call in ((HtmError, lambda: cover([[row]], max_depth=2)),
+                        (RegionStoreError, lambda: RegionStore().region_new_from_convexes([[row]], "r", "")),
+                        (RegionStoreError, lambda: RegionStore.from_columns(_columns_with_row(row)))):
+        try:
+            call()
+            verdicts.append(True)
+        except error:
+            verdicts.append(False)
+    assert verdicts == [taken] * 3
+    assert bool(row_is_halfspace(*row)) == taken
+
+
+def _columns_with_row(row):
+    store = RegionStore()
+    store.region_new_from_convexes([[(0.0, 0.0, 1.0, 0.5)]], "r", "")
+    cols = store.columns()
+    for name, value in zip(("nx", "ny", "nz", "l"), row):
+        cols[name] = np.array([value])
+    return cols
 
 
 class TestVecConversion:

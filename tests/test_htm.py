@@ -900,7 +900,7 @@ def test_cover_holds_every_point_of_a_convex_union_property(convexes, max_depth,
 @given(data=st.data(), depth=st.integers(0, htm.MAX_DEPTH))
 def test_bounding_cap_holds_the_trixel_property(data, depth):
     """Every point of a trixel lies within its bounding cap's angle rho,
-    give or take the 3e-8 that _CAP_MARGIN allows for rounding."""
+    give or take the 3e-8 that catalog._CAP_MARGIN allows for rounding."""
     corners = htm._corners_of_id(data.draw(st.integers(8 << (2 * depth), (16 << (2 * depth)) - 1)))
     (cx, cy, cz), rho = htm._bounding_cap(corners)
     weights = data.draw(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=20))
