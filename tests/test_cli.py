@@ -736,7 +736,7 @@ class TestBenchCli:
         ("overlap", "--n", "10", "--queries", "2"),
     ])
     def test_negative_seed_usage_error(self, capsys, argv):
-        # numpy's default_rng refuses a negative seed with a traceback
+        # numpy's default_rng takes no negative seed: argparse refuses it first
         with pytest.raises(SystemExit) as exc:
             main(["bench", *argv, "--seed=-1"])
         err = capsys.readouterr().err
