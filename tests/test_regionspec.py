@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -252,6 +253,66 @@ def test_keyword_with_arbitrary_numbers_fails_only_by_grammar_errors(keyword, fr
         compile_to_region(ast)
     except RegionCompileError:
         pass
+
+
+# One of each keyword in each frame it takes, then inputs that fail; the
+# first two bad ones hold a syntax fault and a compile fault both.
+_PINNED_SHAPES = [
+    "CIRCLE J2000 30 20 3",
+    "CIRCLE CARTESIAN 0.3 -0.2 0.9 7.5",
+    "RECT J2000 10 -5 20 5",
+    "POLY J2000 0 0 0 90 180 0",
+    "POLY J2000 10 10 50 10 50 40 10 40",
+    "POLY CARTESIAN 1 0 0 0 1 0 0 0 1",
+    "CHULL J2000 358 -3 3 -2 2 4 357 2",
+    "CHULL CARTESIAN 1 0 0 0 1 0 0 0 1 0.5 0.5 0.5",
+    "CONVEX 0 0 5 0.25",
+    "REGION",
+    "REGION CONVEX 0 0 1 0",
+    "REGION CONVEX 0 0 1 0 CONVEX 1 0 0 0.5 0 1 0 0",
+    "CONVEX 1e200 1e200 0 0.5",
+    "CIRCLE J2000 0 0 0",
+    "CONVEX 0 0 1 1",
+]
+_PINNED_BAD = [
+    "CIRCLE J2000 30 100 3 BANANA",
+    "REGION CONVEX 0 0 0 1 CONVEX 1 0",
+    "",
+    "CIRCLE",
+    "FOO 1 2",
+    "CIRCLE GALACTIC 0 0 3",
+    "CIRCLE J2000 30 20",
+    "CIRCLE J2000 30 20 3 #",
+    "RECT CARTESIAN 0 0 1 1",
+    "POLY J2000 0 0 0 90",
+    "POLY J2000 0 0 0 90 180",
+    "CONVEX",
+    "CONVEX 0 0 1 1.5",
+    "CONVEX 0 0 0 0.5",
+    "RECT J2000 0 -5 180 5",
+    "RECT J2000 0 -95 10 5",
+    "POLY J2000 10 10 50 40 50 10 10 40",
+    "POLY J2000 10 10 10 10 50 40",
+    "CHULL CARTESIAN 1 0 0 -1 0 0 0 1 0 0 -1 0 0 0 1 0 0 -1",
+    "CIRCLE J2000 0 0 1e999",
+    "CIRCLE CARTESIAN 0 0 0 3",
+]
+# SHA-256 over the corpus and the shapes above, each as its serialized
+# region or its error's (type, message)
+_PINNED_COMPILE_DIGEST = "91b3b4a2823c12fcc6551f8b08beb6265a8fa0419373d5b9a6851ba39579967b"
+
+
+def test_compile_output_pinned():
+    from conftest import generate_corpus_specs
+
+    h = hashlib.sha256()
+    for text in generate_corpus_specs(seed=35, count=600) + _PINNED_SHAPES + _PINNED_BAD:
+        try:
+            out = serialize_region(compile_region_string(text))
+        except (RegionSyntaxError, RegionCompileError) as err:
+            out = (type(err).__name__, str(err))
+        h.update(repr(out).encode() + b"\n")
+    assert h.hexdigest() == _PINNED_COMPILE_DIGEST
 
 
 class TestSerialize:
