@@ -25,8 +25,6 @@ from .regionspec import (
     RegionCompileError,
     RegionSyntaxError,
     compile_region_string,
-    compile_to_region,
-    parse_region_spec,
     serialize_region,
 )
 from .algebra import CompiledPredicate, RegionStore, RegionStoreError

@@ -536,13 +536,9 @@ class RegionStore:
     # introspection / persistence
 
     def contains(self, rid: int, p: UnitVec3) -> bool:
-        """Whether p is in region rid: its rows tested one by one, in the
-        predicate's arithmetic."""
-        x, y, z = p.as_tuple()
-        return any(
-            all(_dot(x, y, z, nx, ny, nz) > l for nx, ny, nz, l in rows)
-            for rows in self._convex_lists(rid)
-        )
+        """Whether p is in region rid: the region's predicate on one point."""
+        x, y, z = (np.array([c]) for c in p.as_tuple())
+        return bool(self.region_predicate(rid).evaluate_columns(x, y, z)[0])
 
     def columns(self) -> dict[str, np.ndarray]:
         """The store as named columns: a row per region (in id order), per

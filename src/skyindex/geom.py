@@ -23,8 +23,8 @@ from itertools import combinations
 import numpy as np
 
 
-UNIT_NORM_TOL = 1e-12
-# How far |n|^2 of a stored or covered normal may lie from 1. The store
+# How far |n|^2 of a UnitVec3, or of a stored or covered normal, may lie
+# from 1: the one rule of UnitVec3 and row_is_halfspace. The store
 # writes normals within 2.5 ulps (over 200k `UnitVec3.normalized` and
 # `sky_to_vec` vectors). A normal 16 ulps long widens its cap by at most
 # 3.4e-6 degrees (at l = 1), which with the 2.6e-6 degree rounding of
@@ -68,7 +68,7 @@ class SkyPoint:
 def _check_unit(x: float, y: float, z: float) -> None:
     n2 = x * x + y * y + z * z
     # `not <=` rather than `>`, so that a NaN norm fails it too
-    if not (abs(n2 - 1.0) <= 4.0 * UNIT_NORM_TOL):
+    if not (abs(n2 - 1.0) <= _NORM2_TOL):
         raise GeometryError(f"not a unit vector: norm^2 = {n2!r}")
 
 

@@ -289,15 +289,17 @@ def _halfspaces(rows):
 
 
 def _classify_halfspace(corners, n, l) -> int:
-    """The trixel against the cap {p . n > l}, by the exact test: the
-    boundary circle against each edge arc, then a point of the circle
-    inside the trixel, then the corners."""
+    """The trixel against the cap {p . n > l}, by the exact test: an
+    empty cap (l = 1) first, then the boundary circle against each edge
+    arc, then a point of the circle inside the trixel, then the corners."""
+    if l >= 1.0:
+        return OUTSIDE  # open cap {p.n > 1} is empty
     edges = ((corners[0], corners[1]), (corners[1], corners[2]), (corners[2], corners[0]))
     if any(_circle_intersects_arc(n, l, a, b) for a, b in edges):
         return PARTIAL
     # No boundary crossing: either the boundary circle sits wholly inside
     # the trixel, or the trixel is entirely on one side of it.
-    if abs(l) < 1.0:
+    if l > -1.0:
         if abs(n[2]) < 0.9:
             tx, ty, tz = -n[1], n[0], 0.0
         else:
@@ -308,8 +310,6 @@ def _classify_halfspace(corners, n, l) -> int:
         if _contains(corners, q):
             return PARTIAL
     else:
-        if l >= 1.0:
-            return OUTSIDE  # open cap {p.n > 1} is empty
         # l = -1: everything but the antipodal point
         anti = (-n[0], -n[1], -n[2])
         return PARTIAL if _contains(corners, anti) else INSIDE

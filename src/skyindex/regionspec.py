@@ -1,4 +1,4 @@
-"""Textual region grammar: parse, compile to geometry, serialize.
+"""Textual region grammar: compile text to geometry in one pass, serialize.
 
 The accepted shapes:
 
@@ -15,6 +15,12 @@ plain decimal reals (optional sign, decimal point, exponent). Point lists
 run to the next keyword or end of input; inside REGION the CONVEX keyword
 delimits each convex. Serialization always emits the lossless CONVEX
 encoding.
+
+`compile_region_string` is the entry point. It reads the text once, from
+each shape's numbers straight to its convexes. Every syntax fault,
+trailing input included, raises RegionSyntaxError before any compile
+fault (a point off the sphere, an over-wide polygon, ...) raises
+RegionCompileError.
 """
 
 from __future__ import annotations
@@ -80,49 +86,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# -- AST -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    frame: str
-    center: tuple[float, ...]  # (ra, dec) or (x, y, z)
-    radius_arcmin: float
-
-
-@dataclass(frozen=True)
-class RectSpec:
-    frame: str
-    corner1: tuple[float, float]
-    corner2: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class PolySpec:
-    frame: str
-    points: tuple[tuple[float, ...], ...]
-
-
-@dataclass(frozen=True)
-class HullSpec:
-    frame: str
-    points: tuple[tuple[float, ...], ...]
-
-
-@dataclass(frozen=True)
-class ConvexSpec:
-    constraints: tuple[tuple[float, float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    convexes: tuple[ConvexSpec, ...]
-
-
-AreaSpec = CircleSpec | RectSpec | PolySpec | HullSpec | ConvexSpec | RegionSpec
-
-
 class _Parser:
+    """Reads one shape; each _parse_* method returns a thunk that compiles
+    it, which parse() calls only once the input has ended, so every syntax
+    error comes before any compile error."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -168,13 +136,13 @@ class _Parser:
             )
         return self.advance().text
 
-    def parse(self) -> AreaSpec:
+    def parse(self) -> Region:
         kw = self.expect_word("CIRCLE", "RECT", "POLY", "CHULL", "CONVEX", "REGION")
-        node = getattr(self, "_parse_" + kw.lower())()
+        compile_ = getattr(self, "_parse_" + kw.lower())()
         tok = self.peek()
         if tok.kind != "eof":
             self.fail("end of input")
-        return node
+        return compile_()
 
     def _group(self, values: list[float], width: int, what: str, minimum: int):
         tok = self.peek()
@@ -195,15 +163,20 @@ class _Parser:
             )
         return groups
 
-    def _parse_circle(self) -> CircleSpec:
+    def _points(self, what: str):
+        frame = self.frame()
+        width = 2 if frame == "J2000" else 3
+        return frame, self._group(self.numbers_until_keyword(), width, what, 3)
+
+    def _parse_circle(self):
         frame = self.frame()
         vals = self.numbers_until_keyword()
         want = 3 if frame == "J2000" else 4
         if len(vals) != want:
             self.fail(f"{want} numbers after CIRCLE {frame}")
-        return CircleSpec(frame, tuple(vals[:-1]), vals[-1])
+        return lambda: Region((_compile_circle(frame, vals[:-1], vals[-1]),))
 
-    def _parse_rect(self) -> RectSpec:
+    def _parse_rect(self):
         frame_tok = self.peek()
         frame = self.frame()
         if frame != "J2000":
@@ -211,35 +184,29 @@ class _Parser:
         vals = self.numbers_until_keyword()
         if len(vals) != 4:
             self.fail("4 numbers (two ra dec corners) after RECT J2000")
-        return RectSpec(frame, (vals[0], vals[1]), (vals[2], vals[3]))
+        return lambda: Region((_compile_rect(*vals),))
 
-    def _parse_poly(self) -> PolySpec:
-        frame = self.frame()
-        width = 2 if frame == "J2000" else 3
-        vals = self.numbers_until_keyword()
-        return PolySpec(frame, self._group(vals, width, "polygon points", 3))
+    def _parse_poly(self):
+        frame, points = self._points("polygon points")
+        return lambda: Region((_compile_poly([_point_to_vec(frame, p) for p in points]),))
 
-    def _parse_chull(self) -> HullSpec:
-        frame = self.frame()
-        width = 2 if frame == "J2000" else 3
-        vals = self.numbers_until_keyword()
-        return HullSpec(frame, self._group(vals, width, "hull points", 3))
+    def _parse_chull(self):
+        frame, points = self._points("hull points")
+        return lambda: Region((_compile_chull([_point_to_vec(frame, p) for p in points]),))
 
-    def _parse_convex(self) -> ConvexSpec:
-        vals = self.numbers_until_keyword()
-        return ConvexSpec(self._group(vals, 4, "constraint 4-tuples (x y z d)", 1))
+    def _constraints(self):
+        return self._group(self.numbers_until_keyword(), 4, "constraint 4-tuples (x y z d)", 1)
 
-    def _parse_region(self) -> RegionSpec:
+    def _parse_convex(self):
+        rows = self._constraints()
+        return lambda: Region((_compile_convex(rows),))
+
+    def _parse_region(self):
         convexes = []
         while self.peek().kind == "word" and self.peek().text == "CONVEX":
             self.advance()
-            convexes.append(self._parse_convex())
-        return RegionSpec(tuple(convexes))
-
-
-def parse_region_spec(text: str) -> AreaSpec:
-    """Parse a region grammar string into its AST. Raises RegionSyntaxError."""
-    return _Parser(text).parse()
+            convexes.append(self._constraints())
+        return lambda: Region(tuple(_compile_convex(rows) for rows in convexes))
 
 
 # -- compilation -----------------------------------------------------------
@@ -400,9 +367,16 @@ def _compile_chull(vecs: list[UnitVec3]) -> Convex:
     return Convex(tuple(halves))
 
 
-def _compile_rect(spec: RectSpec) -> Convex:
-    ra1, dec1 = spec.corner1
-    ra2, dec2 = spec.corner2
+def _compile_circle(frame: str, center: list[float], radius_arcmin: float) -> Convex:
+    vec = _point_to_vec(frame, center)
+    if not 0.0 <= radius_arcmin <= 180.0 * 60.0:
+        raise RegionCompileError(
+            f"circle radius must be within [0, 10800] arcmin: {radius_arcmin!r}"
+        )
+    return Convex((circle_to_halfspace(vec, radius_arcmin / 60.0),))
+
+
+def _compile_rect(ra1: float, dec1: float, ra2: float, dec2: float) -> Convex:
     ra_min, ra_max = sorted((ra1, ra2))
     dec_min, dec_max = sorted((dec1, dec2))
     if not (-90.0 <= dec_min and dec_max <= 90.0):
@@ -424,9 +398,9 @@ def _compile_rect(spec: RectSpec) -> Convex:
     return Convex(halves)
 
 
-def _compile_convex_spec(spec: ConvexSpec) -> Convex:
+def _compile_convex(constraints: tuple[tuple[float, ...], ...]) -> Convex:
     halves = []
-    for x, y, z, d in spec.constraints:
+    for x, y, z, d in constraints:
         if not (-1.0 <= d <= 1.0):
             raise RegionCompileError(f"constraint length {d!r} outside [-1, 1]")
         try:
@@ -437,34 +411,11 @@ def _compile_convex_spec(spec: ConvexSpec) -> Convex:
     return Convex(tuple(halves))
 
 
-def compile_to_region(ast: AreaSpec) -> Region:
-    """Compile a parsed spec into a geometry Region."""
-    if isinstance(ast, CircleSpec):
-        center = _point_to_vec(ast.frame, ast.center)
-        if not 0.0 <= ast.radius_arcmin <= 180.0 * 60.0:
-            raise RegionCompileError(
-                f"circle radius must be within [0, 10800] arcmin: {ast.radius_arcmin!r}"
-            )
-        h = circle_to_halfspace(center, ast.radius_arcmin / 60.0)
-        return Region((Convex((h,)),))
-    if isinstance(ast, RectSpec):
-        return Region((_compile_rect(ast),))
-    if isinstance(ast, PolySpec):
-        vecs = [_point_to_vec(ast.frame, p) for p in ast.points]
-        return Region((_compile_poly(vecs),))
-    if isinstance(ast, HullSpec):
-        vecs = [_point_to_vec(ast.frame, p) for p in ast.points]
-        return Region((_compile_chull(vecs),))
-    if isinstance(ast, ConvexSpec):
-        return Region((_compile_convex_spec(ast),))
-    if isinstance(ast, RegionSpec):
-        return Region(tuple(_compile_convex_spec(c) for c in ast.convexes))
-    raise TypeError(f"not a region spec AST: {ast!r}")
-
-
 def compile_region_string(text: str) -> Region:
-    """parse + compile in one step."""
-    return compile_to_region(parse_region_spec(text))
+    """Parse and compile a region grammar string into a Region. Raises
+    RegionSyntaxError for any fault of the text before RegionCompileError
+    for a shape that has no convex geometry."""
+    return _Parser(text).parse()
 
 
 # -- serialization ---------------------------------------------------------

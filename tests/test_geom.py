@@ -132,6 +132,41 @@ def test_half_space_row_taken_alike_by_cover_store_and_loader(row, taken):
     assert bool(row_is_halfspace(*row)) == taken
 
 
+def _vec_with_norm2(n2):
+    """(x, y, 0.0) whose |v|^2, summed in UnitVec3's order, is n2: x*x is
+    exactly 1 - 64 ulps, and y is stepped until y*y makes up the rest."""
+    x = 1.0 - 64 * 2.0**-53
+    y = math.sqrt(n2 - x * x)
+    for _ in range(32):
+        got = x * x + y * y + 0.0 * 0.0
+        if got == n2:
+            return x, y, 0.0
+        y = math.nextafter(y, math.inf if got < n2 else -math.inf)
+    raise AssertionError(f"no y gives |v|^2 = {n2!r}")
+
+
+@pytest.mark.parametrize(
+    "n2, taken",
+    [
+        (1.0 + 16 * _ULP, True),
+        (1.0 - 16 * _ULP, True),
+        (1.0 + 17 * _ULP, False),
+        (1.0 - 17 * _ULP, False),
+        (1.0 + 1e-14, False),
+        (1.0 + 4e-12, False),
+    ],
+)
+def test_unit_vec_takes_the_rows_row_is_halfspace_takes(n2, taken):
+    """A normal UnitVec3 builds is one that htm.cover and the store take."""
+    v = _vec_with_norm2(n2)
+    assert bool(row_is_halfspace(*v, 0.5)) == taken
+    if taken:
+        assert UnitVec3(*v).as_tuple() == v
+    else:
+        with pytest.raises(GeometryError, match="not a unit vector"):
+            UnitVec3(*v)
+
+
 def _columns_with_row(row):
     store = RegionStore()
     store.region_new_from_convexes([[(0.0, 0.0, 1.0, 0.5)]], "r", "")

@@ -297,6 +297,16 @@ class TestCover:
         assert cover([[(0.0, 0.0, 1.0, -1.0)]], max_depth=3) == [(8 << 6, (16 << 6) - 1)]  # all but the south pole
         assert cover([[(0.0, 0.0, z, 1.0)]], max_depth=3) == cover([[(0.0, 0.0, 1.0, 1.0)]], max_depth=3)
 
+    def test_empty_cap_covers_nothing(self):
+        # l = 1 is the empty cap {p . n > 1}; its point circle on a trixel
+        # corner once gave 4 depth-20 ranges around n
+        from skyindex.regionspec import compile_region_string
+
+        (point,) = region_rows(compile_region_string("CIRCLE J2000 0 0 0"))
+        assert cover([[(0.0, 0.0, 1.0, 1.0)]]) == []
+        assert cover([point]) == []
+        assert cover([point + [cap_row(sky_to_vec(SkyPoint(0, 0)), 10.0)]]) == []
+
     def test_common_depth(self, corpus_regions):
         for _, region in corpus_regions:
             ranges = cover(region_rows(region))
@@ -400,12 +410,14 @@ def cover_digest(regions) -> str:
 
 
 class TestPinnedCover:
-    # cover_digest(pinned_cover_regions()) before the bounding-cap
-    # pre-test: the pre-test settles trixels sooner but changes no range
-    DIGEST = "44a27031c18bcfa624591077e0c430c3fa1afb90abb91eace285ecdb59ab6b39"
+    # cover_digest(pinned_cover_regions()). Re-pinned when an empty cap
+    # (l = 1) became OUTSIDE before the edge test: only the radius-0
+    # circles' ranges moved, each to none (44a27031... before)
+    DIGEST = "528897a12c6d7e10184311e7078dc0bcf5f0fb980afb49633a889ee2ef1f3577"
     # the pinned regions at max_depth 25 and 30 with max_ranges 1, 7 and
     # 40, then random_cover_cases(), as one SHA-256 of their ranges
-    DEEP_DIGEST = "9a99576f0b561e2f57bb5bb0b85ea3dbcc35ee4638b529e8acedcaa12d2fa390"
+    # (9a99576f... before the same re-pin)
+    DEEP_DIGEST = "84865ea47cfc10b61a072c37ef0b04459558490e22945284c194311f838bcf65"
 
     def test_ranges_unchanged(self):
         assert cover_digest(pinned_cover_regions()) == self.DIGEST

@@ -7,94 +7,111 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skyindex.geom import (
+    Convex,
+    HalfSpace,
+    Region,
     SkyPoint,
     UnitVec3,
+    circle_to_halfspace,
     inside_region,
+    region_rows,
     sky_to_vec,
 )
 from skyindex.regionspec import (
-    CircleSpec,
-    ConvexSpec,
-    HullSpec,
-    PolySpec,
-    RectSpec,
     RegionCompileError,
-    RegionSpec,
     RegionSyntaxError,
     compile_region_string,
-    compile_to_region,
-    parse_region_spec,
     serialize_region,
 )
 
 from conftest import membership_with_guard, sample_sphere
 
 
+def one_convex(*halves) -> Region:
+    return Region((Convex(halves),))
+
+
 class TestParse:
     def test_paper_circle(self):
-        ast = parse_region_spec("CIRCLE J2000 30 20 3")
-        assert ast == CircleSpec("J2000", (30.0, 20.0), 3.0)
+        region = compile_region_string("CIRCLE J2000 30 20 3")
+        assert region == one_convex(circle_to_halfspace(sky_to_vec(SkyPoint(30, 20)), 0.05))
 
     def test_paper_poly(self):
-        ast = parse_region_spec("POLY J2000 0 0 0 90 180 0")
-        assert ast == PolySpec("J2000", ((0.0, 0.0), (0.0, 90.0), (180.0, 0.0)))
+        # the equator-pole-equator triangle: its vertices share the plane
+        # y = 0, and its antipodal edge takes the plane through the centroid
+        (rows,) = region_rows(compile_region_string("POLY J2000 0 0 0 90 180 0"))
+        want = [(0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
+        assert rows == [pytest.approx(w, abs=1e-15) for w in want]
 
     def test_paper_cartesian_circle(self):
-        ast = parse_region_spec("CIRCLE CARTESIAN 1 0 0 3")
-        assert ast == CircleSpec("CARTESIAN", (1.0, 0.0, 0.0), 3.0)
+        region = compile_region_string("CIRCLE CARTESIAN 1 0 0 3")
+        assert region == one_convex(circle_to_halfspace(UnitVec3(1.0, 0.0, 0.0), 0.05))
 
     def test_case_and_whitespace_insensitive(self):
-        ast = parse_region_spec("  circle\tj2000\n30 20 3 ")
-        assert isinstance(ast, CircleSpec)
+        region = compile_region_string("  circle\tj2000\n30 20 3 ")
+        assert region == compile_region_string("CIRCLE J2000 30 20 3")
 
     def test_number_forms(self):
-        ast = parse_region_spec("CIRCLE J2000 +3.5e1 -2.0E+1 .5")
-        assert ast.center == (35.0, -20.0)
-        assert ast.radius_arcmin == 0.5
+        region = compile_region_string("CIRCLE J2000 +3.5e1 -2.0E+1 .5")
+        assert region == one_convex(circle_to_halfspace(sky_to_vec(SkyPoint(35, -20)), 0.5 / 60.0))
 
     def test_rect(self):
-        ast = parse_region_spec("RECT J2000 10 -5 20 5")
-        assert ast == RectSpec("J2000", (10.0, -5.0), (20.0, 5.0))
+        region = compile_region_string("RECT J2000 10 -5 20 5")
+        r10, r20 = math.radians(10.0), math.radians(20.0)
+        assert region == one_convex(
+            HalfSpace(UnitVec3(0.0, 0.0, 1.0), math.sin(math.radians(-5.0))),
+            HalfSpace(UnitVec3(0.0, 0.0, -1.0), -math.sin(math.radians(5.0))),
+            HalfSpace(UnitVec3.normalized(-math.sin(r10), math.cos(r10), 0.0), 0.0),
+            HalfSpace(UnitVec3.normalized(math.sin(r20), -math.cos(r20), 0.0), 0.0),
+        )
 
     def test_convex_and_region(self):
-        ast = parse_region_spec("REGION CONVEX 0 0 1 0 CONVEX 1 0 0 0.5 0 1 0 0")
-        assert isinstance(ast, RegionSpec)
-        assert len(ast.convexes) == 2
-        assert ast.convexes[1] == ConvexSpec(((1.0, 0.0, 0.0, 0.5), (0.0, 1.0, 0.0, 0.0)))
+        region = compile_region_string("REGION CONVEX 0 0 1 0 CONVEX 1 0 0 0.5 0 1 0 0")
+        assert region == Region(
+            (
+                Convex((HalfSpace(UnitVec3(0.0, 0.0, 1.0), 0.0),)),
+                Convex((HalfSpace(UnitVec3(1.0, 0.0, 0.0), 0.5), HalfSpace(UnitVec3(0.0, 1.0, 0.0), 0.0))),
+            )
+        )
 
     def test_empty_region(self):
-        ast = parse_region_spec("REGION")
-        assert ast == RegionSpec(())
-        assert compile_to_region(ast).convexes == ()
+        assert compile_region_string("REGION") == Region(())
 
     def test_error_offset_and_expectation(self):
         with pytest.raises(RegionSyntaxError) as err:
-            parse_region_spec("CIRCLE J2000 30 20")
+            compile_region_string("CIRCLE J2000 30 20")
         assert err.value.offset == len("CIRCLE J2000 30 20")
         assert "3 numbers" in str(err.value)
 
     def test_poly_arity(self):
         with pytest.raises(RegionSyntaxError) as err:
-            parse_region_spec("POLY J2000 0 0 0 90")
+            compile_region_string("POLY J2000 0 0 0 90")
         assert "at least 3" in str(err.value)
 
     def test_odd_number_count(self):
         with pytest.raises(RegionSyntaxError):
-            parse_region_spec("POLY J2000 0 0 0 90 180")
+            compile_region_string("POLY J2000 0 0 0 90 180")
 
     def test_unknown_frame(self):
         with pytest.raises(RegionSyntaxError) as err:
-            parse_region_spec("CIRCLE GALACTIC 0 0 3")
+            compile_region_string("CIRCLE GALACTIC 0 0 3")
         assert "frame" in str(err.value)
         assert err.value.offset == len("CIRCLE ")
 
     def test_rect_j2000_only(self):
         with pytest.raises(RegionSyntaxError):
-            parse_region_spec("RECT CARTESIAN 0 0 1 1")
+            compile_region_string("RECT CARTESIAN 0 0 1 1")
 
     def test_trailing_garbage(self):
         with pytest.raises(RegionSyntaxError):
-            parse_region_spec("CIRCLE J2000 30 20 3 BANANA")
+            compile_region_string("CIRCLE J2000 30 20 3 BANANA")
+
+    def test_syntax_error_before_compile_error(self):
+        # dec 100 and a zero normal would each fail to compile
+        with pytest.raises(RegionSyntaxError, match="end of input"):
+            compile_region_string("CIRCLE J2000 30 100 3 BANANA")
+        with pytest.raises(RegionSyntaxError, match="multiple of 4"):
+            compile_region_string("REGION CONVEX 0 0 0 1 CONVEX 1 0")
 
     def test_totality_fuzz(self, rng):
         # arbitrary byte soup must produce a structured error, never a crash
@@ -103,8 +120,7 @@ class TestParse:
             n = int(rng.integers(0, 40))
             s = "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), n))
             try:
-                ast = parse_region_spec(s)
-                compile_to_region(ast)
+                compile_region_string(s)
             except (RegionSyntaxError, RegionCompileError):
                 pass
 
@@ -245,13 +261,8 @@ def test_keyword_with_arbitrary_numbers_fails_only_by_grammar_errors(keyword, fr
     # a spec either compiles or fails with the grammar's own error types
     text = " ".join([keyword, frame, *numbers])
     try:
-        ast = parse_region_spec(text)
-    except RegionSyntaxError:
-        return
-    assert isinstance(ast, (CircleSpec, RectSpec, PolySpec))
-    try:
-        compile_to_region(ast)
-    except RegionCompileError:
+        compile_region_string(text)
+    except (RegionSyntaxError, RegionCompileError):
         pass
 
 
@@ -321,14 +332,10 @@ class TestSerialize:
         assert serialize_region(region) == "REGION CONVEX 0 0 1 0"
 
     def test_empty_region(self):
-        from skyindex.geom import Region
-
         assert serialize_region(Region(())) == "REGION"
         assert compile_region_string("REGION").convexes == ()
 
     def test_whole_sphere_convex_membership_exact(self, rng):
-        from skyindex.geom import Convex, Region, inside_region
-
         whole = Region((Convex(()),))
         back = compile_region_string(serialize_region(whole))
         for p in sample_sphere(rng, 200):
