@@ -24,8 +24,8 @@ import numpy as np
 
 
 # How far |n|^2 of a UnitVec3, or of a stored or covered normal, may lie
-# from 1: the one rule of UnitVec3 and row_is_halfspace. The store
-# writes normals within 2.5 ulps (over 200k `UnitVec3.normalized` and
+# from 1 (UnitVec3 and row_is_halfspace both apply it). The store writes
+# normals within 2.5 ulps (over 200k `UnitVec3.normalized` and
 # `sky_to_vec` vectors). A normal 16 ulps long widens its cap by at most
 # 3.4e-6 degrees (at l = 1), which with the 2.6e-6 degree rounding of
 # p . n > l stays inside points_in_region's COVER_PAD_DEG of 1e-5 degrees.

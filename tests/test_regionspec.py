@@ -38,7 +38,8 @@ class TestParse:
 
     def test_paper_poly(self):
         # the equator-pole-equator triangle: its vertices share the plane
-        # y = 0, and its antipodal edge takes the plane through the centroid
+        # y = 0, and its antipodal edge (180 0 to 0 0) takes the normal
+        # toward the vertex centroid
         (rows,) = region_rows(compile_region_string("POLY J2000 0 0 0 90 180 0"))
         want = [(0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
         assert rows == [pytest.approx(w, abs=1e-15) for w in want]
