@@ -84,12 +84,13 @@ class CompiledPredicate:
     convexes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]  # (nx, ny, nz, l)
 
     def evaluate_columns(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Unit vectors as three (n,) columns -> boolean mask."""
+        """Unit vectors as three (n,) columns -> mask, by `inside_convex`'s rule."""
         out = np.zeros(len(x), dtype=bool)
         for nx, ny, nz, l in self.convexes:
             inside = np.ones(len(x), dtype=bool)
             for j in range(len(l)):
-                inside &= _dot(x, y, z, nx[j], ny[j], nz[j]) > l[j]
+                d = _dot(x, y, z, nx[j], ny[j], nz[j])
+                inside &= np.minimum(d, 1.0, out=d) > l[j]
             out |= inside
         return out
 
@@ -488,13 +489,14 @@ class RegionStore:
         when that count is 0, so a convex with no constraints contains
         every point. One pass over the half-space table answers it, with
         the dot taken in `UnitVec3.dot`'s order, so the hits are exactly
-        those of `inside_convex`. Dead rows are scanned too; their slots
-        are masked out.
+        those of `inside_convex`, whose clip of p . n at 1 it keeps too.
+        Dead rows are scanned too; their slots are masked out.
         """
         self._flush()
         t, c = self._rows, self._convexes
         n, m = t.n, c.n
-        outside = _dot(p.x, p.y, p.z, t.nx[:n], t.ny[:n], t.nz[:n]) <= t.l[:n]
+        d = _dot(p.x, p.y, p.z, t.nx[:n], t.ny[:n], t.nz[:n])
+        outside = np.minimum(d, 1.0, out=d) <= t.l[:n]
         before = np.concatenate(([0], np.cumsum(outside)))  # rows excluding p before each row
         first = c.first[:m]
         hit = np.flatnonzero((before[first + c.count[:m]] == before[first]) & c.alive[:m])

@@ -193,7 +193,8 @@ def vec_to_sky(v: UnitVec3) -> SkyPoint:
 
 
 def inside_convex(c: Convex, p: UnitVec3) -> bool:
-    return all(p.dot(h.normal) > h.l for h in c.constraints)
+    """min(p . n, 1) > l for every row: a row with l = 1 holds no point."""
+    return all(min(p.dot(h.normal), 1.0) > h.l for h in c.constraints)
 
 
 def inside_region(r: Region, p: UnitVec3) -> bool:

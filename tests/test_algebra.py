@@ -538,6 +538,27 @@ class TestQueries:
                 (rid, 1) for rid in rids if store.contains(rid, p)
             ]
 
+    def test_row_with_l_one_holds_no_point(self, store, rng):
+        # a radius-0 circle, the empty cap that htm.cover and simplify_convex
+        # see; within ~1e-12 rad of n the rounded p . n exceeds 1 for many
+        # points, and every path clips it at 1
+        n = UnitVec3(-0.3278960990399359, 0.0, -0.9447137917032823)
+        rid = store.region_new("dot")
+        cid = store.region_new_convex(rid)
+        store.region_new_convex_constraint(rid, cid, n.x, n.y, n.z, 1.0)
+        c = vec_to_sky(n)
+        ra = c.ra + rng.uniform(-3e-11, 3e-11, 2000)
+        dec = c.dec + rng.uniform(-3e-11, 3e-11, 2000)
+        objid, ra, dec, (x, y, z) = sky_columns(ra, dec)
+        points = [UnitVec3(*p) for p in zip(x.tolist(), y.tolist(), z.tolist())]
+        assert sum(p.dot(n) > 1.0 for p in points) > 50
+        convex = store.geometry(rid).convexes[0]
+        assert not any(inside_convex(convex, p) for p in points)
+        assert not store.region_predicate(rid).evaluate_columns(x, y, z).any()
+        assert not any(store.regions_on_point(p) for p in points)
+        assert not any(store.contains(rid, p) for p in points[:200])
+        assert store.points_in_region(rid, objid, ra, dec) == []
+
     def test_predicate_equivalence(self, store, corpus_regions, rng):
         pts = sample_sphere(rng, 2000)
         xyz = np.array([p.as_tuple() for p in pts])
@@ -804,20 +825,19 @@ class TestPointsInBand:
             assert {objid[4], objid[11]} <= set(want)
 
     def test_rows_in_their_own_tiny_circles(self, store, rng):
-        # A 1e-6 arcmin circle has l = 1.0 and radius_deg() 0, yet a row at
-        # its centre is inside when |p|^2 rounds above 1: the band's pad
-        # keeps it, whatever its dec and the atan2 of its circle's normal.
+        # A 1e-3 arcmin circle has l within 1e-13 of 1, and a row at its
+        # centre is inside: the band's pad keeps it, whatever its dec and
+        # the atan2 of its circle's normal. A 1e-6 arcmin circle has l = 1.0,
+        # the empty cap, and holds no row, also where |p|^2 rounds above 1.
         ra, dec = random_sky(rng, 300)
         dec[:4] = [89.99995, -89.99995, 1e-9, -1e-9]
         objid, ra, dec, _ = sky_columns(ra, dec)
-        hits = 0
-        for r, d in zip(ra, dec):
+        for i, (r, d) in enumerate(zip(ra, dec)):
             for arcmin in (1e-6, 1e-3):
                 rid = add_region(store, compile_region_string(circle_text(r, d, arcmin)))
                 want = whole_catalog_points_in(store, rid, objid, ra, dec)
                 assert store.points_in_region(rid, objid, ra, dec) == want
-                hits += len(want)
-        assert hits > 300
+                assert want == ([] if arcmin == 1e-6 else [objid[i]])
 
     def test_empty_and_unknown_regions(self, store):
         objid, ra, dec, _ = sky_columns([0.0, 180.0], [90.0, -90.0])
