@@ -6,18 +6,17 @@ entry's radius never exceeds its scale's zone height. The pyramid is one
 table of entry columns (objid, ra, dec, radius), stably sorted by (scale,
 zone), the layout of one SQL table clustered on (scale, zone); both parts
 of that key are derived from the radius and dec (scale_of,
-zones.zone_column), and each row's unit vector x, y, z from its ra and
-dec (geom.sky_to_xyz), never stored. An overlap query finds each populated
+zones.zone_column), and each row's unit vector from its ra and dec
+(geom.sky_to_xyz), never stored. An overlap query finds each populated
 scale's narrow dec band, a run of contiguous rows, with two binary
 searches on the key, and keeps the rows of every band that lie in their
 scale's ra window with one mask over the edges zones.ra_images gives, so
 wraparound at ra 0/360 follows the zone scan's one rule. Bands here are
 sparse (many zones, few rows each), so this costs less than a binary
-search per zone. One cascade then runs over the candidates of every
-scale together: fine ra window, dec band, a sound planar-style circle
-test, and finally the exact spherical test arc_distance(centers) <
-query_radius + entry_radius. Per-stage candidate counts are exposed for
-diagnostics.
+search per zone. The answer is the exact spherical test
+arc_distance(centers) < query_radius + entry_radius on those rows. The
+per-stage counts of a cascade of sound filters (fine ra window, dec band,
+a planar-style circle test) are diagnostics, computed only when asked for.
 """
 
 from __future__ import annotations
@@ -104,16 +103,18 @@ class PyramidIndex:
 
     One set of entry columns, stably sorted by (scale, zone): an entry's
     scale is scale_of(radius), its zone that of its dec at the scale's
-    zone height, so its radius never exceeds its zone height. _cols also
-    holds each row's x, y, z, derived as rows are sorted in. insert only
-    queues an entry; the next query sorts the queue in.
+    zone height, so its radius never exceeds its zone height. _xyz holds
+    the rows' unit vectors, one (3, n) block derived as rows are sorted
+    in. insert only queues an entry; the next query sorts the queue in.
     """
 
     def __init__(self, cfg: PyramidConfig | None = None):
         self.cfg = cfg or PyramidConfig()
-        self._cols = {k: np.empty(0, _ENTRY_COLUMNS.get(k, np.float64)) for k in (*_ENTRY_COLUMNS, *"xyz")}
+        self._cols = {k: np.empty(0, t) for k, t in _ENTRY_COLUMNS.items()}
+        self._xyz = np.empty((3, 0))
         self._key = np.empty(0, complex)  # scale + 1j * zone, row by row
         self._scales = np.empty(0, np.int64)  # the populated scales, ascending
+        self._heights = self._top = np.empty(0)  # their zone heights and last zones
         self._queued: list[tuple] = []
         self._ids: set[int] = set()
 
@@ -152,18 +153,20 @@ class PyramidIndex:
         return s
 
     def _sort_in(self, new: dict[str, np.ndarray]) -> None:
-        """Add the rows of new entry columns, with their x, y, z, keeping the
-        table stably sorted by (scale, zone): sorted rows keep their order."""
+        """Add the rows of new entry columns and their unit vectors, keeping
+        the table stably sorted by (scale, zone): sorted rows keep their order."""
         scale = scale_of(new["radius"], self.cfg)
         zone = zone_column(new["dec"], self.cfg.zone_height(scale))
-        new = {**new, **dict(zip("xyz", sky_to_xyz(new["ra"], new["dec"])))}
         # numpy orders and searches complex values by (real, imag), and
         # both parts are exact integers, so key orders rows by (scale, zone)
         key = np.concatenate([self._key, scale + 1j * zone])
         order = key.argsort(kind="stable")
         self._key = key[order]
         self._cols = {k: np.concatenate([c, new[k]])[order] for k, c in self._cols.items()}
+        self._xyz = np.concatenate([self._xyz, sky_to_xyz(new["ra"], new["dec"])], axis=1).take(order, axis=1)
         self._scales = np.union1d(self._scales, scale)
+        self._heights = self.cfg.zone_height(self._scales)
+        self._top = np.ceil(180.0 / self._heights) - 1.0
 
     def columns(self) -> dict[str, np.ndarray]:
         """The entry columns by name, rows sorted by (scale, zone), with
@@ -172,7 +175,7 @@ class PyramidIndex:
             rows = zip(*self._queued)
             self._sort_in({k: np.array(c, t) for (k, t), c in zip(_ENTRY_COLUMNS.items(), rows)})
             self._queued = []
-        return {k: self._cols[k] for k in _ENTRY_COLUMNS}
+        return dict(self._cols)
 
     def scales(self) -> list[int]:
         """The scales that hold an entry, ascending."""
@@ -190,13 +193,13 @@ def _effective_ra_distance(dra, dec1, dec2) -> np.ndarray:
     return 2.0 * np.arcsin(np.minimum(1.0, s))
 
 
-def scale_band(heights: np.ndarray, dec: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The first and last zone, at each zone height h, that can hold the
-    center of an entry overlapping a circle of radius r at dec: an entry's
-    radius is at most h, so its center is within dec +- (r + h). Zones
-    come as integral floats."""
+def scale_band(heights: np.ndarray, top: np.ndarray, dec: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last zone, at each zone height h with last zone top,
+    that can hold the center of an entry overlapping a circle of radius r
+    at dec: an entry's radius is at most h, so its center is within
+    dec +- (r + h). Zones come as integral floats."""
     lo_z = np.maximum(0.0, np.floor((dec + 90.0 - r - heights) / heights))
-    hi_z = np.minimum(np.ceil(180.0 / heights) - 1.0, np.floor((dec + 90.0 + r + heights) / heights))
+    hi_z = np.minimum(top, np.floor((dec + 90.0 + r + heights) / heights))
     return lo_z, hi_z
 
 
@@ -207,23 +210,20 @@ def overlap_search(
     stats: dict | None = None,
 ) -> list[int]:
     """Ids of entries whose bounding circles overlap the query circle, for
-    a radius in [0, 180] (exact spherical test; the cascade stages only
-    narrow candidates).
+    a radius in [0, 180].
 
     Each populated scale's scale_band is one run of rows, kept where ra is
     in the window of a circle of radius + h (h the scale's zone height).
-    One mask tests the rows of every band at once; the rows kept are
-    gathered once and filtered once, by nested masks: fine ra, dec band,
-    circle test, exact test.
+    One mask tests the rows of every band at once; the exact test runs on
+    the rows kept. Only a stats dict runs the cascade of sound filters on
+    them (fine ra, dec band, circle test) to count each stage's rows.
     """
     r = float(radius)
     if not 0 <= r <= 180:
         raise PyramidError(f"radius out of [0, 180] degrees: {r!r}")
-    qv = sky_to_vec(center)
     index.columns()  # sorts the queue in
-    cols, scales = index._cols, index._scales
-    heights = index.cfg.zone_height(scales)
-    lo_z, hi_z = scale_band(heights, center.dec, r)
+    cols, scales, heights = index._cols, index._scales, index._heights
+    lo_z, hi_z = scale_band(heights, index._top, center.dec, r)
     starts = index._key.searchsorted(scales + 1j * lo_z, side="left")
     ends = index._key.searchsorted(scales + 1j * hi_z, side="right")
     band = starts < ends
@@ -238,34 +238,25 @@ def overlap_search(
         lo, hi = np.repeat(ra_images(center.ra - alpha, center.ra + alpha), ends - starts, axis=2)
         ra = cols["ra"][rows]
         rows = rows[((lo <= ra) & (ra <= hi)).any(axis=0)]
-    ra, dec, radii, x, y, z, objid = (cols[k][rows] for k in ("ra", "dec", "radius", "x", "y", "z", "objid"))
-    limit = r + radii
-    limit_rad = np.radians(limit)
-    dra_eff = _effective_ra_distance(ra - center.ra, dec, center.dec)
-    ddec = np.radians(np.abs(dec - center.dec))
-    dx = x - qv.x
-    dy = y - qv.y
-    dz = z - qv.z
-    dist = np.degrees(
-        2.0 * np.arcsin(np.minimum(1.0, np.sqrt(dx * dx + dy * dy + dz * dz) / 2.0))
-    )
-    fine_ok = dra_eff < limit_rad + 1e-9
-    dec_ok = fine_ok & (ddec < limit_rad + 1e-9)
-    # sound circle test: sqrt(ddec^2 + dra_eff^2) lower-bounds the arc
-    # distance, so a reject can never lose a true overlap
-    geom_ok = dec_ok & (ddec * ddec + dra_eff * dra_eff < (limit_rad + 1e-9) ** 2)
-    matched = geom_ok & (dist < limit)
+    limit = r + cols["radius"][rows]
+    # (dx^2 + dy^2) + dz^2: the sum over axis 0 adds the rows in order
+    d = index._xyz.take(rows, axis=1) - np.array(sky_to_vec(center).as_tuple())[:, None]
+    d *= d
+    dist = np.degrees(2.0 * np.arcsin(np.minimum(1.0, np.sqrt(d.sum(axis=0)) / 2.0)))
     # one id per entry, as from_columns and insert check
-    ids = np.sort(objid[matched])
+    ids = np.sort(cols["objid"][rows[dist < limit]])
     if stats is not None:
-        stats.update(
-            zone_scale=n_zone,
-            ra=len(ra),
-            fine_ra=int(fine_ok.sum()),
-            dec=int(dec_ok.sum()),
-            geometry=int(geom_ok.sum()),
-            matched=len(ids),
-        )
+        ra, dec = cols["ra"][rows], cols["dec"][rows]
+        reach = np.radians(limit) + 1e-9
+        dra_eff = _effective_ra_distance(ra - center.ra, dec, center.dec)
+        ddec = np.radians(np.abs(dec - center.dec))
+        fine_ok = dra_eff < reach
+        dec_ok = fine_ok & (ddec < reach)
+        # sound circle test: sqrt(ddec^2 + dra_eff^2) lower-bounds the arc
+        # distance, so a reject can never lose a true overlap
+        geom_ok = dec_ok & (ddec * ddec + dra_eff * dra_eff < reach**2)
+        counts = (n_zone, len(rows), fine_ok.sum(), dec_ok.sum(), geom_ok.sum(), len(ids))
+        stats.update(zip(("zone_scale", "ra", "fine_ra", "dec", "geometry", "matched"), map(int, counts)))
     return ids.tolist()
 
 

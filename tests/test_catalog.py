@@ -1201,8 +1201,8 @@ class TestSnapshot:
         elif fault == "objid":
             cols["objid"][1] = cols["objid"][0]
         else:
-            # x, y, z are derived as rows are sorted in, so a file cannot hold them
-            schema["x"], cols["x"] = snapshot._F8, pyr._cols["x"]
+            # unit vectors are derived as rows are sorted in, so a file cannot hold them
+            schema["x"], cols["x"] = snapshot._F8, pyr._xyz[0]
         path = tmp_path / "s.snap"
         write_sections(path, pyramid=(schema, {"base_zone_height": pyr.cfg.base_zone_height, **cols}))
         with pytest.raises(SnapshotError, match=message):

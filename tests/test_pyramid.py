@@ -21,6 +21,7 @@ from skyindex.geom import (
     euclidean_miniball,
     inside_region,
     sky_to_vec,
+    sky_to_xyz,
     vec_to_sky,
 )
 from skyindex.pyramid import (
@@ -197,8 +198,8 @@ class TestCandidateZones:
         calls = set()
         band = pyramid.scale_band
 
-        def spy(heights, dec, r):
-            lo, hi = band(heights, dec, r)
+        def spy(heights, top, dec, r):
+            lo, hi = band(heights, top, dec, r)
             for h, z0, z1 in zip(heights.tolist(), lo.tolist(), hi.tolist()):
                 calls.update((scale[h], z) for z in range(int(z0), int(z1) + 1))
             return lo, hi
@@ -251,8 +252,8 @@ class TestOverlapSearch:
         return idx, (ex, ey, ez, radii)
 
     def test_loaded_index_same_as_built(self, rng, tmp_path):
-        # inserts and a load both derive x, y, z as rows are sorted in, so
-        # the two indexes hold the same bits and give the same answers
+        # inserts and a load both derive the unit vectors as rows are sorted
+        # in, so the two indexes hold the same bits and give the same answers
         idx, _ = self._build(rng, 3000)
         edge = [(0.0, 0.0), (0.0, 90.0), (180.0, -90.0), (359.9999, 89.99), (1e-9, -89.9),
                 (math.nextafter(360.0, 0.0), 12.0)]
@@ -264,6 +265,7 @@ class TestOverlapSearch:
         assert list(loaded.columns()) == ["objid", "ra", "dec", "radius"]
         for k, col in idx._cols.items():
             assert loaded._cols[k].tobytes() == col.tobytes(), k
+        assert loaded._xyz.tobytes() == idx._xyz.tobytes()
         n = 222
         ra = rng.uniform(0, 360, n)
         dec = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
@@ -368,6 +370,40 @@ class TestOverlapSearch:
                 >= stats["geometry"]
                 >= stats["matched"]
             )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_counted_and_plain_answers_agree_with_oracle(self, seed):
+        # the stage cascade runs only for a stats dict and never changes
+        # the answer: entries and queries at the poles, across ra 0/360,
+        # entries of radius 180 and queries of radius 0 and 180
+        rng = np.random.default_rng(seed)
+        n = 1500
+        ra = rng.uniform(0, 360, n)
+        dec = np.degrees(np.arcsin(rng.uniform(-1, 1, n)))
+        radii = np.exp(rng.uniform(np.log(1e-3), np.log(5.0), n))
+        ra[:200] = np.mod(rng.uniform(-2, 2, 200), 360.0)
+        dec[200:400] = rng.choice([-1, 1], 200) * rng.uniform(87, 90, 200)
+        dec[400:410] = rng.choice([-90.0, 90.0], 10)
+        radii[410:415] = 180.0
+        idx = PyramidIndex()
+        for i in range(n):
+            idx.insert(i, SkyPoint(float(ra[i]), float(dec[i])), float(radii[i]))
+        ex, ey, ez = sky_to_xyz(ra, dec)
+        wrap_ra = [0.0, math.nextafter(360.0, 0.0), 359.5, 0.5]
+        pole_dec = [90.0, -90.0, 89.9, -89.9, 0.0]
+        keys = ("zone_scale", "ra", "fine_ra", "dec", "geometry", "matched")
+        for k in range(200):
+            qra = float(rng.choice(wrap_ra)) if k % 3 == 0 else float(rng.uniform(0, 360))
+            qdec = float(rng.choice(pole_dec)) if k % 4 == 0 else float(np.degrees(np.arcsin(rng.uniform(-1, 1))))
+            qr = [0.0, 180.0][k % 2] if k % 5 == 0 else float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+            center = SkyPoint(qra, qdec)
+            stats = {}
+            plain = overlap_search(idx, center, qr)
+            assert overlap_search(idx, center, qr, stats=stats) == plain
+            assert plain == oracle.overlap_scan(ex, ey, ez, radii, center, qr)
+            chain = [stats[key] for key in keys]
+            assert chain == sorted(chain, reverse=True)
+            assert stats["matched"] == len(plain)
 
     @staticmethod
     def _checked_search(entries, center, r):
